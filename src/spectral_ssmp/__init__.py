@@ -17,7 +17,6 @@ from .bernstein import (
     DensityMeasure,
     TailMetadata,
     asymptotic_magnitude,
-    bernstein_gamma,
     eval_phi,
     phi_derivative,
     theta_integral,

@@ -515,11 +515,6 @@ def default_evaluator(phi: BernsteinFunction, tol: float = 1e-10,
     return BernsteinGammaEvaluator(phi, tol=tol, zmax=zmax)
 
 
-def bernstein_gamma(ev: BernsteinGammaEvaluator, z):
-    """W(z) through a prepared evaluator; see BernsteinGammaEvaluator."""
-    return ev.w(z)
-
-
 # ---------------------------------------------------------------------------
 # oscillation functionals Theta
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -48,25 +47,6 @@ _VALIDATION_ERRORS = (errors.ValidationError, errors.DomainError,
 _NUMERICAL_ERRORS = (errors.ConvergenceError, errors.QuadratureError,
                      errors.BranchError, errors.OverflowGuard,
                      errors.ResolutionError, errors.InterpolationError)
-
-
-def worker_cap() -> int:
-    """Worker count cap from SPECTRAL_SSMP_THREADS (>= 1; default 1).
-
-    The numerical kernels are vectorized in-process; the cap bounds any
-    auxiliary pools a caller may attach.
-    """
-    raw = os.environ.get("SPECTRAL_SSMP_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise errors.ValidationError(
-            f"SPECTRAL_SSMP_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise errors.ValidationError("SPECTRAL_SSMP_THREADS must be >= 1")
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +362,6 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        worker_cap()
         return args.fn(args)
     except _NUMERICAL_ERRORS as exc:
         _err(exc)

@@ -5,9 +5,11 @@ The evolution attached to a Wiener-Hopf pair is the sandwich
     P_t f = H ( e_t ( H^{-1} f ) ),    e_t g(x) = e^{-t e^{-x}} g(x),
 
 realized by two multiplier applications around a pointwise multiplication.
-The membership of f in the domain of H^{-1} is gated by the discrete
-spectral-tail surrogate (domain_check); --force overrides the gate and is
-recorded by the caller.
+The 1-d evolve is the d = 1 case of the tensor evolution: one forward
+transform per axis, divided by m, feeds both the domain gate and the
+inverse step.  The membership of f in the domain of H^{-1} is gated on
+every axis by the discrete spectral-tail surrogate (the tail fraction of
+domain_check); only evolve takes force=True to override the gate.
 
 Two generator realizations are provided: the pseudo-differential form
 A f = -e^{-x} F^{-1}[psi(xi) F f], and the integro-differential form built
@@ -33,17 +35,17 @@ from .errors import (
 )
 from .exponents import Exponent, LevyQuadruplet, WienerHopfPair, eval_psi
 from .transform import (
+    TAIL_FRACTION_BORDERLINE,
     GridFunction,
     GridSpec,
     MultiplierLine,
-    SpectrumLine,
+    _along,
+    _fft_axis,
+    _ifft_axis,
     apply_multiplier,
-    domain_check,
     gaussian_fixture,
     multiplier_h,
     multiplier_lambda,
-    plain_fft,
-    plain_ifft,
     tail_fraction,
 )
 
@@ -92,25 +94,11 @@ def evolve(plan: EvolutionPlan, t: float, f: GridFunction,
            force: bool = False) -> GridFunction:
     """Apply the semigroup at time t through the diagonalization.
 
-    The domain gate checks that F^e_f / m keeps its spectral mass inside
-    half Nyquist; a tripped gate raises DomainError unless force is given.
+    The d = 1 case of evolve_tensor; force=True overrides the domain gate.
     """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
     if f.spec != plan.spec:
         raise DomainError("grid mismatch")
-    record = domain_check(plan.m.inverse(), f)
-    if record.verdict == "outside" and not force:
-        raise DomainError(
-            f"input is outside the discretized domain of H^-1 "
-            f"(tail fraction {record.tail_fraction:.2e}); pass force=True "
-            "to override")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DomainWarning)
-        g = apply_multiplier(plan.m, f, invert=True)
-        g = mult_semigroup(t, g)
-        out = apply_multiplier(plan.m, g, invert=False)
-    return out
+    return GridFunction(plan.spec, _evolve_axes((plan,), t, f.values, force))
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +112,14 @@ def generator_pdo(e: Exponent, f: GridFunction) -> GridFunction:
     smooth at grid scale (spectral tail mass above the inside threshold).
     """
     spec = f.spec
-    s = plain_fft(f)
-    if tail_fraction(s) > 1e-6:
+    s = _fft_axis(f.values, spec, weight=0.0)
+    if tail_fraction(s, spec) > 1e-6:
         warnings.warn("input spectrum carries mass beyond half Nyquist; "
                       "the symbol application is under-resolved",
                       DomainWarning, stacklevel=2)
     psi_vals = eval_psi(e, spec.xi)
-    out = plain_ifft(SpectrumLine(spec, psi_vals * s.values))
-    return GridFunction(spec, -np.exp(-spec.x) * out.values)
+    out = _ifft_axis(psi_vals * s, spec, weight=0.0)
+    return GridFunction(spec, -np.exp(-spec.x) * out)
 
 
 def _derivatives(f, spec, order_h=1e-4):
@@ -265,9 +253,9 @@ def ws_residual(pair: WienerHopfPair, spec: GridSpec,
         warnings.simplefilter("ignore", DomainWarning)
         for a in centers:
             f = gaussian_fixture(spec, a)
-            fhat = plain_fft(f)
-            fused = plain_ifft(SpectrumLine(spec, psi_vals * lam_0 * fhat.values))
-            lhs = GridFunction(spec, -np.exp(-spec.x) * fused.values)
+            fhat = _fft_axis(f.values, spec, weight=0.0)
+            fused = _ifft_axis(psi_vals * lam_0 * fhat, spec, weight=0.0)
+            lhs = GridFunction(spec, -np.exp(-spec.x) * fused)
             rhs = apply_multiplier(lam_e, generator_pdo(e0, f))
             diff = GridFunction(spec, lhs.values - rhs.values)
             denom = rhs.norm_e()
@@ -309,28 +297,6 @@ class TensorPlan:
         return np.allclose(self.matrix_m, np.eye(self.dim), atol=1e-15)
 
 
-def _shifted_fft_axis(arr, spec, axis):
-    n = spec.n
-    shape = [1] * arr.ndim
-    shape[axis] = n
-    x = spec.x.reshape(shape)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0).reshape(shape)
-    phase = np.exp(-1j * spec.xi * spec.x_min).reshape(shape)
-    fhat = np.fft.fft(np.exp(x / 2.0) * arr * signs, axis=axis)
-    return (spec.dx / np.sqrt(2.0 * np.pi)) * phase * fhat
-
-
-def _inverse_shifted_fft_axis(arr, spec, axis):
-    n = spec.n
-    shape = [1] * arr.ndim
-    shape[axis] = n
-    x = spec.x.reshape(shape)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0).reshape(shape)
-    phase = np.exp(1j * spec.xi * spec.x_min).reshape(shape)
-    back = np.fft.ifft(phase * arr, axis=axis) * n
-    return (spec.dxi / np.sqrt(2.0 * np.pi)) * signs * back * np.exp(-x / 2.0)
-
-
 def _resample(values, plans, mat, pad_cells=8):
     """values(M x) on the product grid by multilinear interpolation."""
     from scipy.interpolate import interpn
@@ -349,36 +315,50 @@ def _resample(values, plans, mat, pad_cells=8):
     return out.reshape(values.shape)
 
 
+def _evolve_axes(plans, t, work, force=False):
+    """P_t on the product grid of the per-axis plans: H^{-1} axis by axis,
+    the joint factor e^{-t sum_k e^{-x_k}}, then H axis by axis.
+
+    Each H^{-1} step is gated: if F^e / m carries more than
+    TAIL_FRACTION_BORDERLINE of its mass beyond half Nyquist along that
+    axis, DomainError is raised unless force is given.
+    """
+    if t < 0:
+        raise DomainError("t must be nonnegative")
+    d = len(plans)
+    for k, p in enumerate(plans):
+        spec_hat = _fft_axis(work, p.spec, k) / _along(p.m.values, d, k)
+        frac = tail_fraction(spec_hat, p.spec, k)
+        if not frac <= TAIL_FRACTION_BORDERLINE and not force:
+            raise DomainError(
+                f"input is outside the discretized domain of H^-1 on axis "
+                f"{k} (tail fraction {frac:.2e}); evolve takes force=True "
+                "to override")
+        work = _ifft_axis(spec_hat, p.spec, k)
+    expo = np.zeros(work.shape)
+    for k, p in enumerate(plans):
+        expo = expo + _along(np.exp(-p.spec.x), d, k)
+    with np.errstate(over="ignore", under="ignore"):
+        work = work * np.exp(-t * expo)
+    for k, p in enumerate(plans):
+        spec_hat = _fft_axis(work, p.spec, k) * _along(p.m.values, d, k)
+        work = _ifft_axis(spec_hat, p.spec, k)
+    return work
+
+
 def evolve_tensor(plan: TensorPlan, t: float,
                   values: np.ndarray) -> np.ndarray:
     """d-dimensional evolution: per-axis diagonalization around the joint
-    multiplication factor e^{-t sum_k e^{-y_k}}; M-similarity by resampling."""
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    multiplication factor e^{-t sum_k e^{-y_k}}; M-similarity by resampling.
+
+    The domain gate of evolve runs on every axis, without an override.
+    """
     values = np.asarray(values, dtype=complex)
     if values.shape != tuple(p.spec.n for p in plan.plans):
         raise DomainError("value array must match the product grid")
     work = values if plan.is_identity else _resample(values, plan.plans,
                                                      plan.matrix_m)
-    for k, p in enumerate(plan.plans):
-        shape = [1] * plan.dim
-        shape[k] = p.spec.n
-        spec_hat = _shifted_fft_axis(work, p.spec, k)
-        spec_hat = spec_hat / p.m.values.reshape(shape)
-        work = _inverse_shifted_fft_axis(spec_hat, p.spec, k)
-    expo = np.zeros(values.shape)
-    for k, p in enumerate(plan.plans):
-        shape = [1] * plan.dim
-        shape[k] = p.spec.n
-        expo = expo + np.exp(-p.spec.x).reshape(shape)
-    with np.errstate(under="ignore"):
-        work = work * np.exp(-t * expo)
-    for k, p in enumerate(plan.plans):
-        shape = [1] * plan.dim
-        shape[k] = p.spec.n
-        spec_hat = _shifted_fft_axis(work, p.spec, k)
-        spec_hat = spec_hat * p.m.values.reshape(shape)
-        work = _inverse_shifted_fft_axis(spec_hat, p.spec, k)
+    work = _evolve_axes(plan.plans, t, work)
     if not plan.is_identity:
         work = _resample(work, plan.plans, np.linalg.inv(plan.matrix_m))
     return work

@@ -76,13 +76,15 @@ class SpectrumReport:
             raise DomainError(f"unknown verdict {self.verdict!r}")
         # mutually exclusive evidence: a multiplier and its reciprocal
         # cannot both be square integrable
-        if self.verdict == "Point":
-            assert self.l2_mass_m_finite
-        if self.verdict == "Residual":
-            assert self.l2_mass_inv_finite
-        if self.verdict == "Continuous":
-            assert self.bounded_above and self.bounded_below
-        assert not (self.l2_mass_m_finite and self.l2_mass_inv_finite)
+        if self.verdict == "Point" and not self.l2_mass_m_finite:
+            raise DomainError("a Point verdict needs a square-integrable m")
+        if self.verdict == "Residual" and not self.l2_mass_inv_finite:
+            raise DomainError("a Residual verdict needs a square-integrable 1/m")
+        if self.verdict == "Continuous" and not (self.bounded_above
+                                                 and self.bounded_below):
+            raise DomainError("a Continuous verdict needs m bounded both ways")
+        if self.l2_mass_m_finite and self.l2_mass_inv_finite:
+            raise DomainError("m and 1/m cannot both be square integrable")
 
     def to_dict(self):
         return {

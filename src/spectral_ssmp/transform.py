@@ -7,7 +7,8 @@ x_j = x_min + j dx with centered frequencies xi_k = 2 pi (k - n/2)/(n dx),
     F_k = (dx / sqrt(2 pi)) e^{-i xi_k x_min} DFT_k[(-1)^j e^{x_j/2} f_j],
 
 and the inverse reverses each step, making the round trip exact up to FFT
-rounding.  Multiplier operators act by pointwise multiplication on that
+rounding.  One kernel does this along any axis of an array, with the
+weight e^{x/2} or, for the plain transform of PDO symbols, none.  Multiplier operators act by pointwise multiplication on that
 frequency side; the diagonalizing multiplier of a Wiener-Hopf pair is
 
     m(xi) = W_plus(1/2 - i xi) / W_minus(1/2 + i xi),
@@ -180,42 +181,44 @@ def h_transform_exact(spec: GridSpec, eps: float, beta: float) -> SpectrumLine:
 # the transform pair
 # ---------------------------------------------------------------------------
 
+def _along(v, ndim, axis):
+    """A grid-length vector shaped to broadcast along one axis of an array."""
+    shape = [1] * ndim
+    shape[axis] = v.size
+    return v.reshape(shape)
+
+
+def _fft_axis(arr, spec, axis=0, weight=0.5):
+    """Forward transform along one axis: weight by e^{weight x}, alternate
+    signs, FFT, phase, scale.  weight 1/2 is the shifted transform, 0 the
+    plain one used for PDO symbols."""
+    signs = np.where(np.arange(spec.n) % 2 == 0, 1.0, -1.0)
+    if weight:
+        arr = _along(np.exp(weight * spec.x), arr.ndim, axis) * arr
+    fhat = np.fft.fft(arr * _along(signs, arr.ndim, axis), axis=axis)
+    phase = np.exp(-1j * spec.xi * spec.x_min)
+    return (spec.dx / np.sqrt(2.0 * np.pi)) * _along(phase, arr.ndim, axis) * fhat
+
+
+def _ifft_axis(arr, spec, axis=0, weight=0.5):
+    """Inverse of _fft_axis with the same axis and weight."""
+    phase = np.exp(1j * spec.xi * spec.x_min)
+    back = np.fft.ifft(_along(phase, arr.ndim, axis) * arr, axis=axis) * spec.n
+    signs = np.where(np.arange(spec.n) % 2 == 0, 1.0, -1.0)
+    out = (spec.dxi / np.sqrt(2.0 * np.pi)) * _along(signs, arr.ndim, axis) * back
+    if weight:
+        out = out * _along(np.exp(-weight * spec.x), arr.ndim, axis)
+    return out
+
+
 def shifted_fft(f: GridFunction) -> SpectrumLine:
     """Discrete shifted Fourier transform (unitary onto the xi grid)."""
-    spec = f.spec
-    g = np.exp(spec.x / 2.0) * f.values
-    signs = np.where(np.arange(spec.n) % 2 == 0, 1.0, -1.0)
-    fhat = np.fft.fft(g * signs)
-    phase = np.exp(-1j * spec.xi * spec.x_min)
-    return SpectrumLine(spec, (spec.dx / np.sqrt(2.0 * np.pi)) * phase * fhat)
+    return SpectrumLine(f.spec, _fft_axis(f.values, f.spec))
 
 
 def inverse_shifted_fft(s: SpectrumLine) -> GridFunction:
     """Inverse of shifted_fft; the composition is the identity to 1e-12."""
-    spec = s.spec
-    phase = np.exp(1j * spec.xi * spec.x_min)
-    back = np.fft.ifft(phase * s.values) * spec.n
-    signs = np.where(np.arange(spec.n) % 2 == 0, 1.0, -1.0)
-    vals = (spec.dxi / np.sqrt(2.0 * np.pi)) * signs * back * np.exp(-spec.x / 2.0)
-    return GridFunction(spec, vals)
-
-
-def plain_fft(f: GridFunction) -> SpectrumLine:
-    """Ordinary (unshifted) transform on the same grid, for PDO symbols."""
-    spec = f.spec
-    signs = np.where(np.arange(spec.n) % 2 == 0, 1.0, -1.0)
-    fhat = np.fft.fft(f.values * signs)
-    phase = np.exp(-1j * spec.xi * spec.x_min)
-    return SpectrumLine(spec, (spec.dx / np.sqrt(2.0 * np.pi)) * phase * fhat)
-
-
-def plain_ifft(s: SpectrumLine) -> GridFunction:
-    spec = s.spec
-    phase = np.exp(1j * spec.xi * spec.x_min)
-    back = np.fft.ifft(phase * s.values) * spec.n
-    signs = np.where(np.arange(spec.n) % 2 == 0, 1.0, -1.0)
-    vals = (spec.dxi / np.sqrt(2.0 * np.pi)) * signs * back
-    return GridFunction(spec, vals)
+    return GridFunction(s.spec, _ifft_axis(s.values, s.spec))
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +273,15 @@ def multiplier_lambda(pair: WienerHopfPair, spec: GridSpec,
                           kind="Lambda", zero_free=True)
 
 
-def tail_fraction(s: SpectrumLine) -> float:
-    """Fraction of the discrete L^2 mass beyond half the Nyquist frequency."""
-    power = np.abs(s.values) ** 2
+def tail_fraction(values, spec: GridSpec, axis: int = 0) -> float:
+    """Fraction of the discrete L^2 mass beyond half the Nyquist frequency
+    along one axis of an array whose axis lies on spec's xi grid."""
+    power = np.abs(values) ** 2
     total = float(np.sum(power))
     if total == 0.0:
         return 0.0
-    outer = float(np.sum(power[np.abs(s.spec.xi) > 0.5 * s.spec.nyquist]))
-    return outer / total
+    outer = np.abs(spec.xi) > 0.5 * spec.nyquist
+    return float(np.sum(np.compress(outer, power, axis=axis))) / total
 
 
 def apply_multiplier(m: MultiplierLine, f: GridFunction,
@@ -295,7 +299,7 @@ def apply_multiplier(m: MultiplierLine, f: GridFunction,
     s = shifted_fft(f)
     vals = s.values / m.values if invert else s.values * m.values
     out = SpectrumLine(m.spec, vals)
-    frac = tail_fraction(out)
+    frac = tail_fraction(vals, m.spec)
     if frac > TAIL_FRACTION_INSIDE:
         warnings.warn(
             f"spectral tail fraction {frac:.2e} beyond Nyquist/2 exceeds "
@@ -333,7 +337,7 @@ def domain_check(m: MultiplierLine, f: GridFunction) -> DomainRecord:
     for hi in edges:
         mass.append(float(np.sum(power[(xi >= lo) & (xi < hi)]) * m.spec.dxi))
         lo = hi
-    frac = tail_fraction(prod)
+    frac = tail_fraction(prod.values, m.spec)
     if frac <= TAIL_FRACTION_INSIDE:
         verdict = "inside"
     elif frac <= TAIL_FRACTION_BORDERLINE:

@@ -15,7 +15,6 @@ from spectral_ssmp.bernstein import (
     DensityMeasure,
     TailMetadata,
     asymptotic_magnitude,
-    bernstein_gamma,
     default_evaluator,
     eval_phi,
     phi_derivative,
@@ -143,10 +142,9 @@ def test_gamma_oracle():
 
 def test_w_trivial_values():
     ev = default_evaluator(PHI_ID, 1e-10, 40.0)
-    assert bernstein_gamma(ev, 3.5).real == pytest.approx(
-        1.875 * np.sqrt(np.pi), rel=1e-10)
+    assert ev.w(3.5).real == pytest.approx(1.875 * np.sqrt(np.pi), rel=1e-10)
     ev_aff = default_evaluator(PHI_AFF, 1e-10, 40.0)
-    assert bernstein_gamma(ev_aff, 2.0).real == pytest.approx(2.0, rel=1e-9)
+    assert ev_aff.w(2.0).real == pytest.approx(2.0, rel=1e-9)
 
 
 def test_w_gamma_ratio_closed_forms():
@@ -166,8 +164,7 @@ def test_w_gamma_ratio_closed_forms():
     # W(2) = phi(1) W(1) = Gamma(2)/Gamma(1.5)
     phi = make_bernstein("gamma-ratio-minus", alpha=0.5, rho=1.0)
     ev = default_evaluator(phi, 1e-10, 40.0)
-    assert bernstein_gamma(ev, 2.0).real == pytest.approx(
-        2.0 / np.sqrt(np.pi), rel=1e-9)
+    assert ev.w(2.0).real == pytest.approx(2.0 / np.sqrt(np.pi), rel=1e-9)
 
 
 def test_w_constant_phi():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import loggamma
 
-from spectral_ssmp.cli import emit_csv, run, worker_cap
+from spectral_ssmp.cli import emit_csv, run
 from spectral_ssmp.errors import ValidationError
 from spectral_ssmp.families import (
     bernstein_from_json,
@@ -78,16 +78,6 @@ def test_emit_csv_roundtrip_bits(tmp_path):
     lines = path.read_text().splitlines()[1:]
     back = np.array([float(s) for s in lines])
     assert np.array_equal(back, col)  # 17 significant digits round-trip
-
-
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.delenv("SPECTRAL_SSMP_THREADS", raising=False)
-    assert worker_cap() == 1
-    monkeypatch.setenv("SPECTRAL_SSMP_THREADS", "4")
-    assert worker_cap() == 4
-    monkeypatch.setenv("SPECTRAL_SSMP_THREADS", "zero")
-    with pytest.raises(ValidationError):
-        worker_cap()
 
 
 # ---------------------------------------------------------------------------

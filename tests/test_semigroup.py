@@ -166,6 +166,23 @@ def test_evolve_domain_gate():
         evolve(plan, 0.5, f, force=True)  # override is recorded by caller
 
 
+def test_evolve_makes_two_forward_and_two_inverse_ffts(monkeypatch):
+    # one forward transform per pass feeds both the gate and the inverse
+    plan = EvolutionPlan(PAIR_B, COARSE)
+    f = h_fixture(COARSE, 1.0, 1.0)
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    evolve(plan, 0.5, f)
+    assert calls == {"fft": 2, "ifft": 2}
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -328,6 +345,15 @@ def test_tensor_d2_adjoint_identity():
     lhs = np.sum(evolve_tensor(tp, 0.5, F) * np.conj(G) * weight)
     rhs = np.sum(F * np.conj(evolve_tensor(tpc, 0.5, G)) * weight)
     assert abs(lhs - rhs) / abs(lhs) <= 1e-6
+
+
+def test_tensor_domain_gate_runs_on_every_axis():
+    # (G, G) on 512^2: the first axis reads inside (tail fraction 9e-9),
+    # the second outside (1.00); the conditioning budget adds up over axes
+    p = EvolutionPlan(gamma_pair(0.7, 0.3, 1.0), COARSE)
+    h = h_fixture(COARSE, 1.0, 1.0).values
+    with pytest.raises(DomainError, match="axis 1"):
+        evolve_tensor(TensorPlan((p, p)), 0.5, np.outer(h, h))
 
 
 def test_tensor_similarity_matrix_round_trip():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spectral_ssmp.errors import DomainError
 from spectral_ssmp.exponents import WienerHopfPair
 from spectral_ssmp.families import make_bernstein
 from spectral_ssmp.spectrum import (
@@ -99,6 +100,16 @@ def test_report_invariants():
 def test_report_rejects_unknown_verdict():
     with pytest.raises(Exception):
         SpectrumReport("Bogus", (0, 1), (0, 1), 1.0, False, 1.0, False,
+                       True, True, None, SPEC, "none")
+
+
+def test_report_invariants_raise_domain_error():
+    # raised, not asserted, so the check survives python -O
+    with pytest.raises(DomainError):
+        SpectrumReport("Point", (0, 1), (0, 1), 1.0, False, 1.0, False,
+                       True, True, None, SPEC, "none")
+    with pytest.raises(DomainError):
+        SpectrumReport("Residual", (0, 1), (0, 1), 1.0, True, 1.0, True,
                        True, True, None, SPEC, "none")
 
 
