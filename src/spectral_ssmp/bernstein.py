@@ -160,6 +160,17 @@ def _tail_consts(meas: DensityMeasure):
     return y0, y1, a0, a1, c0, c1
 
 
+def _power_nodes(c, a, lo, hi, npan):
+    """Gauss nodes y_q and weights w_q*nu(y_q) of nu(dy) = c y^{-1-a} dy on
+    [lo, hi], split into npan panels of equal width in log y."""
+    xg, wg = gauss_legendre(_PANEL_NODES)
+    edges = np.exp(np.linspace(np.log(lo), np.log(hi), npan + 1))
+    ta, tb = np.log(edges[:-1]), np.log(edges[1:])
+    tn = np.exp(ta[:, None] + (tb - ta)[:, None] * xg[None, :])
+    tw = c * tn ** (-a) * ((tb - ta)[:, None] * wg[None, :])
+    return tn.ravel(), tw.ravel()
+
+
 @functools.lru_cache(maxsize=64)
 def _density_nodes(meas: DensityMeasure):
     """Gauss nodes y_q, weights w_q*nu(y_q), and the constant remainder mass.
@@ -197,12 +208,9 @@ def _density_nodes(meas: DensityMeasure):
                 "declared infinity-tail exponent too small for the internal "
                 "error target of the tabulated-density quadrature")
         npan = max(8, int(3 * np.log10(big / y1)))
-        edges = np.exp(np.linspace(np.log(y1), np.log(big), npan + 1))
-        ta, tb = np.log(edges[:-1]), np.log(edges[1:])
-        tn = np.exp(ta[:, None] + (tb - ta)[:, None] * xg[None, :])
-        tw = c1 * tn ** (-a1) * ((tb - ta)[:, None] * wg[None, :])
-        all_nodes.append(tn.ravel())
-        all_wts.append(tw.ravel())
+        tn, tw = _power_nodes(c1, a1, y1, big, npan)
+        all_nodes.append(tn)
+        all_wts.append(tw)
         rem = c1 * big ** (-a1) / a1
 
     return np.concatenate(all_nodes), np.concatenate(all_wts), rem

@@ -240,7 +240,8 @@ def _cmd_simulate(args):
                                  left=0.0, right=0.0)
     est = mc_expectation(exp, fn, args.x, args.t, cfg)
     payload = {"mean": est.mean, "stderr": est.stderr,
-               "n": est.n_effective, "absorbed_fraction": est.absorbed_fraction}
+               "n": est.n_effective, "absorbed_fraction": est.absorbed_fraction,
+               "unresolved_fraction": est.unresolved_fraction}
     if args.out:
         _emit_json(payload, args.out)
     print(json.dumps(payload, sort_keys=True))

@@ -13,11 +13,15 @@ with A integrated in closed form on each step under linear interpolation
 of Z (exact for drift-only paths, second order otherwise), and phi
 inverted exactly on the crossing step.
 
-Randomness is counter-based (Philox): batch estimation draws one row per
-(seed, step index) so path j always consumes column j regardless of which
-paths are still active; single-path simulation keys its stream by
-(seed, stream index).  Identical (seed, config) inputs therefore
-reproduce identical estimates bit for bit.
+Randomness is counter-based (Philox).  A batch estimate draws everything
+from one generator keyed by (seed, 0): first the killing times of all
+paths, then, block after block, the increments of the paths still live,
+B steps per path per block, with B set by the live-path count and a fixed
+budget of path-steps per block.  The numbers a path receives therefore
+depend on which other paths are still live, and changing n_paths changes
+every path; identical (seed, config) inputs reproduce identical estimates
+bit for bit.  Single-path simulation keys its stream by (seed, stream
+index), independent of every other stream.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bernstein import DensityMeasure, _density_nodes, _tail_consts
+from .bernstein import (DensityMeasure, _density_nodes, _power_nodes,
+                        _tail_consts)
 from .errors import ConfigError, DomainError
 from .exponents import Exponent, LevyQuadruplet
 
@@ -81,6 +86,7 @@ class MCEstimate:
     stderr: float
     n_effective: int
     absorbed_fraction: float
+    unresolved_fraction: float
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,9 @@ class LevyPath:
 
 @dataclass(frozen=True)
 class _JumpModel:
-    """Per-step ingredients derived from a quadruplet and jump_eps."""
+    """Per-step ingredients derived from a quadruplet, dt and jump_eps."""
 
+    dt: float
     drift: float          # b plus compensator adjustments, per unit time
     gauss_std_rate: float  # std of the Gaussian part per sqrt(dt)
     atom_sizes: tuple
@@ -109,21 +116,24 @@ class _JumpModel:
 
 
 def _density_pieces(dens: DensityMeasure, sign, eps):
-    """(small-jump variance rate, compensator on [eps, 1], big sizes/weights)."""
+    """(small-jump variance rate, compensator on [eps, 1], big sizes/weights).
+
+    Every jump at or above eps is simulated, including those of the
+    analytic head c0 y^{-1-a0} when the table starts above eps.
+    """
     nodes, wts, rem = _density_nodes(dens)
+    y0, _, a0, _, c0, _ = _tail_consts(dens)
+    if c0 > 0 and eps < y0:
+        npan = max(1, int(np.ceil(3 * np.log10(y0 / eps))))
+        head, head_wts = _power_nodes(c0, a0, eps, y0, npan)
+        nodes = np.concatenate([head, nodes])
+        wts = np.concatenate([head_wts, wts])
     y = sign * nodes
     small = np.abs(y) < eps
     var_small = float(np.sum(nodes[small] ** 2 * wts[small]))
-    y0, _, a0, _, c0, _ = _tail_consts(dens)
-    if c0 > 0:  # analytic variance of jumps below the table
-        if min(eps, y0) > 0:
-            lo = min(eps, y0)
-            var_small += c0 * lo ** (2.0 - a0) / (2.0 - a0)
-        if eps < y0:
-            # table starts above eps: the analytic piece between eps and y0
-            # belongs to the simulated (big) jumps; keep it in the compensated
-            # Gaussian instead, which only widens the matched variance zone
-            pass
+    if c0 > 0:  # analytic variance of the head below eps
+        lo = min(eps, y0)
+        var_small += c0 * lo ** (2.0 - a0) / (2.0 - a0)
     big = ~small
     sizes = y[big]
     weights = wts[big].copy()
@@ -162,6 +172,7 @@ def _build_jump_model(q: LevyQuadruplet, cfg: SimConfig) -> _JumpModel:
     probs = tuple(dens_weights / dens_rate) if dens_rate > 0 else ()
     gauss_var_rate = 2.0 * q.sigma2 + var_small_rate
     return _JumpModel(
+        dt=cfg.dt,
         drift=float(drift),
         gauss_std_rate=float(np.sqrt(gauss_var_rate)),
         atom_sizes=tuple(atom_sizes),
@@ -173,12 +184,36 @@ def _build_jump_model(q: LevyQuadruplet, cfg: SimConfig) -> _JumpModel:
     )
 
 
-def _step_rng(seed, index):
+def _philox(seed, index):
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
 _STREAM_OFFSET = 1 << 48
+
+
+def _increments(model: _JumpModel, rng, shape):
+    """Increments of Z over steps of length model.dt, an array of `shape`.
+
+    Draw order: Gaussian part, each atom's Poisson count, then the density
+    jumps' counts and sizes (sizes in row-major order of their steps).
+    """
+    dt = model.dt
+    inc = np.full(shape, model.drift * dt)
+    if model.gauss_std_rate > 0:
+        inc += model.gauss_std_rate * np.sqrt(dt) * rng.standard_normal(shape)
+    for y, rate in zip(model.atom_sizes, model.atom_rates):
+        inc += y * rng.poisson(rate * dt, shape)
+    if model.dens_rate > 0:
+        counts = rng.poisson(model.dens_rate * dt, shape)
+        total = int(counts.sum())
+        if total:
+            sizes = rng.choice(np.asarray(model.dens_sizes), size=total,
+                               p=np.asarray(model.dens_probs))
+            inc += np.bincount(
+                np.repeat(np.arange(inc.size), counts.ravel()),
+                weights=sizes, minlength=inc.size).reshape(shape)
+    return inc
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +230,9 @@ def simulate_levy(q: LevyQuadruplet, T: float, cfg: SimConfig,
         raise ConfigError("need 0 < T <= t_max")
     model = _build_jump_model(q, cfg)
     n = int(np.ceil(T / cfg.dt))
-    rng = _step_rng(cfg.seed, _STREAM_OFFSET + stream)
     dt = cfg.dt
-    inc = np.full(n, model.drift * dt)
-    if model.gauss_std_rate > 0:
-        inc = inc + model.gauss_std_rate * np.sqrt(dt) * rng.standard_normal(n)
-    for y, rate in zip(model.atom_sizes, model.atom_rates):
-        inc = inc + y * rng.poisson(rate * dt, n)
-    if model.dens_rate > 0:
-        counts = rng.poisson(model.dens_rate * dt, n)
-        total = int(counts.sum())
-        if total:
-            sizes = rng.choice(np.asarray(model.dens_sizes), size=total,
-                               p=np.asarray(model.dens_probs))
-            inc = inc + np.bincount(
-                np.repeat(np.arange(n), counts), weights=sizes, minlength=n)
+    rng = _philox(cfg.seed, _STREAM_OFFSET + stream)
+    inc = _increments(model, rng, (n,))
     killed = False
     if model.kill_rate > 0:
         t_kill = rng.exponential(1.0 / model.kill_rate)
@@ -223,12 +246,20 @@ def simulate_levy(q: LevyQuadruplet, T: float, cfg: SimConfig,
 
 
 def _segment_clock(z0, z1, dt):
-    """integral of e^{Z} over one step under linear interpolation of Z."""
+    """integral of e^{Z} over one step under linear interpolation of Z.
+
+    z0 and z1 are arrays of one shape; the result is built in place.
+    """
     d = z1 - z0
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ratio = np.where(np.abs(d) > 1e-12, np.expm1(d) / np.where(d == 0, 1.0, d),
-                         1.0 + 0.5 * d)
-    return dt * np.exp(z0) * ratio
+        ratio = np.expm1(d)
+        ratio /= d
+        small = np.abs(d) <= 1e-12
+        ratio[small] = 1.0 + 0.5 * d[small]
+        gain = np.exp(z0)
+    gain *= dt
+    gain *= ratio
+    return gain
 
 
 def _invert_segment(z0, z1, dt, remainder):
@@ -277,64 +308,67 @@ def lamperti_time_change(path: LevyPath, x0: float, t: float):
 # batch estimation
 # ---------------------------------------------------------------------------
 
+# path-steps drawn per block; keeps a block's arrays at a few MiB
+_BLOCK_BUDGET = 1 << 16
+
+
 def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
                     cfg: SimConfig):
-    """Vectorized over paths; the active set is compacted as paths resolve,
-    so the total draw count is the sum of per-path step counts."""
+    """Vectorized over paths and over blocks of steps.
+
+    Each block draws B steps for each of the m live paths, B = budget // m
+    (at least 1), builds Z and the clock A by cumulative sums, and resolves
+    every path at its first crossing A >= t/x or at its killing step,
+    whichever comes first (a crossing on the killing step wins).  The live
+    set is compacted once per block; draws past a path's resolution in its
+    block are discarded.
+    """
     model = _build_jump_model(q, cfg)
     n = cfg.n_paths
     dt = cfg.dt
     target = t / x
-    rng0 = _step_rng(cfg.seed, 0)
-    kill_times = (rng0.exponential(1.0 / model.kill_rate, n)
-                  if model.kill_rate > 0 else np.full(n, np.inf))
+    rng = _philox(cfg.seed, 0)
+    kt = (rng.exponential(1.0 / model.kill_rate, n)
+          if model.kill_rate > 0 else np.full(n, np.inf))
     values = np.zeros(n)
     resolved = np.zeros(n, dtype=bool)
     absorbed = np.zeros(n, dtype=bool)
-    idx = np.arange(n)          # original indices of the active paths
+    idx = np.arange(n)          # original indices of the live paths
     z = np.zeros(n)
     acc = np.zeros(n)
-    kt = kill_times
-    dens_sizes = np.asarray(model.dens_sizes)
-    dens_probs = np.asarray(model.dens_probs)
-    sqdt = np.sqrt(dt)
     max_steps = int(np.ceil(cfg.t_max / dt))
-    for step in range(max_steps):
+    step = 0
+    while idx.size and step < max_steps:
         m = idx.size
-        if m == 0:
-            break
-        rng = _step_rng(cfg.seed, step + 1)
-        inc = np.full(m, model.drift * dt)
-        if model.gauss_std_rate > 0:
-            inc += model.gauss_std_rate * sqdt * rng.standard_normal(m)
-        for y, rate in zip(model.atom_sizes, model.atom_rates):
-            inc += y * rng.poisson(rate * dt, m)
-        if model.dens_rate > 0:
-            counts = rng.poisson(model.dens_rate * dt, m)
-            total = int(counts.sum())
-            if total:
-                sizes = rng.choice(dens_sizes, size=total, p=dens_probs)
-                inc += np.bincount(np.repeat(np.arange(m), counts),
-                                   weights=sizes, minlength=m)
-        z_new = z + inc
-        gains = _segment_clock(z, z_new, dt)
-        crossing = acc + gains >= target
-        killed_now = (kt <= (step + 1) * dt) & ~crossing
-        if np.any(crossing):
-            rem = target - acc[crossing]
-            delta = _invert_segment(z[crossing], z_new[crossing], dt, rem)
-            frac = delta / dt
-            z_at = z[crossing] + (z_new[crossing] - z[crossing]) * frac
-            values[idx[crossing]] = f(x * np.exp(z_at))
-            resolved[idx[crossing]] = True
-        if np.any(killed_now):
-            resolved[idx[killed_now]] = True
-            absorbed[idx[killed_now]] = True
-        live = ~(crossing | killed_now)
-        idx = idx[live]
-        z = z_new[live]
-        acc = (acc + gains)[live]
-        kt = kt[live]
+        b = min(max_steps - step, max(1, _BLOCK_BUDGET // m))
+        # row s holds Z and A of every live path after s steps of the block
+        zs = np.empty((b + 1, m))
+        zs[0] = z
+        zs[1:] = _increments(model, rng, (b, m))
+        np.cumsum(zs, axis=0, out=zs)
+        accs = np.empty((b + 1, m))
+        accs[0] = acc
+        accs[1:] = _segment_clock(zs[:-1], zs[1:], dt)
+        np.cumsum(accs, axis=0, out=accs)
+        # A is nondecreasing, so the steps still below the target come first
+        cs = np.count_nonzero(accs[1:] < target, axis=0)
+        crossed = cs < b
+        # first local step s with kt <= (step + s + 1) dt, b if none
+        ks = np.searchsorted((step + np.arange(1, b + 1)) * dt, kt)
+        wins = crossed & (cs <= ks)
+        killed = (ks < b) & ~wins
+        r = np.flatnonzero(wins)
+        if r.size:
+            s = cs[r]
+            z0, z1 = zs[s, r], zs[s + 1, r]
+            delta = _invert_segment(z0, z1, dt, target - accs[s, r])
+            values[idx[r]] = f(x * np.exp(z0 + (z1 - z0) * (delta / dt)))
+        done = wins | killed
+        resolved[idx[done]] = True
+        absorbed[idx[killed]] = True
+        live = ~done
+        idx, z, acc, kt = idx[live], zs[-1, live], accs[-1, live], kt[live]
+        step += b
     return values, resolved, absorbed
 
 
@@ -343,9 +377,12 @@ def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
     """Monte Carlo estimate of E_x[f(X_t)] with absorbed paths counting 0.
 
     f acts on the positive-scale variable X directly (compose with log
-    outside if the observable lives on the log scale); paths that never
-    reach the clock target before t_max are excluded and reported through
-    n_effective.
+    outside if the observable lives on the log scale).  Paths that never
+    reach the clock target before t_max are excluded from the mean and
+    counted in unresolved_fraction (of n_paths; n_effective counts the
+    rest).  Excluding them biases the mean by at most
+    unresolved_fraction * sup|f| for f of one sign, twice that otherwise;
+    the stderr does not include this bias.
     """
     if e.quadruplet is None:
         raise DomainError("the oracle needs a quadruplet representation")
@@ -355,7 +392,8 @@ def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
         raise DomainError("t must be nonnegative")
     if t == 0.0:
         return MCEstimate(mean=float(f(x)), stderr=0.0,
-                          n_effective=cfg.n_paths, absorbed_fraction=0.0)
+                          n_effective=cfg.n_paths, absorbed_fraction=0.0,
+                          unresolved_fraction=0.0)
     values, resolved, absorbed = _batch_estimate(e.quadruplet, f, x, t, cfg)
     n_eff = int(resolved.sum())
     if n_eff == 0:
@@ -364,4 +402,5 @@ def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n_eff)) if n_eff > 1 else 0.0
     return MCEstimate(mean=mean, stderr=stderr, n_effective=n_eff,
-                      absorbed_fraction=float(absorbed.sum() / max(1, n_eff)))
+                      absorbed_fraction=float(absorbed.sum() / max(1, n_eff)),
+                      unresolved_fraction=(cfg.n_paths - n_eff) / cfg.n_paths)

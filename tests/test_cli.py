@@ -177,6 +177,18 @@ def test_simulate_json_output(tmp_path, capsys):
     assert payload["absorbed_fraction"] == 0.0
 
 
+def test_simulate_reports_unresolved_fraction(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    code = run(["simulate", "--quadruplet", '{"sigma2": 1.0}',
+                "--x", "1.0", "--t", "0.5", "--paths", "400", "--dt", "0.001",
+                "--t-max", "0.6", "--seed", "2", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["unresolved_fraction"] == (400 - payload["n"]) / 400
+    assert payload["unresolved_fraction"] > 0.0
+
+
 def test_simulate_determinism_bytes(tmp_path, capsys):
     args = ["simulate", "--quadruplet", '{"sigma2": 1.0}', "--x", "1.0",
             "--t", "0.2", "--paths", "500", "--dt", "0.005", "--seed", "9"]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from spectral_ssmp import lamperti
+from spectral_ssmp.bernstein import DensityMeasure
 from spectral_ssmp.errors import ConfigError, DomainError
 from spectral_ssmp.exponents import Exponent, LevyQuadruplet, SignedMeasure
 from spectral_ssmp.lamperti import (
@@ -59,6 +61,49 @@ def test_compound_poisson_jump_count():
     stderr = np.sqrt(lam * T / counts.size)
     assert abs(counts.mean() - lam * T) <= 3.0 * stderr
     assert abs(counts.var(ddof=1) - lam * T) <= 5.0 * stderr
+
+
+def _density_below_eps_table():
+    # density y^{-1.9} tabulated on [2, 4], extended by the declared tails
+    # y^{-1.9} below 2 and 4^{3.1} y^{-5} above 4
+    ys = np.geomspace(2.0, 4.0, 8)
+    dens = DensityMeasure(tuple(ys), tuple(ys ** -1.9), 0.9, 4.0)
+    return LevyQuadruplet(mu=SignedMeasure(density_pos=dens))
+
+
+def test_density_jumps_below_table_are_simulated():
+    # with jump_eps = 1e-3 the analytic head on [eps, 2) lies above eps:
+    # its jumps are simulated, so the simulated jump rate is nu([eps, inf))
+    eps = 1e-3
+    model = lamperti._build_jump_model(_density_below_eps_table(),
+                                       SimConfig(jump_eps=eps))
+    sizes = np.asarray(model.dens_sizes)
+    rates = model.dens_rate * np.asarray(model.dens_probs)
+    assert sizes.min() >= eps
+    head = (eps ** -0.9 - 2.0 ** -0.9) / 0.9
+    body = (2.0 ** -0.9 - 4.0 ** -0.9) / 0.9
+    tail = 4.0 ** 3.1 * 4.0 ** -4 / 4.0
+    assert np.isclose(rates.sum(), head + body + tail, rtol=1e-9)
+    assert np.isclose(rates[sizes < 2.0].sum(), head, rtol=1e-9)
+    # jumps below eps: variance integral_0^eps y^2 nu(dy)
+    assert np.isclose(model.gauss_std_rate ** 2, eps ** 1.1 / 1.1,
+                      rtol=1e-12)
+
+
+def test_density_jumps_below_table_keep_their_moments():
+    q = _density_below_eps_table()
+    cfg = SimConfig(dt=1e-3, n_paths=1, seed=4)
+    finals = np.array([simulate_levy(q, 1.0, cfg, stream=i).values[-1]
+                       for i in range(4000)])
+    # E Z_1 = integral_{y>1} y nu(dy), Var Z_1 = integral y^2 nu(dy)
+    mean_rate = (4.0 ** 0.1 - 1.0) / 0.1 + 4.0 ** 0.1 / 3.0
+    var_rate = 4.0 ** 1.1 / 1.1 + 4.0 ** 1.1 / 2.0
+    mean = finals.mean()
+    var = finals.var(ddof=1)
+    mean_se = finals.std(ddof=1) / np.sqrt(finals.size)
+    var_se = ((finals - mean) ** 2).std(ddof=1) / np.sqrt(finals.size)
+    assert abs(mean - mean_rate) <= 4.0 * mean_se
+    assert abs(var - var_rate) <= 4.0 * var_se
 
 
 def test_killing_truncates_path():
@@ -159,3 +204,46 @@ def test_mc_requires_quadruplet():
     e = Exponent(pair=WienerHopfPair(pid, pid))
     with pytest.raises(DomainError):
         mc_expectation(e, lambda r: r, 1.0, 0.5, SimConfig())
+
+
+def test_mc_unresolved_fraction_reported():
+    cfg = SimConfig(dt=1e-3, n_paths=2000, seed=17, t_max=0.6)
+    est = mc_expectation(Exponent(quadruplet=Q_BM), lambda r: r, 1.0, 0.5,
+                         cfg)
+    assert est.unresolved_fraction > 0.0
+    assert est.unresolved_fraction == (
+        (cfg.n_paths - est.n_effective) / cfg.n_paths)
+
+
+def test_mc_killing_across_blocks(monkeypatch):
+    # drift b with killing at rate q: Z_s = b s reaches the clock target
+    # t/x at s* = log(1 + b t / x) / b, so a path is absorbed iff its
+    # killing time falls before s*, up to one step
+    kill, b, x, t = 1.0, 1.0, 1.0, 1.0
+    cfg = SimConfig(dt=1e-3, n_paths=20_000, seed=31)
+    e = Exponent(quadruplet=LevyQuadruplet(psi0=kill, b=b))
+    est = mc_expectation(e, lambda r: r, x, t, cfg)
+    p = 1.0 - np.exp(-kill * np.log1p(b * t / x) / b)
+    assert est.n_effective == cfg.n_paths
+    stderr = np.sqrt(p * (1.0 - p) / cfg.n_paths)
+    assert abs(est.absorbed_fraction - p) <= 4.0 * stderr + kill * cfg.dt
+    # the only randomness is the killing times, drawn before any block, so
+    # stepping one step per block must give the same estimate bit for bit
+    monkeypatch.setattr(lamperti, "_BLOCK_BUDGET", 1)
+    assert mc_expectation(e, lambda r: r, x, t, cfg) == est
+
+
+def test_mc_builds_one_generator(monkeypatch):
+    made = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    cfg = SimConfig(dt=1e-3, n_paths=200, seed=3, t_max=1.0)
+    est = mc_expectation(Exponent(quadruplet=Q_BM), lambda r: r, 1.0, 0.5,
+                         cfg)
+    assert est.unresolved_fraction > 0.0  # the live tail runs to t_max
+    assert len(made) == 1
