@@ -11,15 +11,18 @@ solution of
 
     W(z + 1) = phi(z) W(z),   W(1) = 1,
 
-and is evaluated here by a truncated Weierstrass-type product in log space
-with an integral tail correction.  The evaluator is specified by its
-contracts (functional equation, normalization, conjugate symmetry,
+and is evaluated here in log space by its Stirling-type representation: a
+short Weierstrass-type product of K = 32 factors (doubled only if needed)
+with an Euler-Maclaurin tail to order B_8, so a point costs a fixed number
+of evaluations of phi whatever the horizon.  The evaluator is specified by
+its contracts (functional equation, normalization, conjugate symmetry,
 zero-freeness), which are checked at construction.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -149,6 +152,7 @@ class BernsteinFunction:
 # ---------------------------------------------------------------------------
 
 _PANEL_NODES = 10
+_LAPLACE_CUT = 40.0  # e^{-40} = 4e-18
 _SMALL_SERIES_MAX = 10.0  # guard on |z| * y_min for the near-zero series
 
 
@@ -173,7 +177,8 @@ def _power_nodes(c, a, lo, hi, npan):
 
 @functools.lru_cache(maxsize=64)
 def _density_nodes(meas: DensityMeasure):
-    """Gauss nodes y_q, weights w_q*nu(y_q), and the constant remainder mass.
+    """Gauss nodes y_q (ascending), weights w_q*nu(y_q), and the constant
+    remainder mass.
 
     The node set covers the table [y_min, y_max] (density interpolated
     log-linearly within each panel, exact for power laws) and the declared
@@ -216,6 +221,21 @@ def _density_nodes(meas: DensityMeasure):
     return np.concatenate(all_nodes), np.concatenate(all_wts), rem
 
 
+def _near_zero_series(zy, a0, s):
+    """sum_{k >= 1 - s} (-zy)^k / k! / (k + s - a0) for s = 0 or 1.
+
+    Term by term, this integrates e^{-zy} - 1 (s = 0) or y e^{-zy} (s = 1)
+    against the power head y^{-1-a0} of a tabulated density on (0, y_min],
+    with zy = z * y_min.
+    """
+    term = np.ones_like(zy)
+    total = term / (s - a0) if s else np.zeros_like(zy)
+    for k in range(1, 30):
+        term = term * (-zy) / k
+        total = total + term / (k + s - a0)
+    return total
+
+
 def _density_small_tail(meas: DensityMeasure, z):
     """integral_0^{y_min} (1 - e^{-zy}) c0 y^{-1-a0} dy by alternating series."""
     y0, _, a0, _, c0, _ = _tail_consts(meas)
@@ -227,18 +247,26 @@ def _density_small_tail(meas: DensityMeasure, z):
         raise QuadratureError(
             "tabulated density table does not reach low enough for this "
             "argument (|z| * y_min too large); extend the table toward 0")
-    total = np.zeros_like(zy)
-    term = np.ones_like(zy)
-    for k in range(1, 30):
-        term = term * (-zy) / k
-        total = total - term / (k - a0)
-    return c0 * y0 ** (-a0) * total
+    return -(c0 * y0 ** (-a0)) * _near_zero_series(zy, a0, 0)
+
+
+def _nodes_needed(nodes, re_min):
+    """How many of the ascending Laplace nodes y have re_min * y <= 40.
+
+    Beyond them every e^{-zy} with Re z >= re_min is below e^{-40} times its
+    weight w, while phi carries at least (1 - e^{-40}) w from that node, so
+    dropping them changes phi by a relative 4e-18 at most.
+    """
+    if re_min <= 0.0:
+        return nodes.size
+    return int(np.searchsorted(nodes, _LAPLACE_CUT / re_min, side="right"))
 
 
 def _density_integral(meas: DensityMeasure, z):
     nodes, wts, rem = _density_nodes(meas)
     z = np.asarray(z, dtype=complex)
-    core = np.sum(wts) + rem - np.exp(-z[..., None] * nodes) @ wts
+    q = _nodes_needed(nodes, float(np.min(z.real)) if z.size else 0.0)
+    core = np.sum(wts) + rem - np.exp(-z[..., None] * nodes[:q]) @ wts[:q]
     return np.where(z == 0, 0.0, core + _density_small_tail(meas, z))
 
 
@@ -294,28 +322,25 @@ def eval_phi(phi: BernsteinFunction, z):
     return phi.phi0 + phi.drift * z + _measure_integral(phi.measure, z)
 
 
-def _phi_on_shifted(phi: BernsteinFunction, z, k):
-    """phi(z_i + k_j) as a (len(z), len(k)) matrix.
+def _phi_on_shifted(phi: BernsteinFunction, z, c):
+    """phi(z_i + c_j) as a (len(z), len(c)) matrix, c complex offsets.
 
     For tabulated densities the Laplace kernel factorizes,
-    e^{-(z+k)y} = e^{-zy} e^{-ky}, so the whole matrix costs one
-    matrix product instead of a quadrature per (i, j) pair.
+    e^{-(z+c)y} = e^{-zy} e^{-cy}, so the whole matrix costs one exp row
+    per point and one matrix product against the (nodes, offsets) matrix
+    e^{-cy}, instead of a quadrature per (i, j) pair.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    k = np.asarray(k, dtype=float).ravel()
+    c = np.asarray(c, dtype=complex).ravel()
+    zc = z[:, None] + c[None, :]
     if isinstance(phi.measure, DensityMeasure):
         nodes, wts, rem = _density_nodes(phi.measure)
-        zk = z[:, None] + k[None, :]
-        ezw = np.exp(-np.outer(z, nodes)) * wts          # (Nz, Q)
-        base = np.sum(wts) + rem + _density_small_tail(phi.measure, zk)
-        out = np.empty(zk.shape, dtype=complex)
-        chunk = max(256, int(4e6 // max(1, nodes.size)))
-        for lo in range(0, k.size, chunk):
-            ek = np.exp(-np.outer(nodes, k[lo:lo + chunk]))
-            out[:, lo:lo + chunk] = -(ezw @ ek)
-        out += base
-        return phi.phi0 + phi.drift * zk + out
-    return eval_phi(phi, z[:, None] + k[None, :])
+        q = _nodes_needed(nodes, float(np.min(z.real) + np.min(c.real)))
+        ezw = np.exp(-np.outer(z, nodes[:q])) * wts[:q]
+        ec = np.exp(-np.outer(nodes[:q], c))
+        base = np.sum(wts) + rem + _density_small_tail(phi.measure, zc)
+        return phi.phi0 + phi.drift * zc + (base - ezw @ ec)
+    return eval_phi(phi, zc)
 
 
 def phi_derivative(phi: BernsteinFunction, u):
@@ -345,15 +370,9 @@ def phi_derivative(phi: BernsteinFunction, u):
         nodes, wts, _ = _density_nodes(m)
         core = np.exp(-u_arr[..., None] * nodes) @ (wts * nodes)
         y0, _, a0, _, c0, _ = _tail_consts(m)
-        small = np.zeros_like(u_arr)
+        small = 0.0
         if c0 > 0:
-            zy = u_arr * y0
-            term = np.ones_like(u_arr)
-            small = small + 1.0 / (1.0 - a0)
-            for k in range(1, 24):
-                term = term * (-zy) / k
-                small = small + term / (k + 1.0 - a0)
-            small = c0 * y0 ** (1.0 - a0) * small
+            small = c0 * y0 ** (1.0 - a0) * _near_zero_series(u_arr * y0, a0, 1)
         return phi.drift + core + small
     h = 1e-6 * np.maximum(1.0, u_arr)
     return (eval_phi(phi, u_arr + h).real - eval_phi(phi, u_arr - h).real) / (2 * h)
@@ -382,28 +401,55 @@ def _closed_form_derivative(phi, m, u):
 
 _VALIDATION_A = (0.5, 1.0, 2.0)
 _VALIDATION_XI = (0.0, 1.0, 3.0, 10.0, 30.0)
-_GAUSS_N = 32
+_HORIZON_FRACTIONS = (0.97, 0.99, 0.999)
+_K_START = 32
 _K_MAX = 1 << 17
+_CIRCLE_N = 32
+_LINE_N = 40
+_SIDE_N = 16
+# B_2j / (2j)! for j = 1..4 (B_2 = 1/6, B_4 = -1/30, B_6 = 1/42, B_8 = -1/30)
+_EM_COEF = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
+# complex elements per chunk of _log_w_raw, over every per-point column
+_CHUNK_ELEMENTS = 4_000_000
 
 
 class BernsteinGammaEvaluator:
     """Evaluates W on the closed right half-plane in log space.
 
-    The construction is
+    The construction is the Stirling-type representation of W (Patie and
+    Savov, Electron. J. Probab. 2018) with L = log phi:
 
-        log W(z) = -gamma_hat z - log phi(z)
-                   + sum_{k=1}^{K} [log phi(k) - log phi(k+z) + z phi'(k)/phi(k)]
-                   + T(K, z)
+        log W(z) = -gamma_hat z - L(z)
+                   + sum_{k=1}^{K} f_z(k) + sum_{k>K} f_z(k),
+        f_z(u) = L(u) - L(u+z) + z L'(u),
 
-    where T is an Euler-Maclaurin tail correction built from the segment
-    integral of log phi over [K, K+z], and gamma_hat is fixed by W(1) = 1.
-    K adapts (by doubling) until the functional-equation residual on the
-    validation grid drops below tol.  All caches are computed here, so the
-    evaluator is immutable and safe to share between threads.
+    where gamma_hat is fixed by W(1) = 1.  The tail sum is taken by
+    Euler-Maclaurin to order B_8:
+
+        sum_{k>K} f_z(k) = integral_K^{K+z} L - z L(K) - f_z(K)/2
+                           - sum_{j=1}^{4} B_2j/(2j)! f_z^(2j-1)(K),
+        f_z^(m)(K) = L^(m)(K) - L^(m)(K+z) + z L^(m+1)(K).
+
+    The derivatives of L at K (once, at build) and at K+z (per point) come
+    from the trapezoid rule on _CIRCLE_N nodes of a circle of radius K/3;
+    L is analytic on Re > 0, so the rule converges geometrically for every
+    measure.  The segment integral runs along straight sides, each on one
+    Gauss-Legendre rule in a variable logarithmic in the distance along it
+    (see _segment_integral), which stays accurate for |z| >> K.  So a point
+    costs at most K + _CIRCLE_N + _LINE_N + 2 _SIDE_N + 1 evaluations of
+    phi, whatever zmax is; for a tabulated density, one exp row and one
+    matrix product cover the K + _CIRCLE_N shifted ones.
+
+    K starts at 32 and doubles until the functional-equation residual on
+    the validation grid (|Im z| <= 30) drops below tol; it is `truncation`,
+    that residual `residual`.  `horizon_residual` is the same residual at a
+    few points on Re z = 1/2 near Im z = zmax; it is recorded, not checked
+    against tol.  All caches are computed here, so the evaluator is
+    immutable and safe to share between threads.
     """
 
     def __init__(self, phi: BernsteinFunction, tol: float = 1e-10,
-                 zmax: float = 300.0, k_start: int = 1024):
+                 zmax: float = 300.0):
         if tol <= 0 or zmax <= 0:
             raise DomainError("tol and zmax must be positive")
         self.phi = phi
@@ -411,11 +457,9 @@ class BernsteinGammaEvaluator:
         self.zmax = float(zmax)
         if float(eval_phi(phi, 1.0).real) <= 0.0:
             raise DomainError("phi(1) must be positive")
-        self._gx, self._gw = gauss_legendre(_GAUSS_N)
-        # the segment-integral tail stays accurate for K >= |z|/4 (the
-        # integrand is analytic with its singularity at the origin), so K
-        # need not track the horizon linearly
-        k = max(k_start, _next_pow2(int(zmax / 4)))
+        self._line_rule = gauss_legendre(_LINE_N)
+        self._side_rule = gauss_legendre(_SIDE_N)
+        k = _K_START
         while True:
             self._build_tables(k)
             last_res = self._validation_residual()
@@ -428,6 +472,8 @@ class BernsteinGammaEvaluator:
                 f"at K = {k}")
         self.truncation = k
         self.residual = float(last_res)
+        xi = self.zmax * np.array(_HORIZON_FRACTIONS)
+        self.horizon_residual = self._fe_residual(0.5 + 1j * xi)
 
     # -- construction helpers -------------------------------------------
 
@@ -436,51 +482,102 @@ class BernsteinGammaEvaluator:
         phik = eval_phi(self.phi, kk).real
         if np.any(phik <= 0):
             raise DomainError("phi must be strictly positive on [1, K]")
+        rk = np.asarray(phi_derivative(self.phi, kk), dtype=float) / phik
         self._K = k
-        self._gk = np.log(phik)
-        self._rk = np.asarray(phi_derivative(self.phi, kk), dtype=float) / phik
-        self._sum_g = float(np.sum(self._gk))
-        self._sum_r = float(np.sum(self._rk))
+        self._log_phi_k = float(np.log(phik[-1]))
+        self._dlog_phi_k = float(rk[-1])
+        self._sum_g = float(np.sum(np.log(phik)))
+        self._sum_r = float(np.sum(rk))
+        # L^(m)(c) = m!/(N r^m) sum_n L(c + r w^n) w^{-mn}, w = e^{2 pi i/N};
+        # em_odd and em_even fold in B_2j/(2j)! for m = 2j-1 and m = 2j
+        r = k / 3.0
+        circle = r * np.exp(2j * np.pi * np.arange(_CIRCLE_N) / _CIRCLE_N)
+        em_odd = np.zeros(_CIRCLE_N, dtype=complex)
+        em_even = np.zeros(_CIRCLE_N, dtype=complex)
+        for j, coef in enumerate(_EM_COEF, start=1):
+            for m, acc in ((2 * j - 1, em_odd), (2 * j, em_even)):
+                acc += (coef * math.factorial(m) / _CIRCLE_N) * (circle ** -m)
+        self._em_odd = em_odd
+        log_phi_circle = np.log(eval_phi(self.phi, k + circle))
+        self._em_k = float((log_phi_circle @ em_odd).real)
+        self._em_kz = float((log_phi_circle @ em_even).real)
+        self._offsets = np.concatenate([kk, k + circle])
+        line = _LINE_N + 2 * _SIDE_N + 1
+        cols = k + _CIRCLE_N + line
+        if isinstance(self.phi.measure, DensityMeasure):
+            cols += _density_nodes(self.phi.measure)[0].size * (line + 1)
+        self._chunk = max(1, _CHUNK_ELEMENTS // cols)
         self.gamma_phi = 0.0
         self.gamma_phi = float(self._log_w_raw(np.array([1.0 + 0j]))[0].real)
 
     def _segment_integral(self, z):
-        """integral_K^{K+z} log phi(u) du along the straight segment."""
-        pts = self._K + np.multiply.outer(z, self._gx)
-        vals = np.log(eval_phi(self.phi, pts))
-        return z * (vals @ self._gw)
+        """integral_K^{K+z} log phi(u) du along K -> K+X -> K+X+z -> K+z,
+        X = max(0, |z|/4 - K).
+
+        The z-directed side takes _LINE_N nodes, logarithmic in the distance
+        from the origin (the singularity of log phi nearest to it); it
+        starts at Re u >= |z|/4, which damps the terms e^{-uy} of a measure
+        with mass at y ~ 1/K: along a side at Re u = K they oscillate
+        |z| y / 2 pi times with amplitude e^{-Ky} and would need nodes in
+        proportion to |z| (with an atom at y = 0.03, such a side on
+        _LINE_N nodes leaves W off by a factor 2e4 at |z| = 1718).  The two
+        real-directed sides, taken for |z| > 4K only, carry no oscillation;
+        they take _SIDE_N nodes logarithmic in the distance from K.
+        """
+        K = self._K
+        x = np.maximum(np.abs(z) / 4.0 - K, 0.0)
+        out = self._line_integral(K + x, z, K + x, self._line_rule)
+        far = x > 0
+        if np.any(far):
+            zf, xf = z[far], x[far]
+            out[far] += (self._line_integral(K, xf, K, self._side_rule)
+                         - self._line_integral(K + zf, xf, K, self._side_rule))
+        return out
+
+    def _line_integral(self, a, d, scale, rule):
+        """integral of log phi along u = a + s d, s in [0, 1], for a 1-d
+        array of directions d (a and scale broadcast against it), by the
+        Gauss-Legendre rule (nodes, weights) on [0, 1] in
+        t = log(1 + s|d|/scale)."""
+        gx, gw = rule
+        g = np.abs(d) / scale
+        g = np.where(g > 0, g, 1.0)[:, None]  # d = 0 integrates to 0 anyway
+        tx = np.log1p(g) * gx
+        s = np.expm1(tx) / g
+        ds = np.log1p(g) * np.exp(tx) / g * gw
+        u = np.asarray(a)[..., None] + s * d[:, None]
+        return d * np.sum(np.log(eval_phi(self.phi, u)) * ds, axis=1)
 
     def _log_w_raw(self, z):
         """log W before the -gamma_hat * z normalization, z a 1-d array."""
         K = self._K
         out = np.empty(z.shape, dtype=complex)
-        chunk = max(1, int(4e6 // K))
-        kk = np.arange(1, K + 1, dtype=float)
-        for lo in range(0, z.size, chunk):
-            zz = z[lo:lo + chunk]
-            g_shift = np.log(_phi_on_shifted(self.phi, zz, kk))
-            core = self._sum_g - np.sum(g_shift, axis=1) + zz * self._sum_r
-            # f_z at K, K-1, K-2 for the Euler-Maclaurin corrections
-            f0 = self._gk[K - 1] - g_shift[:, K - 1] + zz * self._rk[K - 1]
-            f1 = self._gk[K - 2] - g_shift[:, K - 2] + zz * self._rk[K - 2]
-            f2 = self._gk[K - 3] - g_shift[:, K - 3] + zz * self._rk[K - 3]
-            fprime = 0.5 * (3.0 * f0 - 4.0 * f1 + f2)
-            tail = (self._segment_integral(zz) - zz * self._gk[K - 1]
-                    - 0.5 * f0 - fprime / 12.0)
+        for lo in range(0, z.size, self._chunk):
+            zz = z[lo:lo + self._chunk]
+            lv = np.log(_phi_on_shifted(self.phi, zz, self._offsets))
+            shifted, circle = lv[:, :K], lv[:, K:]
+            core = self._sum_g - np.sum(shifted, axis=1) + zz * self._sum_r
+            f0 = self._log_phi_k - shifted[:, -1] + zz * self._dlog_phi_k
+            em = self._em_k + zz * self._em_kz - circle @ self._em_odd
+            tail = (self._segment_integral(zz) - zz * self._log_phi_k
+                    - 0.5 * f0 - em)
             with np.errstate(divide="ignore", invalid="ignore"):
                 head = -np.log(eval_phi(self.phi, zz))
-            out[lo:lo + chunk] = head + core + tail
+            out[lo:lo + self._chunk] = head + core + tail
         return out - self.gamma_phi * z
+
+    def _fe_residual(self, z):
+        """max |1 - phi(z) W(z) / W(z+1)| over the points z."""
+        lw = self._log_w_raw(z)
+        lw1 = self._log_w_raw(z + 1.0)
+        lphi = np.log(eval_phi(self.phi, z))
+        return float(np.max(np.abs(1.0 - np.exp(lphi + lw - lw1))))
 
     def _validation_residual(self):
         a = np.array(_VALIDATION_A)
         xi = np.array(_VALIDATION_XI)
         z = (a[:, None] + 1j * xi[None, :]).ravel()
-        z = z[np.abs(z) + 1.0 <= self.zmax]
-        lw = self._log_w_raw(z)
-        lw1 = self._log_w_raw(z + 1.0)
-        lphi = np.log(eval_phi(self.phi, z))
-        return float(np.max(np.abs(1.0 - np.exp(lphi + lw - lw1))))
+        return self._fe_residual(z[np.abs(z) + 1.0 <= self.zmax])
 
     # -- public surface ---------------------------------------------------
 
@@ -507,13 +604,6 @@ class BernsteinGammaEvaluator:
     def w(self, z):
         """W(z) itself."""
         return np.exp(self.log_w(z))
-
-
-def _next_pow2(n):
-    p = 1
-    while p < n:
-        p *= 2
-    return p
 
 
 @functools.lru_cache(maxsize=32)

@@ -241,8 +241,19 @@ def multiplier_h(pair: WienerHopfPair, spec: GridSpec,
 
     Uses the conjugate symmetry W(conj z) = conj W(z) to evaluate each
     Bernstein-gamma function on half the line only.  Cached per
-    (pair, grid, tol): the Bernstein-gamma product is the expensive kernel.
+    (pair, grid, tol) whatever the call style: the Bernstein-gamma product
+    is the expensive kernel.
     """
+    # lru_cache keys multiplier_h(p, s, t) and multiplier_h(p, s, tol=t)
+    # apart, so the line is built and cached in _multiplier_line, called
+    # positionally; this wrapper stays an lru_cache because
+    # perfbench/tracing.py counts builds from multiplier_h.cache_info()
+    return _multiplier_line(pair, spec, float(tol))
+
+
+@functools.lru_cache(maxsize=64)
+def _multiplier_line(pair: WienerHopfPair, spec: GridSpec,
+                     tol: float) -> MultiplierLine:
     ev_p, ev_m = _pair_evaluators(pair, spec, tol)
     xi = spec.xi
     pos = np.abs(xi)

@@ -14,6 +14,8 @@ from spectral_ssmp.bernstein import (
     ClosedFormMeasure,
     DensityMeasure,
     TailMetadata,
+    _density_nodes,
+    _density_small_tail,
     asymptotic_magnitude,
     default_evaluator,
     eval_phi,
@@ -21,6 +23,7 @@ from spectral_ssmp.bernstein import (
     theta_integral,
     theta_limits,
 )
+from spectral_ssmp.eigenfunctions import EIGEN_GRID
 from spectral_ssmp.errors import ConvergenceError, DomainError, MetadataError
 from spectral_ssmp.families import make_bernstein, stable_density_table
 
@@ -122,6 +125,26 @@ def test_derivative_gamma_ratio_matches_digamma_and_fd():
     digamma_form = 0.5 * ratio * (sc_digamma(1.5 + 0.5 * u)
                                   - sc_digamma(1.0 + 0.5 * u))
     assert analytic == pytest.approx(float(digamma_form), rel=1e-12)
+
+
+def test_derivative_tabulated_density_matches_fd():
+    phi = make_bernstein(**stable_density_table(0.5))
+    for u in (0.5, 3.0, 40.0):
+        h = 1e-5 * u
+        fd = (eval_phi(phi, u + h).real - eval_phi(phi, u - h).real) / (2 * h)
+        analytic = float(np.asarray(phi_derivative(phi, u)))
+        assert analytic == pytest.approx(float(fd), rel=1e-6)
+
+
+def test_eval_phi_tabulated_density_far_right():
+    # nodes with Re(z) y > 40 are dropped from the Laplace sum; compare
+    # with the sum over every node
+    phi = make_bernstein(**stable_density_table(0.5))
+    nodes, wts, rem = _density_nodes(phi.measure)
+    z = np.array([40.0 + 3.0j, 400.0 - 50.0j, 2000.0 + 1700.0j])
+    full = (np.sum(wts) + rem - np.exp(-z[:, None] * nodes) @ wts
+            + _density_small_tail(phi.measure, z))
+    assert_allclose(eval_phi(phi, z), full, rtol=1e-15)
 
 
 def test_derivative_user_supplied_wins():
@@ -235,6 +258,42 @@ def test_functional_equation_random_triplets(phi0, drift, y1, m1, y2, m2):
     res = np.abs(1.0 - np.exp(np.log(eval_phi(phi, z))
                               + ev.log_w(z) - ev.log_w(z + 1.0)))
     assert res.max() <= 1e-7
+
+
+def _eigen_zmax():
+    # the horizon multiplier_h builds its evaluators with on EIGEN_GRID
+    return float(np.hypot(0.5, EIGEN_GRID.nyquist)) + 2.0
+
+
+def test_w_gamma_ratio_closed_forms_up_to_horizon():
+    zmax = _eigen_zmax()
+    assert zmax > 1700.0
+    xi = np.concatenate([np.linspace(0.0, 30.0, 31),
+                         np.geomspace(30.0, zmax - 1.0, 60)])
+    z = np.concatenate([0.5 + 1j * xi, 0.5 - 1j * xi, 2.0 + 1j * xi[:-1]])
+    cases = ((make_bernstein("gamma-ratio-plus", alpha_tilde=0.7),
+              loggamma(0.7 * z) - loggamma(0.7)),
+             (make_bernstein("gamma-ratio-minus", alpha=0.3, rho=1.0),
+              loggamma(1.0 + 0.3 * z) - loggamma(1.3)))
+    for phi, ref in cases:
+        ev = default_evaluator(phi, 1e-10, zmax)
+        assert ev.truncation <= 64
+        assert np.abs(np.exp(ev.log_w(z) - ref) - 1.0).max() <= 1e-9
+        assert ev.horizon_residual <= 1e-9
+
+
+def test_functional_equation_atoms_at_horizon():
+    # an atom at y ~ 1/K makes phi oscillate along vertical lines with
+    # amplitude e^{-Ky}; the segment integral must resolve it up to zmax
+    zmax = _eigen_zmax()
+    for atoms in ([[0.03, 1.0]], [[0.2, 2.0]]):
+        phi = make_bernstein("compound-poisson", atoms=atoms, d=0.1)
+        ev = BernsteinGammaEvaluator(phi, tol=1e-10, zmax=zmax)
+        z = 0.5 + 1j * np.linspace(zmax - 60.0, zmax - 2.0, 30)
+        res = np.abs(1.0 - np.exp(np.log(eval_phi(phi, z))
+                                  + ev.log_w(z) - ev.log_w(z + 1.0)))
+        assert res.max() <= 1e-10
+        assert ev.horizon_residual <= 1e-10
 
 
 def test_w_domain_and_horizon_errors():

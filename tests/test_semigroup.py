@@ -1,10 +1,12 @@
 """Semigroup evolution, generators, weak similarity, tensorization."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import loggamma
 
 from spectral_ssmp.errors import (
     ConditionError,
@@ -21,6 +23,7 @@ from spectral_ssmp.families import make_bernstein
 from spectral_ssmp.semigroup import (
     EvolutionPlan,
     TensorPlan,
+    _evolve_axes,
     evolve,
     evolve_tensor,
     generator_ido,
@@ -31,6 +34,7 @@ from spectral_ssmp.semigroup import (
 from spectral_ssmp.transform import (
     GridFunction,
     GridSpec,
+    MultiplierLine,
     apply_multiplier,
     gaussian_fixture,
     h_fixture,
@@ -105,6 +109,25 @@ def test_evolve_h_composition_law(pair, spec, tol):
         out = evolve(plan, 0.5, f)
         ref = apply_multiplier(plan.m, h_fixture(spec, 1.0, 1.5))
     assert np.max(np.abs(out.values - ref.values)) / ref.norm_e() <= tol
+
+
+def test_evolve_composition_law_above_the_rounding_floor():
+    # H^{-1} divides by |m| down to 5e-9 on this grid: the transform's
+    # rounding noise must not be amplified into the result, whatever the
+    # last bits of m (the library's line and the closed-form one)
+    xi = COARSE.xi
+    exact = np.exp(loggamma(0.7 * (0.5 - 1j * xi)) - loggamma(0.7)
+                   - loggamma(1.0 + 0.3 * (0.5 + 1j * xi)) + loggamma(1.3))
+    lines = (EvolutionPlan(gamma_pair(0.7, 0.3, 1.0), COARSE).m.values, exact)
+    for values in lines:
+        m = MultiplierLine(COARSE, values, kind="H", zero_free=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            f = apply_multiplier(m, h_fixture(COARSE, 1.0, 1.0))
+            ref = apply_multiplier(m, h_fixture(COARSE, 1.0, 1.5))
+        plan = SimpleNamespace(spec=COARSE, m=m)
+        out = _evolve_axes((plan,), 0.5, f.values)
+        assert np.max(np.abs(out - ref.values)) / ref.norm_e() <= 1e-8
 
 
 def test_evolve_semigroup_law():

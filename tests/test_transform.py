@@ -16,6 +16,7 @@ from spectral_ssmp.transform import (
     GridSpec,
     MultiplierLine,
     SpectrumLine,
+    _multiplier_line,
     apply_multiplier,
     domain_check,
     gaussian_fixture,
@@ -113,6 +114,18 @@ def test_inverse_of_closed_form_recovers_fixture():
 # ---------------------------------------------------------------------------
 # multipliers
 # ---------------------------------------------------------------------------
+
+def test_multiplier_h_builds_once_whatever_the_call_style():
+    pair = WienerHopfPair(PHI_AFF, PHI_AFF)
+    spec = GridSpec(-20.0, 40.0, 512)
+    before = _multiplier_line.cache_info()
+    lines = [multiplier_h(pair, spec, 1e-10), multiplier_h(pair, spec),
+             multiplier_h(pair, spec, tol=1e-10),
+             multiplier_lambda(pair, spec, 1e-10)]
+    after = _multiplier_line.cache_info()
+    assert after.misses - before.misses == 1
+    assert all(line is lines[0] for line in lines[:3])
+
 
 def test_multiplier_h_identity_pair_unimodular():
     m = multiplier_h(PAIR_ID, SPEC)
