@@ -226,13 +226,18 @@ def _near_zero_series(zy, a0, s):
 
     Term by term, this integrates e^{-zy} - 1 (s = 0) or y e^{-zy} (s = 1)
     against the power head y^{-1-a0} of a tabulated density on (0, y_min],
-    with zy = z * y_min.
+    with zy = z * y_min.  Summed until the terms, past their peak at
+    k ~ |zy|, fall below 2^-60 of the sum: 7 terms at |zy| = 1e-3, 54 at
+    the guard |zy| = _SMALL_SERIES_MAX.
     """
     term = np.ones_like(zy)
     total = term / (s - a0) if s else np.zeros_like(zy)
-    for k in range(1, 30):
+    peak = float(np.max(np.abs(zy), initial=0.0))
+    for k in range(1, 100):
         term = term * (-zy) / k
         total = total + term / (k + s - a0)
+        if k > peak and np.all(np.abs(term) <= 2.0 ** -60 * np.abs(total)):
+            break
     return total
 
 

@@ -147,6 +147,25 @@ def test_eval_phi_tabulated_density_far_right():
     assert_allclose(eval_phi(phi, z), full, rtol=1e-15)
 
 
+def test_density_small_tail_at_the_guard():
+    # integral_0^{y_min} (1 - e^{-zy}) c0 y^{-1-a0} dy up to |z| y_min = 10,
+    # against its closed form in the lower incomplete gamma function:
+    # c0 y_min^{-a0} [(w^a0 gamma(1 - a0, w) - 1 + e^{-w}) / a0], w = z y_min
+    import mpmath as mp
+    phi = make_bernstein(**stable_density_table(0.5))
+    meas = phi.measure
+    y0, a0 = meas.y[0], meas.tail_exponent_zero
+    c0 = meas.density[0] * y0 ** (1.0 + a0)
+    for w in (0.5, 5.0, 10.0, 10.0j, 7.0 + 7.0j):
+        with mp.workdps(30):
+            wm = mp.mpc(w)
+            closed = (wm ** a0 * mp.gammainc(1 - a0, 0, wm) - 1
+                      + mp.exp(-wm)) / a0
+            ref = complex(c0 * y0 ** (-a0) * closed)
+        got = complex(_density_small_tail(meas, np.array([w / y0]))[0])
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 def test_derivative_user_supplied_wins():
     phi = BernsteinFunction(drift=1.0, derivative=lambda u: 42.0)
     assert phi_derivative(phi, 1.0) == 42.0
