@@ -221,21 +221,24 @@ def _density_nodes(meas: DensityMeasure):
     return np.concatenate(all_nodes), np.concatenate(all_wts), rem
 
 
-def _near_zero_series(zy, a0, s):
-    """sum_{k >= 1 - s} (-zy)^k / k! / (k + s - a0) for s = 0 or 1.
+def _near_zero_series(zy, a0, s, start):
+    """sum_{k >= start} (-zy)^k / k! / (k + s - a0).
 
-    Term by term, this integrates e^{-zy} - 1 (s = 0) or y e^{-zy} (s = 1)
-    against the power head y^{-1-a0} of a tabulated density on (0, y_min],
-    with zy = z * y_min.  Summed until the terms, past their peak at
-    k ~ |zy|, fall below 2^-60 of the sum: 7 terms at |zy| = 1e-3, 54 at
-    the guard |zy| = _SMALL_SERIES_MAX.
+    Term by term, this integrates e^{-zy} - 1 (s = 0, start = 1) or
+    y e^{-zy} (s = 1, start = 0) against the power head y^{-1-a0} of a
+    tabulated density on (0, y_min], with zy = z * y_min; start = 2 leaves
+    out the first-order term as well, as the compensated Levy-Khintchine
+    kernel does.  Summed until the terms, past their peak at k ~ |zy|,
+    fall below 2^-60 of the sum: 7 terms at |zy| = 1e-3, 54 at the guard
+    |zy| = _SMALL_SERIES_MAX.
     """
     term = np.ones_like(zy)
-    total = term / (s - a0) if s else np.zeros_like(zy)
+    total = term / (s - a0) if start == 0 else np.zeros_like(zy)
     peak = float(np.max(np.abs(zy), initial=0.0))
     for k in range(1, 100):
         term = term * (-zy) / k
-        total = total + term / (k + s - a0)
+        if k >= start:
+            total = total + term / (k + s - a0)
         if k > peak and np.all(np.abs(term) <= 2.0 ** -60 * np.abs(total)):
             break
     return total
@@ -252,7 +255,7 @@ def _density_small_tail(meas: DensityMeasure, z):
         raise QuadratureError(
             "tabulated density table does not reach low enough for this "
             "argument (|z| * y_min too large); extend the table toward 0")
-    return -(c0 * y0 ** (-a0)) * _near_zero_series(zy, a0, 0)
+    return -(c0 * y0 ** (-a0)) * _near_zero_series(zy, a0, 0, 1)
 
 
 def _nodes_needed(nodes, re_min):
@@ -377,7 +380,8 @@ def phi_derivative(phi: BernsteinFunction, u):
         y0, _, a0, _, c0, _ = _tail_consts(m)
         small = 0.0
         if c0 > 0:
-            small = c0 * y0 ** (1.0 - a0) * _near_zero_series(u_arr * y0, a0, 1)
+            small = (c0 * y0 ** (1.0 - a0)
+                     * _near_zero_series(u_arr * y0, a0, 1, 0))
         return phi.drift + core + small
     h = 1e-6 * np.maximum(1.0, u_arr)
     return (eval_phi(phi, u_arr + h).real - eval_phi(phi, u_arr - h).real) / (2 * h)
@@ -622,64 +626,63 @@ def default_evaluator(phi: BernsteinFunction, tol: float = 1e-10,
 # oscillation functionals Theta
 # ---------------------------------------------------------------------------
 
+_THETA_MAX_PANELS = 1 << 22
+
+
 def _arg_phi(phi, a, w):
     vals = eval_phi(phi, a + 1j * np.asarray(w, dtype=float))
     return np.angle(vals)
 
 
-def theta_integral(phi: BernsteinFunction, a: float, xi: float,
-                   tol: float = 1e-10, max_refine: int = 12) -> float:
-    """integral_0^xi arg phi(a + i w) dw with continuous branch tracking.
+def theta_integral(phi: BernsteinFunction, a: float, xi,
+                   tol: float = 1e-10):
+    """integral_0^xi arg phi(a + i w) dw for a scalar xi or a 1-d array of
+    xi, all from one pass over [0, max xi].
 
-    Since Re phi(a + iw) >= phi(a) > 0, the principal argument is already
-    continuous; jumps above pi/2 between adjacent nodes therefore only ever
-    signal an unresolved quadrature and trigger panel halving.
+    The interval is cut at every xi and each piece into Gauss-Legendre
+    panels; the panels are halved until the cumulative totals of two
+    successive passes agree to tol at every xi.  Since
+    Re phi(a + iw) >= phi(a) > 0, the principal argument is already
+    continuous; a jump above pi/2 between adjacent nodes therefore only
+    ever signals an unresolved quadrature and also triggers halving.
     """
     if a <= 0:
         raise DomainError("theta_integral needs a > 0")
-    if xi < 0:
-        raise DomainError("theta_integral needs xi >= 0")
-    if xi == 0.0:
-        return 0.0
+    xs = np.asarray(xi, dtype=float)
+    if xs.ndim > 1 or np.any(xs < 0):
+        raise DomainError("theta_integral needs xi >= 0, a scalar or 1-d")
+    pos = xs > 0
+    ends = np.unique(xs[pos])
+    if ends.size == 0:
+        return 0.0 if xs.ndim == 0 else np.zeros(xs.shape)
     xg, wg = gauss_legendre(8)
-    npan = max(8, min(int(xi), 4096))
+    starts = np.concatenate([[0.0], ends[:-1]])
+    npan = np.clip((ends - starts).astype(int), 8, 4096)
     prev = None
-    for _ in range(max_refine):
-        edges = np.linspace(0.0, xi, npan + 1)
-        nodes = edges[:-1, None] + np.diff(edges)[:, None] * xg[None, :]
-        args = _arg_phi(phi, a, nodes.ravel()).reshape(nodes.shape)
-        jumps = float(np.max(np.abs(np.diff(args, axis=1)))) if args.shape[1] > 1 else 0.0
-        total = float(np.sum((args @ wg) * np.diff(edges)))
-        if jumps > 0.5 * np.pi:
-            npan *= 2
-            if npan > 2 ** 22:
+    while True:
+        edges = np.concatenate([np.linspace(s, e, n + 1)[:-1]
+                                for s, e, n in zip(starts, ends, npan)]
+                               + [ends[-1:]])
+        width = np.diff(edges)
+        nodes = edges[:-1, None] + width[:, None] * xg[None, :]
+        args = _arg_phi(phi, a, nodes.ravel())
+        first = np.concatenate([[0], np.cumsum(npan)[:-1]])
+        panels = (args.reshape(nodes.shape) @ wg) * width
+        total = np.cumsum(np.add.reduceat(panels, first))
+        jump = np.max(np.abs(np.diff(args)), initial=0.0) > 0.5 * np.pi
+        if not jump:
+            if prev is not None and np.all(
+                    np.abs(total - prev) <= tol * (1.0 + np.abs(total))):
+                break
+            prev = total
+        npan = 2 * npan
+        if np.sum(npan) > _THETA_MAX_PANELS:
+            if jump:
                 raise BranchError("arg tracking cannot resolve a branch jump")
-            continue
-        if prev is not None and abs(total - prev) <= tol * (1.0 + abs(total)):
-            return total
-        prev = total
-        npan *= 2
-    raise QuadratureError("theta_integral did not converge")
-
-
-def theta_samples(phi: BernsteinFunction, xi_values, a: float = 0.5):
-    """Theta_phi(|xi|) = (1/xi) * integral_0^xi arg phi(a + iw) dw on an
-    increasing grid, sharing the integrand between sample points."""
-    xi_values = np.asarray(sorted(xi_values), dtype=float)
-    xg, wg = gauss_legendre(8)
-    lo = 0.0
-    acc = 0.0
-    out = []
-    for xi in xi_values:
-        if xi > lo:
-            npan = max(4, min(int(2 * (xi - lo)) + 1, 8192))
-            edges = np.linspace(lo, xi, npan + 1)
-            nodes = edges[:-1, None] + np.diff(edges)[:, None] * xg[None, :]
-            args = _arg_phi(phi, a, nodes.ravel()).reshape(nodes.shape)
-            acc += float(np.sum((args @ wg) * np.diff(edges)))
-            lo = xi
-        out.append(acc / xi if xi > 0 else 0.0)
-    return xi_values, np.asarray(out)
+            raise QuadratureError("theta_integral did not converge")
+    out = np.zeros(xs.shape)
+    out[pos] = total[np.searchsorted(ends, xs[pos])]
+    return float(out) if xs.ndim == 0 else out
 
 
 def theta_limits(phi: BernsteinFunction, xi_max: float,
@@ -692,7 +695,7 @@ def theta_limits(phi: BernsteinFunction, xi_max: float,
     if n_samples < 2:
         raise DomainError("n_samples must be at least 2")
     xis = xi_max * 2.0 ** (-np.arange(n_samples, dtype=float))[::-1]
-    _, th = theta_samples(phi, xis)
+    th = theta_integral(phi, 0.5, xis) / xis
     return float(np.min(th)), float(np.max(th))
 
 
@@ -711,8 +714,7 @@ def asymptotic_magnitude(phi: BernsteinFunction, a: float, xi: float,
         raise DomainError("asymptotic_magnitude needs a > 0")
     axi = abs(xi)
     if evaluator is None:
-        evaluator = default_evaluator(phi, 1e-7 if isinstance(
-            phi.measure, DensityMeasure) else 1e-10)
+        evaluator = default_evaluator(phi)
     wa = float(evaluator.w(complex(a, 0.0)).real)
     pa = float(eval_phi(phi, a).real)
     if form == "theta":

@@ -267,17 +267,7 @@ def eigenfunction_fft(pair: WienerHopfPair, spec: Optional[GridSpec] = None,
     precomputed SpectrumReport to skip re-classification.  The (2 pi)^{-1}
     normalization is pinned by agreement with the power series route.
     """
-    if spec is None:
-        spec = EIGEN_GRID
-    if report is None:
-        report = classify(pair, spec)
-    if report.verdict != "Point":
-        raise DomainError(
-            f"eigenfunction inversion needs a Point verdict, got "
-            f"{report.verdict}")
-    m = multiplier_h(pair, spec, tol=tol)
-    out = inverse_shifted_fft(SpectrumLine(spec, m.values))
-    return GridFunction(spec, out.values / np.sqrt(2.0 * np.pi))
+    return translated_eigenfunction_fft(pair, 0.0, spec, tol, report)
 
 
 def translated_eigenfunction_fft(pair: WienerHopfPair, y: float,
@@ -290,7 +280,9 @@ def translated_eigenfunction_fft(pair: WienerHopfPair, y: float,
     if report is None:
         report = classify(pair, spec)
     if report.verdict != "Point":
-        raise DomainError("translation route needs a Point verdict")
+        raise DomainError(
+            f"eigenfunction inversion needs a Point verdict, got "
+            f"{report.verdict}")
     m = multiplier_h(pair, spec, tol=tol)
     phase = np.exp(-1j * spec.xi * y) * np.exp(y / 2.0)
     out = inverse_shifted_fft(SpectrumLine(spec, m.values * phase))

@@ -21,9 +21,11 @@ from typing import Optional
 import numpy as np
 
 from .bernstein import (
+    _SMALL_SERIES_MAX,
     BernsteinFunction,
     DensityMeasure,
     _density_nodes,
+    _near_zero_series,
     _tail_consts,
     eval_phi,
 )
@@ -139,16 +141,10 @@ def _density_side_integral(dens: DensityMeasure, xi, sign):
     y0, _, a0, _, c0, _ = _tail_consts(dens)
     if c0 > 0.0:
         zy = 1j * xi * (sign * y0)
-        if np.max(np.abs(zy)) > 10.0:
+        if np.max(np.abs(zy)) > _SMALL_SERIES_MAX:
             raise QuadratureError("density table does not reach low enough "
                                   "for this frequency; extend y_min")
-        total = np.zeros_like(zy)
-        term = np.ones_like(zy)
-        for k in range(1, 30):
-            term = term * zy / k
-            if k >= 2:
-                total = total - term / (k - a0)
-        core = core + c0 * y0 ** (-a0) * total
+        core = core - c0 * y0 ** (-a0) * _near_zero_series(-zy, a0, 0, 2)
     return core
 
 

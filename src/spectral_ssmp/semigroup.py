@@ -36,6 +36,7 @@ from .errors import (
 from .exponents import Exponent, LevyQuadruplet, WienerHopfPair, eval_psi
 from .transform import (
     TAIL_FRACTION_BORDERLINE,
+    TAIL_FRACTION_INSIDE,
     GridFunction,
     GridSpec,
     MultiplierLine,
@@ -82,12 +83,10 @@ class EvolutionPlan:
     spec: GridSpec
     tol: float = 1e-10
     m: MultiplierLine = field(init=False)
-    inverse_ok: bool = field(init=False)
 
     def __post_init__(self):
-        line = multiplier_h(self.pair, self.spec, tol=self.tol)
-        object.__setattr__(self, "m", line)
-        object.__setattr__(self, "inverse_ok", bool(line.zero_free))
+        object.__setattr__(self, "m", multiplier_h(self.pair, self.spec,
+                                                   tol=self.tol))
 
 
 def evolve(plan: EvolutionPlan, t: float, f: GridFunction,
@@ -113,7 +112,7 @@ def generator_pdo(e: Exponent, f: GridFunction) -> GridFunction:
     """
     spec = f.spec
     s = _fft_axis(f.values, spec, weight=0.0)
-    if tail_fraction(s, spec) > 1e-6:
+    if tail_fraction(s, spec) > TAIL_FRACTION_INSIDE:
         warnings.warn("input spectrum carries mass beyond half Nyquist; "
                       "the symbol application is under-resolved",
                       DomainWarning, stacklevel=2)
@@ -122,16 +121,19 @@ def generator_pdo(e: Exponent, f: GridFunction) -> GridFunction:
     return GridFunction(spec, -np.exp(-spec.x) * out)
 
 
-def _derivatives(f, spec, order_h=1e-4):
+_FD_STEP = 1e-4
+
+
+def _derivatives(f, spec):
     """First and second derivatives of f: spline for samples, finite
-    differences for callables."""
+    differences with step _FD_STEP for callables."""
     if isinstance(f, GridFunction):
         from scipy.interpolate import CubicSpline
         cs = CubicSpline(f.spec.x, f.values.real)
         return (lambda x: cs(x),
                 lambda x: cs(x, 1),
                 lambda x: cs(x, 2))
-    h = order_h
+    h = _FD_STEP
 
     def d1(x):
         return (f(x + h) - f(x - h)) / (2 * h)
@@ -297,8 +299,12 @@ class TensorPlan:
         return np.allclose(self.matrix_m, np.eye(self.dim), atol=1e-15)
 
 
-def _resample(values, plans, mat, pad_cells=8):
-    """values(M x) on the product grid by multilinear interpolation."""
+_PAD_CELLS = 8
+
+
+def _resample(values, plans, mat):
+    """values(M x) on the product grid by multilinear interpolation; M may
+    map the grid at most _PAD_CELLS cells outside the sampled box."""
     from scipy.interpolate import interpn
     axes = [p.spec.x for p in plans]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -306,10 +312,10 @@ def _resample(values, plans, mat, pad_cells=8):
     for k, p in enumerate(plans):
         overshoot = np.maximum(pts[:, k] - p.spec.x[-1],
                                p.spec.x[0] - pts[:, k]).max()
-        if overshoot > pad_cells * p.spec.dx:
+        if overshoot > _PAD_CELLS * p.spec.dx:
             raise InterpolationError(
                 f"similarity matrix maps the grid {overshoot / p.spec.dx:.1f} "
-                f"cells outside the sampled box (padding margin {pad_cells})")
+                f"cells outside the sampled box (padding margin {_PAD_CELLS})")
     out = interpn(tuple(axes), values, pts, method="linear",
                   bounds_error=False, fill_value=0.0)
     return out.reshape(values.shape)

@@ -17,12 +17,12 @@ not checkable numerically, and the ratio need not be monotone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bernstein import BernsteinFunction, theta_samples
+from .bernstein import BernsteinFunction, theta_integral
 from .errors import DomainError
 from .exponents import WienerHopfPair
 from .transform import GridSpec, multiplier_h
@@ -87,22 +87,7 @@ class SpectrumReport:
             raise DomainError("m and 1/m cannot both be square integrable")
 
     def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "theta_plus": list(self.theta_plus),
-            "theta_minus": list(self.theta_minus),
-            "l2_mass_m": self.l2_mass_m,
-            "l2_mass_m_finite": self.l2_mass_m_finite,
-            "l2_mass_inv": self.l2_mass_inv,
-            "l2_mass_inv_finite": self.l2_mass_inv_finite,
-            "bounded_above": self.bounded_above,
-            "bounded_below": self.bounded_below,
-            "table_rule_fired": self.table_rule_fired,
-            "branch": self.branch,
-            "evidence_grid": {"x_min": self.evidence_grid.x_min,
-                              "x_max": self.evidence_grid.x_max,
-                              "n": self.evidence_grid.n},
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +145,7 @@ def _theta_bracket(phi, xi_max):
     two largest-xi samples, a conservative finite-sample surrogate.
     """
     xis = xi_max * 2.0 ** (-np.arange(6, dtype=float))[::-1]
-    _, th = theta_samples(phi, xis)
+    th = theta_integral(phi, 0.5, xis) / xis
     top = th[-2:]
     bar = 0.5 * abs(top[1] - top[0])
     return float(np.min(top)), float(np.max(top)), float(bar)

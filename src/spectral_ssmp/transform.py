@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 import numpy as np
 
-from .bernstein import DensityMeasure, default_evaluator
+from .bernstein import default_evaluator
 from .errors import DomainError, DomainWarning
 from .exponents import WienerHopfPair
 from .special import log_gamma
@@ -73,7 +73,6 @@ class GridFunction:
 
     spec: GridSpec
     values: np.ndarray
-    side = "Physical"
 
     def __post_init__(self):
         v = np.array(self.values, dtype=complex)
@@ -96,7 +95,6 @@ class SpectrumLine:
 
     spec: GridSpec
     values: np.ndarray
-    side = "Frequency"
 
     def __post_init__(self):
         v = np.array(self.values, dtype=complex)
@@ -128,12 +126,6 @@ class MultiplierLine:
         object.__setattr__(self, "values", v)
         if self.zero_free and np.any(np.abs(v) == 0.0):
             raise DomainError("zero_free multiplier contains zeros")
-
-    def inverse(self):
-        if not self.zero_free:
-            raise DomainError("cannot invert a multiplier with zeros")
-        return MultiplierLine(self.spec, 1.0 / self.values,
-                              kind=self.kind, zero_free=True)
 
 
 def inner_e(f: GridFunction, g: GridFunction) -> complex:
@@ -225,15 +217,6 @@ def inverse_shifted_fft(s: SpectrumLine) -> GridFunction:
 # multipliers
 # ---------------------------------------------------------------------------
 
-def _pair_evaluators(pair: WienerHopfPair, spec: GridSpec, tol: float):
-    zmax = float(np.hypot(0.5, spec.nyquist)) + 2.0
-    tol_p = tol if not isinstance(pair.phi_plus.measure, DensityMeasure) else max(tol, 1e-7)
-    tol_m = tol if not isinstance(pair.phi_minus.measure, DensityMeasure) else max(tol, 1e-7)
-    ev_p = default_evaluator(pair.phi_plus, tol_p, zmax)
-    ev_m = default_evaluator(pair.phi_minus, tol_m, zmax)
-    return ev_p, ev_m
-
-
 @functools.lru_cache(maxsize=64)
 def multiplier_h(pair: WienerHopfPair, spec: GridSpec,
                  tol: float = 1e-10) -> MultiplierLine:
@@ -254,7 +237,9 @@ def multiplier_h(pair: WienerHopfPair, spec: GridSpec,
 @functools.lru_cache(maxsize=64)
 def _multiplier_line(pair: WienerHopfPair, spec: GridSpec,
                      tol: float) -> MultiplierLine:
-    ev_p, ev_m = _pair_evaluators(pair, spec, tol)
+    zmax = float(np.hypot(0.5, spec.nyquist)) + 2.0
+    ev_p = default_evaluator(pair.phi_plus, tol, zmax)
+    ev_m = default_evaluator(pair.phi_minus, tol, zmax)
     xi = spec.xi
     pos = np.abs(xi)
     z = 0.5 + 1j * pos

@@ -361,6 +361,17 @@ def test_theta_alternative_form():
         assert direct == pytest.approx(alt, abs=1e-6 + 10 * err)
 
 
+def test_theta_integral_array_matches_scalar_calls():
+    # one cumulative pass over an unsorted array with a repeat and a zero
+    xs = np.array([40.0, 0.0, 3.5, 200.0, 3.5, 0.25])
+    for phi in (make_bernstein("gamma-ratio-plus", alpha_tilde=0.7),
+                make_bernstein("compound-poisson", atoms=[[1.0, 2.0]], d=1.0)):
+        got = theta_integral(phi, 0.5, xs)
+        ref = np.array([theta_integral(phi, 0.5, x) for x in xs])
+        assert got.shape == xs.shape
+        assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
 def test_theta_limits_drift_and_gamma():
     lo, hi = theta_limits(PHI_ID, 800.0, 8)
     assert 0.0 <= lo <= hi <= np.pi / 2 + 1e-12

@@ -76,6 +76,31 @@ def test_quadruplet_density_psi_matches_stable_symbol():
     assert np.abs(vals - ref).max() <= 2e-2 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("xy", [1e-3, 1.0, 10.0])
+def test_density_near_zero_piece_matches_mpmath(monkeypatch, xy, sign):
+    # with the node table emptied, psi of a one-density quadruplet is the
+    # analytic piece below y_min alone,
+    #   -c0 y0^{-a0} sum_{k >= 2} (i xi s y0)^k / k! / (k - a0),
+    # s = +-1 the side; |xi| y0 = 10 is the largest the series guard admits
+    import mpmath as mp
+    from spectral_ssmp import exponents
+    monkeypatch.setattr(exponents, "_density_nodes",
+                        lambda dens: (np.empty(0), np.empty(0), 0.0))
+    dens = make_bernstein(**stable_density_table(0.5)).measure
+    y0, a0 = dens.y[0], dens.tail_exponent_zero
+    c0 = dens.density[0] * y0 ** (1.0 + a0)
+    mu = (SignedMeasure(density_pos=dens) if sign > 0
+          else SignedMeasure(density_neg=dens))
+    got = eval_psi(Exponent(quadruplet=LevyQuadruplet(mu=mu)), xy / y0)
+    with mp.workdps(30):
+        zy = mp.mpc(0, sign * xy)
+        series = mp.fsum(zy ** k / mp.factorial(k) / (k - a0)
+                         for k in range(2, 120))
+        ref = complex(-c0 * y0 ** (-a0) * series)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
 @settings(max_examples=20, deadline=None)
 @given(xi=st.floats(-50.0, 50.0))
 def test_hermitian_symmetry(xi):

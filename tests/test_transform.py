@@ -10,7 +10,7 @@ from scipy.special import loggamma
 from spectral_ssmp.bernstein import default_evaluator
 from spectral_ssmp.errors import DomainError, DomainWarning
 from spectral_ssmp.exponents import Exponent, WienerHopfPair, eval_psi
-from spectral_ssmp.families import make_bernstein
+from spectral_ssmp.families import make_bernstein, stable_density_table
 from spectral_ssmp.transform import (
     GridFunction,
     GridSpec,
@@ -125,6 +125,25 @@ def test_multiplier_h_builds_once_whatever_the_call_style():
     after = _multiplier_line.cache_info()
     assert after.misses - before.misses == 1
     assert all(line is lines[0] for line in lines[:3])
+
+
+def test_multiplier_h_builds_density_factor_at_requested_tol(monkeypatch):
+    # a tabulated density gets the Bernstein-gamma evaluator at the tol the
+    # caller asks for, not a relaxed one
+    from spectral_ssmp import transform
+    table = make_bernstein(**stable_density_table(0.5))
+    built = []
+
+    def recording(phi, tol, zmax):
+        ev = default_evaluator(phi, tol, zmax)
+        built.append(ev)
+        return ev
+
+    monkeypatch.setattr(transform, "default_evaluator", recording)
+    line = multiplier_h(WienerHopfPair(PHI_ID, table),
+                        GridSpec(-20.0, 40.0, 1024), tol=1e-10)
+    assert [ev.tol for ev in built if ev.phi == table] == [1e-10]
+    assert np.all(np.isfinite(line.values))
 
 
 def test_multiplier_h_identity_pair_unimodular():
