@@ -12,11 +12,11 @@ solution of
     W(z + 1) = phi(z) W(z),   W(1) = 1,
 
 and is evaluated here in log space by its Stirling-type representation: a
-short Weierstrass-type product of K = 32 factors (doubled only if needed)
-with an Euler-Maclaurin tail to order B_8, so a point costs a fixed number
-of evaluations of phi whatever the horizon.  The evaluator is specified by
-its contracts (functional equation, normalization, conjugate symmetry,
-zero-freeness), which are checked at construction.
+short Weierstrass-type product of K = 32 factors with an Euler-Maclaurin
+tail to order B_8, so a point costs a fixed number of evaluations of phi
+whatever the horizon.  The evaluator is specified by its contracts
+(functional equation, normalization, conjugate symmetry, zero-freeness),
+which are checked at construction.
 """
 
 from __future__ import annotations
@@ -354,9 +354,8 @@ def _phi_on_shifted(phi: BernsteinFunction, z, c):
 def phi_derivative(phi: BernsteinFunction, u):
     """phi'(u) for u > 0.
 
-    Uses the user-supplied analytic derivative when present, an analytic
-    formula for built-in descriptors otherwise, and central finite
-    differences with step 1e-6 * max(1, u) as a last resort.
+    Uses the user-supplied analytic derivative when present and an analytic
+    formula for the built-in descriptors otherwise.
     """
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0):
@@ -383,8 +382,7 @@ def phi_derivative(phi: BernsteinFunction, u):
             small = (c0 * y0 ** (1.0 - a0)
                      * _near_zero_series(u_arr * y0, a0, 1, 0))
         return phi.drift + core + small
-    h = 1e-6 * np.maximum(1.0, u_arr)
-    return (eval_phi(phi, u_arr + h).real - eval_phi(phi, u_arr - h).real) / (2 * h)
+    raise DomainError(f"unknown measure descriptor {type(m)!r}")
 
 
 def _closed_form_derivative(phi, m, u):
@@ -411,8 +409,7 @@ def _closed_form_derivative(phi, m, u):
 _VALIDATION_A = (0.5, 1.0, 2.0)
 _VALIDATION_XI = (0.0, 1.0, 3.0, 10.0, 30.0)
 _HORIZON_FRACTIONS = (0.97, 0.99, 0.999)
-_K_START = 32
-_K_MAX = 1 << 17
+_K = 32
 _CIRCLE_N = 32
 _LINE_N = 40
 _SIDE_N = 16
@@ -449,12 +446,13 @@ class BernsteinGammaEvaluator:
     phi, whatever zmax is; for a tabulated density, one exp row and one
     matrix product cover the K + _CIRCLE_N shifted ones.
 
-    K starts at 32 and doubles until the functional-equation residual on
-    the validation grid (|Im z| <= 30) drops below tol; it is `truncation`,
-    that residual `residual`.  `horizon_residual` is the same residual at a
-    few points on Re z = 1/2 near Im z = zmax; it is recorded, not checked
-    against tol.  All caches are computed here, so the evaluator is
-    immutable and safe to share between threads.
+    K = 32 is `truncation`; the functional-equation residual on the
+    validation grid (|Im z| <= 30) is `residual`, and a ConvergenceError is
+    raised when it misses tol (a larger K does not lower it).
+    `horizon_residual` is the same residual at a few points on Re z = 1/2
+    near Im z = zmax; it is recorded, not checked against tol.  All caches
+    are computed here, so the evaluator is immutable and safe to share
+    between threads.
     """
 
     def __init__(self, phi: BernsteinFunction, tol: float = 1e-10,
@@ -468,38 +466,31 @@ class BernsteinGammaEvaluator:
             raise DomainError("phi(1) must be positive")
         self._line_rule = gauss_legendre(_LINE_N)
         self._side_rule = gauss_legendre(_SIDE_N)
-        k = _K_START
-        while True:
-            self._build_tables(k)
-            last_res = self._validation_residual()
-            if last_res <= tol or k >= _K_MAX:
-                break
-            k *= 2
-        if last_res > tol:
+        self._build_tables()
+        self.truncation = _K
+        self.residual = self._validation_residual()
+        if self.residual > tol:
             raise ConvergenceError(
-                f"functional-equation residual {last_res:.3e} > tol {tol:.3e} "
-                f"at K = {k}")
-        self.truncation = k
-        self.residual = float(last_res)
+                f"functional-equation residual {self.residual:.3e} > tol "
+                f"{tol:.3e} at K = {_K}")
         xi = self.zmax * np.array(_HORIZON_FRACTIONS)
         self.horizon_residual = self._fe_residual(0.5 + 1j * xi)
 
     # -- construction helpers -------------------------------------------
 
-    def _build_tables(self, k):
-        kk = np.arange(1, k + 1, dtype=float)
+    def _build_tables(self):
+        kk = np.arange(1, _K + 1, dtype=float)
         phik = eval_phi(self.phi, kk).real
         if np.any(phik <= 0):
             raise DomainError("phi must be strictly positive on [1, K]")
         rk = np.asarray(phi_derivative(self.phi, kk), dtype=float) / phik
-        self._K = k
         self._log_phi_k = float(np.log(phik[-1]))
         self._dlog_phi_k = float(rk[-1])
         self._sum_g = float(np.sum(np.log(phik)))
         self._sum_r = float(np.sum(rk))
         # L^(m)(c) = m!/(N r^m) sum_n L(c + r w^n) w^{-mn}, w = e^{2 pi i/N};
         # em_odd and em_even fold in B_2j/(2j)! for m = 2j-1 and m = 2j
-        r = k / 3.0
+        r = _K / 3.0
         circle = r * np.exp(2j * np.pi * np.arange(_CIRCLE_N) / _CIRCLE_N)
         em_odd = np.zeros(_CIRCLE_N, dtype=complex)
         em_even = np.zeros(_CIRCLE_N, dtype=complex)
@@ -507,12 +498,12 @@ class BernsteinGammaEvaluator:
             for m, acc in ((2 * j - 1, em_odd), (2 * j, em_even)):
                 acc += (coef * math.factorial(m) / _CIRCLE_N) * (circle ** -m)
         self._em_odd = em_odd
-        log_phi_circle = np.log(eval_phi(self.phi, k + circle))
+        log_phi_circle = np.log(eval_phi(self.phi, _K + circle))
         self._em_k = float((log_phi_circle @ em_odd).real)
         self._em_kz = float((log_phi_circle @ em_even).real)
-        self._offsets = np.concatenate([kk, k + circle])
+        self._offsets = np.concatenate([kk, _K + circle])
         line = _LINE_N + 2 * _SIDE_N + 1
-        cols = k + _CIRCLE_N + line
+        cols = _K + _CIRCLE_N + line
         if isinstance(self.phi.measure, DensityMeasure):
             cols += _density_nodes(self.phi.measure)[0].size * (line + 1)
         self._chunk = max(1, _CHUNK_ELEMENTS // cols)
@@ -533,14 +524,13 @@ class BernsteinGammaEvaluator:
         real-directed sides, taken for |z| > 4K only, carry no oscillation;
         they take _SIDE_N nodes logarithmic in the distance from K.
         """
-        K = self._K
-        x = np.maximum(np.abs(z) / 4.0 - K, 0.0)
-        out = self._line_integral(K + x, z, K + x, self._line_rule)
+        x = np.maximum(np.abs(z) / 4.0 - _K, 0.0)
+        out = self._line_integral(_K + x, z, _K + x, self._line_rule)
         far = x > 0
         if np.any(far):
-            zf, xf = z[far], x[far]
-            out[far] += (self._line_integral(K, xf, K, self._side_rule)
-                         - self._line_integral(K + zf, xf, K, self._side_rule))
+            zf, xf, side = z[far], x[far], self._side_rule
+            out[far] += (self._line_integral(_K, xf, _K, side)
+                         - self._line_integral(_K + zf, xf, _K, side))
         return out
 
     def _line_integral(self, a, d, scale, rule):
@@ -559,12 +549,11 @@ class BernsteinGammaEvaluator:
 
     def _log_w_raw(self, z):
         """log W before the -gamma_hat * z normalization, z a 1-d array."""
-        K = self._K
         out = np.empty(z.shape, dtype=complex)
         for lo in range(0, z.size, self._chunk):
             zz = z[lo:lo + self._chunk]
             lv = np.log(_phi_on_shifted(self.phi, zz, self._offsets))
-            shifted, circle = lv[:, :K], lv[:, K:]
+            shifted, circle = lv[:, :_K], lv[:, _K:]
             core = self._sum_g - np.sum(shifted, axis=1) + zz * self._sum_r
             f0 = self._log_phi_k - shifted[:, -1] + zz * self._dlog_phi_k
             em = self._em_k + zz * self._em_kz - circle @ self._em_odd

@@ -12,10 +12,11 @@ Three routes are implemented and cross-validated:
     J(x) = e^{-x/2} (2 pi)^{-1} integral e^{i x xi} m(xi) dxi,
     normalized so that it matches the power series on overlapping families.
 
-Alternating series are summed in extended precision with consecutive terms
-paired to exploit the alternation; when cancellation would still consume
-every significant digit an OverflowGuard is raised rather than returning
-noise.
+The series and the Wright function are summed by one extended-precision
+kernel, _paired_sum: each caller supplies only the log-magnitudes of its
+terms and its tail test.  Consecutive terms are paired to exploit the
+alternation, and when cancellation would still consume every significant
+digit an OverflowGuard is raised rather than returning noise.
 """
 
 from __future__ import annotations
@@ -69,45 +70,43 @@ class SeriesEigenfunction:
     def log_coefficient_magnitudes(self):
         return self._log_c.copy()
 
-    def tail_bound(self, x: float, order: int) -> float:
-        """Certified bound on the remainder past `order` at argument x,
-        from the exponential majorant sum e^{nx} / (phi(1)^n n!)."""
-        r_log = float(x) - self._log_phi1
-        ratio = np.exp(r_log) / (order + 2)
-        if ratio >= 1.0:
-            return np.inf
-        log_tail = ((order + 1) * r_log - _log_factorial(order + 1)
-                    - np.log(1.0 - ratio))
-        return float(np.exp(min(log_tail, 700.0)))
 
+def _paired_sum(log_terms, alternating, tail_ok, tol, name):
+    """sum_n (+-1)^n e^{log_terms[n]} in extended precision.
 
-class _PairedAccumulator:
-    """Extended-precision sum of an alternating series, consecutive terms
-    paired so the running partial sums stay near the final value rather
-    than near the largest term."""
-
-    def __init__(self):
-        self.total = np.longdouble(0.0)
-        self._held = None
-
-    def add(self, signed_term):
-        if self._held is None:
-            self._held = signed_term
+    Consecutive terms are paired, so for an alternating series the running
+    sum stays near the final value rather than near the largest term.  The
+    sum stops at the first m >= 2 where tail_ok(m, scale) certifies the
+    remainder past term m against scale = |partial sum|.  An alternating sum
+    is then audited: an OverflowGuard is raised when the extended-precision
+    roundoff of its largest term exceeds tol relative to the result.
+    """
+    total = np.longdouble(0.0)
+    held = None
+    peak = -np.inf
+    for m, lt in enumerate(log_terms):
+        if lt > 11000.0:  # beyond the extended-precision exponent range
+            raise OverflowGuard(f"{name} terms overflow extended precision")
+        peak = max(peak, lt)
+        sign = -1.0 if alternating and m % 2 else 1.0
+        term = np.longdouble(sign) * np.exp(np.longdouble(lt))
+        if held is None:
+            held = term
         else:
-            self.total += self._held + signed_term
-            self._held = None
-
-    def flush(self):
-        if self._held is not None:
-            self.total += self._held
-            self._held = None
-        return self.total
-
-    def current(self):
-        out = self.total
-        if self._held is not None:
-            out = out + self._held
-        return out
+            total += held + term
+            held = None
+        partial = total if held is None else total + held
+        if m >= 2 and tail_ok(m, abs(float(partial)) + 1e-300):
+            break
+    else:
+        raise OverflowGuard(f"{name} did not settle below tol={tol:g}")
+    if held is not None:
+        total += held
+    budget = np.log10(tol * (abs(float(total)) + 1e-300))
+    if alternating and peak / np.log(10.0) - _LONG_EPS_DIGITS > budget:
+        raise OverflowGuard(f"{name}: cancellation exceeds extended "
+                            f"precision for tol={tol:g}")
+    return float(total)
 
 
 def eigenfunction_series(s: SeriesEigenfunction, x: float,
@@ -115,121 +114,58 @@ def eigenfunction_series(s: SeriesEigenfunction, x: float,
     """Adaptive partial sum with a certified relative tail bound below tol.
 
     The remainder past order m is dominated by the exponential tail of
-    sum e^{nx}/(phi(1)^n n!) because W(n+1) >= phi(1)^n; summation runs in
-    extended precision with consecutive terms paired, and an OverflowGuard
-    is raised when cancellation eats past the requested tolerance.
+    sum e^{nx}/(phi(1)^n n!) because W(n+1) >= phi(1)^n; an OverflowGuard is
+    raised when the order runs out first or cancellation eats past tol.
     """
     x = float(x)
     log_terms = s._log_c + np.arange(len(s._log_c)) * x
     r_log = x - s._log_phi1  # log of e^x / phi(1), the tail ratio scale
-    n_max = len(log_terms) - 1
-    acc = _PairedAccumulator()
-    peak = -np.inf
-    cut = None
-    for m in range(n_max + 1):
-        lt = log_terms[m]
-        peak = max(peak, lt)
-        sign = 1.0 if m % 2 == 0 else -1.0
-        acc.add(np.longdouble(sign) * np.exp(np.longdouble(lt)))
-        if m < 2:
-            continue
+
+    def tail_ok(m, scale):
         ratio = np.exp(r_log) / (m + 2)
         if ratio >= 0.5:
-            continue
-        log_tail = (m + 1) * r_log - _log_factorial(m + 1) - np.log(1 - ratio)
-        scale = abs(float(acc.current())) + 1e-300
-        if lt < np.log(tol * scale) and log_tail < np.log(tol * scale):
-            cut = m
-            break
-    if cut is None:
-        raise OverflowGuard(
-            "series order exhausted before the certified tail bound met tol; "
-            "x too large for this tolerance")
-    total = acc.flush()
-    # cancellation audit: extended-precision roundoff must stay below tol
-    lost_abs = peak / np.log(10.0) - _LONG_EPS_DIGITS
-    budget = np.log10(tol * (abs(float(total)) + 1e-300))
-    if lost_abs > budget:
-        raise OverflowGuard(
-            "alternating-series cancellation exceeds extended precision "
-            f"for tol={tol:g} at x={x:g}")
-    return float(total)
+            return False
+        log_tail = ((m + 1) * r_log - float(log_gamma(m + 2.0).real)
+                    - np.log(1 - ratio))
+        bound = np.log(tol * scale)
+        return log_terms[m] < bound and log_tail < bound
 
-
-def _log_factorial(m):
-    return float(log_gamma(m + 1.0).real)
+    return _paired_sum(log_terms, True, tail_ok, tol,
+                       f"the eigenfunction series at x={x:g}")
 
 
 # ---------------------------------------------------------------------------
 # Wright function
 # ---------------------------------------------------------------------------
 
-def wright(gamma: float, beta: float, z: float, tol: float = 1e-12,
-           max_terms: int = 4000) -> float:
-    """The Wright function sum_n z^n / (Gamma(gamma n + beta) n!), gamma > -1.
+_WRIGHT_TERMS = 4000
 
-    Adaptive partial sums with a ratio-test tail bound; alternating input
-    (z < 0) is summed with the paired-term extended-precision route.
+
+def wright(gamma: float, beta: float, z: float, tol: float = 1e-12) -> float:
+    """The Wright function sum_n z^n / (Gamma(gamma n + beta) n!) for
+    gamma >= 0 and beta > 0.
+
+    Adaptive partial sums with a ratio-test tail bound, alternating for
+    z < 0.  For gamma < 0 or beta <= 0, 1/Gamma(gamma n + beta) changes
+    sign and vanishes at poles, which neither the log-magnitude terms nor
+    the ratio test carry, so that range raises DomainError.
     """
-    if gamma <= -1.0:
-        raise DomainError("the Wright series needs gamma > -1")
+    if not (gamma >= 0.0 and beta > 0.0):
+        raise DomainError("the Wright series is summed for gamma >= 0 "
+                          "and beta > 0")
     z = float(z)
     if z == 0.0:
         return float(np.exp(-log_gamma(complex(beta)).real))
-    log_terms = (np.arange(max_terms) * np.log(abs(z))
-                 - _log_factorials(max_terms)
-                 - _loggamma_line(gamma, beta, max_terms))
-    sign_z = 1.0 if z > 0 else -1.0
-    acc = _PairedAccumulator()
-    peak = -np.inf
-    cut = None
-    for m in range(max_terms):
-        lt = log_terms[m]
-        if np.isfinite(lt):
-            if lt > 11000.0:  # beyond the extended-precision exponent range
-                raise OverflowGuard(
-                    "Wright-series terms overflow extended precision")
-            peak = max(peak, lt)
-            acc.add(np.longdouble(sign_z ** m) * np.exp(np.longdouble(lt)))
-        if m < 2:
-            continue
-        ratio = np.exp(log_terms[m] - log_terms[m - 1]) if np.isfinite(
-            log_terms[m - 1]) else np.inf
-        scale = abs(float(acc.current())) + 1e-300
-        if ratio < 0.5 and np.isfinite(lt) and \
-                np.exp(lt) / (1 - ratio) < tol * scale:
-            cut = m
-            break
-    if cut is None:
-        raise OverflowGuard("the Wright series did not settle below tol")
-    total = acc.flush()
-    lost_abs = peak / np.log(10.0) - _LONG_EPS_DIGITS
-    if sign_z < 0 and lost_abs > np.log10(tol * (abs(float(total)) + 1e-300)):
-        raise OverflowGuard(
-            "Wright-series cancellation exceeds extended precision")
-    return float(total)
+    n = np.arange(_WRIGHT_TERMS)
+    log_fact = np.cumsum(np.log(np.maximum(n, 1)))  # log n!
+    log_terms = (n * np.log(abs(z)) - log_fact
+                 - log_gamma(gamma * n + beta).real)
 
+    def tail_ok(m, scale):
+        ratio = np.exp(log_terms[m] - log_terms[m - 1])
+        return ratio < 0.5 and np.exp(log_terms[m]) / (1 - ratio) < tol * scale
 
-def _log_factorials(m):
-    return np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, m)))])
-
-
-def _loggamma_line(gamma, beta, m):
-    args = gamma * np.arange(m) + beta
-    out = np.empty(m)
-    good = args > 0
-    out[good] = log_gamma(args[good]).real
-    if np.any(~good):
-        # Gamma has poles at nonpositive integers: 1/Gamma vanishes there
-        bad = args[~good]
-        vals = np.empty(bad.shape)
-        for i, a in enumerate(bad):
-            if a == np.floor(a):
-                vals[i] = np.inf
-            else:
-                vals[i] = log_gamma(complex(a)).real
-        out[~good] = vals
-    return out
+    return _paired_sum(log_terms, z < 0, tail_ok, tol, "the Wright series")
 
 
 def wright_eigenfunction(alpha_tilde: float, alpha: float, rho: float,
@@ -278,7 +214,7 @@ def translated_eigenfunction_fft(pair: WienerHopfPair, y: float,
     if spec is None:
         spec = EIGEN_GRID
     if report is None:
-        report = classify(pair, spec)
+        report = classify(pair, spec, tol=tol)
     if report.verdict != "Point":
         raise DomainError(
             f"eigenfunction inversion needs a Point verdict, got "

@@ -59,11 +59,6 @@ class SignedMeasure:
             if y == 0 or m <= 0:
                 raise DomainError("atoms need nonzero location, positive mass")
 
-    @property
-    def is_empty(self):
-        return (not self.atoms and self.density_pos is None
-                and self.density_neg is None)
-
     def reflected(self):
         return SignedMeasure(
             atoms=tuple((-y, m) for y, m in self.atoms),
@@ -106,10 +101,6 @@ class Exponent:
     def __post_init__(self):
         if self.quadruplet is None and self.pair is None:
             raise DomainError("an exponent needs a quadruplet or a pair")
-
-    @property
-    def primary(self):
-        return self.pair if self.pair is not None else self.quadruplet
 
 
 # ---------------------------------------------------------------------------

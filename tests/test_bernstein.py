@@ -171,6 +171,12 @@ def test_derivative_user_supplied_wins():
     assert phi_derivative(phi, 1.0) == 42.0
 
 
+def test_derivative_unknown_measure_raises():
+    phi = BernsteinFunction(drift=1.0, measure=object())
+    with pytest.raises(DomainError):
+        phi_derivative(phi, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Bernstein-gamma
 # ---------------------------------------------------------------------------
@@ -321,6 +327,22 @@ def test_w_domain_and_horizon_errors():
         ev.log_w(-0.5 + 1j)
     with pytest.raises(ConvergenceError):
         ev.log_w(0.5 + 100j)
+
+
+def test_evaluator_builds_once_when_tol_is_out_of_reach(monkeypatch):
+    # a larger K does not lower the residual, so a missed tol raises after
+    # one table build instead of doubling K
+    import spectral_ssmp.bernstein as bmod
+    calls = []
+
+    def counted(phi, u):
+        calls.append(u)
+        return phi_derivative(phi, u)
+
+    monkeypatch.setattr(bmod, "phi_derivative", counted)
+    with pytest.raises(ConvergenceError):
+        BernsteinGammaEvaluator(PHI_ID, tol=1e-30, zmax=40.0)
+    assert len(calls) == 1
 
 
 def test_w_boundary_pole_detected():

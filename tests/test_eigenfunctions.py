@@ -20,7 +20,9 @@ from spectral_ssmp.eigenfunctions import (
     wright,
     wright_eigenfunction,
 )
+from spectral_ssmp import transform
 from spectral_ssmp.semigroup import EvolutionPlan, evolve, mult_semigroup
+from spectral_ssmp.special import gamma_fn
 from spectral_ssmp.spectrum import classify, spectrum_values
 from spectral_ssmp.transform import GridFunction, GridSpec, h_fixture, inner_e
 
@@ -105,6 +107,25 @@ def test_wright_overflow_guard_deep_cancellation():
         wright(3.0 / 7.0, 1.3, -np.exp(20.0))
 
 
+def test_wright_domain_is_gamma_nonnegative_beta_positive():
+    # below zero 1/Gamma changes sign and vanishes at poles, which the
+    # log-magnitude terms and the ratio test do not carry: summed that way,
+    # the first input gives 0.3032 (mpmath: 0.13267) and the second does
+    # not settle (the Mainardi function, e^{-1/4}/sqrt(pi) = 0.43939)
+    for gamma, beta, z in ((-0.3, 0.2, 0.5), (-0.5, 0.5, -1.0),
+                           (0.5, 0.0, 0.3), (0.5, -0.5, 0.3)):
+        with pytest.raises(DomainError):
+            wright(gamma, beta, z)
+
+
+def test_wright_gamma_zero_is_exponential():
+    # W(0, beta; z) = e^z / Gamma(beta)
+    for beta in (0.3, 1.0, 2.5):
+        for z in (-5.0, -0.7, 0.4, 3.0):
+            ref = np.exp(z) / gamma_fn(beta)
+            assert wright(0.0, beta, z) == pytest.approx(ref, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # transform inversion
 # ---------------------------------------------------------------------------
@@ -114,6 +135,14 @@ def test_fft_route_needs_point_verdict():
     spec = GridSpec()
     with pytest.raises(DomainError):
         eigenfunction_fft(pair_id, spec)
+
+
+def test_fft_route_builds_one_multiplier_line():
+    # classify and the inversion share one line, built at the caller's tol
+    spec = GridSpec(-20.0, 40.0, 1024)
+    before = transform._multiplier_line.cache_info().misses
+    eigenfunction_fft(PAIR_B, spec)
+    assert transform._multiplier_line.cache_info().misses - before == 1
 
 
 def test_fft_vs_bessel_closed_form():
