@@ -13,10 +13,11 @@ solution of
 
 and is evaluated here in log space by its Stirling-type representation: a
 short Weierstrass-type product of K = 32 factors with an Euler-Maclaurin
-tail to order B_8, so a point costs a fixed number of evaluations of phi
-whatever the horizon.  The evaluator is specified by its contracts
+tail to order B_8, whose segment integral all points on one vertical line
+share: a point costs K + 33 evaluations of phi plus its share of one
+cumulative pass up its line.  The evaluator is specified by its contracts
 (functional equation, normalization, conjugate symmetry, zero-freeness),
-which are checked at construction.
+which are checked at construction, at the horizon too.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     MetadataError,
     QuadratureError,
 )
-from .special import digamma, gauss_legendre, log_gamma
+from .special import digamma, gauss_legendre, log_gamma_ratio
 
 _RE_TOL = 1e-12
 
@@ -292,31 +293,26 @@ def _measure_integral(measure, z):
         for y, m in measure.atoms:
             out = out + m * (1.0 - np.exp(-z * y))
         return out
-    if isinstance(measure, ClosedFormMeasure):
-        return _closed_form_integral(measure, z)
     if isinstance(measure, DensityMeasure):
         return _density_integral(measure, z)
-    raise DomainError(f"unknown measure descriptor {type(measure)!r}")
-
-
-def _closed_form_integral(measure: ClosedFormMeasure, z):
-    kind, p = measure.kind, measure.params
-    z = np.asarray(z, dtype=complex)
-    if kind == "stable":
-        beta = p[0]
+    if not isinstance(measure, ClosedFormMeasure):
+        raise DomainError(f"unknown measure descriptor {type(measure)!r}")
+    if measure.kind == "stable":
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.exp(beta * np.log(z))
+            out = np.exp(measure.params[0] * np.log(z))
         return np.where(z == 0, 0.0, out)
-    if kind == "gamma-ratio-plus":
-        at = p[0]
-        safe = np.where(z == 0, 1.0, z)
-        out = np.exp(log_gamma(at * (1.0 + safe)) - log_gamma(at * safe))
-        return np.where(z == 0, 0.0, out)
-    if kind == "gamma-ratio-minus":
-        a, rho = p
-        val = np.exp(log_gamma(rho + a + a * z) - log_gamma(rho + a * z))
-        return val - np.exp(log_gamma(rho + a) - log_gamma(rho))
-    raise DomainError(kind)
+    # Gamma(rho + a + a z) / Gamma(rho + a z) - Gamma(rho + a) / Gamma(rho),
+    # where rho = 0 (plus kind) makes the constant 0
+    a, rho = _gamma_ratio_params(measure)
+    x = rho + a * z
+    out = np.exp(log_gamma_ratio(np.where(x == 0, 1.0, x), a))
+    return (np.where(x == 0, 0.0, out)
+            - (np.exp(log_gamma_ratio(rho, a)) if rho > 0 else 0.0))
+
+
+def _gamma_ratio_params(m: ClosedFormMeasure):
+    """(a, rho) of a gamma-ratio kind, rho = 0 for the plus kind."""
+    return (m.params[0], 0.0) if m.kind == "gamma-ratio-plus" else m.params
 
 
 def eval_phi(phi: BernsteinFunction, z):
@@ -363,16 +359,11 @@ def phi_derivative(phi: BernsteinFunction, u):
     if phi.derivative is not None:
         return phi.derivative(u)
     m = phi.measure
-    if m is None:
+    if m is None or isinstance(m, AtomMeasure):
         out = np.full(u_arr.shape, float(phi.drift))
-        return out if u_arr.shape else float(phi.drift)
-    if isinstance(m, AtomMeasure):
-        out = np.full(u_arr.shape if u_arr.shape else (), float(phi.drift))
-        for y, mass in m.atoms:
+        for y, mass in (m.atoms if m is not None else ()):
             out = out + mass * y * np.exp(-u_arr * y)
-        return out
-    if isinstance(m, ClosedFormMeasure):
-        return _closed_form_derivative(phi, m, u_arr)
+        return out if u_arr.shape else float(out)
     if isinstance(m, DensityMeasure):
         nodes, wts, _ = _density_nodes(m)
         core = np.exp(-u_arr[..., None] * nodes) @ (wts * nodes)
@@ -382,41 +373,55 @@ def phi_derivative(phi: BernsteinFunction, u):
             small = (c0 * y0 ** (1.0 - a0)
                      * _near_zero_series(u_arr * y0, a0, 1, 0))
         return phi.drift + core + small
-    raise DomainError(f"unknown measure descriptor {type(m)!r}")
-
-
-def _closed_form_derivative(phi, m, u):
-    kind, p = m.kind, m.params
-    if kind == "stable":
-        beta = p[0]
-        return phi.drift + beta * u ** (beta - 1.0)
-    if kind == "gamma-ratio-plus":
-        at = p[0]
-        val = np.exp(log_gamma(at * (1.0 + u)) - log_gamma(at * u)).real
-        return phi.drift + val * at * (digamma(at + at * u) - digamma(at * u)).real
-    if kind == "gamma-ratio-minus":
-        a, rho = p
-        val = np.exp(log_gamma(rho + a + a * u) - log_gamma(rho + a * u)).real
-        return phi.drift + val * a * (digamma(rho + a + a * u)
-                                      - digamma(rho + a * u)).real
-    raise DomainError(kind)
+    if not isinstance(m, ClosedFormMeasure):
+        raise DomainError(f"unknown measure descriptor {type(m)!r}")
+    if m.kind == "stable":
+        return phi.drift + m.params[0] * u_arr ** (m.params[0] - 1.0)
+    a, rho = _gamma_ratio_params(m)
+    x = rho + a * u_arr
+    val = np.exp(log_gamma_ratio(x, a)).real
+    return phi.drift + val * a * (digamma(x + a) - digamma(x)).real
 
 
 # ---------------------------------------------------------------------------
 # Bernstein-gamma evaluator
 # ---------------------------------------------------------------------------
 
-_VALIDATION_A = (0.5, 1.0, 2.0)
-_VALIDATION_XI = (0.0, 1.0, 3.0, 10.0, 30.0)
+_VALIDATION_Z = (np.array([0.5, 1.0, 2.0])[:, None]
+                 + 1j * np.array([0.0, 1.0, 3.0, 10.0, 30.0])).ravel()
 _HORIZON_FRACTIONS = (0.97, 0.99, 0.999)
 _K = 32
 _CIRCLE_N = 32
-_LINE_N = 40
 _SIDE_N = 16
+_PANEL_H = 2.0  # width of the vertical-leg panels
+_PANEL_N = 6  # Gauss-Legendre nodes per panel
 # B_2j / (2j)! for j = 1..4 (B_2 = 1/6, B_4 = -1/30, B_6 = 1/42, B_8 = -1/30)
 _EM_COEF = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
-# complex elements per chunk of _log_w_raw, over every per-point column
-_CHUNK_ELEMENTS = 4_000_000
+_CHUNK_ELEMENTS = 4_000_000  # complex values per chunk of phi evaluations
+
+
+def _laplace_nodes(phi):
+    """Laplace nodes per evaluation of phi (for a tabulated density)."""
+    if isinstance(phi.measure, DensityMeasure):
+        return _density_nodes(phi.measure)[0].size
+    return 0
+
+
+def _vertical_pass(phi, a, edges, rule):
+    """log phi(a + i t) at the nodes of the Gauss-Legendre rule (nodes,
+    weights on [0, 1]) on each panel between the ascending edges, and the
+    integrals of log phi(a + i t) dt from edges[0] to every edge, summed in
+    np.clongdouble; phi is evaluated in chunks under _CHUNK_ELEMENTS."""
+    gx, gw = rule
+    width = np.diff(edges)
+    t = (edges[:-1, None] + width[:, None] * gx[None, :]).ravel()
+    lv = np.empty(t.shape, dtype=complex)
+    step = max(1, _CHUNK_ELEMENTS // (1 + _laplace_nodes(phi)))
+    for lo in range(0, t.size, step):
+        lv[lo:lo + step] = np.log(eval_phi(phi, a + 1j * t[lo:lo + step]))
+    lv = lv.reshape(width.size, gx.size)
+    panels = ((lv @ gw) * width).astype(np.clongdouble)
+    return lv, np.concatenate([np.zeros(1, np.clongdouble), np.cumsum(panels)])
 
 
 class BernsteinGammaEvaluator:
@@ -439,20 +444,27 @@ class BernsteinGammaEvaluator:
     The derivatives of L at K (once, at build) and at K+z (per point) come
     from the trapezoid rule on _CIRCLE_N nodes of a circle of radius K/3;
     L is analytic on Re > 0, so the rule converges geometrically for every
-    measure.  The segment integral runs along straight sides, each on one
-    Gauss-Legendre rule in a variable logarithmic in the distance along it
-    (see _segment_integral), which stays accurate for |z| >> K.  So a point
-    costs at most K + _CIRCLE_N + _LINE_N + 2 _SIDE_N + 1 evaluations of
-    phi, whatever zmax is; for a tabulated density, one exp row and one
-    matrix product cover the K + _CIRCLE_N shifted ones.
+    measure.  The segment integral runs K -> K + Re z (_SIDE_N Gauss-Legendre
+    nodes in log u) -> K + z, and all points with the same Re z share the
+    vertical leg: one cumulative pass of panels of n = _PANEL_N
+    Gauss-Legendre nodes, with edges at every |Im z| and on a grid of width
+    h = _PANEL_H (conjugate symmetry for Im z < 0).  Since |L'(u)| <= 1/Re u
+    (|phi'(u)| <= phi'(Re u) <= phi(Re u)/Re u <= |phi(u)|/Re u), L moves by
+    at most M = 1 + h/K within K/2 of a panel, a region that holds the
+    panel's Bernstein ellipse rho, (h/4)(rho - 1/rho) = K/2.  The
+    Gauss-Legendre bound (Trefethen, SIAM Rev. 2008, Thm 4.5) then puts the
+    error of a leg of height Y below (32/15) Y M rho^{-2n} / (rho^2 - 1),
+    which h = 2, n = 6 (rho = 32) make 2e-21 Y.  So a point costs
+    K + _CIRCLE_N + 1 evaluations of phi (for a tabulated density, one exp
+    row and one matrix product cover the K + _CIRCLE_N shifted ones), and
+    each distinct real part O(points + max |Im z| / h) more.
 
-    K = 32 is `truncation`; the functional-equation residual on the
-    validation grid (|Im z| <= 30) is `residual`, and a ConvergenceError is
-    raised when it misses tol (a larger K does not lower it).
-    `horizon_residual` is the same residual at a few points on Re z = 1/2
-    near Im z = zmax; it is recorded, not checked against tol.  All caches
-    are computed here, so the evaluator is immutable and safe to share
-    between threads.
+    K = 32 is `truncation`.  The functional-equation residuals on the
+    validation grid (|Im z| <= 30) and at a few points on Re z = 1/2 near
+    Im z = zmax are `residual` and `horizon_residual`; a ConvergenceError is
+    raised when either misses tol (a larger K does not lower them).  All
+    caches are computed here, so the evaluator is immutable and safe to
+    share between threads.
     """
 
     def __init__(self, phi: BernsteinFunction, tol: float = 1e-10,
@@ -464,17 +476,17 @@ class BernsteinGammaEvaluator:
         self.zmax = float(zmax)
         if float(eval_phi(phi, 1.0).real) <= 0.0:
             raise DomainError("phi(1) must be positive")
-        self._line_rule = gauss_legendre(_LINE_N)
-        self._side_rule = gauss_legendre(_SIDE_N)
         self._build_tables()
         self.truncation = _K
-        self.residual = self._validation_residual()
-        if self.residual > tol:
-            raise ConvergenceError(
-                f"functional-equation residual {self.residual:.3e} > tol "
-                f"{tol:.3e} at K = {_K}")
+        z = _VALIDATION_Z[np.abs(_VALIDATION_Z) + 1.0 <= self.zmax]
+        self.residual = self._fe_residual(z)
         xi = self.zmax * np.array(_HORIZON_FRACTIONS)
         self.horizon_residual = self._fe_residual(0.5 + 1j * xi)
+        if not (self.residual <= tol and self.horizon_residual <= tol):
+            raise ConvergenceError(
+                f"functional-equation residual {self.residual:.3e} "
+                f"(validation), {self.horizon_residual:.3e} (horizon) > tol "
+                f"{tol:.3e} at K = {_K}")
 
     # -- construction helpers -------------------------------------------
 
@@ -484,10 +496,7 @@ class BernsteinGammaEvaluator:
         if np.any(phik <= 0):
             raise DomainError("phi must be strictly positive on [1, K]")
         rk = np.asarray(phi_derivative(self.phi, kk), dtype=float) / phik
-        self._log_phi_k = float(np.log(phik[-1]))
-        self._dlog_phi_k = float(rk[-1])
-        self._sum_g = float(np.sum(np.log(phik)))
-        self._sum_r = float(np.sum(rk))
+        self._log_phik = np.log(phik)
         # L^(m)(c) = m!/(N r^m) sum_n L(c + r w^n) w^{-mn}, w = e^{2 pi i/N};
         # em_odd and em_even fold in B_2j/(2j)! for m = 2j-1 and m = 2j
         r = _K / 3.0
@@ -499,91 +508,63 @@ class BernsteinGammaEvaluator:
                 acc += (coef * math.factorial(m) / _CIRCLE_N) * (circle ** -m)
         self._em_odd = em_odd
         log_phi_circle = np.log(eval_phi(self.phi, _K + circle))
-        self._em_k = float((log_phi_circle @ em_odd).real)
-        self._em_kz = float((log_phi_circle @ em_even).real)
+        # the terms affine in z, folded so that a point adds them with one
+        # rounding; sum_k L(k) is subtracted from sum_k L(k+z) term by term,
+        # so that W(1) = 1 fixes gamma_hat (in the slope) to a few ulp
+        self._const = float(-0.5 * self._log_phik[-1]
+                            - (log_phi_circle @ em_odd).real)
+        self._slope = float(np.sum(rk) - self._log_phik[-1] - 0.5 * rk[-1]
+                            - (log_phi_circle @ em_even).real)
         self._offsets = np.concatenate([kk, _K + circle])
-        line = _LINE_N + 2 * _SIDE_N + 1
-        cols = _K + _CIRCLE_N + line
-        if isinstance(self.phi.measure, DensityMeasure):
-            cols += _density_nodes(self.phi.measure)[0].size * (line + 1)
+        cols = _K + _CIRCLE_N + 1 + 2 * _laplace_nodes(self.phi)
         self._chunk = max(1, _CHUNK_ELEMENTS // cols)
-        self.gamma_phi = 0.0
-        self.gamma_phi = float(self._log_w_raw(np.array([1.0 + 0j]))[0].real)
+        self._slope -= float(self._log_w_raw(np.array([1.0 + 0j]))[0].real)
 
     def _segment_integral(self, z):
-        """integral_K^{K+z} log phi(u) du along K -> K+X -> K+X+z -> K+z,
-        X = max(0, |z|/4 - K).
-
-        The z-directed side takes _LINE_N nodes, logarithmic in the distance
-        from the origin (the singularity of log phi nearest to it); it
-        starts at Re u >= |z|/4, which damps the terms e^{-uy} of a measure
-        with mass at y ~ 1/K: along a side at Re u = K they oscillate
-        |z| y / 2 pi times with amplitude e^{-Ky} and would need nodes in
-        proportion to |z| (with an atom at y = 0.03, such a side on
-        _LINE_N nodes leaves W off by a factor 2e4 at |z| = 1718).  The two
-        real-directed sides, taken for |z| > 4K only, carry no oscillation;
-        they take _SIDE_N nodes logarithmic in the distance from K.
-        """
-        x = np.maximum(np.abs(z) / 4.0 - _K, 0.0)
-        out = self._line_integral(_K + x, z, _K + x, self._line_rule)
-        far = x > 0
-        if np.any(far):
-            zf, xf, side = z[far], x[far], self._side_rule
-            out[far] += (self._line_integral(_K, xf, _K, side)
-                         - self._line_integral(_K + zf, xf, _K, side))
+        """integral_K^{K+z} log phi(u) du along K -> K + Re z -> K + z for a
+        1-d array z: one real leg and one vertical pass per distinct Re z."""
+        re, group = np.unique(z.real, return_inverse=True)
+        gx, gw = gauss_legendre(_SIDE_N)
+        t = np.log1p(re / _K)[:, None]  # the real leg, in t = log(u/K)
+        u = _K * np.exp(t * gx[None, :])
+        out = np.sum(np.log(eval_phi(self.phi, u)) * u * t * gw, axis=1)[group]
+        rule = gauss_legendre(_PANEL_N)
+        for g, x in enumerate(re):
+            idx = np.flatnonzero(group == g)
+            y = np.abs(z.imag[idx])
+            edges = np.union1d(y, np.arange(0.0, y.max(), _PANEL_H))
+            cum = _vertical_pass(self.phi, _K + x, edges, rule)[1]
+            leg = 1j * cum[np.searchsorted(edges, y)].astype(complex)
+            out[idx] += np.where(z.imag[idx] < 0, np.conj(leg), leg)
         return out
 
-    def _line_integral(self, a, d, scale, rule):
-        """integral of log phi along u = a + s d, s in [0, 1], for a 1-d
-        array of directions d (a and scale broadcast against it), by the
-        Gauss-Legendre rule (nodes, weights) on [0, 1] in
-        t = log(1 + s|d|/scale)."""
-        gx, gw = rule
-        g = np.abs(d) / scale
-        g = np.where(g > 0, g, 1.0)[:, None]  # d = 0 integrates to 0 anyway
-        tx = np.log1p(g) * gx
-        s = np.expm1(tx) / g
-        ds = np.log1p(g) * np.exp(tx) / g * gw
-        u = np.asarray(a)[..., None] + s * d[:, None]
-        return d * np.sum(np.log(eval_phi(self.phi, u)) * ds, axis=1)
-
     def _log_w_raw(self, z):
-        """log W before the -gamma_hat * z normalization, z a 1-d array."""
-        out = np.empty(z.shape, dtype=complex)
+        """log W for a 1-d array z; until the build folds gamma_hat into the
+        slope, log W(z) + gamma_hat z."""
+        out = self._segment_integral(z) + (self._const + self._slope * z)
         for lo in range(0, z.size, self._chunk):
             zz = z[lo:lo + self._chunk]
             lv = np.log(_phi_on_shifted(self.phi, zz, self._offsets))
             shifted, circle = lv[:, :_K], lv[:, _K:]
-            core = self._sum_g - np.sum(shifted, axis=1) + zz * self._sum_r
-            f0 = self._log_phi_k - shifted[:, -1] + zz * self._dlog_phi_k
-            em = self._em_k + zz * self._em_kz - circle @ self._em_odd
-            tail = (self._segment_integral(zz) - zz * self._log_phi_k
-                    - 0.5 * f0 - em)
             with np.errstate(divide="ignore", invalid="ignore"):
                 head = -np.log(eval_phi(self.phi, zz))
-            out[lo:lo + self._chunk] = head + core + tail
-        return out - self.gamma_phi * z
+            out[lo:lo + self._chunk] += (
+                head - np.sum(shifted - self._log_phik, axis=1)
+                + 0.5 * shifted[:, -1] + circle @ self._em_odd)
+        return out
 
     def _fe_residual(self, z):
         """max |1 - phi(z) W(z) / W(z+1)| over the points z."""
-        lw = self._log_w_raw(z)
+        lw = np.log(eval_phi(self.phi, z)) + self._log_w_raw(z)
         lw1 = self._log_w_raw(z + 1.0)
-        lphi = np.log(eval_phi(self.phi, z))
-        return float(np.max(np.abs(1.0 - np.exp(lphi + lw - lw1))))
-
-    def _validation_residual(self):
-        a = np.array(_VALIDATION_A)
-        xi = np.array(_VALIDATION_XI)
-        z = (a[:, None] + 1j * xi[None, :]).ravel()
-        return self._fe_residual(z[np.abs(z) + 1.0 <= self.zmax])
+        return float(np.max(np.abs(1.0 - np.exp(lw - lw1))))
 
     # -- public surface ---------------------------------------------------
 
     def log_w(self, z):
         """log W(z) for Re z >= 0 (principal determination), vectorized."""
         z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        flat = np.atleast_1d(z).ravel()
+        flat = z.ravel()
         if np.any(flat.real < -_RE_TOL):
             raise DomainError("W is evaluated on Re z >= 0 only")
         if np.any(np.abs(flat) > self.zmax):
@@ -597,7 +578,7 @@ class BernsteinGammaEvaluator:
                 raise DomainError("phi vanishes at a boundary point; "
                                   "W has a pole there")
         out = self._log_w_raw(flat)
-        return complex(out[0]) if scalar else out.reshape(z.shape)
+        return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
     def w(self, z):
         """W(z) itself."""
@@ -618,22 +599,18 @@ def default_evaluator(phi: BernsteinFunction, tol: float = 1e-10,
 _THETA_MAX_PANELS = 1 << 22
 
 
-def _arg_phi(phi, a, w):
-    vals = eval_phi(phi, a + 1j * np.asarray(w, dtype=float))
-    return np.angle(vals)
-
-
 def theta_integral(phi: BernsteinFunction, a: float, xi,
                    tol: float = 1e-10):
     """integral_0^xi arg phi(a + i w) dw for a scalar xi or a 1-d array of
     xi, all from one pass over [0, max xi].
 
     The interval is cut at every xi and each piece into Gauss-Legendre
-    panels; the panels are halved until the cumulative totals of two
-    successive passes agree to tol at every xi.  Since
-    Re phi(a + iw) >= phi(a) > 0, the principal argument is already
-    continuous; a jump above pi/2 between adjacent nodes therefore only
-    ever signals an unresolved quadrature and also triggers halving.
+    panels for the W evaluator's vertical-line pass (arg phi = Im log phi),
+    halved until the cumulative totals of two successive passes agree to
+    tol at every xi.  Since Re phi(a + iw) >= phi(a) > 0, the principal
+    argument is already continuous; a jump above pi/2 between adjacent
+    nodes therefore only ever signals an unresolved quadrature and also
+    triggers halving.
     """
     if a <= 0:
         raise DomainError("theta_integral needs a > 0")
@@ -644,7 +621,6 @@ def theta_integral(phi: BernsteinFunction, a: float, xi,
     ends = np.unique(xs[pos])
     if ends.size == 0:
         return 0.0 if xs.ndim == 0 else np.zeros(xs.shape)
-    xg, wg = gauss_legendre(8)
     starts = np.concatenate([[0.0], ends[:-1]])
     npan = np.clip((ends - starts).astype(int), 8, 4096)
     prev = None
@@ -652,13 +628,9 @@ def theta_integral(phi: BernsteinFunction, a: float, xi,
         edges = np.concatenate([np.linspace(s, e, n + 1)[:-1]
                                 for s, e, n in zip(starts, ends, npan)]
                                + [ends[-1:]])
-        width = np.diff(edges)
-        nodes = edges[:-1, None] + width[:, None] * xg[None, :]
-        args = _arg_phi(phi, a, nodes.ravel())
-        first = np.concatenate([[0], np.cumsum(npan)[:-1]])
-        panels = (args.reshape(nodes.shape) @ wg) * width
-        total = np.cumsum(np.add.reduceat(panels, first))
-        jump = np.max(np.abs(np.diff(args)), initial=0.0) > 0.5 * np.pi
+        lv, cum = _vertical_pass(phi, a, edges, gauss_legendre(8))
+        total = cum.imag[np.cumsum(npan)].astype(float)
+        jump = np.abs(np.diff(lv.imag.ravel())).max(initial=0.0) > np.pi / 2
         if not jump:
             if prev is not None and np.all(
                     np.abs(total - prev) <= tol * (1.0 + np.abs(total))):

@@ -67,6 +67,18 @@ class GridSpec:
         return np.pi / self.dx
 
 
+def _freeze_samples(obj, side):
+    """obj.values as a read-only complex array of the grid's length."""
+    v = np.array(obj.values, dtype=complex)
+    if v.shape != (obj.spec.n,):
+        raise DomainError("values must match the grid length")
+    if side is not None and not np.all(np.isfinite(v)):
+        raise DomainError(f"{side} samples must be finite")
+    v.setflags(write=False)
+    object.__setattr__(obj, "values", v)
+    return v
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Complex samples f(x_j) on the physical side."""
@@ -75,13 +87,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
-        if v.shape != (self.spec.n,):
-            raise DomainError("values must match the grid length")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("grid samples must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _freeze_samples(self, "grid")
 
     def norm_e(self):
         """Discrete L^2(e)-norm: sqrt(dx * sum |f|^2 e^x)."""
@@ -97,13 +103,7 @@ class SpectrumLine:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
-        if v.shape != (self.spec.n,):
-            raise DomainError("values must match the grid length")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("spectrum samples must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _freeze_samples(self, "spectrum")
 
     def norm(self):
         return float(np.sqrt(self.spec.dxi * np.sum(np.abs(self.values) ** 2)))
@@ -119,11 +119,7 @@ class MultiplierLine:
     zero_free: bool = True
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
-        if v.shape != (self.spec.n,):
-            raise DomainError("values must match the grid length")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        v = _freeze_samples(self, None)
         if self.zero_free and np.any(np.abs(v) == 0.0):
             raise DomainError("zero_free multiplier contains zeros")
 

@@ -321,6 +321,93 @@ def test_functional_equation_atoms_at_horizon():
         assert ev.horizon_residual <= 1e-10
 
 
+def test_w_gamma_ratio_closed_forms_to_tol_up_to_horizon():
+    zmax = _eigen_zmax()
+    xi = np.concatenate([np.linspace(0.0, 30.0, 31),
+                         np.geomspace(30.0, zmax - 1.0, 60)])
+    z = np.concatenate([0.5 + 1j * xi, 0.5 - 1j * xi, 2.0 + 1j * xi[:-1]])
+    cases = ((make_bernstein("gamma-ratio-plus", alpha_tilde=0.7),
+              loggamma(0.7 * z) - loggamma(0.7)),
+             (make_bernstein("gamma-ratio-minus", alpha=0.3, rho=1.0),
+              loggamma(1.0 + 0.3 * z) - loggamma(1.3)))
+    for phi, ref in cases:
+        ev = default_evaluator(phi, 1e-10, zmax)
+        assert np.abs(np.exp(ev.log_w(z) - ref) - 1.0).max() <= 1e-10
+        assert max(ev.residual, ev.horizon_residual) <= 1e-10
+
+
+def test_evaluator_gates_on_horizon_residual():
+    # at |z| ~ 1718, |log W| ~ 1e4 for drift, and its float64 rounding alone
+    # puts the horizon residual near 2e-12, while the validation grid
+    # (|Im z| <= 30) reads 2e-14
+    zmax = _eigen_zmax()
+    ev = BernsteinGammaEvaluator(PHI_ID, tol=1e-10, zmax=zmax)
+    assert ev.residual <= 1e-12 < ev.horizon_residual
+    with pytest.raises(ConvergenceError, match="horizon"):
+        BernsteinGammaEvaluator(PHI_ID, tol=1e-12, zmax=zmax)
+
+
+def test_log_w_phi_evaluations_per_point(monkeypatch):
+    # per point: K shifts, the circle and phi(z) itself; per line: one pass
+    # whose grid panels cost O(zmax)
+    import spectral_ssmp.bernstein as bmod
+    count = [0]
+
+    def counted(phi, z):
+        count[0] += np.size(z)
+        return eval_phi(phi, z)
+
+    n = 2000
+    z = 0.5 + 1j * np.linspace(-299.0, 299.0, n)
+    for phi in (PHI_ID, make_bernstein("compound-poisson",
+                                       atoms=[[0.03, 1.0]], d=0.1)):
+        ev = BernsteinGammaEvaluator(phi, tol=1e-10, zmax=300.0)
+        count[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(bmod, "eval_phi", counted)
+            ev.log_w(z)
+        per_point = bmod._K + bmod._CIRCLE_N + 1
+        assert count[0] <= (per_point + 8) * n + 8 * ev.zmax
+
+
+def test_log_w_groups_points_by_real_part():
+    # points sharing a vertical pass agree with one-point calls
+    rng = np.random.default_rng(7)
+    re = np.linspace(0.0, 3.0, 20)
+    z = (re[:, None] + 1j * rng.uniform(-200.0, 200.0, (20, 6))).ravel()
+    for phi in (PHI_AFF, make_bernstein("gamma-ratio-plus", alpha_tilde=0.7),
+                make_bernstein("compound-poisson", atoms=[[0.03, 1.0]],
+                               d=0.1)):
+        ev = default_evaluator(phi, 1e-10, 300.0)
+        one = np.array([ev.log_w(complex(v)) for v in z])
+        assert_allclose(ev.log_w(z), one, rtol=1e-13, atol=0.0)
+
+
+def test_vertical_leg_rule_converges(monkeypatch):
+    # halving the panel width moves log W by less than tol/100: for atoms
+    # that oscillate along the line (y = 0.03) or not (y = 1), the gamma
+    # pair up to the horizon, and the stable(1/2) table
+    import spectral_ssmp.bernstein as bmod
+    tol = 1e-10
+    zmax = _eigen_zmax()
+    xi = np.geomspace(1.0, zmax - 3.0, 40)
+    line = np.concatenate([0.5 + 1j * xi, 1.5 - 1j * xi])
+    cases = [(make_bernstein("compound-poisson", atoms=[[y, 1.0]], d=0.1),
+              zmax, line) for y in (0.03, 1.0)]
+    cases += [(make_bernstein("gamma-ratio-plus", alpha_tilde=0.7), zmax, line),
+              (make_bernstein("gamma-ratio-minus", alpha=0.3, rho=1.0),
+               zmax, line),
+              (make_bernstein(**stable_density_table(0.5)), 216.0,
+               0.5 + 1j * np.linspace(-214.0, 214.0, 241))]
+    for phi, zm, z in cases:
+        ev = BernsteinGammaEvaluator(phi, tol=tol, zmax=zm)
+        lw = ev.log_w(z)
+        with monkeypatch.context() as m:
+            m.setattr(bmod, "_PANEL_H", bmod._PANEL_H / 2)
+            finer = ev.log_w(z)
+        assert np.abs(finer - lw).max() < tol / 100, phi
+
+
 def test_w_domain_and_horizon_errors():
     ev = default_evaluator(PHI_ID, 1e-10, 40.0)
     with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spectral_ssmp.special import gauss_legendre, log_gamma
+from spectral_ssmp.special import gauss_legendre, log_gamma, log_gamma_ratio
 
 
 def _grid():
@@ -40,3 +40,23 @@ def test_gauss_legendre_exactness():
     # degree-15 polynomial integrated exactly on [0, 1]
     for k in range(16):
         assert_allclose(np.sum(w * x ** k), 1.0 / (k + 1), rtol=1e-13)
+
+
+def test_log_gamma_ratio_matches_mpmath():
+    # the series side (|x| >= 10) keeps the few ulp that the difference of
+    # two log-gamma values of size |x| log|x| loses; the near side is that
+    # difference
+    mpmath = pytest.importorskip("mpmath")
+    for a in (0.3, 0.7, 1.0, 3.5):
+        x = np.concatenate([a * (32.5 + 1j * np.geomspace(0.1, 1750.0, 25)),
+                            1.0 + a * (0.5 - 1j * np.geomspace(0.1, 1750.0, 25)),
+                            [0.5, 9.0 + 1j, 10.0 * max(1.0, a) + 0j, 40.0j]])
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.loggamma(mpmath.mpc(v) + a)
+                                    - mpmath.loggamma(mpmath.mpc(v)))
+                            for v in x])
+        got = log_gamma_ratio(x, a)
+        assert got.shape == x.shape
+        err = np.abs(np.exp(got - ref) - 1.0)
+        assert err.max() <= 1e-14, (a, err.max())
+    assert complex(log_gamma_ratio(2.0, 1.0)) == pytest.approx(np.log(2.0))
