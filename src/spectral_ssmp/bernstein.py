@@ -157,14 +157,6 @@ _LAPLACE_CUT = 40.0  # e^{-40} = 4e-18
 _SMALL_SERIES_MAX = 10.0  # guard on |z| * y_min for the near-zero series
 
 
-def _tail_consts(meas: DensityMeasure):
-    y0, y1 = meas.y[0], meas.y[-1]
-    a0, a1 = meas.tail_exponent_zero, meas.tail_exponent_inf
-    c0 = meas.density[0] * y0 ** (1.0 + a0)
-    c1 = meas.density[-1] * y1 ** (1.0 + a1)
-    return y0, y1, a0, a1, c0, c1
-
-
 def _power_nodes(c, a, lo, hi, npan):
     """Gauss nodes y_q and weights w_q*nu(y_q) of nu(dy) = c y^{-1-a} dy on
     [lo, hi], split into npan panels of equal width in log y."""
@@ -176,20 +168,78 @@ def _power_nodes(c, a, lo, hi, npan):
     return tn.ravel(), tw.ravel()
 
 
-@functools.lru_cache(maxsize=64)
-def _density_nodes(meas: DensityMeasure):
-    """Gauss nodes y_q (ascending), weights w_q*nu(y_q), and the constant
-    remainder mass.
+@dataclass(frozen=True, eq=False)
+class _DensityRule:
+    """The discretization of a tabulated density that every integral
+    against it uses: phi, phi', psi, the integro-differential generator and
+    the jump model.
 
-    The node set covers the table [y_min, y_max] (density interpolated
-    log-linearly within each panel, exact for power laws) and the declared
-    power tail on [y_max, Y]; beyond Y only the constant measure mass
-    c1*Y^{-a1}/a1 remains and the oscillatory part is dropped, with Y grown
-    until that dropped part is below the internal error target.
+    nodes (ascending) and weights w_q*nu(y_q) are Gauss rules on the table
+    [y_min, y_max] (density interpolated log-linearly within each panel,
+    exact for power laws) and on the declared power tail [y_max, Y]; rem is
+    the measure mass c1*Y^{-a1}/a1 beyond Y, whose oscillatory part is
+    dropped, with Y grown until that dropped part is below the internal
+    error target.  Below y_min the head c0*y^{-1-a0} is integrated exactly
+    by `series` and `moment`.
     """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    rem: float
+    y_min: float
+    a0: float
+    c0: float
+
+    def series(self, z, s, start):
+        """integral_0^{y_min} y^s sum_{k >= start} (-zy)^k / k! c0 y^{-1-a0} dy
+        = c0 y_min^{s-a0} sum_{k >= start} (-w)^k / k! / (k + s - a0),
+        w = z y_min.
+
+        This is e^{-zy} - 1 for s = 0, start = 1, y e^{-zy} for s = 1,
+        start = 0, and the compensated Levy-Khintchine kernel for s = 0,
+        start = 2.  Summed until the terms, past their peak at k ~ |w|, fall
+        below 2^-60 of the sum: 7 terms at |w| = 1e-3, 54 at the guard
+        |w| = _SMALL_SERIES_MAX, beyond which QuadratureError is raised.
+        """
+        zy = np.asarray(z) * self.y_min
+        if self.c0 == 0.0:
+            return np.zeros_like(zy)
+        peak = float(np.max(np.abs(zy), initial=0.0))
+        if peak > _SMALL_SERIES_MAX:
+            raise QuadratureError(
+                "tabulated density table does not reach low enough for this "
+                "argument (|z| * y_min too large); extend the table toward 0")
+        term = np.ones_like(zy)
+        total = term / (s - self.a0) if start == 0 else np.zeros_like(zy)
+        for k in range(1, 100):
+            term = term * (-zy) / k
+            if k >= start:
+                total = total + term / (k + s - self.a0)
+            if k > peak and np.all(np.abs(term) <= 2.0 ** -60 * np.abs(total)):
+                break
+        return self.c0 * self.y_min ** (s - self.a0) * total
+
+    def moment(self, p, lo):
+        """integral_0^lo y^p c0 y^{-1-a0} dy for p > a0 and lo <= y_min."""
+        return self.c0 * lo ** (p - self.a0) / (p - self.a0)
+
+    def head_nodes(self, lo):
+        """Gauss nodes and weights of the head on [lo, y_min], three panels
+        per decade (none when lo >= y_min)."""
+        if self.c0 == 0.0 or lo >= self.y_min:
+            return np.empty(0), np.empty(0)
+        npan = max(1, int(np.ceil(3 * np.log10(self.y_min / lo))))
+        return _power_nodes(self.c0, self.a0, lo, self.y_min, npan)
+
+
+@functools.lru_cache(maxsize=64)
+def _density_rule(meas: DensityMeasure) -> _DensityRule:
+    """The rule of a tabulated density, built once per descriptor."""
     y = np.asarray(meas.y, dtype=float)
     d = np.asarray(meas.density, dtype=float)
-    y0, y1, a0, a1, c0, c1 = _tail_consts(meas)
+    y0, y1 = meas.y[0], meas.y[-1]
+    a0, a1 = meas.tail_exponent_zero, meas.tail_exponent_inf
+    c1 = meas.density[-1] * y1 ** (1.0 + a1)
     xg, wg = gauss_legendre(_PANEL_NODES)
 
     la, lb = np.log(y[:-1]), np.log(y[1:])
@@ -219,44 +269,8 @@ def _density_nodes(meas: DensityMeasure):
         all_wts.append(tw)
         rem = c1 * big ** (-a1) / a1
 
-    return np.concatenate(all_nodes), np.concatenate(all_wts), rem
-
-
-def _near_zero_series(zy, a0, s, start):
-    """sum_{k >= start} (-zy)^k / k! / (k + s - a0).
-
-    Term by term, this integrates e^{-zy} - 1 (s = 0, start = 1) or
-    y e^{-zy} (s = 1, start = 0) against the power head y^{-1-a0} of a
-    tabulated density on (0, y_min], with zy = z * y_min; start = 2 leaves
-    out the first-order term as well, as the compensated Levy-Khintchine
-    kernel does.  Summed until the terms, past their peak at k ~ |zy|,
-    fall below 2^-60 of the sum: 7 terms at |zy| = 1e-3, 54 at the guard
-    |zy| = _SMALL_SERIES_MAX.
-    """
-    term = np.ones_like(zy)
-    total = term / (s - a0) if start == 0 else np.zeros_like(zy)
-    peak = float(np.max(np.abs(zy), initial=0.0))
-    for k in range(1, 100):
-        term = term * (-zy) / k
-        if k >= start:
-            total = total + term / (k + s - a0)
-        if k > peak and np.all(np.abs(term) <= 2.0 ** -60 * np.abs(total)):
-            break
-    return total
-
-
-def _density_small_tail(meas: DensityMeasure, z):
-    """integral_0^{y_min} (1 - e^{-zy}) c0 y^{-1-a0} dy by alternating series."""
-    y0, _, a0, _, c0, _ = _tail_consts(meas)
-    z = np.asarray(z, dtype=complex)
-    if c0 == 0.0:
-        return np.zeros_like(z)
-    zy = z * y0
-    if np.max(np.abs(zy)) > _SMALL_SERIES_MAX:
-        raise QuadratureError(
-            "tabulated density table does not reach low enough for this "
-            "argument (|z| * y_min too large); extend the table toward 0")
-    return -(c0 * y0 ** (-a0)) * _near_zero_series(zy, a0, 0, 1)
+    return _DensityRule(np.concatenate(all_nodes), np.concatenate(all_wts),
+                        rem, y0, a0, meas.density[0] * y0 ** (1.0 + a0))
 
 
 def _nodes_needed(nodes, re_min):
@@ -272,11 +286,12 @@ def _nodes_needed(nodes, re_min):
 
 
 def _density_integral(meas: DensityMeasure, z):
-    nodes, wts, rem = _density_nodes(meas)
+    r = _density_rule(meas)
     z = np.asarray(z, dtype=complex)
-    q = _nodes_needed(nodes, float(np.min(z.real)) if z.size else 0.0)
-    core = np.sum(wts) + rem - np.exp(-z[..., None] * nodes[:q]) @ wts[:q]
-    return np.where(z == 0, 0.0, core + _density_small_tail(meas, z))
+    q = _nodes_needed(r.nodes, float(np.min(z.real)) if z.size else 0.0)
+    core = (np.sum(r.weights) + r.rem
+            - np.exp(-z[..., None] * r.nodes[:q]) @ r.weights[:q])
+    return np.where(z == 0, 0.0, core - r.series(z, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +353,11 @@ def _phi_on_shifted(phi: BernsteinFunction, z, c):
     c = np.asarray(c, dtype=complex).ravel()
     zc = z[:, None] + c[None, :]
     if isinstance(phi.measure, DensityMeasure):
-        nodes, wts, rem = _density_nodes(phi.measure)
-        q = _nodes_needed(nodes, float(np.min(z.real) + np.min(c.real)))
-        ezw = np.exp(-np.outer(z, nodes[:q])) * wts[:q]
-        ec = np.exp(-np.outer(nodes[:q], c))
-        base = np.sum(wts) + rem + _density_small_tail(phi.measure, zc)
+        r = _density_rule(phi.measure)
+        q = _nodes_needed(r.nodes, float(np.min(z.real) + np.min(c.real)))
+        ezw = np.exp(-np.outer(z, r.nodes[:q])) * r.weights[:q]
+        ec = np.exp(-np.outer(r.nodes[:q], c))
+        base = np.sum(r.weights) + r.rem - r.series(zc, 0, 1)
         return phi.phi0 + phi.drift * zc + (base - ezw @ ec)
     return eval_phi(phi, zc)
 
@@ -365,14 +380,9 @@ def phi_derivative(phi: BernsteinFunction, u):
             out = out + mass * y * np.exp(-u_arr * y)
         return out if u_arr.shape else float(out)
     if isinstance(m, DensityMeasure):
-        nodes, wts, _ = _density_nodes(m)
-        core = np.exp(-u_arr[..., None] * nodes) @ (wts * nodes)
-        y0, _, a0, _, c0, _ = _tail_consts(m)
-        small = 0.0
-        if c0 > 0:
-            small = (c0 * y0 ** (1.0 - a0)
-                     * _near_zero_series(u_arr * y0, a0, 1, 0))
-        return phi.drift + core + small
+        r = _density_rule(m)
+        core = np.exp(-u_arr[..., None] * r.nodes) @ (r.weights * r.nodes)
+        return phi.drift + core + r.series(u_arr, 1, 0)
     if not isinstance(m, ClosedFormMeasure):
         raise DomainError(f"unknown measure descriptor {type(m)!r}")
     if m.kind == "stable":
@@ -403,7 +413,7 @@ _CHUNK_ELEMENTS = 4_000_000  # complex values per chunk of phi evaluations
 def _laplace_nodes(phi):
     """Laplace nodes per evaluation of phi (for a tabulated density)."""
     if isinstance(phi.measure, DensityMeasure):
-        return _density_nodes(phi.measure)[0].size
+        return _density_rule(phi.measure).nodes.size
     return 0
 
 

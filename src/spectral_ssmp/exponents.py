@@ -21,15 +21,12 @@ from typing import Optional
 import numpy as np
 
 from .bernstein import (
-    _SMALL_SERIES_MAX,
     BernsteinFunction,
     DensityMeasure,
-    _density_nodes,
-    _near_zero_series,
-    _tail_consts,
+    _density_rule,
     eval_phi,
 )
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 
 __all__ = [
     "SignedMeasure",
@@ -65,6 +62,22 @@ class SignedMeasure:
             density_pos=self.density_neg,
             density_neg=self.density_pos,
         )
+
+    def discretized(self):
+        """(y, w, sides): the signed sizes y and weights w of the atoms and of
+        both densities' Gauss nodes, and a (sign, rule) pair per density,
+        whose rule carries the remainder mass beyond the nodes and the head
+        below the table."""
+        y = [np.array([a[0] for a in self.atoms], dtype=float)]
+        w = [np.array([a[1] for a in self.atoms], dtype=float)]
+        sides = []
+        for dens, sign in ((self.density_pos, 1.0), (self.density_neg, -1.0)):
+            if dens is not None:
+                rule = _density_rule(dens)
+                y.append(sign * rule.nodes)
+                w.append(rule.weights)
+                sides.append((sign, rule))
+        return np.concatenate(y), np.concatenate(w), sides
 
 
 @dataclass(frozen=True)
@@ -114,42 +127,20 @@ def _compensated_kernel(xi, y):
     return 1.0 - ph + 1j * np.multiply.outer(xi, comp)
 
 
-def _density_side_integral(dens: DensityMeasure, xi, sign):
-    """Jump integral over one side; sign = +1 for y > 0, -1 for y < 0."""
-    nodes, wts, rem = _density_nodes(dens)
-    xi = np.asarray(xi, dtype=float)
-    flat = xi.ravel()
-    core = np.empty(flat.shape, dtype=complex)
-    chunk = max(64, int(2e6 // max(1, nodes.size)))
-    for lo in range(0, flat.size, chunk):
-        kern = _compensated_kernel(flat[lo:lo + chunk], sign * nodes)
-        core[lo:lo + chunk] = kern @ wts
-    core = core.reshape(xi.shape)
-    # remainder mass beyond the node span: jumps there are > 1 in size, so
-    # the compensator is absent and the kernel contributes ~ 1 * mass
-    core = core + rem
-    # near-zero analytic piece: kernel ~ -(i xi y)^2/2 - ... on (0, y_min)
-    y0, _, a0, _, c0, _ = _tail_consts(dens)
-    if c0 > 0.0:
-        zy = 1j * xi * (sign * y0)
-        if np.max(np.abs(zy)) > _SMALL_SERIES_MAX:
-            raise QuadratureError("density table does not reach low enough "
-                                  "for this frequency; extend y_min")
-        core = core - c0 * y0 ** (-a0) * _near_zero_series(-zy, a0, 0, 2)
-    return core
-
-
 def _quad_psi(q: LevyQuadruplet, xi):
     xi = np.asarray(xi, dtype=float)
-    out = (q.psi0 - 1j * q.b * xi + q.sigma2 * xi ** 2).astype(complex)
-    mu = q.mu
-    for y, m in mu.atoms:
-        comp = 1j * xi * y if abs(y) <= 1.0 else 0.0
-        out = out + m * (1.0 - np.exp(1j * xi * y) + comp)
-    if mu.density_pos is not None:
-        out = out + _density_side_integral(mu.density_pos, xi, +1)
-    if mu.density_neg is not None:
-        out = out + _density_side_integral(mu.density_neg, xi, -1)
+    y, w, sides = q.mu.discretized()
+    flat = xi.ravel()
+    jumps = np.empty(flat.shape, dtype=complex)
+    chunk = max(64, int(2e6 // max(1, y.size)))
+    for lo in range(0, flat.size, chunk):
+        jumps[lo:lo + chunk] = _compensated_kernel(flat[lo:lo + chunk], y) @ w
+    out = q.psi0 - 1j * q.b * xi + q.sigma2 * xi ** 2 + jumps.reshape(xi.shape)
+    for sign, rule in sides:
+        # jumps beyond the nodes are > 1 in size, so the compensator is
+        # absent and the kernel contributes ~ 1 * mass; below the table the
+        # head contributes -(e^{i xi y} - 1 - i xi y)
+        out = out + rule.rem - rule.series(-1j * sign * xi, 0, 2)
     return out
 
 

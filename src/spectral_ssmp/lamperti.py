@@ -1,9 +1,10 @@
 """Monte Carlo oracle through the Lamperti time change.
 
 A path of the Levy process Z with exponent psi is simulated by an Euler
-scheme on the Levy clock (exact Gaussian increments, Poisson jumps above
-jump_eps, a variance-matched Gaussian for the sub-threshold jumps, and an
-exponential killing clock at rate psi(0)).  The positive self-similar
+scheme on the Levy clock (exact Gaussian increments, every jump above
+jump_eps drawn from one compound-Poisson table of the atoms and the
+density nodes, a variance-matched Gaussian for the sub-threshold jumps,
+and an exponential killing clock at rate psi(0)).  The positive self-similar
 process started at x > 0 is then
 
     X_t(x) = x exp(Z_{phi(t/x)}),   phi(v) = inf{s : A(s) > v},
@@ -17,7 +18,8 @@ Randomness is counter-based (Philox).  A batch estimate draws everything
 from one generator keyed by (seed, 0): first the killing times of all
 paths, then, block after block, the increments of the paths still live,
 B steps per path per block, with B set by the live-path count and a fixed
-budget of path-steps per block.  The numbers a path receives therefore
+budget of path-steps per block; each block draws its Gaussian parts, then
+its jump counts, then its jump sizes.  The numbers a path receives therefore
 depend on which other paths are still live, and changing n_paths changes
 every path; identical (seed, config) inputs reproduce identical estimates
 bit for bit.  Single-path simulation keys its stream by (seed, stream
@@ -31,8 +33,6 @@ from typing import Callable
 
 import numpy as np
 
-from .bernstein import (DensityMeasure, _density_nodes, _power_nodes,
-                        _tail_consts)
 from .errors import ConfigError, DomainError
 from .exponents import Exponent, LevyQuadruplet
 
@@ -100,86 +100,50 @@ class LevyPath:
 # jump bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _JumpModel:
-    """Per-step ingredients derived from a quadruplet, dt and jump_eps."""
+    """Per-step ingredients derived from a quadruplet, dt and jump_eps.
+
+    Every jump of size >= jump_eps (atoms, density nodes, the density heads
+    above jump_eps and the remainder masses) is one entry of a single
+    compound-Poisson table: jumps arrive at jump_rate and take jump_sizes
+    with jump_probs.
+    """
 
     dt: float
     drift: float          # b plus compensator adjustments, per unit time
     gauss_std_rate: float  # std of the Gaussian part per sqrt(dt)
-    atom_sizes: tuple
-    atom_rates: tuple
-    dens_sizes: tuple      # discretized density jump sizes (|y| >= eps)
-    dens_probs: tuple
-    dens_rate: float
+    jump_sizes: np.ndarray
+    jump_probs: np.ndarray
+    jump_rate: float
     kill_rate: float
-
-
-def _density_pieces(dens: DensityMeasure, sign, eps):
-    """(small-jump variance rate, compensator on [eps, 1], big sizes/weights).
-
-    Every jump at or above eps is simulated, including those of the
-    analytic head c0 y^{-1-a0} when the table starts above eps.
-    """
-    nodes, wts, rem = _density_nodes(dens)
-    y0, _, a0, _, c0, _ = _tail_consts(dens)
-    if c0 > 0 and eps < y0:
-        npan = max(1, int(np.ceil(3 * np.log10(y0 / eps))))
-        head, head_wts = _power_nodes(c0, a0, eps, y0, npan)
-        nodes = np.concatenate([head, nodes])
-        wts = np.concatenate([head_wts, wts])
-    y = sign * nodes
-    small = np.abs(y) < eps
-    var_small = float(np.sum(nodes[small] ** 2 * wts[small]))
-    if c0 > 0:  # analytic variance of the head below eps
-        lo = min(eps, y0)
-        var_small += c0 * lo ** (2.0 - a0) / (2.0 - a0)
-    big = ~small
-    sizes = y[big]
-    weights = wts[big].copy()
-    if rem > 0:
-        sizes = np.append(sizes, sign * float(nodes[-1]))
-        weights = np.append(weights, rem)
-    comp = float(np.sum(np.where(np.abs(sizes) <= 1.0, sizes, 0.0)
-                        * weights))
-    return var_small, comp, sizes, weights
 
 
 def _build_jump_model(q: LevyQuadruplet, cfg: SimConfig) -> _JumpModel:
     eps = cfg.jump_eps
-    drift = q.b
-    var_small_rate = 0.0
-    atom_sizes, atom_rates = [], []
-    dens_sizes = np.empty(0)
-    dens_weights = np.empty(0)
-    for y, m in q.mu.atoms:
-        if abs(y) < eps:
-            var_small_rate += m * y * y
-        else:
-            atom_sizes.append(y)
-            atom_rates.append(m)
-            if abs(y) <= 1.0:
-                drift -= m * y  # compensator of a simulated compensated jump
-    for dens, sign in ((q.mu.density_pos, +1), (q.mu.density_neg, -1)):
-        if dens is None:
-            continue
-        var_small, comp, sizes, weights = _density_pieces(dens, sign, eps)
-        var_small_rate += var_small
-        drift -= comp
-        dens_sizes = np.append(dens_sizes, sizes)
-        dens_weights = np.append(dens_weights, weights)
-    dens_rate = float(np.sum(dens_weights))
-    probs = tuple(dens_weights / dens_rate) if dens_rate > 0 else ()
-    gauss_var_rate = 2.0 * q.sigma2 + var_small_rate
+    sizes, weights, sides = q.mu.discretized()
+    var_rate = 2.0 * q.sigma2
+    for sign, rule in sides:
+        # the head's jumps at or above eps are simulated from its own nodes,
+        # those below eps enter the Gaussian by their variance; the
+        # remainder mass jumps at the last node
+        head, head_wts = rule.head_nodes(eps)
+        sizes = np.concatenate([sizes, sign * head, [sign * rule.nodes[-1]]])
+        weights = np.concatenate([weights, head_wts, [rule.rem]])
+        var_rate += rule.moment(2.0, min(eps, rule.y_min))
+    small = np.abs(sizes) < eps
+    var_rate += float(np.sum(sizes[small] ** 2 * weights[small]))
+    sizes, weights = sizes[~small], weights[~small]
+    rate = float(np.sum(weights))
+    # compensator of the simulated jumps of size <= 1
+    comp = float(np.sum(np.where(np.abs(sizes) <= 1.0, sizes, 0.0) * weights))
     return _JumpModel(
         dt=cfg.dt,
-        drift=float(drift),
-        gauss_std_rate=float(np.sqrt(gauss_var_rate)),
-        atom_sizes=tuple(atom_sizes),
-        atom_rates=tuple(atom_rates),
-        dens_sizes=tuple(dens_sizes),
-        dens_probs=probs,
-        dens_rate=dens_rate,
+        drift=float(q.b - comp),
+        gauss_std_rate=float(np.sqrt(var_rate)),
+        jump_sizes=sizes,
+        jump_probs=weights / rate if rate > 0 else weights,
+        jump_rate=rate,
         kill_rate=float(q.psi0),
     )
 
@@ -195,21 +159,19 @@ _STREAM_OFFSET = 1 << 48
 def _increments(model: _JumpModel, rng, shape):
     """Increments of Z over steps of length model.dt, an array of `shape`.
 
-    Draw order: Gaussian part, each atom's Poisson count, then the density
-    jumps' counts and sizes (sizes in row-major order of their steps).
+    Draw order: Gaussian part, then the jumps' Poisson counts and sizes
+    (sizes in row-major order of their steps).
     """
     dt = model.dt
     inc = np.full(shape, model.drift * dt)
     if model.gauss_std_rate > 0:
         inc += model.gauss_std_rate * np.sqrt(dt) * rng.standard_normal(shape)
-    for y, rate in zip(model.atom_sizes, model.atom_rates):
-        inc += y * rng.poisson(rate * dt, shape)
-    if model.dens_rate > 0:
-        counts = rng.poisson(model.dens_rate * dt, shape)
+    if model.jump_rate > 0:
+        counts = rng.poisson(model.jump_rate * dt, shape)
         total = int(counts.sum())
         if total:
-            sizes = rng.choice(np.asarray(model.dens_sizes), size=total,
-                               p=np.asarray(model.dens_probs))
+            sizes = rng.choice(model.jump_sizes, size=total,
+                               p=model.jump_probs)
             inc += np.bincount(
                 np.repeat(np.arange(inc.size), counts.ravel()),
                 weights=sizes, minlength=inc.size).reshape(shape)

@@ -25,13 +25,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bernstein import _density_nodes, _tail_consts
 from .errors import (
     ConditionError,
     DomainError,
     DomainWarning,
     InterpolationError,
-    QuadratureError,
 )
 from .exponents import Exponent, LevyQuadruplet, WienerHopfPair, eval_psi
 from .transform import (
@@ -43,6 +41,7 @@ from .transform import (
     _along,
     _fft_axis,
     _ifft_axis,
+    _line_evaluators,
     apply_multiplier,
     gaussian_fixture,
     multiplier_h,
@@ -173,28 +172,16 @@ def generator_ido(q: LevyQuadruplet, f, spec: Optional[GridSpec] = None
     f0, f1, f2 = _derivatives(f, spec)
     x = spec.x
     vals = (q.sigma2 * f2(x) + q.b * f1(x) - q.psi0 * f0(x)).astype(complex)
-    fp = f1(x)
-    for y, m in q.mu.atoms:
-        comp = y * fp if abs(y) <= 1.0 else 0.0
-        vals = vals + m * (f0(x + y) - f0(x) - comp)
-    for dens, sign in ((q.mu.density_pos, +1), (q.mu.density_neg, -1)):
-        if dens is None:
-            continue
-        nodes, wts, rem = _density_nodes(dens)
-        yy = sign * nodes
-        span = 700.0  # evaluation guard for the far remainder mass
-        shifted = f0(x[:, None] + np.clip(yy, -span, span)[None, :])
-        comp = np.where(np.abs(yy) <= 1.0, yy, 0.0)
-        vals = vals + (shifted - f0(x)[:, None]) @ wts - fp * float(comp @ wts)
-        # remainder mass beyond the node span acts like a shift to infinity
-        vals = vals + rem * (f0(x + sign * span) - f0(x))
-        # analytic second-order piece below the table
-        y0, _, a0, _, c0, _ = _tail_consts(dens)
-        if c0 > 0:
-            if a0 >= 2.0:
-                raise QuadratureError("near-zero exponent >= 2 is not a "
-                                      "Levy density")
-            vals = vals + 0.5 * f2(x) * c0 * y0 ** (2.0 - a0) / (2.0 - a0)
+    y, w, sides = q.mu.discretized()
+    span = 700.0  # evaluation guard for the far remainder mass
+    shifted = f0(x[:, None] + np.clip(y, -span, span)[None, :])
+    comp = np.where(np.abs(y) <= 1.0, y, 0.0)
+    vals = vals + (shifted - f0(x)[:, None]) @ w - f1(x) * float(comp @ w)
+    for sign, rule in sides:
+        # the remainder mass beyond the nodes acts like a shift to infinity,
+        # the head below the table by its second-order Taylor term
+        vals = (vals + rule.rem * (f0(x + sign * span) - f0(x))
+                + 0.5 * f2(x) * rule.moment(2.0, rule.y_min))
     return GridFunction(spec, np.exp(-x) * vals)
 
 
@@ -206,12 +193,10 @@ def _lambda_multiplier_line0(pair: WienerHopfPair, spec: GridSpec, tol: float):
     """The similarity multiplier on the unshifted line,
     m(xi) = W_+(-i xi) Gamma(1 + i xi) / (W_-(1 + i xi) Gamma(-i xi)),
     regularized at xi = 0 through W(z) = W(z+1)/phi(z)."""
-    from .bernstein import default_evaluator, eval_phi, phi_derivative
+    from .bernstein import eval_phi, phi_derivative
     from .special import log_gamma
 
-    zmax = float(np.hypot(1.0, spec.nyquist)) + 2.0
-    ev_p = default_evaluator(pair.phi_plus, tol, zmax)
-    ev_m = default_evaluator(pair.phi_minus, tol, zmax)
+    ev_p, ev_m = _line_evaluators(pair, spec, tol)
     xi = spec.xi
     nz = xi != 0.0
     vals = np.empty(spec.n, dtype=complex)

@@ -230,12 +230,18 @@ def multiplier_h(pair: WienerHopfPair, spec: GridSpec,
     return _multiplier_line(pair, spec, float(tol))
 
 
+def _line_evaluators(pair: WienerHopfPair, spec: GridSpec, tol: float):
+    """The shared W evaluators of both factors for the multiplier lines on
+    spec; their horizon covers every |1/2 +- i xi| and |1 +- i xi|."""
+    zmax = float(np.hypot(0.5, spec.nyquist)) + 2.0
+    return (default_evaluator(pair.phi_plus, tol, zmax),
+            default_evaluator(pair.phi_minus, tol, zmax))
+
+
 @functools.lru_cache(maxsize=64)
 def _multiplier_line(pair: WienerHopfPair, spec: GridSpec,
                      tol: float) -> MultiplierLine:
-    zmax = float(np.hypot(0.5, spec.nyquist)) + 2.0
-    ev_p = default_evaluator(pair.phi_plus, tol, zmax)
-    ev_m = default_evaluator(pair.phi_minus, tol, zmax)
+    ev_p, ev_m = _line_evaluators(pair, spec, tol)
     xi = spec.xi
     pos = np.abs(xi)
     z = 0.5 + 1j * pos

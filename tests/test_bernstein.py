@@ -14,8 +14,7 @@ from spectral_ssmp.bernstein import (
     ClosedFormMeasure,
     DensityMeasure,
     TailMetadata,
-    _density_nodes,
-    _density_small_tail,
+    _density_rule,
     asymptotic_magnitude,
     default_evaluator,
     eval_phi,
@@ -24,7 +23,12 @@ from spectral_ssmp.bernstein import (
     theta_limits,
 )
 from spectral_ssmp.eigenfunctions import EIGEN_GRID
-from spectral_ssmp.errors import ConvergenceError, DomainError, MetadataError
+from spectral_ssmp.errors import (
+    ConvergenceError,
+    DomainError,
+    MetadataError,
+    QuadratureError,
+)
 from spectral_ssmp.families import make_bernstein, stable_density_table
 
 PHI_ID = BernsteinFunction(drift=1.0)
@@ -140,30 +144,55 @@ def test_eval_phi_tabulated_density_far_right():
     # nodes with Re(z) y > 40 are dropped from the Laplace sum; compare
     # with the sum over every node
     phi = make_bernstein(**stable_density_table(0.5))
-    nodes, wts, rem = _density_nodes(phi.measure)
+    r = _density_rule(phi.measure)
     z = np.array([40.0 + 3.0j, 400.0 - 50.0j, 2000.0 + 1700.0j])
-    full = (np.sum(wts) + rem - np.exp(-z[:, None] * nodes) @ wts
-            + _density_small_tail(phi.measure, z))
+    full = (np.sum(r.weights) + r.rem
+            - np.exp(-z[:, None] * r.nodes) @ r.weights - r.series(z, 0, 1))
     assert_allclose(eval_phi(phi, z), full, rtol=1e-15)
 
 
 def test_density_small_tail_at_the_guard():
-    # integral_0^{y_min} (1 - e^{-zy}) c0 y^{-1-a0} dy up to |z| y_min = 10,
-    # against its closed form in the lower incomplete gamma function:
-    # c0 y_min^{-a0} [(w^a0 gamma(1 - a0, w) - 1 + e^{-w}) / a0], w = z y_min
+    # the head c0 y^{-1-a0} on (0, y_min] up to |z| y_min = 10, against the
+    # closed forms in the lower incomplete gamma function, w = z y_min:
+    #   integral (1 - e^{-zy}) = c0 y_min^{-a0}
+    #       * (w^a0 gamma(1 - a0, w) - 1 + e^{-w}) / a0        (phi),
+    #   integral y e^{-zy} = c0 z^{a0-1} gamma(1 - a0, w)      (phi')
     import mpmath as mp
     phi = make_bernstein(**stable_density_table(0.5))
     meas = phi.measure
+    rule = _density_rule(meas)
     y0, a0 = meas.y[0], meas.tail_exponent_zero
     c0 = meas.density[0] * y0 ** (1.0 + a0)
     for w in (0.5, 5.0, 10.0, 10.0j, 7.0 + 7.0j):
+        z = np.array([w / y0])
         with mp.workdps(30):
             wm = mp.mpc(w)
-            closed = (wm ** a0 * mp.gammainc(1 - a0, 0, wm) - 1
-                      + mp.exp(-wm)) / a0
-            ref = complex(c0 * y0 ** (-a0) * closed)
-        got = complex(_density_small_tail(meas, np.array([w / y0]))[0])
-        assert abs(got - ref) <= 1e-12 * abs(ref)
+            lower = mp.gammainc(1 - a0, 0, wm)
+            closed = (wm ** a0 * lower - 1 + mp.exp(-wm)) / a0
+            ref0 = complex(c0 * y0 ** (-a0) * closed)
+            ref1 = complex(c0 * (wm / y0) ** (a0 - 1) * lower)
+        got0 = -complex(rule.series(z, 0, 1)[0])
+        got1 = complex(rule.series(z, 1, 0)[0])
+        assert abs(got0 - ref0) <= 1e-12 * abs(ref0)
+        assert abs(got1 - ref1) <= 1e-12 * abs(ref1)
+
+
+def test_phi_derivative_raises_beyond_the_guard():
+    # density y^{-1.9} tabulated on [2, 4]: phi'(u) = integral y e^{-uy}
+    # nu(dy) goes through the head series up to u y_min = 10 and raises
+    # beyond it, where the alternating series loses every digit
+    ys = np.geomspace(2.0, 4.0, 8)
+    phi = BernsteinFunction(measure=DensityMeasure(
+        tuple(ys), tuple(ys ** -1.9), 0.9, 4.0))
+    u = 5.0
+    ref, _ = quad(lambda y: y ** -0.9 * np.exp(-u * y), 0.0, 2.0)
+    ref += quad(lambda y: y ** -0.9 * np.exp(-u * y), 2.0, 4.0)[0]
+    ref += quad(lambda y: 4.0 ** 3.1 * y ** -4.0 * np.exp(-u * y),
+                4.0, np.inf)[0]
+    assert float(phi_derivative(phi, u)) == pytest.approx(ref, rel=1e-9)
+    for u in (20.0, 32.0):
+        with pytest.raises(QuadratureError):
+            phi_derivative(phi, u)
 
 
 def test_derivative_user_supplied_wins():

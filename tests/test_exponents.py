@@ -83,10 +83,14 @@ def test_density_near_zero_piece_matches_mpmath(monkeypatch, xy, sign):
     # analytic piece below y_min alone,
     #   -c0 y0^{-a0} sum_{k >= 2} (i xi s y0)^k / k! / (k - a0),
     # s = +-1 the side; |xi| y0 = 10 is the largest the series guard admits
+    import dataclasses
+
     import mpmath as mp
     from spectral_ssmp import exponents
-    monkeypatch.setattr(exponents, "_density_nodes",
-                        lambda dens: (np.empty(0), np.empty(0), 0.0))
+    rule = exponents._density_rule
+    monkeypatch.setattr(exponents, "_density_rule", lambda dens: (
+        dataclasses.replace(rule(dens), nodes=np.empty(0),
+                            weights=np.empty(0), rem=0.0)))
     dens = make_bernstein(**stable_density_table(0.5)).measure
     y0, a0 = dens.y[0], dens.tail_exponent_zero
     c0 = dens.density[0] * y0 ** (1.0 + a0)

@@ -63,47 +63,56 @@ def test_compound_poisson_jump_count():
     assert abs(counts.var(ddof=1) - lam * T) <= 5.0 * stderr
 
 
-def _density_below_eps_table():
+def _density_below_eps_table(atoms=()):
     # density y^{-1.9} tabulated on [2, 4], extended by the declared tails
     # y^{-1.9} below 2 and 4^{3.1} y^{-5} above 4
     ys = np.geomspace(2.0, 4.0, 8)
     dens = DensityMeasure(tuple(ys), tuple(ys ** -1.9), 0.9, 4.0)
-    return LevyQuadruplet(mu=SignedMeasure(density_pos=dens))
+    return LevyQuadruplet(mu=SignedMeasure(atoms=atoms, density_pos=dens))
 
 
 def test_density_jumps_below_table_are_simulated():
     # with jump_eps = 1e-3 the analytic head on [eps, 2) lies above eps:
     # its jumps are simulated, so the simulated jump rate is nu([eps, inf))
+    # plus the mass of the atoms at or above eps
     eps = 1e-3
-    model = lamperti._build_jump_model(_density_below_eps_table(),
-                                       SimConfig(jump_eps=eps))
-    sizes = np.asarray(model.dens_sizes)
-    rates = model.dens_rate * np.asarray(model.dens_probs)
-    assert sizes.min() >= eps
-    head = (eps ** -0.9 - 2.0 ** -0.9) / 0.9
-    body = (2.0 ** -0.9 - 4.0 ** -0.9) / 0.9
-    tail = 4.0 ** 3.1 * 4.0 ** -4 / 4.0
-    assert np.isclose(rates.sum(), head + body + tail, rtol=1e-9)
-    assert np.isclose(rates[sizes < 2.0].sum(), head, rtol=1e-9)
-    # jumps below eps: variance integral_0^eps y^2 nu(dy)
-    assert np.isclose(model.gauss_std_rate ** 2, eps ** 1.1 / 1.1,
-                      rtol=1e-12)
+    for atoms in ((), ((5.0, 0.5), (5e-4, 2.0))):
+        model = lamperti._build_jump_model(_density_below_eps_table(atoms),
+                                           SimConfig(jump_eps=eps))
+        sizes = model.jump_sizes
+        rates = model.jump_rate * model.jump_probs
+        assert sizes.min() >= eps
+        head = (eps ** -0.9 - 2.0 ** -0.9) / 0.9
+        body = (2.0 ** -0.9 - 4.0 ** -0.9) / 0.9
+        tail = 4.0 ** 3.1 * 4.0 ** -4 / 4.0
+        big = sum(m for y, m in atoms if abs(y) >= eps)
+        assert np.isclose(rates.sum(), head + body + tail + big, rtol=1e-9)
+        assert np.isclose(rates[sizes < 2.0].sum(), head, rtol=1e-9)
+        # jumps below eps: variance integral_0^eps y^2 nu(dy)
+        small = sum(m * y * y for y, m in atoms if abs(y) < eps)
+        assert np.isclose(model.gauss_std_rate ** 2,
+                          eps ** 1.1 / 1.1 + small, rtol=1e-12)
 
 
 def test_density_jumps_below_table_keep_their_moments():
-    q = _density_below_eps_table()
     cfg = SimConfig(dt=1e-3, n_paths=1, seed=4)
-    finals = np.array([simulate_levy(q, 1.0, cfg, stream=i).values[-1]
-                       for i in range(4000)])
-    # E Z_1 = integral_{y>1} y nu(dy), Var Z_1 = integral y^2 nu(dy)
-    mean_rate = (4.0 ** 0.1 - 1.0) / 0.1 + 4.0 ** 0.1 / 3.0
-    var_rate = 4.0 ** 1.1 / 1.1 + 4.0 ** 1.1 / 2.0
-    mean = finals.mean()
-    var = finals.var(ddof=1)
-    mean_se = finals.std(ddof=1) / np.sqrt(finals.size)
-    var_se = ((finals - mean) ** 2).std(ddof=1) / np.sqrt(finals.size)
-    assert abs(mean - mean_rate) <= 4.0 * mean_se
-    assert abs(var - var_rate) <= 4.0 * var_se
+    atoms = LevyQuadruplet(mu=SignedMeasure(
+        atoms=((1.5, 1.0), (-0.4, 1.0), (5e-4, 2.0))))
+    # E Z_1 = integral_{y>1} y nu(dy), Var Z_1 = integral y^2 nu(dy); the
+    # atoms lie two above jump_eps = 1e-3 and one below it
+    for q, mean_rate, var_rate in (
+            (_density_below_eps_table(),
+             (4.0 ** 0.1 - 1.0) / 0.1 + 4.0 ** 0.1 / 3.0,
+             4.0 ** 1.1 / 1.1 + 4.0 ** 1.1 / 2.0),
+            (atoms, 1.5, 2.41 + 5e-7)):
+        finals = np.array([simulate_levy(q, 1.0, cfg, stream=i).values[-1]
+                           for i in range(4000)])
+        mean = finals.mean()
+        var = finals.var(ddof=1)
+        mean_se = finals.std(ddof=1) / np.sqrt(finals.size)
+        var_se = ((finals - mean) ** 2).std(ddof=1) / np.sqrt(finals.size)
+        assert abs(mean - mean_rate) <= 4.0 * mean_se
+        assert abs(var - var_rate) <= 4.0 * var_se
 
 
 def test_killing_truncates_path():

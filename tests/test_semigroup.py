@@ -325,6 +325,15 @@ def test_ws_residual_gamma_pair():
     assert ws_residual(gamma_pair(0.7, 0.3, 1.0), SPEC) <= 1e-4
 
 
+def test_ws_residual_builds_one_evaluator_per_factor():
+    # the H multiplier and the similarity multiplier on the unshifted line
+    # share one evaluator horizon, so W_+ and W_- are built once each
+    from spectral_ssmp.bernstein import default_evaluator
+    before = default_evaluator.cache_info().misses
+    ws_residual(gamma_pair(0.7, 0.3, 1.0), GridSpec(-10.0, 30.0, 512))
+    assert default_evaluator.cache_info().misses - before == 2
+
+
 # ---------------------------------------------------------------------------
 # tensor evolution
 # ---------------------------------------------------------------------------
