@@ -54,25 +54,25 @@ _NUMERICAL_ERRORS = (errors.ConvergenceError, errors.QuadratureError,
 # ---------------------------------------------------------------------------
 
 def emit_csv(table, path):
-    """Write (header, columns) as UTF-8 CSV, 17 significant digits, LF."""
+    """Write (header, columns) as UTF-8 CSV, 17 significant digits, LF.
+
+    A column of strings is written as is, any other column as %.17g of
+    each value; each row is formatted by one format string."""
     header, columns = table
-    ncols = len(header)
-    if len(columns) != ncols:
+    if len(columns) != len(header):
         raise errors.ValidationError("header/column mismatch")
-    nrows = len(columns[0]) if ncols else 0
+    cols = [np.asarray(col) for col in columns]
+    if len({col.size for col in cols}) > 1:
+        raise errors.ValidationError("CSV columns differ in length")
+    row = ",".join("%s" if col.dtype.kind == "U" else "%.17g"
+                   for col in cols) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for i in range(nrows):
-                fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+            fh.writelines(row % cells
+                          for cells in zip(*(col.tolist() for col in cols)))
     except OSError as exc:
         raise errors.ValidationError(f"cannot write {path!r}: {exc}")
-
-
-def _fmt(v):
-    if isinstance(v, str):
-        return v
-    return "%.17g" % float(v)
 
 
 def _emit_json(obj, path):

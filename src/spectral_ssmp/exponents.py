@@ -138,9 +138,10 @@ def _quad_psi(q: LevyQuadruplet, xi):
     out = q.psi0 - 1j * q.b * xi + q.sigma2 * xi ** 2 + jumps.reshape(xi.shape)
     for sign, rule in sides:
         # jumps beyond the nodes are > 1 in size, so the compensator is
-        # absent and the kernel contributes ~ 1 * mass; below the table the
-        # head contributes -(e^{i xi y} - 1 - i xi y)
-        out = out + rule.rem - rule.series(-1j * sign * xi, 0, 2)
+        # absent and the kernel contributes ~ 1 * mass (0 at xi = 0); below
+        # the table the head contributes -(e^{i xi y} - 1 - i xi y)
+        out = (out + np.where(xi == 0, 0.0, rule.rem)
+               - rule.series(-1j * sign * xi, 0, 2))
     return out
 
 

@@ -19,11 +19,13 @@ from one generator keyed by (seed, 0): first the killing times of all
 paths, then, block after block, the increments of the paths still live,
 B steps per path per block, with B set by the live-path count and a fixed
 budget of path-steps per block; each block draws its Gaussian parts, then
-its jump counts, then its jump sizes.  The numbers a path receives therefore
-depend on which other paths are still live, and changing n_paths changes
-every path; identical (seed, config) inputs reproduce identical estimates
-bit for bit.  Single-path simulation keys its stream by (seed, stream
-index), independent of every other stream.
+one total jump count for all its path-steps, then the path-step and the
+size of each jump, so its jumps cost one add per path-step plus one draw
+per jump.  The numbers a path receives therefore depend on which other
+paths are still live, and changing n_paths changes every path; identical
+(seed, config) inputs reproduce identical estimates bit for bit.
+Single-path simulation keys its stream by (seed, stream index),
+independent of every other stream.
 """
 
 from __future__ import annotations
@@ -156,26 +158,31 @@ def _philox(seed, index):
 _STREAM_OFFSET = 1 << 48
 
 
-def _increments(model: _JumpModel, rng, shape):
-    """Increments of Z over steps of length model.dt, an array of `shape`.
+def _increments(model: _JumpModel, rng, out):
+    """Fill `out` with increments of Z over steps of length model.dt.
 
-    Draw order: Gaussian part, then the jumps' Poisson counts and sizes
-    (sizes in row-major order of their steps).
+    Draw order: Gaussian part, then one total jump count for all of `out`,
+    its cells (uniform over the row-major cells of `out`) and its sizes.
+    Given their total, independent Poisson(jump_rate dt) counts per cell
+    are multinomial with equal cell probabilities, so the per-cell counts
+    have the per-step Poisson law; the work is one add per cell and one
+    draw per jump.  `out` must be C-contiguous.
     """
     dt = model.dt
-    inc = np.full(shape, model.drift * dt)
     if model.gauss_std_rate > 0:
-        inc += model.gauss_std_rate * np.sqrt(dt) * rng.standard_normal(shape)
+        rng.standard_normal(out=out)
+        out *= model.gauss_std_rate * np.sqrt(dt)
+        out += model.drift * dt
+    else:
+        out.fill(model.drift * dt)
     if model.jump_rate > 0:
-        counts = rng.poisson(model.jump_rate * dt, shape)
-        total = int(counts.sum())
+        total = rng.poisson(model.jump_rate * dt * out.size)
         if total:
+            cells = rng.integers(0, out.size, total)
             sizes = rng.choice(model.jump_sizes, size=total,
                                p=model.jump_probs)
-            inc += np.bincount(
-                np.repeat(np.arange(inc.size), counts.ravel()),
-                weights=sizes, minlength=inc.size).reshape(shape)
-    return inc
+            out += np.bincount(cells, weights=sizes,
+                               minlength=out.size).reshape(out.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -194,34 +201,33 @@ def simulate_levy(q: LevyQuadruplet, T: float, cfg: SimConfig,
     n = int(np.ceil(T / cfg.dt))
     dt = cfg.dt
     rng = _philox(cfg.seed, _STREAM_OFFSET + stream)
-    inc = _increments(model, rng, (n,))
+    z = np.empty(n + 1)
+    z[0] = 0.0
+    _increments(model, rng, z[1:])
     killed = False
     if model.kill_rate > 0:
         t_kill = rng.exponential(1.0 / model.kill_rate)
         if t_kill < T:
             n = max(1, int(t_kill / dt))
-            inc = inc[:n]
+            z = z[:n + 1]
             killed = True
-    z = np.concatenate([[0.0], np.cumsum(inc)])
+    np.cumsum(z, out=z)
     times = dt * np.arange(n + 1)
     return LevyPath(times=times, values=z, killed=killed)
 
 
-def _segment_clock(z0, z1, dt):
-    """integral of e^{Z} over one step under linear interpolation of Z.
-
-    z0 and z1 are arrays of one shape; the result is built in place.
-    """
+def _segment_clock(z0, z1, dt, out):
+    """Write into `out` the integral of e^{Z} over each step under linear
+    interpolation of Z; z0, z1 and `out` are arrays of one shape."""
     d = z1 - z0
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         ratio = np.expm1(d)
         ratio /= d
         small = np.abs(d) <= 1e-12
         ratio[small] = 1.0 + 0.5 * d[small]
-        gain = np.exp(z0)
-    gain *= dt
-    gain *= ratio
-    return gain
+        np.exp(z0, out=out)
+    out *= dt
+    out *= ratio
 
 
 def _invert_segment(z0, z1, dt, remainder):
@@ -254,10 +260,12 @@ def lamperti_time_change(path: LevyPath, x0: float, t: float):
     target = t / x0
     z = path.values
     dts = np.diff(path.times)
-    gains = _segment_clock(z[:-1], z[1:], dts)
-    acc = np.concatenate([[0.0], np.cumsum(gains)])
+    acc = np.empty(z.size)
+    acc[0] = 0.0
+    _segment_clock(z[:-1], z[1:], dts, acc[1:])
+    np.cumsum(acc, out=acc)
     idx = int(np.searchsorted(acc, target, side="right")) - 1
-    if idx >= len(gains):
+    if idx >= dts.size:
         return ABSORBED if path.killed else NEEDS_LONGER_PATH
     remainder = target - acc[idx]
     delta = float(_invert_segment(z[idx], z[idx + 1], dts[idx], remainder))
@@ -306,11 +314,11 @@ def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
         # row s holds Z and A of every live path after s steps of the block
         zs = np.empty((b + 1, m))
         zs[0] = z
-        zs[1:] = _increments(model, rng, (b, m))
+        _increments(model, rng, zs[1:])
         np.cumsum(zs, axis=0, out=zs)
         accs = np.empty((b + 1, m))
         accs[0] = acc
-        accs[1:] = _segment_clock(zs[:-1], zs[1:], dt)
+        _segment_clock(zs[:-1], zs[1:], dt, accs[1:])
         np.cumsum(accs, axis=0, out=accs)
         # A is nondecreasing, so the steps still below the target come first
         cs = np.count_nonzero(accs[1:] < target, axis=0)

@@ -58,7 +58,11 @@ def digamma(z):
     return sc.digamma(z)
 
 
+@functools.lru_cache(maxsize=64)
 def gauss_legendre(n):
-    """Nodes and weights on [0, 1]."""
+    """Nodes and weights on [0, 1], read-only and shared between calls."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights

@@ -80,6 +80,34 @@ def test_emit_csv_roundtrip_bits(tmp_path):
     assert np.array_equal(back, col)  # 17 significant digits round-trip
 
 
+def _per_cell_csv(header, columns):
+    # the format emit_csv keeps: strings as is, %.17g of float(v) otherwise
+    fmt = lambda v: v if isinstance(v, str) else "%.17g" % float(v)
+    rows = [",".join(header)] + [",".join(fmt(c[i]) for c in columns)
+                                 for i in range(len(columns[0]))]
+    return ("\n".join(rows) + "\n").encode()
+
+
+@pytest.mark.parametrize("header,columns", [
+    (["v", "w"], [np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300]),
+                  [1.0 / 3.0, -2.5e17, 5e-324, 1.7976931348623157e308,
+                   -1.0, 2.0 ** 60]]),
+    (["i", "name"], [np.arange(-3, 3), ["a", "b c", "d", "nan", "-0", ""]]),
+    (["n", "x"], [[7, -1, 2 ** 53 + 1], np.array([0.1, 0.2, 0.3])]),
+    (["a", "b"], [np.array([]), []]),
+])
+def test_emit_csv_matches_per_cell_format(tmp_path, header, columns):
+    path = tmp_path / "t.csv"
+    emit_csv((header, columns), str(path))
+    assert path.read_bytes() == _per_cell_csv(header, columns)
+
+
+def test_emit_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValidationError):
+        emit_csv((["a", "b"], [np.arange(3.0), np.arange(2.0)]),
+                 str(tmp_path / "t.csv"))
+
+
 # ---------------------------------------------------------------------------
 # subcommands and exit codes
 # ---------------------------------------------------------------------------

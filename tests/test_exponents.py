@@ -1,10 +1,13 @@
 """Levy-Khintchine exponents: evaluation, conjugation, representations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from spectral_ssmp import exponents
 from spectral_ssmp.bernstein import BernsteinFunction
 from spectral_ssmp.errors import DomainError
 from spectral_ssmp.exponents import (
@@ -74,6 +77,28 @@ def test_quadruplet_density_psi_matches_stable_symbol():
     comp = 2.0 * 0.5 / np.sqrt(np.pi)
     ref = np.exp(0.5 * np.log(-1j * xi + 0j)) + 1j * xi * comp
     assert np.abs(vals - ref).max() <= 2e-2 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("psi0", [0.0, 0.3])
+def test_density_remainder_vanishes_at_zero(monkeypatch, psi0):
+    # the remainder mass lies beyond the last node, where e^{i xi y}
+    # averages out, so it adds its mass to psi at every xi != 0; at xi = 0
+    # every jump term vanishes
+    dens = make_bernstein(**stable_density_table(0.5)).measure
+    e = Exponent(quadruplet=LevyQuadruplet(
+        psi0=psi0, mu=SignedMeasure(density_pos=dens, density_neg=dens)))
+    xi = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
+    vals = eval_psi(e, xi)
+    assert eval_psi(e, 0.0) == psi0
+    assert vals[2] == psi0
+    rem = exponents._density_rule(dens).rem
+    assert rem > 0.0
+    rule = dataclasses.replace(exponents._density_rule(dens), rem=0.0)
+    monkeypatch.setattr(exponents, "_density_rule", lambda d: rule)
+    bare = eval_psi(e, xi)
+    assert bare[2] == psi0
+    nonzero = xi != 0
+    assert np.all(np.abs(vals[nonzero] - bare[nonzero] - 2.0 * rem) <= 1e-15)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -256,3 +256,75 @@ def test_mc_builds_one_generator(monkeypatch):
                          cfg)
     assert est.unresolved_fraction > 0.0  # the live tail runs to t_max
     assert len(made) == 1
+
+
+def test_increments_jump_counts_are_poisson_per_step():
+    # unit jumps at rate 500 over dt = 1e-3: each step's count is
+    # Poisson(0.5), and the compensator shifts every increment by -0.5
+    q = LevyQuadruplet(mu=SignedMeasure(atoms=((1.0, 500.0),)))
+    model = lamperti._build_jump_model(q, SimConfig(dt=1e-3))
+    assert model.gauss_std_rate == 0.0 and model.drift == -500.0
+    out = np.empty((400, 500))
+    lamperti._increments(model, lamperti._philox(8, 0), out)
+    counts = np.rint(out + 0.5)
+    assert np.array_equal(counts, out + 0.5)
+    lam, n = 0.5, counts.size
+    assert abs(counts.mean() - lam) <= 4.0 * np.sqrt(lam / n)
+    # Var of the sample variance: (mu_4 - sigma^4) / n, mu_4 = lam (1 + 3 lam)
+    assert abs(counts.var(ddof=1) - lam) <= 4.0 * np.sqrt(
+        (lam * (1.0 + 3.0 * lam) - lam ** 2) / n)
+    for got, p in ((np.mean(counts == 0), np.exp(-lam)),
+                   (np.mean(counts == 1), lam * np.exp(-lam)),
+                   (np.mean(counts >= 2), 1.0 - (1.0 + lam) * np.exp(-lam))):
+        assert abs(got - p) <= 4.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+class _CountingRng:
+    """A generator that records the size argument of every poisson call."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.poisson_sizes = []
+
+    def poisson(self, lam, size=None):
+        assert np.ndim(lam) == 0
+        self.poisson_sizes.append(size)
+        return self._rng.poisson(lam, size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_mc_draws_one_jump_count_per_block(monkeypatch):
+    rngs, blocks = [], []
+    philox, increments = lamperti._philox, lamperti._increments
+
+    def counting_philox(seed, index):
+        rngs.append(_CountingRng(philox(seed, index)))
+        return rngs[-1]
+
+    def counting_increments(*args):
+        blocks.append(args[-1])
+        return increments(*args)
+
+    monkeypatch.setattr(lamperti, "_philox", counting_philox)
+    monkeypatch.setattr(lamperti, "_increments", counting_increments)
+    q = LevyQuadruplet(mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0))))
+    cfg = SimConfig(dt=1e-3, n_paths=2000, seed=13)
+    mc_expectation(Exponent(quadruplet=q), lambda r: r, 1.0, 0.5, cfg)
+    assert len(rngs) == 1 and len(blocks) > 1
+    # one scalar count per block, whatever its b x m path-steps
+    assert rngs[0].poisson_sizes == [None] * len(blocks)
+
+
+def test_jump_free_increments_are_the_scaled_normals():
+    model = lamperti._build_jump_model(LevyQuadruplet(b=0.7, sigma2=1.3),
+                                       SimConfig(dt=2e-3))
+    assert model.jump_rate == 0.0
+    out = np.empty((7, 300))
+    lamperti._increments(model, lamperti._philox(5, 0), out)
+    twin = lamperti._philox(5, 0)
+    dt = model.dt
+    scale = model.gauss_std_rate * np.sqrt(dt)
+    want = model.drift * dt + scale * twin.standard_normal(out.shape)
+    assert np.array_equal(out, want)

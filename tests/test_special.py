@@ -42,6 +42,15 @@ def test_gauss_legendre_exactness():
         assert_allclose(np.sum(w * x ** k), 1.0 / (k + 1), rtol=1e-13)
 
 
+def test_gauss_legendre_is_shared_and_read_only():
+    x, w = gauss_legendre(6)
+    assert gauss_legendre(6)[0] is x and gauss_legendre(6)[1] is w
+    for arr in (x, w):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_log_gamma_ratio_matches_mpmath():
     # the series side (|x| >= 10) keeps the few ulp that the difference of
     # two log-gamma values of size |x| log|x| loses; the near side is that
