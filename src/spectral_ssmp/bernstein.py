@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -73,9 +73,9 @@ class AtomMeasure:
     atoms: tuple  # of (location, mass) pairs
 
     def __post_init__(self):
-        for y, m in self.atoms:
-            if y <= 0 or m <= 0:
-                raise DomainError("atom locations and masses must be positive")
+        if not self.atoms or any(y <= 0 or m <= 0 for y, m in self.atoms):
+            raise DomainError("an atom measure needs at least one atom, "
+                              "each with positive location and mass")
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,6 @@ class BernsteinFunction:
     phi0: float = 0.0
     drift: float = 0.0
     measure: Optional[Measure] = None
-    derivative: Optional[Callable] = field(default=None, compare=False, repr=False)
     metadata: Optional[TailMetadata] = None
 
     def __post_init__(self):
@@ -149,7 +148,7 @@ class BernsteinFunction:
 
 
 # ---------------------------------------------------------------------------
-# quadrature tables for tabulated densities
+# Laplace-node rules of atom measures and tabulated densities
 # ---------------------------------------------------------------------------
 
 _PANEL_NODES = 10
@@ -169,12 +168,14 @@ def _power_nodes(c, a, lo, hi, npan):
 
 
 @dataclass(frozen=True, eq=False)
-class _DensityRule:
-    """The discretization of a tabulated density that every integral
-    against it uses: phi, phi', psi, the integro-differential generator and
-    the jump model.
+class _MeasureRule:
+    """The discretization of an atom measure or a tabulated density that
+    every integral against it uses: phi, phi', psi, the integro-differential
+    generator and the jump model.
 
-    nodes (ascending) and weights w_q*nu(y_q) are Gauss rules on the table
+    For atoms, the nodes are the sorted locations, the weights the masses,
+    and rem = c0 = 0.  For a density, nodes (ascending) and weights
+    w_q*nu(y_q) are Gauss rules on the table
     [y_min, y_max] (density interpolated log-linearly within each panel,
     exact for power laws) and on the declared power tail [y_max, Y]; rem is
     the measure mass c1*Y^{-a1}/a1 beyond Y, whose oscillatory part is
@@ -233,8 +234,12 @@ class _DensityRule:
 
 
 @functools.lru_cache(maxsize=64)
-def _density_rule(meas: DensityMeasure) -> _DensityRule:
-    """The rule of a tabulated density, built once per descriptor."""
+def _measure_rule(meas: AtomMeasure | DensityMeasure) -> _MeasureRule:
+    """The rule of an atom measure or a tabulated density, built once per
+    descriptor."""
+    if isinstance(meas, AtomMeasure):
+        y, m = np.array(sorted(meas.atoms), dtype=float).T.copy()
+        return _MeasureRule(y, m, 0.0, y[0], 0.0, 0.0)
     y = np.asarray(meas.y, dtype=float)
     d = np.asarray(meas.density, dtype=float)
     y0, y1 = meas.y[0], meas.y[-1]
@@ -269,7 +274,7 @@ def _density_rule(meas: DensityMeasure) -> _DensityRule:
         all_wts.append(tw)
         rem = c1 * big ** (-a1) / a1
 
-    return _DensityRule(np.concatenate(all_nodes), np.concatenate(all_wts),
+    return _MeasureRule(np.concatenate(all_nodes), np.concatenate(all_wts),
                         rem, y0, a0, meas.density[0] * y0 ** (1.0 + a0))
 
 
@@ -285,15 +290,6 @@ def _nodes_needed(nodes, re_min):
     return int(np.searchsorted(nodes, _LAPLACE_CUT / re_min, side="right"))
 
 
-def _density_integral(meas: DensityMeasure, z):
-    r = _density_rule(meas)
-    z = np.asarray(z, dtype=complex)
-    q = _nodes_needed(r.nodes, float(np.min(z.real)) if z.size else 0.0)
-    core = (np.sum(r.weights) + r.rem
-            - np.exp(-z[..., None] * r.nodes[:q]) @ r.weights[:q])
-    return np.where(z == 0, 0.0, core - r.series(z, 0, 1))
-
-
 # ---------------------------------------------------------------------------
 # evaluation of phi
 # ---------------------------------------------------------------------------
@@ -303,13 +299,12 @@ def _measure_integral(measure, z):
     z = np.asarray(z, dtype=complex)
     if measure is None:
         return np.zeros_like(z)
-    if isinstance(measure, AtomMeasure):
-        out = np.zeros_like(z)
-        for y, m in measure.atoms:
-            out = out + m * (1.0 - np.exp(-z * y))
-        return out
-    if isinstance(measure, DensityMeasure):
-        return _density_integral(measure, z)
+    if isinstance(measure, (AtomMeasure, DensityMeasure)):
+        r = _measure_rule(measure)
+        q = _nodes_needed(r.nodes, float(np.min(z.real)) if z.size else 0.0)
+        core = (np.sum(r.weights) + r.rem
+                - np.exp(-z[..., None] * r.nodes[:q]) @ r.weights[:q])
+        return np.where(z == 0, 0.0, core - r.series(z, 0, 1))
     if not isinstance(measure, ClosedFormMeasure):
         raise DomainError(f"unknown measure descriptor {type(measure)!r}")
     if measure.kind == "stable":
@@ -344,7 +339,7 @@ def eval_phi(phi: BernsteinFunction, z):
 def _phi_on_shifted(phi: BernsteinFunction, z, c):
     """phi(z_i + c_j) as a (len(z), len(c)) matrix, c complex offsets.
 
-    For tabulated densities the Laplace kernel factorizes,
+    For atoms and tabulated densities the Laplace kernel factorizes,
     e^{-(z+c)y} = e^{-zy} e^{-cy}, so the whole matrix costs one exp row
     per point and one matrix product against the (nodes, offsets) matrix
     e^{-cy}, instead of a quadrature per (i, j) pair.
@@ -352,8 +347,8 @@ def _phi_on_shifted(phi: BernsteinFunction, z, c):
     z = np.asarray(z, dtype=complex).ravel()
     c = np.asarray(c, dtype=complex).ravel()
     zc = z[:, None] + c[None, :]
-    if isinstance(phi.measure, DensityMeasure):
-        r = _density_rule(phi.measure)
+    if isinstance(phi.measure, (AtomMeasure, DensityMeasure)):
+        r = _measure_rule(phi.measure)
         q = _nodes_needed(r.nodes, float(np.min(z.real) + np.min(c.real)))
         ezw = np.exp(-np.outer(z, r.nodes[:q])) * r.weights[:q]
         ec = np.exp(-np.outer(r.nodes[:q], c))
@@ -363,24 +358,18 @@ def _phi_on_shifted(phi: BernsteinFunction, z, c):
 
 
 def phi_derivative(phi: BernsteinFunction, u):
-    """phi'(u) for u > 0.
-
-    Uses the user-supplied analytic derivative when present and an analytic
-    formula for the built-in descriptors otherwise.
+    """phi'(u) for u > 0, from the analytic formula of each descriptor:
+    drift plus integral y e^{-uy} nu(dy) over the Laplace nodes of atoms and
+    tabulated densities, the closed form's derivative otherwise.
     """
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0):
         raise DomainError("phi' is evaluated on (0, inf) only")
-    if phi.derivative is not None:
-        return phi.derivative(u)
     m = phi.measure
-    if m is None or isinstance(m, AtomMeasure):
-        out = np.full(u_arr.shape, float(phi.drift))
-        for y, mass in (m.atoms if m is not None else ()):
-            out = out + mass * y * np.exp(-u_arr * y)
-        return out if u_arr.shape else float(out)
-    if isinstance(m, DensityMeasure):
-        r = _density_rule(m)
+    if m is None:
+        return np.full(u_arr.shape, float(phi.drift))
+    if isinstance(m, (AtomMeasure, DensityMeasure)):
+        r = _measure_rule(m)
         core = np.exp(-u_arr[..., None] * r.nodes) @ (r.weights * r.nodes)
         return phi.drift + core + r.series(u_arr, 1, 0)
     if not isinstance(m, ClosedFormMeasure):
@@ -411,9 +400,10 @@ _CHUNK_ELEMENTS = 4_000_000  # complex values per chunk of phi evaluations
 
 
 def _laplace_nodes(phi):
-    """Laplace nodes per evaluation of phi (for a tabulated density)."""
-    if isinstance(phi.measure, DensityMeasure):
-        return _density_rule(phi.measure).nodes.size
+    """Laplace nodes per evaluation of phi (for atoms or a tabulated
+    density)."""
+    if isinstance(phi.measure, (AtomMeasure, DensityMeasure)):
+        return _measure_rule(phi.measure).nodes.size
     return 0
 
 
@@ -451,23 +441,26 @@ class BernsteinGammaEvaluator:
                            - sum_{j=1}^{4} B_2j/(2j)! f_z^(2j-1)(K),
         f_z^(m)(K) = L^(m)(K) - L^(m)(K+z) + z L^(m+1)(K).
 
-    The derivatives of L at K (once, at build) and at K+z (per point) come
-    from the trapezoid rule on _CIRCLE_N nodes of a circle of radius K/3;
-    L is analytic on Re > 0, so the rule converges geometrically for every
-    measure.  The segment integral runs K -> K + Re z (_SIDE_N Gauss-Legendre
-    nodes in log u) -> K + z, and all points with the same Re z share the
-    vertical leg: one cumulative pass of panels of n = _PANEL_N
-    Gauss-Legendre nodes, with edges at every |Im z| and on a grid of width
-    h = _PANEL_H (conjugate symmetry for Im z < 0).  Since |L'(u)| <= 1/Re u
+    The terms linear in z (gamma_hat z, z L'(k), z L(K) and the
+    z L^(2j)(K)) add up to one slope times z, which W(1) = 1 fixes, so W
+    needs phi alone, never phi'.  The odd derivatives of L at K (once, at
+    build) and at K+z (per point) come from the trapezoid rule on _CIRCLE_N
+    nodes of a circle of radius K/3; L is analytic on Re > 0, so the rule
+    converges geometrically for every measure.  The segment integral runs
+    K -> K + Re z (_SIDE_N Gauss-Legendre nodes in log u) -> K + z, and all
+    points with the same Re z share the vertical leg: one cumulative pass
+    of panels of n = _PANEL_N Gauss-Legendre nodes, with edges at every
+    |Im z| and on a grid of width h = _PANEL_H (conjugate symmetry for
+    Im z < 0).  Since |L'(u)| <= 1/Re u
     (|phi'(u)| <= phi'(Re u) <= phi(Re u)/Re u <= |phi(u)|/Re u), L moves by
     at most M = 1 + h/K within K/2 of a panel, a region that holds the
     panel's Bernstein ellipse rho, (h/4)(rho - 1/rho) = K/2.  The
     Gauss-Legendre bound (Trefethen, SIAM Rev. 2008, Thm 4.5) then puts the
     error of a leg of height Y below (32/15) Y M rho^{-2n} / (rho^2 - 1),
     which h = 2, n = 6 (rho = 32) make 2e-21 Y.  So a point costs
-    K + _CIRCLE_N + 1 evaluations of phi (for a tabulated density, one exp
-    row and one matrix product cover the K + _CIRCLE_N shifted ones), and
-    each distinct real part O(points + max |Im z| / h) more.
+    K + _CIRCLE_N + 1 evaluations of phi (for atoms or a tabulated density,
+    one exp row and one matrix product cover the K + _CIRCLE_N shifted
+    ones), and each distinct real part O(points + max |Im z| / h) more.
 
     K = 32 is `truncation`.  The functional-equation residuals on the
     validation grid (|Im z| <= 30) and at a few points on Re z = 1/2 near
@@ -505,30 +498,24 @@ class BernsteinGammaEvaluator:
         phik = eval_phi(self.phi, kk).real
         if np.any(phik <= 0):
             raise DomainError("phi must be strictly positive on [1, K]")
-        rk = np.asarray(phi_derivative(self.phi, kk), dtype=float) / phik
         self._log_phik = np.log(phik)
         # L^(m)(c) = m!/(N r^m) sum_n L(c + r w^n) w^{-mn}, w = e^{2 pi i/N};
-        # em_odd and em_even fold in B_2j/(2j)! for m = 2j-1 and m = 2j
+        # em_odd folds in B_2j/(2j)! for m = 2j-1
         r = _K / 3.0
         circle = r * np.exp(2j * np.pi * np.arange(_CIRCLE_N) / _CIRCLE_N)
-        em_odd = np.zeros(_CIRCLE_N, dtype=complex)
-        em_even = np.zeros(_CIRCLE_N, dtype=complex)
-        for j, coef in enumerate(_EM_COEF, start=1):
-            for m, acc in ((2 * j - 1, em_odd), (2 * j, em_even)):
-                acc += (coef * math.factorial(m) / _CIRCLE_N) * (circle ** -m)
-        self._em_odd = em_odd
-        log_phi_circle = np.log(eval_phi(self.phi, _K + circle))
-        # the terms affine in z, folded so that a point adds them with one
-        # rounding; sum_k L(k) is subtracted from sum_k L(k+z) term by term,
-        # so that W(1) = 1 fixes gamma_hat (in the slope) to a few ulp
+        self._em_odd = sum(coef * math.factorial(m) / _CIRCLE_N * circle ** -m
+                           for m, coef in zip((1, 3, 5, 7), _EM_COEF))
+        # the constant term; the terms linear in z are the slope, which
+        # W(1) = 1 fixes, to a few ulp since sum_k L(k) is subtracted from
+        # sum_k L(k+z) term by term
         self._const = float(-0.5 * self._log_phik[-1]
-                            - (log_phi_circle @ em_odd).real)
-        self._slope = float(np.sum(rk) - self._log_phik[-1] - 0.5 * rk[-1]
-                            - (log_phi_circle @ em_even).real)
+                            - (np.log(eval_phi(self.phi, _K + circle))
+                               @ self._em_odd).real)
+        self._slope = 0.0
         self._offsets = np.concatenate([kk, _K + circle])
         cols = _K + _CIRCLE_N + 1 + 2 * _laplace_nodes(self.phi)
         self._chunk = max(1, _CHUNK_ELEMENTS // cols)
-        self._slope -= float(self._log_w_raw(np.array([1.0 + 0j]))[0].real)
+        self._slope = -float(self._log_w_raw(np.array([1.0 + 0j]))[0].real)
 
     def _segment_integral(self, z):
         """integral_K^{K+z} log phi(u) du along K -> K + Re z -> K + z for a
@@ -549,8 +536,8 @@ class BernsteinGammaEvaluator:
         return out
 
     def _log_w_raw(self, z):
-        """log W for a 1-d array z; until the build folds gamma_hat into the
-        slope, log W(z) + gamma_hat z."""
+        """log W for a 1-d array z; until the build sets the slope, log W(z)
+        less its term linear in z."""
         out = self._segment_integral(z) + (self._const + self._slope * z)
         for lo in range(0, z.size, self._chunk):
             zz = z[lo:lo + self._chunk]

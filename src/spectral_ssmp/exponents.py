@@ -23,7 +23,7 @@ import numpy as np
 from .bernstein import (
     BernsteinFunction,
     DensityMeasure,
-    _density_rule,
+    _measure_rule,
     eval_phi,
 )
 from .errors import DomainError
@@ -73,7 +73,7 @@ class SignedMeasure:
         sides = []
         for dens, sign in ((self.density_pos, 1.0), (self.density_neg, -1.0)):
             if dens is not None:
-                rule = _density_rule(dens)
+                rule = _measure_rule(dens)
                 y.append(sign * rule.nodes)
                 w.append(rule.weights)
                 sides.append((sign, rule))

@@ -210,10 +210,9 @@ def _lambda_multiplier_line0(pair: WienerHopfPair, spec: GridSpec, tol: float):
         phi0 = float(eval_phi(pair.phi_plus, 0.0).real)
         if phi0 > 0.0:
             limit = 0.0
-        else:
+        else:  # 1 / (phi_+'(0+) W_-(1)), where W_-(1) = 1
             dphi0 = float(np.asarray(phi_derivative(pair.phi_plus, 1e-8)))
-            w_m1 = float(ev_m.w(1.0 + 0j).real)
-            limit = 1.0 / (dphi0 * w_m1)
+            limit = 1.0 / dphi0
         vals[~nz] = limit
     return vals
 

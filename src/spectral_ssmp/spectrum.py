@@ -183,7 +183,7 @@ def _band_evidence(spec, values):
     # decisive exponential decay: e^{-c xi} with c xi_max >> 1
     exponential = exp_rate * spec.nyquist < -20.0 and maxima[-1] < 1e-4 * maxima[0]
     square_integrable = exponential or power_slope < -0.55
-    return bounded_above, square_integrable, power_slope
+    return bounded_above, square_integrable
 
 
 def _grid_l2_mass(spec, values):
@@ -199,8 +199,8 @@ def classify(pair: WienerHopfPair, spec: GridSpec = GridSpec(),
 
     m_line = multiplier_h(pair, spec, tol=tol)
     inv_vals = 1.0 / m_line.values
-    bounded_above, m_l2, slope_m = _band_evidence(spec, m_line.values)
-    bounded_below, inv_l2, slope_i = _band_evidence(spec, inv_vals)
+    bounded_above, m_l2 = _band_evidence(spec, m_line.values)
+    bounded_below, inv_l2 = _band_evidence(spec, inv_vals)
     if m_l2 and inv_l2:  # numerically impossible; refuse to guess
         m_l2 = inv_l2 = False
     mass_m = _grid_l2_mass(spec, m_line.values)

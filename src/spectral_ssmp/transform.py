@@ -111,17 +111,14 @@ class SpectrumLine:
 
 @dataclass(frozen=True)
 class MultiplierLine:
-    """Samples of a Fourier multiplier m(xi_k) on a grid."""
+    """Zero-free samples of a Fourier multiplier m(xi_k) on a grid."""
 
     spec: GridSpec
     values: np.ndarray
-    kind: str = "Custom"  # "H" | "Lambda" | "Custom"
-    zero_free: bool = True
 
     def __post_init__(self):
-        v = _freeze_samples(self, None)
-        if self.zero_free and np.any(np.abs(v) == 0.0):
-            raise DomainError("zero_free multiplier contains zeros")
+        if np.any(np.abs(_freeze_samples(self, None)) == 0.0):
+            raise DomainError("a multiplier line must be zero-free")
 
 
 def inner_e(f: GridFunction, g: GridFunction) -> complex:
@@ -257,7 +254,7 @@ def _multiplier_line(pair: WienerHopfPair, spec: GridSpec,
     # the double-precision exponent boundary so under/overflow cannot break
     # that contract on very wide frequency grids
     lw = np.clip(lw.real, -700.0, 700.0) + 1j * lw.imag
-    return MultiplierLine(spec, np.exp(lw), kind="H", zero_free=True)
+    return MultiplierLine(spec, np.exp(lw))
 
 
 def multiplier_lambda(pair: WienerHopfPair, spec: GridSpec,
@@ -267,8 +264,7 @@ def multiplier_lambda(pair: WienerHopfPair, spec: GridSpec,
     base = multiplier_h(pair, spec, tol)
     xi = base.spec.xi
     phase = np.exp(log_gamma(0.5 + 1j * xi) - log_gamma(0.5 - 1j * xi))
-    return MultiplierLine(base.spec, base.values * phase,
-                          kind="Lambda", zero_free=True)
+    return MultiplierLine(base.spec, base.values * phase)
 
 
 def tail_fraction(values, spec: GridSpec, axis: int = 0) -> float:
@@ -292,8 +288,6 @@ def apply_multiplier(m: MultiplierLine, f: GridFunction,
     """
     if f.spec != m.spec:
         raise DomainError("grid mismatch between multiplier and function")
-    if invert and not m.zero_free:
-        raise DomainError("cannot invert: multiplier has zeros")
     s = shifted_fft(f)
     vals = s.values / m.values if invert else s.values * m.values
     out = SpectrumLine(m.spec, vals)

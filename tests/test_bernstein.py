@@ -14,7 +14,7 @@ from spectral_ssmp.bernstein import (
     ClosedFormMeasure,
     DensityMeasure,
     TailMetadata,
-    _density_rule,
+    _measure_rule,
     asymptotic_magnitude,
     default_evaluator,
     eval_phi,
@@ -69,6 +69,11 @@ def test_eval_phi_domain_error():
 def test_degenerate_phi_rejected():
     with pytest.raises(DomainError):
         BernsteinFunction()
+
+
+def test_atom_measure_needs_an_atom():
+    with pytest.raises(DomainError):
+        AtomMeasure(())
 
 
 def test_eval_phi_monotone_concave_on_reals():
@@ -144,7 +149,7 @@ def test_eval_phi_tabulated_density_far_right():
     # nodes with Re(z) y > 40 are dropped from the Laplace sum; compare
     # with the sum over every node
     phi = make_bernstein(**stable_density_table(0.5))
-    r = _density_rule(phi.measure)
+    r = _measure_rule(phi.measure)
     z = np.array([40.0 + 3.0j, 400.0 - 50.0j, 2000.0 + 1700.0j])
     full = (np.sum(r.weights) + r.rem
             - np.exp(-z[:, None] * r.nodes) @ r.weights - r.series(z, 0, 1))
@@ -160,7 +165,7 @@ def test_density_small_tail_at_the_guard():
     import mpmath as mp
     phi = make_bernstein(**stable_density_table(0.5))
     meas = phi.measure
-    rule = _density_rule(meas)
+    rule = _measure_rule(meas)
     y0, a0 = meas.y[0], meas.tail_exponent_zero
     c0 = meas.density[0] * y0 ** (1.0 + a0)
     for w in (0.5, 5.0, 10.0, 10.0j, 7.0 + 7.0j):
@@ -193,11 +198,6 @@ def test_phi_derivative_raises_beyond_the_guard():
     for u in (20.0, 32.0):
         with pytest.raises(QuadratureError):
             phi_derivative(phi, u)
-
-
-def test_derivative_user_supplied_wins():
-    phi = BernsteinFunction(drift=1.0, derivative=lambda u: 42.0)
-    assert phi_derivative(phi, 1.0) == 42.0
 
 
 def test_derivative_unknown_measure_raises():
@@ -448,14 +448,14 @@ def test_w_domain_and_horizon_errors():
 def test_evaluator_builds_once_when_tol_is_out_of_reach(monkeypatch):
     # a larger K does not lower the residual, so a missed tol raises after
     # one table build instead of doubling K
-    import spectral_ssmp.bernstein as bmod
     calls = []
+    build = BernsteinGammaEvaluator._build_tables
 
-    def counted(phi, u):
-        calls.append(u)
-        return phi_derivative(phi, u)
+    def counted(self):
+        calls.append(self)
+        return build(self)
 
-    monkeypatch.setattr(bmod, "phi_derivative", counted)
+    monkeypatch.setattr(BernsteinGammaEvaluator, "_build_tables", counted)
     with pytest.raises(ConvergenceError):
         BernsteinGammaEvaluator(PHI_ID, tol=1e-30, zmax=40.0)
     assert len(calls) == 1

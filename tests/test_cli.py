@@ -7,12 +7,16 @@ import pytest
 from scipy.special import loggamma
 
 from spectral_ssmp.cli import emit_csv, run
+from spectral_ssmp.eigenfunctions import wright_eigenfunction
 from spectral_ssmp.errors import ValidationError
 from spectral_ssmp.families import (
     bernstein_from_json,
     exponent_from_json,
     make_bernstein,
 )
+from spectral_ssmp.lamperti import SimConfig, mc_expectation
+from spectral_ssmp.semigroup import EvolutionPlan, evolve
+from spectral_ssmp.transform import GridSpec, gaussian_fixture, h_fixture
 
 PAIR_ID = json.dumps({"plus": {"family": "drift", "d": 1.0},
                       "minus": {"family": "drift", "d": 1.0}})
@@ -169,6 +173,19 @@ def test_evolve_and_csv_roundtrip(tmp_path, capsys):
     assert np.max(np.abs(d1["re"] - d2["re"])) <= 1e-8
 
 
+def test_evolve_gauss_fixture_matches_library(tmp_path):
+    out = tmp_path / "g.csv"
+    assert run(["evolve", "--pair", PAIR_ID, "--t", "0.5", "--f", "gauss:0",
+                "--grid=-20:40:512", "--out", str(out)]) == 0
+    spec = GridSpec(-20.0, 40.0, 512)
+    pair = exponent_from_json({"pair": json.loads(PAIR_ID)}).pair
+    ref = evolve(EvolutionPlan(pair, spec, tol=1e-8), 0.5,
+                 gaussian_fixture(spec, 0.0))
+    data = np.genfromtxt(out, delimiter=",", names=True)
+    assert np.array_equal(data["re"], ref.values.real)
+    assert np.array_equal(data["im"], ref.values.imag)
+
+
 def test_evolve_without_pair_is_validation_error(capsys):
     code = run(["evolve", "--quadruplet",
                 '{"psi0": 0, "b": 0, "sigma2": 1.0}',
@@ -193,6 +210,19 @@ def test_eigenfn_methods_agree(tmp_path):
     assert np.max(np.abs(ds["J"] - interp)) <= 2e-3
 
 
+def test_eigenfn_wright_route_matches_library(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    assert run(["eigenfn", "--pair", PAIR_GAMMA, "--method", "wright",
+                "--grid=-6:2:256", "--out", str(out)]) == 0
+    x = GridSpec(-6.0, 2.0, 256).x
+    data = np.genfromtxt(out, delimiter=",", names=True)
+    assert np.array_equal(data["x"], x)
+    assert np.array_equal(data["J"], wright_eigenfunction(0.7, 0.3, 1.0, x))
+    assert run(["eigenfn", "--pair", PAIR_ID, "--method", "wright",
+                "--grid=-6:2:256", "--out", str(out)]) == 2
+    capsys.readouterr()
+
+
 def test_simulate_json_output(tmp_path, capsys):
     out = tmp_path / "sim.json"
     code = run(["simulate", "--quadruplet", '{"b": 2.0}',
@@ -203,6 +233,26 @@ def test_simulate_json_output(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["mean"] == pytest.approx(2.0, abs=1e-12)
     assert payload["absorbed_fraction"] == 0.0
+
+
+def test_simulate_composes_the_fixture_with_log(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    assert run(["simulate", "--quadruplet", '{"sigma2": 1.0}', "--x", "1.0",
+                "--t", "0.2", "--f", "h:1:1", "--paths", "200",
+                "--dt", "0.005", "--jump-eps", "0.001", "--seed", "3",
+                "--t-max", "64", "--out", str(out)]) == 0
+    capsys.readouterr()
+    spec = GridSpec()
+    h = h_fixture(spec, 1.0, 1.0).values.real
+    est = mc_expectation(
+        exponent_from_json({"quadruplet": {"sigma2": 1.0}}),
+        lambda r: np.interp(np.log(r), spec.x, h, left=0.0, right=0.0),
+        1.0, 0.2, SimConfig(dt=0.005, jump_eps=1e-3, n_paths=200, seed=3,
+                            t_max=64.0))
+    assert json.loads(out.read_text()) == {
+        "mean": est.mean, "stderr": est.stderr, "n": est.n_effective,
+        "absorbed_fraction": est.absorbed_fraction,
+        "unresolved_fraction": est.unresolved_fraction}
 
 
 def test_simulate_reports_unresolved_fraction(tmp_path, capsys):

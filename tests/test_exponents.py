@@ -91,10 +91,10 @@ def test_density_remainder_vanishes_at_zero(monkeypatch, psi0):
     vals = eval_psi(e, xi)
     assert eval_psi(e, 0.0) == psi0
     assert vals[2] == psi0
-    rem = exponents._density_rule(dens).rem
+    rem = exponents._measure_rule(dens).rem
     assert rem > 0.0
-    rule = dataclasses.replace(exponents._density_rule(dens), rem=0.0)
-    monkeypatch.setattr(exponents, "_density_rule", lambda d: rule)
+    rule = dataclasses.replace(exponents._measure_rule(dens), rem=0.0)
+    monkeypatch.setattr(exponents, "_measure_rule", lambda d: rule)
     bare = eval_psi(e, xi)
     assert bare[2] == psi0
     nonzero = xi != 0
@@ -112,8 +112,8 @@ def test_density_near_zero_piece_matches_mpmath(monkeypatch, xy, sign):
 
     import mpmath as mp
     from spectral_ssmp import exponents
-    rule = exponents._density_rule
-    monkeypatch.setattr(exponents, "_density_rule", lambda dens: (
+    rule = exponents._measure_rule
+    monkeypatch.setattr(exponents, "_measure_rule", lambda dens: (
         dataclasses.replace(rule(dens), nodes=np.empty(0),
                             weights=np.empty(0), rem=0.0)))
     dens = make_bernstein(**stable_density_table(0.5)).measure

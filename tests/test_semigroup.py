@@ -120,7 +120,7 @@ def test_evolve_composition_law_above_the_rounding_floor():
                    - loggamma(1.0 + 0.3 * (0.5 + 1j * xi)) + loggamma(1.3))
     lines = (EvolutionPlan(gamma_pair(0.7, 0.3, 1.0), COARSE).m.values, exact)
     for values in lines:
-        m = MultiplierLine(COARSE, values, kind="H", zero_free=True)
+        m = MultiplierLine(COARSE, values)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             f = apply_multiplier(m, h_fixture(COARSE, 1.0, 1.0))
@@ -274,6 +274,21 @@ def test_generator_pdo_vs_ido_three_fixtures():
         a2 = generator_ido(q, fn, GEN_SPEC)
         sup = np.max(np.abs(a1.values[INTERIOR] - a2.values[INTERIOR]))
         assert sup <= 1e-4, q
+
+
+def test_generator_pdo_vs_ido_tempered_density():
+    # one-sided y^{-1.5} e^{-y}, tabulated on [1e-4, 100]: the integral
+    # form needs the head below the table (its second-order Taylor term)
+    # to meet the symbol to 1e-7
+    from spectral_ssmp.bernstein import DensityMeasure
+    y = np.exp(np.linspace(np.log(1e-4), np.log(100.0), 121))
+    dens = DensityMeasure(tuple(y), tuple(y ** -1.5 * np.exp(-y)), 0.5, 1.5)
+    q = LevyQuadruplet(mu=SignedMeasure(density_pos=dens))
+    spec = GridSpec(-10.0, 30.0, 2048)
+    fn = lambda x: np.exp(-x ** 2)
+    a1 = generator_pdo(Exponent(quadruplet=q), GridFunction(spec, fn(spec.x)))
+    a2 = generator_ido(q, fn, spec)
+    assert np.max(np.abs(a1.values[INTERIOR] - a2.values[INTERIOR])) <= 1e-7
 
 
 def test_generator_ido_from_grid_samples():

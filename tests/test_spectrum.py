@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from spectral_ssmp.errors import DomainError
 from spectral_ssmp.exponents import WienerHopfPair
-from spectral_ssmp.families import make_bernstein
+from spectral_ssmp.families import make_bernstein, stable_density_table
 from spectral_ssmp.spectrum import (
     FactorTails,
     SpectrumReport,
@@ -161,6 +161,17 @@ def test_table_rule_consistency_with_bands():
     tails_m = FactorTails.from_phi(pair.phi_minus)
     assert table_rule(tails_p, tails_m) == "Point"
     rep = classify(pair, SPEC)
+    assert rep.verdict == "Point"
+
+
+def test_classify_decides_by_the_table():
+    # affine plus factor (drift, finite activity) against a tabulated
+    # stable(1/2) density with drift (infinite activity): no Theta gap
+    # decides, so Table 2 row 2 gives the verdict
+    minus = make_bernstein(**stable_density_table(0.5), d=1.0)
+    rep = classify(WienerHopfPair(PHI_AFF, minus), SPEC)
+    assert rep.branch == "table"
+    assert rep.table_rule_fired == "T2r2"
     assert rep.verdict == "Point"
 
 

@@ -262,13 +262,11 @@ def test_apply_linearity():
     assert diff.norm_e() <= 1e-13 * scale
 
 
-def test_apply_invert_requires_zero_free():
+def test_multiplier_line_with_a_zero_sample_rejected():
     vals = np.ones(SPEC.n, dtype=complex)
     vals[10] = 0.0
-    m = MultiplierLine(SPEC, vals, zero_free=False)
-    f = h_fixture(SPEC, 1.0, 1.0)
     with pytest.raises(DomainError):
-        apply_multiplier(m, f, invert=True)
+        MultiplierLine(SPEC, vals)
 
 
 def test_domain_check_identity_inside():
