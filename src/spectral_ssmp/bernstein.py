@@ -36,7 +36,7 @@ from .errors import (
     MetadataError,
     QuadratureError,
 )
-from .special import digamma, gauss_legendre, log_gamma_ratio
+from .special import BERNOULLI, digamma, gauss_legendre, log_gamma_ratio
 
 _RE_TOL = 1e-12
 
@@ -317,7 +317,8 @@ def _measure_integral(measure, z):
     x = rho + a * z
     out = np.exp(log_gamma_ratio(np.where(x == 0, 1.0, x), a))
     return (np.where(x == 0, 0.0, out)
-            - (np.exp(log_gamma_ratio(rho, a)) if rho > 0 else 0.0))
+            - (math.exp(math.lgamma(rho + a) - math.lgamma(rho)) if rho > 0
+               else 0.0))
 
 
 def _gamma_ratio_params(m: ClosedFormMeasure):
@@ -394,8 +395,9 @@ _CIRCLE_N = 32
 _SIDE_N = 16
 _PANEL_H = 2.0  # width of the vertical-leg panels
 _PANEL_N = 6  # Gauss-Legendre nodes per panel
-# B_2j / (2j)! for j = 1..4 (B_2 = 1/6, B_4 = -1/30, B_6 = 1/42, B_8 = -1/30)
-_EM_COEF = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
+# B_2j / (2j)! for j = 1..4
+_EM_COEF = tuple(n / (d * math.factorial(2 * j))
+                 for j, (n, d) in enumerate(BERNOULLI[2:9:2], 1))
 _CHUNK_ELEMENTS = 4_000_000  # complex values per chunk of phi evaluations
 
 

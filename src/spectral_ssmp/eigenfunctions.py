@@ -21,6 +21,8 @@ digit an OverflowGuard is raised rather than returning noise.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -125,7 +127,7 @@ def eigenfunction_series(s: SeriesEigenfunction, x: float,
         ratio = np.exp(r_log) / (m + 2)
         if ratio >= 0.5:
             return False
-        log_tail = ((m + 1) * r_log - float(log_gamma(m + 2.0).real)
+        log_tail = ((m + 1) * r_log - math.lgamma(m + 2.0)
                     - np.log(1 - ratio))
         bound = np.log(tol * scale)
         return log_terms[m] < bound and log_tail < bound
@@ -139,6 +141,16 @@ def eigenfunction_series(s: SeriesEigenfunction, x: float,
 # ---------------------------------------------------------------------------
 
 _WRIGHT_TERMS = 4000
+
+
+@functools.lru_cache(maxsize=64)
+def _wright_log_denominators(gamma: float, beta: float):
+    """log n! + log Gamma(gamma n + beta) for n < _WRIGHT_TERMS, read-only
+    and shared by every z of one (gamma, beta)."""
+    n = np.arange(_WRIGHT_TERMS)
+    out = np.cumsum(np.log(np.maximum(n, 1))) + log_gamma(gamma * n + beta)
+    out.flags.writeable = False
+    return out
 
 
 def wright(gamma: float, beta: float, z: float, tol: float = 1e-12) -> float:
@@ -155,11 +167,9 @@ def wright(gamma: float, beta: float, z: float, tol: float = 1e-12) -> float:
                           "and beta > 0")
     z = float(z)
     if z == 0.0:
-        return float(np.exp(-log_gamma(complex(beta)).real))
-    n = np.arange(_WRIGHT_TERMS)
-    log_fact = np.cumsum(np.log(np.maximum(n, 1)))  # log n!
-    log_terms = (n * np.log(abs(z)) - log_fact
-                 - log_gamma(gamma * n + beta).real)
+        return math.exp(-math.lgamma(beta))
+    log_terms = (np.arange(_WRIGHT_TERMS) * np.log(abs(z))
+                 - _wright_log_denominators(float(gamma), float(beta)))
 
     def tail_ok(m, scale):
         ratio = np.exp(log_terms[m] - log_terms[m - 1])

@@ -36,7 +36,6 @@ from .bernstein import (
 )
 from .errors import ValidationError
 from .exponents import Exponent, LevyQuadruplet, SignedMeasure, WienerHopfPair
-from .special import gamma_fn
 
 FAMILY_IDS = (
     "drift",
@@ -94,7 +93,7 @@ def make_bernstein(family: str, **params) -> BernsteinFunction:
         _no_extra(params, family)
         if not 0.0 < a < 1.0 or rho <= 0:
             raise ValidationError("need alpha in (0, 1) and rho > 0")
-        phi0 = float(gamma_fn(rho + a).real / gamma_fn(rho).real)
+        phi0 = math.exp(math.lgamma(rho + a) - math.lgamma(rho))
         return BernsteinFunction(
             phi0=phi0,
             measure=ClosedFormMeasure("gamma-ratio-minus", (a, rho)),
@@ -137,7 +136,7 @@ def stable_density_table(beta: float, y_min: float = 1e-6, y_max: float = 1e3,
     """Tabulated version of the stable(beta) Levy density, for cross-checks."""
     n = int(points_per_decade * np.log10(y_max / y_min)) + 1
     y = np.exp(np.linspace(np.log(y_min), np.log(y_max), n))
-    c = beta / gamma_fn(1.0 - beta).real
+    c = beta / math.gamma(1.0 - beta)
     return {
         "family": "tabulated-density",
         "y": list(y),

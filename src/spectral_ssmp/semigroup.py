@@ -201,10 +201,12 @@ def _lambda_multiplier_line0(pair: WienerHopfPair, spec: GridSpec, tol: float):
     nz = xi != 0.0
     vals = np.empty(spec.n, dtype=complex)
     x_nz = xi[nz]
-    # regularized form: (-i xi)/Gamma(1 - i xi) replaces 1/Gamma(-i xi)
-    log_num = (ev_p.log_w(1.0 - 1j * x_nz) + log_gamma(1.0 + 1j * x_nz)
+    # regularized form: (-i xi)/Gamma(1 - i xi) replaces 1/Gamma(-i xi);
+    # log Gamma(1 - i xi) = conj log Gamma(1 + i xi)
+    log_g = log_gamma(1.0 + 1j * x_nz)
+    log_num = (ev_p.log_w(1.0 - 1j * x_nz) + log_g
                - np.log(eval_phi(pair.phi_plus, -1j * x_nz)))
-    log_den = ev_m.log_w(1.0 + 1j * x_nz) + log_gamma(1.0 - 1j * x_nz)
+    log_den = ev_m.log_w(1.0 + 1j * x_nz) + np.conj(log_g)
     vals[nz] = (-1j * x_nz) * np.exp(log_num - log_den)
     if np.any(~nz):
         phi0 = float(eval_phi(pair.phi_plus, 0.0).real)

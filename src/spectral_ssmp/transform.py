@@ -263,7 +263,8 @@ def multiplier_lambda(pair: WienerHopfPair, spec: GridSpec,
     Gamma(1/2 + i xi)/Gamma(1/2 - i xi)."""
     base = multiplier_h(pair, spec, tol)
     xi = base.spec.xi
-    phase = np.exp(log_gamma(0.5 + 1j * xi) - log_gamma(0.5 - 1j * xi))
+    # log Gamma(conj z) = conj log Gamma(z), so the phase is exp(2i Im)
+    phase = np.exp(2j * log_gamma(0.5 + 1j * xi).imag)
     return MultiplierLine(base.spec, base.values * phase)
 
 

@@ -1,10 +1,26 @@
-"""Contract tests for the complex log-gamma primitive."""
+"""Contract tests for the gamma-family primitives, against mpmath."""
+
+import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spectral_ssmp.special import gauss_legendre, log_gamma, log_gamma_ratio
+import spectral_ssmp
+from spectral_ssmp.errors import DomainError
+from spectral_ssmp.special import (
+    digamma,
+    gauss_legendre,
+    log_gamma,
+    log_gamma_ratio,
+)
+
+# the EIGEN_GRID horizon: the largest |Im z| the library evaluates at
+HORIZON = 1718.0
 
 
 def _grid():
@@ -53,8 +69,8 @@ def test_gauss_legendre_is_shared_and_read_only():
 
 def test_log_gamma_ratio_matches_mpmath():
     # the series side (|x| >= 10) keeps the few ulp that the difference of
-    # two log-gamma values of size |x| log|x| loses; the near side is that
-    # difference
+    # two log-gamma values of size |x| log|x| loses; the near side shifts x
+    # onto the series side by the ratio recurrence
     mpmath = pytest.importorskip("mpmath")
     for a in (0.3, 0.7, 1.0, 3.5):
         x = np.concatenate([a * (32.5 + 1j * np.geomspace(0.1, 1750.0, 25)),
@@ -68,4 +84,130 @@ def test_log_gamma_ratio_matches_mpmath():
         assert got.shape == x.shape
         err = np.abs(np.exp(got - ref) - 1.0)
         assert err.max() <= 1e-14, (a, err.max())
+        # and on the branch of the difference itself, not 2 pi i away
+        assert np.abs(got - ref).max() <= 1e-12, (a, np.abs(got - ref).max())
     assert complex(log_gamma_ratio(2.0, 1.0)) == pytest.approx(np.log(2.0))
+
+
+def _served_grid():
+    """Re z in (0, 50], |Im z| <= HORIZON, dense around |z| = 8 where the
+    shift hands over to the Stirling series."""
+    re = np.array([1e-3, 0.1, 0.5, 1.0, 2.5, 5.0, 7.9, 8.1, 20.0, 50.0])
+    im = np.geomspace(1e-3, HORIZON, 24)
+    z = (re[:, None] + 1j * np.concatenate([-im, [0.0], im])[None, :]).ravel()
+    ring = 8.0 * np.exp(1j * np.linspace(-0.5 * np.pi, 0.5 * np.pi, 41))
+    return np.concatenate([z, ring * (1.0 - 1e-12), ring * (1.0 + 1e-12)])
+
+
+def test_log_gamma_matches_mpmath_over_the_served_range():
+    mpmath = pytest.importorskip("mpmath")
+    z = _served_grid()
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.loggamma(mpmath.mpc(v))) for v in z])
+    err = np.abs(log_gamma(z) - ref) / np.maximum(1.0, np.abs(ref))
+    assert err.max() <= 1e-14, err.max()
+
+
+def test_digamma_matches_mpmath_over_the_served_range():
+    mpmath = pytest.importorskip("mpmath")
+    z = _served_grid()
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.digamma(mpmath.mpc(v))) for v in z])
+    err = np.abs(digamma(z) - ref) / np.maximum(1.0, np.abs(ref))
+    assert err.max() <= 1e-14, err.max()
+
+
+def test_log_gamma_ratio_near_side_matches_mpmath():
+    # the recurrence side |x| < 10 max(1, a), Re x >= 0, sampled densely
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    for a in (0.3, 0.7, 1.0, 2.5, 3.5):
+        r = 10.0 * max(1.0, a)
+        x = rng.uniform(0.0, r, 400) + 1j * rng.uniform(-r, r, 400)
+        x = np.concatenate([x[np.abs(x) < r], [1e-3, 1e-3j, r * (1 - 1e-12)]])
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.loggamma(mpmath.mpc(v) + a)
+                                    - mpmath.loggamma(mpmath.mpc(v)))
+                            for v in x])
+        got = log_gamma_ratio(x, a)
+        err = np.abs(np.exp(got - ref) - 1.0)
+        assert err.max() <= 1e-14, (a, err.max())
+        assert np.abs(got - ref).max() <= 1e-13, (a, np.abs(got - ref).max())
+        # the Bernstein-gamma evaluator sums log phi over many points, so
+        # a rounding bias shared by the points would add up there
+        bias = np.mean(got - ref)
+        assert max(abs(bias.real), abs(bias.imag)) <= 1e-16, (a, bias)
+
+
+def test_real_inputs_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    x = np.array([1e-3, 0.25, 1.0, 1.4616321449683622, 2.5, 7.99, 8.0, 30.0,
+                  171.5, 4000.0])
+    with mpmath.workdps(30):
+        mp = [mpmath.mpf(v) for v in x]
+        ref_lg = np.array([float(mpmath.loggamma(v)) for v in mp])
+        ref_dg = np.array([float(mpmath.digamma(v)) for v in mp])
+        ref_ratio = np.array([float(mpmath.loggamma(v + 0.7)
+                                    - mpmath.loggamma(v)) for v in mp])
+
+    def err(got, ref):
+        return np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
+
+    got = log_gamma(x)
+    assert got.dtype == float and got.shape == x.shape
+    assert err(got, ref_lg) <= 1e-15
+    assert all(log_gamma(float(v)) == math.lgamma(v) for v in x)
+    assert np.array_equal(log_gamma(x.reshape(2, 5)), got.reshape(2, 5))
+    got_dg = digamma(x)
+    assert got_dg.dtype == float and got_dg.shape == x.shape
+    assert err(got_dg, ref_dg) <= 1e-15
+    assert float(digamma(2.0)) == pytest.approx(1.0 - np.euler_gamma,
+                                                rel=1e-15)
+    assert err(log_gamma_ratio(x, 0.7), ref_ratio) <= 1e-15
+    # a 0-d array a is accepted as a float
+    assert np.array_equal(log_gamma_ratio(x, np.array(0.7)),
+                          log_gamma_ratio(x, 0.7))
+
+
+def test_log_gamma_of_conjugate_is_conjugate_bit_for_bit():
+    z = _served_grid()
+    assert np.array_equal(log_gamma(np.conj(z)), np.conj(log_gamma(z)))
+    assert np.array_equal(digamma(np.conj(z)), np.conj(digamma(z)))
+
+
+def test_domains_are_enforced():
+    with pytest.raises(DomainError):
+        log_gamma(np.array([-0.5 + 1j]))
+    with pytest.raises(DomainError):
+        digamma(-0.75)
+
+
+# A None entry in sys.modules makes any import of that module raise
+# ImportError; bgamma on a gamma-ratio factor and the Lambda multiplier of
+# the gamma pair reach log_gamma, log_gamma_ratio and the import of cli.
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from spectral_ssmp import cli
+minus, pair, out = sys.argv[1:]
+sys.exit(max(cli.run(["bgamma", "--phi", minus, "--points", "21",
+                      "--out", out + "/w.csv"]),
+             cli.run(["multiplier", "--pair", pair, "--kind", "Lambda",
+                      "--grid=-20:40:512", "--out", out + "/m.csv"])))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    minus = {"family": "gamma-ratio-minus", "alpha": 0.3, "rho": 1.0}
+    pair = {"plus": {"family": "gamma-ratio-plus", "alpha_tilde": 0.7},
+            "minus": minus}
+    src = os.path.dirname(os.path.dirname(spectral_ssmp.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, json.dumps(minus), json.dumps(pair),
+         str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("w.csv", "m.csv"):
+        rows = np.genfromtxt(tmp_path / name, delimiter=",", names=True)
+        assert rows.size > 0 and np.all(np.isfinite(rows["re"]))
