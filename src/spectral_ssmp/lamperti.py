@@ -128,10 +128,10 @@ def _build_jump_model(q: LevyQuadruplet, cfg: SimConfig) -> _JumpModel:
     for sign, rule in sides:
         # the head's jumps at or above eps are simulated from its own nodes,
         # those below eps enter the Gaussian by their variance; the
-        # remainder mass jumps at the last node
+        # remainder mass beyond the last node is left out (see mc_expectation)
         head, head_wts = rule.head_nodes(eps)
-        sizes = np.concatenate([sizes, sign * head, [sign * rule.nodes[-1]]])
-        weights = np.concatenate([weights, head_wts, [rule.rem]])
+        sizes = np.concatenate([sizes, sign * head])
+        weights = np.concatenate([weights, head_wts])
         var_rate += rule.moment(2.0, min(eps, rule.y_min))
     small = np.abs(sizes) < eps
     var_rate += float(np.sum(sizes[small] ** 2 * weights[small]))
@@ -351,8 +351,12 @@ def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
     reach the clock target before t_max are excluded from the mean and
     counted in unresolved_fraction (of n_paths; n_effective counts the
     rest).  Excluding them biases the mean by at most
-    unresolved_fraction * sup|f| for f of one sign, twice that otherwise;
-    the stderr does not include this bias.
+    unresolved_fraction * sup|f| for f of one sign, twice that otherwise.
+    The paths also leave out the jumps beyond a tabulated density's last
+    node, at rate `rem` per unit of Levy time on each side (1.8e-10 for
+    `stable_density_table(0.5)`); a path takes one before t_max with
+    probability at most rem * t_max, which bounds the bias they add in the
+    same way.  The stderr includes neither bias.
     """
     if e.quadruplet is None:
         raise DomainError("the oracle needs a quadruplet representation")

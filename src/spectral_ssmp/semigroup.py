@@ -193,7 +193,7 @@ def _lambda_multiplier_line0(pair: WienerHopfPair, spec: GridSpec, tol: float):
     """The similarity multiplier on the unshifted line,
     m(xi) = W_+(-i xi) Gamma(1 + i xi) / (W_-(1 + i xi) Gamma(-i xi)),
     regularized at xi = 0 through W(z) = W(z+1)/phi(z)."""
-    from .bernstein import eval_phi, phi_derivative
+    from .bernstein import _phi_prime_zero, eval_phi
     from .special import log_gamma
 
     ev_p, ev_m = _line_evaluators(pair, spec, tol)
@@ -212,9 +212,9 @@ def _lambda_multiplier_line0(pair: WienerHopfPair, spec: GridSpec, tol: float):
         phi0 = float(eval_phi(pair.phi_plus, 0.0).real)
         if phi0 > 0.0:
             limit = 0.0
-        else:  # 1 / (phi_+'(0+) W_-(1)), where W_-(1) = 1
-            dphi0 = float(np.asarray(phi_derivative(pair.phi_plus, 1e-8)))
-            limit = 1.0 / dphi0
+        else:  # 1 / (phi_+'(0+) W_-(1)), where W_-(1) = 1; 0 if phi_+'(0+)
+            # is infinite
+            limit = 1.0 / _phi_prime_zero(pair.phi_plus)
         vals[~nz] = limit
     return vals
 

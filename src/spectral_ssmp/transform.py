@@ -244,7 +244,8 @@ def _multiplier_line(pair: WienerHopfPair, spec: GridSpec,
     z = 0.5 + 1j * pos
     uniq, inv = np.unique(z, return_inverse=True)
     log_wp = ev_p.log_w(uniq)[inv]
-    log_wm = ev_m.log_w(uniq)[inv]
+    # one factor for both sides, as for (id, id): one log W
+    log_wm = log_wp if ev_m is ev_p else ev_m.log_w(uniq)[inv]
     # W_plus(1/2 - i|xi|) = conj W_plus(1/2 + i|xi|); for xi < 0 the sign of
     # the imaginary part flips back
     lw_p = np.where(xi >= 0, np.conj(log_wp), log_wp)

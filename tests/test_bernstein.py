@@ -381,10 +381,11 @@ def test_log_w_phi_evaluations_per_point(monkeypatch):
     # whose grid panels cost O(zmax)
     import spectral_ssmp.bernstein as bmod
     count = [0]
+    kernel = bmod._log_phi
 
-    def counted(phi, z):
-        count[0] += np.size(z)
-        return eval_phi(phi, z)
+    def counted(phi, z, c=None):
+        count[0] += np.size(z) * (1 if c is None else np.size(c))
+        return kernel(phi, z, c)
 
     n = 2000
     z = 0.5 + 1j * np.linspace(-299.0, 299.0, n)
@@ -393,10 +394,109 @@ def test_log_w_phi_evaluations_per_point(monkeypatch):
         ev = BernsteinGammaEvaluator(phi, tol=1e-10, zmax=300.0)
         count[0] = 0
         with monkeypatch.context() as m:
-            m.setattr(bmod, "eval_phi", counted)
+            m.setattr(bmod, "_log_phi", counted)
             ev.log_w(z)
         per_point = bmod._K + bmod._CIRCLE_N + 1
         assert count[0] <= (per_point + 8) * n + 8 * ev.zmax
+
+
+ALL_KINDS = (
+    PHI_ID,
+    PHI_AFF,
+    make_bernstein("stable", beta=0.5),
+    make_bernstein("gamma-ratio-plus", alpha_tilde=0.7),
+    make_bernstein("gamma-ratio-minus", alpha=0.3, rho=1.0),
+    make_bernstein("compound-poisson", atoms=[[0.03, 1.0], [2.0, 0.5]],
+                   d=0.1),
+    make_bernstein(**stable_density_table(0.5)),
+    # a gamma ratio plus drift is not the ratio itself: the generic path
+    BernsteinFunction(drift=0.5,
+                      measure=ClosedFormMeasure("gamma-ratio-plus", (0.7,))),
+)
+
+
+@pytest.mark.parametrize("phi", ALL_KINDS)
+def test_log_phi_matches_log_of_eval_phi(phi):
+    # the kernel's direct gamma-ratio log and its real-ufunc logs agree with
+    # np.log(eval_phi) to 4 ulp of max(1, |L|)
+    from spectral_ssmp.bernstein import _log_phi
+    t = np.concatenate([-np.geomspace(1e-3, 1700.0, 40),
+                        np.geomspace(1e-3, 1700.0, 40)])
+    z = (np.array([0.0, 0.5, 2.0, 33.0])[:, None] + 1j * t).ravel()
+    z = np.concatenate([z, [0.5, 1.0, 7.0, 40.0]])
+    ref = np.log(eval_phi(phi, z))
+    got = _log_phi(phi, z)
+    ulp = np.spacing(np.maximum(1.0, np.abs(ref)))
+    assert np.all(np.abs(got - ref) <= 4.0 * ulp)
+
+
+def test_log_phi_takes_the_ratio_only_for_the_ratio_itself(monkeypatch):
+    import spectral_ssmp.bernstein as bmod
+    calls = []
+
+    def counted(x, a):
+        calls.append(a)
+        return np.zeros_like(x)
+
+    monkeypatch.setattr(bmod, "log_gamma_ratio", counted)
+    z = np.array([0.5 + 3j])
+    assert bmod._log_phi(ALL_KINDS[3], z) == 0.0  # no exp, no log
+    assert bmod._log_phi(ALL_KINDS[4], z) == 0.0
+    assert calls == [0.7, 0.3]
+    for phi in (ALL_KINDS[-1],
+                BernsteinFunction(phi0=2.0, measure=ClosedFormMeasure(
+                    "gamma-ratio-minus", (0.3, 1.0)))):
+        assert bmod._ratio_form(phi) is None
+
+
+def test_log_w_blocks_are_bit_identical_to_one_block(monkeypatch):
+    # the work is row by row: blocks of 7 points give the bits of one block,
+    # across real parts for closed forms, on one line for atoms
+    import spectral_ssmp.bernstein as bmod
+    rng = np.random.default_rng(5)
+    t = rng.uniform(-250.0, 250.0, 400)
+    mixed = rng.choice([0.0, 0.5, 1.25, 3.0], 400) + 1j * t
+    for phi, z in ((PHI_AFF, mixed), (ALL_KINDS[3], mixed),
+                   (ALL_KINDS[4], mixed), (ALL_KINDS[5], 0.5 + 1j * t)):
+        ev = default_evaluator(phi, 1e-10, 300.0)
+        with monkeypatch.context() as m:
+            m.setattr(bmod, "_BLOCK", 10 ** 9)
+            one = ev.log_w(z)
+        with monkeypatch.context() as m:
+            m.setattr(bmod, "_BLOCK", 7)
+            assert np.array_equal(ev.log_w(z), one)
+
+
+@pytest.mark.parametrize("phi", (PHI_ID, ALL_KINDS[4]))
+def test_log_w_peak_memory_is_bounded_by_the_blocks(phi):
+    # 16385 points on Re z = 1/2: the per-point matrix is walked in blocks,
+    # so no elementwise pass writes a line-sized temporary
+    import tracemalloc
+    ev = default_evaluator(phi, 1e-10, 1002.0)
+    z = 0.5 + 1j * np.linspace(-1000.0, 1000.0, 16385)
+    tracemalloc.start()
+    try:
+        ev.log_w(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+
+
+def test_build_batches_its_log_phi_calls(monkeypatch):
+    # tables, real legs, pass nodes (per block) and the validation and
+    # horizon points with their +1 shifts: 28 calls before batching
+    import spectral_ssmp.bernstein as bmod
+    calls = []
+    ratio = bmod.log_gamma_ratio
+
+    def counted(x, a):
+        calls.append(np.size(x))
+        return ratio(x, a)
+
+    monkeypatch.setattr(bmod, "log_gamma_ratio", counted)
+    BernsteinGammaEvaluator(ALL_KINDS[3], tol=1e-10, zmax=216.0)
+    assert len(calls) <= 8
 
 
 def test_log_w_groups_points_by_real_part():

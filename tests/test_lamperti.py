@@ -317,6 +317,28 @@ def test_mc_draws_one_jump_count_per_block(monkeypatch):
     assert rngs[0].poisson_sizes == [None] * len(blocks)
 
 
+def test_density_remainder_mass_is_not_a_jump():
+    # the mass beyond the last node of stable_density_table(0.5) (rem, a
+    # rate of 1.8e-10) is left out: the table holds each node once, with
+    # its own weight, and no jump reaches past the last node
+    from spectral_ssmp.bernstein import _measure_rule
+    from spectral_ssmp.families import stable_density_table
+    tab = stable_density_table(0.5)
+    dens = DensityMeasure(tuple(tab["y"]), tuple(tab["density"]), 0.5, 0.5)
+    rule = _measure_rule(dens)
+    assert rule.rem > 1e-10
+    cfg = SimConfig()
+    model = lamperti._build_jump_model(
+        LevyQuadruplet(mu=SignedMeasure(density_pos=dens)), cfg)
+    head, head_wts = rule.head_nodes(cfg.jump_eps)
+    keep = rule.nodes >= cfg.jump_eps
+    assert np.max(model.jump_sizes) <= rule.nodes[-1]
+    assert np.count_nonzero(model.jump_sizes == rule.nodes[-1]) == 1
+    assert model.jump_rate == pytest.approx(
+        rule.weights[keep].sum() + head_wts[head >= cfg.jump_eps].sum(),
+        rel=1e-13)
+
+
 def test_jump_free_increments_are_the_scaled_normals():
     model = lamperti._build_jump_model(LevyQuadruplet(b=0.7, sigma2=1.3),
                                        SimConfig(dt=2e-3))

@@ -1,5 +1,6 @@
 """Semigroup evolution, generators, weak similarity, tensorization."""
 
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -338,6 +339,23 @@ def test_ws_residual_affine_pair():
 
 def test_ws_residual_gamma_pair():
     assert ws_residual(gamma_pair(0.7, 0.3, 1.0), SPEC) <= 1e-4
+
+
+def test_lambda_line0_limit_is_zero_for_infinite_phi_prime():
+    # phi_+ = stable(1/2) has phi_+'(0+) = inf, so the xi = 0 sample of the
+    # similarity multiplier on the unshifted line is 1/inf = 0 exactly
+    from spectral_ssmp.semigroup import _lambda_multiplier_line0
+    pair = WienerHopfPair(make_bernstein("stable", beta=0.5), PHI_ID)
+    vals = _lambda_multiplier_line0(pair, SPEC, 1e-10)
+    assert SPEC.xi[SPEC.n // 2] == 0.0
+    assert vals[SPEC.n // 2] == 0.0
+    # and 1/phi_+'(0+) where it is finite: Gamma(a + az) / Gamma(az) has
+    # phi'(0+) = Gamma(1 + a)
+    pair = WienerHopfPair(make_bernstein("gamma-ratio-plus", alpha_tilde=0.7),
+                          PHI_ID)
+    vals = _lambda_multiplier_line0(pair, SPEC, 1e-10)
+    assert vals[SPEC.n // 2] == pytest.approx(1.0 / math.gamma(1.7),
+                                              rel=1e-15)
 
 
 def test_ws_residual_builds_one_evaluator_per_factor():

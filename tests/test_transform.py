@@ -127,6 +127,27 @@ def test_multiplier_h_builds_once_whatever_the_call_style():
     assert all(line is lines[0] for line in lines[:3])
 
 
+def test_multiplier_line_takes_one_log_w_for_equal_factors(monkeypatch):
+    # (id, id): both factors share one evaluator, so one log W serves both
+    from spectral_ssmp.bernstein import BernsteinGammaEvaluator
+    calls = []
+    log_w = BernsteinGammaEvaluator.log_w
+
+    def counted(self, z):
+        calls.append(self)
+        return log_w(self, z)
+
+    monkeypatch.setattr(BernsteinGammaEvaluator, "log_w", counted)
+    spec = GridSpec(-20.0, 40.0, 256)
+    line = _multiplier_line.__wrapped__(PAIR_ID, spec, 1e-10)
+    assert len(calls) == 1
+    # W(1/2 - i xi) / W(1/2 + i xi) = Gamma(1/2 - i xi) / Gamma(1/2 + i xi)
+    want = np.exp(-2j * loggamma(0.5 + 1j * spec.xi).imag)
+    assert_allclose(line.values, want, rtol=0.0, atol=1e-10)
+    _multiplier_line.__wrapped__(PAIR_B, spec, 1e-10)
+    assert len(calls) == 3
+
+
 def test_multiplier_h_builds_density_factor_at_requested_tol(monkeypatch):
     # a tabulated density gets the Bernstein-gamma evaluator at the tol the
     # caller asks for, not a relaxed one
