@@ -41,7 +41,7 @@ from .transform import (
     _along,
     _fft_axis,
     _ifft_axis,
-    _line_evaluators,
+    _lambda_multiplier_line0,
     apply_multiplier,
     gaussian_fixture,
     multiplier_h,
@@ -188,36 +188,6 @@ def generator_ido(q: LevyQuadruplet, f, spec: Optional[GridSpec] = None
 # ---------------------------------------------------------------------------
 # weak-similarity residual
 # ---------------------------------------------------------------------------
-
-def _lambda_multiplier_line0(pair: WienerHopfPair, spec: GridSpec, tol: float):
-    """The similarity multiplier on the unshifted line,
-    m(xi) = W_+(-i xi) Gamma(1 + i xi) / (W_-(1 + i xi) Gamma(-i xi)),
-    regularized at xi = 0 through W(z) = W(z+1)/phi(z)."""
-    from .bernstein import _phi_prime_zero, eval_phi
-    from .special import log_gamma
-
-    ev_p, ev_m = _line_evaluators(pair, spec, tol)
-    xi = spec.xi
-    nz = xi != 0.0
-    vals = np.empty(spec.n, dtype=complex)
-    x_nz = xi[nz]
-    # regularized form: (-i xi)/Gamma(1 - i xi) replaces 1/Gamma(-i xi);
-    # log Gamma(1 - i xi) = conj log Gamma(1 + i xi)
-    log_g = log_gamma(1.0 + 1j * x_nz)
-    log_num = (ev_p.log_w(1.0 - 1j * x_nz) + log_g
-               - np.log(eval_phi(pair.phi_plus, -1j * x_nz)))
-    log_den = ev_m.log_w(1.0 + 1j * x_nz) + np.conj(log_g)
-    vals[nz] = (-1j * x_nz) * np.exp(log_num - log_den)
-    if np.any(~nz):
-        phi0 = float(eval_phi(pair.phi_plus, 0.0).real)
-        if phi0 > 0.0:
-            limit = 0.0
-        else:  # 1 / (phi_+'(0+) W_-(1)), where W_-(1) = 1; 0 if phi_+'(0+)
-            # is infinite
-            limit = 1.0 / _phi_prime_zero(pair.phi_plus)
-        vals[~nz] = limit
-    return vals
-
 
 def ws_residual(pair: WienerHopfPair, spec: GridSpec,
                 centers: Sequence[float] = (-2.0, 0.0, 2.0),

@@ -1,8 +1,8 @@
 """Gamma-family special functions in NumPy.
 
 The library needs the principal branch of log-Gamma on the right half-plane
-(and on vertical lines through it), the log of the ratio Gamma(x + a) /
-Gamma(x) to a few ulp, and digamma for derivative formulas.
+(and on vertical lines through it) and the log of the ratio Gamma(x + a) /
+Gamma(x) to a few ulp.
 
 - Real scalars go to `math.lgamma`.
 - Complex arrays with |z| >= 8 take 8 terms of the Stirling series
@@ -42,11 +42,9 @@ def _coefs(values):
     return tuple(np.array(v, dtype=complex) for v in values)
 
 
-# B_2k / (2k (2k - 1)) and B_2k / (2k) for k = 1..8, rounded once each
+# B_2k / (2k (2k - 1)) for k = 1..8, rounded once each
 _LOG_GAMMA_COEF = _coefs(n / (d * 2 * k * (2 * k - 1))
                          for k, (n, d) in enumerate(BERNOULLI[2::2], 1))
-_DIGAMMA_COEF = _coefs(n / (d * 2 * k)
-                       for k, (n, d) in enumerate(BERNOULLI[2::2], 1))
 
 
 def _horner(w, coefs):
@@ -82,14 +80,6 @@ def _stirling(z):
     return s
 
 
-def _complex_right(z):
-    """z as a complex array, checked to lie where the shift below holds."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.real <= -0.5):
-        raise DomainError("log_gamma and digamma serve Re z > -1/2")
-    return z
-
-
 def log_gamma(z):
     """Principal branch of log Gamma(z).
 
@@ -99,12 +89,13 @@ def log_gamma(z):
     stays on the principal branch.  log_gamma(conj z) is conj(log_gamma(z))
     bit for bit.
     """
-    if np.iscomplexobj(z):
-        z = _complex_right(z)
-    else:
+    if not np.iscomplexobj(z):
         z = np.asarray(z, dtype=float)
         return np.fromiter(map(math.lgamma, z.flat), float,
                            z.size).reshape(z.shape)
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.real <= -0.5):
+        raise DomainError("log_gamma serves Re z > -1/2")
     near = np.abs(z) < _SHIFT
     if not near.any():
         return _stirling(z)
@@ -112,26 +103,6 @@ def log_gamma(z):
     t = z[near] + np.arange(_SHIFT)[:, None]
     out[near] -= _log(t[0::2] * t[1::2]).sum(axis=0)
     return out
-
-
-def digamma(z):
-    """Digamma function of real or complex z with Re z > -1/2, real for real
-    z: log w - 1/(2w) - sum_k B_2k / (2k w^2k) at w = z, or at w = z + 8
-    less sum_{k<8} 1/(z + k) where |z| < 8."""
-    real = not np.iscomplexobj(z)
-    z = _complex_right(z)
-    shape = z.shape
-    z = z.ravel()
-    near = np.abs(z) < _SHIFT
-    w = np.where(near, z + _SHIFT, z)
-    inv = 1.0 / w
-    inv2 = inv * inv
-    s = _horner(inv2, _DIGAMMA_COEF)
-    s *= inv2
-    out = _log(w) - 0.5 * inv - s
-    if near.any():
-        out[near] -= (1.0 / (z[near] + np.arange(_SHIFT)[:, None])).sum(axis=0)
-    return (out.real if real else out).reshape(shape)
 
 
 @functools.lru_cache(maxsize=64)

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bernstein import BernsteinFunction, theta_integral
+from .bernstein import BernsteinFunction, theta_limits
 from .errors import DomainError
 from .exponents import WienerHopfPair
 from .transform import GridSpec, multiplier_h
@@ -139,16 +139,13 @@ def spectrum_values(t: float, y_grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _theta_bracket(phi, xi_max):
-    """(lower, upper, error bar) from the largest geometric samples.
+    """(lower, upper, error bar) from the samples at xi_max / 2 and xi_max.
 
     The liminf/limsup are not computable; the bar is half the spread of the
-    two largest-xi samples, a conservative finite-sample surrogate.
+    two samples, a conservative finite-sample surrogate.
     """
-    xis = xi_max * 2.0 ** (-np.arange(6, dtype=float))[::-1]
-    th = theta_integral(phi, 0.5, xis) / xis
-    top = th[-2:]
-    bar = 0.5 * abs(top[1] - top[0])
-    return float(np.min(top)), float(np.max(top)), float(bar)
+    lo, up = theta_limits(phi, xi_max, 2)
+    return lo, up, 0.5 * (up - lo)
 
 
 def _dyadic_bands(spec: GridSpec, values: np.ndarray, n_bands: int = 6):

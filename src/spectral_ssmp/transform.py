@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 import numpy as np
 
-from .bernstein import default_evaluator
+from .bernstein import default_evaluator, eval_phi, phi_derivative
 from .errors import DomainError, DomainWarning
 from .exponents import WienerHopfPair
 from .special import log_gamma
@@ -235,27 +235,56 @@ def _line_evaluators(pair: WienerHopfPair, spec: GridSpec, tol: float):
             default_evaluator(pair.phi_minus, tol, zmax))
 
 
+def _log_w_line(ev, a: float, xi):
+    """log W(a + i xi) for a 1-d xi, evaluated at the distinct |xi| only:
+    W(conj z) = conj W(z)."""
+    pos, inv = np.unique(np.abs(xi), return_inverse=True)
+    lw = ev.log_w(a + 1j * pos)[inv]
+    return np.where(xi < 0, np.conj(lw), lw)
+
+
 @functools.lru_cache(maxsize=64)
 def _multiplier_line(pair: WienerHopfPair, spec: GridSpec,
                      tol: float) -> MultiplierLine:
     ev_p, ev_m = _line_evaluators(pair, spec, tol)
-    xi = spec.xi
-    pos = np.abs(xi)
-    z = 0.5 + 1j * pos
-    uniq, inv = np.unique(z, return_inverse=True)
-    log_wp = ev_p.log_w(uniq)[inv]
-    # one factor for both sides, as for (id, id): one log W
-    log_wm = log_wp if ev_m is ev_p else ev_m.log_w(uniq)[inv]
-    # W_plus(1/2 - i|xi|) = conj W_plus(1/2 + i|xi|); for xi < 0 the sign of
-    # the imaginary part flips back
-    lw_p = np.where(xi >= 0, np.conj(log_wp), log_wp)
-    lw_m = np.where(xi >= 0, log_wm, np.conj(log_wm))
+    # W_plus(1/2 - i xi) = conj W_plus(1/2 + i xi); one factor for both
+    # sides, as for (id, id), takes one log W
+    lw_m = _log_w_line(ev_m, 0.5, spec.xi)
+    lw_p = np.conj(lw_m if ev_p is ev_m else _log_w_line(ev_p, 0.5, spec.xi))
     lw = lw_p - lw_m
     # the ratio is zero-free in exact arithmetic; clamp the log magnitude at
     # the double-precision exponent boundary so under/overflow cannot break
     # that contract on very wide frequency grids
     lw = np.clip(lw.real, -700.0, 700.0) + 1j * lw.imag
     return MultiplierLine(spec, np.exp(lw))
+
+
+def _lambda_multiplier_line0(pair: WienerHopfPair, spec: GridSpec, tol: float):
+    """The similarity multiplier on the unshifted line,
+    m(xi) = W_+(-i xi) Gamma(1 + i xi) / (W_-(1 + i xi) Gamma(-i xi)),
+    regularized at xi = 0 through W(z) = W(z+1)/phi(z)."""
+    ev_p, ev_m = _line_evaluators(pair, spec, tol)
+    xi = spec.xi
+    nz = xi != 0.0
+    vals = np.empty(spec.n, dtype=complex)
+    x_nz = xi[nz]
+    # regularized form: (-i xi)/Gamma(1 - i xi) replaces 1/Gamma(-i xi);
+    # log Gamma(1 - i xi) = conj log Gamma(1 + i xi)
+    log_g = log_gamma(1.0 + 1j * x_nz)
+    lw_m = _log_w_line(ev_m, 1.0, x_nz)
+    lw_p = np.conj(lw_m if ev_p is ev_m else _log_w_line(ev_p, 1.0, x_nz))
+    log_num = lw_p + log_g - np.log(eval_phi(pair.phi_plus, -1j * x_nz))
+    log_den = lw_m + np.conj(log_g)
+    vals[nz] = (-1j * x_nz) * np.exp(log_num - log_den)
+    if np.any(~nz):
+        phi0 = float(eval_phi(pair.phi_plus, 0.0).real)
+        if phi0 > 0.0:
+            limit = 0.0
+        else:  # 1 / (phi_+'(0+) W_-(1)), where W_-(1) = 1; 0 if phi_+'(0+)
+            # is infinite
+            limit = 1.0 / phi_derivative(pair.phi_plus, 0.0)
+        vals[~nz] = limit
+    return vals
 
 
 def multiplier_lambda(pair: WienerHopfPair, spec: GridSpec,

@@ -1,5 +1,7 @@
 """Bernstein functions, Bernstein-gamma evaluation, Theta functionals."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,15 +147,84 @@ def test_derivative_tabulated_density_matches_fd():
         assert analytic == pytest.approx(float(fd), rel=1e-6)
 
 
+def _mp_laplace_sum(rule, z):
+    """sum_q w_q e^{-z y_q} over every node of a rule, in mpmath."""
+    import mpmath as mp
+    with mp.workdps(30):
+        return np.array([complex(mp.fsum(
+            mp.mpf(w) * mp.exp(-mp.mpc(v) * mp.mpf(y))
+            for y, w in zip(rule.nodes, rule.weights))) for v in z])
+
+
 def test_eval_phi_tabulated_density_far_right():
-    # nodes with Re(z) y > 40 are dropped from the Laplace sum; compare
-    # with the sum over every node
+    # nodes with Re(z) y > 40 are dropped from the Laplace sum; the sum that
+    # eval_phi takes matches an mpmath sum over every node of the same rule
     phi = make_bernstein(**stable_density_table(0.5))
     r = _measure_rule(phi.measure)
     z = np.array([40.0 + 3.0j, 400.0 - 50.0j, 2000.0 + 1700.0j])
-    full = (np.sum(r.weights) + r.rem
-            - np.exp(-z[:, None] * r.nodes) @ r.weights - r.series(z, 0, 1))
-    assert_allclose(eval_phi(phi, z), full, rtol=1e-15)
+    lap = np.sum(r.weights) + r.rem - r.series(z, 0, 1) - eval_phi(phi, z)
+    assert_allclose(lap, _mp_laplace_sum(r, z), rtol=1e-15)
+
+
+def test_eval_phi_tabulated_density_matches_mpmath():
+    # phi cancels the mass sum (about 564) against the Laplace sum; a
+    # pairwise sum of the Laplace terms keeps phi within 2e-14 of the same
+    # rule summed in mpmath
+    import mpmath as mp
+    phi = make_bernstein(**stable_density_table(0.5))
+    r = _measure_rule(phi.measure)
+    z = np.array([1.0, 0.5 + 2.0j, 40.0 + 3.0j])
+    with mp.workdps(30):
+        mass = float(mp.fsum(mp.mpf(w) for w in r.weights) + r.rem)
+    ref = mass - _mp_laplace_sum(r, z) - r.series(z, 0, 1)
+    assert_allclose(eval_phi(phi, z), ref, rtol=2e-14)
+
+
+def test_phi_derivative_of_gamma_ratios_matches_mpmath():
+    # the complex step keeps phi' as accurate as the gamma ratio itself,
+    # with no difference of two digamma values
+    import mpmath as mp
+    u = np.geomspace(1e-6, 300.0, 40)
+    for phi, a, rho in ((make_bernstein("gamma-ratio-plus", alpha_tilde=0.7),
+                         0.7, 0.0),
+                        (make_bernstein("gamma-ratio-minus", alpha=0.3,
+                                        rho=1.0), 0.3, 1.0)):
+        with mp.workdps(30):
+            ref = np.array([float(a * mp.gamma(x + a) / mp.gamma(x)
+                                  * (mp.digamma(x + a) - mp.digamma(x)))
+                            for x in (rho + a * mp.mpf(v) for v in u)])
+        assert_allclose(phi_derivative(phi, u), ref, rtol=1e-14)
+
+
+def test_phi_derivative_at_zero_for_every_kind():
+    # phi'(0+) = drift + integral y nu(dy), inf when nu has no first moment
+    import mpmath as mp
+    assert phi_derivative(PHI_ID, 0.0) == 1.0
+    assert phi_derivative(PHI_AFF, 0.0) == 1.0
+    assert phi_derivative(make_bernstein("stable", beta=0.5), 0.0) == np.inf
+    plus = make_bernstein("gamma-ratio-plus", alpha_tilde=0.7)
+    assert phi_derivative(plus, 0.0) == pytest.approx(math.gamma(1.7),
+                                                      rel=1e-15)
+    minus = make_bernstein("gamma-ratio-minus", alpha=0.3, rho=1.0)
+    with mp.workdps(30):
+        ref = float(0.3 * mp.gamma(1.3) * (mp.digamma(1.3) - mp.digamma(1)))
+    assert phi_derivative(minus, 0.0) == pytest.approx(ref, rel=1e-14)
+    atoms = BernsteinFunction(measure=AtomMeasure(((1.0, 2.0), (3.0, 0.5))))
+    assert_allclose(phi_derivative(atoms, np.array([0.0, 1.0])),
+                    [3.5, 2.0 * np.exp(-1.0) + 1.5 * np.exp(-3.0)],
+                    rtol=1e-15)
+    # a table with infinity tail exponent 1/2 has no first moment; one with
+    # y^{-1.5} min(1, 1/y) has moment 2 + 2, the part beyond the nodes
+    # included
+    table = make_bernstein(**stable_density_table(0.5))
+    assert phi_derivative(table, 0.0) == np.inf
+    ys = np.geomspace(1e-3, 100.0, 51)
+    dens = ys ** -1.5 * np.minimum(1.0, 1.0 / ys)
+    phi = BernsteinFunction(drift=0.5, measure=DensityMeasure(
+        tuple(ys), tuple(dens), 0.5, 1.5))
+    assert phi_derivative(phi, 0.0) == pytest.approx(4.5, rel=1e-14)
+    with pytest.raises(DomainError):
+        phi_derivative(PHI_ID, -1e-3)
 
 
 def test_density_small_tail_at_the_guard():
@@ -334,6 +405,18 @@ def test_w_gamma_ratio_closed_forms_up_to_horizon():
         assert ev.truncation <= 64
         assert np.abs(np.exp(ev.log_w(z) - ref) - 1.0).max() <= 1e-9
         assert ev.horizon_residual <= 1e-9
+
+
+def test_affine_log_w_up_to_horizon():
+    # phi(z) = 1 + z, W(z) = Gamma(z + 1), up to the horizon: the terms
+    # linear in z cancel in the evaluator, so no rounding grows with |z|
+    import mpmath as mp
+    zmax = _eigen_zmax()
+    z = 0.5 + 1j * np.linspace(0.0, zmax - 2.0, 400)
+    with mp.workdps(30):
+        ref = np.array([complex(mp.loggamma(mp.mpc(v) + 1)) for v in z])
+    ev = default_evaluator(PHI_AFF, 1e-10, zmax)
+    assert np.abs(ev.log_w(z) - ref).max() <= 2.5e-12
 
 
 def test_functional_equation_atoms_at_horizon():

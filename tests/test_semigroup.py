@@ -344,7 +344,7 @@ def test_ws_residual_gamma_pair():
 def test_lambda_line0_limit_is_zero_for_infinite_phi_prime():
     # phi_+ = stable(1/2) has phi_+'(0+) = inf, so the xi = 0 sample of the
     # similarity multiplier on the unshifted line is 1/inf = 0 exactly
-    from spectral_ssmp.semigroup import _lambda_multiplier_line0
+    from spectral_ssmp.transform import _lambda_multiplier_line0
     pair = WienerHopfPair(make_bernstein("stable", beta=0.5), PHI_ID)
     vals = _lambda_multiplier_line0(pair, SPEC, 1e-10)
     assert SPEC.xi[SPEC.n // 2] == 0.0

@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 import spectral_ssmp
 from spectral_ssmp.errors import DomainError
 from spectral_ssmp.special import (
-    digamma,
     gauss_legendre,
     log_gamma,
     log_gamma_ratio,
@@ -108,15 +107,6 @@ def test_log_gamma_matches_mpmath_over_the_served_range():
     assert err.max() <= 1e-14, err.max()
 
 
-def test_digamma_matches_mpmath_over_the_served_range():
-    mpmath = pytest.importorskip("mpmath")
-    z = _served_grid()
-    with mpmath.workdps(30):
-        ref = np.array([complex(mpmath.digamma(mpmath.mpc(v))) for v in z])
-    err = np.abs(digamma(z) - ref) / np.maximum(1.0, np.abs(ref))
-    assert err.max() <= 1e-14, err.max()
-
-
 def test_log_gamma_ratio_near_side_matches_mpmath():
     # the recurrence side |x| < 10 max(1, a), Re x >= 0, sampled densely
     mpmath = pytest.importorskip("mpmath")
@@ -146,7 +136,6 @@ def test_real_inputs_match_mpmath():
     with mpmath.workdps(30):
         mp = [mpmath.mpf(v) for v in x]
         ref_lg = np.array([float(mpmath.loggamma(v)) for v in mp])
-        ref_dg = np.array([float(mpmath.digamma(v)) for v in mp])
         ref_ratio = np.array([float(mpmath.loggamma(v + 0.7)
                                     - mpmath.loggamma(v)) for v in mp])
 
@@ -158,11 +147,6 @@ def test_real_inputs_match_mpmath():
     assert err(got, ref_lg) <= 1e-15
     assert all(log_gamma(float(v)) == math.lgamma(v) for v in x)
     assert np.array_equal(log_gamma(x.reshape(2, 5)), got.reshape(2, 5))
-    got_dg = digamma(x)
-    assert got_dg.dtype == float and got_dg.shape == x.shape
-    assert err(got_dg, ref_dg) <= 1e-15
-    assert float(digamma(2.0)) == pytest.approx(1.0 - np.euler_gamma,
-                                                rel=1e-15)
     assert err(log_gamma_ratio(x, 0.7), ref_ratio) <= 1e-15
     # a 0-d array a is accepted as a float
     assert np.array_equal(log_gamma_ratio(x, np.array(0.7)),
@@ -172,14 +156,11 @@ def test_real_inputs_match_mpmath():
 def test_log_gamma_of_conjugate_is_conjugate_bit_for_bit():
     z = _served_grid()
     assert np.array_equal(log_gamma(np.conj(z)), np.conj(log_gamma(z)))
-    assert np.array_equal(digamma(np.conj(z)), np.conj(digamma(z)))
 
 
 def test_domains_are_enforced():
     with pytest.raises(DomainError):
         log_gamma(np.array([-0.5 + 1j]))
-    with pytest.raises(DomainError):
-        digamma(-0.75)
 
 
 # A None entry in sys.modules makes any import of that module raise
