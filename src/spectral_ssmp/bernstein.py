@@ -12,10 +12,10 @@ solution of
     W(z + 1) = phi(z) W(z),   W(1) = 1,
 
 and is evaluated here in log space by its Stirling-type representation: a
-short Weierstrass-type product of K = 32 factors with an Euler-Maclaurin
-tail to order B_8, whose segment integral all points on one vertical line
-share: a point costs K + 33 evaluations of log phi, all through one kernel
-(`_log_phi`), plus its share of one cumulative pass up its line.  The
+short Weierstrass-type product of K = 16 factors with an Euler-Maclaurin
+tail to order B_12, whose segment integral all points on one vertical line
+share: a point costs K + 21 = 37 evaluations of log phi, all through one
+kernel (`_log_phi`), plus its share of one cumulative pass up its line.  The
 evaluator is specified by its contracts (functional equation,
 normalization, conjugate symmetry, zero-freeness): the first two are
 checked at construction, the functional equation at the horizon too, and
@@ -43,6 +43,7 @@ from .special import (
     _log,
     gauss_legendre,
     log_gamma_ratio,
+    sorted_unique,
 )
 
 _RE_TOL = 1e-12
@@ -452,14 +453,14 @@ def _moment_beyond(measure) -> float:
 _VALIDATION_Z = (np.array([0.5, 1.0, 2.0])[:, None]
                  + 1j * np.array([0.0, 1.0, 3.0, 10.0, 30.0])).ravel()
 _HORIZON_FRACTIONS = (0.97, 0.99, 0.999)
-_K = 32
-_CIRCLE_N = 32
+_K = 16
+_CIRCLE_N = 20
 _SIDE_N = 16
 _PANEL_H = 2.0  # width of the vertical-leg panels
 _PANEL_N = 6  # Gauss-Legendre nodes per panel
-# B_2j / (2j)! for j = 1..4
+# B_2j / (2j)! for j = 1..6
 _EM_COEF = tuple(n / (d * math.factorial(2 * j))
-                 for j, (n, d) in enumerate(BERNOULLI[2:9:2], 1))
+                 for j, (n, d) in enumerate(BERNOULLI[2:13:2], 1))
 _BLOCK = 1024  # points per block of log phi evaluations
 
 
@@ -498,19 +499,23 @@ class BernsteinGammaEvaluator:
         f_z(u) = L(u) - L(u+z) + z L'(u),
 
     where gamma_hat = lim_n (sum_{k<=n} L'(k) - L(n)).  The tail sum is
-    taken by Euler-Maclaurin to order B_8:
+    taken by Euler-Maclaurin to order B_12:
 
         sum_{k>K} f_z(k) = integral_K^{K+z} L - z L(K) - f_z(K)/2
-                           - sum_{j=1}^{4} B_2j/(2j)! f_z^(2j-1)(K),
+                           - sum_{j=1}^{6} B_2j/(2j)! f_z^(2j-1)(K),
         f_z^(m)(K) = L^(m)(K) - L^(m)(K+z) + z L^(m+1)(K).
 
     The terms linear in z (gamma_hat z, z L'(k), z L(K) and the
     z L^(2j)(K)) cancel: Euler-Maclaurin on the series of gamma_hat leaves
-    only its B_10 remainder.  So W needs phi alone, never phi', and
-    W(1) = 1 holds by construction, to rounding; no slope is fitted.  The
+    a z-linear B_14 remainder that cancels the one inside f_z.  So W needs
+    phi alone, never phi', W(1) = 1 holds by construction, to rounding (no
+    slope is fitted), and the error does not grow with |z|: it is the
+    Euler-Maclaurin remainders of L and of L(. + z), about
+    2 (2p - 2)! / ((2 pi)^{2p} K^{2p-1}) = 1.4e-18 at p = 7, K = 16.  The
     odd derivatives of L at K (once, at build) and at K+z (per point) come
-    from the trapezoid rule on _CIRCLE_N nodes of a circle of radius K/3; L
-    is analytic on Re > 0, so the rule converges geometrically for every
+    from the trapezoid rule on _CIRCLE_N = 20 nodes of a circle of radius
+    r = K/6; L is analytic on Re > 0, a disk of radius R >= K about each
+    centre, so the rule's aliasing is (r/R)^20 <= 6^-20 = 3e-16 for every
     measure.  The segment integral runs K -> K + Re z (_SIDE_N
     Gauss-Legendre nodes in log u) -> K + z, and all points with the same
     Re z share the vertical leg: one cumulative pass of panels of
@@ -522,21 +527,25 @@ class BernsteinGammaEvaluator:
     panel's Bernstein ellipse rho, (h/4)(rho - 1/rho) = K/2.  The
     Gauss-Legendre bound (Trefethen, SIAM Rev. 2008, Thm 4.5) then puts the
     error of a leg of height Y below (32/15) Y M rho^{-2n} / (rho^2 - 1),
-    which h = 2, n = 6 (rho = 32) make 2e-21 Y.  So a point costs
-    K + _CIRCLE_N + 1 evaluations of log phi (for atoms or a tabulated
-    density, one exp row and one matrix product cover them all), and each
-    distinct real part O(points + max |Im z| / h) more.
+    which h = 2, n = 6 (rho = 16.06) make 3e-17 Y: 5e-14 at Y = 1716,
+    where the rounding of log W measures 2e-12 (n = 8 would give 5e-22 Y
+    for a third more pass nodes).  So a point costs K + _CIRCLE_N + 1 = 37
+    evaluations of log phi (for atoms or a tabulated density, one exp row
+    and one matrix product cover them all), and each distinct real part
+    O(points + max |Im z| / h) more.
 
     Every log phi goes through `_log_phi` (a gamma ratio's log comes
     straight from `log_gamma_ratio`, with no exp and log round trip), and
     points go through in blocks of _BLOCK = 1024, so an elementwise pass
-    over the (points, K + _CIRCLE_N + 1) matrix writes about 1 MB.  The
-    build batches its log phi calls: the K integers come from the columns of
-    z = 1, all real legs go in one call, all pass nodes in one per block,
-    and the validation and horizon points with their +1 shifts in one
-    _log_w_raw.
+    over the (points, K + _CIRCLE_N + 1) matrix writes about 0.6 MB.  A
+    point's bits do not depend on its block: every sum along a row is a
+    NumPy row reduction, never a BLAS product, whose order can change with
+    the number of rows.  The build batches its log phi calls: the K
+    integers come from the columns of z = 1, all real legs go in one call,
+    all pass nodes in one per block, and the validation and horizon points
+    with their +1 shifts in one _log_w_raw.
 
-    K = 32 is `truncation`.  The functional-equation residuals on the
+    K = 16 is `truncation`.  The functional-equation residuals on the
     validation grid (|Im z| <= 30) and at a few points on Re z = 1/2 near
     Im z = zmax are `residual` and `horizon_residual`, and `residual` also
     covers the normalization |log W(1)|; a ConvergenceError is raised when
@@ -569,10 +578,11 @@ class BernsteinGammaEvaluator:
     def _build_tables(self):
         # L^(m)(c) = m!/(N r^m) sum_n L(c + r w^n) w^{-mn}, w = e^{2 pi i/N};
         # em_odd folds in B_2j/(2j)! for m = 2j-1
-        r = _K / 3.0
+        r = _K / 6.0
         circle = r * np.exp(2j * np.pi * np.arange(_CIRCLE_N) / _CIRCLE_N)
-        self._em_odd = sum(coef * math.factorial(m) / _CIRCLE_N * circle ** -m
-                           for m, coef in zip((1, 3, 5, 7), _EM_COEF))
+        self._em_odd = sum(coef * math.factorial(2 * j - 1) / _CIRCLE_N
+                           * circle ** (1 - 2 * j)
+                           for j, coef in enumerate(_EM_COEF, 1))
         # the columns of _log_w_raw: z + k for k = 1..K, the circle about
         # z + K, and z itself
         self._offsets = np.concatenate(
@@ -603,7 +613,8 @@ class BernsteinGammaEvaluator:
         out = np.sum(_log_phi(self.phi, u) * u * t * gw, axis=1)[group]
         idx = [np.flatnonzero(group == g) for g in range(re.size)]
         ys = [np.abs(z.imag[i]) for i in idx]
-        edges = [np.union1d(y, np.arange(0.0, y.max(), _PANEL_H)) for y in ys]
+        edges = [sorted_unique(np.concatenate(
+            [y, np.arange(0.0, y.max(), _PANEL_H)])) for y in ys]
         passes = _vertical_pass(self.phi, list(zip(_K + re, edges)),
                                 gauss_legendre(_PANEL_N))
         for i, y, e, (_, cum) in zip(idx, ys, edges, passes):
@@ -628,7 +639,7 @@ class BernsteinGammaEvaluator:
         log phi(z + offsets)."""
         shifted, circle, head = lv[:, :_K], lv[:, _K:-1], lv[:, -1]
         return (np.sum(self._log_phik - shifted, axis=1) - head
-                + 0.5 * shifted[:, -1] + circle @ self._em_odd)
+                + 0.5 * shifted[:, -1] + (circle * self._em_odd).sum(axis=1))
 
     def _fe_residuals(self, *groups):
         """max |1 - phi(z) W(z) / W(z+1)| over each group of points z, and
@@ -700,7 +711,7 @@ def theta_integral(phi: BernsteinFunction, a: float, xi,
     if xs.ndim > 1 or np.any(xs < 0):
         raise DomainError("theta_integral needs xi >= 0, a scalar or 1-d")
     pos = xs > 0
-    ends = np.unique(xs[pos])
+    ends = sorted_unique(xs[pos])
     if ends.size == 0:
         return 0.0 if xs.ndim == 0 else np.zeros(xs.shape)
     starts = np.concatenate([[0.0], ends[:-1]])

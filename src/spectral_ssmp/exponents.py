@@ -27,6 +27,7 @@ from .bernstein import (
     eval_phi,
 )
 from .errors import DomainError
+from .special import median
 
 __all__ = [
     "SignedMeasure",
@@ -192,7 +193,7 @@ def weak_nonlattice_check(phi: BernsteinFunction, xi_max: float,
     # a local refinement around the worst dip of the trend-corrected level
     lin = np.linspace(1.0, xi_max, 16 * n_points)
     scaled = np.abs(eval_phi(phi, 1j * lin)) * lin ** kappa
-    med = float(np.median(scaled))
+    med = float(median(scaled))
     i0 = int(np.argmin(scaled))
     window = np.linspace(lin[max(0, i0 - 1)], lin[min(lin.size - 1, i0 + 1)],
                          512)

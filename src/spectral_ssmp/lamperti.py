@@ -181,8 +181,10 @@ def _increments(model: _JumpModel, rng, out):
             cells = rng.integers(0, out.size, total)
             sizes = rng.choice(model.jump_sizes, size=total,
                                p=model.jump_probs)
-            out += np.bincount(cells, weights=sizes,
-                               minlength=out.size).reshape(out.shape)
+            # each hit cell gains the sum of its sizes, in draw order; a
+            # bincount over all cells would allocate a block-sized array
+            hit, which = np.unique(cells, return_inverse=True)
+            out.flat[hit] += np.bincount(which, weights=sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +218,19 @@ def simulate_levy(q: LevyQuadruplet, T: float, cfg: SimConfig,
     return LevyPath(times=times, values=z, killed=killed)
 
 
-def _segment_clock(z0, z1, dt, out):
+def _segment_clock(z0, z1, dt, out, work):
     """Write into `out` the integral of e^{Z} over each step under linear
-    interpolation of Z; z0, z1 and `out` are arrays of one shape."""
-    d = z1 - z0
+    interpolation of Z; z0, z1, `out` and the scratch array `work` are
+    arrays of one shape, and no other array of that size is allocated."""
+    d = np.subtract(z1, z0, out=work)
+    small = np.abs(d, out=out) <= 1e-12
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ratio = np.expm1(d)
+        ratio = np.expm1(d, out=out)
         ratio /= d
-        small = np.abs(d) <= 1e-12
         ratio[small] = 1.0 + 0.5 * d[small]
-        np.exp(z0, out=out)
-    out *= dt
-    out *= ratio
+        ez = np.exp(z0, out=work)
+    ez *= dt
+    ratio *= ez
 
 
 def _invert_segment(z0, z1, dt, remainder):
@@ -262,7 +265,7 @@ def lamperti_time_change(path: LevyPath, x0: float, t: float):
     dts = np.diff(path.times)
     acc = np.empty(z.size)
     acc[0] = 0.0
-    _segment_clock(z[:-1], z[1:], dts, acc[1:])
+    _segment_clock(z[:-1], z[1:], dts, acc[1:], np.empty(dts.size))
     np.cumsum(acc, out=acc)
     idx = int(np.searchsorted(acc, target, side="right")) - 1
     if idx >= dts.size:
@@ -278,7 +281,7 @@ def lamperti_time_change(path: LevyPath, x0: float, t: float):
 # batch estimation
 # ---------------------------------------------------------------------------
 
-# path-steps drawn per block; keeps a block's arrays at a few MiB
+# path-steps drawn per block; keeps a block's arrays at about 0.5 MiB
 _BLOCK_BUDGET = 1 << 16
 
 
@@ -291,7 +294,12 @@ def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
     every path at its first crossing A >= t/x or at its killing step,
     whichever comes first (a crossing on the killing step wins).  The live
     set is compacted once per block; draws past a path's resolution in its
-    block are discarded.
+    block are discarded.  Z, A and the clock's scratch live in three
+    buffers allocated once: an array of a block's size, allocated and freed
+    per block, is mapped and page-faulted afresh whenever it lies above the
+    allocator's mmap threshold (glibc: 128 KiB until a larger block is
+    freed), so the estimate's speed would depend on what the process freed
+    before it (by 15-40% on the benchmark's mc-oracle cases).
     """
     model = _build_jump_model(q, cfg)
     n = cfg.n_paths
@@ -307,18 +315,22 @@ def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
     z = np.zeros(n)
     acc = np.zeros(n)
     max_steps = int(np.ceil(cfg.t_max / dt))
+    # (b + 1) m <= max(budget, m) + m for every block below
+    zbuf, abuf, work = (np.empty(max(_BLOCK_BUDGET, n) + n)
+                        for _ in range(3))
     step = 0
     while idx.size and step < max_steps:
         m = idx.size
         b = min(max_steps - step, max(1, _BLOCK_BUDGET // m))
         # row s holds Z and A of every live path after s steps of the block
-        zs = np.empty((b + 1, m))
+        zs = zbuf[:(b + 1) * m].reshape(b + 1, m)
         zs[0] = z
         _increments(model, rng, zs[1:])
         np.cumsum(zs, axis=0, out=zs)
-        accs = np.empty((b + 1, m))
+        accs = abuf[:(b + 1) * m].reshape(b + 1, m)
         accs[0] = acc
-        _segment_clock(zs[:-1], zs[1:], dt, accs[1:])
+        _segment_clock(zs[:-1], zs[1:], dt, accs[1:],
+                       work[:b * m].reshape(b, m))
         np.cumsum(accs, axis=0, out=accs)
         # A is nondecreasing, so the steps still below the target come first
         cs = np.count_nonzero(accs[1:] < target, axis=0)

@@ -16,6 +16,10 @@ Euler-Maclaurin weights of the Bernstein-gamma evaluator.  Tests pin the
 contracts that matter: recurrence and reflection residuals below 1e-12,
 agreement with mpmath over the range the library serves (the ratio to
 1e-14), and conjugate symmetry bit for bit.
+
+The module also holds the stand-ins that keep numpy.polynomial and numpy.ma
+(a few ms each at the first call) off a CLI call's path: Gauss-Legendre
+rules, and the sort-based `sorted_unique` and `median`.
 """
 
 import functools
@@ -166,15 +170,73 @@ def log_gamma_ratio(x, a):
     np.divide(a, factors, out=factors)
     factors += 1.0
     for lo, hi in _ratio_groups(a, n):
-        out[near] -= _log(factors[lo:hi].prod(axis=0))
+        # not .prod(axis=0) nor *=: both round a one-point product another
+        # way (NumPy 2.4), so a point's bits would depend on its company
+        prod = factors[lo]
+        for row in factors[lo + 1:hi]:
+            prod = prod * row
+        out[near] -= _log(prod)
     return out
+
+
+def _legval(x, c):
+    """sum_k c[k] P_k(x) by Clenshaw's recurrence, in the order of
+    numpy.polynomial.legendre.legval, so that its bits are the same."""
+    if len(c) == 1:
+        return c[0] + 0.0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = (c[nd - 2] - c1 * ((nd - 1) / nd),
+                  c0 + c1 * x * ((2 * nd - 1) / nd))
+    return c0 + c1 * x
 
 
 @functools.lru_cache(maxsize=64)
 def gauss_legendre(n):
-    """Nodes and weights on [0, 1], read-only and shared between calls."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Nodes and weights on [0, 1], read-only and shared between calls.
+
+    numpy.polynomial.legendre.leggauss(n), bit for bit, without importing
+    numpy.polynomial (a few ms at the first call): Golub-Welsch, the nodes
+    on [-1, 1] are the eigenvalues of the symmetric Jacobi matrix of the
+    Legendre recurrence, polished by one Newton step on P_n, and the
+    weights are proportional to 1 / (P_{n-1}(x) P_n'(x)), P_n' =
+    sum (2k + 1) P_k over k = n-1, n-3, ...; both are symmetrized and the
+    weights scaled to sum 2.
+    """
+    k = np.arange(1.0, n)
+    scl = 1.0 / np.sqrt(2.0 * np.arange(n) + 1.0)
+    x = np.linalg.eigvalsh(np.diag(k * scl[:-1] * scl[1:], -1))
+    pn = np.zeros(n + 1)
+    pn[n] = 1.0
+    dpn = np.zeros(n)
+    dpn[n - 1::-2] = np.arange(2 * n - 1, 0, -4)
+    df = _legval(x, dpn)
+    x -= _legval(x, pn) / df
+    fm = _legval(x, pn[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1.0 / (fm * df)
+    w = 0.5 * (w + w[::-1])
+    x = 0.5 * (x - x[::-1])
+    w *= 2.0 / w.sum()
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+def sorted_unique(x):
+    """The sorted distinct values of an array, as np.unique(x), which
+    imports numpy.ma."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(x.shape, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
+def median(x):
+    """np.median(x) of a non-empty array without NaN, which np.median
+    would take through numpy.ma."""
+    x = np.sort(x, axis=None)
+    h = x.size // 2
+    return x[h] if x.size % 2 else (x[h - 1] + x[h]) / 2

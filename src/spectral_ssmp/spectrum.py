@@ -25,6 +25,7 @@ import numpy as np
 from .bernstein import BernsteinFunction, theta_limits
 from .errors import DomainError
 from .exponents import WienerHopfPair
+from .special import median
 from .transform import GridSpec, multiplier_h
 
 __all__ = [
@@ -175,7 +176,7 @@ def _decay_fit(centers, maxima):
 def _band_evidence(spec, values):
     centers, maxima = _dyadic_bands(spec, values)
     power_slope, exp_rate = _decay_fit(centers, maxima)
-    median_band = float(np.median(maxima))
+    median_band = float(median(maxima))
     bounded_above = maxima[-1] <= 2.0 * median_band
     # decisive exponential decay: e^{-c xi} with c xi_max >> 1
     exponential = exp_rate * spec.nyquist < -20.0 and maxima[-1] < 1e-4 * maxima[0]
@@ -208,7 +209,7 @@ def classify(pair: WienerHopfPair, spec: GridSpec = GridSpec(),
     # xi_max/4 and xi_max (and symmetrically for the reciprocal)
     def _window_level(vals, center):
         sel = (np.abs(spec.xi) > 0.9 * center) & (np.abs(spec.xi) < 1.1 * center)
-        return float(np.median(np.abs(vals[sel]))) if np.any(sel) else np.nan
+        return float(median(np.abs(vals[sel]))) if np.any(sel) else np.nan
     hi = min(xi_max, 0.95 * spec.nyquist)
     drop_m = _window_level(m_line.values, hi / 4) / max(
         _window_level(m_line.values, hi), 1e-300)

@@ -30,6 +30,7 @@ from .special import log_gamma
 
 TAIL_FRACTION_INSIDE = 1e-6
 TAIL_FRACTION_BORDERLINE = 1e-3
+_LOG_CLAMP = 700.0  # |log m| bound of the multiplier line, e^700 = 1e304
 
 
 @dataclass(frozen=True)
@@ -254,8 +255,16 @@ def _multiplier_line(pair: WienerHopfPair, spec: GridSpec,
     lw = lw_p - lw_m
     # the ratio is zero-free in exact arithmetic; clamp the log magnitude at
     # the double-precision exponent boundary so under/overflow cannot break
-    # that contract on very wide frequency grids
-    lw = np.clip(lw.real, -700.0, 700.0) + 1j * lw.imag
+    # that contract on very wide frequency grids, and say so
+    clamped = np.abs(lw.real) > _LOG_CLAMP
+    if np.any(clamped):
+        extreme = lw.real[np.argmax(np.abs(lw.real))]
+        warnings.warn(
+            f"{np.count_nonzero(clamped)} of {lw.size} multiplier samples "
+            f"have |log m| > {_LOG_CLAMP:g} (extreme log|m| = {extreme:.4g}); "
+            f"their log|m| is clamped at +-{_LOG_CLAMP:g}", DomainWarning,
+            stacklevel=3)
+    lw = np.clip(lw.real, -_LOG_CLAMP, _LOG_CLAMP) + 1j * lw.imag
     return MultiplierLine(spec, np.exp(lw))
 
 

@@ -409,14 +409,34 @@ def test_w_gamma_ratio_closed_forms_up_to_horizon():
 
 def test_affine_log_w_up_to_horizon():
     # phi(z) = 1 + z, W(z) = Gamma(z + 1), up to the horizon: the terms
-    # linear in z cancel in the evaluator, so no rounding grows with |z|
+    # linear in z cancel in the evaluator, so no rounding grows with |z|;
+    # the same for drift, W = Gamma, and both gamma-ratio kinds
     import mpmath as mp
     zmax = _eigen_zmax()
     z = 0.5 + 1j * np.linspace(0.0, zmax - 2.0, 400)
-    with mp.workdps(30):
-        ref = np.array([complex(mp.loggamma(mp.mpc(v) + 1)) for v in z])
-    ev = default_evaluator(PHI_AFF, 1e-10, zmax)
-    assert np.abs(ev.log_w(z) - ref).max() <= 2.5e-12
+    cases = (
+        (PHI_AFF, lambda v: mp.loggamma(v + 1)),
+        (PHI_ID, mp.loggamma),
+        (make_bernstein("gamma-ratio-plus", alpha_tilde=0.7),
+         lambda v: mp.loggamma(0.7 * v) - mp.loggamma(0.7)),
+        (make_bernstein("gamma-ratio-minus", alpha=0.3, rho=1.0),
+         lambda v: mp.loggamma(1 + 0.3 * v) - mp.loggamma(1.3)))
+    for phi, log_w in cases:
+        with mp.workdps(30):
+            ref = np.array([complex(log_w(mp.mpc(v))) for v in z])
+        ev = default_evaluator(phi, 1e-10, zmax)
+        assert np.abs(ev.log_w(z) - ref).max() <= 2.5e-12, phi
+
+
+def test_functional_equation_atoms_on_the_whole_line():
+    # an atom at 1 with drift 1: |1 - phi(z) W(z) / W(z + 1)| on Re z = 1/2
+    # for |Im z| up to 1716 (3.7e-12 measured)
+    phi = make_bernstein("compound-poisson", atoms=[[1.0, 2.0]], d=1.0)
+    ev = default_evaluator(phi, 1e-10, _eigen_zmax())
+    z = 0.5 + 1j * np.linspace(-1716.0, 1716.0, 801)
+    res = np.abs(1.0 - np.exp(np.log(eval_phi(phi, z)) + ev.log_w(z)
+                              - ev.log_w(z + 1.0)))
+    assert res.max() <= 1e-11
 
 
 def test_functional_equation_atoms_at_horizon():
@@ -480,6 +500,7 @@ def test_log_w_phi_evaluations_per_point(monkeypatch):
             m.setattr(bmod, "_log_phi", counted)
             ev.log_w(z)
         per_point = bmod._K + bmod._CIRCLE_N + 1
+        assert per_point <= 37
         assert count[0] <= (per_point + 8) * n + 8 * ev.zmax
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from spectral_ssmp import lamperti
 from spectral_ssmp.bernstein import DensityMeasure
@@ -256,6 +257,31 @@ def test_mc_builds_one_generator(monkeypatch):
                          cfg)
     assert est.unresolved_fraction > 0.0  # the live tail runs to t_max
     assert len(made) == 1
+
+
+def test_block_steps_allocate_no_block_sized_array():
+    # an array the size of a block, allocated and freed per block, is mapped
+    # and page-faulted afresh whenever it lies above the allocator's mmap
+    # threshold: the increments and the clock work in the block's buffers
+    import tracemalloc
+    q = LevyQuadruplet(sigma2=1.0, mu=SignedMeasure(atoms=((1.0, 2.0),)))
+    model = lamperti._build_jump_model(q, SimConfig(dt=1e-3))
+    zs = np.zeros((65, 4096))
+    acc, work = np.empty((64, 4096)), np.empty((64, 4096))
+    # the first call's lazy set-up (about 1 MB) is not a block's work
+    lamperti._increments(model, lamperti._philox(2, 0), zs[1:])
+    tracemalloc.start()
+    try:
+        lamperti._increments(model, lamperti._philox(3, 0), zs[1:])
+        np.cumsum(zs, axis=0, out=zs)
+        lamperti._segment_clock(zs[:-1], zs[1:], 1e-3, acc, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < acc.nbytes / 4
+    d = np.diff(zs, axis=0)
+    assert_allclose(acc, 1e-3 * np.exp(zs[:-1]) * np.expm1(d) / d,
+                    rtol=1e-12)
 
 
 def test_increments_jump_counts_are_poisson_per_step():

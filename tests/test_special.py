@@ -57,6 +57,18 @@ def test_gauss_legendre_exactness():
         assert_allclose(np.sum(w * x ** k), 1.0 / (k + 1), rtol=1e-13)
 
 
+def test_gauss_legendre_is_leggauss():
+    # exact on monomials up to degree 2n - 1, and numpy's own rule to 2 ulp
+    for n in range(1, 41):
+        x, w = gauss_legendre(n)
+        for k in range(2 * n):
+            assert abs(np.sum(w * x ** k) - 1.0 / (k + 1)) <= 4e-15, (n, k)
+        rx, rw = np.polynomial.legendre.leggauss(n)
+        assert np.all(np.abs(x - 0.5 * (rx + 1.0))
+                      <= 2.0 * np.spacing(np.maximum(x, 0.5)))
+        assert np.all(np.abs(w - 0.5 * rw) <= 2.0 * np.spacing(w))
+
+
 def test_gauss_legendre_is_shared_and_read_only():
     x, w = gauss_legendre(6)
     assert gauss_legendre(6)[0] is x and gauss_legendre(6)[1] is w
@@ -192,3 +204,30 @@ def test_cli_runs_without_scipy(tmp_path):
     for name in ("w.csv", "m.csv"):
         rows = np.genfromtxt(tmp_path / name, delimiter=",", names=True)
         assert rows.size > 0 and np.all(np.isfinite(rows["re"]))
+
+
+# numpy.ma and numpy.polynomial cost a few ms each to import; np.unique,
+# np.union1d and np.median load the first, leggauss the second
+_NO_MA = """
+import sys
+from spectral_ssmp import cli
+pair, out = sys.argv[1:]
+code = max(cli.run(["multiplier", "--pair", pair, "--grid=-20:40:512",
+                    "--out", out + "/m.csv"]),
+           cli.run(["classify", "--pair", pair]))
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[:2] in (["numpy", "ma"], ["numpy", "polynomial"]))
+sys.exit(f"loaded {loaded}" if loaded else code)
+"""
+
+
+def test_cli_loads_neither_numpy_ma_nor_numpy_polynomial(tmp_path):
+    pair = {"plus": {"family": "gamma-ratio-plus", "alpha_tilde": 0.7},
+            "minus": {"family": "gamma-ratio-minus", "alpha": 0.3,
+                      "rho": 1.0}}
+    src = os.path.dirname(os.path.dirname(spectral_ssmp.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MA, json.dumps(pair), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -317,6 +317,21 @@ def test_domain_warning_emitted():
         apply_multiplier(m, h_fixture(SPEC, 1.0, 1.0))
 
 
+def test_multiplier_clamp_warns():
+    # the gamma pair's log|m| reaches -1084 on 32768 points, and is clamped
+    # at -700 with a DomainWarning that counts the samples; on 4096 points
+    # its minimum is -139, and nothing is said
+    pair = gamma_pair()
+    wide = GridSpec(-20.0, 40.0, 32768)
+    with pytest.warns(DomainWarning, match="extreme log\\|m\\| = -108") as rec:
+        m = _multiplier_line.__wrapped__(pair, wide, 1e-10)
+    clamped = np.abs(np.log(np.abs(m.values))) >= 700.0 - 1e-9
+    assert f"{np.count_nonzero(clamped)} of 32768" in str(rec[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DomainWarning)
+        _multiplier_line.__wrapped__(pair, SPEC, 1e-10)
+
+
 def test_inner_product_conjugate_symmetry():
     f = h_fixture(SPEC, 1.0, 1.0)
     g = gaussian_fixture(SPEC, -1.0)
