@@ -199,16 +199,16 @@ class _MeasureRule:
     a0: float
     c0: float
 
-    def series(self, z, s, start):
-        """integral_0^{y_min} y^s sum_{k >= start} (-zy)^k / k! c0 y^{-1-a0} dy
-        = c0 y_min^{s-a0} sum_{k >= start} (-w)^k / k! / (k + s - a0),
+    def series(self, z, start):
+        """integral_0^{y_min} sum_{k >= start} (-zy)^k / k! c0 y^{-1-a0} dy
+        = c0 y_min^{-a0} sum_{k >= start} (-w)^k / k! / (k - a0),
         w = z y_min.
 
-        This is e^{-zy} - 1 for s = 0, start = 1, y e^{-zy} for s = 1,
-        start = 0, and the compensated Levy-Khintchine kernel for s = 0,
-        start = 2.  Summed until the terms, past their peak at k ~ |w|, fall
-        below 2^-60 of the sum: 7 terms at |w| = 1e-3, 54 at the guard
-        |w| = _SMALL_SERIES_MAX, beyond which QuadratureError is raised.
+        This is e^{-zy} - 1 for start = 1 and the compensated Levy-Khintchine
+        kernel for start = 2.  Summed until the terms, past their peak at
+        k ~ |w|, fall below 2^-60 of the sum: 7 terms at |w| = 1e-3, 54 at
+        the guard |w| = _SMALL_SERIES_MAX, beyond which QuadratureError is
+        raised.
         """
         zy = np.asarray(z) * self.y_min
         if self.c0 == 0.0:
@@ -219,18 +219,18 @@ class _MeasureRule:
                 "tabulated density table does not reach low enough for this "
                 "argument (|z| * y_min too large); extend the table toward 0")
         term = np.ones_like(zy)
-        total = term / (s - self.a0) if start == 0 else np.zeros_like(zy)
+        total = np.zeros_like(zy)
         for k in range(1, 100):
             term = term * (-zy) / k
             if k >= start:
-                total = total + term / (k + s - self.a0)
+                total = total + term / (k - self.a0)
             if k > peak and np.all(np.abs(term) <= 2.0 ** -60 * np.abs(total)):
                 break
-        return self.c0 * self.y_min ** (s - self.a0) * total
+        return self.c0 * self.y_min ** -self.a0 * total
 
-    def moment(self, p, lo):
-        """integral_0^lo y^p c0 y^{-1-a0} dy for p > a0 and lo <= y_min."""
-        return self.c0 * lo ** (p - self.a0) / (p - self.a0)
+    def moment(self, lo):
+        """integral_0^lo y^2 c0 y^{-1-a0} dy for lo <= y_min."""
+        return self.c0 * lo ** (2.0 - self.a0) / (2.0 - self.a0)
 
     def head_nodes(self, lo):
         """Gauss nodes and weights of the head on [lo, y_min], three panels
@@ -331,7 +331,7 @@ def _measure_integral(measure, z, c=None):
         else:
             lap = ezw @ np.exp(-np.outer(r.nodes[:q], c))
             lap[:, c == 0] = ezw.sum(axis=1)[:, None]
-        out = np.sum(r.weights) + r.rem - lap - r.series(zc, 0, 1)
+        out = np.sum(r.weights) + r.rem - lap - r.series(zc, 1)
         return np.where(zc == 0, 0.0, out)
     if not isinstance(measure, ClosedFormMeasure):
         raise DomainError(f"unknown measure descriptor {type(measure)!r}")

@@ -142,7 +142,7 @@ def _quad_psi(q: LevyQuadruplet, xi):
         # absent and the kernel contributes ~ 1 * mass (0 at xi = 0); below
         # the table the head contributes -(e^{i xi y} - 1 - i xi y)
         out = (out + np.where(xi == 0, 0.0, rule.rem)
-               - rule.series(-1j * sign * xi, 0, 2))
+               - rule.series(-1j * sign * xi, 2))
     return out
 
 

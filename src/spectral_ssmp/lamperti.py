@@ -132,7 +132,7 @@ def _build_jump_model(q: LevyQuadruplet, cfg: SimConfig) -> _JumpModel:
         head, head_wts = rule.head_nodes(eps)
         sizes = np.concatenate([sizes, sign * head])
         weights = np.concatenate([weights, head_wts])
-        var_rate += rule.moment(2.0, min(eps, rule.y_min))
+        var_rate += rule.moment(min(eps, rule.y_min))
     small = np.abs(sizes) < eps
     var_rate += float(np.sum(sizes[small] ** 2 * weights[small]))
     sizes, weights = sizes[~small], weights[~small]

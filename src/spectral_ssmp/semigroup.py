@@ -19,9 +19,10 @@ the standing cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,26 +124,6 @@ def generator_pdo(e: Exponent, f: GridFunction) -> GridFunction:
 _FD_STEP = 1e-4
 
 
-def _derivatives(f, spec):
-    """First and second derivatives of f: spline for samples, finite
-    differences with step _FD_STEP for callables."""
-    if isinstance(f, GridFunction):
-        from scipy.interpolate import CubicSpline
-        cs = CubicSpline(f.spec.x, f.values.real)
-        return (lambda x: cs(x),
-                lambda x: cs(x, 1),
-                lambda x: cs(x, 2))
-    h = _FD_STEP
-
-    def d1(x):
-        return (f(x + h) - f(x - h)) / (2 * h)
-
-    def d2(x):
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-    return f, d1, d2
-
-
 def _check_big_jump_integrability(q: LevyQuadruplet):
     """Condition for the compensated-jump Taylor bound: either the jump
     measure integrates |y| beyond 1, or a positive killing/ladder value
@@ -154,34 +135,37 @@ def _check_big_jump_integrability(q: LevyQuadruplet):
                 "exponent; the integro-differential form is not certified")
 
 
-def generator_ido(q: LevyQuadruplet, f, spec: Optional[GridSpec] = None
-                  ) -> GridFunction:
+def generator_ido(q: LevyQuadruplet, f, spec: GridSpec) -> GridFunction:
     """Integro-differential generator from a quadruplet:
 
         A f(x) = e^{-x} ( sigma^2 f'' + b f' - psi(0) f
                           + integral (f(x+y) - f(x) - y 1_{|y|<=1} f'(x)) mu(dy) ).
 
-    f may be a GridFunction (cubic-spline derivatives) or a smooth callable
-    together with a grid spec.
+    f is a smooth callable, evaluated on the grid of spec and at its shifts;
+    f' and f'' are central differences of step _FD_STEP.  Grid samples go
+    to generator_pdo: their one exact interpolant is the trigonometric one,
+    under which the shifts f(x+y) become e^{i xi y} and this form is the
+    pseudo-differential one.
     """
+    if not callable(f):
+        raise DomainError("generator_ido takes a callable; apply "
+                          "generator_pdo to grid samples")
     _check_big_jump_integrability(q)
-    if isinstance(f, GridFunction):
-        spec = f.spec
-    elif spec is None:
-        raise DomainError("a grid spec is required for callable inputs")
-    f0, f1, f2 = _derivatives(f, spec)
-    x = spec.x
-    vals = (q.sigma2 * f2(x) + q.b * f1(x) - q.psi0 * f0(x)).astype(complex)
+    x, h = spec.x, _FD_STEP
+    f0, f_up, f_dn = f(x), f(x + h), f(x - h)
+    f1 = (f_up - f_dn) / (2 * h)
+    f2 = (f_up - 2.0 * f0 + f_dn) / (h * h)
+    vals = (q.sigma2 * f2 + q.b * f1 - q.psi0 * f0).astype(complex)
     y, w, sides = q.mu.discretized()
     span = 700.0  # evaluation guard for the far remainder mass
-    shifted = f0(x[:, None] + np.clip(y, -span, span)[None, :])
+    shifted = f(x[:, None] + np.clip(y, -span, span)[None, :])
     comp = np.where(np.abs(y) <= 1.0, y, 0.0)
-    vals = vals + (shifted - f0(x)[:, None]) @ w - f1(x) * float(comp @ w)
+    vals = vals + (shifted - f0[:, None]) @ w - f1 * float(comp @ w)
     for sign, rule in sides:
         # the remainder mass beyond the nodes acts like a shift to infinity,
         # the head below the table by its second-order Taylor term
-        vals = (vals + rule.rem * (f0(x + sign * span) - f0(x))
-                + 0.5 * f2(x) * rule.moment(2.0, rule.y_min))
+        vals = (vals + rule.rem * (f(x + sign * span) - f0)
+                + 0.5 * f2 * rule.moment(rule.y_min))
     return GridFunction(spec, np.exp(-x) * vals)
 
 
@@ -252,29 +236,42 @@ class TensorPlan:
 
     @property
     def is_identity(self):
-        return np.allclose(self.matrix_m, np.eye(self.dim), atol=1e-15)
+        return np.array_equal(self.matrix_m, np.eye(self.dim))
 
 
 _PAD_CELLS = 8
 
 
 def _resample(values, plans, mat):
-    """values(M x) on the product grid by multilinear interpolation; M may
-    map the grid at most _PAD_CELLS cells outside the sampled box."""
-    from scipy.interpolate import interpn
+    """values(M x) on the product grid by multilinear interpolation, 0
+    outside the sampled box; M may map the grid at most _PAD_CELLS cells
+    outside it."""
     axes = [p.spec.x for p in plans]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1) @ mat.T
-    for k, p in enumerate(plans):
-        overshoot = np.maximum(pts[:, k] - p.spec.x[-1],
-                               p.spec.x[0] - pts[:, k]).max()
-        if overshoot > _PAD_CELLS * p.spec.dx:
+    coords = mat @ np.stack([m.ravel() for m in mesh])
+    inside = np.ones(values.size, dtype=bool)
+    flat_cell = np.zeros(values.size, dtype=np.intp)
+    fracs = []
+    for x, p, xm in zip(axes, plans, coords):
+        u = (xm - x[0]) / p.spec.dx  # fractional cell index
+        overshoot = np.maximum(u - (len(x) - 1), -u).max()
+        if overshoot > _PAD_CELLS:
             raise InterpolationError(
-                f"similarity matrix maps the grid {overshoot / p.spec.dx:.1f} "
-                f"cells outside the sampled box (padding margin {_PAD_CELLS})")
-    out = interpn(tuple(axes), values, pts, method="linear",
-                  bounds_error=False, fill_value=0.0)
-    return out.reshape(values.shape)
+                f"similarity matrix maps the grid {overshoot:.1f} cells "
+                f"outside the sampled box (padding margin {_PAD_CELLS})")
+        inside &= (xm >= x[0]) & (xm <= x[-1])
+        cell = np.clip(np.floor(u).astype(np.intp), 0, len(x) - 2)
+        flat_cell = flat_cell * len(x) + cell
+        fracs.append(u - cell)
+    flat = values.ravel()
+    out = np.zeros(values.size, dtype=values.dtype)
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        weight = np.ones(values.size)
+        for c, frac in zip(corner, fracs):
+            weight *= frac if c else 1.0 - frac
+        out += weight * flat[flat_cell + np.ravel_multi_index(corner,
+                                                               values.shape)]
+    return np.where(inside, out, 0.0).reshape(values.shape)
 
 
 def _evolve_axes(plans, t, work, force=False):

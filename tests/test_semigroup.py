@@ -25,6 +25,7 @@ from spectral_ssmp.semigroup import (
     EvolutionPlan,
     TensorPlan,
     _evolve_axes,
+    _resample,
     evolve,
     evolve_tensor,
     generator_ido,
@@ -292,13 +293,12 @@ def test_generator_pdo_vs_ido_tempered_density():
     assert np.max(np.abs(a1.values[INTERIOR] - a2.values[INTERIOR])) <= 1e-7
 
 
-def test_generator_ido_from_grid_samples():
+def test_generator_ido_refuses_grid_samples():
+    # grid samples have one exact interpolant, the trigonometric one, under
+    # which the integro-differential form is the pseudo-differential one
     q = LevyQuadruplet(sigma2=1.0)
-    f = gaussian_fixture(SPEC, 0.0)
-    out = generator_ido(q, f)
-    ref = generator_ido(q, lambda x: np.exp(-x ** 2), SPEC)
-    sel = (SPEC.x > -10) & (SPEC.x < 10)
-    assert np.max(np.abs(out.values[sel] - ref.values[sel])) <= 1e-3
+    with pytest.raises(DomainError, match="generator_pdo"):
+        generator_ido(q, gaussian_fixture(SPEC, 0.0), SPEC)
 
 
 def test_generator_ido_condition_error():
@@ -434,6 +434,38 @@ def test_tensor_similarity_matrix_round_trip():
     assert np.max(np.abs(out - F)) <= 5e-3 * np.max(np.abs(F))
 
 
+def _axis(x0, dx, n):
+    # a plan stand-in: _resample reads only spec.x and spec.dx, and GridSpec
+    # takes n >= 256, which makes a 3-d grid 16.8M points
+    return SimpleNamespace(spec=SimpleNamespace(x=x0 + dx * np.arange(n),
+                                                dx=dx))
+
+
+@pytest.mark.parametrize("axes, mat", [
+    # 512^2 on [-20, 40): the shear carries the first coordinate up to 3.4
+    # cells beyond the box; the second stays on its nodes, edges included
+    ((SimpleNamespace(spec=COARSE),) * 2, [[1.0, 0.01], [0.0, 1.0]]),
+    # 3-d with a node at 0 on every axis, so that on each axis some points
+    # land exactly on the box edges and others up to 5.6 cells beyond them
+    ((_axis(-2.0, 0.125, 33), _axis(-1.5, 0.125, 41), _axis(-3.0, 0.25, 25)),
+     [[1.0, 0.2, 0.0], [0.0, 1.0, -0.1], [0.3, 0.0, 1.0]]),
+])
+def test_resample_matches_scipy_interpn(axes, mat):
+    from scipy.interpolate import interpn
+    rng = np.random.default_rng(3)
+    shape = tuple(len(a.spec.x) for a in axes)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mat = np.array(mat)
+    got = _resample(values, axes, mat)
+    grids = tuple(a.spec.x for a in axes)
+    pts = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1) @ mat.T
+    ref = interpn(grids, values, pts, method="linear", bounds_error=False,
+                  fill_value=0.0)
+    assert 0 < np.count_nonzero(ref == 0) < ref.size
+    assert np.array_equal(got == 0, ref == 0)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(values))
+
+
 def test_tensor_interpolation_error_for_wild_matrix():
     p1 = EvolutionPlan(PAIR_ID, COARSE)
     p2 = EvolutionPlan(PAIR_ID, COARSE)
@@ -450,3 +482,12 @@ def test_tensor_plan_validation():
         TensorPlan((p1,) * 4)
     with pytest.raises(DomainError):
         TensorPlan((p1, p1), matrix_m=np.zeros((2, 2)))
+
+
+def test_tensor_plan_near_identity_matrix_is_not_the_identity():
+    # a relative change of 5e-6 is within np.allclose's default rtol, but
+    # the similarity it describes is not the identity
+    p1 = EvolutionPlan(PAIR_ID, COARSE)
+    assert TensorPlan((p1, p1)).is_identity
+    assert not TensorPlan((p1, p1),
+                          matrix_m=np.diag([1.0 + 5e-6, 1.0])).is_identity

@@ -176,17 +176,49 @@ def test_domains_are_enforced():
 
 
 # A None entry in sys.modules makes any import of that module raise
-# ImportError; bgamma on a gamma-ratio factor and the Lambda multiplier of
-# the gamma pair reach log_gamma, log_gamma_ratio and the import of cli.
+# ImportError.  bgamma on a gamma-ratio factor and the Lambda multiplier of
+# the gamma pair reach log_gamma, log_gamma_ratio and the import of cli;
+# evolve and generator-check reach the semigroup module; evolve_tensor with
+# a shear resamples the grid, and generator_ido on atoms plus a tabulated
+# density walks every branch of the integro-differential form.
 _NO_SCIPY = """
-import sys
+import json, sys
 sys.modules["scipy"] = None
+import numpy as np
 from spectral_ssmp import cli
+from spectral_ssmp.bernstein import DensityMeasure
+from spectral_ssmp.exponents import (Exponent, LevyQuadruplet, SignedMeasure,
+                                     WienerHopfPair)
+from spectral_ssmp.families import make_bernstein
+from spectral_ssmp.semigroup import (EvolutionPlan, TensorPlan, evolve_tensor,
+                                     generator_ido, generator_pdo)
+from spectral_ssmp.transform import GridFunction, GridSpec, h_fixture
 minus, pair, out = sys.argv[1:]
-sys.exit(max(cli.run(["bgamma", "--phi", minus, "--points", "21",
-                      "--out", out + "/w.csv"]),
-             cli.run(["multiplier", "--pair", pair, "--kind", "Lambda",
-                      "--grid=-20:40:512", "--out", out + "/m.csv"])))
+code = max(cli.run(["bgamma", "--phi", minus, "--points", "21",
+                    "--out", out + "/w.csv"]),
+           cli.run(["multiplier", "--pair", pair, "--kind", "Lambda",
+                    "--grid=-20:40:512", "--out", out + "/m.csv"]),
+           cli.run(["evolve", "--pair", pair, "--t", "0.5", "--f", "h:1:1",
+                    "--grid=-20:40:512", "--out", out + "/e.csv"]),
+           cli.run(["generator-check", "--quadruplet", '{"sigma2": 1.0}',
+                    "--grid=-10:30:2048", "--out", out + "/g.csv"]))
+spec = GridSpec(-20.0, 40.0, 512)
+drift = make_bernstein("drift", d=1.0)
+plan = EvolutionPlan(WienerHopfPair(drift, drift), spec)
+shear = TensorPlan((plan, plan), matrix_m=np.array([[1.0, 0.01], [0.0, 1.0]]))
+h = h_fixture(spec, 1.0, 1.0).values
+tensor = evolve_tensor(shear, 0.5, np.outer(h, h))
+y = np.geomspace(1e-4, 100.0, 121)
+dens = DensityMeasure(tuple(y), tuple(y ** -1.5 * np.exp(-y)), 0.5, 1.5)
+q = LevyQuadruplet(sigma2=0.5, mu=SignedMeasure(
+    atoms=((1.0, 0.5), (-2.0, 0.25)), density_pos=dens))
+gspec = GridSpec(-10.0, 30.0, 2048)
+fn = lambda x: np.exp(-x ** 2)
+pdo = generator_pdo(Exponent(quadruplet=q), GridFunction(gspec, fn(gspec.x)))
+gap = np.abs(pdo.values - generator_ido(q, fn, gspec).values)[2:-2].max()
+print(json.dumps({"tensor_finite": bool(np.all(np.isfinite(tensor))),
+                  "generator_gap": float(gap)}))
+sys.exit(code)
 """
 
 
@@ -201,9 +233,16 @@ def test_cli_runs_without_scipy(tmp_path):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 0, proc.stderr
-    for name in ("w.csv", "m.csv"):
-        rows = np.genfromtxt(tmp_path / name, delimiter=",", names=True)
-        assert rows.size > 0 and np.all(np.isfinite(rows["re"]))
+    for name in ("w.csv", "m.csv", "e.csv", "g.csv"):
+        rows = np.genfromtxt(tmp_path / name, delimiter=",", names=True,
+                             dtype=None, encoding="ascii")
+        assert rows.size > 0
+        for col in rows.dtype.names:
+            if rows[col].dtype.kind == "f":
+                assert np.all(np.isfinite(rows[col])), (name, col)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["tensor_finite"]
+    assert report["generator_gap"] <= 1e-6
 
 
 # numpy.ma and numpy.polynomial cost a few ms each to import; np.unique,
