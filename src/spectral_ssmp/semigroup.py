@@ -5,11 +5,14 @@ The evolution attached to a Wiener-Hopf pair is the sandwich
     P_t f = H ( e_t ( H^{-1} f ) ),    e_t g(x) = e^{-t e^{-x}} g(x),
 
 realized by two multiplier applications around a pointwise multiplication.
-The 1-d evolve is the d = 1 case of the tensor evolution: one forward
-transform per axis, divided by m, feeds both the domain gate and the
-inverse step.  The membership of f in the domain of H^{-1} is gated on
-every axis by the discrete spectral-tail surrogate (the tail fraction of
-domain_check); only evolve takes force=True to override the gate.
+The 1-d evolve is the d = 1 case of the tensor evolution.  H^{-1} and H
+run through one per-axis step: one forward transform, divided or
+multiplied by m, feeds both transform.domain_gate and the inverse
+transform.  The gate reads the product on every axis and in both
+directions, so an input outside the discretized domain of H^{-1}, or an
+output that H amplifies past the grid's resolution (as for a residual
+spectrum on a wide grid, where |m| grows exponentially), raises
+DomainError; only evolve takes force=True to override it.
 
 Two generator realizations are provided: the pseudo-differential form
 A f = -e^{-x} F^{-1}[psi(xi) F f], and the integro-differential form built
@@ -34,8 +37,6 @@ from .errors import (
 )
 from .exponents import Exponent, LevyQuadruplet, WienerHopfPair, eval_psi
 from .transform import (
-    TAIL_FRACTION_BORDERLINE,
-    TAIL_FRACTION_INSIDE,
     GridFunction,
     GridSpec,
     MultiplierLine,
@@ -44,10 +45,10 @@ from .transform import (
     _ifft_axis,
     _lambda_multiplier_line0,
     apply_multiplier,
+    domain_gate,
     gaussian_fixture,
     multiplier_h,
     multiplier_lambda,
-    tail_fraction,
 )
 
 __all__ = [
@@ -108,11 +109,11 @@ def generator_pdo(e: Exponent, f: GridFunction) -> GridFunction:
     """A f(x) = -e^{-x} (2 pi)^{-1/2} integral e^{i xi x} psi(xi) Ff(xi) dxi.
 
     Realized with the plain transform on the same grid; warns when f is not
-    smooth at grid scale (spectral tail mass above the inside threshold).
+    smooth at grid scale (the domain gate does not read F f inside).
     """
     spec = f.spec
     s = _fft_axis(f.values, spec, weight=0.0)
-    if tail_fraction(s, spec) > TAIL_FRACTION_INSIDE:
+    if domain_gate(s, spec).verdict != "inside":
         warnings.warn("input spectrum carries mass beyond half Nyquist; "
                       "the symbol application is under-resolved",
                       DomainWarning, stacklevel=2)
@@ -274,44 +275,47 @@ def _resample(values, plans, mat):
     return np.where(inside, out, 0.0).reshape(values.shape)
 
 
+def _multiplier_step(work, plan, axis, invert, force):
+    """H^{-1} (invert) or H along one axis of work.
+
+    The product F^e / m or F^e * m is gated before anything is dropped: if
+    the domain gate reads it outside, DomainError is raised unless force is
+    given.  The step then drops the coefficients of F^e at or below the
+    transform's rounding floor, eps * ||F^e||_2 along the axis: they carry
+    no information, and multiplied by |m|^{+-1} (1/|m| reaches 1.8e8 for
+    the Point gamma pair on 512 points, |m| 2.5e5 for the Residual one)
+    their noise would swamp the result.
+    """
+    coef = _fft_axis(work, plan.spec, axis)
+    m = _along(plan.m.values, work.ndim, axis)
+    product = coef / m if invert else coef * m
+    rec = domain_gate(product, plan.spec, axis)
+    if rec.verdict == "outside" and not force:
+        raise DomainError(
+            f"input is outside the discretized domain of "
+            f"{'H^-1' if invert else 'H'} on axis {axis} (tail fraction "
+            f"{rec.tail_fraction:.2e}); evolve takes force=True to override")
+    floor = np.finfo(float).eps * np.sqrt(
+        np.sum(np.abs(coef) ** 2, axis=axis, keepdims=True))
+    return _ifft_axis(np.where(np.abs(coef) > floor, product, 0.0),
+                      plan.spec, axis)
+
+
 def _evolve_axes(plans, t, work, force=False):
     """P_t on the product grid of the per-axis plans: H^{-1} axis by axis,
-    the joint factor e^{-t sum_k e^{-x_k}}, then H axis by axis.
-
-    Each H^{-1} step is gated: if F^e / m carries more than
-    TAIL_FRACTION_BORDERLINE of its mass beyond half Nyquist along that
-    axis, DomainError is raised unless force is given.  The inverse itself
-    then drops the coefficients of F^e below the transform's rounding
-    floor, eps * ||F^e||_2 along the axis, before dividing by m.
-    """
+    the joint factor e^{-t sum_k e^{-x_k}}, then H axis by axis, each
+    axis one gated multiplier step."""
     if t < 0:
         raise DomainError("t must be nonnegative")
-    d = len(plans)
     for k, p in enumerate(plans):
-        coef = _fft_axis(work, p.spec, k)
-        quotient = coef / _along(p.m.values, d, k)
-        frac = tail_fraction(quotient, p.spec, k)
-        if not frac <= TAIL_FRACTION_BORDERLINE and not force:
-            raise DomainError(
-                f"input is outside the discretized domain of H^-1 on axis "
-                f"{k} (tail fraction {frac:.2e}); evolve takes force=True "
-                "to override")
-        # the transform leaves every coefficient with rounding noise of order
-        # eps * ||coef||_2 along the axis; a coefficient below that carries
-        # no information, and divided by |m| (down to 5e-9 for a gamma pair
-        # on 512 points) its noise would swamp the result
-        floor = np.finfo(float).eps * np.sqrt(
-            np.sum(np.abs(coef) ** 2, axis=k, keepdims=True))
-        spec_hat = np.where(np.abs(coef) > floor, quotient, 0.0)
-        work = _ifft_axis(spec_hat, p.spec, k)
+        work = _multiplier_step(work, p, k, True, force)
     expo = np.zeros(work.shape)
     for k, p in enumerate(plans):
-        expo = expo + _along(np.exp(-p.spec.x), d, k)
+        expo = expo + _along(np.exp(-p.spec.x), work.ndim, k)
     with np.errstate(over="ignore", under="ignore"):
         work = work * np.exp(-t * expo)
     for k, p in enumerate(plans):
-        spec_hat = _fft_axis(work, p.spec, k) * _along(p.m.values, d, k)
-        work = _ifft_axis(spec_hat, p.spec, k)
+        work = _multiplier_step(work, p, k, False, force)
     return work
 
 

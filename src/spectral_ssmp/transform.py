@@ -307,73 +307,58 @@ def multiplier_lambda(pair: WienerHopfPair, spec: GridSpec,
     return MultiplierLine(base.spec, base.values * phase)
 
 
-def tail_fraction(values, spec: GridSpec, axis: int = 0) -> float:
-    """Fraction of the discrete L^2 mass beyond half the Nyquist frequency
-    along one axis of an array whose axis lies on spec's xi grid."""
-    power = np.abs(values) ** 2
-    total = float(np.sum(power))
-    if total == 0.0:
-        return 0.0
+@dataclass(frozen=True)
+class DomainRecord:
+    """The half-Nyquist domain gate's reading: the fraction of the discrete
+    L^2 mass beyond half the Nyquist frequency, and its verdict
+    (inside <= 1e-6 < borderline <= 1e-3 < outside)."""
+
+    tail_fraction: float
+    verdict: str  # "inside" | "borderline" | "outside"
+
+
+def domain_gate(values, spec: GridSpec, axis: int = 0) -> DomainRecord:
+    """Gate an array whose axis lies on spec's xi grid: the discrete
+    surrogate for its preimage falling outside the operator domain is its
+    spectral mass beyond half Nyquist along that axis.  A spectrum that is
+    not finite, or whose power overflows, reads outside."""
+    with np.errstate(over="ignore"):
+        power = np.abs(values) ** 2
+        total = float(np.sum(power))
+    if not np.isfinite(total):
+        return DomainRecord(float("nan"), "outside")
     outer = np.abs(spec.xi) > 0.5 * spec.nyquist
-    return float(np.sum(np.compress(outer, power, axis=axis))) / total
+    frac = (float(np.sum(np.compress(outer, power, axis=axis))) / total
+            if total else 0.0)
+    if frac <= TAIL_FRACTION_INSIDE:
+        return DomainRecord(frac, "inside")
+    if frac <= TAIL_FRACTION_BORDERLINE:
+        return DomainRecord(frac, "borderline")
+    return DomainRecord(frac, "outside")
 
 
 def apply_multiplier(m: MultiplierLine, f: GridFunction,
                      invert: bool = False) -> GridFunction:
     """inverse_shifted_fft(m^{+-1} * shifted_fft(f)); linear in f.
 
-    Emits a DomainWarning when the post-multiplication spectrum carries more
-    than TAIL_FRACTION_INSIDE of its mass beyond half Nyquist, the discrete
-    surrogate for f falling outside the operator domain.
+    Emits a DomainWarning when the domain gate does not read the
+    post-multiplication spectrum inside.
     """
     if f.spec != m.spec:
         raise DomainError("grid mismatch between multiplier and function")
     s = shifted_fft(f)
     vals = s.values / m.values if invert else s.values * m.values
-    out = SpectrumLine(m.spec, vals)
-    frac = tail_fraction(vals, m.spec)
-    if frac > TAIL_FRACTION_INSIDE:
+    rec = domain_gate(vals, m.spec)
+    if rec.verdict != "inside":
         warnings.warn(
-            f"spectral tail fraction {frac:.2e} beyond Nyquist/2 exceeds "
-            f"{TAIL_FRACTION_INSIDE:g}: input may lie outside the "
+            f"spectral tail fraction {rec.tail_fraction:.2e} beyond "
+            f"Nyquist/2 reads {rec.verdict}: input may lie outside the "
             "discretized operator domain", DomainWarning, stacklevel=2)
-    return inverse_shifted_fft(out)
-
-
-@dataclass(frozen=True)
-class DomainRecord:
-    """Diagnostic from domain_check: dyadic band masses and a verdict."""
-
-    band_edges: tuple
-    band_mass: tuple
-    tail_fraction: float
-    verdict: str  # "inside" | "borderline" | "outside"
+    return inverse_shifted_fft(SpectrumLine(m.spec, vals))
 
 
 def domain_check(m: MultiplierLine, f: GridFunction) -> DomainRecord:
-    """Report the discrete L^2 mass of m * F^e_f in dyadic frequency bands.
-
-    Verdict thresholds on the beyond-half-Nyquist mass fraction:
-    inside <= 1e-6 < borderline <= 1e-3 < outside.
-    """
+    """The domain gate's reading of m * F^e_f."""
     if f.spec != m.spec:
         raise DomainError("grid mismatch")
-    s = shifted_fft(f)
-    prod = SpectrumLine(m.spec, s.values * m.values)
-    power = np.abs(prod.values) ** 2
-    xi = np.abs(m.spec.xi)
-    top = m.spec.nyquist
-    edges = [top / 2 ** j for j in range(8)][::-1] + [top * 2]
-    mass = []
-    lo = 0.0
-    for hi in edges:
-        mass.append(float(np.sum(power[(xi >= lo) & (xi < hi)]) * m.spec.dxi))
-        lo = hi
-    frac = tail_fraction(prod.values, m.spec)
-    if frac <= TAIL_FRACTION_INSIDE:
-        verdict = "inside"
-    elif frac <= TAIL_FRACTION_BORDERLINE:
-        verdict = "borderline"
-    else:
-        verdict = "outside"
-    return DomainRecord(tuple(edges), tuple(mass), frac, verdict)
+    return domain_gate(shifted_fft(f).values * m.values, m.spec)

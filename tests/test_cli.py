@@ -186,6 +186,21 @@ def test_evolve_gauss_fixture_matches_library(tmp_path):
     assert np.array_equal(data["im"], ref.values.imag)
 
 
+def test_evolve_residual_pair_on_2048_points_exits_2(tmp_path, capsys):
+    # H's product of the Residual pair carries all its mass beyond half
+    # Nyquist on this grid: refused, where it used to write values up to 2e13
+    pair = json.dumps({
+        "plus": {"family": "gamma-ratio-plus", "alpha_tilde": 0.3},
+        "minus": {"family": "gamma-ratio-minus", "alpha": 0.7, "rho": 1.0}})
+    out = tmp_path / "out.csv"
+    code = run(["evolve", "--pair", pair, "--t", "0.5", "--f", "h:1:1",
+                "--grid=-20:40:2048", "--out", str(out)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "DomainError"
+    assert "domain of H on axis 0" in err["message"]
+    assert not out.exists()
+
+
 def test_evolve_without_pair_is_validation_error(capsys):
     code = run(["evolve", "--quadruplet",
                 '{"psi0": 0, "b": 0, "sigma2": 1.0}',

@@ -12,6 +12,7 @@ from spectral_ssmp.errors import DomainError, DomainWarning
 from spectral_ssmp.exponents import Exponent, WienerHopfPair, eval_psi
 from spectral_ssmp.families import make_bernstein, stable_density_table
 from spectral_ssmp.transform import (
+    DomainRecord,
     GridFunction,
     GridSpec,
     MultiplierLine,
@@ -19,6 +20,7 @@ from spectral_ssmp.transform import (
     _multiplier_line,
     apply_multiplier,
     domain_check,
+    domain_gate,
     gaussian_fixture,
     h_fixture,
     h_transform_exact,
@@ -308,6 +310,15 @@ def test_domain_check_decaying_product_inside():
     m = multiplier_h(gamma_pair(0.7, 0.3, 1.0), SPEC)
     rec = domain_check(m, h_fixture(SPEC, 1.0, 1.0))
     assert rec.verdict == "inside"
+
+
+def test_domain_gate_reads_a_non_finite_spectrum_outside():
+    vals = np.ones(SPEC.n, dtype=complex)
+    vals[SPEC.n // 2] = np.inf
+    assert domain_gate(vals, SPEC).verdict == "outside"
+    vals[SPEC.n // 2] = np.nan
+    assert domain_gate(vals, SPEC).verdict == "outside"
+    assert domain_gate(np.zeros(SPEC.n), SPEC) == DomainRecord(0.0, "inside")
 
 
 def test_domain_warning_emitted():
