@@ -292,6 +292,13 @@ def test_simulate_determinism_bytes(tmp_path, capsys):
     assert o1.read_bytes() == o2.read_bytes()
 
 
+def test_simulate_negative_seed_exits_2(capsys):
+    assert run(["simulate", "--quadruplet", '{"sigma2": 1.0}', "--x", "1.0",
+                "--t", "0.5", "--paths", "10", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err.strip())["error"] == "ConfigError"
+
+
 def test_generator_check_csv(tmp_path, capsys):
     out = tmp_path / "gen.csv"
     code = run(["generator-check", "--quadruplet", '{"sigma2": 1.0}',

@@ -31,6 +31,18 @@ def test_config_validation():
         SimConfig(n_paths=0)
 
 
+def test_seed_must_lie_in_the_uint64_range():
+    # a seed outside [0, 2**64) would alias one inside under a 64-bit mask;
+    # both ends of the range key a generator
+    for bad in (-1, 1 << 64, 1.5):
+        with pytest.raises(ConfigError):
+            SimConfig(seed=bad)
+    for seed in (0, (1 << 64) - 1):
+        est = mc_expectation(Exponent(quadruplet=Q_DRIFT), lambda r: r, 1.5,
+                             0.75, SimConfig(n_paths=4, seed=seed))
+        assert est.mean == pytest.approx(3.0, abs=1e-12)
+
+
 def test_brownian_terminal_variance():
     # psi(xi) = xi^2 means Var Z_T = 2 T
     cfg = SimConfig(dt=1e-3, n_paths=1, seed=11)
@@ -245,13 +257,13 @@ def test_mc_killing_across_blocks(monkeypatch):
 
 def test_mc_builds_one_generator(monkeypatch):
     made = []
-    philox = np.random.Philox
+    sfc64 = np.random.SFC64
 
     def counting(*args, **kwargs):
         made.append(1)
-        return philox(*args, **kwargs)
+        return sfc64(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "Philox", counting)
+    monkeypatch.setattr(np.random, "SFC64", counting)
     cfg = SimConfig(dt=1e-3, n_paths=200, seed=3, t_max=1.0)
     est = mc_expectation(Exponent(quadruplet=Q_BM), lambda r: r, 1.0, 0.5,
                          cfg)
@@ -270,10 +282,11 @@ def test_block_steps_allocate_no_block_sized_array():
     acc, work = np.empty((64, 4096)), np.empty((64, 4096))
     # the first call's lazy set-up (about 1 MB) is not a block's work
     lamperti._increments(model, lamperti._philox(2, 0), zs[1:])
+    assert zs.shape[1] >= lamperti._ROW_SUM_MIN_WIDTH  # the row-wise sums
     tracemalloc.start()
     try:
         lamperti._increments(model, lamperti._philox(3, 0), zs[1:])
-        np.cumsum(zs, axis=0, out=zs)
+        lamperti._prefix_sums(zs)
         lamperti._segment_clock(zs[:-1], zs[1:], 1e-3, acc, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -376,3 +389,94 @@ def test_jump_free_increments_are_the_scaled_normals():
     scale = model.gauss_std_rate * np.sqrt(dt)
     want = model.drift * dt + scale * twin.standard_normal(out.shape)
     assert np.array_equal(out, want)
+
+
+def _reference_batch_estimate(q, f, x, t, cfg):
+    """The block loop with np.cumsum and the crossing count taken over
+    every path of the block, on the estimate's generator."""
+    model = lamperti._build_jump_model(q, cfg)
+    n, dt, target = cfg.n_paths, cfg.dt, t / x
+    rng = lamperti._philox(cfg.seed, 0)
+    kt = (rng.exponential(1.0 / model.kill_rate, n)
+          if model.kill_rate > 0 else np.full(n, np.inf))
+    values = np.zeros(n)
+    resolved = np.zeros(n, dtype=bool)
+    absorbed = np.zeros(n, dtype=bool)
+    idx, z, acc = np.arange(n), np.zeros(n), np.zeros(n)
+    max_steps = int(np.ceil(cfg.t_max / dt))
+    step = 0
+    while idx.size and step < max_steps:
+        m = idx.size
+        b = min(max_steps - step, max(1, lamperti._BLOCK_BUDGET // m))
+        zs = np.empty((b + 1, m))
+        zs[0] = z
+        lamperti._increments(model, rng, zs[1:])
+        np.cumsum(zs, axis=0, out=zs)
+        accs = np.empty((b + 1, m))
+        accs[0] = acc
+        lamperti._segment_clock(zs[:-1], zs[1:], dt, accs[1:],
+                                np.empty((b, m)))
+        np.cumsum(accs, axis=0, out=accs)
+        cs = np.count_nonzero(accs[1:] < target, axis=0)
+        crossed = cs < b
+        ks = np.searchsorted((step + np.arange(1, b + 1)) * dt, kt)
+        wins = crossed & (cs <= ks)
+        killed = (ks < b) & ~wins
+        r = np.flatnonzero(wins)
+        if r.size:
+            s = cs[r]
+            z0, z1 = zs[s, r], zs[s + 1, r]
+            delta = lamperti._invert_segment(z0, z1, dt, target - accs[s, r])
+            values[idx[r]] = f(x * np.exp(z0 + (z1 - z0) * (delta / dt)))
+        done = wins | killed
+        resolved[idx[done]] = True
+        absorbed[idx[killed]] = True
+        live = ~done
+        idx, z, acc, kt = idx[live], zs[-1, live], accs[-1, live], kt[live]
+        step += b
+    return values, resolved, absorbed
+
+
+@pytest.mark.parametrize("budget", [1 << 16, 777])
+@pytest.mark.parametrize("q", [
+    Q_BM,
+    LevyQuadruplet(psi0=2.0, b=1.0, sigma2=1.0),
+    LevyQuadruplet(mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0)))),
+], ids=["brownian", "killed", "atoms"])
+def test_block_loop_matches_the_reference_loop(monkeypatch, q, budget):
+    # row-wise prefix sums and a crossing count over the crossed paths alone
+    # change no bit of an estimate
+    monkeypatch.setattr(lamperti, "_BLOCK_BUDGET", budget)
+    widths = []
+    prefix_sums = lamperti._prefix_sums
+
+    def recording(a):
+        widths.append(a.shape[1])
+        prefix_sums(a)
+
+    monkeypatch.setattr(lamperti, "_prefix_sums", recording)
+    f = lambda r: r * r * np.exp(-r)
+    cfg = SimConfig(dt=1e-3, n_paths=3000, seed=19, t_max=4.0)
+    got = lamperti._batch_estimate(q, f, 0.8, 0.4, cfg)
+    want = _reference_batch_estimate(q, f, 0.8, 0.4, cfg)
+    # both the row-wise and the np.cumsum branch ran
+    assert min(widths) < lamperti._ROW_SUM_MIN_WIDTH <= max(widths)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("x, seed", [(1.0, 1), (2.0, 2)])
+def test_mc_brownian_law_matches_exact_squared_bessel_draws(x, seed):
+    # psi(xi) = xi^2, the pair (id, id), is the Lamperti image of BESQ^2 run
+    # at time t/2: X_t = (t/2) chi'^2_2(2x/t) exactly (Revuz-Yor, ch. XI)
+    t = 0.5
+    f = lambda r: r * r * np.exp(-r)
+    sup_f = 4.0 * np.exp(-2.0)
+    est = mc_expectation(Exponent(quadruplet=Q_BM), f, x, t,
+                         SimConfig(dt=1e-3, n_paths=20_000, seed=seed))
+    rng = np.random.default_rng(seed)
+    exact = f(0.5 * t * rng.noncentral_chisquare(2.0, 2.0 * x / t, 10 ** 6))
+    exact_se = exact.std(ddof=1) / np.sqrt(exact.size)
+    bound = (5.0 * np.hypot(est.stderr, exact_se)
+             + est.unresolved_fraction * sup_f)
+    assert abs(est.mean - exact.mean()) <= bound
