@@ -73,16 +73,7 @@ from .semigroup import (
     mult_semigroup,
     ws_residual,
 )
-from .lamperti import (
-    ABSORBED,
-    NEEDS_LONGER_PATH,
-    LevyPath,
-    MCEstimate,
-    SimConfig,
-    lamperti_time_change,
-    mc_expectation,
-    simulate_levy,
-)
+from .lamperti import MCEstimate, SimConfig, mc_expectation
 from .families import (
     bernstein_from_json,
     exponent_from_json,

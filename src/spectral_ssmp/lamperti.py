@@ -1,10 +1,10 @@
 """Monte Carlo oracle through the Lamperti time change.
 
-A path of the Levy process Z with exponent psi is simulated by an Euler
+Paths of the Levy process Z with exponent psi are simulated by an Euler
 scheme on the Levy clock (exact Gaussian increments, every jump above
 jump_eps drawn from one compound-Poisson table of the atoms and the
 density nodes, a variance-matched Gaussian for the sub-threshold jumps,
-and an exponential killing clock at rate psi(0)).  The positive self-similar
+and an exponential killing time at rate psi(0)).  The positive self-similar
 process started at x > 0 is then
 
     X_t(x) = x exp(Z_{phi(t/x)}),   phi(v) = inf{s : A(s) > v},
@@ -12,21 +12,19 @@ process started at x > 0 is then
 
 with A integrated in closed form on each step under linear interpolation
 of Z (exact for drift-only paths, second order otherwise), and phi
-inverted exactly on the crossing step.
+inverted exactly on the crossing step.  A path is killed iff its killing
+time comes before phi(t/x), the Levy time of its crossing.
 
-Randomness comes from SFC64 generators, each keyed by a SeedSequence of
-(seed, index).  A batch estimate draws everything from one generator
-keyed by (seed, 0): first the killing times of all paths, then, block
-after block, the increments of the paths still live, B steps per path per
-block, with B set by the live-path count and a fixed budget of path-steps
-per block; each block draws its Gaussian parts, then
+Randomness comes from one SFC64 generator per estimate, keyed by a
+SeedSequence of (seed, 0).  It draws first the killing times of all paths,
+then, block after block, the increments of the paths still live, B steps
+per path per block, with B set by the live-path count and a fixed budget
+of path-steps per block; each block draws its Gaussian parts, then
 one total jump count for all its path-steps, then the path-step and the
 size of each jump, so its jumps cost one add per path-step plus one draw
 per jump.  The numbers a path receives therefore depend on which other
 paths are still live, and changing n_paths changes every path; identical
 (seed, config) inputs reproduce identical estimates bit for bit.
-Single-path simulation keys its stream by (seed, stream index),
-independent of every other stream.
 """
 
 from __future__ import annotations
@@ -39,28 +37,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .exponents import Exponent, LevyQuadruplet
 
-__all__ = [
-    "SimConfig",
-    "MCEstimate",
-    "LevyPath",
-    "ABSORBED",
-    "NEEDS_LONGER_PATH",
-    "simulate_levy",
-    "lamperti_time_change",
-    "mc_expectation",
-]
-
-
-class _Sentinel:
-    def __init__(self, name):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-
-ABSORBED = _Sentinel("ABSORBED")
-NEEDS_LONGER_PATH = _Sentinel("NEEDS_LONGER_PATH")
+__all__ = ["SimConfig", "MCEstimate", "mc_expectation"]
 
 
 @dataclass(frozen=True)
@@ -77,10 +54,11 @@ class SimConfig:
         if not 0.0 < self.jump_eps <= 1.0:
             raise ConfigError("jump_eps must lie in (0, 1]: the small-jump "
                               "surrogate must stay inside the compensated zone")
-        if self.n_paths < 1:
-            raise ConfigError("n_paths must be positive")
-        if self.t_max <= 0:
-            raise ConfigError("t_max must be positive")
+        if (not isinstance(self.n_paths, (int, np.integer))
+                or self.n_paths < 1):
+            raise ConfigError("n_paths must be a positive integer")
+        if not 0.0 < self.t_max < np.inf:
+            raise ConfigError("t_max must be positive and finite")
         if (not isinstance(self.seed, (int, np.integer))
                 or not 0 <= int(self.seed) < 1 << 64):
             raise ConfigError("seed must be an integer in [0, 2**64)")
@@ -93,13 +71,6 @@ class MCEstimate:
     n_effective: int
     absorbed_fraction: float
     unresolved_fraction: float
-
-
-@dataclass(frozen=True)
-class LevyPath:
-    times: np.ndarray
-    values: np.ndarray
-    killed: bool
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +125,10 @@ def _build_jump_model(q: LevyQuadruplet, cfg: SimConfig) -> _JumpModel:
     )
 
 
-def _philox(seed, index):
-    """The generator of stream `index` under `seed`: SFC64, keyed by a
-    SeedSequence of the pair, so distinct pairs draw independent streams."""
+def _generator(seed):
+    """The estimate's generator: SFC64 keyed by a SeedSequence of (seed, 0)."""
     return np.random.Generator(
-        np.random.SFC64(np.random.SeedSequence([seed, index])))
-
-
-_STREAM_OFFSET = 1 << 48
+        np.random.SFC64(np.random.SeedSequence([seed, 0])))
 
 
 def _increments(model: _JumpModel, rng, out):
@@ -194,35 +161,8 @@ def _increments(model: _JumpModel, rng, out):
 
 
 # ---------------------------------------------------------------------------
-# single-path simulation
+# the clock A and its inverse on one step
 # ---------------------------------------------------------------------------
-
-def simulate_levy(q: LevyQuadruplet, T: float, cfg: SimConfig,
-                  stream: int = 0) -> LevyPath:
-    """One path of Z on [0, T] at resolution cfg.dt (its own keyed stream).
-
-    The returned path is truncated at the killing time when psi(0) > 0.
-    """
-    if T <= 0 or T > cfg.t_max:
-        raise ConfigError("need 0 < T <= t_max")
-    model = _build_jump_model(q, cfg)
-    n = int(np.ceil(T / cfg.dt))
-    dt = cfg.dt
-    rng = _philox(cfg.seed, _STREAM_OFFSET + stream)
-    z = np.empty(n + 1)
-    z[0] = 0.0
-    _increments(model, rng, z[1:])
-    killed = False
-    if model.kill_rate > 0:
-        t_kill = rng.exponential(1.0 / model.kill_rate)
-        if t_kill < T:
-            n = max(1, int(t_kill / dt))
-            z = z[:n + 1]
-            killed = True
-    np.cumsum(z, out=z)
-    times = dt * np.arange(n + 1)
-    return LevyPath(times=times, values=z, killed=killed)
-
 
 def _segment_clock(z0, z1, dt, out, work):
     """Write into `out` the integral of e^{Z} over each step under linear
@@ -251,36 +191,6 @@ def _invert_segment(z0, z1, dt, remainder):
             np.log1p(np.where(small, 0.0, c) * remainder * np.exp(-z0))
             / np.where(small, 1.0, c))
     return delta
-
-
-def lamperti_time_change(path: LevyPath, x0: float, t: float):
-    """X_t(x0) from a simulated path, ABSORBED, or NEEDS_LONGER_PATH.
-
-    The additive clock A(s) = integral e^{Z} is accumulated per segment in
-    closed form and inverted exactly on the crossing segment (monotone, so
-    the solution is unique).
-    """
-    if x0 <= 0:
-        raise DomainError("the self-similar process starts at x0 > 0")
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    if t == 0.0:
-        return float(x0)
-    target = t / x0
-    z = path.values
-    dts = np.diff(path.times)
-    acc = np.empty(z.size)
-    acc[0] = 0.0
-    _segment_clock(z[:-1], z[1:], dts, acc[1:], np.empty(dts.size))
-    np.cumsum(acc, out=acc)
-    idx = int(np.searchsorted(acc, target, side="right")) - 1
-    if idx >= dts.size:
-        return ABSORBED if path.killed else NEEDS_LONGER_PATH
-    remainder = target - acc[idx]
-    delta = float(_invert_segment(z[idx], z[idx + 1], dts[idx], remainder))
-    frac = delta / dts[idx]
-    z_at = z[idx] + (z[idx + 1] - z[idx]) * frac
-    return float(x0 * np.exp(z_at))
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +228,22 @@ def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
 
     Each block draws B steps for each of the m live paths, B = budget // m
     (at least 1), builds Z and the clock A by prefix sums, and resolves
-    every path at its first crossing A >= t/x or at its killing step,
-    whichever comes first (a crossing on the killing step wins).  The live
-    set is compacted once per block; draws past a path's resolution in its
-    block are discarded.  Z, A and the clock's scratch live in three
-    buffers allocated once: an array of a block's size, allocated and freed
-    per block, is mapped and page-faulted afresh whenever it lies above the
-    allocator's mmap threshold (glibc: 128 KiB until a larger block is
-    freed), so the estimate's speed would depend on what the process freed
-    before it (by 15-40% on the benchmark's mc-oracle cases).
+    every path at its first crossing A >= t/x or at its killing time,
+    whichever comes first; when both fall in one step, the crossing's Levy
+    time, solved on that step, decides.  The live set is compacted once per
+    block; draws past a path's resolution in its block are discarded.
+    Z, A and the clock's scratch live in three buffers allocated once: an
+    array of a block's size, allocated and freed per block, is mapped and
+    page-faulted afresh whenever it lies above the allocator's mmap
+    threshold (glibc: 128 KiB until a larger block is freed), so the
+    estimate's speed would depend on what the process freed before it (by
+    15-40% on the benchmark's mc-oracle cases).
     """
     model = _build_jump_model(q, cfg)
     n = cfg.n_paths
     dt = cfg.dt
     target = t / x
-    rng = _philox(cfg.seed, 0)
+    rng = _generator(cfg.seed)
     kt = (rng.exponential(1.0 / model.kill_rate, n)
           if model.kill_rate > 0 else np.full(n, np.inf))
     values = np.zeros(n)
@@ -369,14 +280,19 @@ def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
         crossed = cs < b
         # first local step s with kt <= (step + s + 1) dt, b if none
         ks = np.searchsorted((step + np.arange(1, b + 1)) * dt, kt)
-        wins = crossed & (cs <= ks)
-        killed = (ks < b) & ~wins
-        r = np.flatnonzero(wins)
+        # a path crossed no later than its killing step survives iff its
+        # crossing time comes before kt (a NaN time counts as before)
+        r = np.flatnonzero(crossed & (cs <= ks))
+        s = cs[r]
+        z0, z1 = zs[s, r], zs[s + 1, r]
+        delta = _invert_segment(z0, z1, dt, target - accs[s, r])
+        keep = ~((step + s) * dt + delta >= kt[r])
+        r, z0, z1, delta = r[keep], z0[keep], z1[keep], delta[keep]
         if r.size:
-            s = cs[r]
-            z0, z1 = zs[s, r], zs[s + 1, r]
-            delta = _invert_segment(z0, z1, dt, target - accs[s, r])
             values[idx[r]] = f(x * np.exp(z0 + (z1 - z0) * (delta / dt)))
+        wins = np.zeros(m, dtype=bool)
+        wins[r] = True
+        killed = (ks < b) & ~wins
         done = wins | killed
         resolved[idx[done]] = True
         absorbed[idx[killed]] = True
@@ -390,24 +306,27 @@ def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
                    cfg: SimConfig) -> MCEstimate:
     """Monte Carlo estimate of E_x[f(X_t)] with absorbed paths counting 0.
 
-    f acts on the positive-scale variable X directly (compose with log
-    outside if the observable lives on the log scale).  Paths that never
-    reach the clock target before t_max are excluded from the mean and
-    counted in unresolved_fraction (of n_paths; n_effective counts the
-    rest).  Excluding them biases the mean by at most
-    unresolved_fraction * sup|f| for f of one sign, twice that otherwise.
-    The paths also leave out the jumps beyond a tabulated density's last
-    node, at rate `rem` per unit of Levy time on each side (1.8e-10 for
-    `stable_density_table(0.5)`); a path takes one before t_max with
-    probability at most rem * t_max, which bounds the bias they add in the
-    same way.  The stderr includes neither bias.
+    x must be positive and t nonnegative, both finite.  f acts on the
+    positive-scale variable X directly (compose with log outside if the
+    observable lives on the log scale).  A path is absorbed iff its killing
+    time comes before phi(t/x), the Levy time of its crossing, solved on
+    the crossing step under the clock's linear interpolation of Z (exactly
+    for drift-only paths).  Paths that never reach the clock target before
+    t_max are excluded from the mean and counted in unresolved_fraction (of
+    n_paths; n_effective counts the rest).  Excluding them biases the mean
+    by at most unresolved_fraction * sup|f| for f of one sign, twice that
+    otherwise.  The paths also leave out the jumps beyond a tabulated
+    density's last node, at rate `rem` per unit of Levy time on each side
+    (1.8e-10 for `stable_density_table(0.5)`); a path takes one before
+    t_max with probability at most rem * t_max, which bounds the bias they
+    add in the same way.  The stderr includes neither bias.
     """
     if e.quadruplet is None:
         raise DomainError("the oracle needs a quadruplet representation")
-    if x <= 0:
-        raise DomainError("x must be positive")
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    if not 0.0 < x < np.inf:
+        raise DomainError("x must be positive and finite")
+    if not 0.0 <= t < np.inf:
+        raise DomainError("t must be nonnegative and finite")
     if t == 0.0:
         return MCEstimate(mean=float(f(x)), stderr=0.0,
                           n_effective=cfg.n_paths, absorbed_fraction=0.0,

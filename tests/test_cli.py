@@ -299,6 +299,22 @@ def test_simulate_negative_seed_exits_2(capsys):
     assert json.loads(err.strip())["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("flag, value, error", [
+    ("--t-max", "inf", "ConfigError"),
+    ("--dt", "nan", "ConfigError"),
+    ("--x", "nan", "DomainError"),
+    ("--t", "nan", "DomainError"),
+    ("--x", "inf", "DomainError"),
+])
+def test_simulate_non_finite_input_exits_2(capsys, flag, value, error):
+    # a repeated flag overrides its first value
+    assert run(["simulate", "--quadruplet", '{"sigma2": 1.0}', "--x", "1.0",
+                "--t", "0.5", "--paths", "100", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == error
+
+
 def test_generator_check_csv(tmp_path, capsys):
     out = tmp_path / "gen.csv"
     code = run(["generator-check", "--quadruplet", '{"sigma2": 1.0}',

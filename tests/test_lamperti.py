@@ -1,4 +1,4 @@
-"""Monte Carlo oracle: Levy simulation and the Lamperti time change."""
+"""Monte Carlo oracle: Levy increments and the Lamperti block estimator."""
 
 import numpy as np
 import pytest
@@ -8,18 +8,11 @@ from spectral_ssmp import lamperti
 from spectral_ssmp.bernstein import DensityMeasure
 from spectral_ssmp.errors import ConfigError, DomainError
 from spectral_ssmp.exponents import Exponent, LevyQuadruplet, SignedMeasure
-from spectral_ssmp.lamperti import (
-    ABSORBED,
-    NEEDS_LONGER_PATH,
-    LevyPath,
-    SimConfig,
-    lamperti_time_change,
-    mc_expectation,
-    simulate_levy,
-)
+from spectral_ssmp.lamperti import SimConfig, mc_expectation
 
 Q_BM = LevyQuadruplet(sigma2=1.0)
 Q_DRIFT = LevyQuadruplet(b=2.0)
+Q_BESQ4 = LevyQuadruplet(sigma2=1.0, b=1.0)  # the pair (id, u+1)
 
 
 def test_config_validation():
@@ -29,6 +22,21 @@ def test_config_validation():
         SimConfig(jump_eps=2.0)  # outside the compensated zone
     with pytest.raises(ConfigError):
         SimConfig(n_paths=0)
+    # non-finite sizes and a non-integer path count
+    for bad in ({"dt": np.nan}, {"dt": np.inf}, {"jump_eps": np.nan},
+                {"jump_eps": np.inf}, {"t_max": np.nan}, {"t_max": np.inf},
+                {"n_paths": 2.5}, {"n_paths": 100.0}):
+        with pytest.raises(ConfigError):
+            SimConfig(**bad)
+
+
+def test_mc_rejects_non_finite_x_and_t():
+    e = Exponent(quadruplet=Q_BM)
+    cfg = SimConfig(n_paths=10)
+    for x, t in ((np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan), (1.0, np.inf),
+                 (1.0, -np.inf)):
+        with pytest.raises(DomainError):
+            mc_expectation(e, lambda r: r, x, t, cfg)
 
 
 def test_seed_must_lie_in_the_uint64_range():
@@ -43,12 +51,25 @@ def test_seed_must_lie_in_the_uint64_range():
         assert est.mean == pytest.approx(3.0, abs=1e-12)
 
 
+def _terminal_values(q, T, dt, n_paths, seed):
+    """Z_T of n_paths paths from lamperti._increments, drawn on blocks of
+    the estimator's shape (budget // n_paths steps by n_paths paths)."""
+    model = lamperti._build_jump_model(q, SimConfig(dt=dt))
+    rng = lamperti._generator(seed)
+    steps = int(round(T / dt))
+    block = np.empty((max(1, lamperti._BLOCK_BUDGET // n_paths), n_paths))
+    finals = np.zeros(n_paths)
+    for start in range(0, steps, block.shape[0]):
+        rows = block[:steps - start]
+        lamperti._increments(model, rng, rows)
+        finals += rows.sum(axis=0)
+    return finals
+
+
 def test_brownian_terminal_variance():
     # psi(xi) = xi^2 means Var Z_T = 2 T
-    cfg = SimConfig(dt=1e-3, n_paths=1, seed=11)
     T = 1.0
-    finals = np.array([simulate_levy(Q_BM, T, cfg, stream=i).values[-1]
-                       for i in range(10_000)])
+    finals = _terminal_values(Q_BM, T, 1e-3, 10_000, seed=11)
     var = finals.var(ddof=1)
     stderr = 2.0 * T * np.sqrt(2.0 / finals.size)
     assert abs(var - 2.0 * T) <= 3.0 * stderr
@@ -56,21 +77,22 @@ def test_brownian_terminal_variance():
 
 
 def test_drift_path_deterministic():
-    cfg = SimConfig(dt=1e-3, n_paths=1, seed=0)
-    p = simulate_levy(Q_DRIFT, 1.0, cfg)
-    assert np.max(np.abs(p.values - 2.0 * p.times)) <= 1e-12
+    # row s of a drift-only block holds Z = b s dt after its prefix sums
+    model = lamperti._build_jump_model(Q_DRIFT, SimConfig(dt=1e-3))
+    zs = np.zeros((1001, 256))
+    lamperti._increments(model, lamperti._generator(0), zs[1:])
+    lamperti._prefix_sums(zs)
+    times = 1e-3 * np.arange(1001)
+    assert np.max(np.abs(zs - 2.0 * times[:, None])) <= 1e-12
 
 
 def test_compound_poisson_jump_count():
     lam = 3.0
     q = LevyQuadruplet(mu=SignedMeasure(atoms=((1.0, lam),)))
-    cfg = SimConfig(dt=1e-3, n_paths=1, seed=5)
     T = 1.0
     # Z_T = N_T - lam T (unit jumps at |y| <= 1 are compensated), so the
     # Poisson count is Z_T + lam T
-    finals = np.array([simulate_levy(q, T, cfg, stream=i).values[-1]
-                       for i in range(10_000)])
-    counts = finals + lam * T
+    counts = _terminal_values(q, T, 1e-3, 10_000, seed=5) + lam * T
     stderr = np.sqrt(lam * T / counts.size)
     assert abs(counts.mean() - lam * T) <= 3.0 * stderr
     assert abs(counts.var(ddof=1) - lam * T) <= 5.0 * stderr
@@ -108,7 +130,6 @@ def test_density_jumps_below_table_are_simulated():
 
 
 def test_density_jumps_below_table_keep_their_moments():
-    cfg = SimConfig(dt=1e-3, n_paths=1, seed=4)
     atoms = LevyQuadruplet(mu=SignedMeasure(
         atoms=((1.5, 1.0), (-0.4, 1.0), (5e-4, 2.0))))
     # E Z_1 = integral_{y>1} y nu(dy), Var Z_1 = integral y^2 nu(dy); the
@@ -118,63 +139,13 @@ def test_density_jumps_below_table_keep_their_moments():
              (4.0 ** 0.1 - 1.0) / 0.1 + 4.0 ** 0.1 / 3.0,
              4.0 ** 1.1 / 1.1 + 4.0 ** 1.1 / 2.0),
             (atoms, 1.5, 2.41 + 5e-7)):
-        finals = np.array([simulate_levy(q, 1.0, cfg, stream=i).values[-1]
-                           for i in range(4000)])
+        finals = _terminal_values(q, 1.0, 1e-3, 4000, seed=4)
         mean = finals.mean()
         var = finals.var(ddof=1)
         mean_se = finals.std(ddof=1) / np.sqrt(finals.size)
         var_se = ((finals - mean) ** 2).std(ddof=1) / np.sqrt(finals.size)
         assert abs(mean - mean_rate) <= 4.0 * mean_se
         assert abs(var - var_rate) <= 4.0 * var_se
-
-
-def test_killing_truncates_path():
-    q = LevyQuadruplet(psi0=50.0, b=1.0)
-    cfg = SimConfig(dt=1e-3, n_paths=1, seed=3)
-    p = simulate_levy(q, 2.0, cfg, stream=0)
-    assert p.killed
-    assert p.times[-1] < 2.0
-
-
-def test_time_change_t0():
-    cfg = SimConfig(dt=1e-3, n_paths=1, seed=0)
-    p = simulate_levy(Q_BM, 1.0, cfg)
-    assert lamperti_time_change(p, 1.5, 0.0) == 1.5
-
-
-def test_time_change_drift_closed_form():
-    cfg = SimConfig(dt=1e-3, n_paths=1, seed=0)
-    p = simulate_levy(Q_DRIFT, 2.0, cfg)
-    for x0, t in ((1.0, 0.5), (0.5, 1.0), (2.0, 3.0)):
-        got = lamperti_time_change(p, x0, t)
-        assert got == pytest.approx(x0 + 2.0 * t, rel=1e-13)
-
-
-def test_time_change_monotone_clock():
-    cfg = SimConfig(dt=1e-3, n_paths=1, seed=9)
-    p = simulate_levy(Q_BM, 4.0, cfg, stream=2)
-    ts = np.linspace(0.1, 1.5, 10)
-    xs = [lamperti_time_change(p, 1.0, float(t)) for t in ts]
-    assert all(isinstance(v, float) for v in xs)
-    # recomputing phi(t) for increasing t walks monotonically along the path
-    gains = np.diff([0.0] + [float(v) for v in ts])
-    assert np.all(gains > 0)
-
-
-def test_time_change_needs_longer_path():
-    cfg = SimConfig(dt=1e-3, n_paths=1, seed=1)
-    p = simulate_levy(Q_BM, 0.05, cfg)
-    out = lamperti_time_change(p, 1e-3, 10.0)
-    assert out is NEEDS_LONGER_PATH
-
-
-def test_time_change_absorbed():
-    q = LevyQuadruplet(psi0=80.0, sigma2=1.0)
-    cfg = SimConfig(dt=1e-3, n_paths=1, seed=2)
-    p = simulate_levy(q, 4.0, cfg, stream=1)
-    assert p.killed
-    out = lamperti_time_change(p, 1e-3, 50.0)
-    assert out is ABSORBED
 
 
 def test_mc_t0_exact():
@@ -192,6 +163,15 @@ def test_mc_drift_only_machine_exact():
     assert est.mean == pytest.approx(3.0, abs=1e-12)
     assert est.stderr <= 1e-12
     assert est.absorbed_fraction == 0.0
+
+
+def test_time_change_drift_closed_form():
+    # Z_s = b s: the clock and its inverse are exact, X_t = x + b t
+    cfg = SimConfig(dt=1e-3, n_paths=1, seed=0)
+    for x, t in ((1.0, 0.5), (0.5, 1.0), (2.0, 3.0)):
+        est = mc_expectation(Exponent(quadruplet=Q_DRIFT), lambda r: r, x,
+                             t, cfg)
+        assert est.mean == pytest.approx(x + 2.0 * t, rel=1e-13)
 
 
 def test_mc_brownian_linear_mean_growth():
@@ -239,8 +219,8 @@ def test_mc_unresolved_fraction_reported():
 
 def test_mc_killing_across_blocks(monkeypatch):
     # drift b with killing at rate q: Z_s = b s reaches the clock target
-    # t/x at s* = log(1 + b t / x) / b, so a path is absorbed iff its
-    # killing time falls before s*, up to one step
+    # t/x at s* = log(1 + b t / x) / b, and a path is absorbed iff its
+    # killing time falls before s*, which the crossing step solves exactly
     kill, b, x, t = 1.0, 1.0, 1.0, 1.0
     cfg = SimConfig(dt=1e-3, n_paths=20_000, seed=31)
     e = Exponent(quadruplet=LevyQuadruplet(psi0=kill, b=b))
@@ -253,6 +233,20 @@ def test_mc_killing_across_blocks(monkeypatch):
     # stepping one step per block must give the same estimate bit for bit
     monkeypatch.setattr(lamperti, "_BLOCK_BUDGET", 1)
     assert mc_expectation(e, lambda r: r, x, t, cfg) == est
+
+
+def test_mc_killing_is_resolved_on_the_crossing_step():
+    # the crossing s* = log(1.03) = 0.0296 lies in the third step of
+    # dt = 1e-2; a path survives iff its killing time exceeds s*, so
+    # E f(X_t) = P(survival) = exp(-psi0 s*) for f = 1; letting every
+    # crossing on the killing step win would read 0.36 here
+    psi0, b, x, t = 50.0, 1.0, 1.0, 0.03
+    e = Exponent(quadruplet=LevyQuadruplet(psi0=psi0, b=b))
+    est = mc_expectation(e, np.ones_like, x, t,
+                         SimConfig(dt=1e-2, n_paths=20_000, seed=1))
+    exact = np.exp(-psi0 * np.log1p(b * t / x) / b)
+    assert est.n_effective == 20_000
+    assert abs(est.mean - exact) <= 4.0 * est.stderr
 
 
 def test_mc_builds_one_generator(monkeypatch):
@@ -281,11 +275,11 @@ def test_block_steps_allocate_no_block_sized_array():
     zs = np.zeros((65, 4096))
     acc, work = np.empty((64, 4096)), np.empty((64, 4096))
     # the first call's lazy set-up (about 1 MB) is not a block's work
-    lamperti._increments(model, lamperti._philox(2, 0), zs[1:])
+    lamperti._increments(model, lamperti._generator(2), zs[1:])
     assert zs.shape[1] >= lamperti._ROW_SUM_MIN_WIDTH  # the row-wise sums
     tracemalloc.start()
     try:
-        lamperti._increments(model, lamperti._philox(3, 0), zs[1:])
+        lamperti._increments(model, lamperti._generator(3), zs[1:])
         lamperti._prefix_sums(zs)
         lamperti._segment_clock(zs[:-1], zs[1:], 1e-3, acc, work)
         peak = tracemalloc.get_traced_memory()[1]
@@ -304,7 +298,7 @@ def test_increments_jump_counts_are_poisson_per_step():
     model = lamperti._build_jump_model(q, SimConfig(dt=1e-3))
     assert model.gauss_std_rate == 0.0 and model.drift == -500.0
     out = np.empty((400, 500))
-    lamperti._increments(model, lamperti._philox(8, 0), out)
+    lamperti._increments(model, lamperti._generator(8), out)
     counts = np.rint(out + 0.5)
     assert np.array_equal(counts, out + 0.5)
     lam, n = 0.5, counts.size
@@ -336,17 +330,17 @@ class _CountingRng:
 
 def test_mc_draws_one_jump_count_per_block(monkeypatch):
     rngs, blocks = [], []
-    philox, increments = lamperti._philox, lamperti._increments
+    generator, increments = lamperti._generator, lamperti._increments
 
-    def counting_philox(seed, index):
-        rngs.append(_CountingRng(philox(seed, index)))
+    def counting_generator(seed):
+        rngs.append(_CountingRng(generator(seed)))
         return rngs[-1]
 
     def counting_increments(*args):
         blocks.append(args[-1])
         return increments(*args)
 
-    monkeypatch.setattr(lamperti, "_philox", counting_philox)
+    monkeypatch.setattr(lamperti, "_generator", counting_generator)
     monkeypatch.setattr(lamperti, "_increments", counting_increments)
     q = LevyQuadruplet(mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0))))
     cfg = SimConfig(dt=1e-3, n_paths=2000, seed=13)
@@ -383,8 +377,8 @@ def test_jump_free_increments_are_the_scaled_normals():
                                        SimConfig(dt=2e-3))
     assert model.jump_rate == 0.0
     out = np.empty((7, 300))
-    lamperti._increments(model, lamperti._philox(5, 0), out)
-    twin = lamperti._philox(5, 0)
+    lamperti._increments(model, lamperti._generator(5), out)
+    twin = lamperti._generator(5)
     dt = model.dt
     scale = model.gauss_std_rate * np.sqrt(dt)
     want = model.drift * dt + scale * twin.standard_normal(out.shape)
@@ -393,10 +387,11 @@ def test_jump_free_increments_are_the_scaled_normals():
 
 def _reference_batch_estimate(q, f, x, t, cfg):
     """The block loop with np.cumsum and the crossing count taken over
-    every path of the block, on the estimate's generator."""
+    every path of the block, on the estimate's generator; a path that
+    crosses and is killed in one step survives iff it crosses first."""
     model = lamperti._build_jump_model(q, cfg)
     n, dt, target = cfg.n_paths, cfg.dt, t / x
-    rng = lamperti._philox(cfg.seed, 0)
+    rng = lamperti._generator(cfg.seed)
     kt = (rng.exponential(1.0 / model.kill_rate, n)
           if model.kill_rate > 0 else np.full(n, np.inf))
     values = np.zeros(n)
@@ -421,13 +416,16 @@ def _reference_batch_estimate(q, f, x, t, cfg):
         crossed = cs < b
         ks = np.searchsorted((step + np.arange(1, b + 1)) * dt, kt)
         wins = crossed & (cs <= ks)
-        killed = (ks < b) & ~wins
         r = np.flatnonzero(wins)
-        if r.size:
-            s = cs[r]
-            z0, z1 = zs[s, r], zs[s + 1, r]
-            delta = lamperti._invert_segment(z0, z1, dt, target - accs[s, r])
-            values[idx[r]] = f(x * np.exp(z0 + (z1 - z0) * (delta / dt)))
+        s = cs[r]
+        z0, z1 = zs[s, r], zs[s + 1, r]
+        delta = lamperti._invert_segment(z0, z1, dt, target - accs[s, r])
+        first = (step + s) * dt + delta < kt[r]
+        wins[r[~first]] = False
+        values[idx[r[first]]] = f(
+            x * np.exp(z0[first] + (z1[first] - z0[first])
+                       * (delta[first] / dt)))
+        killed = (ks < b) & ~wins
         done = wins | killed
         resolved[idx[done]] = True
         absorbed[idx[killed]] = True
@@ -465,18 +463,25 @@ def test_block_loop_matches_the_reference_loop(monkeypatch, q, budget):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("x, seed", [(1.0, 1), (2.0, 2)])
-def test_mc_brownian_law_matches_exact_squared_bessel_draws(x, seed):
+@pytest.mark.parametrize("q, dim, x, seed", [
+    pytest.param(Q_BM, 2, 1.0, 1, id="1.0-1"),
+    pytest.param(Q_BM, 2, 2.0, 2, id="2.0-2"),
+    pytest.param(Q_BESQ4, 4, 1.0, 1, id="besq4-1.0-1"),
+    pytest.param(Q_BESQ4, 4, 2.0, 2, id="besq4-2.0-2"),
+])
+def test_mc_brownian_law_matches_exact_squared_bessel_draws(q, dim, x, seed):
     # psi(xi) = xi^2, the pair (id, id), is the Lamperti image of BESQ^2 run
-    # at time t/2: X_t = (t/2) chi'^2_2(2x/t) exactly (Revuz-Yor, ch. XI)
+    # at time t/2, and psi(xi) = xi^2 - i xi, the pair (id, u+1), that of
+    # BESQ^4: X_t = (t/2) chi'^2_dim(2x/t) exactly (Revuz-Yor, ch. XI)
     t = 0.5
     f = lambda r: r * r * np.exp(-r)
     sup_f = 4.0 * np.exp(-2.0)
-    est = mc_expectation(Exponent(quadruplet=Q_BM), f, x, t,
+    est = mc_expectation(Exponent(quadruplet=q), f, x, t,
                          SimConfig(dt=1e-3, n_paths=20_000, seed=seed))
     rng = np.random.default_rng(seed)
-    exact = f(0.5 * t * rng.noncentral_chisquare(2.0, 2.0 * x / t, 10 ** 6))
+    exact = f(0.5 * t * rng.noncentral_chisquare(dim, 2.0 * x / t, 10 ** 6))
     exact_se = exact.std(ddof=1) / np.sqrt(exact.size)
     bound = (5.0 * np.hypot(est.stderr, exact_se)
              + est.unresolved_fraction * sup_f)
     assert abs(est.mean - exact.mean()) <= bound
+
