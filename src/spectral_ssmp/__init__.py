@@ -15,7 +15,6 @@ from .bernstein import (
     BernsteinGammaEvaluator,
     ClosedFormMeasure,
     DensityMeasure,
-    TailMetadata,
     asymptotic_magnitude,
     eval_phi,
     phi_derivative,
@@ -47,7 +46,6 @@ from .transform import (
     shifted_fft,
 )
 from .spectrum import (
-    FactorTails,
     SpectrumReport,
     classify,
     spectrum_values,

@@ -118,35 +118,12 @@ Measure = AtomMeasure | DensityMeasure | ClosedFormMeasure
 
 
 @dataclass(frozen=True)
-class TailMetadata:
-    """Qualitative tail data used by the symbolic spectrum tables.
-
-    nu_bar_at_zero is nu((0, inf)): math.inf for infinite activity, else the
-    finite total mass.  rv_index is the regular-variation index of the tail
-    (when in (0,1)), quasi_monotone the q-m flag, and mass_m the constant
-    phi(0) + nu_bar(0+) entering the power-law magnitude estimate.
-    """
-
-    nu_bar_at_zero: float = np.inf
-    rv_index: Optional[float] = None
-    quasi_monotone: Optional[bool] = None
-    mass_m: Optional[float] = None
-
-    def __post_init__(self):
-        if self.rv_index is not None and not (0.0 < self.rv_index < 1.0):
-            raise DomainError("rv_index must lie in (0, 1)")
-        if self.mass_m is not None and self.mass_m < 0:
-            raise DomainError("mass_m must be nonnegative")
-
-
-@dataclass(frozen=True)
 class BernsteinFunction:
     """Triplet representation (phi0, drift, measure) of a Bernstein function."""
 
     phi0: float = 0.0
     drift: float = 0.0
     measure: Optional[Measure] = None
-    metadata: Optional[TailMetadata] = None
 
     def __post_init__(self):
         if self.phi0 < 0 or self.drift < 0:
@@ -444,6 +421,41 @@ def _moment_beyond(measure) -> float:
         return math.inf
     c1 = measure.density[-1] * measure.y[-1] ** (1.0 + a1)
     return r.rem * a1 / (a1 - 1.0) * (c1 / (a1 * r.rem)) ** (1.0 / a1)
+
+
+def _tails(phi: BernsteinFunction) -> tuple:
+    """(nu_bar(0+), rv_index, quasi_monotone, mass_m) of phi, read off its
+    measure: the tail facts of the spectrum tables and of the power form of
+    `asymptotic_magnitude` (Patie and Savov, Electron. J. Probab. 2018).
+
+    nu_bar(0+) = nu((0, inf)) is math.inf for the closed forms and for a
+    table whose head c0 y^{-1-a0} has a0 >= 0 and c0 > 0, else the total
+    mass (atoms summed in their given order).  rv_index is the index of
+    regular variation of nu_bar at 0 when it lies in (0, 1), the first
+    parameter of a closed form; quasi_monotone is True for the closed forms
+    and None (unknown) for a table.  mass_m = phi(0) + nu_bar(0+) when the
+    activity is finite, None otherwise.
+    """
+    m = phi.measure
+    rv = qm = None
+    if m is None:
+        nu_bar = 0.0
+    elif isinstance(m, AtomMeasure):
+        nu_bar = sum(mass for _, mass in m.atoms)
+    elif isinstance(m, ClosedFormMeasure):
+        nu_bar, rv, qm = math.inf, m.params[0], True
+    elif m.tail_exponent_zero >= 0.0 and m.density[0] > 0.0:
+        nu_bar = math.inf
+        if m.tail_exponent_zero > 0.0:
+            rv = m.tail_exponent_zero
+    else:
+        # the nodes' weights, the mass beyond them and the head's
+        # c0 y_min^{-a0} / (-a0)
+        r = _measure_rule(m)
+        head = r.c0 * r.y_min ** -r.a0 / -r.a0 if r.c0 > 0.0 else 0.0
+        nu_bar = float(np.sum(r.weights)) + r.rem + head
+    mass_m = phi.phi0 + nu_bar if nu_bar < math.inf else None
+    return nu_bar, rv, qm, mass_m
 
 
 # ---------------------------------------------------------------------------
@@ -761,8 +773,9 @@ def asymptotic_magnitude(phi: BernsteinFunction, a: float, xi: float,
 
     form="theta": sqrt(phi(a)) W(a) / sqrt(|phi(a+i xi)|) * e^{-Theta-area},
     where the area is integral_0^{|xi|} arg phi(a + iw) dw.
-    form="power": with drift > 0 and the mass constant m present in the
-    metadata, the power-law shape c |xi|^{a + m/d - 1/2} e^{-pi |xi| / 2}.
+    form="power": with drift d > 0 and finite activity, the power-law shape
+    c |xi|^{a + m/d - 1/2} e^{-pi |xi| / 2}, m = phi(0) + nu_bar(0+) read
+    off the measure (`_tails`), c = sqrt(phi(a)) W(a).
     """
     if a <= 0:
         raise DomainError("asymptotic_magnitude needs a > 0")
@@ -776,9 +789,10 @@ def asymptotic_magnitude(phi: BernsteinFunction, a: float, xi: float,
         mag = np.sqrt(pa) * wa / np.sqrt(abs(eval_phi(phi, complex(a, axi))))
         return float(mag * np.exp(-area))
     if form == "power":
-        meta = phi.metadata
-        if meta is None or meta.mass_m is None or phi.drift <= 0:
-            raise MetadataError("power form needs drift > 0 and mass_m metadata")
-        expo = a + meta.mass_m / phi.drift - 0.5
+        mass_m = _tails(phi)[3]
+        if mass_m is None or phi.drift <= 0:
+            raise MetadataError("power form needs drift > 0 and finite "
+                                "activity nu_bar(0+)")
+        expo = a + mass_m / phi.drift - 0.5
         return float(np.sqrt(pa) * wa * axi ** expo * np.exp(-0.5 * np.pi * axi))
     raise DomainError(f"unknown form {form!r}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -111,23 +112,18 @@ def _fixture_from_arg(arg, spec):
         f"unknown fixture {arg!r}; use h:eps:beta, gauss:a or csv:path")
 
 
-def _pair_from_args(args):
-    obj = json.loads(args.pair)
-    if "pair" not in obj:
-        obj = {"pair": obj}
-    exp = exponent_from_json(obj)
-    if exp.pair is None:
-        raise errors.ValidationError("a Wiener-Hopf pair is required here")
-    return exp.pair
+_REQUIRED = {"pair": "a Wiener-Hopf pair", "quadruplet": "a quadruplet"}
 
 
-def _quadruplet_from_args(args):
-    obj = json.loads(args.quadruplet)
-    if "quadruplet" not in obj:
-        obj = {"quadruplet": obj}
+def _exponent_from_args(text, key):
+    """The Exponent of a --pair or --quadruplet JSON argument, given bare or
+    wrapped in its key; ValidationError when it lacks that part."""
+    obj = json.loads(text)
+    if key not in obj:
+        obj = {key: obj}
     exp = exponent_from_json(obj)
-    if exp.quadruplet is None:
-        raise errors.ValidationError("a quadruplet is required here")
+    if getattr(exp, key) is None:
+        raise errors.ValidationError(f"{_REQUIRED[key]} is required here")
     return exp
 
 
@@ -148,7 +144,7 @@ def _cmd_bgamma(args):
 
 
 def _cmd_multiplier(args):
-    pair = _pair_from_args(args)
+    pair = _exponent_from_args(args.pair, "pair").pair
     spec = _grid_from_arg(args.grid)
     line = (multiplier_h if args.kind == "H" else multiplier_lambda)(
         pair, spec, tol=args.tol_w)
@@ -159,7 +155,7 @@ def _cmd_multiplier(args):
 
 
 def _cmd_classify(args):
-    pair = _pair_from_args(args)
+    pair = _exponent_from_args(args.pair, "pair").pair
     spec = _grid_from_arg(args.grid)
     report = classify(pair, spec, xi_max=args.xi_max)
     payload = report.to_dict()
@@ -179,7 +175,7 @@ def _cmd_classify(args):
 
 
 def _cmd_eigenfn(args):
-    pair = _pair_from_args(args)
+    pair = _exponent_from_args(args.pair, "pair").pair
     spec = _grid_from_arg(args.grid)
     if args.method == "fft":
         J = eigenfunction_fft(pair, spec, tol=args.tol_w)
@@ -217,7 +213,7 @@ def _cmd_evolve(args):
         raise errors.ValidationError(
             "evolution runs through the Wiener-Hopf diagonalization; "
             "pass --pair (a bare --quadruplet cannot be factorized here)")
-    pair = _pair_from_args(args)
+    pair = _exponent_from_args(args.pair, "pair").pair
     spec = _grid_from_arg(args.grid)
     f = _fixture_from_arg(args.f, spec)
     plan = EvolutionPlan(pair, spec, tol=args.tol_w)
@@ -228,7 +224,7 @@ def _cmd_evolve(args):
 
 
 def _cmd_simulate(args):
-    exp = _quadruplet_from_args(args)
+    exp = _exponent_from_args(args.quadruplet, "quadruplet")
     cfg = SimConfig(dt=args.dt, jump_eps=args.jump_eps, n_paths=args.paths,
                     seed=args.seed, t_max=args.t_max)
     spec = GridSpec()
@@ -249,17 +245,16 @@ def _cmd_simulate(args):
 
 
 def _cmd_generator_check(args):
-    exp = _quadruplet_from_args(args)
+    exp = _exponent_from_args(args.quadruplet, "quadruplet")
     spec = _grid_from_arg(args.grid)
     fixtures = [("gauss_0", lambda x: np.exp(-x ** 2)),
                 ("gauss_2", lambda x: np.exp(-(x - 2.0) ** 2)),
                 ("h_1_1", lambda x: np.exp(-1.5 * x - np.exp(-x)))]
     names, sups = [], []
-    import warnings as _w
     for name, fn in fixtures:
         f = GridFunction(spec, fn(spec.x))
-        with _w.catch_warnings():
-            _w.simplefilter("ignore", errors.DomainWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", errors.DomainWarning)
             a_pdo = generator_pdo(exp, f)
             a_ido = generator_ido(exp.quadruplet, fn, spec)
         interior = slice(2, -2)

@@ -22,7 +22,9 @@ class ConvergenceError(SpectralError):
 
 
 class MetadataError(SpectralError):
-    """Required tail metadata is missing for the requested estimate."""
+    """The factor lacks a tail fact the estimate needs: the power form of
+    asymptotic_magnitude needs drift > 0 and finite activity nu_bar(0+),
+    both read off the factor's triplet."""
 
 
 class ConditionError(SpectralError):

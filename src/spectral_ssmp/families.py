@@ -13,6 +13,11 @@ Family identifiers (shared with the command line):
                          "density": [...], "tail_exponent_zero": a0,
                          "tail_exponent_inf": a1, "c": 0.0, "d": 0.0}
 
+A family builds the triplet (phi(0), drift, measure) and nothing else: the
+tail facts that the spectrum tables read (activity, regular-variation
+index, quasi-monotonicity) are derived from the measure, so a factor built
+by hand meets the same table rows as its family.
+
 Exponent JSON:
 
     {"pair": {"plus": <family>, "minus": <family>}}
@@ -32,7 +37,6 @@ from .bernstein import (
     BernsteinFunction,
     ClosedFormMeasure,
     DensityMeasure,
-    TailMetadata,
 )
 from .errors import ValidationError
 from .exponents import Exponent, LevyQuadruplet, SignedMeasure, WienerHopfPair
@@ -59,34 +63,25 @@ def make_bernstein(family: str, **params) -> BernsteinFunction:
     if family == "drift":
         d = float(params.pop("d", 1.0))
         _no_extra(params, family)
-        return BernsteinFunction(drift=d,
-                                 metadata=TailMetadata(nu_bar_at_zero=0.0,
-                                                       mass_m=0.0))
+        return BernsteinFunction(drift=d)
     if family == "affine":
         d = float(params.pop("d", 1.0))
         c = float(params.pop("c", 0.0))
         _no_extra(params, family)
-        return BernsteinFunction(phi0=c, drift=d,
-                                 metadata=TailMetadata(nu_bar_at_zero=0.0,
-                                                       mass_m=c))
+        return BernsteinFunction(phi0=c, drift=d)
     if family == "stable":
         beta = float(params.pop("beta"))
         _no_extra(params, family)
         if not 0.0 < beta < 1.0:
             raise ValidationError("stable exponent beta must be in (0, 1)")
-        return BernsteinFunction(
-            measure=ClosedFormMeasure("stable", (beta,)),
-            metadata=TailMetadata(nu_bar_at_zero=math.inf, rv_index=beta,
-                                  quasi_monotone=True))
+        return BernsteinFunction(measure=ClosedFormMeasure("stable", (beta,)))
     if family == "gamma-ratio-plus":
         at = float(params.pop("alpha_tilde"))
         _no_extra(params, family)
         if not 0.0 < at < 1.0:
             raise ValidationError("alpha_tilde must be in (0, 1)")
         return BernsteinFunction(
-            measure=ClosedFormMeasure("gamma-ratio-plus", (at,)),
-            metadata=TailMetadata(nu_bar_at_zero=math.inf, rv_index=at,
-                                  quasi_monotone=True))
+            measure=ClosedFormMeasure("gamma-ratio-plus", (at,)))
     if family == "gamma-ratio-minus":
         a = float(params.pop("alpha"))
         rho = float(params.pop("rho"))
@@ -96,18 +91,13 @@ def make_bernstein(family: str, **params) -> BernsteinFunction:
         phi0 = math.exp(math.lgamma(rho + a) - math.lgamma(rho))
         return BernsteinFunction(
             phi0=phi0,
-            measure=ClosedFormMeasure("gamma-ratio-minus", (a, rho)),
-            metadata=TailMetadata(nu_bar_at_zero=math.inf, rv_index=a,
-                                  quasi_monotone=True))
+            measure=ClosedFormMeasure("gamma-ratio-minus", (a, rho)))
     if family == "compound-poisson":
         atoms = tuple((float(y), float(m)) for y, m in params.pop("atoms"))
         c = float(params.pop("c", 0.0))
         d = float(params.pop("d", 0.0))
         _no_extra(params, family)
-        total = sum(m for _, m in atoms)
-        return BernsteinFunction(
-            phi0=c, drift=d, measure=AtomMeasure(atoms),
-            metadata=TailMetadata(nu_bar_at_zero=total, mass_m=c + total))
+        return BernsteinFunction(phi0=c, drift=d, measure=AtomMeasure(atoms))
     if family == "tabulated-density":
         y = tuple(float(v) for v in params.pop("y"))
         dens = tuple(float(v) for v in params.pop("density"))
@@ -116,12 +106,8 @@ def make_bernstein(family: str, **params) -> BernsteinFunction:
         c = float(params.pop("c", 0.0))
         d = float(params.pop("d", 0.0))
         _no_extra(params, family)
-        meas = DensityMeasure(y, dens, a0, a1)
-        rv = a0 if 0.0 < a0 < 1.0 else None
-        return BernsteinFunction(
-            phi0=c, drift=d, measure=meas,
-            metadata=TailMetadata(nu_bar_at_zero=math.inf if a0 > 0 else 0.0,
-                                  rv_index=rv))
+        return BernsteinFunction(phi0=c, drift=d,
+                                 measure=DensityMeasure(y, dens, a0, a1))
     raise ValidationError(f"unknown family {family!r}; known: {FAMILY_IDS}")
 
 

@@ -8,7 +8,9 @@ of the diagonalizing multiplier m(xi) = W_plus(1/2-i xi)/W_minus(1/2+i xi).
 classify combines three kinds of evidence, in order:
   (a) a certified gap between the Theta oscillation limits of the two
       factors (exponential decay of |m| one way or the other),
-  (b) symbolic table rules on the factors' tail metadata,
+  (b) symbolic table rules on each factor's drift and on tail facts
+      derived from its Levy measure: the activity nu_bar(0+), the
+      regular-variation index of nu_bar and quasi-monotonicity,
   (c) direct dyadic-band decay fits of |m| and 1/|m| on the grid.
 Inconclusive is a first-class verdict: the reverse spectral inclusion is
 not checkable numerically, and the ratio need not be monotone.
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bernstein import BernsteinFunction, theta_limits
+from .bernstein import BernsteinFunction, _tails, theta_limits
 from .errors import DomainError
 from .exponents import WienerHopfPair
 from .special import median
@@ -30,31 +32,12 @@ from .transform import GridSpec, multiplier_h
 
 __all__ = [
     "SpectrumReport",
-    "FactorTails",
     "classify",
     "table_rule",
     "spectrum_values",
 ]
 
 VERDICTS = ("Point", "Residual", "Continuous", "ApproximateOnly", "Inconclusive")
-
-
-@dataclass(frozen=True)
-class FactorTails:
-    """Drift plus tail metadata of one Wiener-Hopf factor."""
-
-    drift: float
-    nu_bar_at_zero: float = math.inf
-    rv_index: Optional[float] = None
-    quasi_monotone: Optional[bool] = None
-
-    @staticmethod
-    def from_phi(phi: BernsteinFunction) -> Optional["FactorTails"]:
-        if phi.metadata is None:
-            return None
-        m = phi.metadata
-        return FactorTails(phi.drift, m.nu_bar_at_zero, m.rv_index,
-                           m.quasi_monotone)
 
 
 @dataclass(frozen=True)
@@ -95,37 +78,46 @@ class SpectrumReport:
 # table rules
 # ---------------------------------------------------------------------------
 
-def _point_rule(p: FactorTails, q: FactorTails) -> Optional[str]:
+def _point_rule(p: BernsteinFunction, q: BernsteinFunction) -> Optional[str]:
     """The rows guaranteeing square integrability of m (Point side)."""
-    rv_ok_p = p.rv_index is not None and p.quasi_monotone
-    rv_ok_q = q.rv_index is not None and q.quasi_monotone
+    nu_p, rv_p, qm_p, _ = _tails(p)
+    nu_q, rv_q, qm_q, _ = _tails(q)
+    rv_ok_p = rv_p is not None and qm_p
+    rv_ok_q = rv_q is not None and qm_q
     if (p.drift == 0 and q.drift == 0 and rv_ok_p and rv_ok_q
-            and 0.0 < q.rv_index < p.rv_index < 1.0):
+            and 0.0 < rv_q < rv_p < 1.0):
         return "T1r1"
     if p.drift > 0 and q.drift == 0 and rv_ok_q:
         return "T1r2"
-    if p.drift > 0 and q.drift == 0 and p.nu_bar_at_zero < math.inf:
+    if p.drift > 0 and q.drift == 0 and nu_p < math.inf:
         return "T2r1"
-    if (p.drift > 0 and q.drift > 0 and p.nu_bar_at_zero < math.inf
-            and q.nu_bar_at_zero == math.inf):
+    if (p.drift > 0 and q.drift > 0 and nu_p < math.inf
+            and nu_q == math.inf):
         return "T2r2"
     return None
 
 
-def table_rule(meta_plus: FactorTails,
-               meta_minus: FactorTails) -> Optional[str]:
-    """Symbolic verdict from the factor tails, or None when no row matches.
+def _table_row(phi_plus: BernsteinFunction, phi_minus: BernsteinFunction):
+    """(verdict, row) of the first matching table row, (None, None) when
+    no row matches."""
+    row = _point_rule(phi_plus, phi_minus)
+    if row is not None:
+        return "Point", row
+    row = _point_rule(phi_minus, phi_plus)
+    if row is not None:
+        return "Residual", row
+    return None, None
+
+
+def table_rule(phi_plus: BernsteinFunction,
+               phi_minus: BernsteinFunction) -> Optional[str]:
+    """Symbolic verdict from the factors' drifts and tails, or None when no
+    row matches.
 
     Returns "Point" when a row certifies m in L^2, "Residual" when the
     mirrored row (factors swapped) certifies 1/m in L^2.
     """
-    if meta_plus is None or meta_minus is None:
-        return None
-    if _point_rule(meta_plus, meta_minus) is not None:
-        return "Point"
-    if _point_rule(meta_minus, meta_plus) is not None:
-        return "Residual"
-    return None
+    return _table_row(phi_plus, phi_minus)[0]
 
 
 def spectrum_values(t: float, y_grid) -> np.ndarray:
@@ -190,7 +182,7 @@ def _grid_l2_mass(spec, values):
 
 
 def classify(pair: WienerHopfPair, spec: GridSpec = GridSpec(),
-             xi_max: float = 200.0, tol: float = 1e-8) -> SpectrumReport:
+             xi_max: float = 200.0, tol: float = 1e-10) -> SpectrumReport:
     """Decide which part of the spectrum the ray e^{t R_-} belongs to."""
     lo_p, up_p, bar_p = _theta_bracket(pair.phi_plus, xi_max)
     lo_m, up_m, bar_m = _theta_bracket(pair.phi_minus, xi_max)
@@ -228,13 +220,9 @@ def classify(pair: WienerHopfPair, spec: GridSpec = GridSpec(),
         inv_l2 = True
         m_l2 = False
     else:
-        tp = FactorTails.from_phi(pair.phi_plus)
-        tm = FactorTails.from_phi(pair.phi_minus)
-        rule = table_rule(tp, tm)
+        rule, fired = _table_row(pair.phi_plus, pair.phi_minus)
         if rule is not None:
             verdict, branch = rule, "table"
-            fired = (_point_rule(tp, tm) if rule == "Point"
-                     else _point_rule(tm, tp))
             m_l2, inv_l2 = rule == "Point", rule == "Residual"
         elif m_l2:
             verdict, branch = "Point", "band-decay"

@@ -40,7 +40,7 @@ from spectral_ssmp.semigroup import (
     mult_semigroup,
     ws_residual,
 )
-from spectral_ssmp.spectrum import FactorTails, classify, spectrum_values, table_rule
+from spectral_ssmp.spectrum import classify, spectrum_values, table_rule
 from spectral_ssmp.transform import (
     GridFunction,
     GridSpec,
@@ -198,12 +198,11 @@ def test_criterion_06_classification_golden_set():
         got2 = classify(pair, fine).verdict
         verdicts.append(got)
         ok = ok and got == want and got2 == want
-    # the symbolic rule behind the metadata case
-    rule = table_rule(FactorTails.from_phi(table2_pair.phi_plus),
-                      FactorTails.from_phi(table2_pair.phi_minus))
+    # the symbolic rule behind the table case
+    rule = table_rule(table2_pair.phi_plus, table2_pair.phi_minus)
     ok = ok and rule == "Point"
     report(6, ok, f"verdicts {verdicts} stable under grid doubling; "
-                  f"metadata rule fires {rule}")
+                  f"table rule fires {rule}")
 
 
 def test_criterion_07_eigenfunction_cross_validation():

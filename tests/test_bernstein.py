@@ -15,8 +15,8 @@ from spectral_ssmp.bernstein import (
     BernsteinGammaEvaluator,
     ClosedFormMeasure,
     DensityMeasure,
-    TailMetadata,
     _measure_rule,
+    _tails,
     asymptotic_magnitude,
     default_evaluator,
     eval_phi,
@@ -747,9 +747,8 @@ def test_magnitude_constant_phi_no_decay():
 
 
 def test_magnitude_power_form():
-    phi = BernsteinFunction(
-        drift=1.0, measure=AtomMeasure(((1.0, 1.0),)),
-        metadata=TailMetadata(nu_bar_at_zero=1.0, mass_m=1.0))
+    # the mass constant m = phi(0) + nu_bar(0+) = 1 comes from the atom
+    phi = BernsteinFunction(drift=1.0, measure=AtomMeasure(((1.0, 1.0),)))
     # exponent at a = 1/2 is a + m/d - 1/2 = 1
     v1 = asymptotic_magnitude(phi, 0.5, 50.0, form="power")
     v2 = asymptotic_magnitude(phi, 0.5, 100.0, form="power")
@@ -757,11 +756,75 @@ def test_magnitude_power_form():
     assert power == pytest.approx(1.0, abs=1e-9)
 
 
+def test_magnitude_power_form_of_the_gamma_function():
+    # phi(z) = z has m = 0, so the form's shape is |xi|^0 e^{-pi |xi| / 2},
+    # that of |Gamma(1/2 + i xi)| ~ sqrt(2 pi) e^{-pi |xi| / 2}; its constant
+    # sqrt(phi(1/2)) W(1/2) = sqrt(pi / 2) is half of sqrt(2 pi)
+    for xi in (10.0, 50.0, 200.0):
+        v = asymptotic_magnitude(PHI_ID, 0.5, xi, form="power")
+        exact = np.sqrt(np.pi / np.cosh(np.pi * xi))
+        assert v / exact == pytest.approx(0.5, rel=1e-12)
+        assert v / (np.sqrt(2.0 * np.pi) * np.exp(-0.5 * np.pi * xi)) == \
+            pytest.approx(0.5, rel=1e-12)
+
+
 def test_magnitude_metadata_error():
+    # infinite activity, then no drift
     with pytest.raises(MetadataError):
-        asymptotic_magnitude(PHI_ID, 0.5, 10.0, form="power")
+        asymptotic_magnitude(BernsteinFunction(
+            drift=1.0, measure=ClosedFormMeasure("stable", (0.5,))),
+            0.5, 10.0, form="power")
+    with pytest.raises(MetadataError):
+        asymptotic_magnitude(BernsteinFunction(phi0=1.0), 0.5, 10.0,
+                             form="power")
 
 
-def test_tail_metadata_validation():
-    with pytest.raises(DomainError):
-        TailMetadata(rv_index=1.5)
+# ---------------------------------------------------------------------------
+# tail facts
+# ---------------------------------------------------------------------------
+
+_TABLE = stable_density_table(0.5)
+
+
+@pytest.mark.parametrize("family,params,want", [
+    # (nu_bar(0+), rv_index, quasi_monotone, mass_m) as the families
+    # declared them before the facts were derived from the measure
+    ("drift", {"d": 2.0}, (0.0, None, None, 0.0)),
+    ("affine", {"d": 1.0, "c": 0.5}, (0.0, None, None, 0.5)),
+    ("stable", {"beta": 0.3}, (math.inf, 0.3, True, None)),
+    ("gamma-ratio-plus", {"alpha_tilde": 0.7}, (math.inf, 0.7, True, None)),
+    ("gamma-ratio-minus", {"alpha": 0.4, "rho": 1.5},
+     (math.inf, 0.4, True, None)),
+    ("compound-poisson",
+     {"atoms": [[1.0, 0.1], [2.0, 0.2], [0.5, 0.3]], "c": 0.25, "d": 1.0},
+     (0.1 + 0.2 + 0.3, None, None, 0.25 + (0.1 + 0.2 + 0.3))),
+    ("tabulated-density",
+     {k: v for k, v in _TABLE.items() if k != "family"} | {"c": 0.5},
+     (math.inf, 0.5, None, None)),
+])
+def test_tails_match_the_declared_family_facts(family, params, want):
+    assert _tails(make_bernstein(family, **params)) == want
+
+
+def test_tails_of_a_finite_activity_table():
+    # head y^{-1/2} (a0 = -1/2) on (0, 1], y^{-2} beyond: mass 2 + 1 = 3
+    y = np.geomspace(1e-4, 1e4, 161)
+    dens = np.where(y <= 1.0, y ** -0.5, y ** -2.0)
+    phi = make_bernstein("tabulated-density", y=list(y), density=list(dens),
+                         tail_exponent_zero=-0.5, tail_exponent_inf=1.0,
+                         c=0.25)
+    nu_bar, rv, qm, mass_m = _tails(phi)
+    assert nu_bar == pytest.approx(3.0, rel=1e-10)
+    assert (rv, qm) == (None, None)
+    assert mass_m == 0.25 + nu_bar
+
+
+def test_tails_of_a_table_without_head_mass():
+    # a zero first density value makes the head c0 y^{-1-a0} vanish, so
+    # the activity is finite whatever a0 declares
+    y = np.geomspace(1e-3, 1e2, 51)
+    dens = np.where(y < 1e-2, 0.0, np.exp(-y))
+    phi = make_bernstein("tabulated-density", y=list(y), density=list(dens),
+                         tail_exponent_zero=0.5, tail_exponent_inf=1.0)
+    nu_bar, rv, _, _ = _tails(phi)
+    assert math.isfinite(nu_bar) and rv is None

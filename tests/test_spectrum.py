@@ -1,7 +1,5 @@
 """Spectrum classification: golden verdicts, table rules, duality."""
 
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,8 +8,8 @@ from spectral_ssmp.errors import DomainError
 from spectral_ssmp.exponents import WienerHopfPair
 from spectral_ssmp.families import make_bernstein, stable_density_table
 from spectral_ssmp.spectrum import (
-    FactorTails,
     SpectrumReport,
+    _table_row,
     classify,
     spectrum_values,
     table_rule,
@@ -118,38 +116,55 @@ def test_report_invariants_raise_domain_error():
 # ---------------------------------------------------------------------------
 
 def test_table2_row1():
-    mp = FactorTails(drift=1.0, nu_bar_at_zero=2.0)
-    mm = FactorTails(drift=0.0, nu_bar_at_zero=math.inf)
+    # drift with finite activity against a driftless table: infinite
+    # activity, no quasi-monotone regular variation, so T1r2 stays silent
+    mp = make_bernstein("compound-poisson", atoms=[[1.0, 2.0]], d=1.0)
+    mm = make_bernstein(**stable_density_table(0.5))
+    assert _table_row(mp, mm) == ("Point", "T2r1")
+    assert _table_row(mm, mp) == ("Residual", "T2r1")
     assert table_rule(mp, mm) == "Point"
     assert table_rule(mm, mp) == "Residual"
 
 
 def test_table1_row1():
-    mp = FactorTails(0.0, math.inf, rv_index=0.8, quasi_monotone=True)
-    mm = FactorTails(0.0, math.inf, rv_index=0.3, quasi_monotone=True)
+    mp = make_bernstein("stable", beta=0.8)
+    mm = make_bernstein("stable", beta=0.3)
+    assert _table_row(mp, mm) == ("Point", "T1r1")
     assert table_rule(mp, mm) == "Point"
     assert table_rule(mm, mp) == "Residual"
 
 
 def test_table1_row2():
-    mp = FactorTails(drift=0.5, nu_bar_at_zero=math.inf)
-    mm = FactorTails(0.0, math.inf, rv_index=0.4, quasi_monotone=True)
+    mp = make_bernstein(**stable_density_table(0.5), d=0.5)
+    mm = make_bernstein("stable", beta=0.4)
+    assert _table_row(mp, mm) == ("Point", "T1r2")
     assert table_rule(mp, mm) == "Point"
 
 
 def test_table2_row2():
-    mp = FactorTails(drift=1.0, nu_bar_at_zero=3.0)
-    mm = FactorTails(drift=0.5, nu_bar_at_zero=math.inf)
+    mp = make_bernstein("compound-poisson", atoms=[[1.0, 3.0]], d=1.0)
+    mm = make_bernstein(**stable_density_table(0.5), d=0.5)
+    assert _table_row(mp, mm) == ("Point", "T2r2")
     assert table_rule(mp, mm) == "Point"
 
 
 def test_table_no_match():
-    same = FactorTails(drift=1.0, nu_bar_at_zero=0.0)
-    assert table_rule(same, same) is None
-    assert table_rule(None, same) is None
+    assert table_rule(PHI_ID, PHI_ID) is None
     # equal regular-variation indices never fire the strict inequality row
-    eq = FactorTails(0.0, math.inf, rv_index=0.5, quasi_monotone=True)
-    assert table_rule(eq, eq) is None
+    eq = make_bernstein("stable", beta=0.5)
+    assert _table_row(eq, eq) == (None, None)
+
+
+def test_table_reads_infinite_activity_of_a_table_with_a0_zero():
+    # a density with head c0/y below its table has infinite activity, so
+    # T2r1 (finite activity of the plus factor) must not fire
+    y = np.geomspace(1e-6, 1e3, 181)
+    plus = make_bernstein("tabulated-density", y=list(y),
+                          density=list(1.0 / (y * (1.0 + y))),
+                          tail_exponent_zero=0.0, tail_exponent_inf=1.0,
+                          d=1.0)
+    minus = make_bernstein(**stable_density_table(0.5))
+    assert table_rule(plus, minus) is None
 
 
 def test_table_rule_consistency_with_bands():
@@ -157,9 +172,7 @@ def test_table_rule_consistency_with_bands():
     pair = WienerHopfPair(
         make_bernstein("compound-poisson", atoms=[[1.0, 2.0]], d=1.0),
         make_bernstein("stable", beta=0.5))
-    tails_p = FactorTails.from_phi(pair.phi_plus)
-    tails_m = FactorTails.from_phi(pair.phi_minus)
-    assert table_rule(tails_p, tails_m) == "Point"
+    assert table_rule(pair.phi_plus, pair.phi_minus) == "Point"
     rep = classify(pair, SPEC)
     assert rep.verdict == "Point"
 
