@@ -13,13 +13,19 @@ solution of
 
 and is evaluated here in log space by its Stirling-type representation: a
 short Weierstrass-type product of K = 16 factors with an Euler-Maclaurin
-tail to order B_12, whose segment integral all points on one vertical line
-share: a point costs K + 21 = 37 evaluations of log phi, all through one
-kernel (`_log_phi`), plus its share of one cumulative pass up its line.  The
-evaluator is specified by its contracts (functional equation,
-normalization, conjugate symmetry, zero-freeness): the first two are
-checked at construction, the functional equation at the horizon too, and
-the last two hold by construction.
+tail to order B_12.  The points on one vertical line share fixed panels of
+length 8 on |Im z|: the segment integral, the factors z + k with k >= 8
+and the Euler-Maclaurin terms are analytic in a strip of half-width
+8 + Re z about the line, so a panel that holds at least 28 points
+interpolates them from its 28 Chebyshev points, at the Bernstein-ellipse
+rate (rho = 4.47 on Re z = 1/2, an error of 3e-18 times their modulus).
+A point there costs 8 evaluations of log phi plus its share of the
+panel's 812 (18.7 on the half line of a 4096-point multiplier grid),
+elsewhere 37, all through one kernel (`_log_phi`).  The evaluator is
+specified by its contracts (functional equation, normalization, conjugate
+symmetry, zero-freeness): the first two are checked at construction, the
+functional equation at the horizon too, and the last two hold by
+construction.
 """
 
 from __future__ import annotations
@@ -306,7 +312,7 @@ def _measure_integral(measure, z, c=None):
         if c is None:
             lap = ezw.sum(axis=-1)
         else:
-            lap = ezw @ np.exp(-np.outer(r.nodes[:q], c))
+            lap = _laplace_product(ezw, r.nodes[:q], c)
             lap[:, c == 0] = ezw.sum(axis=1)[:, None]
         out = np.sum(r.weights) + r.rem - lap - r.series(zc, 1)
         return np.where(zc == 0, 0.0, out)
@@ -322,6 +328,27 @@ def _measure_integral(measure, z, c=None):
     x = rho + a * zc
     out = np.exp(log_gamma_ratio(np.where(x == 0, 1.0, x), a))
     return np.where(x == 0, 0.0, out) - _ratio_constant(a, rho)
+
+
+_PRODUCT_DEPTH = 128  # Laplace nodes per matrix product
+
+
+def _laplace_product(ezw, nodes, c):
+    """ezw @ e^{-y c} over the nodes y, with bits that depend neither on
+    the number of rows nor on the BLAS thread count.  OpenBLAS cuts a
+    product deeper than its block (256 nodes for complex128 on x86-64) at
+    other depths when it runs on more threads, and takes one row by gemv,
+    which sums in another order; so the nodes go in chunks of
+    _PRODUCT_DEPTH, added in order, each chunk's e^{-y c} formed only for
+    its product, and a single row is doubled."""
+    rows = ezw.shape[0]
+    if rows == 1:
+        ezw = np.concatenate([ezw, ezw])
+    out = np.zeros((ezw.shape[0], c.size), dtype=complex)
+    for lo in range(0, nodes.size, _PRODUCT_DEPTH):
+        e = np.outer(nodes[lo:lo + _PRODUCT_DEPTH], -c)
+        out += ezw[:, lo:lo + _PRODUCT_DEPTH] @ np.exp(e, out=e)
+    return out[:rows]
 
 
 def _gamma_ratio_params(m: ClosedFormMeasure):
@@ -468,36 +495,67 @@ _HORIZON_FRACTIONS = (0.97, 0.99, 0.999)
 _K = 16
 _CIRCLE_N = 20
 _SIDE_N = 16
-_PANEL_H = 2.0  # width of the vertical-leg panels
-_PANEL_N = 6  # Gauss-Legendre nodes per panel
+_NEAR = 8  # k0: the shifts z + k with k < k0 are taken per point
+_PANEL_L = 8.0  # length of the panels on each vertical line
+_CHEB_N = 28  # Chebyshev points per panel
 # B_2j / (2j)! for j = 1..6
 _EM_COEF = tuple(n / (d * math.factorial(2 * j))
                  for j, (n, d) in enumerate(BERNOULLI[2:13:2], 1))
 _BLOCK = 1024  # points per block of log phi evaluations
 
 
-def _vertical_pass(phi, lines, rule):
-    """For each line (a, edges): log phi(a + i t) at the nodes of the
-    Gauss-Legendre rule (nodes, weights on [0, 1]) on each panel between the
-    ascending edges, and the integrals of log phi(a + i t) dt from edges[0]
-    to every edge, summed in np.clongdouble.  The nodes of all lines go
-    through _log_phi together, _BLOCK points at a time."""
-    gx, gw = rule
-    widths = [np.diff(edges) for _, edges in lines]
-    z = np.concatenate([np.empty(0, dtype=complex)] + [
-        a + 1j * (edges[:-1, None] + w[:, None] * gx[None, :]).ravel()
-        for (a, edges), w in zip(lines, widths)])
-    lv = np.empty(z.shape, dtype=complex)
-    for lo in range(0, z.size, _BLOCK):
-        lv[lo:lo + _BLOCK] = _log_phi(phi, z[lo:lo + _BLOCK])
-    out = []
-    ends = np.cumsum([w.size * gx.size for w in widths])
-    for part, w in zip(np.split(lv, ends[:-1]), widths):
-        part = part.reshape(w.size, gx.size)
-        panels = ((part @ gw) * w).astype(np.clongdouble)
-        out.append((part, np.concatenate([np.zeros(1, np.clongdouble),
-                                          np.cumsum(panels)])))
-    return out
+def _barycentric(x, nodes, weights):
+    """The (len(x), len(nodes)) matrix whose row i, applied to values at
+    the nodes, gives their interpolant at x_i by the second barycentric
+    formula (Berrut and Trefethen, SIAM Rev. 2004); where x_i is a node,
+    the row picks that node's value."""
+    d = x[:, None] - nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = weights / d
+        q /= q.sum(axis=1, keepdims=True)
+    hit = d == 0.0
+    rows = hit.any(axis=1)
+    q[rows] = hit[rows]
+    return q
+
+
+@functools.lru_cache(maxsize=4)
+def _chebyshev_rule(n):
+    """The panel rule on [0, 1]: the n Chebyshev points of the second kind
+    x_i = (1 - cos(pi i / (n - 1))) / 2, ascending from 0 to 1, their
+    barycentric weights (-1)^i (halved at both ends), the (n, n) matrix S
+    whose row i maps values at the points to the integral of their
+    interpolant over [0, x_i], and its last row, the Clenshaw-Curtis
+    weights, in np.longdouble; read-only and shared between calls.
+
+    S comes from the Chebyshev coefficients in np.longdouble, with
+    T_k(2 x_i - 1) = (-1)^k cos(k theta_i): rounded to float64 the weights
+    sum to 1 + 1e-16, and that bias would grow with the height of a line,
+    to 1e-13 at Im z = 214 for log W of the drift.
+    """
+    m = n - 1
+    theta = np.arange(n) * (np.arccos(np.longdouble(-1.0)) / m)
+    k = np.arange(n + 1)[:, None]
+    cheb = (-1.0) ** k * np.cos(k * theta)  # T_k at the points, k = 0..n
+    half = np.ones(n)
+    half[[0, -1]] = 0.5
+    coef = np.longdouble(2.0) / m * half[:, None] * cheb[:n] * half
+    # integral_{-1}^{s_i} T_k: T_1 + 1, (T_2 - 1) / 4, then the recurrence
+    edge = (-1.0) ** k
+    integ = np.empty((n, n), dtype=np.longdouble)
+    integ[0] = cheb[1] + 1.0
+    integ[1] = (cheb[2] - 1.0) / 4.0
+    j = np.arange(2, n)[:, None]
+    integ[2:] = ((cheb[3:] - edge[3:]) / (2.0 * (j + 1))
+                 - (cheb[1:n - 1] - edge[1:n - 1]) / (2.0 * (j - 1)))
+    s = 0.5 * integ.T @ coef
+    x = ((1.0 - np.cos(theta)) / 2.0).astype(float)
+    w = (-1.0) ** np.arange(n)
+    w[[0, -1]] *= 0.5
+    rule = (x, w, s.astype(float), s[-1].copy())
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 class BernsteinGammaEvaluator:
@@ -528,34 +586,54 @@ class BernsteinGammaEvaluator:
     from the trapezoid rule on _CIRCLE_N = 20 nodes of a circle of radius
     r = K/6; L is analytic on Re > 0, a disk of radius R >= K about each
     centre, so the rule's aliasing is (r/R)^20 <= 6^-20 = 3e-16 for every
-    measure.  The segment integral runs K -> K + Re z (_SIDE_N
-    Gauss-Legendre nodes in log u) -> K + z, and all points with the same
-    Re z share the vertical leg: one cumulative pass of panels of
-    n = _PANEL_N Gauss-Legendre nodes, with edges at every |Im z| and on a
-    grid of width h = _PANEL_H (conjugate symmetry for Im z < 0).  Since
-    |L'(u)| <= 1/Re u
-    (|phi'(u)| <= phi'(Re u) <= phi(Re u)/Re u <= |phi(u)|/Re u), L moves by
-    at most M = 1 + h/K within K/2 of a panel, a region that holds the
-    panel's Bernstein ellipse rho, (h/4)(rho - 1/rho) = K/2.  The
-    Gauss-Legendre bound (Trefethen, SIAM Rev. 2008, Thm 4.5) then puts the
-    error of a leg of height Y below (32/15) Y M rho^{-2n} / (rho^2 - 1),
-    which h = 2, n = 6 (rho = 16.06) make 3e-17 Y: 5e-14 at Y = 1716,
-    where the rounding of log W measures 2e-12 (n = 8 would give 5e-22 Y
-    for a third more pass nodes).  So a point costs K + _CIRCLE_N + 1 = 37
-    evaluations of log phi (for atoms or a tabulated density, one exp row
-    and one matrix product cover them all), and each distinct real part
-    O(points + max |Im z| / h) more.
+    measure.
+
+    The segment integral runs K -> K + Re z (_SIDE_N Gauss-Legendre nodes
+    in log u) -> K + z.  The points with the same Re z = a form a line,
+    cut on |Im z| into fixed panels [j l, (j + 1) l] of length
+    l = _PANEL_L = 8, whatever points a call asks for (conjugate symmetry
+    for Im z < 0).  Every panel below the highest point takes L(K + a + is)
+    at its n = _CHEB_N = 28 Chebyshev points, and the vertical leg to a
+    point is the integral of the interpolant of those values: over whole
+    panels (Clenshaw-Curtis, weights and sums in np.longdouble), cumulated
+    and added last in np.clongdouble, and over the point's own panel up to
+    the point.  The error of the
+    interpolant of a function analytic in the strip |Re s| < b about a
+    panel is 4 M rho^{1-n} / (rho - 1) (Trefethen, Approximation Theory
+    and Approximation Practice, Thm 8.2), M its modulus on the Bernstein
+    ellipse rho < beta + sqrt(1 + beta^2), beta = 2 b / l.  For the leg
+    b = K + a, rho = 8.1 and rho^{1-n} = 3e-25: it is exact to rounding.
+
+    A point's terms split in two.  The near ones, L(z) and the L(z + k)
+    with k < k0 = _NEAR = 8, are taken per point.  The far ones, the
+    L(z + k) with k0 <= k <= K, L(z + K)/2 and the Euler-Maclaurin circle,
+    are analytic in the strip of half-width b = k0 + a about the line: on
+    a panel that holds at least n points they are interpolated, with the
+    partial leg, from their values at the Chebyshev points (the second
+    barycentric formula, Berrut and Trefethen, SIAM Rev. 2004), at the
+    rate rho = 4.47 at a = 1/2 (4 rho^{1-n} / (rho - 1) = 3e-18), 4.24 at
+    a = 0 (1.5e-17).  The points of a panel that holds fewer take the far
+    terms directly, since n nodes cost what n points do.  So a point costs
+    k0 = 8 evaluations of log phi plus its share of the n (K - k0 + 21) =
+    812 of its panel (18.7 in all on the half line of a 4096-point
+    multiplier grid: 2049 points, 27 panels), or K + _CIRCLE_N + 1 = 37
+    on a sparse line, where each panel it crosses adds n.
 
     Every log phi goes through `_log_phi` (a gamma ratio's log comes
-    straight from `log_gamma_ratio`, with no exp and log round trip), and
-    points go through in blocks of _BLOCK = 1024, so an elementwise pass
-    over the (points, K + _CIRCLE_N + 1) matrix writes about 0.6 MB.  A
-    point's bits do not depend on its block: every sum along a row is a
-    NumPy row reduction, never a BLAS product, whose order can change with
-    the number of rows.  The build batches its log phi calls: the K
-    integers come from the columns of z = 1, all real legs go in one call,
-    all pass nodes in one per block, and the validation and horizon points
-    with their +1 shifts in one _log_w_raw.
+    straight from `log_gamma_ratio`, with no exp and log round trip):
+    points with their columns, panels as their base a + i j l with the
+    Chebyshev points as offsets (times the far columns on an interpolated
+    panel), so that a tabulated density takes one exp row per panel and
+    one matrix product.  Points go through in blocks of _BLOCK = 1024,
+    panels in blocks of as many evaluations (_BLOCK times the 37 columns
+    of a point), so an elementwise pass writes about 0.6 MB.  A point's
+    bits do not depend on its block: every sum along a row is a NumPy row
+    reduction, and the one matrix product, that of atoms and tables, is
+    `_laplace_product`'s, whose bits depend neither on the number of rows
+    nor on the BLAS thread count.  The build batches its log phi calls:
+    the K integers come from the columns of z = 1, all real legs go in one
+    call, all panels in one per block, and the validation and horizon
+    points with their +1 shifts in one _log_w_raw.
 
     K = 16 is `truncation`.  The functional-equation residuals on the
     validation grid (|Im z| <= 30) and at a few points on Re z = 1/2 near
@@ -595,16 +673,20 @@ class BernsteinGammaEvaluator:
         self._em_odd = sum(coef * math.factorial(2 * j - 1) / _CIRCLE_N
                            * circle ** (1 - 2 * j)
                            for j, coef in enumerate(_EM_COEF, 1))
-        # the columns of _log_w_raw: z + k for k = 1..K, the circle about
-        # z + K, and z itself
+        # the columns of a point: the near ones, z + k for k < k0 and z
+        # itself, then the far ones, z + k for k0 <= k <= K and the circle
+        # about z + K
         self._offsets = np.concatenate(
-            [np.arange(1, _K + 1, dtype=float), _K + circle, [0.0]])
+            [np.arange(1, _NEAR), [0.0], np.arange(_NEAR, _K + 1),
+             _K + circle])
         with np.errstate(divide="ignore"):
-            row = _log_phi(self.phi, np.ones(1, dtype=complex), self._offsets)
+            row = _log_phi(self.phi, np.ones(1, dtype=complex),
+                           self._offsets)[0]
         # L(1..K) from the columns of z = 1 (c = 0 and c = 1..K-1), so that
         # in log W(1) each L(k) cancels against its own bits, whatever the
         # rounding of the Laplace product of atoms and tables
-        lk = np.concatenate([row[0, -1:], row[0, :_K - 1]])
+        lk = np.concatenate([row[_NEAR - 1:_NEAR], row[:_NEAR - 1],
+                             row[_NEAR:_K]])
         if not np.all(np.isfinite(lk.real) & (lk.imag == 0)):
             raise DomainError("phi must be strictly positive on [1, K]")
         self._log_phik = lk.real
@@ -613,45 +695,97 @@ class BernsteinGammaEvaluator:
                             - (_log_phi(self.phi, _K + circle)
                                @ self._em_odd).real)
 
-    def _segment_integral(self, z):
-        """integral_K^{K+z} log phi(u) du along K -> K + Re z -> K + z for a
-        1-d array z: one real leg per distinct Re z, all in one _log_phi
-        call, and one vertical pass per distinct Re z, all in one
-        _vertical_pass."""
-        re, group = np.unique(z.real, return_inverse=True)
-        gx, gw = gauss_legendre(_SIDE_N)
-        t = np.log1p(re / _K)[:, None]  # the real leg, in t = log(u/K)
-        u = _K * np.exp(t * gx[None, :])
-        out = np.sum(_log_phi(self.phi, u) * u * t * gw, axis=1)[group]
-        idx = [np.flatnonzero(group == g) for g in range(re.size)]
-        ys = [np.abs(z.imag[i]) for i in idx]
-        edges = [sorted_unique(np.concatenate(
-            [y, np.arange(0.0, y.max(), _PANEL_H)])) for y in ys]
-        passes = _vertical_pass(self.phi, list(zip(_K + re, edges)),
-                                gauss_legendre(_PANEL_N))
-        for i, y, e, (_, cum) in zip(idx, ys, edges, passes):
-            leg = 1j * cum[np.searchsorted(e, y)].astype(complex)
-            out[i] += np.where(z.imag[i] < 0, np.conj(leg), leg)
-        return out
+    def _near_terms(self, lv):
+        """sum_{k < k0} (L(k) - L(z + k)) - L(z) from the near columns."""
+        return (np.sum(self._log_phik[:_NEAR - 1] - lv[:, :_NEAR - 1], axis=1)
+                - lv[:, _NEAR - 1])
+
+    def _far_terms(self, lv):
+        """sum_{k0 <= k <= K} (L(k) - L(z + k)) + L(z + K)/2 and the
+        Euler-Maclaurin terms from the far columns."""
+        shifted, circle = lv[:, :_K - _NEAR + 1], lv[:, _K - _NEAR + 1:]
+        return (np.sum(self._log_phik[_NEAR - 1:] - shifted, axis=1)
+                + 0.5 * shifted[:, -1] + (circle * self._em_odd).sum(axis=1))
 
     def _log_w_raw(self, z):
-        """log W for a 1-d array z, _BLOCK points at a time."""
-        out = self._segment_integral(z) + self._const
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in range(0, z.size, _BLOCK):
-                # lv stays alive until the next block's exists: freed first,
-                # it lets malloc trim the heap, and every block's temporaries
-                # page-fault afresh (15k faults against 2.4k on 16385 points)
-                lv = _log_phi(self.phi, z[lo:lo + _BLOCK], self._offsets)
-                out[lo:lo + _BLOCK] += self._point_terms(lv)
-        return out
+        """log W for a 1-d array z, line by line (class docstring)."""
+        ell = _PANEL_L
+        nodes, weights, integ, cc = _chebyshev_rule(_CHEB_N)
+        n = nodes.size
+        t = np.abs(z.imag)
+        re, line = np.unique(z.real, return_inverse=True)
+        top = np.zeros(re.size)
+        np.maximum.at(top, line, t)
+        npan = np.ceil(top / ell).astype(int)
+        first = np.cumsum(npan) - npan
+        # the panel (j l, (j + 1) l] of each point, [0, l] for j = 0, as an
+        # index into all lines' panels
+        local = np.maximum(np.ceil(t / ell).astype(int) - 1, 0)
+        lined = npan[line] > 0
+        pan = np.where(lined, first[line] + local, 0)
+        dense = np.bincount(pan[lined], minlength=npan.sum()) >= n
+        interp = lined & dense[pan] if dense.size else lined
+        pline = np.repeat(np.arange(re.size), npan)
+        base = re[pline] + 1j * ell * (np.arange(pline.size) - first[pline])
 
-    def _point_terms(self, lv):
-        """The product and Euler-Maclaurin terms of log W(z) from the rows
-        log phi(z + offsets)."""
-        shifted, circle, head = lv[:, :_K], lv[:, _K:-1], lv[:, -1]
-        return (np.sum(self._log_phik - shifted, axis=1) - head
-                + 0.5 * shifted[:, -1] + (circle * self._em_odd).sum(axis=1))
+        gx, gw = gauss_legendre(_SIDE_N)
+        u_t = np.log1p(re / _K)[:, None]  # the real leg, in t = log(u/K)
+        u = _K * np.exp(u_t * gx[None, :])
+        out = self._const + np.sum(_log_phi(self.phi, u) * u * u_t * gw,
+                                   axis=1)[line]
+        v = np.empty((pline.size, n), dtype=complex)
+        g = np.zeros((pline.size, n), dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the panels: L(K + a + is) at the Chebyshev points, and the far
+            # terms there where they are interpolated
+            for idx, cols, k in (
+                    (np.flatnonzero(dense),
+                     (1j * ell * nodes)[:, None] + self._offsets[_NEAR:],
+                     _K - _NEAR),
+                    (np.flatnonzero(~dense), _K + 1j * ell * nodes[:, None],
+                     0)):
+                rows = max(1, _BLOCK * self._offsets.size // cols.size)
+                for lo in range(0, idx.size, rows):
+                    i = idx[lo:lo + rows]
+                    lv = _log_phi(self.phi, base[i], cols.ravel()).reshape(
+                        i.size * n, -1)
+                    v[i] = lv[:, k].reshape(i.size, n)
+                    if k:
+                        g[i] = self._far_terms(lv).reshape(i.size, n)
+            # the points: near terms, and far terms where not interpolated;
+            # lv stays alive until the next block's exists: freed first, it
+            # lets malloc trim the heap, and every block's temporaries
+            # page-fault afresh (15k faults against 2.4k on 16385 points)
+            for idx, cols in ((np.flatnonzero(~interp), self._offsets),
+                              (np.flatnonzero(interp),
+                               self._offsets[:_NEAR])):
+                for lo in range(0, idx.size, _BLOCK):
+                    i = idx[lo:lo + _BLOCK]
+                    lv = _log_phi(self.phi, z[i], cols)
+                    out[i] += self._near_terms(lv)
+                    if cols.size > _NEAR:
+                        out[i] += self._far_terms(lv[:, _NEAR:])
+            # each point's own panel: the far terms and the leg from the
+            # panel's start, at the Chebyshev points, interpolated
+            idx = np.flatnonzero(lined)
+            x = t / ell - local
+            for lo in range(0, idx.size, _BLOCK):
+                i = idx[lo:lo + _BLOCK]
+                held, at = np.unique(pan[i], return_inverse=True)
+                vh, h = v[held], g[held]
+                for j, row in enumerate(integ):
+                    h[:, j] += 1j * (ell * np.sum(vh * row, axis=1))
+                s = np.sum(_barycentric(x[i], nodes, weights) * h[at], axis=1)
+                out[i] += np.where(z.imag[i] < 0, np.conj(s), s)
+        whole = ell * np.sum(v.astype(np.clongdouble) * cc, axis=1)
+        # the whole panels below each point, added last in extended precision
+        cum = np.zeros(pline.size, dtype=np.clongdouble)
+        for lo, m in zip(first, npan):
+            cum[lo + 1:lo + m] = np.cumsum(whole[lo:lo + m - 1])
+        lw = out.astype(np.clongdouble)
+        leg = 1j * cum[pan[lined]]
+        lw[lined] += np.where(z.imag[lined] < 0, np.conj(leg), leg)
+        return lw.astype(complex)
 
     def _fe_residuals(self, *groups):
         """max |1 - phi(z) W(z) / W(z+1)| over each group of points z, and
@@ -704,6 +838,23 @@ def default_evaluator(phi: BernsteinFunction, tol: float = 1e-10,
 _THETA_MAX_PANELS = 1 << 22
 
 
+def _vertical_pass(phi, a, edges, rule):
+    """log phi(a + i t) at the nodes of the Gauss-Legendre rule (nodes,
+    weights on [0, 1]) on each panel between the ascending edges, and the
+    integrals of log phi(a + i t) dt from edges[0] to every edge, summed in
+    np.clongdouble.  The nodes go through _log_phi _BLOCK points at a
+    time."""
+    gx, gw = rule
+    w = np.diff(edges)
+    z = a + 1j * (edges[:-1, None] + w[:, None] * gx[None, :]).ravel()
+    lv = np.empty(z.shape, dtype=complex)
+    for lo in range(0, z.size, _BLOCK):
+        lv[lo:lo + _BLOCK] = _log_phi(phi, z[lo:lo + _BLOCK])
+    lv = lv.reshape(w.size, gx.size)
+    panels = ((lv @ gw) * w).astype(np.clongdouble)
+    return lv, np.concatenate([np.zeros(1, np.clongdouble), np.cumsum(panels)])
+
+
 def theta_integral(phi: BernsteinFunction, a: float, xi,
                    tol: float = 1e-10):
     """integral_0^xi arg phi(a + i w) dw for a scalar xi or a 1-d array of
@@ -733,7 +884,7 @@ def theta_integral(phi: BernsteinFunction, a: float, xi,
         edges = np.concatenate([np.linspace(s, e, n + 1)[:-1]
                                 for s, e, n in zip(starts, ends, npan)]
                                + [ends[-1:]])
-        lv, cum = _vertical_pass(phi, [(a, edges)], gauss_legendre(8))[0]
+        lv, cum = _vertical_pass(phi, a, edges, gauss_legendre(8))
         total = cum.imag[np.cumsum(npan)].astype(float)
         jump = np.abs(np.diff(lv.imag.ravel())).max(initial=0.0) > np.pi / 2
         if not jump:

@@ -54,11 +54,15 @@ _NUMERICAL_ERRORS = (errors.ConvergenceError, errors.QuadratureError,
 # output helpers
 # ---------------------------------------------------------------------------
 
+_CSV_CHUNK = 1024  # rows per % operation of emit_csv
+
+
 def emit_csv(table, path):
     """Write (header, columns) as UTF-8 CSV, 17 significant digits, LF.
 
     A column of strings is written as is, any other column as %.17g of
-    each value; each row is formatted by one format string."""
+    each value; _CSV_CHUNK rows at a time are formatted by one % operation,
+    the row format repeated over the columns' values interleaved."""
     header, columns = table
     if len(columns) != len(header):
         raise errors.ValidationError("header/column mismatch")
@@ -67,11 +71,17 @@ def emit_csv(table, path):
         raise errors.ValidationError("CSV columns differ in length")
     row = ",".join("%s" if col.dtype.kind == "U" else "%.17g"
                    for col in cols) + "\n"
+    values = [col.tolist() for col in cols]
+    rows = len(values[0]) if values else 0
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(row % cells
-                          for cells in zip(*(col.tolist() for col in cols)))
+            for lo in range(0, rows, _CSV_CHUNK):
+                chunk = [v[lo:lo + _CSV_CHUNK] for v in values]
+                cells = [None] * (len(chunk[0]) * len(chunk))
+                for j, v in enumerate(chunk):
+                    cells[j::len(chunk)] = v
+                fh.write(row * len(chunk[0]) % tuple(cells))
     except OSError as exc:
         raise errors.ValidationError(f"cannot write {path!r}: {exc}")
 

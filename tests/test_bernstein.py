@@ -476,9 +476,15 @@ def test_evaluator_gates_on_horizon_residual():
         BernsteinGammaEvaluator(PHI_ID, tol=1e-12, zmax=zmax)
 
 
+# the half line of a 4096-point multiplier grid on the window [-20, 40]
+HALF_LINE = 0.5 + 1j * np.arange(2049) * (2.0 * np.pi / 60.0)
+
+
 def test_log_w_phi_evaluations_per_point(monkeypatch):
-    # per point: K shifts, the circle and phi(z) itself; per line: one pass
-    # whose grid panels cost O(zmax)
+    # a dense line: k0 near columns per point, and the n Chebyshev points of
+    # each panel with the far columns (K - k0 + 1 shifts and the circle);
+    # a sparse line: the K + 21 columns per point, and the n points of each
+    # panel for the vertical leg; one real leg per line
     import spectral_ssmp.bernstein as bmod
     count = [0]
     kernel = bmod._log_phi
@@ -487,18 +493,24 @@ def test_log_w_phi_evaluations_per_point(monkeypatch):
         count[0] += np.size(z) * (1 if c is None else np.size(c))
         return kernel(phi, z, c)
 
-    n = 2000
-    z = 0.5 + 1j * np.linspace(-299.0, 299.0, n)
+    n, far = bmod._CHEB_N, bmod._K - bmod._NEAR + 1 + bmod._CIRCLE_N
+    sparse = 0.5 + 1j * np.random.default_rng(2).uniform(-299.0, 299.0, 50)
+    panels = math.ceil(np.abs(sparse.imag).max() / bmod._PANEL_L)
+    dense_panels = math.ceil(HALF_LINE.imag[-1] / bmod._PANEL_L)  # 27
     for phi in (PHI_ID, make_bernstein("compound-poisson",
                                        atoms=[[0.03, 1.0]], d=0.1)):
         ev = BernsteinGammaEvaluator(phi, tol=1e-10, zmax=300.0)
-        count[0] = 0
         with monkeypatch.context() as m:
             m.setattr(bmod, "_log_phi", counted)
-            ev.log_w(z)
-        per_point = bmod._K + bmod._CIRCLE_N + 1
-        assert per_point <= 37
-        assert count[0] <= (per_point + 8) * n + 8 * ev.zmax
+            count[0] = 0
+            ev.log_w(HALF_LINE)
+            assert count[0] == (bmod._NEAR * HALF_LINE.size
+                                + n * far * dense_panels + bmod._SIDE_N)
+            assert count[0] <= 19 * HALF_LINE.size
+            count[0] = 0
+            ev.log_w(sparse)
+            assert count[0] == ((bmod._K + bmod._CIRCLE_N + 1) * sparse.size
+                                + n * panels + bmod._SIDE_N)
 
 
 ALL_KINDS = (
@@ -551,14 +563,18 @@ def test_log_phi_takes_the_ratio_only_for_the_ratio_itself(monkeypatch):
 
 
 def test_log_w_blocks_are_bit_identical_to_one_block(monkeypatch):
-    # the work is row by row: blocks of 7 points give the bits of one block,
-    # across real parts for closed forms, on one line for atoms
+    # the work is row by row: blocks of 7 points (and of one panel) give
+    # the bits of one block, across real parts for closed forms, on one
+    # line for atoms, and on a dense line whose panels are interpolated
     import spectral_ssmp.bernstein as bmod
     rng = np.random.default_rng(5)
     t = rng.uniform(-250.0, 250.0, 400)
     mixed = rng.choice([0.0, 0.5, 1.25, 3.0], 400) + 1j * t
+    dense = 0.5 + 1j * np.concatenate([HALF_LINE.imag, -HALF_LINE.imag])
     for phi, z in ((PHI_AFF, mixed), (ALL_KINDS[3], mixed),
-                   (ALL_KINDS[4], mixed), (ALL_KINDS[5], 0.5 + 1j * t)):
+                   (ALL_KINDS[4], mixed), (ALL_KINDS[5], 0.5 + 1j * t),
+                   (ALL_KINDS[4], dense), (ALL_KINDS[5], dense),
+                   (ALL_KINDS[6], dense)):
         ev = default_evaluator(phi, 1e-10, 300.0)
         with monkeypatch.context() as m:
             m.setattr(bmod, "_BLOCK", 10 ** 9)
@@ -566,6 +582,24 @@ def test_log_w_blocks_are_bit_identical_to_one_block(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(bmod, "_BLOCK", 7)
             assert np.array_equal(ev.log_w(z), one)
+
+
+def test_laplace_product_bits_do_not_depend_on_the_rows():
+    # chunks of _PRODUCT_DEPTH nodes, and one row doubled: a row's product
+    # has the bits it has among 1024 rows (gemv and gemm sum in other
+    # orders, and OpenBLAS cuts deep products by its thread count)
+    import spectral_ssmp.bernstein as bmod
+    rng = np.random.default_rng(4)
+    ezw = rng.standard_normal((1024, 700)) * np.exp(1j * rng.uniform(
+        -np.pi, np.pi, (1024, 700)))
+    nodes = np.geomspace(1e-3, 40.0, 700)
+    c = np.concatenate([np.arange(1.0, 17.0), 16.0 + 2.0j * np.arange(21)])
+    full = bmod._laplace_product(ezw, nodes, c)
+    for lo, rows in ((0, 1), (5, 1), (3, 2), (100, 36)):
+        assert np.array_equal(
+            bmod._laplace_product(ezw[lo:lo + rows], nodes, c),
+            full[lo:lo + rows])
+    assert_allclose(full, ezw @ np.exp(-np.outer(nodes, c)), rtol=1e-13)
 
 
 @pytest.mark.parametrize("phi", (PHI_ID, ALL_KINDS[4]))
@@ -614,28 +648,91 @@ def test_log_w_groups_points_by_real_part():
 
 
 def test_vertical_leg_rule_converges(monkeypatch):
-    # halving the panel width moves log W by less than tol/100: for atoms
-    # that oscillate along the line (y = 0.03) or not (y = 1), the gamma
-    # pair up to the horizon, and the stable(1/2) table
+    # halving the panel length and raising the Chebyshev points per panel
+    # moves log W by less than tol/100: for atoms that oscillate along the
+    # line (y = 0.03) or not (y = 1), the gamma pair up to the horizon, the
+    # stable(1/2) table, and dense lines whose far terms are interpolated
+    # under both rules (38 points per panel of length 4)
     import spectral_ssmp.bernstein as bmod
     tol = 1e-10
     zmax = _eigen_zmax()
     xi = np.geomspace(1.0, zmax - 3.0, 40)
     line = np.concatenate([0.5 + 1j * xi, 1.5 - 1j * xi])
-    cases = [(make_bernstein("compound-poisson", atoms=[[y, 1.0]], d=0.1),
-              zmax, line) for y in (0.03, 1.0)]
+    atoms = [make_bernstein("compound-poisson", atoms=[[y, 1.0]], d=0.1)
+             for y in (0.03, 1.0)]
+    cases = [(phi, zmax, line) for phi in atoms]
     cases += [(make_bernstein("gamma-ratio-plus", alpha_tilde=0.7), zmax, line),
               (make_bernstein("gamma-ratio-minus", alpha=0.3, rho=1.0),
                zmax, line),
               (make_bernstein(**stable_density_table(0.5)), 216.0,
                0.5 + 1j * np.linspace(-214.0, 214.0, 241))]
+    cases += [(phi, 216.0, HALF_LINE) for phi in (atoms[0], ALL_KINDS[3])]
     for phi, zm, z in cases:
         ev = BernsteinGammaEvaluator(phi, tol=tol, zmax=zm)
         lw = ev.log_w(z)
         with monkeypatch.context() as m:
-            m.setattr(bmod, "_PANEL_H", bmod._PANEL_H / 2)
+            m.setattr(bmod, "_PANEL_L", bmod._PANEL_L / 2)
+            m.setattr(bmod, "_CHEB_N", bmod._CHEB_N + 8)
             finer = ev.log_w(z)
         assert np.abs(finer - lw).max() < tol / 100, phi
+
+
+@pytest.mark.parametrize("phi", ALL_KINDS)
+def test_interpolated_panels_agree_with_direct_points(phi):
+    # dense lines at four real parts, with points on panel edges and on
+    # Chebyshev points: the interpolated far terms and partial legs agree
+    # with one-point calls, which take every column directly.  The table's
+    # phi cancels its mass sum (564) against its Laplace sum, and its
+    # rounding depends on the smallest Re of a batch: one-point and line
+    # calls differed by up to 1.7e-12 before any interpolation, hence atol
+    import spectral_ssmp.bernstein as bmod
+    nodes = bmod._chebyshev_rule(bmod._CHEB_N)[0]
+    ell = bmod._PANEL_L
+    t = np.concatenate([np.linspace(0.05, 100.0, 600),
+                        ell * np.arange(1, 13),
+                        ell * (3 + nodes), ell * (11 + nodes[1:-1])])
+    z = (np.array([0.0, 0.5, 1.25, 3.0])[:, None]
+         + 1j * np.concatenate([t, -t[::5]])).ravel()
+    ev = default_evaluator(phi, 1e-10, 300.0)
+    lw = ev.log_w(z)
+    pick = np.concatenate([np.arange(0, z.size, 23),
+                           np.flatnonzero(np.isin(np.abs(z.imag), t[600:]))])
+    one = np.array([ev.log_w(complex(v)) for v in z[pick]])
+    atol = 2e-12 if isinstance(phi.measure, DensityMeasure) else 0.0
+    assert_allclose(lw[pick], one, rtol=1e-13, atol=atol)
+
+
+def test_chebyshev_rule_integrates_polynomials():
+    # S integrates every polynomial of degree < n exactly (to rounding),
+    # and the Clenshaw-Curtis weights sum to 1 in extended precision: in
+    # float64 they summed to 1 + 1.5e-16, a bias that grows with the height
+    # of a line
+    import spectral_ssmp.bernstein as bmod
+    x, w, s, cc = bmod._chebyshev_rule(bmod._CHEB_N)
+    assert x[0] == 0.0 and x[-1] == 1.0 and np.all(np.diff(x) > 0)
+    for k in range(x.size):
+        assert_allclose(s @ x ** k, x ** (k + 1) / (k + 1), rtol=0, atol=1e-15)
+    assert cc.dtype == np.longdouble and abs(cc.sum() - 1) <= 1e-18
+    assert_allclose(bmod._barycentric(np.array([0.3, x[5]]), x, w) @ x ** 7,
+                    [0.3 ** 7, x[5] ** 7], rtol=1e-14)
+
+
+def test_log_w_on_the_multiplier_half_line_matches_mpmath():
+    # the 4096-point grid's half line, 0 <= xi <= 214.4, against log-Gamma
+    # closed forms; the error is the rounding of |log W| up to 1.1e3
+    import mpmath as mp
+    cases = (
+        (PHI_ID, mp.loggamma),
+        (PHI_AFF, lambda v: mp.loggamma(v + 1)),
+        (ALL_KINDS[3], lambda v: mp.loggamma(0.7 * v) - mp.loggamma(0.7)),
+        (ALL_KINDS[4],
+         lambda v: mp.loggamma(1 + 0.3 * v) - mp.loggamma(1.3)))
+    zmax = float(np.abs(HALF_LINE[-1])) + 2.0
+    for phi, log_w in cases:
+        with mp.workdps(30):
+            ref = np.array([complex(log_w(mp.mpc(v))) for v in HALF_LINE])
+        lw = default_evaluator(phi, 1e-10, zmax).log_w(HALF_LINE)
+        assert np.abs(lw - ref).max() <= 2.5e-13, phi
 
 
 def test_w_domain_and_horizon_errors():

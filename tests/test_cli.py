@@ -99,6 +99,10 @@ def _per_cell_csv(header, columns):
     (["i", "name"], [np.arange(-3, 3), ["a", "b c", "d", "nan", "-0", ""]]),
     (["n", "x"], [[7, -1, 2 ** 53 + 1], np.array([0.1, 0.2, 0.3])]),
     (["a", "b"], [np.array([]), []]),
+    # longer than one chunk of rows, and not a multiple of it
+    (["x", "y"], [np.linspace(-3.0, 7.0, 2048), np.arange(2048.0) / 7.0]),
+    (["k", "name", "v"], [np.arange(2500), [str(i % 7) for i in range(2500)],
+                          np.geomspace(1e-300, 1e300, 2500)]),
 ])
 def test_emit_csv_matches_per_cell_format(tmp_path, header, columns):
     path = tmp_path / "t.csv"
