@@ -26,6 +26,11 @@ specified by its contracts (functional equation, normalization, conjugate
 symmetry, zero-freeness): the first two are checked at construction, the
 functional equation at the horizon too, and the last two hold by
 construction.
+
+Where W has a log-Gamma closed form (drift and affine factors, a constant,
+a gamma ratio itself, a pure stable z^beta), `default_evaluator` serves it
+from that form instead: one `special.log_gamma` per point, about 0.35 us,
+under the same construction checks.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .special import (
     BERNOULLI,
     _log,
     gauss_legendre,
+    log_gamma,
     log_gamma_ratio,
     sorted_unique,
 )
@@ -388,6 +394,30 @@ def _ratio_form(phi: BernsteinFunction):
     return None
 
 
+def _w_form(phi: BernsteinFunction):
+    """(p, a, b, lam) when W has the log-Gamma closed form
+
+        log W(z) = p (log Gamma(a z + b) - log Gamma(a + b)) + lam (z - 1),
+
+    None otherwise (Patie and Savov, Electron. J. Probab. 2018).  Four
+    cases: phi0 + drift z with no measure, W = d^{z-1} Gamma(z + phi0/d) /
+    Gamma(1 + phi0/d) with d the drift, and W = phi0^{z-1} for d = 0; a
+    gamma ratio itself (`_ratio_form`), W = Gamma(rho + a z) /
+    Gamma(rho + a); and a pure stable z^beta, W = Gamma^beta."""
+    m = phi.measure
+    if m is None:
+        if phi.drift == 0.0:
+            return 0.0, 1.0, 0.0, math.log(phi.phi0)
+        return 1.0, 1.0, phi.phi0 / phi.drift, math.log(phi.drift)
+    ratio = _ratio_form(phi)
+    if ratio is not None:
+        return 1.0, ratio[0], ratio[1], 0.0
+    if (isinstance(m, ClosedFormMeasure) and m.kind == "stable"
+            and phi.phi0 == 0.0 and phi.drift == 0.0):
+        return m.params[0], 1.0, 0.0, 0.0
+    return None
+
+
 def _log_phi(phi: BernsteinFunction, z, c=None):
     """log phi(z) for a complex array z with Re z >= 0 (z != 0 for a gamma
     ratio with rho = 0); given 1-d offsets c, the (len(z), len(c)) matrix
@@ -642,6 +672,11 @@ class BernsteinGammaEvaluator:
     either misses tol (a larger K does not lower them).  All caches are
     computed here, so the evaluator is immutable and safe to share between
     threads.
+
+    This is the evaluator for atoms, tables and mixed factors;
+    `default_evaluator` serves a factor with a log-Gamma closed form
+    (`_w_form`) by a subclass that keeps this construction and `log_w`
+    and replaces only the tables and `_log_w_raw`.
     """
 
     def __init__(self, phi: BernsteinFunction, tol: float = 1e-10,
@@ -824,11 +859,38 @@ class BernsteinGammaEvaluator:
         return np.exp(self.log_w(z))
 
 
+class _ClosedFormEvaluator(BernsteinGammaEvaluator):
+    """W of a factor with a log-Gamma closed form (`_w_form`): one
+    `log_gamma` per point, about 0.35 us, where the line evaluator takes
+    about 19 log phi evaluations.  No tables are built; construction still
+    checks the functional equation against `_log_phi` on the validation
+    grid and at the horizon, and `log_w` still checks Re z >= 0, zmax and
+    the boundary pole."""
+
+    def _build_tables(self):
+        self._form = _w_form(self.phi)
+        p, a, b, _ = self._form
+        self._log_gamma_1 = math.lgamma(a + b) if p else 0.0
+
+    def _log_w_raw(self, z):
+        p, a, b, lam = self._form
+        out = lam * (z - 1.0)
+        if p:
+            out = out + p * (log_gamma(a * z + b) - self._log_gamma_1)
+        return out
+
+
 @functools.lru_cache(maxsize=32)
 def default_evaluator(phi: BernsteinFunction, tol: float = 1e-10,
                       zmax: float = 300.0) -> BernsteinGammaEvaluator:
-    """Shared evaluator cache; BernsteinFunction is frozen, hence hashable."""
-    return BernsteinGammaEvaluator(phi, tol=tol, zmax=zmax)
+    """Shared evaluator cache; BernsteinFunction is frozen, hence hashable.
+
+    A factor whose W has a log-Gamma closed form (drift and affine factors,
+    a constant, a gamma ratio itself, a pure stable z^beta: `_w_form`) gets
+    the closed-form evaluator, every other factor the line evaluator."""
+    cls = (BernsteinGammaEvaluator if _w_form(phi) is None
+           else _ClosedFormEvaluator)
+    return cls(phi, tol=tol, zmax=zmax)
 
 
 # ---------------------------------------------------------------------------

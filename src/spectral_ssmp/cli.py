@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import errors
-from .bernstein import BernsteinGammaEvaluator
+from .bernstein import default_evaluator
 from .eigenfunctions import (
     SeriesEigenfunction,
     eigenfunction_fft,
@@ -145,8 +145,8 @@ def _cmd_bgamma(args):
     phi = bernstein_from_json(json.loads(args.phi))
     a = args.a
     xi = np.linspace(-args.xi_max, args.xi_max, args.points)
-    ev = BernsteinGammaEvaluator(phi, tol=args.tol_w,
-                                 zmax=float(np.hypot(a, args.xi_max)) + 3.0)
+    ev = default_evaluator(phi, args.tol_w,
+                           float(np.hypot(a, args.xi_max)) + 3.0)
     vals = ev.w(a + 1j * xi)
     emit_csv((["xi", "re", "im", "abs"],
               [xi, vals.real, vals.imag, np.abs(vals)]), args.out)

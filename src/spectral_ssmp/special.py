@@ -6,8 +6,9 @@ Gamma(x) to a few ulp.
 
 - Real scalars go to `math.lgamma`.
 - Complex arrays with |z| >= 8 take 8 terms of the Stirling series
-  (DLMF 5.11.1, 5.11.2), whose remainder is under an ulp there; the points
-  with |z| < 8 are shifted up by 8 with Gamma(z + 1) = z Gamma(z).
+  (DLMF 5.11.1, 5.11.2), whose remainder is under an ulp there, with the
+  main term in np.clongdouble, rounded once; the points with |z| < 8 are
+  shifted up by 8 with Gamma(z + 1) = z Gamma(z).
 - The gamma ratio takes its own 16-term asymptotic series (DLMF 5.11.13)
   where |x| >= 10 max(1, a), and the ratio recurrence below that.
 
@@ -35,7 +36,7 @@ BERNOULLI = ((1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42),
              (7, 6), (0, 1), (-3617, 510))
 
 _SHIFT = 8  # Stirling region |z| >= 8, and the upward shift that reaches it
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_HALF_LOG_2PI_L = np.log(2.0 * np.arccos(np.longdouble(-1.0))) / 2
 _RATIO_TERMS = 16  # terms of the asymptotic series of log_gamma_ratio
 
 
@@ -52,10 +53,13 @@ _LOG_GAMMA_COEF = _coefs(n / (d * 2 * k * (2 * k - 1))
 
 
 def _horner(w, coefs):
-    """sum_k coefs[k] w^k for a complex array w, evaluated in place."""
+    """sum_k coefs[k] w^k for a complex array w.  Each product is formed
+    out of place: NumPy 2.4 rounds an in-place complex product on a
+    one-element array another way than on a longer one, so a point's bits
+    would depend on its company; the in-place sums do not."""
     s = np.full_like(w, coefs[-1])
     for c in coefs[-2::-1]:
-        s *= w
+        s = s * w
         s += c
     return s
 
@@ -65,8 +69,8 @@ def _log(z):
     the log that every series here and the Bernstein-gamma evaluator's
     log phi take: the real ufuncs cost about 10 ns a value where np.log on
     complex input costs about 47 (NumPy 2.4, Intel Xeon), and the result is
-    odd in Im z bit for bit."""
-    out = np.empty(np.shape(z), dtype=complex)
+    odd in Im z bit for bit.  np.clongdouble input keeps its precision."""
+    out = np.empty(np.shape(z), dtype=np.result_type(z, complex))
     np.log(np.abs(z), out=out.real)
     np.arctan2(z.imag, z.real, out=out.imag)
     return out
@@ -74,14 +78,18 @@ def _log(z):
 
 def _stirling(z):
     """log Gamma(z) for |z| >= 8, Re z >= 0: (z - 1/2) log z - z
-    + log(2 pi) / 2 + sum_k B_2k / (2k (2k - 1) z^(2k - 1))."""
+    + log(2 pi) / 2 + sum_k B_2k / (2k (2k - 1) z^(2k - 1)).
+
+    The main term is summed in np.clongdouble and rounded once: in float64
+    its roundings of about |z log z| put log Gamma 2.3e-13 off mpmath on
+    Re z = 1/2, |Im z| <= 214, where the output ulp is 2.8e-14 (2.8e-14
+    off now).  The series is below 1/(12 |z|) <= 0.011 and stays in
+    float64."""
     inv = 1.0 / z
-    s = _horner(inv * inv, _LOG_GAMMA_COEF)
-    s *= inv
-    s += _HALF_LOG_2PI
-    s -= z
-    s += (z - 0.5) * _log(z)
-    return s
+    s = _horner(inv * inv, _LOG_GAMMA_COEF) * inv
+    zl = z.astype(np.clongdouble)
+    main = (zl - 0.5) * _log(zl) - zl + _HALF_LOG_2PI_L
+    return (main + s).astype(complex)
 
 
 def log_gamma(z):
@@ -97,16 +105,22 @@ def log_gamma(z):
         z = np.asarray(z, dtype=float)
         return np.fromiter(map(math.lgamma, z.flat), float,
                            z.size).reshape(z.shape)
-    z = np.asarray(z, dtype=complex)
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()
     if np.any(z.real <= -0.5):
         raise DomainError("log_gamma serves Re z > -1/2")
     near = np.abs(z) < _SHIFT
     if not near.any():
-        return _stirling(z)
+        return _stirling(z).reshape(shape)
     out = _stirling(np.where(near, z + _SHIFT, z))
     t = z[near] + np.arange(_SHIFT)[:, None]
-    out[near] -= _log(t[0::2] * t[1::2]).sum(axis=0)
-    return out
+    logs = _log(t[0::2] * t[1::2])
+    # row by row: .sum(axis=0) adds a one-column array in another order
+    total = logs[0]
+    for row in logs[1:]:
+        total = total + row
+    out[near] -= total
+    return out.reshape(shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -122,8 +136,7 @@ def _ratio_coefs(a):
 def _ratio_series(x, a):
     """a log x + sum_{n<=16} c_n / x^n, the ratio where |x| >= 10 max(1, a)."""
     inv = 1.0 / x
-    s = _horner(inv, _ratio_coefs(a))
-    s *= inv
+    s = _horner(inv, _ratio_coefs(a)) * inv
     s += a * _log(x)
     return s
 
@@ -159,11 +172,12 @@ def log_gamma_ratio(x, a):
     a product of (x + k + a) over a product of (x + k) would keep it whole,
     with a bias that the Bernstein-gamma evaluator's sums accumulate.
     """
-    x, a = np.asarray(x, dtype=complex), float(a)
+    shape = np.shape(x)
+    x, a = np.asarray(x, dtype=complex).ravel(), float(a)
     r = 10.0 * max(1.0, a)
     near = np.abs(x) < r
     if not near.any():
-        return _ratio_series(x, a)
+        return _ratio_series(x, a).reshape(shape)
     n = math.ceil(r)
     out = _ratio_series(np.where(near, x + n, x), a)
     factors = x[near] + np.arange(n)[:, None]
@@ -176,7 +190,7 @@ def log_gamma_ratio(x, a):
         for row in factors[lo + 1:hi]:
             prod = prod * row
         out[near] -= _log(prod)
-    return out
+    return out.reshape(shape)
 
 
 def _legval(x, c):

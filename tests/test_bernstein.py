@@ -1,5 +1,6 @@
 """Bernstein functions, Bernstein-gamma evaluation, Theta functionals."""
 
+import functools
 import math
 
 import numpy as np
@@ -35,6 +36,10 @@ from spectral_ssmp.families import make_bernstein, stable_density_table
 
 PHI_ID = BernsteinFunction(drift=1.0)
 PHI_AFF = BernsteinFunction(phi0=1.0, drift=1.0)
+
+# the line evaluator for any factor, closed forms included, shared between
+# tests as default_evaluator shares its evaluators
+line_evaluator = functools.lru_cache(maxsize=32)(BernsteinGammaEvaluator)
 
 
 def validation_grid(xi_max=30.0, n=21):
@@ -397,11 +402,12 @@ def test_w_gamma_ratio_closed_forms_up_to_horizon():
               loggamma(0.7 * z) - loggamma(0.7)),
              (make_bernstein("gamma-ratio-minus", alpha=0.3, rho=1.0),
               loggamma(1.0 + 0.3 * z) - loggamma(1.3)))
-    for phi, ref in cases:
-        ev = default_evaluator(phi, 1e-10, zmax)
-        assert ev.truncation <= 64
-        assert np.abs(np.exp(ev.log_w(z) - ref) - 1.0).max() <= 1e-9
-        assert ev.horizon_residual <= 1e-9
+    for make in (line_evaluator, default_evaluator):
+        for phi, ref in cases:
+            ev = make(phi, 1e-10, zmax)
+            assert ev.truncation <= 64
+            assert np.abs(np.exp(ev.log_w(z) - ref) - 1.0).max() <= 1e-9
+            assert ev.horizon_residual <= 1e-9
 
 
 def test_affine_log_w_up_to_horizon():
@@ -421,8 +427,9 @@ def test_affine_log_w_up_to_horizon():
     for phi, log_w in cases:
         with mp.workdps(30):
             ref = np.array([complex(log_w(mp.mpc(v))) for v in z])
-        ev = default_evaluator(phi, 1e-10, zmax)
-        assert np.abs(ev.log_w(z) - ref).max() <= 2.5e-12, phi
+        for make in (line_evaluator, default_evaluator):
+            ev = make(phi, 1e-10, zmax)
+            assert np.abs(ev.log_w(z) - ref).max() <= 2.5e-12, (make, phi)
 
 
 def test_functional_equation_atoms_on_the_whole_line():
@@ -459,10 +466,11 @@ def test_w_gamma_ratio_closed_forms_to_tol_up_to_horizon():
               loggamma(0.7 * z) - loggamma(0.7)),
              (make_bernstein("gamma-ratio-minus", alpha=0.3, rho=1.0),
               loggamma(1.0 + 0.3 * z) - loggamma(1.3)))
-    for phi, ref in cases:
-        ev = default_evaluator(phi, 1e-10, zmax)
-        assert np.abs(np.exp(ev.log_w(z) - ref) - 1.0).max() <= 1e-10
-        assert max(ev.residual, ev.horizon_residual) <= 1e-10
+    for make in (line_evaluator, default_evaluator):
+        for phi, ref in cases:
+            ev = make(phi, 1e-10, zmax)
+            assert np.abs(np.exp(ev.log_w(z) - ref) - 1.0).max() <= 1e-10
+            assert max(ev.residual, ev.horizon_residual) <= 1e-10
 
 
 def test_evaluator_gates_on_horizon_residual():
@@ -527,6 +535,12 @@ ALL_KINDS = (
                       measure=ClosedFormMeasure("gamma-ratio-plus", (0.7,))),
 )
 
+# every kind of factor whose W has a log-Gamma closed form: drift, affine
+# (unit and general drift), a constant, pure stable and both gamma ratios
+CLOSED_KINDS = (PHI_ID, PHI_AFF, BernsteinFunction(phi0=0.5, drift=2.0),
+                BernsteinFunction(phi0=3.0), ALL_KINDS[2], ALL_KINDS[3],
+                ALL_KINDS[4])
+
 
 @pytest.mark.parametrize("phi", ALL_KINDS)
 def test_log_phi_matches_log_of_eval_phi(phi):
@@ -565,17 +579,23 @@ def test_log_phi_takes_the_ratio_only_for_the_ratio_itself(monkeypatch):
 def test_log_w_blocks_are_bit_identical_to_one_block(monkeypatch):
     # the work is row by row: blocks of 7 points (and of one panel) give
     # the bits of one block, across real parts for closed forms, on one
-    # line for atoms, and on a dense line whose panels are interpolated
+    # line for atoms, and on a dense line whose panels are interpolated;
+    # under the line evaluator, and under default_evaluator, which serves
+    # the closed forms from log Gamma
     import spectral_ssmp.bernstein as bmod
     rng = np.random.default_rng(5)
     t = rng.uniform(-250.0, 250.0, 400)
     mixed = rng.choice([0.0, 0.5, 1.25, 3.0], 400) + 1j * t
     dense = 0.5 + 1j * np.concatenate([HALF_LINE.imag, -HALF_LINE.imag])
-    for phi, z in ((PHI_AFF, mixed), (ALL_KINDS[3], mixed),
-                   (ALL_KINDS[4], mixed), (ALL_KINDS[5], 0.5 + 1j * t),
-                   (ALL_KINDS[4], dense), (ALL_KINDS[5], dense),
-                   (ALL_KINDS[6], dense)):
-        ev = default_evaluator(phi, 1e-10, 300.0)
+    cases = ((PHI_AFF, mixed), (ALL_KINDS[3], mixed),
+             (ALL_KINDS[4], mixed), (ALL_KINDS[5], 0.5 + 1j * t),
+             (ALL_KINDS[4], dense), (ALL_KINDS[5], dense),
+             (ALL_KINDS[6], dense))
+    cases = ([(line_evaluator, phi, z) for phi, z in cases]
+             + [(default_evaluator, phi, z) for phi in CLOSED_KINDS
+                for z in (mixed, dense)])
+    for make, phi, z in cases:
+        ev = make(phi, 1e-10, 300.0)
         with monkeypatch.context() as m:
             m.setattr(bmod, "_BLOCK", 10 ** 9)
             one = ev.log_w(z)
@@ -607,15 +627,16 @@ def test_log_w_peak_memory_is_bounded_by_the_blocks(phi):
     # 16385 points on Re z = 1/2: the per-point matrix is walked in blocks,
     # so no elementwise pass writes a line-sized temporary
     import tracemalloc
-    ev = default_evaluator(phi, 1e-10, 1002.0)
     z = 0.5 + 1j * np.linspace(-1000.0, 1000.0, 16385)
-    tracemalloc.start()
-    try:
-        ev.log_w(z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2 ** 20
+    for make in (line_evaluator, default_evaluator):
+        ev = make(phi, 1e-10, 1002.0)
+        tracemalloc.start()
+        try:
+            ev.log_w(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20, make
 
 
 def test_build_batches_its_log_phi_calls(monkeypatch):
@@ -642,7 +663,7 @@ def test_log_w_groups_points_by_real_part():
     for phi in (PHI_AFF, make_bernstein("gamma-ratio-plus", alpha_tilde=0.7),
                 make_bernstein("compound-poisson", atoms=[[0.03, 1.0]],
                                d=0.1)):
-        ev = default_evaluator(phi, 1e-10, 300.0)
+        ev = line_evaluator(phi, 1e-10, 300.0)
         one = np.array([ev.log_w(complex(v)) for v in z])
         assert_allclose(ev.log_w(z), one, rtol=1e-13, atol=0.0)
 
@@ -693,7 +714,7 @@ def test_interpolated_panels_agree_with_direct_points(phi):
                         ell * (3 + nodes), ell * (11 + nodes[1:-1])])
     z = (np.array([0.0, 0.5, 1.25, 3.0])[:, None]
          + 1j * np.concatenate([t, -t[::5]])).ravel()
-    ev = default_evaluator(phi, 1e-10, 300.0)
+    ev = line_evaluator(phi, 1e-10, 300.0)
     lw = ev.log_w(z)
     pick = np.concatenate([np.arange(0, z.size, 23),
                            np.flatnonzero(np.isin(np.abs(z.imag), t[600:]))])
@@ -719,7 +740,8 @@ def test_chebyshev_rule_integrates_polynomials():
 
 def test_log_w_on_the_multiplier_half_line_matches_mpmath():
     # the 4096-point grid's half line, 0 <= xi <= 214.4, against log-Gamma
-    # closed forms; the error is the rounding of |log W| up to 1.1e3
+    # closed forms, for the line evaluator and for default_evaluator's
+    # closed form; the error is the rounding of |log W| up to 1.1e3
     import mpmath as mp
     cases = (
         (PHI_ID, mp.loggamma),
@@ -731,8 +753,72 @@ def test_log_w_on_the_multiplier_half_line_matches_mpmath():
     for phi, log_w in cases:
         with mp.workdps(30):
             ref = np.array([complex(log_w(mp.mpc(v))) for v in HALF_LINE])
-        lw = default_evaluator(phi, 1e-10, zmax).log_w(HALF_LINE)
-        assert np.abs(lw - ref).max() <= 2.5e-13, phi
+        for make in (line_evaluator, default_evaluator):
+            lw = make(phi, 1e-10, zmax).log_w(HALF_LINE)
+            assert np.abs(lw - ref).max() <= 2.5e-13, (make, phi)
+
+
+def test_default_evaluator_takes_the_closed_form_where_one_exists():
+    from spectral_ssmp.bernstein import _ClosedFormEvaluator
+    for phi in CLOSED_KINDS:
+        assert type(default_evaluator(phi, 1e-10, 40.0)) is \
+            _ClosedFormEvaluator, phi
+    # a ratio plus drift, stable with phi(0) > 0, gamma-ratio-minus with
+    # phi(0) other than its ratio constant, atoms and a table: the line
+    line = (ALL_KINDS[7],
+            BernsteinFunction(phi0=1.0, measure=ALL_KINDS[2].measure),
+            BernsteinFunction(phi0=2.0, measure=ALL_KINDS[4].measure),
+            ALL_KINDS[5], ALL_KINDS[6])
+    for phi in line:
+        assert type(default_evaluator(phi, 1e-7, 40.0)) is \
+            BernsteinGammaEvaluator, phi
+
+
+def test_closed_form_evaluator_raises_as_the_line_evaluator():
+    # tol out of reach, beyond zmax, Re z < 0, and the pole at z = 0 of
+    # the kinds with phi(0) = 0.  A constant's W = phi0^{z-1} meets the
+    # functional equation exactly (residuals 0), so no tol is out of reach
+    for phi in CLOSED_KINDS:
+        if phi.drift == 0.0 and phi.measure is None:
+            ev = default_evaluator(phi, 1e-30, 40.0)
+            assert ev.residual == ev.horizon_residual == 0.0
+        else:
+            with pytest.raises(ConvergenceError):
+                default_evaluator(phi, 1e-30, 40.0)
+        ev = default_evaluator(phi, 1e-10, 40.0)
+        with pytest.raises(ConvergenceError):
+            ev.log_w(0.5 + 100j)
+        with pytest.raises(DomainError):
+            ev.log_w(-0.5 + 1j)
+        if phi.phi0 == 0.0:
+            with pytest.raises(DomainError):
+                ev.log_w(0.0 + 0j)
+
+
+def test_closed_form_log_w_one_point_calls_are_bit_identical():
+    # one-point calls against array calls across real parts: the closed
+    # form is elementwise, and so is log_gamma to the bit
+    rng = np.random.default_rng(3)
+    z = rng.choice([0.0, 0.5, 1.25, 3.0], 300) + 1j * rng.uniform(
+        -290.0, 290.0, 300)
+    for phi in CLOSED_KINDS:
+        ev = default_evaluator(phi, 1e-10, 300.0)
+        one = np.array([ev.log_w(complex(v)) for v in z])
+        assert np.array_equal(ev.log_w(z), one), phi
+
+
+def test_closed_form_and_line_evaluators_agree_on_the_eigen_half_line():
+    # the half line of the 32768-point eigenfunction grid, |Im z| <= 1716,
+    # where |log W| reaches 1.3e4 and both evaluators round near its ulp:
+    # they differ by 5.1e-15 of max(1, |log W|) at most (gamma-ratio-minus)
+    n = EIGEN_GRID.n // 2
+    z = 0.5 + 1j * np.arange(n + 1) * (EIGEN_GRID.nyquist / n)
+    zmax = _eigen_zmax()
+    for phi in CLOSED_KINDS:
+        closed = default_evaluator(phi, 1e-10, zmax).log_w(z)
+        line = line_evaluator(phi, 1e-10, zmax).log_w(z)
+        scale = np.maximum(1.0, np.abs(closed))
+        assert np.max(np.abs(closed - line) / scale) <= 1e-14, phi
 
 
 def test_w_domain_and_horizon_errors():

@@ -170,6 +170,22 @@ def test_log_gamma_of_conjugate_is_conjugate_bit_for_bit():
     assert np.array_equal(log_gamma(np.conj(z)), np.conj(log_gamma(z)))
 
 
+def test_one_point_calls_are_bit_identical_to_array_calls():
+    # a point's bits do not depend on its company: NumPy 2.4 rounds an
+    # in-place complex product on a one-element array, and a sum along the
+    # axis of one column, another way than on longer arrays (7 log_gamma
+    # mismatches and 1 of log_gamma_ratio over these points before)
+    rng = np.random.default_rng(0)
+    z = 0.5 + 1j * rng.uniform(-1700.0, 1700.0, 4000)
+    one = np.array([log_gamma(z[i:i + 1])[0] for i in range(z.size)])
+    assert np.array_equal(log_gamma(z), one)
+    x = rng.uniform(0.0, 3.0, 4000) + 1j * rng.uniform(-300.0, 300.0, 4000)
+    for a in (0.3, 0.7, 2.5):
+        one = np.array([log_gamma_ratio(x[i:i + 1], a)[0]
+                        for i in range(x.size)])
+        assert np.array_equal(log_gamma_ratio(x, a), one), a
+
+
 def test_domains_are_enforced():
     with pytest.raises(DomainError):
         log_gamma(np.array([-0.5 + 1j]))
