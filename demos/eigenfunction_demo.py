@@ -30,9 +30,10 @@ print("pair (id, u+1): inversion vs e^{-x/2} J_1(2 e^{x/2}):",
       f"sup error {np.max(np.abs(J.values.real[mask] - ref[mask])):.2e}")
 
 s = SeriesEigenfunction(make_bernstein("affine", d=1.0, c=1.0))
-for xv in (-4.0, 0.0, 2.0):
-    print(f"  series at x={xv}: {eigenfunction_series(s, xv, tol=1e-9):+.8f}"
-          f"  bessel: {np.exp(-xv/2)*j1(2*np.exp(xv/2)):+.8f}")
+xv = np.array([-4.0, 0.0, 2.0])
+for xi, sv, bv in zip(xv, eigenfunction_series(s, xv, tol=1e-9),
+                      np.exp(-xv / 2) * j1(2 * np.exp(xv / 2))):
+    print(f"  series at x={xi}: {sv:+.8f}  bessel: {bv:+.8f}")
 
 pair_g = WienerHopfPair(make_bernstein("gamma-ratio-plus", alpha_tilde=0.7),
                         make_bernstein("gamma-ratio-minus", alpha=0.3,
@@ -43,8 +44,7 @@ xs = x[win][::256]
 jf = np.interp(xs, x, Jg.values.real)
 print("\ngamma pair (0.7, 0.3, 1.0): Wright-variant discrimination")
 for variant in ("statement", "proof"):
-    jv = np.array([wright_eigenfunction(0.7, 0.3, 1.0, float(v), variant)
-                   for v in xs])
+    jv = wright_eigenfunction(0.7, 0.3, 1.0, xs, variant)
     c = float(np.dot(jf, jv) / np.dot(jv, jv))
     rel = float(np.linalg.norm(jf - c * jv) / np.linalg.norm(jf))
     tag = "e^{x/alpha_tilde}" if variant == "statement" else "e^{x/alpha}"

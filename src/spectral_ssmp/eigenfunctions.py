@@ -13,10 +13,11 @@ Three routes are implemented and cross-validated:
     normalized so that it matches the power series on overlapping families.
 
 The series and the Wright function are summed by one extended-precision
-kernel, _paired_sum: each caller supplies only the log-magnitudes of its
-terms and its tail test.  Consecutive terms are paired to exploit the
-alternation, and when cancellation would still consume every significant
-digit an OverflowGuard is raised rather than returning noise.
+kernel, _paired_sum, one series per grid point and a whole grid at once:
+each caller supplies only the log-magnitudes of its terms and its tail
+test.  Consecutive terms are paired to exploit the alternation, and when
+cancellation would still consume every significant digit an OverflowGuard
+is raised rather than returning noise.
 """
 
 from __future__ import annotations
@@ -53,7 +54,10 @@ class SeriesEigenfunction:
     """Cached coefficients c_n = (-1)^n / (W(n+1) n!) for one phi.
 
     phi is the single Bernstein factor of a spectrally negative exponent
-    psi(xi) = -i xi phi(i xi); W(n+1) = prod_{k<=n} phi(k) exactly.
+    psi(xi) = -i xi phi(i xi); W(n+1) = prod_{k<=n} phi(k) exactly.  The
+    log-magnitudes are summed in np.longdouble: in float64 a log term of
+    size L carries a rounding of L x 1.1e-16 into its term, past what the
+    extended-precision sum and its audit account for.
     """
 
     phi: BernsteinFunction
@@ -64,76 +68,127 @@ class SeriesEigenfunction:
         phik = eval_phi(self.phi, kk).real
         if np.any(phik <= 0):
             raise DomainError("phi must be positive on the integers")
-        log_w = np.concatenate([[0.0], np.cumsum(np.log(phik))])  # W(n+1)
-        log_fact = np.concatenate([[0.0], np.cumsum(np.log(kk))])
-        object.__setattr__(self, "_log_c", -(log_w + log_fact))
+        logs = np.log(np.stack([phik, kk]).astype(np.longdouble)).sum(axis=0)
+        object.__setattr__(self, "_log_c",
+                           -np.cumsum(np.concatenate([[0.0], logs])))
         object.__setattr__(self, "_log_phi1", float(np.log(phik[0])))
+        # lgamma(m + 2) = log (m + 1)!, for the tail bound past order m
+        object.__setattr__(self, "_log_fact", np.fromiter(
+            map(math.lgamma, np.arange(2.0, self.order + 3.0)), float))
 
     def log_coefficient_magnitudes(self):
+        """log |c_n| for n = 0..order, in np.longdouble."""
         return self._log_c.copy()
 
 
-def _paired_sum(log_terms, alternating, tail_ok, tol, name):
-    """sum_n (+-1)^n e^{log_terms[n]} in extended precision.
+_FIRST_CHUNK = 32  # terms in a row's first chunk; each later chunk doubles
+_CHUNK_CELLS = 8192  # rows x terms of a chunk, or 2 x rows where more
 
-    Consecutive terms are paired, so for an alternating series the running
-    sum stays near the final value rather than near the largest term.  The
-    sum stops at the first m >= 2 where tail_ok(m, scale) certifies the
-    remainder past term m against scale = |partial sum|.  An alternating sum
-    is then audited: an OverflowGuard is raised when the extended-precision
-    roundoff of its largest term exceeds tol relative to the result.
+
+def _paired_sum(log_term, n_terms, tail_ok, alternating, tol, name):
+    """One series per row, sum_m (+-1)^m e^{log_term(m)}, in extended
+    precision, for a batch of rows at once.
+
+    log_term(rows, m) gives the (len(rows), len(m)) log-magnitudes of the
+    terms m < n_terms of the given rows.  The terms go in chunks of
+    columns, doubling from _FIRST_CHUNK and at most
+    max(_CHUNK_CELLS, 2 x live rows) terms in all (a chunk holds at least
+    one pair per row), taken only for the rows still live.  Consecutive terms are
+    paired, t[2k] + t[2k+1], so for an alternating series the running sum
+    stays near the final value rather than near the largest term; the
+    running sums are one np.cumsum, which adds in order.  A row stops at
+    the first m >= 2 where tail_ok(rows, m, lt, prev, scale) certifies
+    its remainder past term m, given the log terms lt at m and prev at
+    m - 1 and scale = |partial sum|.  An alternating row is then audited:
+    the extended-precision roundoff of its largest term must stay below
+    tol relative to the result.  So a row gets the bits of a loop over its
+    own terms, whatever the other rows and the chunks.  An OverflowGuard
+    names the first failing row, name(row): a term beyond the
+    extended-precision range, no stop within n_terms, or a failed audit.
     """
-    total = np.longdouble(0.0)
-    held = None
-    peak = -np.inf
-    for m, lt in enumerate(log_terms):
-        if lt > 11000.0:  # beyond the extended-precision exponent range
-            raise OverflowGuard(f"{name} terms overflow extended precision")
-        peak = max(peak, lt)
-        sign = -1.0 if alternating and m % 2 else 1.0
-        term = np.longdouble(sign) * np.exp(np.longdouble(lt))
-        if held is None:
-            held = term
-        else:
-            total += held + term
-            held = None
-        partial = total if held is None else total + held
-        if m >= 2 and tail_ok(m, abs(float(partial)) + 1e-300):
-            break
-    else:
-        raise OverflowGuard(f"{name} did not settle below tol={tol:g}")
-    if held is not None:
-        total += held
-    budget = np.log10(tol * (abs(float(total)) + 1e-300))
-    if alternating and peak / np.log(10.0) - _LONG_EPS_DIGITS > budget:
-        raise OverflowGuard(f"{name}: cancellation exceeds extended "
-                            f"precision for tol={tol:g}")
-    return float(total)
+    alternating = np.asarray(alternating, dtype=bool)
+    n_rows = alternating.size
+    out = np.empty(n_rows)
+    total = np.zeros(n_rows, dtype=np.longdouble)
+    peak = prev = None
+    fail = np.zeros(n_rows, dtype=int)  # 1 overflow, 2 unsettled, 3 audit
+    live = np.arange(n_rows)
+    lo, width = 0, _FIRST_CHUNK
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live.size and lo < n_terms:
+            width = max(2, min(width, _CHUNK_CELLS // live.size) // 2 * 2)
+            m = np.arange(lo, min(lo + width, n_terms))
+            lt = log_term(live, m)
+            if peak is None:  # no term before m = 0: its prev is unused
+                peak = np.full(n_rows, -np.inf, dtype=lt.dtype)
+                prev = lt[:, 0]
+            t = np.exp(lt.astype(np.longdouble))
+            t[:, m % 2 == 1] *= np.where(alternating[live], -1, 1)[:, None]
+            half = m.size // 2
+            cum = np.cumsum(np.concatenate(
+                [total[live, None], t[:, 0:2 * half:2] + t[:, 1:2 * half:2]],
+                axis=1), axis=1)
+            partial = np.empty_like(t)
+            partial[:, 1::2] = cum[:, 1:]
+            partial[:, 0::2] = cum[:, :(m.size + 1) // 2] + t[:, 0::2]
+            scale = np.abs(partial.astype(float)) + 1e-300
+            before = np.concatenate([prev[:, None], lt[:, :-1]], axis=1)
+            over = lt > 11000.0  # beyond the extended-precision exponent range
+            stop = over | (tail_ok(live, m, lt, before, scale) & (m >= 2))
+            done = stop.any(axis=1)
+            j = stop.argmax(axis=1)[done]
+            rows = live[done]
+            out[rows] = partial[done, j].astype(float)
+            top = np.maximum(peak[rows], np.maximum.accumulate(
+                lt[done], axis=1)[np.arange(j.size), j])
+            budget = np.log10(tol * (np.abs(out[rows]) + 1e-300))
+            fail[rows[alternating[rows] & (
+                top / np.log(10.0) - _LONG_EPS_DIGITS > budget)]] = 3
+            fail[rows[over[done, j]]] = 1
+            live, lt = live[~done], lt[~done]
+            total[live] = cum[~done, -1]
+            peak[live] = np.maximum(peak[live], lt.max(axis=1))
+            prev = lt[:, -1]
+            lo, width = m[-1] + 1, 2 * width
+    fail[live] = 2
+    if fail.any():
+        i = int(np.argmax(fail > 0))
+        what = name(i)
+        raise OverflowGuard(
+            (f"{what} terms overflow extended precision",
+             f"{what} did not settle below tol={tol:g}",
+             f"{what}: cancellation exceeds extended precision for "
+             f"tol={tol:g}")[fail[i] - 1])
+    return out
 
 
-def eigenfunction_series(s: SeriesEigenfunction, x: float,
-                         tol: float = 1e-9) -> float:
-    """Adaptive partial sum with a certified relative tail bound below tol.
+def eigenfunction_series(s: SeriesEigenfunction, x, tol: float = 1e-9):
+    """Adaptive partial sums with a certified relative tail bound below tol,
+    at one x or at every point of an array (a float for a scalar x).
 
     The remainder past order m is dominated by the exponential tail of
     sum e^{nx}/(phi(1)^n n!) because W(n+1) >= phi(1)^n; an OverflowGuard is
     raised when the order runs out first or cancellation eats past tol.
+    The log terms log|c_n| + n x are formed in np.longdouble (n x exactly).
     """
-    x = float(x)
-    log_terms = s._log_c + np.arange(len(s._log_c)) * x
-    r_log = x - s._log_phi1  # log of e^x / phi(1), the tail ratio scale
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    x_l = flat.astype(np.longdouble)[:, None]
+    r_log = (flat - s._log_phi1)[:, None]  # log of e^x / phi(1)
 
-    def tail_ok(m, scale):
-        ratio = np.exp(r_log) / (m + 2)
-        if ratio >= 0.5:
-            return False
-        log_tail = ((m + 1) * r_log - math.lgamma(m + 2.0)
-                    - np.log(1 - ratio))
+    def log_term(rows, m):
+        return s._log_c[m] + m.astype(np.longdouble) * x_l[rows]
+
+    def tail_ok(rows, m, lt, prev, scale):
+        ratio = np.exp(r_log[rows]) / (m + 2)
+        log_tail = (m + 1) * r_log[rows] - s._log_fact[m] - np.log(1 - ratio)
         bound = np.log(tol * scale)
-        return log_terms[m] < bound and log_tail < bound
+        return (ratio < 0.5) & (lt < bound) & (log_tail < bound)
 
-    return _paired_sum(log_terms, True, tail_ok, tol,
-                       f"the eigenfunction series at x={x:g}")
+    out = _paired_sum(log_term, s._log_c.size, tail_ok,
+                      np.ones(flat.size, dtype=bool), tol,
+                      lambda i: f"the eigenfunction series at x={flat[i]:g}")
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -153,29 +208,38 @@ def _wright_log_denominators(gamma: float, beta: float):
     return out
 
 
-def wright(gamma: float, beta: float, z: float, tol: float = 1e-12) -> float:
+def wright(gamma: float, beta: float, z, tol: float = 1e-12):
     """The Wright function sum_n z^n / (Gamma(gamma n + beta) n!) for
-    gamma >= 0 and beta > 0.
+    gamma >= 0 and beta > 0, at one z or at every point of an array (a
+    float for a scalar z).
 
     Adaptive partial sums with a ratio-test tail bound, alternating for
     z < 0.  For gamma < 0 or beta <= 0, 1/Gamma(gamma n + beta) changes
     sign and vanishes at poles, which neither the log-magnitude terms nor
-    the ratio test carry, so that range raises DomainError.
+    the ratio test carry, so that range raises DomainError.  The log terms
+    stay in float64 (a long-double log Gamma is not available here).
     """
     if not (gamma >= 0.0 and beta > 0.0):
         raise DomainError("the Wright series is summed for gamma >= 0 "
                           "and beta > 0")
-    z = float(z)
-    if z == 0.0:
-        return math.exp(-math.lgamma(beta))
-    log_terms = (np.arange(_WRIGHT_TERMS) * np.log(abs(z))
-                 - _wright_log_denominators(float(gamma), float(beta)))
+    zs = np.asarray(z, dtype=float)
+    flat = zs.ravel()
+    out = np.full(flat.size, math.exp(-math.lgamma(beta)))  # at z = 0
+    nz = np.flatnonzero(flat != 0.0)
+    log_z = np.log(np.abs(flat[nz]))[:, None]
+    den = _wright_log_denominators(float(gamma), float(beta))
 
-    def tail_ok(m, scale):
-        ratio = np.exp(log_terms[m] - log_terms[m - 1])
-        return ratio < 0.5 and np.exp(log_terms[m]) / (1 - ratio) < tol * scale
+    def log_term(rows, m):
+        return m * log_z[rows] - den[m]
 
-    return _paired_sum(log_terms, z < 0, tail_ok, tol, "the Wright series")
+    def tail_ok(rows, m, lt, prev, scale):
+        ratio = np.exp(lt - prev)
+        return (ratio < 0.5) & (np.exp(lt) / (1 - ratio) < tol * scale)
+
+    out[nz] = _paired_sum(log_term, _WRIGHT_TERMS, tail_ok, flat[nz] < 0,
+                          tol, lambda i: f"the Wright series at "
+                                         f"z={flat[nz[i]]:g}")
+    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def wright_eigenfunction(alpha_tilde: float, alpha: float, rho: float,
@@ -189,10 +253,8 @@ def wright_eigenfunction(alpha_tilde: float, alpha: float, rho: float,
     scale = alpha_tilde if variant == "statement" else alpha
     if variant not in ("statement", "proof"):
         raise DomainError("variant must be 'statement' or 'proof'")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([wright(alpha / alpha_tilde, alpha + rho,
-                           -np.exp(xi / scale), tol=1e-10) for xi in xs])
-    return out if np.ndim(x) else float(out[0])
+    return wright(alpha / alpha_tilde, alpha + rho,
+                  -np.exp(np.asarray(x, dtype=float) / scale), tol=1e-10)
 
 
 # ---------------------------------------------------------------------------

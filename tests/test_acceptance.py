@@ -240,8 +240,7 @@ def test_criterion_08_wright_discrimination():
     jf = np.interp(xs, x, J.values.real)
     errs = {}
     for variant in ("statement", "proof"):
-        jv = np.array([wright_eigenfunction(0.7, 0.3, 1.0, float(v), variant)
-                       for v in xs])
+        jv = wright_eigenfunction(0.7, 0.3, 1.0, xs, variant)
         c = float(np.dot(jf, jv) / np.dot(jv, jv))
         errs[variant] = float(np.linalg.norm(jf - c * jv)
                               / np.linalg.norm(jf))

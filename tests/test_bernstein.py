@@ -622,6 +622,27 @@ def test_laplace_product_bits_do_not_depend_on_the_rows():
     assert_allclose(full, ezw @ np.exp(-np.outer(nodes, c)), rtol=1e-13)
 
 
+def test_laplace_product_of_an_outer_sum_of_offsets():
+    # a dense panel's offsets, Chebyshev points times the far columns, as
+    # a 2-d outer sum: e^{-yc} from the exps of the two factors, with the
+    # bits of any row count, and the values of the 1-d offsets
+    import spectral_ssmp.bernstein as bmod
+    rng = np.random.default_rng(6)
+    ezw = rng.standard_normal((300, 700)) * np.exp(1j * rng.uniform(
+        -np.pi, np.pi, (300, 700)))
+    nodes = np.geomspace(1e-3, 40.0, 700)
+    circle = 2.0 * np.exp(2j * np.pi * np.arange(20) / 20)
+    far = np.concatenate([np.arange(8.0, 17.0), 16.0 + circle])
+    c = 8j * bmod._chebyshev_rule(bmod._CHEB_N)[0][:, None] + far
+    full = bmod._laplace_product(ezw, nodes, c)
+    for lo, rows in ((0, 1), (7, 1), (3, 2), (100, 36)):
+        assert np.array_equal(
+            bmod._laplace_product(ezw[lo:lo + rows], nodes, c),
+            full[lo:lo + rows])
+    assert_allclose(full, bmod._laplace_product(ezw, nodes, c.ravel()),
+                    rtol=0.0, atol=1e-13 * np.abs(full).max())
+
+
 @pytest.mark.parametrize("phi", (PHI_ID, ALL_KINDS[4]))
 def test_log_w_peak_memory_is_bounded_by_the_blocks(phi):
     # 16385 points on Re z = 1/2: the per-point matrix is walked in blocks,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import loggamma
 
-from spectral_ssmp.cli import emit_csv, run
+from spectral_ssmp.cli import build_parser, emit_csv, run
 from spectral_ssmp.eigenfunctions import wright_eigenfunction
 from spectral_ssmp.errors import ValidationError
 from spectral_ssmp.families import (
@@ -124,6 +124,64 @@ def test_malformed_json_exits_2(capsys):
     assert run(["classify", "--pair", "not json"]) == 2
     err = capsys.readouterr().err
     assert json.loads(err.strip())["error"] == "JSONDecodeError"
+
+
+SUBCOMMANDS = ("bgamma", "multiplier", "classify", "eigenfn", "evolve",
+               "simulate", "generator-check")
+
+
+def test_help_names_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in SUBCOMMANDS:
+        assert f"\n    {name} " in out, name
+
+
+#: each subcommand's required arguments, with placeholder values
+REQUIRED = {
+    "bgamma": ["--phi", "{}", "--out", "w.csv"],
+    "multiplier": ["--pair", "{}", "--out", "m.csv"],
+    "classify": ["--pair", "{}"],
+    "eigenfn": ["--pair", "{}", "--method", "series", "--out", "J.csv"],
+    "evolve": ["--t", "1", "--f", "gauss:1", "--out", "u.csv"],
+    "simulate": ["--quadruplet", "{}", "--x", "1", "--t", "1"],
+    "generator-check": ["--quadruplet", "{}", "--out", "g.csv"],
+}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_parser_matches_the_full_parser(name, capsys):
+    # run parses a known subcommand with a parser of its own: its help and
+    # its usage errors read as those of the full parser, which reports a
+    # missing argument with the subparser's usage and an argument left
+    # over on a complete command line with the top-level usage
+    texts = []
+    for argv in ([name, "--help"], [name, "--no-such-flag"],
+                 [name, *REQUIRED[name], "--no-such-flag"]):
+        for parse in (run, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == (0 if argv[1] == "--help" else 2)
+            texts.append(capsys.readouterr())
+    assert texts[0] == texts[1] and texts[2] == texts[3]
+    assert texts[4] == texts[5]
+    assert texts[0].out.startswith(f"usage: spectral-ssmp {name} ")
+    assert f"spectral-ssmp {name}: error: " in texts[2].err
+    assert ("spectral-ssmp: error: unrecognized arguments: --no-such-flag"
+            in texts[4].err)
+
+
+@pytest.mark.parametrize("argv", (
+    ["no-such-command"], [],
+    ["multiplier", "--pair", PAIR_ID],  # no --out
+    ["eigenfn", "--pair", PAIR_ID, "--method", "taylor", "--out", "J.csv"]))
+def test_usage_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "usage: spectral-ssmp" in capsys.readouterr().err
 
 
 def test_classify_definite_exit_0(capsys):

@@ -21,6 +21,7 @@ from spectral_ssmp.eigenfunctions import (
     wright,
     wright_eigenfunction,
 )
+from spectral_ssmp import eigenfunctions as eig
 from spectral_ssmp import transform
 from spectral_ssmp.semigroup import EvolutionPlan, evolve, mult_semigroup
 from spectral_ssmp.spectrum import classify, spectrum_values
@@ -53,17 +54,17 @@ def test_series_limit_at_minus_infinity():
 
 def test_series_is_bessel_pointwise():
     s = SeriesEigenfunction(PHI_ID)
-    for x in (-6.0, -2.0, 0.0, 1.5, 3.0):
-        assert eigenfunction_series(s, x, tol=1e-9) == pytest.approx(
-            j0(2.0 * np.exp(x / 2.0)), abs=1e-8)
+    x = np.array([-6.0, -2.0, 0.0, 1.5, 3.0])
+    assert eigenfunction_series(s, x, tol=1e-9) == pytest.approx(
+        j0(2.0 * np.exp(x / 2.0)), abs=1e-8)
 
 
 def test_series_affine_is_order_one_bessel():
     s = SeriesEigenfunction(PHI_AFF)
-    for x in (-4.0, 0.0, 2.0):
-        ref = np.exp(-x / 2.0) * j1(2.0 * np.exp(x / 2.0))
-        assert eigenfunction_series(s, x, tol=1e-9) == pytest.approx(
-            ref, abs=1e-8)
+    x = np.array([-4.0, 0.0, 2.0])
+    ref = np.exp(-x / 2.0) * j1(2.0 * np.exp(x / 2.0))
+    assert eigenfunction_series(s, x, tol=1e-9) == pytest.approx(ref,
+                                                                abs=1e-8)
 
 
 def test_series_coefficient_bound():
@@ -80,6 +81,122 @@ def test_series_overflow_guard():
     s = SeriesEigenfunction(PHI_ID)
     with pytest.raises(OverflowGuard):
         eigenfunction_series(s, 14.0, tol=1e-9)
+    # on a grid, the message names the first failing point in grid order
+    with pytest.raises(OverflowGuard, match="at x=14 "):
+        eigenfunction_series(s, np.array([0.0, 14.0, -3.0, 20.0]), tol=1e-9)
+
+
+def test_series_log_terms_in_extended_precision():
+    # log terms of size ~30 in float64 would put 3e-15 relative into each
+    # term, which the 80-bit audit does not count: 1.6e-9 relative off
+    # J0(2 e^2) at x = 4
+    import mpmath as mp
+    s = SeriesEigenfunction(PHI_ID)
+    for x in (2.0, 3.0, 4.0):
+        got = eigenfunction_series(s, x, tol=1e-12)
+        ref = float(mp.besselj(0, 2 * mp.exp(mp.mpf(x) / 2)))
+        assert abs(got - ref) <= 1e-12 * abs(ref), x
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against a loop over one series' terms
+# ---------------------------------------------------------------------------
+
+def _reference_paired_sum(log_terms, alternating, tail_ok, tol):
+    """The scalar loop the batched kernel replaces: pairs consecutive
+    terms in np.longdouble, stops at the first m >= 2 that tail_ok
+    certifies, then audits the cancellation."""
+    total, held, peak = np.longdouble(0.0), None, -np.inf
+    for m, lt in enumerate(log_terms):
+        if lt > 11000.0:
+            raise OverflowGuard("overflow")
+        peak = max(peak, lt)
+        sign = -1.0 if alternating and m % 2 else 1.0
+        term = np.longdouble(sign) * np.exp(np.longdouble(lt))
+        if held is None:
+            held = term
+        else:
+            total += held + term
+            held = None
+        partial = total if held is None else total + held
+        if m >= 2 and tail_ok(m, abs(float(partial)) + 1e-300):
+            break
+    else:
+        raise OverflowGuard("did not settle")
+    if held is not None:
+        total += held
+    budget = np.log10(tol * (abs(float(total)) + 1e-300))
+    if alternating and peak / np.log(10.0) - eig._LONG_EPS_DIGITS > budget:
+        raise OverflowGuard("cancellation")
+    return float(total)
+
+
+def _reference_series(s, x, tol):
+    log_terms = (s._log_c + np.arange(s._log_c.size).astype(np.longdouble)
+                 * np.longdouble(x))
+    r_log = x - s._log_phi1
+
+    def tail_ok(m, scale):
+        ratio = np.exp(r_log) / (m + 2)
+        if ratio >= 0.5:
+            return False
+        log_tail = ((m + 1) * r_log - math.lgamma(m + 2.0)
+                    - np.log(1 - ratio))
+        bound = np.log(tol * scale)
+        return log_terms[m] < bound and log_tail < bound
+
+    return _reference_paired_sum(log_terms, True, tail_ok, tol)
+
+
+def _reference_wright(gamma, beta, z, tol):
+    if z == 0.0:
+        return math.exp(-math.lgamma(beta))
+    log_terms = (np.arange(eig._WRIGHT_TERMS) * np.log(abs(z))
+                 - eig._wright_log_denominators(float(gamma), float(beta)))
+
+    def tail_ok(m, scale):
+        ratio = np.exp(log_terms[m] - log_terms[m - 1])
+        return (ratio < 0.5
+                and np.exp(log_terms[m]) / (1 - ratio) < tol * scale)
+
+    return _reference_paired_sum(log_terms, z < 0, tail_ok, tol)
+
+
+@pytest.mark.parametrize("phi, x, tol", (
+    (PHI_AFF, GridSpec(-10.0, 5.0, 256).x, 1e-8),
+    (PHI_ID, np.arange(-30.0, 4.25, 0.25), 1e-9)))
+def test_series_kernel_matches_the_reference_loop(phi, x, tol,
+                                                  monkeypatch):
+    s = SeriesEigenfunction(phi)
+    got = eigenfunction_series(s, x, tol=tol)
+    want = np.array([_reference_series(s, float(v), tol) for v in x])
+    assert np.array_equal(got, want)
+    # chunks of two terms for a whole grid give the same bits
+    monkeypatch.setattr(eig, "_CHUNK_CELLS", 1)
+    assert np.array_equal(eigenfunction_series(s, x, tol=tol), want)
+    one = [eigenfunction_series(s, float(v), tol=tol) for v in x[::17]]
+    assert np.array_equal(one, got[::17])
+    assert isinstance(one[0], float)
+
+
+@pytest.mark.parametrize("gamma, beta, z, tol", (
+    # the gamma-pair grid of the CLI's wright route, statement variant
+    (0.3 / 0.7, 1.3, -np.exp(GridSpec(-10.0, 0.5, 256).x / 0.7), 1e-10),
+    (0.0, 2.5, np.linspace(-5.0, 3.0, 41), 1e-12),
+    (0.5, 2.0, np.array([0.3, 0.0, -0.3, 0.0]), 1e-12)))
+def test_wright_kernel_matches_the_reference_loop(gamma, beta, z, tol,
+                                                  monkeypatch):
+    got = wright(gamma, beta, z, tol=tol)
+    want = np.array([_reference_wright(gamma, beta, float(v), tol)
+                     for v in z])
+    assert np.array_equal(got, want)
+    monkeypatch.setattr(eig, "_CHUNK_CELLS", 1)
+    assert np.array_equal(wright(gamma, beta, z, tol=tol), want)
+    one = [wright(gamma, beta, float(v), tol=tol) for v in z[::7]]
+    assert np.array_equal(one, got[::7])
+    assert isinstance(one[0], float)
+    assert wright(gamma, beta, z.reshape(-1, 1), tol=tol).shape == (
+        z.size, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +222,8 @@ def test_wright_needs_gamma_above_minus_one():
 def test_wright_overflow_guard_deep_cancellation():
     with pytest.raises(OverflowGuard):
         wright(3.0 / 7.0, 1.3, -np.exp(20.0))
+    with pytest.raises(OverflowGuard, match="z=-4.85165e"):
+        wright(3.0 / 7.0, 1.3, np.array([-1.0, -np.exp(20.0), 0.0]))
 
 
 def test_wright_domain_is_gamma_nonnegative_beta_positive():
@@ -120,10 +239,10 @@ def test_wright_domain_is_gamma_nonnegative_beta_positive():
 
 def test_wright_gamma_zero_is_exponential():
     # W(0, beta; z) = e^z / Gamma(beta)
+    z = np.array([-5.0, -0.7, 0.4, 3.0])
     for beta in (0.3, 1.0, 2.5):
-        for z in (-5.0, -0.7, 0.4, 3.0):
-            ref = np.exp(z) / math.gamma(beta)
-            assert wright(0.0, beta, z) == pytest.approx(ref, abs=1e-12)
+        assert wright(0.0, beta, z) == pytest.approx(
+            np.exp(z) / math.gamma(beta), abs=1e-12)
     # 0-d array parameters are read as floats
     assert wright(np.array(0.5), np.array(1.0), 0.3) == wright(0.5, 1.0, 0.3)
 
@@ -162,8 +281,7 @@ def test_fft_vs_series_on_overlap():
     x = EIGEN_GRID.x
     mask = (x >= -10.0) & (x <= 2.0)
     xs = x[mask][::64]
-    series_vals = np.array([eigenfunction_series(s, float(v), tol=1e-8)
-                            for v in xs])
+    series_vals = eigenfunction_series(s, xs, tol=1e-8)
     fft_vals = np.interp(xs, x, J.values.real)
     assert np.max(np.abs(series_vals - fft_vals)) <= 1e-3
 
@@ -187,8 +305,7 @@ def test_wright_discrimination():
     jf = np.interp(xs, x, J.values.real)
     errs = {}
     for variant in ("statement", "proof"):
-        jv = np.array([wright_eigenfunction(0.7, 0.3, 1.0, float(v), variant)
-                       for v in xs])
+        jv = wright_eigenfunction(0.7, 0.3, 1.0, xs, variant)
         c = float(np.dot(jf, jv) / np.dot(jv, jv))
         errs[variant] = float(np.linalg.norm(jf - c * jv)
                               / np.linalg.norm(jf))
