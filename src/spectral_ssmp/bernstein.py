@@ -65,12 +65,16 @@ _RE_TOL = 1e-12
 # measure descriptors
 # ---------------------------------------------------------------------------
 
+_CLOSED_FORM_ARITY = {"stable": 1, "gamma-ratio-plus": 1,
+                      "gamma-ratio-minus": 2}
+
+
 @dataclass(frozen=True)
 class ClosedFormMeasure:
     """Levy measure whose integral against (1 - e^{-zy}) has a closed form.
 
-    Supported kinds:
-      "stable"            params = (beta,), integral = z**beta, 0 < beta < 1
+    Supported kinds, each index (beta, at, a) in (0, 1) and rho finite > 0:
+      "stable"            params = (beta,), integral = z**beta
       "gamma-ratio-plus"  params = (alpha_tilde,),
                           integral = Gamma(at*(1+z))/Gamma(at*z)
       "gamma-ratio-minus" params = (alpha, rho),
@@ -82,8 +86,18 @@ class ClosedFormMeasure:
     params: tuple
 
     def __post_init__(self):
-        if self.kind not in ("stable", "gamma-ratio-plus", "gamma-ratio-minus"):
+        arity = _CLOSED_FORM_ARITY.get(self.kind)
+        if arity is None:
             raise DomainError(f"unknown closed-form measure kind {self.kind!r}")
+        if len(self.params) != arity:
+            raise DomainError(f"a {self.kind} measure takes {arity} "
+                              f"parameter(s), got {len(self.params)}")
+        if not 0.0 < self.params[0] < 1.0:
+            raise DomainError(f"the index of a {self.kind} measure must be "
+                              "in (0, 1)")
+        if arity == 2 and not 0.0 < self.params[1] < math.inf:
+            raise DomainError("rho of a gamma-ratio-minus measure must be "
+                              "finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -93,9 +107,10 @@ class AtomMeasure:
     atoms: tuple  # of (location, mass) pairs
 
     def __post_init__(self):
-        if not self.atoms or any(y <= 0 or m <= 0 for y, m in self.atoms):
+        if not self.atoms or not all(0.0 < y < math.inf and 0.0 < m < math.inf
+                                     for y, m in self.atoms):
             raise DomainError("an atom measure needs at least one atom, "
-                              "each with positive location and mass")
+                              "each with finite positive location and mass")
 
 
 @dataclass(frozen=True)
@@ -104,7 +119,10 @@ class DensityMeasure:
 
     Outside [y[0], y[-1]] the density is extended by c0*y**(-1-a0) on the
     left and cinf*y**(-1-ainf) on the right, with the constants matched by
-    continuity.  Integrability of (1 ^ y) nu(dy) forces a0 < 1 and ainf > 0.
+    continuity.  Every value is finite, and ainf > 0 makes the mass beyond
+    1 finite.  The bound on a0 belongs to the measure's use: a Bernstein
+    function needs a0 < 1 (`BernsteinFunction`), a Levy measure a0 < 2
+    (`exponents.SignedMeasure`).
     """
 
     y: tuple
@@ -115,15 +133,16 @@ class DensityMeasure:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         d = np.asarray(self.density, dtype=float)
-        if y.ndim != 1 or y.size < 4 or np.any(np.diff(y) <= 0) or y[0] <= 0:
-            raise DomainError("density grid must be increasing and positive")
-        if d.size != y.size or np.any(d < 0):
-            raise DomainError("density values must be nonnegative")
-        if not (self.tail_exponent_zero < 1.0):
-            raise DomainError("near-zero tail exponent must be < 1 "
-                              "for integrability of (1 ^ y) nu(dy)")
-        if not (self.tail_exponent_inf > 0.0):
-            raise DomainError("infinity tail exponent must be > 0")
+        if (y.ndim != 1 or y.size < 4 or not np.all((0.0 < y) & (y < np.inf))
+                or np.any(np.diff(y) <= 0)):
+            raise DomainError("density grid must be finite, increasing and "
+                              "positive")
+        if d.shape != y.shape or not np.all((0.0 <= d) & (d < np.inf)):
+            raise DomainError("density values must be finite and nonnegative")
+        if not math.isfinite(self.tail_exponent_zero):
+            raise DomainError("near-zero tail exponent must be finite")
+        if not 0.0 < self.tail_exponent_inf < math.inf:
+            raise DomainError("infinity tail exponent must be finite and > 0")
 
 
 Measure = AtomMeasure | DensityMeasure | ClosedFormMeasure
@@ -138,10 +157,14 @@ class BernsteinFunction:
     measure: Optional[Measure] = None
 
     def __post_init__(self):
-        if self.phi0 < 0 or self.drift < 0:
-            raise DomainError("phi(0) and drift must be nonnegative")
+        if not (0.0 <= self.phi0 < math.inf and 0.0 <= self.drift < math.inf):
+            raise DomainError("phi(0) and drift must be finite and nonnegative")
         if self.phi0 == 0 and self.drift == 0 and self.measure is None:
             raise DomainError("degenerate phi == 0 rejected")
+        if (isinstance(self.measure, DensityMeasure)
+                and not self.measure.tail_exponent_zero < 1.0):
+            raise DomainError("near-zero tail exponent must be < 1 "
+                              "for integrability of (1 ^ y) nu(dy)")
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def _exponent_from_args(text, key):
     """The Exponent of a --pair or --quadruplet JSON argument, given bare or
     wrapped in its key; ValidationError when it lacks that part."""
     obj = json.loads(text)
-    if key not in obj:
+    if not isinstance(obj, dict) or key not in obj:
         obj = {key: obj}
     exp = exponent_from_json(obj)
     if getattr(exp, key) is None:
@@ -217,10 +217,6 @@ def _cmd_eigenfn(args):
 
 
 def _cmd_evolve(args):
-    if not args.pair:
-        raise errors.ValidationError(
-            "evolution runs through the Wiener-Hopf diagonalization; "
-            "pass --pair (a bare --quadruplet cannot be factorized here)")
     pair = _exponent_from_args(args.pair, "pair").pair
     spec = _grid_from_arg(args.grid)
     f = _fixture_from_arg(args.f, spec)
@@ -324,8 +320,7 @@ def _args_eigenfn(sp):
 
 
 def _args_evolve(sp):
-    sp.add_argument("--pair", default=None)
-    sp.add_argument("--quadruplet", default=None)
+    sp.add_argument("--pair", required=True)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--f", required=True,
                     help="h:eps:beta | gauss:a | csv:path")

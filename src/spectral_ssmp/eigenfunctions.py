@@ -310,31 +310,26 @@ def standard_bump(spec: GridSpec) -> GridFunction:
     return GridFunction(spec, vals)
 
 
-def approx_eigenfunction(spec: GridSpec, y: float, n: int,
-                         bump: Optional[GridFunction] = None) -> GridFunction:
-    """The rescaled translate n * bump(n (x - y)), unit L^2(e)-norm.
+def approx_eigenfunction(spec: GridSpec, y: float, n: int) -> GridFunction:
+    """The rescaled translate n * bump(n (x - y)) of `standard_bump`, unit
+    L^2(e)-norm.
 
     These are the approximate eigenfunctions of the multiplication
     semigroup at spectral parameter e^{-t e^{-y}}.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    if bump is None:
-        bump = standard_bump(spec)
-    if bump.spec != spec:
-        raise DomainError("bump must be sampled on the same grid")
-    # support of the profile in its own sampling
-    prof_x = spec.x
-    nz = np.abs(bump.values) > 0
+    bump = standard_bump(spec).values.real
+    # support of the profile on the grid
+    nz = bump > 0
     if not np.any(nz):
-        raise DomainError("bump profile is identically zero")
-    lo, hi = prof_x[nz][0], prof_x[nz][-1]
+        raise DomainError("the grid does not sample the bump on (-1, 1)")
+    lo, hi = spec.x[nz][0], spec.x[nz][-1]
     width = (hi - lo) / n
     if width / spec.dx < 16:
         raise ResolutionError(
             f"rescaled bump support spans {width / spec.dx:.1f} < 16 cells")
-    args = n * (spec.x - y)
-    vals = n * np.interp(args, prof_x, bump.values.real, left=0.0, right=0.0)
+    vals = n * np.interp(n * (spec.x - y), spec.x, bump, left=0.0, right=0.0)
     g = GridFunction(spec, vals)
     nrm = g.norm_e()
     if nrm == 0.0:

@@ -15,6 +15,7 @@ No factorization from a quadruplet is attempted: pairs are primary input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,6 +47,8 @@ class SignedMeasure:
 
     density_pos covers (0, inf); density_neg is the reflected measure of the
     negative side, i.e. a DensityMeasure in the variable |y| for y < 0.
+    Integrability of (y^2 ^ 1) mu(dy) bounds each density's near-zero tail
+    exponent by 2.
     """
 
     atoms: tuple = ()
@@ -54,8 +57,13 @@ class SignedMeasure:
 
     def __post_init__(self):
         for y, m in self.atoms:
-            if y == 0 or m <= 0:
-                raise DomainError("atoms need nonzero location, positive mass")
+            if not (0.0 < abs(y) < math.inf and 0.0 < m < math.inf):
+                raise DomainError("atoms need a finite nonzero location and "
+                                  "a finite positive mass")
+        for d in (self.density_pos, self.density_neg):
+            if d is not None and not d.tail_exponent_zero < 2.0:
+                raise DomainError("near-zero exponent >= 2 violates "
+                                  "integral (y^2 ^ 1) mu(dy) < inf")
 
     def reflected(self):
         return SignedMeasure(
@@ -89,14 +97,10 @@ class LevyQuadruplet:
     mu: SignedMeasure = SignedMeasure()
 
     def __post_init__(self):
-        if self.psi0 < 0 or self.sigma2 < 0:
-            raise DomainError("psi(0) and sigma^2 must be nonnegative")
-        # integrability of (y^2 ^ 1) mu(dy): declared near-zero tail exponent
-        # must stay below 2 on both sides
-        for d in (self.mu.density_pos, self.mu.density_neg):
-            if d is not None and d.tail_exponent_zero >= 2.0:
-                raise DomainError("near-zero exponent >= 2 violates "
-                                  "integral (y^2 ^ 1) mu(dy) < inf")
+        if not (0.0 <= self.psi0 < math.inf and 0.0 <= self.sigma2 < math.inf
+                and math.isfinite(self.b)):
+            raise DomainError("psi(0) and sigma^2 must be finite and "
+                              "nonnegative, and b finite")
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,15 @@ Family identifiers (shared with the command line):
                          "density": [...], "tail_exponent_zero": a0,
                          "tail_exponent_inf": a1, "c": 0.0, "d": 0.0}
 
-A family builds the triplet (phi(0), drift, measure) and nothing else: the
-tail facts that the spectrum tables read (activity, regular-variation
-index, quasi-monotonicity) are derived from the measure, so a factor built
-by hand meets the same table rows as its family.
+A family is a builder whose keyword arguments are its JSON parameters
+(d defaults to 1 for drift and affine, c and d to 0 elsewhere) and which
+builds the triplet (phi(0), drift, measure) and nothing else.  The descriptors check every range and finiteness
+themselves (`bernstein.ClosedFormMeasure`, `AtomMeasure`, `DensityMeasure`,
+`BernsteinFunction`, `exponents.SignedMeasure`, `LevyQuadruplet`), and the
+tail facts that the spectrum tables read are derived from the measure, so
+a factor built by hand meets the same checks and table rows as its family.
+A missing, unknown or malformed parameter, or a descriptor's DomainError,
+is raised as ValidationError.
 
 Exponent JSON:
 
@@ -37,84 +42,79 @@ from .bernstein import (
     BernsteinFunction,
     ClosedFormMeasure,
     DensityMeasure,
+    _ratio_constant,
 )
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .exponents import Exponent, LevyQuadruplet, SignedMeasure, WienerHopfPair
 
-FAMILY_IDS = (
-    "drift",
-    "affine",
-    "stable",
-    "gamma-ratio-plus",
-    "gamma-ratio-minus",
-    "compound-poisson",
-    "tabulated-density",
-)
+
+def _drift(d=1.0):
+    return BernsteinFunction(drift=float(d))
 
 
-def _require_keys(obj, allowed, context):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ValidationError(f"unknown keys {sorted(unknown)} in {context}")
+def _affine(d=1.0, c=0.0):
+    return BernsteinFunction(phi0=float(c), drift=float(d))
+
+
+def _stable(beta):
+    return BernsteinFunction(
+        measure=ClosedFormMeasure("stable", (float(beta),)))
+
+
+def _gamma_ratio_plus(alpha_tilde):
+    return BernsteinFunction(
+        measure=ClosedFormMeasure("gamma-ratio-plus", (float(alpha_tilde),)))
+
+
+def _gamma_ratio_minus(alpha, rho):
+    measure = ClosedFormMeasure("gamma-ratio-minus", (float(alpha), float(rho)))
+    return BernsteinFunction(phi0=_ratio_constant(*measure.params),
+                             measure=measure)
+
+
+def _compound_poisson(atoms, c=0.0, d=0.0):
+    measure = AtomMeasure(tuple((float(y), float(m)) for y, m in atoms))
+    return BernsteinFunction(phi0=float(c), drift=float(d), measure=measure)
+
+
+def _density(y, density, tail_exponent_zero, tail_exponent_inf):
+    return DensityMeasure(tuple(float(v) for v in y),
+                          tuple(float(v) for v in density),
+                          float(tail_exponent_zero), float(tail_exponent_inf))
+
+
+def _tabulated_density(y, density, tail_exponent_zero, tail_exponent_inf,
+                       c=0.0, d=0.0):
+    measure = _density(y, density, tail_exponent_zero, tail_exponent_inf)
+    return BernsteinFunction(phi0=float(c), drift=float(d), measure=measure)
+
+
+_FAMILIES = {
+    "drift": _drift,
+    "affine": _affine,
+    "stable": _stable,
+    "gamma-ratio-plus": _gamma_ratio_plus,
+    "gamma-ratio-minus": _gamma_ratio_minus,
+    "compound-poisson": _compound_poisson,
+    "tabulated-density": _tabulated_density,
+}
+FAMILY_IDS = tuple(_FAMILIES)
+
+
+def _checked(build, what, /, **params):
+    """build(**params), with a missing, unknown or malformed parameter and
+    a descriptor's DomainError raised as ValidationError."""
+    try:
+        return build(**params)
+    except (TypeError, ValueError, DomainError) as exc:
+        raise ValidationError(f"bad parameters for {what}: {exc}") from None
 
 
 def make_bernstein(family: str, **params) -> BernsteinFunction:
     """Construct a built-in family; see the module docstring for identifiers."""
-    if family == "drift":
-        d = float(params.pop("d", 1.0))
-        _no_extra(params, family)
-        return BernsteinFunction(drift=d)
-    if family == "affine":
-        d = float(params.pop("d", 1.0))
-        c = float(params.pop("c", 0.0))
-        _no_extra(params, family)
-        return BernsteinFunction(phi0=c, drift=d)
-    if family == "stable":
-        beta = float(params.pop("beta"))
-        _no_extra(params, family)
-        if not 0.0 < beta < 1.0:
-            raise ValidationError("stable exponent beta must be in (0, 1)")
-        return BernsteinFunction(measure=ClosedFormMeasure("stable", (beta,)))
-    if family == "gamma-ratio-plus":
-        at = float(params.pop("alpha_tilde"))
-        _no_extra(params, family)
-        if not 0.0 < at < 1.0:
-            raise ValidationError("alpha_tilde must be in (0, 1)")
-        return BernsteinFunction(
-            measure=ClosedFormMeasure("gamma-ratio-plus", (at,)))
-    if family == "gamma-ratio-minus":
-        a = float(params.pop("alpha"))
-        rho = float(params.pop("rho"))
-        _no_extra(params, family)
-        if not 0.0 < a < 1.0 or rho <= 0:
-            raise ValidationError("need alpha in (0, 1) and rho > 0")
-        phi0 = math.exp(math.lgamma(rho + a) - math.lgamma(rho))
-        return BernsteinFunction(
-            phi0=phi0,
-            measure=ClosedFormMeasure("gamma-ratio-minus", (a, rho)))
-    if family == "compound-poisson":
-        atoms = tuple((float(y), float(m)) for y, m in params.pop("atoms"))
-        c = float(params.pop("c", 0.0))
-        d = float(params.pop("d", 0.0))
-        _no_extra(params, family)
-        return BernsteinFunction(phi0=c, drift=d, measure=AtomMeasure(atoms))
-    if family == "tabulated-density":
-        y = tuple(float(v) for v in params.pop("y"))
-        dens = tuple(float(v) for v in params.pop("density"))
-        a0 = float(params.pop("tail_exponent_zero"))
-        a1 = float(params.pop("tail_exponent_inf"))
-        c = float(params.pop("c", 0.0))
-        d = float(params.pop("d", 0.0))
-        _no_extra(params, family)
-        return BernsteinFunction(phi0=c, drift=d,
-                                 measure=DensityMeasure(y, dens, a0, a1))
-    raise ValidationError(f"unknown family {family!r}; known: {FAMILY_IDS}")
-
-
-def _no_extra(params, family):
-    if params:
-        raise ValidationError(
-            f"unknown parameters {sorted(params)} for family {family!r}")
+    if family not in FAMILY_IDS:
+        raise ValidationError(f"unknown family {family!r}; known: {FAMILY_IDS}")
+    return _checked(_FAMILIES[family], f"family {family!r}", **params)
 
 
 def stable_density_table(beta: float, y_min: float = 1e-6, y_max: float = 1e3,
@@ -137,55 +137,32 @@ def stable_density_table(beta: float, y_min: float = 1e-6, y_max: float = 1e3,
 # ---------------------------------------------------------------------------
 
 def bernstein_from_json(obj) -> BernsteinFunction:
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ValidationError("a Bernstein function is a JSON object "
-                              "with a 'family' key")
-    obj = dict(obj)
-    family = obj.pop("family")
-    try:
-        return make_bernstein(family, **obj)
-    except (TypeError, KeyError) as exc:
-        raise ValidationError(f"bad parameters for family {family!r}: {exc}")
+    """The factor of a JSON object {"family": <id>, <parameters>}."""
+    return _checked(make_bernstein, "a Bernstein function", **obj)
 
 
-def _density_from_json(obj) -> DensityMeasure:
-    _require_keys(obj, ("y", "density", "tail_exponent_zero",
-                        "tail_exponent_inf"), "density")
-    return DensityMeasure(tuple(float(v) for v in obj["y"]),
-                          tuple(float(v) for v in obj["density"]),
-                          float(obj["tail_exponent_zero"]),
-                          float(obj["tail_exponent_inf"]))
+def _pair(plus, minus):
+    return WienerHopfPair(bernstein_from_json(plus), bernstein_from_json(minus))
+
+
+def _signed_measure(atoms=(), density_pos=None, density_neg=None):
+    return SignedMeasure(
+        atoms=tuple((float(y), float(w)) for y, w in atoms),
+        density_pos=_density(**density_pos) if density_pos else None,
+        density_neg=_density(**density_neg) if density_neg else None)
+
+
+def _quadruplet(psi0=0.0, b=0.0, sigma2=0.0, mu=None):
+    mu = SignedMeasure() if mu is None else _signed_measure(**mu)
+    return LevyQuadruplet(float(psi0), float(b), float(sigma2), mu)
+
+
+def _exponent(pair=None, quadruplet=None):
+    return Exponent(
+        pair=None if pair is None else _pair(**pair),
+        quadruplet=None if quadruplet is None else _quadruplet(**quadruplet))
 
 
 def exponent_from_json(obj) -> Exponent:
     """Parse {"pair": ...} or {"quadruplet": ...}; unknown keys rejected."""
-    if not isinstance(obj, dict):
-        raise ValidationError("an exponent is a JSON object")
-    _require_keys(obj, ("pair", "quadruplet"), "exponent")
-    pair = None
-    quad = None
-    if "pair" in obj:
-        p = obj["pair"]
-        _require_keys(p, ("plus", "minus"), "pair")
-        if "plus" not in p or "minus" not in p:
-            raise ValidationError("a pair needs both 'plus' and 'minus'")
-        pair = WienerHopfPair(bernstein_from_json(p["plus"]),
-                              bernstein_from_json(p["minus"]))
-    if "quadruplet" in obj:
-        q = obj["quadruplet"]
-        _require_keys(q, ("psi0", "b", "sigma2", "mu"), "quadruplet")
-        mu = SignedMeasure()
-        if "mu" in q and q["mu"] is not None:
-            m = q["mu"]
-            _require_keys(m, ("atoms", "density_pos", "density_neg"), "mu")
-            mu = SignedMeasure(
-                atoms=tuple((float(y), float(w)) for y, w in m.get("atoms", ())),
-                density_pos=(_density_from_json(m["density_pos"])
-                             if m.get("density_pos") else None),
-                density_neg=(_density_from_json(m["density_neg"])
-                             if m.get("density_neg") else None))
-        quad = LevyQuadruplet(float(q.get("psi0", 0.0)), float(q.get("b", 0.0)),
-                              float(q.get("sigma2", 0.0)), mu)
-    if pair is None and quad is None:
-        raise ValidationError("exponent needs a 'pair' or a 'quadruplet'")
-    return Exponent(quadruplet=quad, pair=pair)
+    return _checked(_exponent, "exponent", **obj)

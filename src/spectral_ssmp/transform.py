@@ -19,6 +19,7 @@ evaluated once per (pair, grid) and cached in the MultiplierLine.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 import numpy as np
@@ -42,8 +43,8 @@ class GridSpec:
     n: int = 4096
 
     def __post_init__(self):
-        if self.x_min >= self.x_max:
-            raise DomainError("x_min must be below x_max")
+        if not -math.inf < self.x_min < self.x_max < math.inf:
+            raise DomainError("the window needs finite x_min below x_max")
         if self.n < 256 or self.n & (self.n - 1):
             raise DomainError("n must be a power of two, at least 2**8")
 
@@ -228,34 +229,31 @@ def multiplier_h(pair: WienerHopfPair, spec: GridSpec,
     return _multiplier_line(pair, spec, float(tol))
 
 
-def _line_evaluators(pair: WienerHopfPair, spec: GridSpec, tol: float):
-    """The shared W evaluators of both factors for the multiplier lines on
-    spec; their horizon covers every |1/2 +- i xi| and |1 +- i xi|."""
+def _log_w_lines(pair: WienerHopfPair, spec: GridSpec, tol: float,
+                 a: float, xi):
+    """(log W_+(a - i xi), log W_-(a + i xi)) for a 1-d xi, from the shared
+    W evaluators of both factors, whose horizon covers every |1/2 +- i xi|
+    and |1 +- i xi| on spec.  Each is evaluated at the distinct |xi| only,
+    W(conj z) = conj W(z), and one factor for both sides, as for (id, id),
+    takes one log W."""
     zmax = float(np.hypot(0.5, spec.nyquist)) + 2.0
-    return (default_evaluator(pair.phi_plus, tol, zmax),
-            default_evaluator(pair.phi_minus, tol, zmax))
-
-
-def _log_w_line(ev, a: float, xi):
-    """log W(a + i xi) for a 1-d xi, evaluated at the distinct |xi| only:
-    W(conj z) = conj W(z)."""
+    ev_p = default_evaluator(pair.phi_plus, tol, zmax)
+    ev_m = default_evaluator(pair.phi_minus, tol, zmax)
     pos, inv = np.unique(np.abs(xi), return_inverse=True)
-    lw = ev.log_w(a + 1j * pos)[inv]
-    return np.where(xi < 0, np.conj(lw), lw)
+
+    def line(ev):
+        lw = ev.log_w(a + 1j * pos)[inv]
+        return np.where(xi < 0, np.conj(lw), lw)
+
+    lw_m = line(ev_m)
+    return np.conj(lw_m if ev_p is ev_m else line(ev_p)), lw_m
 
 
-@functools.lru_cache(maxsize=64)
-def _multiplier_line(pair: WienerHopfPair, spec: GridSpec,
-                     tol: float) -> MultiplierLine:
-    ev_p, ev_m = _line_evaluators(pair, spec, tol)
-    # W_plus(1/2 - i xi) = conj W_plus(1/2 + i xi); one factor for both
-    # sides, as for (id, id), takes one log W
-    lw_m = _log_w_line(ev_m, 0.5, spec.xi)
-    lw_p = np.conj(lw_m if ev_p is ev_m else _log_w_line(ev_p, 0.5, spec.xi))
-    lw = lw_p - lw_m
-    # the ratio is zero-free in exact arithmetic; clamp the log magnitude at
-    # the double-precision exponent boundary so under/overflow cannot break
-    # that contract on very wide frequency grids, and say so
+def _clamped_exp(lw):
+    """e^lw with Re lw clamped at +-_LOG_CLAMP, and a DomainWarning that
+    counts the clamped samples.  The multipliers are zero-free in exact
+    arithmetic; the clamp at the double-precision exponent boundary keeps
+    under/overflow from breaking that on very wide frequency grids."""
     clamped = np.abs(lw.real) > _LOG_CLAMP
     if np.any(clamped):
         extreme = lw.real[np.argmax(np.abs(lw.real))]
@@ -263,16 +261,21 @@ def _multiplier_line(pair: WienerHopfPair, spec: GridSpec,
             f"{np.count_nonzero(clamped)} of {lw.size} multiplier samples "
             f"have |log m| > {_LOG_CLAMP:g} (extreme log|m| = {extreme:.4g}); "
             f"their log|m| is clamped at +-{_LOG_CLAMP:g}", DomainWarning,
-            stacklevel=3)
-    lw = np.clip(lw.real, -_LOG_CLAMP, _LOG_CLAMP) + 1j * lw.imag
-    return MultiplierLine(spec, np.exp(lw))
+            stacklevel=4)
+    return np.exp(np.clip(lw.real, -_LOG_CLAMP, _LOG_CLAMP) + 1j * lw.imag)
+
+
+@functools.lru_cache(maxsize=64)
+def _multiplier_line(pair: WienerHopfPair, spec: GridSpec,
+                     tol: float) -> MultiplierLine:
+    lw_p, lw_m = _log_w_lines(pair, spec, tol, 0.5, spec.xi)
+    return MultiplierLine(spec, _clamped_exp(lw_p - lw_m))
 
 
 def _lambda_multiplier_line0(pair: WienerHopfPair, spec: GridSpec, tol: float):
     """The similarity multiplier on the unshifted line,
     m(xi) = W_+(-i xi) Gamma(1 + i xi) / (W_-(1 + i xi) Gamma(-i xi)),
     regularized at xi = 0 through W(z) = W(z+1)/phi(z)."""
-    ev_p, ev_m = _line_evaluators(pair, spec, tol)
     xi = spec.xi
     nz = xi != 0.0
     vals = np.empty(spec.n, dtype=complex)
@@ -280,11 +283,10 @@ def _lambda_multiplier_line0(pair: WienerHopfPair, spec: GridSpec, tol: float):
     # regularized form: (-i xi)/Gamma(1 - i xi) replaces 1/Gamma(-i xi);
     # log Gamma(1 - i xi) = conj log Gamma(1 + i xi)
     log_g = log_gamma(1.0 + 1j * x_nz)
-    lw_m = _log_w_line(ev_m, 1.0, x_nz)
-    lw_p = np.conj(lw_m if ev_p is ev_m else _log_w_line(ev_p, 1.0, x_nz))
+    lw_p, lw_m = _log_w_lines(pair, spec, tol, 1.0, x_nz)
     log_num = lw_p + log_g - np.log(eval_phi(pair.phi_plus, -1j * x_nz))
     log_den = lw_m + np.conj(log_g)
-    vals[nz] = (-1j * x_nz) * np.exp(log_num - log_den)
+    vals[nz] = (-1j * x_nz) * _clamped_exp(log_num - log_den)
     if np.any(~nz):
         phi0 = float(eval_phi(pair.phi_plus, 0.0).real)
         if phi0 > 0.0:

@@ -83,6 +83,58 @@ def test_atom_measure_needs_an_atom():
         AtomMeasure(())
 
 
+NAN, INF = math.nan, math.inf
+TABLE_Y = tuple(np.geomspace(1e-3, 1e2, 11))
+TABLE_D = tuple(np.asarray(TABLE_Y) ** -1.5)
+
+
+@pytest.mark.parametrize("build", [
+    # a closed form: its kind, its parameter count, each index in (0, 1)
+    # and a finite rho > 0
+    lambda: ClosedFormMeasure("stable", (1.5,)),
+    lambda: ClosedFormMeasure("stable", (NAN,)),
+    lambda: ClosedFormMeasure("stable", (0.5, 1.0)),
+    lambda: ClosedFormMeasure("gamma-ratio-plus", (-0.5,)),
+    lambda: ClosedFormMeasure("gamma-ratio-plus", (1.0,)),
+    lambda: ClosedFormMeasure("gamma-ratio-minus", (0.3,)),
+    lambda: ClosedFormMeasure("gamma-ratio-minus", (0.3, 0.0)),
+    lambda: ClosedFormMeasure("gamma-ratio-minus", (0.3, INF)),
+    lambda: ClosedFormMeasure("gamma-ratio-minus", (NAN, 1.0)),
+    lambda: ClosedFormMeasure("beta", (0.5,)),
+    # atoms: finite positive locations and masses
+    lambda: AtomMeasure(((NAN, 1.0),)),
+    lambda: AtomMeasure(((INF, 1.0),)),
+    lambda: AtomMeasure(((1.0, NAN),)),
+    lambda: AtomMeasure(((1.0, 2.0), (3.0, INF))),
+    # a table: finite nodes, values and tail exponents
+    lambda: DensityMeasure(TABLE_Y[:-1] + (INF,), TABLE_D, 0.5, 0.5),
+    lambda: DensityMeasure((NAN,) + TABLE_Y[1:], TABLE_D, 0.5, 0.5),
+    lambda: DensityMeasure(TABLE_Y, TABLE_D[:-1] + (NAN,), 0.5, 0.5),
+    lambda: DensityMeasure(TABLE_Y, (INF,) + TABLE_D[1:], 0.5, 0.5),
+    lambda: DensityMeasure(TABLE_Y, TABLE_D[:-1], 0.5, 0.5),
+    lambda: DensityMeasure(TABLE_Y, TABLE_D, NAN, 0.5),
+    lambda: DensityMeasure(TABLE_Y, TABLE_D, -INF, 0.5),
+    lambda: DensityMeasure(TABLE_Y, TABLE_D, 0.5, INF),
+    lambda: DensityMeasure(TABLE_Y, TABLE_D, 0.5, 0.0),
+    # the triplet: finite phi(0) and drift, and a0 < 1 for a density
+    lambda: BernsteinFunction(phi0=NAN, drift=1.0),
+    lambda: BernsteinFunction(phi0=INF),
+    lambda: BernsteinFunction(drift=NAN),
+    lambda: BernsteinFunction(phi0=1.0, drift=INF),
+    lambda: BernsteinFunction(
+        measure=DensityMeasure(TABLE_Y, TABLE_D, 1.0, 0.5)),
+    lambda: BernsteinFunction(
+        measure=DensityMeasure(TABLE_Y, TABLE_D, 1.5, 0.5)),
+])
+def test_descriptor_rejects_out_of_range_fields(build):
+    # each descriptor checks its own fields, so a hand-built factor meets
+    # the checks of its family; unchecked, ("gamma-ratio-minus", (0.3,))
+    # fails later with a bare ValueError and ("gamma-ratio-plus", (-0.5,))
+    # gives an inf/nan phi
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_eval_phi_monotone_concave_on_reals():
     for phi in (PHI_ID, make_bernstein("stable", beta=0.5),
                 make_bernstein("gamma-ratio-plus", alpha_tilde=0.7),

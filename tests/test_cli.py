@@ -10,6 +10,7 @@ from spectral_ssmp.cli import build_parser, emit_csv, run
 from spectral_ssmp.eigenfunctions import wright_eigenfunction
 from spectral_ssmp.errors import ValidationError
 from spectral_ssmp.families import (
+    FAMILY_IDS,
     bernstein_from_json,
     exponent_from_json,
     make_bernstein,
@@ -62,6 +63,88 @@ def test_exponent_json_both_forms():
 def test_stable_family_range_checked():
     with pytest.raises(ValidationError):
         make_bernstein("stable", beta=1.5)
+
+
+NAN = float("nan")
+TABLE = {"y": [0.01, 0.1, 1.0, 10.0], "density": [1e3, 31.6, 1.0, 0.0316],
+         "tail_exponent_inf": 0.5}
+
+
+@pytest.mark.parametrize("family,params", [
+    ("stable", {"beta": NAN}),
+    ("stable", {"beta": 0.5, "alpha": 0.5}),
+    ("stable", {}),
+    ("gamma-ratio-plus", {"alpha_tilde": -0.5}),
+    ("gamma-ratio-minus", {"alpha": 0.3, "rho": 0.0}),
+    ("gamma-ratio-minus", {"alpha": 1.0, "rho": 1.0}),
+    ("affine", {"d": 1.0, "c": NAN}),
+    ("drift", {"d": float("inf")}),
+    ("compound-poisson", {"atoms": [[NAN, 1.0]], "d": 1.0}),
+    ("compound-poisson", {"atoms": [[1.0]]}),
+    ("tabulated-density", {**TABLE, "tail_exponent_zero": 1.5}),
+    ("tabulated-density", {**TABLE, "tail_exponent_zero": NAN}),
+    ("tabulated-density", {**TABLE, "tail_exponent_zero": 0.5, "d": NAN}),
+])
+def test_family_and_json_routes_reject_bad_parameters(family, params):
+    # the descriptors check the values and the builders' signatures the
+    # names; both routes report either as ValidationError
+    with pytest.raises(ValidationError):
+        make_bernstein(family, **params)
+    with pytest.raises(ValidationError):
+        bernstein_from_json({"family": family, **params})
+
+
+@pytest.mark.parametrize("quad", [
+    {"b": NAN}, {"psi0": float("inf")}, {"sigma2": -1.0}, {"bb": 1.0},
+    {"mu": {"atoms": [[1.0, NAN]]}},
+    {"mu": {"density_pos": {**TABLE, "tail_exponent_zero": 2.0}}},
+    {"mu": {"density_neg": {**TABLE, "tail_exponent_zero": 0.5, "x": 1}}},
+])
+def test_quadruplet_json_rejects_bad_parameters(quad):
+    with pytest.raises(ValidationError):
+        exponent_from_json({"quadruplet": quad})
+
+
+def test_levy_density_json_takes_a0_up_to_two():
+    # a near-zero exponent in [1, 2) is a Levy density, not a Bernstein one
+    quad = {"mu": {"density_pos": {**TABLE, "tail_exponent_zero": 1.5}}}
+    exp = exponent_from_json({"quadruplet": quad})
+    assert exp.quadruplet.mu.density_pos.tail_exponent_zero == 1.5
+
+
+def test_family_ids_are_the_builders():
+    assert FAMILY_IDS == ("drift", "affine", "stable", "gamma-ratio-plus",
+                          "gamma-ratio-minus", "compound-poisson",
+                          "tabulated-density")
+    for family in FAMILY_IDS:
+        with pytest.raises(ValidationError):
+            make_bernstein(family, no_such_parameter=1.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bgamma", "--phi",
+     '{"family": "compound-poisson", "atoms": [[NaN, 1.0]], "d": 1.0}'],
+    ["classify", "--pair",
+     '{"plus": {"family": "compound-poisson", "atoms": [[NaN, 1.0]]}, '
+     '"minus": {"family": "drift"}}'],
+    ["simulate", "--quadruplet", '{"b": NaN}', "--x", "1.0", "--t", "0.5",
+     "--paths", "100"],
+    ["bgamma", "--phi", '{"family": "affine", "d": 1.0, "c": NaN}'],
+    ["multiplier", "--pair",
+     '{"plus": {"family": "stable", "beta": 1.5}, "minus": {"family": "drift"}}'],
+    ["multiplier", "--pair", "5"],
+    ["simulate", "--quadruplet", "[1.0]", "--x", "1.0", "--t", "0.5"],
+])
+def test_bad_factors_exit_2_and_write_nothing(argv, tmp_path, capsys):
+    # unchecked, the atom at NaN is served as phi(z) = 1 + z, the NaN
+    # drift of simulate gives a mean of NaN, the NaN phi(0) fails as a
+    # numerical error (exit 4), and a bare number for an exponent raises
+    # a TypeError
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ValidationError"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +228,7 @@ REQUIRED = {
     "multiplier": ["--pair", "{}", "--out", "m.csv"],
     "classify": ["--pair", "{}"],
     "eigenfn": ["--pair", "{}", "--method", "series", "--out", "J.csv"],
-    "evolve": ["--t", "1", "--f", "gauss:1", "--out", "u.csv"],
+    "evolve": ["--pair", "{}", "--t", "1", "--f", "gauss:1", "--out", "u.csv"],
     "simulate": ["--quadruplet", "{}", "--x", "1", "--t", "1"],
     "generator-check": ["--quadruplet", "{}", "--out", "g.csv"],
 }
@@ -263,12 +346,17 @@ def test_evolve_residual_pair_on_2048_points_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_evolve_without_pair_is_validation_error(capsys):
-    code = run(["evolve", "--quadruplet",
-                '{"psi0": 0, "b": 0, "sigma2": 1.0}',
-                "--t", "0.5", "--f", "h:1:1", "--out", "/tmp/x.csv"])
-    capsys.readouterr()
-    assert code == 2
+def test_evolve_without_pair_is_validation_error(capsys, tmp_path):
+    # evolution runs through the Wiener-Hopf diagonalization, so --pair is
+    # required and evolve takes no --quadruplet: a usage error, exit 2
+    out = tmp_path / "x.csv"
+    for extra in ([], ["--quadruplet", '{"psi0": 0, "b": 0, "sigma2": 1.0}']):
+        with pytest.raises(SystemExit) as exc:
+            run(["evolve", *extra, "--t", "0.5", "--f", "h:1:1",
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--pair" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eigenfn_methods_agree(tmp_path):

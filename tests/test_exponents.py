@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from spectral_ssmp import exponents
-from spectral_ssmp.bernstein import BernsteinFunction
+from spectral_ssmp.bernstein import BernsteinFunction, DensityMeasure
 from spectral_ssmp.errors import DomainError
 from spectral_ssmp.exponents import (
     Exponent,
@@ -178,6 +178,70 @@ def test_self_conjugate_identity_pair():
 def test_exponent_needs_one_representation():
     with pytest.raises(DomainError):
         Exponent()
+
+
+def _levy_table(a0):
+    """A density c y^{-1-a0} tabulated on [1e-3, 1e2], declared with a0."""
+    y = np.geomspace(1e-3, 1e2, 11)
+    return DensityMeasure(tuple(y), tuple(y ** (-1.0 - a0)), a0, 0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SignedMeasure(atoms=((np.nan, 1.0),)),
+    lambda: SignedMeasure(atoms=((-np.inf, 1.0),)),
+    lambda: SignedMeasure(atoms=((0.0, 1.0),)),
+    lambda: SignedMeasure(atoms=((1.0, np.inf),)),
+    lambda: SignedMeasure(atoms=((1.0, np.nan),)),
+    lambda: SignedMeasure(density_pos=_levy_table(2.0)),
+    lambda: SignedMeasure(density_neg=_levy_table(2.5)),
+    lambda: LevyQuadruplet(b=np.nan),
+    lambda: LevyQuadruplet(b=-np.inf),
+    lambda: LevyQuadruplet(psi0=np.inf),
+    lambda: LevyQuadruplet(sigma2=np.nan),
+    lambda: LevyQuadruplet(psi0=-1.0),
+])
+def test_levy_descriptor_rejects_out_of_range_fields(build):
+    # finite atoms and coefficients, and integral (y^2 ^ 1) mu(dy) < inf:
+    # a near-zero exponent below 2, checked by the Levy measure itself
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_levy_density_head_between_one_and_two_matches_mpmath():
+    # a0 = 1.5 is a Levy density but not a Bernstein one.  The compensated
+    # head below the table, integral_0^{y_min} (e^{-zy} - 1 + zy) c0
+    # y^{-1-a0} dy, integrated by parts twice (w = z y_min):
+    #   c0 y_min^{-a0} [-(e^{-w} - 1 + w) / a0
+    #                   + (w (1 - e^{-w}) - w^a0 gamma(2 - a0, w))
+    #                     / (a0 (1 - a0))],
+    # and its second moment up to lo <= y_min by mpmath quadrature
+    import mpmath as mp
+    dens = _levy_table(1.5)
+    mu = SignedMeasure(density_pos=dens, density_neg=dens)
+    with pytest.raises(DomainError):
+        BernsteinFunction(measure=dens)
+    rule = exponents._measure_rule(dens)
+    y0, c0, a0 = rule.y_min, rule.c0, 1.5
+    assert c0 == pytest.approx(1.0, rel=1e-14)
+    for z in (0.5 / y0, 5.0j / y0, (7.0 - 7.0j) / y0, -10.0j / y0):
+        got = complex(rule.series(np.array([z]), 2)[0])
+        with mp.workdps(30):
+            w = mp.mpc(z) * y0
+            parts = (-(mp.exp(-w) - 1 + w) / a0
+                     + (w * (1 - mp.exp(-w))
+                        - w ** a0 * mp.gammainc(2 - a0, 0, w))
+                     / (a0 * (1 - a0)))
+            ref = complex(c0 * mp.mpf(y0) ** -a0 * parts)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+    for lo in (y0, y0 / 10.0):
+        with mp.workdps(30):
+            ref = float(mp.quad(lambda y: y ** 2 * c0 * y ** (-1 - a0),
+                                [0, lo]))
+        assert rule.moment(lo) == pytest.approx(ref, rel=1e-14)
+    # and psi of the quadruplet takes that head: finite, real part >= 0
+    vals = eval_psi(Exponent(quadruplet=LevyQuadruplet(mu=mu)),
+                    np.array([0.5, 5.0]))
+    assert np.all(np.isfinite(vals)) and np.all(vals.real >= 0.0)
 
 
 def test_weak_nonlattice_drift():

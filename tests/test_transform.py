@@ -17,6 +17,7 @@ from spectral_ssmp.transform import (
     GridSpec,
     MultiplierLine,
     SpectrumLine,
+    _lambda_multiplier_line0,
     _multiplier_line,
     apply_multiplier,
     domain_check,
@@ -55,6 +56,10 @@ def test_grid_spec_validation():
         GridSpec(0.0, 1.0, 1000)  # not a power of two
     with pytest.raises(DomainError):
         GridSpec(0.0, 1.0, 128)  # below 2**8
+    for x_min, x_max in ((np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0),
+                         (0.0, np.inf)):
+        with pytest.raises(DomainError):
+            GridSpec(x_min, x_max, 4096)  # a window that is not finite
 
 
 def test_round_trip_random():
@@ -341,6 +346,22 @@ def test_multiplier_clamp_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DomainWarning)
         _multiplier_line.__wrapped__(pair, SPEC, 1e-10)
+
+
+def test_lambda_line0_clamp_warns():
+    # the similarity multiplier on the unshifted line takes the H line's
+    # clamp: on 32768 points the gamma pair's exponent reaches -1087, and
+    # the samples beyond -700, which e^x would flush to 0, are clamped with
+    # a DomainWarning; on 4096 points nothing is said
+    pair = gamma_pair()
+    wide = GridSpec(-20.0, 40.0, 32768)
+    with pytest.warns(DomainWarning, match="of 32767 multiplier samples "
+                      "have \\|log m\\| > 700") as rec:
+        vals = _lambda_multiplier_line0(pair, wide, 1e-10)
+    assert len(rec) == 1 and np.all(vals != 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DomainWarning)
+        _lambda_multiplier_line0(pair, SPEC, 1e-10)
 
 
 def test_inner_product_conjugate_symmetry():
