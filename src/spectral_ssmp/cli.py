@@ -8,7 +8,8 @@ classification reports and simulation estimates.
 
 Exit codes: 0 success (any definite classification verdict), 2 validation
 error, 3 Inconclusive classification, 4 numerical-convergence failure.
-All errors are also emitted as one JSON object on stderr.
+All errors are also emitted as one JSON object on stderr; for a usage
+error it is the last line, after argparse's usage text.
 """
 
 from __future__ import annotations
@@ -367,9 +368,20 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors (exit code 2) also end with the
+    JSON error object; its subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        _report("UsageError", message)
+        self.exit(2)
+
+
 def build_parser():
     """The parser of the whole command line, every subcommand included."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog=_PROG,
         description="Spectral computations for self-similar Markov "
                     "semigroups: Bernstein-gamma functions, Wiener-Hopf "
@@ -398,7 +410,7 @@ def run(argv=None) -> int:
     extra = True
     if argv and argv[0] in _COMMANDS:
         _, add_args, fn = _COMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"{_PROG} {argv[0]}")
+        parser = _Parser(prog=f"{_PROG} {argv[0]}")
         add_args(parser)
         args, extra = parser.parse_known_args(argv[1:])
     if extra:
@@ -407,16 +419,15 @@ def run(argv=None) -> int:
     try:
         return fn(args)
     except _NUMERICAL_ERRORS as exc:
-        _err(exc)
+        _report(type(exc).__name__, str(exc))
         return 4
     except _VALIDATION_ERRORS as exc:
-        _err(exc)
+        _report(type(exc).__name__, str(exc))
         return 2
 
 
-def _err(exc):
-    sys.stderr.write(json.dumps(
-        {"error": type(exc).__name__, "message": str(exc)}) + "\n")
+def _report(error, message):
+    sys.stderr.write(json.dumps({"error": error, "message": message}) + "\n")
 
 
 def main():

@@ -12,8 +12,12 @@ process started at x > 0 is then
 
 with A integrated in closed form on each step under linear interpolation
 of Z (exact for drift-only paths, second order otherwise), and phi
-inverted exactly on the crossing step.  A path is killed iff its killing
-time comes before phi(t/x), the Levy time of its crossing.
+inverted exactly on the crossing step.  The clock's slope on a step is
+the step's drawn increment d itself, so the step adds dt e^{Z_s}
+(e^d - 1)/d to the clock; the steps of a Gaussian-free model that take no
+jump all hold drift * dt and share one ratio (e^d - 1)/d.  A path is
+killed iff its killing time comes before phi(t/x), the Levy time of its
+crossing.
 
 Randomness comes from one SFC64 generator per estimate, keyed by a
 SeedSequence of (seed, 0).  It draws first the killing times of all paths,
@@ -94,6 +98,7 @@ class _JumpModel:
     jump_probs: np.ndarray
     jump_rate: float
     kill_rate: float
+    drift_ratio: float     # the clock ratio of a step of drift * dt
 
 
 def _build_jump_model(q: LevyQuadruplet, cfg: SimConfig) -> _JumpModel:
@@ -114,14 +119,16 @@ def _build_jump_model(q: LevyQuadruplet, cfg: SimConfig) -> _JumpModel:
     rate = float(np.sum(weights))
     # compensator of the simulated jumps of size <= 1
     comp = float(np.sum(np.where(np.abs(sizes) <= 1.0, sizes, 0.0) * weights))
+    drift = float(q.b - comp)
     return _JumpModel(
         dt=cfg.dt,
-        drift=float(q.b - comp),
+        drift=drift,
         gauss_std_rate=float(np.sqrt(var_rate)),
         jump_sizes=sizes,
         jump_probs=weights / rate if rate > 0 else weights,
         jump_rate=rate,
         kill_rate=float(q.psi0),
+        drift_ratio=float(_ratios(np.array([drift * cfg.dt]))[0]),
     )
 
 
@@ -129,6 +136,9 @@ def _generator(seed):
     """The estimate's generator: SFC64 keyed by a SeedSequence of (seed, 0)."""
     return np.random.Generator(
         np.random.SFC64(np.random.SeedSequence([seed, 0])))
+
+
+_NO_CELLS = np.empty(0, dtype=np.intp)
 
 
 def _increments(model: _JumpModel, rng, out):
@@ -139,7 +149,8 @@ def _increments(model: _JumpModel, rng, out):
     Given their total, independent Poisson(jump_rate dt) counts per cell
     are multinomial with equal cell probabilities, so the per-cell counts
     have the per-step Poisson law; the work is one add per cell and one
-    draw per jump.  `out` must be C-contiguous.
+    draw per jump.  `out` must be C-contiguous.  Returns the sorted flat
+    indices of the cells that took a jump (empty if none did).
     """
     dt = model.dt
     if model.gauss_std_rate > 0:
@@ -158,25 +169,49 @@ def _increments(model: _JumpModel, rng, out):
             # bincount over all cells would allocate a block-sized array
             hit, which = np.unique(cells, return_inverse=True)
             out.flat[hit] += np.bincount(which, weights=sizes)
+            return hit
+    return _NO_CELLS
 
 
 # ---------------------------------------------------------------------------
 # the clock A and its inverse on one step
 # ---------------------------------------------------------------------------
 
-def _segment_clock(z0, z1, dt, out, work):
-    """Write into `out` the integral of e^{Z} over each step under linear
-    interpolation of Z; z0, z1, `out` and the scratch array `work` are
-    arrays of one shape, and no other array of that size is allocated."""
-    d = np.subtract(z1, z0, out=work)
-    small = np.abs(d, out=out) <= 1e-12
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ratio = np.expm1(d, out=out)
-        ratio /= d
-        ratio[small] = 1.0 + 0.5 * d[small]
-        ez = np.exp(z0, out=work)
-    ez *= dt
-    ratio *= ez
+# the ratio (e^d - 1)/d is 1 + d/2 + O(d^2): below this |d| it is taken as
+# 1 + d/2, which also covers d = 0
+_TINY_STEP = 1e-12
+
+
+def _ratios(d):
+    """(e^d - 1)/d of each increment in the 1-D array `d`, a new array."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.expm1(d) / d
+    small = np.abs(d) <= _TINY_STEP
+    r[small] = 1.0 + 0.5 * d[small]
+    return r
+
+
+def _clock_ratios(model: _JumpModel, d, hit, out, work):
+    """Write into `out` the clock ratio (e^d - 1)/d of each increment in
+    `d`, so that a step's clock is dt e^{Z_s} times its ratio.
+
+    `d`, `out` and the scratch array `work` are C-contiguous arrays of one
+    shape, and no other array of that size is allocated.  A Gaussian-free
+    model's cells outside the jump cells `hit` (flat indices, as
+    `_increments` returns them) all hold drift * dt: they take the model's
+    one ratio, and only the hit cells are computed.
+    """
+    if model.gauss_std_rate == 0:
+        out.fill(model.drift_ratio)
+        if hit.size:
+            out.flat[hit] = _ratios(d.flat[hit])
+        return
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.expm1(d, out=out)
+        out /= d
+    if np.abs(d, out=work).min() <= _TINY_STEP:
+        small = np.flatnonzero(work <= _TINY_STEP)
+        out.flat[small] = _ratios(d.flat[small])
 
 
 def _invert_segment(z0, z1, dt, remainder):
@@ -230,8 +265,11 @@ def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
     (at least 1), builds Z and the clock A by prefix sums, and resolves
     every path at its first crossing A >= t/x or at its killing time,
     whichever comes first; when both fall in one step, the crossing's Levy
-    time, solved on that step, decides.  The live set is compacted once per
-    block; draws past a path's resolution in its block are discarded.
+    time, solved on that step, decides.  Only the paths that cross in the
+    block and, with killing, those whose killing time falls in it are
+    looked at, and the live set is compacted only when one of them
+    resolved; draws past a path's resolution in its block are discarded.
+
     Z, A and the clock's scratch live in three buffers allocated once: an
     array of a block's size, allocated and freed per block, is mapped and
     page-faulted afresh whenever it lies above the allocator's mmap
@@ -244,14 +282,15 @@ def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
     dt = cfg.dt
     target = t / x
     rng = _generator(cfg.seed)
-    kt = (rng.exponential(1.0 / model.kill_rate, n)
-          if model.kill_rate > 0 else np.full(n, np.inf))
+    killing = model.kill_rate > 0
+    kt = rng.exponential(1.0 / model.kill_rate, n) if killing else None
     values = np.zeros(n)
     resolved = np.zeros(n, dtype=bool)
     absorbed = np.zeros(n, dtype=bool)
     idx = np.arange(n)          # original indices of the live paths
     z = np.zeros(n)
     acc = np.zeros(n)
+    killed = _NO_CELLS
     max_steps = int(np.ceil(cfg.t_max / dt))
     # (b + 1) m <= max(budget, m) + m for every block below
     zbuf, abuf, work = (np.empty(max(_BLOCK_BUDGET, n) + n)
@@ -260,44 +299,56 @@ def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
     while idx.size and step < max_steps:
         m = idx.size
         b = min(max_steps - step, max(1, _BLOCK_BUDGET // m))
-        # row s holds Z and A of every live path after s steps of the block
+        # row s holds Z and A of every live path after s steps of the
+        # block; the clock's ratios come from the raw increments, before
+        # their prefix sums
         zs = zbuf[:(b + 1) * m].reshape(b + 1, m)
-        zs[0] = z
-        _increments(model, rng, zs[1:])
-        _prefix_sums(zs)
         accs = abuf[:(b + 1) * m].reshape(b + 1, m)
+        ez = work[:b * m].reshape(b, m)
+        zs[0] = z
         accs[0] = acc
-        _segment_clock(zs[:-1], zs[1:], dt, accs[1:],
-                       work[:b * m].reshape(b, m))
+        hit = _increments(model, rng, zs[1:])
+        _clock_ratios(model, zs[1:], hit, accs[1:], ez)
+        _prefix_sums(zs)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            np.exp(zs[:-1], out=ez)
+            ez *= dt
+            accs[1:] *= ez
         _prefix_sums(accs)
         # A is nondecreasing, so a path crossed in this block iff its last
         # row is not below the target (a NaN clock counts, as it would in a
         # count over the whole block), and the steps still below the target
         # come first; only the crossed paths need the count
-        cs = np.full(m, b)
-        c = np.flatnonzero(~(accs[-1] < target))
-        cs[c] = np.count_nonzero(accs[1:, c] < target, axis=0)
-        crossed = cs < b
-        # first local step s with kt <= (step + s + 1) dt, b if none
-        ks = np.searchsorted((step + np.arange(1, b + 1)) * dt, kt)
-        # a path crossed no later than its killing step survives iff its
-        # crossing time comes before kt (a NaN time counts as before)
-        r = np.flatnonzero(crossed & (cs <= ks))
-        s = cs[r]
-        z0, z1 = zs[s, r], zs[s + 1, r]
-        delta = _invert_segment(z0, z1, dt, target - accs[s, r])
-        keep = ~((step + s) * dt + delta >= kt[r])
-        r, z0, z1, delta = r[keep], z0[keep], z1[keep], delta[keep]
+        r = np.flatnonzero(~(accs[-1] < target))
+        s = np.count_nonzero(accs[1:, r] < target, axis=0)
+        if killing:
+            # paths whose killing time falls in this block; a crossed path
+            # killed before its crossing step is not a candidate
+            times = (step + np.arange(1, b + 1)) * dt
+            killed = np.flatnonzero(kt <= times[-1])
+            first = s <= np.searchsorted(times, kt[r])
+            r, s = r[first], s[first]
         if r.size:
+            z0, z1 = zs[s, r], zs[s + 1, r]
+            delta = _invert_segment(z0, z1, dt, target - accs[s, r])
+            # a crossed path survives iff its crossing time comes before
+            # its killing time (a NaN time counts as before)
+            keep = ~((step + s) * dt + delta >= (kt[r] if killing else np.inf))
+            r, z0, z1, delta = r[keep], z0[keep], z1[keep], delta[keep]
             values[idx[r]] = f(x * np.exp(z0 + (z1 - z0) * (delta / dt)))
-        wins = np.zeros(m, dtype=bool)
-        wins[r] = True
-        killed = (ks < b) & ~wins
-        done = wins | killed
-        resolved[idx[done]] = True
-        absorbed[idx[killed]] = True
-        live = ~done
-        idx, z, acc, kt = idx[live], zs[-1, live], accs[-1, live], kt[live]
+        if r.size or killed.size:
+            # a path killed in the block is absorbed unless it won
+            absorbed[idx[killed]] = True
+            absorbed[idx[r]] = False
+            live = np.ones(m, dtype=bool)
+            live[killed] = False
+            live[r] = False
+            resolved[idx[~live]] = True
+            idx, z, acc = idx[live], zs[-1, live], accs[-1, live]
+            if killing:
+                kt = kt[live]
+        else:
+            z, acc = zs[-1], accs[-1]
         step += b
     return values, resolved, absorbed
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 import numpy as np
@@ -45,7 +46,11 @@ class GridSpec:
     def __post_init__(self):
         if not -math.inf < self.x_min < self.x_max < math.inf:
             raise DomainError("the window needs finite x_min below x_max")
-        if self.n < 256 or self.n & (self.n - 1):
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise DomainError("n must be an integer") from None
+        if n < 256 or n & (n - 1):
             raise DomainError("n must be a power of two, at least 2**8")
 
     @property

@@ -259,12 +259,20 @@ def test_subcommand_parser_matches_the_full_parser(name, capsys):
 @pytest.mark.parametrize("argv", (
     ["no-such-command"], [],
     ["multiplier", "--pair", PAIR_ID],  # no --out
-    ["eigenfn", "--pair", PAIR_ID, "--method", "taylor", "--out", "J.csv"]))
+    ["eigenfn", "--pair", PAIR_ID, "--method", "taylor", "--out", "J.csv"],
+    ["evolve", "--t", "1", "--f", "h:1:1", "--out", "x.csv"],  # no --pair
+    ["multiplier", "--pair", PAIR_ID, "--out", "m.csv", "--no-such-flag"]))
 def test_usage_errors_exit_2(argv, capsys):
+    # the usage text stays, and the last line of stderr is the JSON error
+    # object every other error writes
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
-    assert "usage: spectral-ssmp" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: spectral-ssmp")
+    report = json.loads(err[-1])
+    assert report == {"error": "UsageError", "message": report["message"]}
+    assert report["message"] and err[-2].endswith(report["message"])
 
 
 def test_classify_definite_exit_0(capsys):

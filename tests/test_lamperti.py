@@ -268,27 +268,73 @@ def test_mc_builds_one_generator(monkeypatch):
 def test_block_steps_allocate_no_block_sized_array():
     # an array the size of a block, allocated and freed per block, is mapped
     # and page-faulted afresh whenever it lies above the allocator's mmap
-    # threshold: the increments and the clock work in the block's buffers
+    # threshold: the increments and the clock work in the block's buffers,
+    # with and without a Gaussian part
     import tracemalloc
-    q = LevyQuadruplet(sigma2=1.0, mu=SignedMeasure(atoms=((1.0, 2.0),)))
+    atoms = SignedMeasure(atoms=((1.0, 2.0),))
+    for q in (LevyQuadruplet(sigma2=1.0, mu=atoms), LevyQuadruplet(mu=atoms)):
+        model = lamperti._build_jump_model(q, SimConfig(dt=1e-3))
+        zs = np.zeros((65, 4096))
+        acc, work = np.empty((64, 4096)), np.empty((64, 4096))
+        # the first call's lazy set-up (about 1 MB) is not a block's work
+        lamperti._increments(model, lamperti._generator(2), zs[1:])
+        assert zs.shape[1] >= lamperti._ROW_SUM_MIN_WIDTH  # row-wise sums
+        tracemalloc.start()
+        try:
+            hit = lamperti._increments(model, lamperti._generator(3), zs[1:])
+            lamperti._clock_ratios(model, zs[1:], hit, acc, work)
+            lamperti._prefix_sums(zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < acc.nbytes / 4
+        assert hit.size > 0
+        # the same draws again: the raw increments
+        d = np.empty_like(acc)
+        lamperti._increments(model, lamperti._generator(3), d)
+        assert_allclose(acc, np.expm1(d) / d, rtol=1e-12)
+
+
+def _reference_ratios(d):
+    """(e^d - 1)/d elementwise, 1 + d/2 where |d| <= 1e-12."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(np.abs(d) <= 1e-12, 1.0 + d / 2, np.expm1(d) / d)
+
+
+@pytest.mark.parametrize("q", [
+    LevyQuadruplet(mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0)))),
+    LevyQuadruplet(b=2.0),
+    LevyQuadruplet(psi0=1.0),  # every increment is 0
+], ids=["atoms", "drift", "zero"])
+def test_gaussian_free_block_ratio_is_the_elementwise_formula(q):
+    # a Gaussian-free block fills one ratio and computes only the hit cells;
+    # that is the elementwise formula on the same increments, bit for bit
     model = lamperti._build_jump_model(q, SimConfig(dt=1e-3))
-    zs = np.zeros((65, 4096))
-    acc, work = np.empty((64, 4096)), np.empty((64, 4096))
-    # the first call's lazy set-up (about 1 MB) is not a block's work
-    lamperti._increments(model, lamperti._generator(2), zs[1:])
-    assert zs.shape[1] >= lamperti._ROW_SUM_MIN_WIDTH  # the row-wise sums
-    tracemalloc.start()
-    try:
-        lamperti._increments(model, lamperti._generator(3), zs[1:])
-        lamperti._prefix_sums(zs)
-        lamperti._segment_clock(zs[:-1], zs[1:], 1e-3, acc, work)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < acc.nbytes / 4
-    d = np.diff(zs, axis=0)
-    assert_allclose(acc, 1e-3 * np.exp(zs[:-1]) * np.expm1(d) / d,
-                    rtol=1e-12)
+    assert model.gauss_std_rate == 0.0
+    rng = lamperti._generator(6)
+    hits = []
+    for shape in ((300, 200), (1, 3)):
+        d, got = np.empty(shape), np.empty(shape)
+        hit = lamperti._increments(model, rng, d)
+        lamperti._clock_ratios(model, d, hit, got, np.empty(shape))
+        assert got.tobytes() == _reference_ratios(d).tobytes()
+        hits.append(hit.size)
+    # the large block took jumps and the small one none
+    assert hits[1] == 0
+    assert (hits[0] > 0) == (model.jump_rate > 0)
+
+
+def test_gaussian_block_ratio_repairs_tiny_increments():
+    model = lamperti._build_jump_model(LevyQuadruplet(sigma2=1.0),
+                                       SimConfig(dt=1e-3))
+    d = np.empty((50, 300))
+    hit = lamperti._increments(model, lamperti._generator(4), d)
+    tiny = [0.0, 1e-12, -1e-12, 3e-13, -7e-16, 1.1e-12]
+    d.flat[[5, 700, 701, 4000, 9000, 14999]] = tiny
+    got = np.empty_like(d)
+    lamperti._clock_ratios(model, d, hit, got, np.empty_like(d))
+    assert got.tobytes() == _reference_ratios(d).tobytes()
+    assert got.flat[5] == 1.0
 
 
 def test_increments_jump_counts_are_poisson_per_step():
@@ -386,9 +432,10 @@ def test_jump_free_increments_are_the_scaled_normals():
 
 
 def _reference_batch_estimate(q, f, x, t, cfg):
-    """The block loop with np.cumsum and the crossing count taken over
-    every path of the block, on the estimate's generator; a path that
-    crosses and is killed in one step survives iff it crosses first."""
+    """The block loop with np.cumsum, the clock computed elementwise and
+    the crossing count taken over every path of the block, on the
+    estimate's generator; a path that crosses and is killed in one step
+    survives iff it crosses first."""
     model = lamperti._build_jump_model(q, cfg)
     n, dt, target = cfg.n_paths, cfg.dt, t / x
     rng = lamperti._generator(cfg.seed)
@@ -403,14 +450,14 @@ def _reference_batch_estimate(q, f, x, t, cfg):
     while idx.size and step < max_steps:
         m = idx.size
         b = min(max_steps - step, max(1, lamperti._BLOCK_BUDGET // m))
-        zs = np.empty((b + 1, m))
-        zs[0] = z
-        lamperti._increments(model, rng, zs[1:])
-        np.cumsum(zs, axis=0, out=zs)
+        # d holds the raw increments, the clock's slope on each step
+        d = np.empty((b, m))
+        lamperti._increments(model, rng, d)
+        zs = np.cumsum(np.vstack([z, d]), axis=0)
         accs = np.empty((b + 1, m))
         accs[0] = acc
-        lamperti._segment_clock(zs[:-1], zs[1:], dt, accs[1:],
-                                np.empty((b, m)))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            accs[1:] = dt * np.exp(zs[:-1]) * _reference_ratios(d)
         np.cumsum(accs, axis=0, out=accs)
         cs = np.count_nonzero(accs[1:] < target, axis=0)
         crossed = cs < b
@@ -440,10 +487,13 @@ def _reference_batch_estimate(q, f, x, t, cfg):
     Q_BM,
     LevyQuadruplet(psi0=2.0, b=1.0, sigma2=1.0),
     LevyQuadruplet(mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0)))),
-], ids=["brownian", "killed", "atoms"])
+    LevyQuadruplet(psi0=2.0, mu=SignedMeasure(atoms=((1.5, 1.0),
+                                                     (-0.4, 1.0)))),
+], ids=["brownian", "killed", "atoms", "atoms-killed"])
 def test_block_loop_matches_the_reference_loop(monkeypatch, q, budget):
-    # row-wise prefix sums and a crossing count over the crossed paths alone
-    # change no bit of an estimate
+    # row-wise prefix sums, one ratio for the jump-free cells of a
+    # Gaussian-free block, and a crossing count and killing bookkeeping on
+    # the paths that resolve change no bit of an estimate
     monkeypatch.setattr(lamperti, "_BLOCK_BUDGET", budget)
     widths = []
     prefix_sums = lamperti._prefix_sums

@@ -62,6 +62,17 @@ def test_grid_spec_validation():
             GridSpec(x_min, x_max, 4096)  # a window that is not finite
 
 
+def test_grid_spec_n_must_be_an_integer():
+    # a float n is refused as a domain error, even when it is integral;
+    # NumPy integers are integers
+    for bad in (256.0, 4096.0, 300.5, "256", None):
+        with pytest.raises(DomainError):
+            GridSpec(0.0, 1.0, bad)
+    for n in (np.int64(256), np.int32(4096), np.uint16(512)):
+        spec = GridSpec(0.0, 1.0, n)
+        assert spec.x.shape == (int(n),)
+
+
 def test_round_trip_random():
     # identity in the natural L^2(e) norm (the weighted transform is
     # unitary there; pointwise comparison across 26 decades of weight is
