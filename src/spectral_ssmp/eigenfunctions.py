@@ -32,7 +32,7 @@ import numpy as np
 from .bernstein import BernsteinFunction, eval_phi
 from .errors import DomainError, OverflowGuard, ResolutionError
 from .exponents import WienerHopfPair
-from .special import log_gamma
+from .special import log_gamma_long
 from .spectrum import classify
 from .transform import (
     GridFunction,
@@ -199,11 +199,13 @@ _WRIGHT_TERMS = 4000
 
 
 @functools.lru_cache(maxsize=64)
-def _wright_log_denominators(gamma: float, beta: float):
-    """log n! + log Gamma(gamma n + beta) for n < _WRIGHT_TERMS, read-only
-    and shared by every z of one (gamma, beta)."""
-    n = np.arange(_WRIGHT_TERMS)
-    out = np.cumsum(np.log(np.maximum(n, 1))) + log_gamma(gamma * n + beta)
+def _wright_log_denominators(gamma: float, beta: float, size: int):
+    """log n! + log Gamma(gamma n + beta) for n < size, in np.longdouble,
+    read-only and shared by every z of one (gamma, beta); each value is
+    the same whatever the size."""
+    n = np.arange(size, dtype=np.longdouble)
+    out = log_gamma_long(n + 1) + log_gamma_long(np.longdouble(gamma) * n
+                                                 + beta)
     out.flags.writeable = False
     return out
 
@@ -217,7 +219,9 @@ def wright(gamma: float, beta: float, z, tol: float = 1e-12):
     z < 0.  For gamma < 0 or beta <= 0, 1/Gamma(gamma n + beta) changes
     sign and vanishes at poles, which neither the log-magnitude terms nor
     the ratio test carry, so that range raises DomainError.  The log terms
-    stay in float64 (a long-double log Gamma is not available here).
+    m log|z| - log m! - log Gamma(gamma m + beta) are formed in
+    np.longdouble: in float64 a log term of size L carries a rounding of
+    L x 1.1e-16 into its term, which cancellation then magnifies.
     """
     if not (gamma >= 0.0 and beta > 0.0):
         raise DomainError("the Wright series is summed for gamma >= 0 "
@@ -226,14 +230,18 @@ def wright(gamma: float, beta: float, z, tol: float = 1e-12):
     flat = zs.ravel()
     out = np.full(flat.size, math.exp(-math.lgamma(beta)))  # at z = 0
     nz = np.flatnonzero(flat != 0.0)
-    log_z = np.log(np.abs(flat[nz]))[:, None]
-    den = _wright_log_denominators(float(gamma), float(beta))
+    log_z = np.log(np.abs(flat[nz]).astype(np.longdouble))[:, None]
 
     def log_term(rows, m):
-        return m * log_z[rows] - den[m]
+        # the denominators double in length as far as the terms reach
+        size = min(_WRIGHT_TERMS, max(64, 1 << int(m[-1]).bit_length()))
+        return m * log_z[rows] - _wright_log_denominators(
+            float(gamma), float(beta), size)[m]
 
     def tail_ok(rows, m, lt, prev, scale):
-        ratio = np.exp(lt - prev)
+        # a bound needs no extended precision
+        lt = lt.astype(float)
+        ratio = np.exp(lt - prev.astype(float))
         return (ratio < 0.5) & (np.exp(lt) / (1 - ratio) < tol * scale)
 
     out[nz] = _paired_sum(log_term, _WRIGHT_TERMS, tail_ok, flat[nz] < 0,

@@ -1,33 +1,43 @@
 """Monte Carlo oracle through the Lamperti time change.
 
-Paths of the Levy process Z with exponent psi are simulated by an Euler
-scheme on the Levy clock (exact Gaussian increments, every jump above
-jump_eps drawn from one compound-Poisson table of the atoms and the
-density nodes, a variance-matched Gaussian for the sub-threshold jumps,
-and an exponential killing time at rate psi(0)).  The positive self-similar
-process started at x > 0 is then
+The positive self-similar process started at x > 0 is
 
     X_t(x) = x exp(Z_{phi(t/x)}),   phi(v) = inf{s : A(s) > v},
     A(s) = integral_0^s e^{Z_r} dr,
 
-with A integrated in closed form on each step under linear interpolation
-of Z (exact for drift-only paths, second order otherwise), and phi
-inverted exactly on the crossing step.  The clock's slope on a step is
-the step's drawn increment d itself, so the step adds dt e^{Z_s}
-(e^d - 1)/d to the clock; the steps of a Gaussian-free model that take no
-jump all hold drift * dt and share one ratio (e^d - 1)/d.  A path is
-killed iff its killing time comes before phi(t/x), the Levy time of its
-crossing.
+for the Levy process Z with exponent psi, killed at an exponential time of
+rate psi(0): a path is killed iff its killing time comes before phi(t/x),
+the Levy time of its crossing.  Every jump above jump_eps is drawn from one
+compound-Poisson table of the atoms and the density nodes.  Two simulators
+serve the two kinds of model.
+
+- Without a Gaussian part (drift, atoms and killing: finitely many jumps),
+  Z is linear between jumps, so A and phi are closed forms on each
+  inter-jump segment and the paths are exact; dt is not used.
+- With one (sigma2 > 0, or jumps below jump_eps replaced by a
+  variance-matched Gaussian), an Euler scheme steps the Levy clock by dt:
+  exact Gaussian increments, the jumps of a step added at its end, and A
+  integrated in closed form on each step under linear interpolation of Z.
+  The clock's slope on a step is the step's drawn increment d itself, so
+  the step adds dt e^{Z_s} (e^d - 1)/d to the clock, and phi is inverted
+  exactly on the crossing step.
 
 Randomness comes from one SFC64 generator per estimate, keyed by a
 SeedSequence of (seed, 0).  It draws first the killing times of all paths,
-then, block after block, the increments of the paths still live, B steps
-per path per block, with B set by the live-path count and a fixed budget
-of path-steps per block; each block draws its Gaussian parts, then
-one total jump count for all its path-steps, then the path-step and the
-size of each jump, so its jumps cost one add per path-step plus one draw
-per jump.  The numbers a path receives therefore depend on which other
-paths are still live, and changing n_paths changes every path; identical
+then, round after round, the draws of the paths still live:
+
+- a Gaussian-free model draws, in each round, B waiting times per live
+  path and then B jump sizes, with B = 1 in the first round, doubling each
+  round up to a fixed budget of draws per round; without jumps it draws
+  nothing more;
+- a stepped model draws, in each block, B steps per live path, with B set
+  by the live-path count and the same budget; each block draws its
+  Gaussian parts, then one total jump count for all its path-steps, then
+  the path-step and the size of each jump, so its jumps cost one add per
+  path-step plus one draw per jump.
+
+The numbers a path receives therefore depend on which other paths are
+still live, and changing n_paths changes every path; identical
 (seed, config) inputs reproduce identical estimates bit for bit.
 """
 
@@ -46,6 +56,9 @@ __all__ = ["SimConfig", "MCEstimate", "mc_expectation"]
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Monte Carlo settings.  dt, the Euler step of the Levy clock, serves
+    only models with a Gaussian part; Gaussian-free models are exact."""
+
     dt: float = 1e-3
     jump_eps: float = 1e-3
     n_paths: int = 10_000
@@ -98,7 +111,6 @@ class _JumpModel:
     jump_probs: np.ndarray
     jump_rate: float
     kill_rate: float
-    drift_ratio: float     # the clock ratio of a step of drift * dt
 
 
 def _build_jump_model(q: LevyQuadruplet, cfg: SimConfig) -> _JumpModel:
@@ -128,7 +140,6 @@ def _build_jump_model(q: LevyQuadruplet, cfg: SimConfig) -> _JumpModel:
         jump_probs=weights / rate if rate > 0 else weights,
         jump_rate=rate,
         kill_rate=float(q.psi0),
-        drift_ratio=float(_ratios(np.array([drift * cfg.dt]))[0]),
     )
 
 
@@ -149,8 +160,7 @@ def _increments(model: _JumpModel, rng, out):
     Given their total, independent Poisson(jump_rate dt) counts per cell
     are multinomial with equal cell probabilities, so the per-cell counts
     have the per-step Poisson law; the work is one add per cell and one
-    draw per jump.  `out` must be C-contiguous.  Returns the sorted flat
-    indices of the cells that took a jump (empty if none did).
+    draw per jump.  `out` must be C-contiguous.
     """
     dt = model.dt
     if model.gauss_std_rate > 0:
@@ -169,12 +179,10 @@ def _increments(model: _JumpModel, rng, out):
             # bincount over all cells would allocate a block-sized array
             hit, which = np.unique(cells, return_inverse=True)
             out.flat[hit] += np.bincount(which, weights=sizes)
-            return hit
-    return _NO_CELLS
 
 
 # ---------------------------------------------------------------------------
-# the clock A and its inverse on one step
+# the clock A and its inverse on one step or segment
 # ---------------------------------------------------------------------------
 
 # the ratio (e^d - 1)/d is 1 + d/2 + O(d^2): below this |d| it is taken as
@@ -191,21 +199,15 @@ def _ratios(d):
     return r
 
 
-def _clock_ratios(model: _JumpModel, d, hit, out, work):
+def _clock_ratios(d, out, work):
     """Write into `out` the clock ratio (e^d - 1)/d of each increment in
-    `d`, so that a step's clock is dt e^{Z_s} times its ratio.
+    `d`: a step or segment of length h that starts at Z = z and gains d
+    adds h e^z times its ratio to the clock.
 
     `d`, `out` and the scratch array `work` are C-contiguous arrays of one
-    shape, and no other array of that size is allocated.  A Gaussian-free
-    model's cells outside the jump cells `hit` (flat indices, as
-    `_increments` returns them) all hold drift * dt: they take the model's
-    one ratio, and only the hit cells are computed.
+    shape, and no other array of that size is allocated unless some
+    |d| <= _TINY_STEP.
     """
-    if model.gauss_std_rate == 0:
-        out.fill(model.drift_ratio)
-        if hit.size:
-            out.flat[hit] = _ratios(d.flat[hit])
-        return
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.expm1(d, out=out)
         out /= d
@@ -214,10 +216,9 @@ def _clock_ratios(model: _JumpModel, d, hit, out, work):
         out.flat[small] = _ratios(d.flat[small])
 
 
-def _invert_segment(z0, z1, dt, remainder):
-    """Entry time into the segment at which the running clock gains
-    `remainder`; exact for linear Z."""
-    c = (z1 - z0) / dt
+def _invert_segment(z0, c, remainder):
+    """Time after a segment's start, where Z = z0 and Z has slope c, at
+    which the running clock gains `remainder`; exact for linear Z."""
     small = np.abs(c) < 1e-12
     with np.errstate(over="ignore", invalid="ignore"):
         delta = np.where(
@@ -257,9 +258,10 @@ def _prefix_sums(a):
         prev = row
 
 
-def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
+def _batch_estimate(model: _JumpModel, f: Callable, x: float, t: float,
                     cfg: SimConfig):
-    """Vectorized over paths and over blocks of steps.
+    """Vectorized over paths and over blocks of steps of a model with a
+    Gaussian part.
 
     Each block draws B steps for each of the m live paths, B = budget // m
     (at least 1), builds Z and the clock A by prefix sums, and resolves
@@ -277,7 +279,6 @@ def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
     estimate's speed would depend on what the process freed before it (by
     15-40% on the benchmark's mc-oracle cases).
     """
-    model = _build_jump_model(q, cfg)
     n = cfg.n_paths
     dt = cfg.dt
     target = t / x
@@ -307,8 +308,8 @@ def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
         ez = work[:b * m].reshape(b, m)
         zs[0] = z
         accs[0] = acc
-        hit = _increments(model, rng, zs[1:])
-        _clock_ratios(model, zs[1:], hit, accs[1:], ez)
+        _increments(model, rng, zs[1:])
+        _clock_ratios(zs[1:], accs[1:], ez)
         _prefix_sums(zs)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             np.exp(zs[:-1], out=ez)
@@ -330,7 +331,7 @@ def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
             r, s = r[first], s[first]
         if r.size:
             z0, z1 = zs[s, r], zs[s + 1, r]
-            delta = _invert_segment(z0, z1, dt, target - accs[s, r])
+            delta = _invert_segment(z0, (z1 - z0) / dt, target - accs[s, r])
             # a crossed path survives iff its crossing time comes before
             # its killing time (a NaN time counts as before)
             keep = ~((step + s) * dt + delta >= (kt[r] if killing else np.inf))
@@ -353,6 +354,92 @@ def _batch_estimate(q: LevyQuadruplet, f: Callable, x: float, t: float,
     return values, resolved, absorbed
 
 
+def _segment_estimate(model: _JumpModel, f: Callable, x: float, t: float,
+                      cfg: SimConfig):
+    """Exact paths of a Gaussian-free model, one inter-jump segment per row.
+
+    Z has slope b = model.drift between jumps, so a segment of length tau
+    from Z = z adds e^z tau (e^{b tau} - 1)/(b tau) to the clock, and the
+    crossing is solved on its segment exactly.  Each round draws, for each
+    of the m live paths, B waiting times, then B jump sizes; B = 1 in the
+    first round and doubles each round up to max(1, budget // m), since a
+    round of one segment per path costs a round's overhead per jump.  A
+    segment is at most t_max long, and its jump lands at its end; without
+    jumps one segment runs to t_max.  Row k of a round holds the time, Z
+    and A of every live path after k segments, by prefix sums.  A path is
+    absorbed iff its killing time comes before its crossing and t_max, and
+    unresolved if it has neither crossed nor been killed by t_max; so what
+    a segment starting past t_max holds changes no outcome, and a path
+    leaves at the end of the round in which it passes t_max.
+    """
+    n, b, t_max, target = cfg.n_paths, model.drift, cfg.t_max, t / x
+    rng = _generator(cfg.seed)
+    kt = (rng.exponential(1.0 / model.kill_rate, n) if model.kill_rate > 0
+          else np.full(n, np.inf))
+    values = np.zeros(n)
+    resolved = np.zeros(n, dtype=bool)
+    absorbed = np.zeros(n, dtype=bool)
+    idx = np.arange(n)          # original indices of the live paths
+    s, z, acc = np.zeros(n), np.zeros(n), np.zeros(n)
+    # (rows + 1) m <= max(budget, m) + m in every round
+    tbuf, zbuf, abuf, work = (np.empty(max(_BLOCK_BUDGET, n) + n)
+                              for _ in range(4))
+    rows = 1
+    while idx.size:
+        m = idx.size
+        rows = min(rows, max(1, _BLOCK_BUDGET // m))
+        ts, zs, accs = (buf[:(rows + 1) * m].reshape(rows + 1, m)
+                        for buf in (tbuf, zbuf, abuf))
+        ez = work[:rows * m].reshape(rows, m)
+        ts[0], zs[0], accs[0] = s, z, acc
+        if model.jump_rate > 0:
+            rng.standard_exponential(out=ts[1:])
+            ts[1:] *= 1.0 / model.jump_rate
+            np.minimum(ts[1:], t_max, out=ts[1:])
+            jumps = rng.choice(model.jump_sizes, size=(rows, m),
+                               p=model.jump_probs)
+        else:
+            ts[1:] = t_max
+        # the lengths give the drift and the clock ratios, before the prefix
+        # sums turn them into times
+        np.multiply(ts[1:], b, out=zs[1:])
+        _clock_ratios(zs[1:], accs[1:], ez)
+        accs[1:] *= ts[1:]
+        _prefix_sums(ts)
+        if model.jump_rate > 0:
+            zs[1:] += jumps
+        _prefix_sums(zs)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            accs[1:] *= np.exp(zs[:-1], out=ez)
+        _prefix_sums(accs)
+        # A is nondecreasing: a path crossed in this round iff its last row
+        # is not below the target (a NaN clock counts), on the segment that
+        # starts at its last row below the target
+        r = np.flatnonzero(~(accs[-1] < target))
+        k = np.count_nonzero(accs[1:, r] < target, axis=0)
+        z0 = zs[k, r]
+        delta = _invert_segment(z0, b, target - accs[k, r])
+        crossing = ts[k, r] + delta
+        # a path that did not cross is killed first iff its killing time
+        # falls within its segments
+        end = ts[-1]
+        killed = kt <= np.minimum(end, t_max)
+        done = killed | (end >= t_max)
+        first = kt[r] < crossing
+        killed[r] = first & (kt[r] <= t_max)
+        done[r] = True
+        won = ~first & (crossing <= t_max)
+        values[idx[r[won]]] = f(x * np.exp(z0[won] + b * delta[won]))
+        resolved[idx[r[won]]] = True
+        resolved[idx[killed]] = True
+        absorbed[idx[killed]] = True
+        live = np.flatnonzero(~done)
+        idx, kt, s, z, acc = (a[live]
+                              for a in (idx, kt, end, zs[-1], accs[-1]))
+        rows *= 2
+    return values, resolved, absorbed
+
+
 def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
                    cfg: SimConfig) -> MCEstimate:
     """Monte Carlo estimate of E_x[f(X_t)] with absorbed paths counting 0.
@@ -360,11 +447,14 @@ def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
     x must be positive and t nonnegative, both finite.  f acts on the
     positive-scale variable X directly (compose with log outside if the
     observable lives on the log scale).  A path is absorbed iff its killing
-    time comes before phi(t/x), the Levy time of its crossing, solved on
-    the crossing step under the clock's linear interpolation of Z (exactly
-    for drift-only paths).  Paths that never reach the clock target before
-    t_max are excluded from the mean and counted in unresolved_fraction (of
-    n_paths; n_effective counts the rest).  Excluding them biases the mean
+    time comes before phi(t/x), the Levy time of its crossing.  A model
+    without a Gaussian part (drift, atoms, killing) is simulated exactly,
+    segment by segment between its jumps, and cfg.dt is not used.  A model
+    with one is stepped by cfg.dt, and its crossing is solved on the
+    crossing step under the clock's linear interpolation of Z.  Paths that
+    never reach the clock target before t_max are excluded from the mean
+    and counted in unresolved_fraction (of n_paths; n_effective counts the
+    rest).  Excluding them biases the mean
     by at most unresolved_fraction * sup|f| for f of one sign, twice that
     otherwise.  The paths also leave out the jumps beyond a tabulated
     density's last node, at rate `rem` per unit of Levy time on each side
@@ -382,7 +472,10 @@ def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
         return MCEstimate(mean=float(f(x)), stderr=0.0,
                           n_effective=cfg.n_paths, absorbed_fraction=0.0,
                           unresolved_fraction=0.0)
-    values, resolved, absorbed = _batch_estimate(e.quadruplet, f, x, t, cfg)
+    model = _build_jump_model(e.quadruplet, cfg)
+    estimate = (_batch_estimate if model.gauss_std_rate > 0
+                else _segment_estimate)
+    values, resolved, absorbed = estimate(model, f, x, t, cfg)
     n_eff = int(resolved.sum())
     if n_eff == 0:
         raise ConfigError("no path reached the clock target; raise t_max")

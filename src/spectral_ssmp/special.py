@@ -5,6 +5,8 @@ The library needs the principal branch of log-Gamma on the right half-plane
 Gamma(x) to a few ulp.
 
 - Real scalars go to `math.lgamma`.
+- `log_gamma_long` gives log Gamma(x) for real x > 0 in np.longdouble,
+  for sums whose log terms must carry more than float64.
 - Complex arrays with |z| >= 8 take 8 terms of the Stirling series
   (DLMF 5.11.1, 5.11.2), whose remainder is under an ulp there, with the
   main term in np.clongdouble, rounded once; the points with |z| < 8 are
@@ -121,6 +123,35 @@ def log_gamma(z):
         total = total + row
     out[near] -= total
     return out.reshape(shape)
+
+
+_LONG_SHIFT = 16  # long-double Stirling region x >= 16, and the shift to it
+
+
+def log_gamma_long(x):
+    """log Gamma(x) for real x > 0, as an np.longdouble array.
+
+    Points below 16 are shifted up by 16 with Gamma(x + 1) = x Gamma(x),
+    less one log of the product of the 16 factors.  From 16 on, the main
+    term of the Stirling series is summed in np.longdouble; its 8-term
+    series, below 1/192 there, stays in float64, and the first term left
+    out is below 1e-21.
+    """
+    x = np.asarray(x, dtype=np.longdouble)
+    if not np.all(x > 0):
+        raise DomainError("log_gamma_long serves real x > 0")
+    near = x < _LONG_SHIFT
+    y = np.where(near, x + _LONG_SHIFT, x)
+    inv = 1.0 / y.astype(float)
+    out = (y - 0.5) * np.log(y) - y + _HALF_LOG_2PI_L
+    w, series = inv * inv, 0.0
+    for c in _LOG_GAMMA_COEF[::-1]:
+        series = series * w + c.real
+    out += series * inv
+    if near.any():
+        out[near] -= np.log(np.prod(x[near] + np.arange(_LONG_SHIFT)[:, None],
+                                    axis=0))
+    return out
 
 
 @functools.lru_cache(maxsize=64)

@@ -151,13 +151,14 @@ def _reference_series(s, x, tol):
 def _reference_wright(gamma, beta, z, tol):
     if z == 0.0:
         return math.exp(-math.lgamma(beta))
-    log_terms = (np.arange(eig._WRIGHT_TERMS) * np.log(abs(z))
-                 - eig._wright_log_denominators(float(gamma), float(beta)))
+    log_terms = (np.arange(eig._WRIGHT_TERMS) * np.log(np.longdouble(abs(z)))
+                 - eig._wright_log_denominators(float(gamma), float(beta),
+                                                eig._WRIGHT_TERMS))
 
     def tail_ok(m, scale):
-        ratio = np.exp(log_terms[m] - log_terms[m - 1])
-        return (ratio < 0.5
-                and np.exp(log_terms[m]) / (1 - ratio) < tol * scale)
+        lt = float(log_terms[m])
+        ratio = np.exp(lt - float(log_terms[m - 1]))
+        return ratio < 0.5 and np.exp(lt) / (1 - ratio) < tol * scale
 
     return _reference_paired_sum(log_terms, z < 0, tail_ok, tol)
 
@@ -245,6 +246,21 @@ def test_wright_gamma_zero_is_exponential():
             np.exp(z) / math.gamma(beta), abs=1e-12)
     # 0-d array parameters are read as floats
     assert wright(np.array(0.5), np.array(1.0), 0.3) == wright(0.5, 1.0, 0.3)
+
+
+def test_wright_log_terms_carry_extended_precision():
+    # the alternating series of e^z cancels its largest term, 10^10/10!, by
+    # a factor 6e7 at z = -10: float64 log terms put it 8.0e-8 off e^-10,
+    # and 6.6e-12 (beta = 0.3) and 2.9e-12 (beta = 1) off at z = -5
+    assert abs(wright(0.0, 1.0, -10.0, tol=1e-9) / math.exp(-10.0) - 1.0) \
+        <= 1e-9
+    for beta in (0.3, 1.0):
+        want = math.exp(-5.0) / math.gamma(beta)
+        assert abs(wright(0.0, beta, -5.0) / want - 1.0) <= 1e-12, beta
+    # the denominators of a short run are those of the full length
+    full = eig._wright_log_denominators(0.3 / 0.7, 1.3, eig._WRIGHT_TERMS)
+    assert np.array_equal(
+        eig._wright_log_denominators(0.3 / 0.7, 1.3, 64), full[:64])
 
 
 # ---------------------------------------------------------------------------

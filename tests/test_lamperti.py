@@ -269,10 +269,10 @@ def test_block_steps_allocate_no_block_sized_array():
     # an array the size of a block, allocated and freed per block, is mapped
     # and page-faulted afresh whenever it lies above the allocator's mmap
     # threshold: the increments and the clock work in the block's buffers,
-    # with and without a Gaussian part
+    # with and without jumps
     import tracemalloc
     atoms = SignedMeasure(atoms=((1.0, 2.0),))
-    for q in (LevyQuadruplet(sigma2=1.0, mu=atoms), LevyQuadruplet(mu=atoms)):
+    for q in (LevyQuadruplet(sigma2=1.0, mu=atoms), Q_BM):
         model = lamperti._build_jump_model(q, SimConfig(dt=1e-3))
         zs = np.zeros((65, 4096))
         acc, work = np.empty((64, 4096)), np.empty((64, 4096))
@@ -281,14 +281,13 @@ def test_block_steps_allocate_no_block_sized_array():
         assert zs.shape[1] >= lamperti._ROW_SUM_MIN_WIDTH  # row-wise sums
         tracemalloc.start()
         try:
-            hit = lamperti._increments(model, lamperti._generator(3), zs[1:])
-            lamperti._clock_ratios(model, zs[1:], hit, acc, work)
+            lamperti._increments(model, lamperti._generator(3), zs[1:])
+            lamperti._clock_ratios(zs[1:], acc, work)
             lamperti._prefix_sums(zs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < acc.nbytes / 4
-        assert hit.size > 0
         # the same draws again: the raw increments
         d = np.empty_like(acc)
         lamperti._increments(model, lamperti._generator(3), d)
@@ -301,38 +300,15 @@ def _reference_ratios(d):
         return np.where(np.abs(d) <= 1e-12, 1.0 + d / 2, np.expm1(d) / d)
 
 
-@pytest.mark.parametrize("q", [
-    LevyQuadruplet(mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0)))),
-    LevyQuadruplet(b=2.0),
-    LevyQuadruplet(psi0=1.0),  # every increment is 0
-], ids=["atoms", "drift", "zero"])
-def test_gaussian_free_block_ratio_is_the_elementwise_formula(q):
-    # a Gaussian-free block fills one ratio and computes only the hit cells;
-    # that is the elementwise formula on the same increments, bit for bit
-    model = lamperti._build_jump_model(q, SimConfig(dt=1e-3))
-    assert model.gauss_std_rate == 0.0
-    rng = lamperti._generator(6)
-    hits = []
-    for shape in ((300, 200), (1, 3)):
-        d, got = np.empty(shape), np.empty(shape)
-        hit = lamperti._increments(model, rng, d)
-        lamperti._clock_ratios(model, d, hit, got, np.empty(shape))
-        assert got.tobytes() == _reference_ratios(d).tobytes()
-        hits.append(hit.size)
-    # the large block took jumps and the small one none
-    assert hits[1] == 0
-    assert (hits[0] > 0) == (model.jump_rate > 0)
-
-
 def test_gaussian_block_ratio_repairs_tiny_increments():
     model = lamperti._build_jump_model(LevyQuadruplet(sigma2=1.0),
                                        SimConfig(dt=1e-3))
     d = np.empty((50, 300))
-    hit = lamperti._increments(model, lamperti._generator(4), d)
+    lamperti._increments(model, lamperti._generator(4), d)
     tiny = [0.0, 1e-12, -1e-12, 3e-13, -7e-16, 1.1e-12]
     d.flat[[5, 700, 701, 4000, 9000, 14999]] = tiny
     got = np.empty_like(d)
-    lamperti._clock_ratios(model, d, hit, got, np.empty_like(d))
+    lamperti._clock_ratios(d, got, np.empty_like(d))
     assert got.tobytes() == _reference_ratios(d).tobytes()
     assert got.flat[5] == 1.0
 
@@ -388,7 +364,8 @@ def test_mc_draws_one_jump_count_per_block(monkeypatch):
 
     monkeypatch.setattr(lamperti, "_generator", counting_generator)
     monkeypatch.setattr(lamperti, "_increments", counting_increments)
-    q = LevyQuadruplet(mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0))))
+    q = LevyQuadruplet(sigma2=1.0,
+                       mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0))))
     cfg = SimConfig(dt=1e-3, n_paths=2000, seed=13)
     mc_expectation(Exponent(quadruplet=q), lambda r: r, 1.0, 0.5, cfg)
     assert len(rngs) == 1 and len(blocks) > 1
@@ -466,7 +443,8 @@ def _reference_batch_estimate(q, f, x, t, cfg):
         r = np.flatnonzero(wins)
         s = cs[r]
         z0, z1 = zs[s, r], zs[s + 1, r]
-        delta = lamperti._invert_segment(z0, z1, dt, target - accs[s, r])
+        delta = lamperti._invert_segment(z0, (z1 - z0) / dt,
+                                         target - accs[s, r])
         first = (step + s) * dt + delta < kt[r]
         wins[r[~first]] = False
         values[idx[r[first]]] = f(
@@ -486,14 +464,15 @@ def _reference_batch_estimate(q, f, x, t, cfg):
 @pytest.mark.parametrize("q", [
     Q_BM,
     LevyQuadruplet(psi0=2.0, b=1.0, sigma2=1.0),
-    LevyQuadruplet(mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0)))),
-    LevyQuadruplet(psi0=2.0, mu=SignedMeasure(atoms=((1.5, 1.0),
-                                                     (-0.4, 1.0)))),
+    LevyQuadruplet(sigma2=1.0,
+                   mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0)))),
+    LevyQuadruplet(psi0=2.0, sigma2=1.0,
+                   mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0)))),
 ], ids=["brownian", "killed", "atoms", "atoms-killed"])
 def test_block_loop_matches_the_reference_loop(monkeypatch, q, budget):
-    # row-wise prefix sums, one ratio for the jump-free cells of a
-    # Gaussian-free block, and a crossing count and killing bookkeeping on
-    # the paths that resolve change no bit of an estimate
+    # row-wise prefix sums, the jump scatter, and a crossing count and
+    # killing bookkeeping on the paths that resolve change no bit of an
+    # estimate
     monkeypatch.setattr(lamperti, "_BLOCK_BUDGET", budget)
     widths = []
     prefix_sums = lamperti._prefix_sums
@@ -505,7 +484,8 @@ def test_block_loop_matches_the_reference_loop(monkeypatch, q, budget):
     monkeypatch.setattr(lamperti, "_prefix_sums", recording)
     f = lambda r: r * r * np.exp(-r)
     cfg = SimConfig(dt=1e-3, n_paths=3000, seed=19, t_max=4.0)
-    got = lamperti._batch_estimate(q, f, 0.8, 0.4, cfg)
+    got = lamperti._batch_estimate(lamperti._build_jump_model(q, cfg), f,
+                                   0.8, 0.4, cfg)
     want = _reference_batch_estimate(q, f, 0.8, 0.4, cfg)
     # both the row-wise and the np.cumsum branch ran
     assert min(widths) < lamperti._ROW_SUM_MIN_WIDTH <= max(widths)
@@ -535,3 +515,212 @@ def test_mc_brownian_law_matches_exact_squared_bessel_draws(q, dim, x, seed):
              + est.unresolved_fraction * sup_f)
     assert abs(est.mean - exact.mean()) <= bound
 
+
+# ---------------------------------------------------------------------------
+# the exact segment simulator of Gaussian-free models
+# ---------------------------------------------------------------------------
+
+ATOMS = ((1.5, 1.0), (-0.4, 1.0))
+
+
+def _psi_at_minus_i(atoms):
+    """psi(-i) of the atoms (y, m): E e^{Z_s} = e^{-s psi(-i)}, so
+    E_x X_t = x - psi(-i) t (Dynkin)."""
+    return sum(m * (1.0 - np.exp(y) + (y if abs(y) <= 1.0 else 0.0))
+               for y, m in atoms)
+
+
+@pytest.mark.parametrize("q", [
+    LevyQuadruplet(mu=SignedMeasure(atoms=ATOMS)),
+    LevyQuadruplet(psi0=2.0, mu=SignedMeasure(atoms=ATOMS)),
+    LevyQuadruplet(psi0=0.5, b=1.0),
+], ids=["atoms", "atoms-killed", "drift-killed"])
+def test_gaussian_free_estimate_does_not_depend_on_dt(q):
+    # Z is linear between jumps, so the clock and its inverse are exact on
+    # each segment and dt takes no part
+    e = Exponent(quadruplet=q)
+    f = lambda r: r * np.exp(-r)
+    coarse, fine = (mc_expectation(e, f, 1.2, 0.6,
+                                   SimConfig(dt=dt, n_paths=3000, seed=29))
+                    for dt in (1e-2, 1e-3))
+    assert coarse == fine
+
+
+def test_unit_jumps_at_rate_500_have_the_exact_mean():
+    # unit jumps at rate 500 and their compensator: E_x X_t = x - psi(-i) t
+    # = 18.957 at x = 1, t = 0.05; steps of dt = 1e-3 hold a jump in 39% of
+    # them, and the stepped clock read 16.23 +- 0.13 on this seed
+    atoms = ((1.0, 500.0),)
+    e = Exponent(quadruplet=LevyQuadruplet(mu=SignedMeasure(atoms=atoms)))
+    est = mc_expectation(e, lambda r: r, 1.0, 0.05,
+                         SimConfig(n_paths=20_000, seed=41))
+    exact = 1.0 - _psi_at_minus_i(atoms) * 0.05
+    assert exact == pytest.approx(18.957, abs=1e-3)
+    assert abs(est.mean - exact) <= 4.0 * est.stderr
+
+
+@pytest.mark.parametrize("x", [0.7, 1.6])
+def test_atoms_have_the_exact_mean_at_100k_paths(x):
+    e = Exponent(quadruplet=LevyQuadruplet(mu=SignedMeasure(atoms=ATOMS)))
+    t = 0.5 * x
+    est = mc_expectation(e, lambda r: r, x, t,
+                         SimConfig(n_paths=100_000, seed=43))
+    assert est.unresolved_fraction == 0.0
+    assert abs(est.mean - (x - _psi_at_minus_i(ATOMS) * t)) <= 4.0 * est.stderr
+
+
+class _RecordingRng:
+    """A generator that records the name of every draw method called."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("psi0, calls", [(0.0, []), (0.7, ["exponential"])])
+def test_drift_only_estimate_draws_nothing_after_the_killing_times(
+        monkeypatch, psi0, calls):
+    rngs = []
+    generator = lamperti._generator
+
+    def recording(seed):
+        rngs.append(_RecordingRng(generator(seed)))
+        return rngs[-1]
+
+    shapes = []
+    prefix_sums = lamperti._prefix_sums
+
+    def recording_sums(a):
+        shapes.append(a.shape)
+        prefix_sums(a)
+
+    monkeypatch.setattr(lamperti, "_generator", recording)
+    monkeypatch.setattr(lamperti, "_prefix_sums", recording_sums)
+    e = Exponent(quadruplet=LevyQuadruplet(psi0=psi0, b=2.0))
+    est = mc_expectation(e, lambda r: r, 1.5, 0.75,
+                         SimConfig(n_paths=64, seed=5))
+    assert [r.calls for r in rngs] == [calls]
+    assert est.unresolved_fraction == 0.0
+    # one segment per path, to t_max: the sums of its time, Z and clock
+    assert shapes == [(2, 64)] * 3
+
+
+def test_killing_is_decided_at_the_exact_crossing_time():
+    # Z_s = s crosses the target 0.5 at s* = log 1.5: a path is absorbed iff
+    # its killing time, the generator's first draw, comes before s*
+    n = 200_000
+    cfg = SimConfig(n_paths=n, seed=37)
+    q = LevyQuadruplet(psi0=2.0, b=1.0)
+    values, resolved, absorbed = lamperti._segment_estimate(
+        lamperti._build_jump_model(q, cfg), np.ones_like, 1.0, 0.5, cfg)
+    kt = lamperti._generator(cfg.seed).exponential(0.5, n)
+    assert resolved.all()
+    assert np.array_equal(absorbed, kt < np.log(1.5))
+    assert np.array_equal(values, (~absorbed).astype(float))
+
+
+def test_paths_that_cannot_cross_are_killed_or_unresolved_by_t_max():
+    # Z_s = -s keeps the clock below 1, short of the target 2: a path is
+    # absorbed iff it is killed before t_max, and unresolved otherwise
+    psi0, t_max, n = 0.05, 20.0, 20_000
+    e = Exponent(quadruplet=LevyQuadruplet(psi0=psi0, b=-1.0))
+    est = mc_expectation(e, lambda r: r, 1.0, 2.0,
+                         SimConfig(n_paths=n, seed=47, t_max=t_max))
+    p = np.exp(-psi0 * t_max)
+    assert est.absorbed_fraction == 1.0 and est.mean == 0.0
+    assert abs(est.unresolved_fraction - p) <= 4.0 * np.sqrt(p * (1 - p) / n)
+    # without killing no path resolves
+    with pytest.raises(ConfigError):
+        mc_expectation(Exponent(quadruplet=LevyQuadruplet(b=-1.0)),
+                       lambda r: r, 1.0, 2.0, SimConfig(n_paths=10, t_max=5.0))
+
+
+def _reference_segment_estimate(q, f, x, t, cfg):
+    """The segment simulator's rounds, with the same draws, walked path by
+    path and segment by segment: a path stops at its first crossing, at a
+    killing time within its segments, or at t_max."""
+    model = lamperti._build_jump_model(q, cfg)
+    n, b, t_max, target = cfg.n_paths, model.drift, cfg.t_max, t / x
+    rng = lamperti._generator(cfg.seed)
+    kt = (rng.exponential(1.0 / model.kill_rate, n)
+          if model.kill_rate > 0 else np.full(n, np.inf))
+    values = np.zeros(n)
+    resolved = np.zeros(n, dtype=bool)
+    absorbed = np.zeros(n, dtype=bool)
+    state = {i: (0.0, 0.0, 0.0) for i in range(n)}  # time, Z and A
+    rows = 1
+    while state:
+        live = sorted(state)
+        rows = min(rows, max(1, lamperti._BLOCK_BUDGET // len(live)))
+        if model.jump_rate > 0:
+            taus = rng.standard_exponential((rows, len(live)))
+            taus *= 1.0 / model.jump_rate
+            jumps = rng.choice(model.jump_sizes, size=taus.shape,
+                               p=model.jump_probs)
+        else:
+            taus = np.full((1, len(live)), np.inf)
+            jumps = np.zeros_like(taus)
+        taus = np.minimum(taus, t_max)
+        ratios = _reference_ratios(b * taus)
+        for j, i in enumerate(live):
+            s, z, a = state.pop(i)
+            for k in range(rows):
+                tau = taus[k, j]
+                a_end = a + ratios[k, j] * tau * np.exp(z)
+                if not a_end < target:
+                    rem = (target - a) * np.exp(-z)
+                    delta = rem if abs(b) < 1e-12 else np.log1p(b * rem) / b
+                    if kt[i] < s + delta:
+                        absorbed[i] = resolved[i] = kt[i] <= t_max
+                    elif s + delta <= t_max:
+                        values[i] = f(x * np.exp(z + b * delta))
+                        resolved[i] = True
+                    break
+                s += tau
+                if kt[i] <= min(s, t_max):
+                    absorbed[i] = resolved[i] = True
+                    break
+                if s >= t_max:
+                    break
+                z, a = z + (b * tau + jumps[k, j]), a_end
+            else:
+                state[i] = (s, z, a)
+        rows *= 2
+    return values, resolved, absorbed
+
+
+@pytest.mark.parametrize("budget", [1 << 16, 777])
+@pytest.mark.parametrize("q, t_max, t, unresolved", [
+    (LevyQuadruplet(mu=SignedMeasure(atoms=ATOMS)), 4.0, 0.4, False),
+    (LevyQuadruplet(psi0=2.0, mu=SignedMeasure(atoms=ATOMS)), 4.0, 0.4,
+     False),
+    (LevyQuadruplet(psi0=0.3, mu=SignedMeasure(atoms=((-0.3, 3.0),
+                                                      (0.2, 1.0)))),
+     1.5, 0.4, True),
+    (LevyQuadruplet(psi0=0.5, b=-1.0), 3.0, 1.2, True),
+    (LevyQuadruplet(psi0=1.0, b=1.0, mu=SignedMeasure(atoms=((0.1, 1.0),))),
+     0.3, 0.4, True),
+], ids=["atoms", "atoms-killed", "killed-downward-atoms",
+        "killed-falling-drift", "killed-past-t-max"])
+def test_segment_rounds_match_the_path_by_path_loop(monkeypatch, q, t_max, t,
+                                                    unresolved, budget):
+    # the downward atoms leave paths unresolved at t_max, some of them
+    # crossing or killed on a segment that reaches past it, the falling
+    # drift never reaches the target, and in the last case every path
+    # crosses after t_max: their paths are killed or unresolved
+    monkeypatch.setattr(lamperti, "_BLOCK_BUDGET", budget)
+    f = lambda r: r * r * np.exp(-r)
+    cfg = SimConfig(n_paths=3000, seed=23, t_max=t_max)
+    got = lamperti._segment_estimate(lamperti._build_jump_model(q, cfg), f,
+                                     0.8, t, cfg)
+    values, resolved, absorbed = _reference_segment_estimate(q, f, 0.8, t,
+                                                             cfg)
+    assert np.array_equal(got[1], resolved)
+    assert np.array_equal(got[2], absorbed)
+    assert_allclose(got[0], values, rtol=1e-12, atol=0.0)
+    assert absorbed.any() == (q.psi0 > 0)
+    assert (not resolved.all()) == unresolved

@@ -15,6 +15,7 @@ from spectral_ssmp.errors import DomainError
 from spectral_ssmp.special import (
     gauss_legendre,
     log_gamma,
+    log_gamma_long,
     log_gamma_ratio,
 )
 
@@ -163,6 +164,27 @@ def test_real_inputs_match_mpmath():
     # a 0-d array a is accepted as a float
     assert np.array_equal(log_gamma_ratio(x, np.array(0.7)),
                           log_gamma_ratio(x, 0.7))
+
+
+def test_long_double_log_gamma_matches_mpmath():
+    # within a few extended-precision ulp of the value, on both sides of
+    # the shift at 16 and across the Wright denominators' range
+    mpmath = pytest.importorskip("mpmath")
+    x = np.array([1e-8, 0.1, 0.3, 1.0, 1.3, 2.0, 2.5, 7.3, 15.99, 16.0,
+                  16.01, 40.5, 1000.25, 4000.0, 1e6], dtype=np.longdouble)
+    got = log_gamma_long(x)
+    assert got.dtype == np.longdouble and got.shape == x.shape
+    eps = float(np.finfo(np.longdouble).eps)
+    with mpmath.workdps(40):
+        for v, g in zip(x, got):
+            ref = mpmath.loggamma(mpmath.mpf(str(v)))
+            err = abs(mpmath.mpf(str(g)) - ref)
+            assert err <= 64 * eps * max(1, abs(ref)), (v, float(err))
+    # each point's value is the same whatever its company
+    assert np.array_equal(log_gamma_long(x[::-1]), got[::-1])
+    for bad in (0.0, -1.5, np.nan):
+        with pytest.raises(DomainError):
+            log_gamma_long(np.array([2.0, bad]))
 
 
 def test_log_gamma_of_conjugate_is_conjugate_bit_for_bit():
