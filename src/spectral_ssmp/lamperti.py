@@ -8,33 +8,30 @@ The positive self-similar process started at x > 0 is
 for the Levy process Z with exponent psi, killed at an exponential time of
 rate psi(0): a path is killed iff its killing time comes before phi(t/x),
 the Levy time of its crossing.  Every jump above jump_eps is drawn from one
-compound-Poisson table of the atoms and the density nodes.  Two simulators
-serve the two kinds of model.
+compound-Poisson table of the atoms and the density nodes.
 
-- Without a Gaussian part (drift, atoms and killing: finitely many jumps),
-  Z is linear between jumps, so A and phi are closed forms on each
-  inter-jump segment and the paths are exact; dt is not used.
-- With one (sigma2 > 0, or jumps below jump_eps replaced by a
-  variance-matched Gaussian), an Euler scheme steps the Levy clock by dt:
-  exact Gaussian increments, the jumps of a step added at its end, and A
-  integrated in closed form on each step under linear interpolation of Z.
-  The clock's slope on a step is the step's drawn increment d itself, so
-  the step adds dt e^{Z_s} (e^d - 1)/d to the clock, and phi is inverted
-  exactly on the crossing step.
+One block loop simulates every model row by row; only the law of a row
+depends on the model.  Without a Gaussian part (drift, atoms and killing:
+finitely many jumps) a row is an inter-jump segment, on which Z is linear,
+so the paths are exact and dt is not used.  With one (sigma2 > 0, or jumps
+below jump_eps replaced by a variance-matched Gaussian) a row is an Euler
+step of dt: exact Gaussian increments, the step's jumps folded into its
+increment, and Z linear on the step as the clock sees it.  Either way a row
+of length h that starts at Z = z and gains c along its slope adds
+h e^z (e^c - 1)/c to the clock, and phi is inverted exactly on the
+crossing row.
 
 Randomness comes from one SFC64 generator per estimate, keyed by a
 SeedSequence of (seed, 0).  It draws first the killing times of all paths,
-then, round after round, the draws of the paths still live:
+then, block after block, B rows per live path:
 
-- a Gaussian-free model draws, in each round, B waiting times per live
-  path and then B jump sizes, with B = 1 in the first round, doubling each
-  round up to a fixed budget of draws per round; without jumps it draws
-  nothing more;
-- a stepped model draws, in each block, B steps per live path, with B set
-  by the live-path count and the same budget; each block draws its
-  Gaussian parts, then one total jump count for all its path-steps, then
-  the path-step and the size of each jump, so its jumps cost one add per
-  path-step plus one draw per jump.
+- segments: B waiting times, then B jump sizes (nothing without jumps),
+  with B = 1 in the first block, doubling each block up to a fixed budget
+  of draws per block;
+- steps: B set by the live-path count and the same budget; a block draws
+  its Gaussian parts, then one total jump count for all its path-steps,
+  then the path-step and the size of each jump, so its jumps cost one add
+  per path-step plus one draw per jump.
 
 The numbers a path receives therefore depend on which other paths are
 still live, and changing n_paths changes every path; identical
@@ -83,6 +80,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class MCEstimate:
+    """An estimate of E_x[f(X_t)] and how its paths ended.
+
+    mean and stderr are taken over the n_effective resolved paths, the
+    absorbed ones counting 0.  absorbed_fraction is the share of the
+    resolved paths that were absorbed (killed before their crossing);
+    unresolved_fraction is the share of all n_paths that neither crossed
+    nor were absorbed by the horizon, and are left out of the mean.
+    """
+
     mean: float
     stderr: float
     n_effective: int
@@ -96,7 +102,7 @@ class MCEstimate:
 
 @dataclass(frozen=True, eq=False)
 class _JumpModel:
-    """Per-step ingredients derived from a quadruplet, dt and jump_eps.
+    """Per-row ingredients derived from a quadruplet, dt and jump_eps.
 
     Every jump of size >= jump_eps (atoms, density nodes, the density heads
     above jump_eps and the remainder masses) is one entry of a single
@@ -147,9 +153,6 @@ def _generator(seed):
     """The estimate's generator: SFC64 keyed by a SeedSequence of (seed, 0)."""
     return np.random.Generator(
         np.random.SFC64(np.random.SeedSequence([seed, 0])))
-
-
-_NO_CELLS = np.empty(0, dtype=np.intp)
 
 
 def _increments(model: _JumpModel, rng, out):
@@ -258,121 +261,44 @@ def _prefix_sums(a):
         prev = row
 
 
-def _batch_estimate(model: _JumpModel, f: Callable, x: float, t: float,
-                    cfg: SimConfig):
-    """Vectorized over paths and over blocks of steps of a model with a
-    Gaussian part.
+def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
+              cfg: SimConfig):
+    """Vectorized over the live paths and over blocks of B rows each.
 
-    Each block draws B steps for each of the m live paths, B = budget // m
-    (at least 1), builds Z and the clock A by prefix sums, and resolves
-    every path at its first crossing A >= t/x or at its killing time,
-    whichever comes first; when both fall in one step, the crossing's Levy
-    time, solved on that step, decides.  Only the paths that cross in the
-    block and, with killing, those whose killing time falls in it are
-    looked at, and the live set is compacted only when one of them
-    resolved; draws past a path's resolution in its block are discarded.
+    The row laws: a model with a Gaussian part takes dt steps from
+    `_increments`, their jumps folded into the increments, row k ending at
+    (step + k) dt, and B = min(steps left, budget // m) for m live paths;
+    a Gaussian-free model takes inter-jump segments, each an
+    Exp(jump_rate) waiting time capped at t_max (t_max without jumps) of
+    slope b = model.drift with its jump at its end, and B = 1 in the first
+    block, doubling up to budget // m, since a block of one segment per
+    path costs a block's overhead per jump.  Prefix sums give the time, Z
+    and the clock A of every live path after k rows.
 
-    Z, A and the clock's scratch live in three buffers allocated once: an
-    array of a block's size, allocated and freed per block, is mapped and
-    page-faulted afresh whenever it lies above the allocator's mmap
-    threshold (glibc: 128 KiB until a larger block is freed), so the
-    estimate's speed would depend on what the process freed before it (by
-    15-40% on the benchmark's mc-oracle cases).
+    One rule resolves every path, against the horizon max_steps dt for
+    steps and t_max for segments.  A path that crossed the target t/x wins
+    iff its killing time does not come before its crossing and the
+    crossing is within the horizon, and is absorbed iff its killing time
+    comes first and is within the horizon; a path that has not crossed is
+    absorbed iff its killing time is at most the end of its rows and the
+    horizon.  A path is done once it is absorbed, has crossed, or its rows
+    reach the horizon; a done path that neither won nor was absorbed is
+    unresolved.  So a tie of the killing and crossing times lets the path
+    win, and a crossing time that is not a number leaves it unresolved.
+    Draws past a path's resolution are discarded, and the live set is
+    compacted once per block.
+
+    Z, A, the segments' times and the clock's scratch live in buffers
+    allocated once: an array of a block's size, allocated and freed per
+    block, is mapped and page-faulted afresh whenever it lies above the
+    allocator's mmap threshold (glibc: 128 KiB until a larger block is
+    freed), so the estimate's speed would depend on what the process freed
+    before it (by 15-40% on the benchmark's mc-oracle cases).
     """
-    n = cfg.n_paths
-    dt = cfg.dt
-    target = t / x
-    rng = _generator(cfg.seed)
-    killing = model.kill_rate > 0
-    kt = rng.exponential(1.0 / model.kill_rate, n) if killing else None
-    values = np.zeros(n)
-    resolved = np.zeros(n, dtype=bool)
-    absorbed = np.zeros(n, dtype=bool)
-    idx = np.arange(n)          # original indices of the live paths
-    z = np.zeros(n)
-    acc = np.zeros(n)
-    killed = _NO_CELLS
-    max_steps = int(np.ceil(cfg.t_max / dt))
-    # (b + 1) m <= max(budget, m) + m for every block below
-    zbuf, abuf, work = (np.empty(max(_BLOCK_BUDGET, n) + n)
-                        for _ in range(3))
-    step = 0
-    while idx.size and step < max_steps:
-        m = idx.size
-        b = min(max_steps - step, max(1, _BLOCK_BUDGET // m))
-        # row s holds Z and A of every live path after s steps of the
-        # block; the clock's ratios come from the raw increments, before
-        # their prefix sums
-        zs = zbuf[:(b + 1) * m].reshape(b + 1, m)
-        accs = abuf[:(b + 1) * m].reshape(b + 1, m)
-        ez = work[:b * m].reshape(b, m)
-        zs[0] = z
-        accs[0] = acc
-        _increments(model, rng, zs[1:])
-        _clock_ratios(zs[1:], accs[1:], ez)
-        _prefix_sums(zs)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            np.exp(zs[:-1], out=ez)
-            ez *= dt
-            accs[1:] *= ez
-        _prefix_sums(accs)
-        # A is nondecreasing, so a path crossed in this block iff its last
-        # row is not below the target (a NaN clock counts, as it would in a
-        # count over the whole block), and the steps still below the target
-        # come first; only the crossed paths need the count
-        r = np.flatnonzero(~(accs[-1] < target))
-        s = np.count_nonzero(accs[1:, r] < target, axis=0)
-        if killing:
-            # paths whose killing time falls in this block; a crossed path
-            # killed before its crossing step is not a candidate
-            times = (step + np.arange(1, b + 1)) * dt
-            killed = np.flatnonzero(kt <= times[-1])
-            first = s <= np.searchsorted(times, kt[r])
-            r, s = r[first], s[first]
-        if r.size:
-            z0, z1 = zs[s, r], zs[s + 1, r]
-            delta = _invert_segment(z0, (z1 - z0) / dt, target - accs[s, r])
-            # a crossed path survives iff its crossing time comes before
-            # its killing time (a NaN time counts as before)
-            keep = ~((step + s) * dt + delta >= (kt[r] if killing else np.inf))
-            r, z0, z1, delta = r[keep], z0[keep], z1[keep], delta[keep]
-            values[idx[r]] = f(x * np.exp(z0 + (z1 - z0) * (delta / dt)))
-        if r.size or killed.size:
-            # a path killed in the block is absorbed unless it won
-            absorbed[idx[killed]] = True
-            absorbed[idx[r]] = False
-            live = np.ones(m, dtype=bool)
-            live[killed] = False
-            live[r] = False
-            resolved[idx[~live]] = True
-            idx, z, acc = idx[live], zs[-1, live], accs[-1, live]
-            if killing:
-                kt = kt[live]
-        else:
-            z, acc = zs[-1], accs[-1]
-        step += b
-    return values, resolved, absorbed
-
-
-def _segment_estimate(model: _JumpModel, f: Callable, x: float, t: float,
-                      cfg: SimConfig):
-    """Exact paths of a Gaussian-free model, one inter-jump segment per row.
-
-    Z has slope b = model.drift between jumps, so a segment of length tau
-    from Z = z adds e^z tau (e^{b tau} - 1)/(b tau) to the clock, and the
-    crossing is solved on its segment exactly.  Each round draws, for each
-    of the m live paths, B waiting times, then B jump sizes; B = 1 in the
-    first round and doubles each round up to max(1, budget // m), since a
-    round of one segment per path costs a round's overhead per jump.  A
-    segment is at most t_max long, and its jump lands at its end; without
-    jumps one segment runs to t_max.  Row k of a round holds the time, Z
-    and A of every live path after k segments, by prefix sums.  A path is
-    absorbed iff its killing time comes before its crossing and t_max, and
-    unresolved if it has neither crossed nor been killed by t_max; so what
-    a segment starting past t_max holds changes no outcome, and a path
-    leaves at the end of the round in which it passes t_max.
-    """
-    n, b, t_max, target = cfg.n_paths, model.drift, cfg.t_max, t / x
+    n, dt, t_max, target = cfg.n_paths, cfg.dt, cfg.t_max, t / x
+    stepped, b = model.gauss_std_rate > 0, model.drift
+    max_steps = int(np.ceil(t_max / dt))
+    horizon = max_steps * dt if stepped else t_max
     rng = _generator(cfg.seed)
     kt = (rng.exponential(1.0 / model.kill_rate, n) if model.kill_rate > 0
           else np.full(n, np.inf))
@@ -381,61 +307,79 @@ def _segment_estimate(model: _JumpModel, f: Callable, x: float, t: float,
     absorbed = np.zeros(n, dtype=bool)
     idx = np.arange(n)          # original indices of the live paths
     s, z, acc = np.zeros(n), np.zeros(n), np.zeros(n)
-    # (rows + 1) m <= max(budget, m) + m in every round
+    # (rows + 1) m <= max(budget, m) + m in every block
     tbuf, zbuf, abuf, work = (np.empty(max(_BLOCK_BUDGET, n) + n)
                               for _ in range(4))
-    rows = 1
+    step, rows = 0, 1
     while idx.size:
         m = idx.size
-        rows = min(rows, max(1, _BLOCK_BUDGET // m))
+        # steps: the steps left; segments: twice the last block's rows
+        rows = min(max_steps - step if stepped else rows,
+                   max(1, _BLOCK_BUDGET // m))
         ts, zs, accs = (buf[:(rows + 1) * m].reshape(rows + 1, m)
                         for buf in (tbuf, zbuf, abuf))
         ez = work[:rows * m].reshape(rows, m)
-        ts[0], zs[0], accs[0] = s, z, acc
-        if model.jump_rate > 0:
-            rng.standard_exponential(out=ts[1:])
-            ts[1:] *= 1.0 / model.jump_rate
-            np.minimum(ts[1:], t_max, out=ts[1:])
-            jumps = rng.choice(model.jump_sizes, size=(rows, m),
-                               p=model.jump_probs)
+        zs[0], accs[0] = z, acc
+        # rows 1.. of zs get the continuous increments c, whose clock
+        # ratios are taken before the segments' jumps and the prefix sums
+        jumps = None
+        if stepped:
+            _increments(model, rng, zs[1:])
+            # one row of times, shared by the live paths
+            h, ts = dt, (step + np.arange(rows + 1)) * dt
         else:
-            ts[1:] = t_max
-        # the lengths give the drift and the clock ratios, before the prefix
-        # sums turn them into times
-        np.multiply(ts[1:], b, out=zs[1:])
+            ts[0], h = s, ts[1:]
+            if model.jump_rate > 0:
+                rng.standard_exponential(out=h)
+                h *= 1.0 / model.jump_rate
+                np.minimum(h, t_max, out=h)
+                jumps = rng.choice(model.jump_sizes, size=h.shape,
+                                   p=model.jump_probs)
+            else:
+                h.fill(t_max)
+            np.multiply(h, b, out=zs[1:])
         _clock_ratios(zs[1:], accs[1:], ez)
-        accs[1:] *= ts[1:]
-        _prefix_sums(ts)
-        if model.jump_rate > 0:
+        if jumps is not None:
             zs[1:] += jumps
         _prefix_sums(zs)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            accs[1:] *= np.exp(zs[:-1], out=ez)
+            np.exp(zs[:-1], out=ez)
+            ez *= h
+            accs[1:] *= ez
         _prefix_sums(accs)
-        # A is nondecreasing: a path crossed in this round iff its last row
-        # is not below the target (a NaN clock counts), on the segment that
+        if not stepped:
+            _prefix_sums(ts)
+        # A is nondecreasing: a path crossed in this block iff its last row
+        # is not below the target (a NaN clock counts), on the row that
         # starts at its last row below the target
         r = np.flatnonzero(~(accs[-1] < target))
         k = np.count_nonzero(accs[1:, r] < target, axis=0)
         z0 = zs[k, r]
-        delta = _invert_segment(z0, b, target - accs[k, r])
-        crossing = ts[k, r] + delta
-        # a path that did not cross is killed first iff its killing time
-        # falls within its segments
+        if stepped:     # the crossing step's slope is its increment / dt
+            dz = zs[k + 1, r] - z0
+            t0, slope = ts[k], dz / dt
+        else:
+            t0, slope = ts[k, r], b
+        delta = _invert_segment(z0, slope, target - accs[k, r])
+        crossing = t0 + delta
         end = ts[-1]
-        killed = kt <= np.minimum(end, t_max)
-        done = killed | (end >= t_max)
-        first = kt[r] < crossing
-        killed[r] = first & (kt[r] <= t_max)
+        killed = kt <= np.minimum(end, horizon)
+        done = killed | (end >= horizon)
+        killed_first = kt[r] < crossing
+        killed[r] = killed_first & (kt[r] <= horizon)
         done[r] = True
-        won = ~first & (crossing <= t_max)
-        values[idx[r[won]]] = f(x * np.exp(z0[won] + b * delta[won]))
-        resolved[idx[r[won]]] = True
-        resolved[idx[killed]] = True
-        absorbed[idx[killed]] = True
+        won = ~killed_first & (crossing <= horizon)
+        zc = z0[won] + (dz[won] * (delta[won] / dt) if stepped
+                        else b * delta[won])
+        winners = idx[r[won]]
+        values[winners] = f(x * np.exp(zc))
+        resolved[winners] = True
+        gone = idx[killed]
+        resolved[gone] = absorbed[gone] = True
         live = np.flatnonzero(~done)
-        idx, kt, s, z, acc = (a[live]
-                              for a in (idx, kt, end, zs[-1], accs[-1]))
+        idx, kt, z, acc = (a[live] for a in (idx, kt, zs[-1], accs[-1]))
+        s = end if stepped else end[live]
+        step += rows
         rows *= 2
     return values, resolved, absorbed
 
@@ -473,9 +417,7 @@ def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
                           n_effective=cfg.n_paths, absorbed_fraction=0.0,
                           unresolved_fraction=0.0)
     model = _build_jump_model(e.quadruplet, cfg)
-    estimate = (_batch_estimate if model.gauss_std_rate > 0
-                else _segment_estimate)
-    values, resolved, absorbed = estimate(model, f, x, t, cfg)
+    values, resolved, absorbed = _estimate(model, f, x, t, cfg)
     n_eff = int(resolved.sum())
     if n_eff == 0:
         raise ConfigError("no path reached the clock target; raise t_max")

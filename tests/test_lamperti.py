@@ -461,18 +461,20 @@ def _reference_batch_estimate(q, f, x, t, cfg):
 
 
 @pytest.mark.parametrize("budget", [1 << 16, 777])
-@pytest.mark.parametrize("q", [
-    Q_BM,
-    LevyQuadruplet(psi0=2.0, b=1.0, sigma2=1.0),
-    LevyQuadruplet(sigma2=1.0,
-                   mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0)))),
-    LevyQuadruplet(psi0=2.0, sigma2=1.0,
-                   mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0)))),
-], ids=["brownian", "killed", "atoms", "atoms-killed"])
-def test_block_loop_matches_the_reference_loop(monkeypatch, q, budget):
+@pytest.mark.parametrize("q, t_max", [
+    (Q_BM, 4.0),
+    (LevyQuadruplet(psi0=2.0, b=1.0, sigma2=1.0), 4.0),
+    (LevyQuadruplet(sigma2=1.0,
+                    mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0)))), 4.0),
+    (LevyQuadruplet(psi0=2.0, sigma2=1.0,
+                    mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0)))), 4.0),
+    (LevyQuadruplet(psi0=2.0, b=1.0, sigma2=1.0), 0.3),
+], ids=["brownian", "killed", "atoms", "atoms-killed", "killed-horizon"])
+def test_block_loop_matches_the_reference_loop(monkeypatch, q, t_max,
+                                               budget):
     # row-wise prefix sums, the jump scatter, and a crossing count and
     # killing bookkeeping on the paths that resolve change no bit of an
-    # estimate
+    # estimate; at t_max = 0.3 many paths run out of steps
     monkeypatch.setattr(lamperti, "_BLOCK_BUDGET", budget)
     widths = []
     prefix_sums = lamperti._prefix_sums
@@ -483,12 +485,18 @@ def test_block_loop_matches_the_reference_loop(monkeypatch, q, budget):
 
     monkeypatch.setattr(lamperti, "_prefix_sums", recording)
     f = lambda r: r * r * np.exp(-r)
-    cfg = SimConfig(dt=1e-3, n_paths=3000, seed=19, t_max=4.0)
-    got = lamperti._batch_estimate(lamperti._build_jump_model(q, cfg), f,
-                                   0.8, 0.4, cfg)
+    cfg = SimConfig(dt=1e-3, n_paths=3000, seed=19, t_max=t_max)
+    got = lamperti._estimate(lamperti._build_jump_model(q, cfg), f, 0.8,
+                             0.4, cfg)
     want = _reference_batch_estimate(q, f, 0.8, 0.4, cfg)
-    # both the row-wise and the np.cumsum branch ran
-    assert min(widths) < lamperti._ROW_SUM_MIN_WIDTH <= max(widths)
+    assert max(widths) >= lamperti._ROW_SUM_MIN_WIDTH
+    if t_max < 1.0:
+        # the horizon, not the crossings, ends the last block: its paths
+        # are still too many for the np.cumsum branch
+        assert 1000 < np.count_nonzero(~want[1]) and want[2].any()
+    else:
+        # both the row-wise and the np.cumsum branch ran
+        assert min(widths) < lamperti._ROW_SUM_MIN_WIDTH
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
 
@@ -517,7 +525,7 @@ def test_mc_brownian_law_matches_exact_squared_bessel_draws(q, dim, x, seed):
 
 
 # ---------------------------------------------------------------------------
-# the exact segment simulator of Gaussian-free models
+# the exact segment rows of Gaussian-free models
 # ---------------------------------------------------------------------------
 
 ATOMS = ((1.5, 1.0), (-0.4, 1.0))
@@ -615,7 +623,7 @@ def test_killing_is_decided_at_the_exact_crossing_time():
     n = 200_000
     cfg = SimConfig(n_paths=n, seed=37)
     q = LevyQuadruplet(psi0=2.0, b=1.0)
-    values, resolved, absorbed = lamperti._segment_estimate(
+    values, resolved, absorbed = lamperti._estimate(
         lamperti._build_jump_model(q, cfg), np.ones_like, 1.0, 0.5, cfg)
     kt = lamperti._generator(cfg.seed).exponential(0.5, n)
     assert resolved.all()
@@ -623,20 +631,26 @@ def test_killing_is_decided_at_the_exact_crossing_time():
     assert np.array_equal(values, (~absorbed).astype(float))
 
 
-def test_paths_that_cannot_cross_are_killed_or_unresolved_by_t_max():
-    # Z_s = -s keeps the clock below 1, short of the target 2: a path is
-    # absorbed iff it is killed before t_max, and unresolved otherwise
-    psi0, t_max, n = 0.05, 20.0, 20_000
-    e = Exponent(quadruplet=LevyQuadruplet(psi0=psi0, b=-1.0))
+@pytest.mark.parametrize("sigma2, psi0, t_max, n", [
+    (0.0, 0.05, 20.0, 20_000),
+    (1e-6, 0.5, 2.0, 2000),
+], ids=["segments", "steps"])
+def test_paths_that_cannot_cross_are_killed_or_unresolved_by_t_max(
+        sigma2, psi0, t_max, n):
+    # Z_s = -s (plus a faint Gaussian part, which makes the model stepped)
+    # keeps the clock below 1, short of the target 2: a path is absorbed
+    # iff it is killed before t_max, and unresolved otherwise
+    e = Exponent(quadruplet=LevyQuadruplet(psi0=psi0, b=-1.0, sigma2=sigma2))
     est = mc_expectation(e, lambda r: r, 1.0, 2.0,
                          SimConfig(n_paths=n, seed=47, t_max=t_max))
     p = np.exp(-psi0 * t_max)
     assert est.absorbed_fraction == 1.0 and est.mean == 0.0
     assert abs(est.unresolved_fraction - p) <= 4.0 * np.sqrt(p * (1 - p) / n)
     # without killing no path resolves
+    q = LevyQuadruplet(b=-1.0, sigma2=sigma2)
     with pytest.raises(ConfigError):
-        mc_expectation(Exponent(quadruplet=LevyQuadruplet(b=-1.0)),
-                       lambda r: r, 1.0, 2.0, SimConfig(n_paths=10, t_max=5.0))
+        mc_expectation(Exponent(quadruplet=q), lambda r: r, 1.0, 2.0,
+                       SimConfig(n_paths=10, t_max=5.0))
 
 
 def _reference_segment_estimate(q, f, x, t, cfg):
@@ -715,8 +729,8 @@ def test_segment_rounds_match_the_path_by_path_loop(monkeypatch, q, t_max, t,
     monkeypatch.setattr(lamperti, "_BLOCK_BUDGET", budget)
     f = lambda r: r * r * np.exp(-r)
     cfg = SimConfig(n_paths=3000, seed=23, t_max=t_max)
-    got = lamperti._segment_estimate(lamperti._build_jump_model(q, cfg), f,
-                                     0.8, t, cfg)
+    got = lamperti._estimate(lamperti._build_jump_model(q, cfg), f, 0.8, t,
+                             cfg)
     values, resolved, absorbed = _reference_segment_estimate(q, f, 0.8, t,
                                                              cfg)
     assert np.array_equal(got[1], resolved)
