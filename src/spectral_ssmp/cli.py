@@ -232,13 +232,13 @@ def _cmd_simulate(args):
     exp = _exponent_from_args(args.quadruplet, "quadruplet")
     cfg = SimConfig(dt=args.dt, jump_eps=args.jump_eps, n_paths=args.paths,
                     seed=args.seed, t_max=args.t_max)
-    spec = GridSpec()
     if args.f == "identity":
         fn = lambda r: r
     else:
-        fx = _fixture_from_arg(args.f, spec)
-        fn = lambda r: np.interp(np.log(r), spec.x, fx.values.real,
-                                 left=0.0, right=0.0)
+        spec = GridSpec()
+        nodes, values = spec.x, _fixture_from_arg(args.f, spec).values.real
+        fn = lambda r: np.interp(np.log(r), nodes, values, left=0.0,
+                                 right=0.0)
     est = mc_expectation(exp, fn, args.x, args.t, cfg)
     payload = {"mean": est.mean, "stderr": est.stderr,
                "n": est.n_effective, "absorbed_fraction": est.absorbed_fraction,

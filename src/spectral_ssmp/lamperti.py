@@ -25,17 +25,20 @@ Randomness comes from one SFC64 generator per estimate, keyed by a
 SeedSequence of (seed, 0).  It draws first the killing times of all paths,
 then, block after block, B rows per live path:
 
-- segments: B waiting times, then B jump sizes (nothing without jumps),
-  with B = 1 in the first block, doubling each block up to a fixed budget
-  of draws per block;
+- segments: B waiting times, then B uniforms for the sizes (nothing
+  without jumps), with B = 1 in the first block, doubling each block up to
+  a fixed budget of draws per block;
 - steps: B set by the live-path count and the same budget; a block draws
   its Gaussian parts, then one total jump count for all its path-steps,
-  then the path-step and the size of each jump, so its jumps cost one add
-  per path-step plus one draw per jump.
+  then the path-step of each jump and the uniform of its size, so its
+  jumps cost one add per path-step plus two draws per jump.
 
 The numbers a path receives therefore depend on which other paths are
 still live, and changing n_paths changes every path; identical
-(seed, config) inputs reproduce identical estimates bit for bit.
+(seed, config) inputs reproduce identical estimates bit for bit.  A
+jump's size is its uniform mapped through the table's CDF, built once per
+model; Generator.choice(jump_sizes, p=jump_probs) maps the same uniforms
+through the same CDF, so the sizes are its draws bit for bit.
 """
 
 from __future__ import annotations
@@ -107,7 +110,9 @@ class _JumpModel:
     Every jump of size >= jump_eps (atoms, density nodes, the density heads
     above jump_eps and the remainder masses) is one entry of a single
     compound-Poisson table: jumps arrive at jump_rate and take jump_sizes
-    with jump_probs.
+    with jump_probs.  jump_cdf is the table's CDF as Generator.choice builds
+    it, the cumulated jump_probs over their last partial sum, so its last
+    knot is 1 (empty without jumps); `_jump_sizes` draws through it.
     """
 
     dt: float
@@ -115,6 +120,7 @@ class _JumpModel:
     gauss_std_rate: float  # std of the Gaussian part per sqrt(dt)
     jump_sizes: np.ndarray
     jump_probs: np.ndarray
+    jump_cdf: np.ndarray
     jump_rate: float
     kill_rate: float
 
@@ -138,12 +144,17 @@ def _build_jump_model(q: LevyQuadruplet, cfg: SimConfig) -> _JumpModel:
     # compensator of the simulated jumps of size <= 1
     comp = float(np.sum(np.where(np.abs(sizes) <= 1.0, sizes, 0.0) * weights))
     drift = float(q.b - comp)
+    probs = weights / rate if rate > 0 else weights
+    cdf = np.cumsum(probs)
+    if cdf.size:
+        cdf /= cdf[-1]
     return _JumpModel(
         dt=cfg.dt,
         drift=drift,
         gauss_std_rate=float(np.sqrt(var_rate)),
         jump_sizes=sizes,
-        jump_probs=weights / rate if rate > 0 else weights,
+        jump_probs=probs,
+        jump_cdf=cdf,
         jump_rate=rate,
         kill_rate=float(q.psi0),
     )
@@ -155,11 +166,44 @@ def _generator(seed):
         np.random.SFC64(np.random.SeedSequence([seed, 0])))
 
 
+# Tables of at most this many entries map a uniform to its entry by one
+# comparison per CDF knot, longer ones by np.searchsorted.  A knot's pass
+# costs about 2.5 us per call and under 1 ns per draw, searchsorted about
+# 2 us and 10-40 ns per draw.  Over the thousands of draws of a block of
+# segments, comparisons win beyond 24 entries (at 20000 draws: 31 against
+# 205 us at 2 entries, 68 against 417 us at 8); over the hundred-odd jumps
+# of a block of steps searchsorted wins from 2 entries on, but up to 8
+# entries comparisons still cost less than Generator.choice (20 against
+# 23 us at 64 draws).  One 2-core x86-64 machine, NumPy 2.4.
+_SHORT_TABLE = 8
+
+
+def _jump_sizes(model: _JumpModel, u):
+    """Turn the uniforms `u` in place into jump sizes: a uniform takes the
+    entry whose index is the number of CDF knots at or below it.
+
+    Generator.choice(jump_sizes, p=jump_probs) draws one rng.random per
+    size and maps it through the same CDF with searchsorted(side="right"),
+    so these are its sizes bit for bit, from the same uniforms.
+    """
+    cdf = model.jump_cdf
+    if cdf.size > _SHORT_TABLE:
+        idx = cdf.searchsorted(u, side="right")
+    else:
+        # the last knot is 1, above every uniform: one entry maps to 0
+        idx = u >= cdf[0]
+        for knot in cdf[1:-1]:
+            idx = np.add(idx, u >= knot, dtype=np.uint8)
+    # the indices are in range; mode="clip" spares take a buffered copy
+    model.jump_sizes.take(idx, out=u, mode="clip")
+
+
 def _increments(model: _JumpModel, rng, out):
     """Fill `out` with increments of Z over steps of length model.dt.
 
     Draw order: Gaussian part, then one total jump count for all of `out`,
-    its cells (uniform over the row-major cells of `out`) and its sizes.
+    its cells (uniform over the row-major cells of `out`) and the uniforms
+    of its sizes.
     Given their total, independent Poisson(jump_rate dt) counts per cell
     are multinomial with equal cell probabilities, so the per-cell counts
     have the per-step Poisson law; the work is one add per cell and one
@@ -169,15 +213,16 @@ def _increments(model: _JumpModel, rng, out):
     if model.gauss_std_rate > 0:
         rng.standard_normal(out=out)
         out *= model.gauss_std_rate * np.sqrt(dt)
-        out += model.drift * dt
+        if model.drift:     # adding 0.0 would change only a -0.0, and no
+            out += model.drift * dt     # later sum or ratio tells it from 0.0
     else:
         out.fill(model.drift * dt)
     if model.jump_rate > 0:
         total = rng.poisson(model.jump_rate * dt * out.size)
         if total:
             cells = rng.integers(0, out.size, total)
-            sizes = rng.choice(model.jump_sizes, size=total,
-                               p=model.jump_probs)
+            sizes = rng.random(total)
+            _jump_sizes(model, sizes)
             # each hit cell gains the sum of its sizes, in draw order; a
             # bincount over all cells would allocate a block-sized array
             hit, which = np.unique(cells, return_inverse=True)
@@ -195,8 +240,7 @@ _TINY_STEP = 1e-12
 
 def _ratios(d):
     """(e^d - 1)/d of each increment in the 1-D array `d`, a new array."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.expm1(d) / d
+    r = np.expm1(d) / d
     small = np.abs(d) <= _TINY_STEP
     r[small] = 1.0 + 0.5 * d[small]
     return r
@@ -209,11 +253,11 @@ def _clock_ratios(d, out, work):
 
     `d`, `out` and the scratch array `work` are C-contiguous arrays of one
     shape, and no other array of that size is allocated unless some
-    |d| <= _TINY_STEP.
+    |d| <= _TINY_STEP.  Call it under np.errstate(all="ignore"): d = 0
+    divides 0 by 0 before its ratio is repaired.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.expm1(d, out=out)
-        out /= d
+    np.expm1(d, out=out)
+    out /= d
     if np.abs(d, out=work).min() <= _TINY_STEP:
         small = np.flatnonzero(work <= _TINY_STEP)
         out.flat[small] = _ratios(d.flat[small])
@@ -221,15 +265,18 @@ def _clock_ratios(d, out, work):
 
 def _invert_segment(z0, c, remainder):
     """Time after a segment's start, where Z = z0 and Z has slope c, at
-    which the running clock gains `remainder`; exact for linear Z."""
+    which the running clock gains `remainder`; exact for linear Z.  The
+    slope c is one scalar for all segments, or an array of z0's shape."""
+    if not isinstance(c, np.ndarray):
+        if abs(c) < 1e-12:
+            return remainder * np.exp(-z0)
+        return np.log1p(c * remainder * np.exp(-z0)) / c
     small = np.abs(c) < 1e-12
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta = np.where(
-            small,
-            remainder * np.exp(-z0),
-            np.log1p(np.where(small, 0.0, c) * remainder * np.exp(-z0))
-            / np.where(small, 1.0, c))
-    return delta
+    return np.where(
+        small,
+        remainder * np.exp(-z0),
+        np.log1p(np.where(small, 0.0, c) * remainder * np.exp(-z0))
+        / np.where(small, 1.0, c))
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +333,11 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
     unresolved.  So a tie of the killing and crossing times lets the path
     win, and a crossing time that is not a number leaves it unresolved.
     Draws past a path's resolution are discarded, and the live set is
-    compacted once per block.
+    compacted once per block.  f is applied once, after the loop, to X at
+    the crossings of the paths that won.
 
-    Z, A, the segments' times and the clock's scratch live in buffers
-    allocated once: an array of a block's size, allocated and freed per
+    Z, A, the segments' times and the clock's scratch (which also takes
+    the segments' jump sizes) live in buffers allocated once: an array of a block's size, allocated and freed per
     block, is mapped and page-faulted afresh whenever it lies above the
     allocator's mmap threshold (glibc: 128 KiB until a larger block is
     freed), so the estimate's speed would depend on what the process freed
@@ -302,7 +350,7 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
     rng = _generator(cfg.seed)
     kt = (rng.exponential(1.0 / model.kill_rate, n) if model.kill_rate > 0
           else np.full(n, np.inf))
-    values = np.zeros(n)
+    zc = np.empty(n)            # Z at the crossing of the paths that won
     resolved = np.zeros(n, dtype=bool)
     absorbed = np.zeros(n, dtype=bool)
     idx = np.arange(n)          # original indices of the live paths
@@ -311,76 +359,83 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
     tbuf, zbuf, abuf, work = (np.empty(max(_BLOCK_BUDGET, n) + n)
                               for _ in range(4))
     step, rows = 0, 1
-    while idx.size:
-        m = idx.size
-        # steps: the steps left; segments: twice the last block's rows
-        rows = min(max_steps - step if stepped else rows,
-                   max(1, _BLOCK_BUDGET // m))
-        ts, zs, accs = (buf[:(rows + 1) * m].reshape(rows + 1, m)
-                        for buf in (tbuf, zbuf, abuf))
-        ez = work[:rows * m].reshape(rows, m)
-        zs[0], accs[0] = z, acc
-        # rows 1.. of zs get the continuous increments c, whose clock
-        # ratios are taken before the segments' jumps and the prefix sums
-        jumps = None
-        if stepped:
-            _increments(model, rng, zs[1:])
-            # one row of times, shared by the live paths
-            h, ts = dt, (step + np.arange(rows + 1)) * dt
-        else:
-            ts[0], h = s, ts[1:]
-            if model.jump_rate > 0:
-                rng.standard_exponential(out=h)
-                h *= 1.0 / model.jump_rate
-                np.minimum(h, t_max, out=h)
-                jumps = rng.choice(model.jump_sizes, size=h.shape,
-                                   p=model.jump_probs)
+    # a zero increment divides 0 by 0 before its ratio is repaired, and e^Z
+    # may overflow on paths far above the target
+    with np.errstate(all="ignore"):
+        while idx.size:
+            m = idx.size
+            # steps: the steps left; segments: twice the last block's rows
+            rows = min(max_steps - step if stepped else rows,
+                       max(1, _BLOCK_BUDGET // m))
+            ts, zs, accs = (buf[:(rows + 1) * m].reshape(rows + 1, m)
+                            for buf in (tbuf, zbuf, abuf))
+            ez = work[:rows * m].reshape(rows, m)
+            zs[0], accs[0] = z, acc
+            # rows 1.. of zs get the continuous increments c, whose clock
+            # ratios are taken before the segments' jumps and the prefix sums
+            if stepped:
+                _increments(model, rng, zs[1:])
+                # one row of times, shared by the live paths
+                h, ts = dt, (step + np.arange(rows + 1)) * dt
             else:
-                h.fill(t_max)
-            np.multiply(h, b, out=zs[1:])
-        _clock_ratios(zs[1:], accs[1:], ez)
-        if jumps is not None:
-            zs[1:] += jumps
-        _prefix_sums(zs)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                ts[0], h = s, ts[1:]
+                if model.jump_rate > 0:
+                    rng.standard_exponential(out=h)
+                    h *= 1.0 / model.jump_rate
+                    np.minimum(h, t_max, out=h)
+                else:
+                    h.fill(t_max)
+                np.multiply(h, b, out=zs[1:])
+            _clock_ratios(zs[1:], accs[1:], ez)
+            if not stepped and model.jump_rate > 0:
+                # the next draws after the waiting times: each segment's jump
+                rng.random(out=ez)
+                _jump_sizes(model, ez)
+                zs[1:] += ez
+            _prefix_sums(zs)
             np.exp(zs[:-1], out=ez)
             ez *= h
             accs[1:] *= ez
-        _prefix_sums(accs)
-        if not stepped:
-            _prefix_sums(ts)
-        # A is nondecreasing: a path crossed in this block iff its last row
-        # is not below the target (a NaN clock counts), on the row that
-        # starts at its last row below the target
-        r = np.flatnonzero(~(accs[-1] < target))
-        k = np.count_nonzero(accs[1:, r] < target, axis=0)
-        z0 = zs[k, r]
-        if stepped:     # the crossing step's slope is its increment / dt
-            dz = zs[k + 1, r] - z0
-            t0, slope = ts[k], dz / dt
-        else:
-            t0, slope = ts[k, r], b
-        delta = _invert_segment(z0, slope, target - accs[k, r])
-        crossing = t0 + delta
-        end = ts[-1]
-        killed = kt <= np.minimum(end, horizon)
-        done = killed | (end >= horizon)
-        killed_first = kt[r] < crossing
-        killed[r] = killed_first & (kt[r] <= horizon)
-        done[r] = True
-        won = ~killed_first & (crossing <= horizon)
-        zc = z0[won] + (dz[won] * (delta[won] / dt) if stepped
-                        else b * delta[won])
-        winners = idx[r[won]]
-        values[winners] = f(x * np.exp(zc))
-        resolved[winners] = True
-        gone = idx[killed]
-        resolved[gone] = absorbed[gone] = True
-        live = np.flatnonzero(~done)
-        idx, kt, z, acc = (a[live] for a in (idx, kt, zs[-1], accs[-1]))
-        s = end if stepped else end[live]
-        step += rows
-        rows *= 2
+            _prefix_sums(accs)
+            if not stepped:
+                _prefix_sums(ts)
+            # A is nondecreasing: a path crossed in this block iff its last
+            # row is not below the target (a NaN clock counts), on the row
+            # that starts at its last row below the target, at flat index
+            # `at` of the block's arrays
+            r = (~(accs[-1] < target)).nonzero()[0]
+            k = (accs[1:].take(r, axis=1) < target).sum(axis=0)
+            at = k * m + r
+            z0 = zs.take(at)
+            if stepped:     # the crossing step's slope is its increment / dt
+                dz = zs.take(at + m) - z0
+                t0, slope = ts[k], dz / dt
+            else:
+                t0, slope = ts.take(at), b
+            delta = _invert_segment(z0, slope, target - accs.take(at))
+            crossing = t0 + delta
+            end = ts[-1]
+            killed = kt <= np.minimum(end, horizon)
+            done = killed | (end >= horizon)
+            killed_first = kt[r] < crossing
+            killed[r] = killed_first & (kt[r] <= horizon)
+            done[r] = True
+            won = ~killed_first & (crossing <= horizon)
+            winners = idx[r[won]]
+            zc[winners] = z0[won] + (dz[won] * (delta[won] / dt) if stepped
+                                     else b * delta[won])
+            resolved[winners] = True
+            gone = idx[killed]
+            resolved[gone] = absorbed[gone] = True
+            live = (~done).nonzero()[0]
+            idx, kt, z, acc = (a[live] for a in (idx, kt, zs[-1], accs[-1]))
+            s = end if stepped else end[live]
+            step += rows
+            rows *= 2
+    # f sees the winners once, outside the loop's error state
+    values = np.zeros(n)
+    won = resolved & ~absorbed
+    values[won] = f(x * np.exp(zc[won]))
     return values, resolved, absorbed
 
 

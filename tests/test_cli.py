@@ -408,6 +408,24 @@ def test_simulate_json_output(tmp_path, capsys):
     assert payload["absorbed_fraction"] == 0.0
 
 
+def test_simulate_builds_a_grid_only_for_a_fixture(monkeypatch, capsys):
+    from spectral_ssmp import cli
+    built = []
+
+    def recording_grid(*args):
+        built.append(args)
+        return GridSpec(*args)
+
+    monkeypatch.setattr(cli, "GridSpec", recording_grid)
+    args = ["simulate", "--quadruplet", '{"b": 2.0}', "--x", "1.0", "--t",
+            "0.5", "--paths", "64"]
+    assert run(args) == 0
+    assert built == []
+    assert run(args + ["--f", "gauss:1"]) == 0
+    capsys.readouterr()
+    assert built == [()]
+
+
 def test_simulate_composes_the_fixture_with_log(tmp_path, capsys):
     out = tmp_path / "sim.json"
     assert run(["simulate", "--quadruplet", '{"sigma2": 1.0}', "--x", "1.0",

@@ -308,7 +308,9 @@ def test_gaussian_block_ratio_repairs_tiny_increments():
     tiny = [0.0, 1e-12, -1e-12, 3e-13, -7e-16, 1.1e-12]
     d.flat[[5, 700, 701, 4000, 9000, 14999]] = tiny
     got = np.empty_like(d)
-    lamperti._clock_ratios(d, got, np.empty_like(d))
+    # as in the block loop, whose error state lets 0 / 0 pass
+    with np.errstate(all="ignore"):
+        lamperti._clock_ratios(d, got, np.empty_like(d))
     assert got.tobytes() == _reference_ratios(d).tobytes()
     assert got.flat[5] == 1.0
 
@@ -406,6 +408,54 @@ def test_jump_free_increments_are_the_scaled_normals():
     scale = model.gauss_std_rate * np.sqrt(dt)
     want = model.drift * dt + scale * twin.standard_normal(out.shape)
     assert np.array_equal(out, want)
+
+
+def _table_on_uniforms(entries, seed):
+    """Atoms whose CDF knots below 1 are the first entries - 1 uniforms in
+    [1/2, 1) that generator `seed` draws, so its draws fall on knots.
+    Those uniforms are multiples of 2^-53 in [1/2, 1): their gaps, partial
+    sums and total are exact, and the knots are the uniforms themselves."""
+    u = lamperti._generator(seed).random(64)
+    knots = np.sort(u[u >= 0.5][:entries - 1])
+    masses = np.diff(knots, prepend=0.0, append=1.0)
+    sizes = np.linspace(-0.9, 1.7, entries)
+    return LevyQuadruplet(mu=SignedMeasure(
+        atoms=tuple((float(y), float(m)) for y, m in zip(sizes, masses))))
+
+
+def _stable_table_quadruplet():
+    from spectral_ssmp.families import stable_density_table
+    tab = stable_density_table(0.5)
+    return LevyQuadruplet(mu=SignedMeasure(density_pos=DensityMeasure(
+        tuple(tab["y"]), tuple(tab["density"]), 0.5, 0.5)))
+
+
+@pytest.mark.parametrize("entries", [
+    1, 2, lamperti._SHORT_TABLE, lamperti._SHORT_TABLE + 1, None,
+], ids=["1", "2", "cut", "past-cut", "stable-table"])
+def test_jump_draws_are_rng_choice_draws(entries):
+    # one uniform per size through the CDF that Generator.choice builds (the
+    # cumulated probabilities over their last partial sum), counting the
+    # knots at or below it; the atom tables put their knots on uniforms of
+    # the stream, where side="left" or a strict comparison picks the entry
+    # below
+    seed = 31
+    q = (_stable_table_quadruplet() if entries is None
+         else _table_on_uniforms(entries, seed))
+    model = lamperti._build_jump_model(q, SimConfig())
+    p = model.jump_probs
+    cdf = np.cumsum(p)
+    assert model.jump_cdf.tobytes() == (cdf / cdf[-1]).tobytes()
+    long_table = entries is None or entries > lamperti._SHORT_TABLE
+    assert (model.jump_cdf.size > lamperti._SHORT_TABLE) == long_table
+    rng, twin = lamperti._generator(seed), lamperti._generator(seed)
+    got = rng.random((3, 700))
+    if entries is not None:
+        assert np.count_nonzero(np.isin(got, model.jump_cdf)) == entries - 1
+    lamperti._jump_sizes(model, got)
+    want = twin.choice(model.jump_sizes, (3, 700), p=p)
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == twin.random()
 
 
 def _reference_batch_estimate(q, f, x, t, cfg):
@@ -587,6 +637,37 @@ class _RecordingRng:
     def __getattr__(self, name):
         self.calls.append(name)
         return getattr(self._rng, name)
+
+
+class _NoChoiceRng(_RecordingRng):
+    """A recording generator whose choice raises."""
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("the estimate called Generator.choice")
+
+
+@pytest.mark.parametrize("q", [
+    LevyQuadruplet(mu=SignedMeasure(atoms=ATOMS)),
+    LevyQuadruplet(mu=SignedMeasure(atoms=tuple(
+        (y, 1.0) for y in np.linspace(-0.9, 1.7, lamperti._SHORT_TABLE + 1)))),
+    LevyQuadruplet(sigma2=1.0, mu=SignedMeasure(atoms=ATOMS)),
+    _density_below_eps_table(),
+], ids=["segments-short", "segments-long", "steps-short", "steps-long"])
+def test_estimate_never_calls_generator_choice(monkeypatch, q):
+    # both row laws draw their sizes as uniforms, through the short and the
+    # long table's mapping
+    rngs = []
+    generator = lamperti._generator
+
+    def no_choice(seed):
+        rngs.append(_NoChoiceRng(generator(seed)))
+        return rngs[-1]
+
+    monkeypatch.setattr(lamperti, "_generator", no_choice)
+    cfg = SimConfig(n_paths=500, seed=11, t_max=4.0)
+    est = mc_expectation(Exponent(quadruplet=q), lambda r: r, 1.0, 0.5, cfg)
+    assert np.isfinite(est.mean) and est.n_effective > 0
+    assert len(rngs) == 1 and "random" in rngs[0].calls
 
 
 @pytest.mark.parametrize("psi0, calls", [(0.0, []), (0.7, ["exponential"])])
