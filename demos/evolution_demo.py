@@ -3,13 +3,14 @@
 The multiplication semigroup e_t shifts the second fixture parameter,
 e_t h_{eps,beta} = h_{eps,beta+t}, so the composition through H is exactly
 checkable.  Contraction, positivity, and the adjoint duality against the
-conjugate pair are the structural laws.  Both multiplier steps are gated:
-the conjugate pair's output is refused on this grid unless forced.
+conjugate pair are the structural laws.  evolve never applies the unbounded
+H or H^{-1} to data: it splits e_t into a smooth periodic part and a
+sawtooth, so the conjugate pair, whose H grows where this pair's decays,
+evolves on the same grid.
 """
 
 import numpy as np
 
-from spectral_ssmp.errors import DomainError
 from spectral_ssmp.exponents import WienerHopfPair
 from spectral_ssmp.families import make_bernstein
 from spectral_ssmp.semigroup import EvolutionPlan, evolve, mult_semigroup
@@ -40,18 +41,11 @@ print(f"contraction: ||P_1 f|| / ||f|| = {evolve(plan, 1.0, g).norm_e() / g.norm
 pos = evolve(plan, 1.0, h_fixture(spec, 0.5, 1.0))
 print(f"positivity: min interior value = {np.min(pos.values.real[2:-2]):.2e}")
 
-# the conjugate pair's H grows where this pair's decays: on this grid the
-# domain gate refuses its output, so the dual side is forced; the weak form
-# holds for the discrete operators all the same
 conj_plan = EvolutionPlan(WienerHopfPair(pair.phi_minus, pair.phi_plus), spec)
 ga = gaussian_fixture(spec, 1.0)
-try:
-    evolve(conj_plan, 0.5, ga)
-except DomainError as exc:
-    print(f"conjugate pair refused: {exc}")
 lhs = inner_e(evolve(plan, 0.5, g), ga)
-rhs = inner_e(g, evolve(conj_plan, 0.5, ga, force=True))
-print(f"adjoint duality <P_t f, g> vs <f, P_t[conj] g> (forced): rel diff = "
+rhs = inner_e(g, evolve(conj_plan, 0.5, ga))
+print(f"adjoint duality <P_t f, g> vs <f, P_t[conj] g>: rel diff = "
       f"{abs(lhs - rhs) / abs(lhs):.2e}")
 
 e_t = mult_semigroup(0.5, h_fixture(spec, 1.0, 1.0))

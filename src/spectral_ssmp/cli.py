@@ -222,7 +222,7 @@ def _cmd_evolve(args):
     spec = _grid_from_arg(args.grid)
     f = _fixture_from_arg(args.f, spec)
     plan = EvolutionPlan(pair, spec, tol=args.tol_w)
-    out = evolve(plan, args.t, f, force=args.force)
+    out = evolve(plan, args.t, f)
     emit_csv((["x", "re", "im"],
               [spec.x, out.values.real, out.values.imag]), args.out)
     return 0
@@ -325,8 +325,6 @@ def _args_evolve(sp):
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--f", required=True,
                     help="h:eps:beta | gauss:a | csv:path")
-    sp.add_argument("--force", action="store_true",
-                    help="override the discrete domain gate")
     _add_common(sp)
 
 

@@ -1,18 +1,14 @@
 """Semigroup evolution by diagonalization, generators, and tensor products.
 
-The evolution attached to a Wiener-Hopf pair is the sandwich
-
-    P_t f = H ( e_t ( H^{-1} f ) ),    e_t g(x) = e^{-t e^{-x}} g(x),
-
-realized by two multiplier applications around a pointwise multiplication.
-The 1-d evolve is the d = 1 case of the tensor evolution.  H^{-1} and H
-run through one per-axis step: one forward transform, divided or
-multiplied by m, feeds both transform.domain_gate and the inverse
-transform.  The gate reads the product on every axis and in both
-directions, so an input outside the discretized domain of H^{-1}, or an
-output that H amplifies past the grid's resolution (as for a residual
-spectrum on a wide grid, where |m| grows exponentially), raises
-DomainError; only evolve takes force=True to override it.
+The evolution of a Wiener-Hopf pair is P_t = H e_t H^{-1}, e_t the factor
+e^{-t e^{-x}}.  evolve never applies the unbounded H or H^{-1} to data: on
+the window [x_min, x_max) of length L, e_t = q + s with the sawtooth
+s(x) = (x - x_min)/L - 1/2 and a smooth periodic q whose coefficients are
+q_l = Gamma(i zeta_l) t^{-i zeta_l}/L (q_0 is the grid mean of e_t - s).
+As [H, x] = -i (log m)'(D) H, P_t f is the band sum F^{-1}[m (q * (F f/m))]
+plus s f - (i/L) F^{-1}[(log m)' F f].  The band's terms are bounded: q_l
+decays like e^{-pi |zeta_l|/2}, faster than log m grows.  Each axis takes
+one forward and one inverse transform; the gate reads the input's spectrum.
 
 Two generator realizations are provided: the pseudo-differential form
 A f = -e^{-x} F^{-1}[psi(xi) F f], and the integro-differential form built
@@ -22,6 +18,7 @@ the standing cross-checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -36,6 +33,7 @@ from .errors import (
     InterpolationError,
 )
 from .exponents import Exponent, LevyQuadruplet, WienerHopfPair, eval_psi
+from .special import log_gamma
 from .transform import (
     GridFunction,
     GridSpec,
@@ -44,6 +42,7 @@ from .transform import (
     _fft_axis,
     _ifft_axis,
     _lambda_multiplier_line0,
+    _log_w_lines,
     apply_multiplier,
     domain_gate,
     gaussian_fixture,
@@ -51,16 +50,8 @@ from .transform import (
     multiplier_lambda,
 )
 
-__all__ = [
-    "EvolutionPlan",
-    "TensorPlan",
-    "mult_semigroup",
-    "evolve",
-    "evolve_tensor",
-    "generator_pdo",
-    "generator_ido",
-    "ws_residual",
-]
+__all__ = ["EvolutionPlan", "TensorPlan", "mult_semigroup", "evolve",
+           "evolve_tensor", "generator_pdo", "generator_ido", "ws_residual"]
 
 
 # ---------------------------------------------------------------------------
@@ -76,29 +67,88 @@ def mult_semigroup(t: float, f: GridFunction) -> GridFunction:
     return GridFunction(f.spec, factor * f.values)
 
 
+_BAND = 45.0  # |zeta| of q's band: |Gamma(i zeta)| is below 1e-30 beyond
+_SLOPE_STEP = 1e-3  # xi step of the central difference of log m
+_RISE = (3.0, 21.0)  # e_t < 2e-9 at log t - 3, 1 - e_t < 1e-9 at log t + 21
+
+
+@functools.lru_cache(maxsize=64)
+def _split_lines(pair: WienerHopfPair, spec: GridSpec, tol: float):
+    """(log m)'(xi_k), the 4th-order central difference of log m at xi +- h
+    and xi +- 2h taken at xi >= 0, as (log m)'(-xi) = -conj (log m)'(xi);
+    and Gamma(i zeta_l)/L on q's band, 0 at l = 0 (q_0 depends on t)."""
+    pos = spec.dxi * np.arange(spec.n // 2 + 1)
+    lw_p, lw_m = _log_w_lines(pair, spec, tol, 0.5, np.concatenate(
+        [pos + k * _SLOPE_STEP for k in (-2, -1, 1, 2)]))
+    lm = (lw_p - lw_m).reshape(4, -1)
+    d = (8.0 * (lm[2] - lm[1]) - lm[3] + lm[0]) / (12.0 * _SLOPE_STEP)
+    d = d[np.abs(np.arange(spec.n) - spec.n // 2)]
+    slope = np.where(spec.xi >= 0, d, -np.conj(d))
+    nb = int(_BAND / spec.dxi)
+    zeta = spec.dxi * np.arange(-nb, nb + 1)
+    zeta[nb] = 1.0
+    band = np.exp(log_gamma(1j * zeta)) / (spec.x_max - spec.x_min)
+    band[nb] = 0.0
+    for v in (slope, band):
+        v.setflags(write=False)
+    return slope, band
+
+
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """Cached diagonalization data for one pair on one grid."""
+    """Per (pair, grid, tol): the multiplier m, its slope (log m)', and
+    Gamma(i zeta_l)/L on q's band."""
 
     pair: WienerHopfPair
     spec: GridSpec
     tol: float = 1e-10
     m: MultiplierLine = field(init=False)
+    slope: np.ndarray = field(init=False)
+    band: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "m", multiplier_h(self.pair, self.spec,
                                                    tol=self.tol))
+        slope, band = _split_lines(self.pair, self.spec, float(self.tol))
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "band", band)
 
 
-def evolve(plan: EvolutionPlan, t: float, f: GridFunction,
-           force: bool = False) -> GridFunction:
-    """Apply the semigroup at time t through the diagonalization.
-
-    The d = 1 case of evolve_tensor; force=True overrides the domain gate.
-    """
+def evolve(plan: EvolutionPlan, t: float, f: GridFunction) -> GridFunction:
+    """Apply the semigroup at time t: the d = 1 case of evolve_tensor."""
     if f.spec != plan.spec:
         raise DomainError("grid mismatch")
-    return GridFunction(plan.spec, _evolve_axes((plan,), t, f.values, force))
+    return GridFunction(plan.spec,
+                        evolve_tensor(TensorPlan((plan,)), t, f.values))
+
+
+def _split_step(work, plan, axis, t):
+    """P_t along one axis of work: the band sum, without wrap, and the
+    sawtooth's commutator term, then the periodic image of the output's
+    left plateau (e^{-L/2} times its value at x_min) off every node."""
+    spec, width = plan.spec, plan.spec.x_max - plan.spec.x_min
+    if not spec.x_min + _RISE[0] <= np.log(t) <= spec.x_max - _RISE[1]:
+        raise DomainError(f"e_t must rise from 0 to 1 inside the window: "
+                          f"x_min + {_RISE[0]:g} <= log t <= x_max - "
+                          f"{_RISE[1]:g} fails on axis {axis} at t = {t:g}")
+    coef = _fft_axis(work, spec, axis)
+    rec = domain_gate(coef, spec, axis)
+    if rec.verdict == "outside":
+        raise DomainError(
+            f"the input is not resolved on axis {axis}: its spectral tail "
+            f"fraction beyond half Nyquist is {rec.tail_fraction:.2e}")
+    saw = (spec.x - spec.x_min) / width - 0.5
+    nb = plan.band.size // 2
+    q = plan.band * np.exp(-1j * np.log(t) * spec.dxi * np.arange(-nb, nb + 1))
+    with np.errstate(over="ignore"):
+        q[nb] = np.mean(np.exp(-t * np.exp(-spec.x)) - saw)
+    m, slope, saw_k = (_along(v, work.ndim, axis)
+                       for v in (plan.m.values, plan.slope, saw))
+    smooth = np.apply_along_axis(lambda g: np.convolve(g, q)[nb:nb + spec.n],
+                                 axis, coef / m)
+    out = _ifft_axis(m * smooth - (1j / width) * slope * coef, spec, axis)
+    out = out + saw_k * work
+    return out - np.exp(-width / 2) * np.take(out, [0], axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +282,8 @@ class TensorPlan:
         object.__setattr__(self, "matrix_m", m)
 
     @property
-    def dim(self):
-        return len(self.plans)
-
-    @property
     def is_identity(self):
-        return np.array_equal(self.matrix_m, np.eye(self.dim))
+        return np.array_equal(self.matrix_m, np.eye(len(self.plans)))
 
 
 _PAD_CELLS = 8
@@ -275,63 +321,19 @@ def _resample(values, plans, mat):
     return np.where(inside, out, 0.0).reshape(values.shape)
 
 
-def _multiplier_step(work, plan, axis, invert, force):
-    """H^{-1} (invert) or H along one axis of work.
-
-    The product F^e / m or F^e * m is gated before anything is dropped: if
-    the domain gate reads it outside, DomainError is raised unless force is
-    given.  The step then drops the coefficients of F^e at or below the
-    transform's rounding floor, eps * ||F^e||_2 along the axis: they carry
-    no information, and multiplied by |m|^{+-1} (1/|m| reaches 1.8e8 for
-    the Point gamma pair on 512 points, |m| 2.5e5 for the Residual one)
-    their noise would swamp the result.
-    """
-    coef = _fft_axis(work, plan.spec, axis)
-    m = _along(plan.m.values, work.ndim, axis)
-    product = coef / m if invert else coef * m
-    rec = domain_gate(product, plan.spec, axis)
-    if rec.verdict == "outside" and not force:
-        raise DomainError(
-            f"input is outside the discretized domain of "
-            f"{'H^-1' if invert else 'H'} on axis {axis} (tail fraction "
-            f"{rec.tail_fraction:.2e}); evolve takes force=True to override")
-    floor = np.finfo(float).eps * np.sqrt(
-        np.sum(np.abs(coef) ** 2, axis=axis, keepdims=True))
-    return _ifft_axis(np.where(np.abs(coef) > floor, product, 0.0),
-                      plan.spec, axis)
-
-
-def _evolve_axes(plans, t, work, force=False):
-    """P_t on the product grid of the per-axis plans: H^{-1} axis by axis,
-    the joint factor e^{-t sum_k e^{-x_k}}, then H axis by axis, each
-    axis one gated multiplier step."""
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    for k, p in enumerate(plans):
-        work = _multiplier_step(work, p, k, True, force)
-    expo = np.zeros(work.shape)
-    for k, p in enumerate(plans):
-        expo = expo + _along(np.exp(-p.spec.x), work.ndim, k)
-    with np.errstate(over="ignore", under="ignore"):
-        work = work * np.exp(-t * expo)
-    for k, p in enumerate(plans):
-        work = _multiplier_step(work, p, k, False, force)
-    return work
-
-
 def evolve_tensor(plan: TensorPlan, t: float,
                   values: np.ndarray) -> np.ndarray:
-    """d-dimensional evolution: per-axis diagonalization around the joint
-    multiplication factor e^{-t sum_k e^{-y_k}}; M-similarity by resampling.
-
-    The domain gate of evolve runs on every axis, without an override.
-    """
-    values = np.asarray(values, dtype=complex)
+    """d-dimensional evolution: one split step per axis, since H acts per
+    axis and e^{-t sum e^{-x_k}} = prod e^{-t e^{-x_k}}; M by resampling."""
+    values = np.array(values, dtype=complex)
     if values.shape != tuple(p.spec.n for p in plan.plans):
         raise DomainError("value array must match the product grid")
+    if not t >= 0:
+        raise DomainError("t must be nonnegative")
     work = values if plan.is_identity else _resample(values, plan.plans,
                                                      plan.matrix_m)
-    work = _evolve_axes(plan.plans, t, work)
+    for k, p in enumerate(plan.plans if t > 0 else ()):
+        work = _split_step(work, p, k, t)
     if not plan.is_identity:
         work = _resample(work, plan.plans, np.linalg.inv(plan.matrix_m))
     return work

@@ -5,7 +5,6 @@ Run with -s to see one PASS line per criterion with the measured numbers.
 
 import json
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from spectral_ssmp.eigenfunctions import (
     translated_eigenfunction_fft,
     wright_eigenfunction,
 )
-from spectral_ssmp.errors import DomainError
 from spectral_ssmp.exponents import (
     Exponent,
     LevyQuadruplet,
@@ -218,9 +216,7 @@ def test_criterion_07_eigenfunction_cross_validation():
     for y in (-1.0, 0.0, 1.0):
         tau = translated_eigenfunction_fft(PAIR_B, y, report=rep)
         for t in (0.1, 1.0):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                out = evolve(plan, t, tau, force=True)
+            out = evolve(plan, t, tau)
             lam = float(spectrum_values(t, np.array([y]))[0])
             resid = GridFunction(EIGEN_GRID,
                                  out.values - lam * tau.values).norm_e() / nj
@@ -281,25 +277,18 @@ def test_criterion_09_semigroup_laws():
     plan_gc = EvolutionPlan(conj_pair, COARSE)
     fda = h_fixture(COARSE, 1.0, 2.0)
     gda = gaussian_fixture(COARSE, 1.0)
-    # the conjugate pair's H product reads outside the gate (tail fraction
-    # 1.6e-3): the dual side is forced, and must be refused without force
-    try:
-        evolve(plan_gc, 0.5, gda)
-        dual_refused = False
-    except DomainError:
-        dual_refused = True
     lhs2 = inner_e(evolve(plan_g, 0.5, fda), gda)
-    rhs2 = inner_e(fda, evolve(plan_gc, 0.5, gda, force=True))
+    rhs2 = inner_e(fda, evolve(plan_gc, 0.5, gda))
     duality = abs(lhs2 - rhs2) / abs(lhs2)
 
     ok = (semi <= 1e-8 and contraction <= 1.0 + 1e-8
           and positivity >= pos_floor and self_adj <= 1e-8
-          and duality <= 1e-6 and dual_refused)
+          and duality <= 1e-6)
     report(9, ok,
            f"semigroup {semi:.1e} (<=1e-8), contraction {contraction:.10f} "
            f"(<=1+1e-8), positivity min {positivity:.1e} (>= {pos_floor:.1e}),"
            f" self-adjoint {self_adj:.1e} (<=1e-8), duality {duality:.1e} "
-           f"(<=1e-6, dual side forced; refused unforced: {dual_refused})")
+           "(<=1e-6)")
 
 
 def test_criterion_10_monte_carlo_vs_spectral():

@@ -1,7 +1,6 @@
 """Eigenfunction routes: power series, Wright forms, transform inversion."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -275,7 +274,10 @@ def test_fft_route_needs_point_verdict():
 
 
 def test_fft_route_builds_one_multiplier_line():
-    # classify and the inversion share one line, built at the caller's tol
+    # classify and the inversion share one line, built at the caller's tol;
+    # the caches are emptied first, as another test may have built it
+    transform.multiplier_h.cache_clear()
+    transform._multiplier_line.cache_clear()
     spec = GridSpec(-20.0, 40.0, 1024)
     before = transform._multiplier_line.cache_info().misses
     eigenfunction_fft(PAIR_B, spec)
@@ -337,9 +339,7 @@ def test_eigen_relation_under_evolution():
     for y in (-1.0, 0.0, 1.0):
         tau = translated_eigenfunction_fft(PAIR_B, y, report=rep)
         for t in (0.1, 1.0):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                out = evolve(plan, t, tau, force=True)
+            out = evolve(plan, t, tau)
             lam = float(spectrum_values(t, np.array([y]))[0])
             resid = GridFunction(EIGEN_GRID,
                                  out.values - lam * tau.values).norm_e() / nj
@@ -356,9 +356,7 @@ def test_co_eigenfunction_pairing():
     plan = EvolutionPlan(pair, spec)
     f = h_fixture(spec, 1.0, 1.0)
     t = 0.5
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ptf = evolve(plan, t, f, force=True)
+    ptf = evolve(plan, t, f)
     for q in (0.5, 1.0, 2.0):
         # tau_{ln q} J(x) = J(x + ln q), i.e. the translate at y = -ln q
         tau = translated_eigenfunction_fft(conj_pair, float(-np.log(q)), spec,
