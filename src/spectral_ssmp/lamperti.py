@@ -10,28 +10,28 @@ rate psi(0): a path is killed iff its killing time comes before phi(t/x),
 the Levy time of its crossing.  Every jump above jump_eps is drawn from one
 compound-Poisson table of the atoms and the density nodes.
 
-One block loop simulates every model row by row; only the law of a row
-depends on the model.  Without a Gaussian part (drift, atoms and killing:
-finitely many jumps) a row is an inter-jump segment, on which Z is linear,
-so the paths are exact and dt is not used.  With one (sigma2 > 0, or jumps
-below jump_eps replaced by a variance-matched Gaussian) a row is an Euler
-step of dt: exact Gaussian increments, the step's jumps folded into its
-increment, and Z linear on the step as the clock sees it.  Either way a row
-of length h that starts at Z = z and gains c along its slope adds
-h e^z (e^c - 1)/c to the clock, and phi is inverted exactly on the
+One block loop simulates every model row by row, under one row law: a
+row ends at the earlier of its next jump, an Exp(jump_rate) waiting time
+away, and its cap, which is dt for a model with a Gaussian part (sigma2 >
+0, or jumps below jump_eps replaced by a variance-matched Gaussian) and
+t_max for one without (drift, atoms and killing: finitely many jumps).
+Over its length h a row gains the exact Gaussian increment
+std sqrt(h) N + b h, and Z is linear on it as the clock sees it; the row
+adds its jump at its end unless it reached its cap.  So every jump comes
+at its exact time, and a Gaussian-free model is exact and does not use
+dt.  A row of length h that starts at Z = z and gains c along its slope
+adds h e^z (e^c - 1)/c to the clock, and phi is inverted exactly on the
 crossing row.
 
 Randomness comes from one SFC64 generator per estimate, keyed by a
 SeedSequence of (seed, 0).  It draws first the killing times of all paths,
-then, block after block, B rows per live path:
-
-- segments: B waiting times, then B uniforms for the sizes (nothing
-  without jumps), with B = 1 in the first block, doubling each block up to
-  a fixed budget of draws per block;
-- steps: B set by the live-path count and the same budget; a block draws
-  its Gaussian parts, then one total jump count for all its path-steps,
-  then the path-step of each jump and the uniform of its size, so its
-  jumps cost one add per path-step plus two draws per jump.
+then, block after block, B rows per live path: B waiting times (with
+jumps), B normals (with a Gaussian part) and B uniforms for the jump sizes
+(with jumps).  Without jumps every row has the cap's length and B is the
+rows left to the horizon, capped by a fixed budget of draws per block;
+with jumps B = 1 in the first block, doubling each block up to that
+budget, since a block of one row per path costs a block's overhead per
+jump.
 
 The numbers a path receives therefore depend on which other paths are
 still live, and changing n_paths changes every path; identical
@@ -56,7 +56,7 @@ __all__ = ["SimConfig", "MCEstimate", "mc_expectation"]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo settings.  dt, the Euler step of the Levy clock, serves
+    """Monte Carlo settings.  dt, the longest row of the Levy clock, serves
     only models with a Gaussian part; Gaussian-free models are exact."""
 
     dt: float = 1e-3
@@ -105,7 +105,7 @@ class MCEstimate:
 
 @dataclass(frozen=True, eq=False)
 class _JumpModel:
-    """Per-row ingredients derived from a quadruplet, dt and jump_eps.
+    """Per-row ingredients derived from a quadruplet and jump_eps.
 
     Every jump of size >= jump_eps (atoms, density nodes, the density heads
     above jump_eps and the remainder masses) is one entry of a single
@@ -115,9 +115,8 @@ class _JumpModel:
     knot is 1 (empty without jumps); `_jump_sizes` draws through it.
     """
 
-    dt: float
     drift: float          # b plus compensator adjustments, per unit time
-    gauss_std_rate: float  # std of the Gaussian part per sqrt(dt)
+    gauss_std_rate: float  # std of the Gaussian part per sqrt(unit time)
     jump_sizes: np.ndarray
     jump_probs: np.ndarray
     jump_cdf: np.ndarray
@@ -149,7 +148,6 @@ def _build_jump_model(q: LevyQuadruplet, cfg: SimConfig) -> _JumpModel:
     if cdf.size:
         cdf /= cdf[-1]
     return _JumpModel(
-        dt=cfg.dt,
         drift=drift,
         gauss_std_rate=float(np.sqrt(var_rate)),
         jump_sizes=sizes,
@@ -169,12 +167,12 @@ def _generator(seed):
 # Tables of at most this many entries map a uniform to its entry by one
 # comparison per CDF knot, longer ones by np.searchsorted.  A knot's pass
 # costs about 2.5 us per call and under 1 ns per draw, searchsorted about
-# 2 us and 10-40 ns per draw.  Over the thousands of draws of a block of
-# segments, comparisons win beyond 24 entries (at 20000 draws: 31 against
-# 205 us at 2 entries, 68 against 417 us at 8); over the hundred-odd jumps
-# of a block of steps searchsorted wins from 2 entries on, but up to 8
-# entries comparisons still cost less than Generator.choice (20 against
-# 23 us at 64 draws).  One 2-core x86-64 machine, NumPy 2.4.
+# 2 us and 10-40 ns per draw.  A block draws one uniform per row: over the
+# thousands of a wide block comparisons win up to about 24 entries (at
+# 20000 draws: 31 against 205 us at 2 entries, 68 against 417 us at 8);
+# over the few dozen of a narrow block searchsorted wins from 2 entries on,
+# but up to 8 entries comparisons still cost less than Generator.choice
+# (20 against 23 us at 64 draws).  One 2-core x86-64 machine, NumPy 2.4.
 _SHORT_TABLE = 8
 
 
@@ -198,75 +196,44 @@ def _jump_sizes(model: _JumpModel, u):
     model.jump_sizes.take(idx, out=u, mode="clip")
 
 
-def _increments(model: _JumpModel, rng, out):
-    """Fill `out` with increments of Z over steps of length model.dt.
-
-    Draw order: Gaussian part, then one total jump count for all of `out`,
-    its cells (uniform over the row-major cells of `out`) and the uniforms
-    of its sizes.
-    Given their total, independent Poisson(jump_rate dt) counts per cell
-    are multinomial with equal cell probabilities, so the per-cell counts
-    have the per-step Poisson law; the work is one add per cell and one
-    draw per jump.  `out` must be C-contiguous.
-    """
-    dt = model.dt
-    if model.gauss_std_rate > 0:
-        rng.standard_normal(out=out)
-        out *= model.gauss_std_rate * np.sqrt(dt)
-        if model.drift:     # adding 0.0 would change only a -0.0, and no
-            out += model.drift * dt     # later sum or ratio tells it from 0.0
-    else:
-        out.fill(model.drift * dt)
-    if model.jump_rate > 0:
-        total = rng.poisson(model.jump_rate * dt * out.size)
-        if total:
-            cells = rng.integers(0, out.size, total)
-            sizes = rng.random(total)
-            _jump_sizes(model, sizes)
-            # each hit cell gains the sum of its sizes, in draw order; a
-            # bincount over all cells would allocate a block-sized array
-            hit, which = np.unique(cells, return_inverse=True)
-            out.flat[hit] += np.bincount(which, weights=sizes)
-
-
 # ---------------------------------------------------------------------------
-# the clock A and its inverse on one step or segment
+# the clock A and its inverse on one row
 # ---------------------------------------------------------------------------
 
 # the ratio (e^d - 1)/d is 1 + d/2 + O(d^2): below this |d| it is taken as
 # 1 + d/2, which also covers d = 0
-_TINY_STEP = 1e-12
+_TINY_INCREMENT = 1e-12
 
 
 def _ratios(d):
     """(e^d - 1)/d of each increment in the 1-D array `d`, a new array."""
     r = np.expm1(d) / d
-    small = np.abs(d) <= _TINY_STEP
+    small = np.abs(d) <= _TINY_INCREMENT
     r[small] = 1.0 + 0.5 * d[small]
     return r
 
 
 def _clock_ratios(d, out, work):
     """Write into `out` the clock ratio (e^d - 1)/d of each increment in
-    `d`: a step or segment of length h that starts at Z = z and gains d
-    adds h e^z times its ratio to the clock.
+    `d`: a row of length h that starts at Z = z and gains d adds h e^z
+    times its ratio to the clock.
 
     `d`, `out` and the scratch array `work` are C-contiguous arrays of one
     shape, and no other array of that size is allocated unless some
-    |d| <= _TINY_STEP.  Call it under np.errstate(all="ignore"): d = 0
+    |d| <= _TINY_INCREMENT.  Call it under np.errstate(all="ignore"): d = 0
     divides 0 by 0 before its ratio is repaired.
     """
     np.expm1(d, out=out)
     out /= d
-    if np.abs(d, out=work).min() <= _TINY_STEP:
-        small = np.flatnonzero(work <= _TINY_STEP)
+    if np.abs(d, out=work).min() <= _TINY_INCREMENT:
+        small = np.flatnonzero(work <= _TINY_INCREMENT)
         out.flat[small] = _ratios(d.flat[small])
 
 
-def _invert_segment(z0, c, remainder):
-    """Time after a segment's start, where Z = z0 and Z has slope c, at
-    which the running clock gains `remainder`; exact for linear Z.  The
-    slope c is one scalar for all segments, or an array of z0's shape."""
+def _invert_row(z0, c, remainder):
+    """Time after a row's start, where Z = z0 and Z has slope c, at which
+    the running clock gains `remainder`; exact for linear Z.  The slope c
+    is one scalar for all rows, or an array of z0's shape."""
     if not isinstance(c, np.ndarray):
         if abs(c) < 1e-12:
             return remainder * np.exp(-z0)
@@ -283,13 +250,13 @@ def _invert_segment(z0, c, remainder):
 # batch estimation
 # ---------------------------------------------------------------------------
 
-# path-steps drawn per block; keeps a block's arrays at about 0.5 MiB
+# path-rows drawn per block; keeps a block's arrays at about 0.5 MiB
 _BLOCK_BUDGET = 1 << 16
 
 # Blocks at least this many paths wide take their prefix sums row by row.
 # np.cumsum along axis 0 walks the strided axis one column at a time, at
 # 3.5-4.5 ns per element whatever the width; one np.add per row costs about
-# 0.5 us plus 0.4 ns per element.  With _BLOCK_BUDGET path-steps per block
+# 0.5 us plus 0.4 ns per element.  With _BLOCK_BUDGET path-rows per block
 # the row loop measured 3.8-4.4 ns per element at 128 paths, 2.6-3.1 at 192,
 # 2.1-2.3 at 256 and 1.1 at 1000 (one 2-core x86-64 machine, NumPy 2.4).
 _ROW_SUM_MIN_WIDTH = 192
@@ -312,41 +279,46 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
               cfg: SimConfig):
     """Vectorized over the live paths and over blocks of B rows each.
 
-    The row laws: a model with a Gaussian part takes dt steps from
-    `_increments`, their jumps folded into the increments, row k ending at
-    (step + k) dt, and B = min(steps left, budget // m) for m live paths;
-    a Gaussian-free model takes inter-jump segments, each an
-    Exp(jump_rate) waiting time capped at t_max (t_max without jumps) of
-    slope b = model.drift with its jump at its end, and B = 1 in the first
-    block, doubling up to budget // m, since a block of one segment per
-    path costs a block's overhead per jump.  Prefix sums give the time, Z
-    and the clock A of every live path after k rows.
+    The row law: a row ends at the earlier of its next jump, an
+    Exp(jump_rate) waiting time away, and its cap (dt with a Gaussian part,
+    t_max without), gains std sqrt(h) N + b h over its length h, with
+    b = model.drift, and adds its jump at its end unless it reached its
+    cap.  Without jumps every row has the cap's length, row k of a block
+    ends at (row + k) cap on every path, and B = min(rows left, budget // m)
+    for m live paths; with jumps B = 1 in the first block, doubling up to
+    budget // m.  Prefix sums give the time, Z and the clock A of every
+    live path after k rows.  On the crossing row Z has the slope b without
+    a Gaussian part, and (Z_{k+1} - J_k - Z_k) / h_k with one, where J_k is
+    the row's end jump.
 
-    One rule resolves every path, against the horizon max_steps dt for
-    steps and t_max for segments.  A path that crossed the target t/x wins
-    iff its killing time does not come before its crossing and the
-    crossing is within the horizon, and is absorbed iff its killing time
-    comes first and is within the horizon; a path that has not crossed is
-    absorbed iff its killing time is at most the end of its rows and the
-    horizon.  A path is done once it is absorbed, has crossed, or its rows
-    reach the horizon; a done path that neither won nor was absorbed is
-    unresolved.  So a tie of the killing and crossing times lets the path
-    win, and a crossing time that is not a number leaves it unresolved.
-    Draws past a path's resolution are discarded, and the live set is
-    compacted once per block.  f is applied once, after the loop, to X at
-    the crossings of the paths that won.
+    One rule resolves every path, against the horizon: t_max rounded up to
+    whole caps.  A path that crossed the target t/x wins iff its killing
+    time does not come before its crossing and the crossing is within the
+    horizon, and is absorbed iff its killing time comes first and is
+    within the horizon; a path that has not crossed is absorbed iff its
+    killing time is at most the end of its rows and the horizon.  A path
+    is done once it is absorbed, has crossed, or its rows reach the
+    horizon; a done path that neither won nor was absorbed is unresolved.
+    So a tie of the killing and crossing times lets the path win, and a
+    crossing time that is not a number leaves it unresolved.  Draws past a
+    path's resolution are discarded, and the live set is compacted once
+    per block.  f is applied once, after the loop, to X at the crossings
+    of the paths that won.
 
-    Z, A, the segments' times and the clock's scratch (which also takes
-    the segments' jump sizes) live in buffers allocated once: an array of a block's size, allocated and freed per
-    block, is mapped and page-faulted afresh whenever it lies above the
-    allocator's mmap threshold (glibc: 128 KiB until a larger block is
-    freed), so the estimate's speed would depend on what the process freed
-    before it (by 15-40% on the benchmark's mc-oracle cases).
+    Z, A, the rows' times, the clock's scratch (which also takes the jump
+    sizes of a Gaussian-free model) and the end jumps of a model with both
+    parts live in buffers allocated once: an array of a block's size,
+    allocated and freed per block, is mapped and page-faulted afresh
+    whenever it lies above the allocator's mmap threshold (glibc: 128 KiB
+    until a larger block is freed), so the estimate's speed would depend
+    on what the process freed before it (by 15-40% on the benchmark's
+    mc-oracle cases).
     """
-    n, dt, t_max, target = cfg.n_paths, cfg.dt, cfg.t_max, t / x
-    stepped, b = model.gauss_std_rate > 0, model.drift
-    max_steps = int(np.ceil(t_max / dt))
-    horizon = max_steps * dt if stepped else t_max
+    n, t_max, target = cfg.n_paths, cfg.t_max, t / x
+    b, std, jumps = model.drift, model.gauss_std_rate, model.jump_rate > 0
+    cap = cfg.dt if std > 0 else t_max
+    max_rows = int(np.ceil(t_max / cap))    # rows of the cap's length
+    horizon = max_rows * cap
     rng = _generator(cfg.seed)
     kt = (rng.exponential(1.0 / model.kill_rate, n) if model.kill_rate > 0
           else np.full(n, np.inf))
@@ -356,48 +328,63 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
     idx = np.arange(n)          # original indices of the live paths
     s, z, acc = np.zeros(n), np.zeros(n), np.zeros(n)
     # (rows + 1) m <= max(budget, m) + m in every block
-    tbuf, zbuf, abuf, work = (np.empty(max(_BLOCK_BUDGET, n) + n)
-                              for _ in range(4))
-    step, rows = 0, 1
+    size = max(_BLOCK_BUDGET, n) + n
+    tbuf, zbuf, abuf, work = (np.empty(size) for _ in range(4))
+    # a Gaussian row's crossing slope needs its end jump after the sums
+    jbuf = np.empty(size) if jumps and std > 0 else work
+    row, rows = 0, 1
     # a zero increment divides 0 by 0 before its ratio is repaired, and e^Z
     # may overflow on paths far above the target
     with np.errstate(all="ignore"):
         while idx.size:
             m = idx.size
-            # steps: the steps left; segments: twice the last block's rows
-            rows = min(max_steps - step if stepped else rows,
+            # with jumps twice the last block's rows, else the rows left
+            rows = min(rows if jumps else max_rows - row,
                        max(1, _BLOCK_BUDGET // m))
             ts, zs, accs = (buf[:(rows + 1) * m].reshape(rows + 1, m)
                             for buf in (tbuf, zbuf, abuf))
             ez = work[:rows * m].reshape(rows, m)
             zs[0], accs[0] = z, acc
-            # rows 1.. of zs get the continuous increments c, whose clock
-            # ratios are taken before the segments' jumps and the prefix sums
-            if stepped:
-                _increments(model, rng, zs[1:])
-                # one row of times, shared by the live paths
-                h, ts = dt, (step + np.arange(rows + 1)) * dt
-            else:
+            if jumps:
+                # the rows' lengths, read before the times' prefix sums
                 ts[0], h = s, ts[1:]
-                if model.jump_rate > 0:
-                    rng.standard_exponential(out=h)
-                    h *= 1.0 / model.jump_rate
-                    np.minimum(h, t_max, out=h)
+                rng.standard_exponential(out=h)
+                h *= 1.0 / model.jump_rate
+                capped = h.max() >= cap
+                if capped:
+                    np.minimum(h, cap, out=h)
+            else:
+                # one row of times, shared by the live paths
+                h, ts = cap, (row + np.arange(rows + 1)) * cap
+            # rows 1.. of zs get the continuous increments c, whose clock
+            # ratios are taken before the jumps and the prefix sums
+            c = zs[1:]
+            if std > 0:
+                rng.standard_normal(out=c)
+                if jumps:
+                    np.sqrt(h, out=ez)
+                    ez *= std
+                    c *= ez
                 else:
-                    h.fill(t_max)
-                np.multiply(h, b, out=zs[1:])
-            _clock_ratios(zs[1:], accs[1:], ez)
-            if not stepped and model.jump_rate > 0:
-                # the next draws after the waiting times: each segment's jump
-                rng.random(out=ez)
-                _jump_sizes(model, ez)
-                zs[1:] += ez
+                    c *= std * np.sqrt(h)
+                if b:       # adding 0.0 would change at most a -0.0
+                    c += np.multiply(h, b, out=ez) if jumps else b * h
+            else:
+                np.multiply(h, b, out=c)
+            _clock_ratios(c, accs[1:], ez)
+            if jumps:
+                jz = jbuf[:rows * m].reshape(rows, m)
+                rng.random(out=jz)
+                _jump_sizes(model, jz)
+                if capped:  # a row that reached its cap ends before its jump
+                    np.copyto(jz, 0.0, where=h >= cap)
+                c += jz
             _prefix_sums(zs)
             np.exp(zs[:-1], out=ez)
             ez *= h
             accs[1:] *= ez
             _prefix_sums(accs)
-            if not stepped:
+            if jumps:
                 _prefix_sums(ts)
             # A is nondecreasing: a path crossed in this block iff its last
             # row is not below the target (a NaN clock counts), on the row
@@ -407,12 +394,17 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
             k = (accs[1:].take(r, axis=1) < target).sum(axis=0)
             at = k * m + r
             z0 = zs.take(at)
-            if stepped:     # the crossing step's slope is its increment / dt
-                dz = zs.take(at + m) - z0
-                t0, slope = ts[k], dz / dt
+            t0 = ts.take(at) if jumps else ts[k]
+            if std > 0:
+                # the crossing row's continuous increment over its length
+                dz, hk = zs.take(at + m) - z0, h
+                if jumps:
+                    dz -= jz.take(at)
+                    hk = ts.take(at + m) - t0
+                slope = dz / hk
             else:
-                t0, slope = ts.take(at), b
-            delta = _invert_segment(z0, slope, target - accs.take(at))
+                slope = b
+            delta = _invert_row(z0, slope, target - accs.take(at))
             crossing = t0 + delta
             end = ts[-1]
             killed = kt <= np.minimum(end, horizon)
@@ -422,15 +414,15 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
             done[r] = True
             won = ~killed_first & (crossing <= horizon)
             winners = idx[r[won]]
-            zc[winners] = z0[won] + (dz[won] * (delta[won] / dt) if stepped
-                                     else b * delta[won])
+            zc[winners] = (z0 + (dz * (delta / hk) if std > 0
+                                 else b * delta))[won]
             resolved[winners] = True
             gone = idx[killed]
             resolved[gone] = absorbed[gone] = True
             live = (~done).nonzero()[0]
             idx, kt, z, acc = (a[live] for a in (idx, kt, zs[-1], accs[-1]))
-            s = end if stepped else end[live]
-            step += rows
+            s = end[live] if jumps else end
+            row += rows
             rows *= 2
     # f sees the winners once, outside the loop's error state
     values = np.zeros(n)
@@ -446,16 +438,16 @@ def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
     x must be positive and t nonnegative, both finite.  f acts on the
     positive-scale variable X directly (compose with log outside if the
     observable lives on the log scale).  A path is absorbed iff its killing
-    time comes before phi(t/x), the Levy time of its crossing.  A model
-    without a Gaussian part (drift, atoms, killing) is simulated exactly,
-    segment by segment between its jumps, and cfg.dt is not used.  A model
-    with one is stepped by cfg.dt, and its crossing is solved on the
-    crossing step under the clock's linear interpolation of Z.  Paths that
-    never reach the clock target before t_max are excluded from the mean
-    and counted in unresolved_fraction (of n_paths; n_effective counts the
-    rest).  Excluding them biases the mean
-    by at most unresolved_fraction * sup|f| for f of one sign, twice that
-    otherwise.  The paths also leave out the jumps beyond a tabulated
+    time comes before phi(t/x), the Levy time of its crossing.  Every jump
+    comes at its exact time.  A model without a Gaussian part (drift,
+    atoms, killing) is simulated exactly, row by row between its jumps,
+    and cfg.dt is not used.  A model with one also ends a row after
+    cfg.dt, and its crossing is solved on the crossing row under the
+    clock's linear interpolation of Z.  Paths that never reach the clock
+    target before t_max are excluded from the mean and counted in
+    unresolved_fraction (of n_paths; n_effective counts the rest).
+    Excluding them biases the mean by at most unresolved_fraction * sup|f|
+    for f of one sign, twice that otherwise.  The paths also leave out the jumps beyond a tabulated
     density's last node, at rate `rem` per unit of Levy time on each side
     (1.8e-10 for `stable_density_table(0.5)`); a path takes one before
     t_max with probability at most rem * t_max, which bounds the bias they

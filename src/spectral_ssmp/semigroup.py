@@ -60,7 +60,7 @@ __all__ = ["EvolutionPlan", "TensorPlan", "mult_semigroup", "evolve",
 
 def mult_semigroup(t: float, f: GridFunction) -> GridFunction:
     """Pointwise multiplication by e^{-t e^{-x}} (the diagonal model)."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
     with np.errstate(over="ignore", under="ignore"):
         factor = np.exp(-t * np.exp(-f.spec.x))

@@ -122,7 +122,7 @@ def table_rule(phi_plus: BernsteinFunction,
 
 def spectrum_values(t: float, y_grid) -> np.ndarray:
     """The spectral ray parametrization e^{-t e^{-y}} used by eigen-tests."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
     return np.exp(-t * np.exp(-np.asarray(y_grid, dtype=float)))
 

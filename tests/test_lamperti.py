@@ -51,48 +51,94 @@ def test_seed_must_lie_in_the_uint64_range():
         assert est.mean == pytest.approx(3.0, abs=1e-12)
 
 
-def _terminal_values(q, T, dt, n_paths, seed):
-    """Z_T of n_paths paths from lamperti._increments, drawn on blocks of
-    the estimator's shape (budget // n_paths steps by n_paths paths)."""
-    model = lamperti._build_jump_model(q, SimConfig(dt=dt))
+def _cap(model, cfg):
+    """A row's cap: dt with a Gaussian part, t_max without."""
+    return cfg.dt if model.gauss_std_rate > 0 else cfg.t_max
+
+
+def _reference_rows(model, rng, cap, shape):
+    """Rows of the row law drawn plainly, in the estimate's draw order:
+    lengths (with jumps), continuous increments and end jumps, the sizes
+    from Generator.choice.  A row ends at its next jump or at its cap, and
+    a row that reached its cap has no jump."""
+    b, std, rate = model.drift, model.gauss_std_rate, model.jump_rate
+    h = (np.minimum(rng.standard_exponential(shape) * (1.0 / rate), cap)
+         if rate > 0 else np.full(shape, cap))
+    if std > 0:
+        c = rng.standard_normal(shape) * (std * np.sqrt(h))
+        if b:
+            c = c + b * h
+    else:
+        c = h * b
+    jumps = np.zeros(shape)
+    if rate > 0:
+        jumps = rng.choice(model.jump_sizes, shape, p=model.jump_probs)
+        jumps[h >= cap] = 0.0
+    return h, c, jumps
+
+
+def _stopped_values(q, T, n_paths, seed, dt=1e-3):
+    """tau, the end of each path's first row at or past T, and Z_tau, for
+    n_paths paths of `_reference_rows`.  tau is a stopping time, so Wald's
+    identities give E Z_tau = m E tau and E (Z_tau - m tau)^2 = v E tau for
+    the Levy process's mean m and variance v per unit time."""
+    cfg = SimConfig(dt=dt)
+    model = lamperti._build_jump_model(q, cfg)
     rng = lamperti._generator(seed)
-    steps = int(round(T / dt))
-    block = np.empty((max(1, lamperti._BLOCK_BUDGET // n_paths), n_paths))
-    finals = np.zeros(n_paths)
-    for start in range(0, steps, block.shape[0]):
-        rows = block[:steps - start]
-        lamperti._increments(model, rng, rows)
-        finals += rows.sum(axis=0)
-    return finals
+    s, z = np.zeros(n_paths), np.zeros(n_paths)
+    tau, z_tau = np.full(n_paths, np.nan), np.full(n_paths, np.nan)
+    cols = np.arange(n_paths)
+    while np.isnan(tau).any():
+        h, c, jumps = _reference_rows(model, rng, _cap(model, cfg),
+                                      (100, n_paths))
+        ts = s + np.cumsum(h, axis=0)
+        zs = z + np.cumsum(c + jumps, axis=0)
+        past = ts >= T
+        first = past.argmax(axis=0)
+        new = np.isnan(tau) & past.any(axis=0)
+        tau[new], z_tau[new] = ts[first, cols][new], zs[first, cols][new]
+        s, z = ts[-1], zs[-1]
+    return tau, z_tau
 
 
 def test_brownian_terminal_variance():
-    # psi(xi) = xi^2 means Var Z_T = 2 T
-    T = 1.0
-    finals = _terminal_values(Q_BM, T, 1e-3, 10_000, seed=11)
-    var = finals.var(ddof=1)
-    stderr = 2.0 * T * np.sqrt(2.0 / finals.size)
-    assert abs(var - 2.0 * T) <= 3.0 * stderr
-    assert abs(finals.mean()) <= 3.0 * np.sqrt(2.0 * T / finals.size)
+    # psi(xi) = xi^2 means Var Z_T = 2 T, so E Z_tau^2 = 2 E tau
+    tau, z = _stopped_values(Q_BM, 1.0, 10_000, seed=11)
+    assert np.all((tau >= 1.0) & (tau <= 1.0 + 2e-3))
+    sq = z ** 2 - 2.0 * tau
+    assert abs(sq.mean()) <= 3.0 * sq.std(ddof=1) / np.sqrt(z.size)
+    assert abs(z.mean()) <= 3.0 * np.sqrt(2.0 * tau.mean() / z.size)
 
 
-def test_drift_path_deterministic():
-    # row s of a drift-only block holds Z = b s dt after its prefix sums
-    model = lamperti._build_jump_model(Q_DRIFT, SimConfig(dt=1e-3))
-    zs = np.zeros((1001, 256))
-    lamperti._increments(model, lamperti._generator(0), zs[1:])
-    lamperti._prefix_sums(zs)
-    times = 1e-3 * np.arange(1001)
-    assert np.max(np.abs(zs - 2.0 * times[:, None])) <= 1e-12
+def test_drift_path_deterministic(monkeypatch):
+    # a drift-only model takes one row per path, to t_max: Z = b t_max at
+    # its end, and the clock e^{b t_max} - 1 over b
+    sums = []
+    prefix_sums = lamperti._prefix_sums
+
+    def recording(a):
+        prefix_sums(a)
+        sums.append(a.copy())
+
+    monkeypatch.setattr(lamperti, "_prefix_sums", recording)
+    cfg = SimConfig(n_paths=256, seed=0)
+    lamperti._estimate(lamperti._build_jump_model(Q_DRIFT, cfg), lambda r: r,
+                       1.0, 0.5, cfg)
+    zs, accs = sums
+    assert np.array_equal(zs, np.outer([0.0, 2.0 * cfg.t_max], np.ones(256)))
+    assert_allclose(accs[1], np.expm1(2.0 * cfg.t_max) / 2.0, rtol=1e-14)
 
 
 def test_compound_poisson_jump_count():
     lam = 3.0
     q = LevyQuadruplet(mu=SignedMeasure(atoms=((1.0, lam),)))
     T = 1.0
-    # Z_T = N_T - lam T (unit jumps at |y| <= 1 are compensated), so the
-    # Poisson count is Z_T + lam T
-    counts = _terminal_values(q, T, 1e-3, 10_000, seed=5) + lam * T
+    # Z = N - lam s (unit jumps at |y| <= 1 are compensated), and a
+    # Gaussian-free row ends at a jump: tau is the first jump after T, so
+    # N_tau - 1 = N_T is the Poisson count
+    tau, z = _stopped_values(q, T, 10_000, seed=5)
+    counts = z + lam * tau - 1.0
+    assert_allclose(counts, np.rint(counts), atol=1e-9)
     stderr = np.sqrt(lam * T / counts.size)
     assert abs(counts.mean() - lam * T) <= 3.0 * stderr
     assert abs(counts.var(ddof=1) - lam * T) <= 5.0 * stderr
@@ -139,13 +185,14 @@ def test_density_jumps_below_table_keep_their_moments():
              (4.0 ** 0.1 - 1.0) / 0.1 + 4.0 ** 0.1 / 3.0,
              4.0 ** 1.1 / 1.1 + 4.0 ** 1.1 / 2.0),
             (atoms, 1.5, 2.41 + 5e-7)):
-        finals = _terminal_values(q, 1.0, 1e-3, 4000, seed=4)
-        mean = finals.mean()
-        var = finals.var(ddof=1)
-        mean_se = finals.std(ddof=1) / np.sqrt(finals.size)
-        var_se = ((finals - mean) ** 2).std(ddof=1) / np.sqrt(finals.size)
-        assert abs(mean - mean_rate) <= 4.0 * mean_se
-        assert abs(var - var_rate) <= 4.0 * var_se
+        # at the stopping time tau, the first row end at or past 1
+        tau, z = _stopped_values(q, 1.0, 4000, seed=4)
+        centred = z - mean_rate * tau
+        sq = centred ** 2 - var_rate * tau
+        mean_se = centred.std(ddof=1) / np.sqrt(z.size)
+        var_se = sq.std(ddof=1) / np.sqrt(z.size)
+        assert abs(centred.mean()) <= 4.0 * mean_se
+        assert abs(sq.mean()) <= 4.0 * var_se
 
 
 def test_mc_t0_exact():
@@ -220,7 +267,7 @@ def test_mc_unresolved_fraction_reported():
 def test_mc_killing_across_blocks(monkeypatch):
     # drift b with killing at rate q: Z_s = b s reaches the clock target
     # t/x at s* = log(1 + b t / x) / b, and a path is absorbed iff its
-    # killing time falls before s*, which the crossing step solves exactly
+    # killing time falls before s*, which the crossing row solves exactly
     kill, b, x, t = 1.0, 1.0, 1.0, 1.0
     cfg = SimConfig(dt=1e-3, n_paths=20_000, seed=31)
     e = Exponent(quadruplet=LevyQuadruplet(psi0=kill, b=b))
@@ -230,16 +277,16 @@ def test_mc_killing_across_blocks(monkeypatch):
     stderr = np.sqrt(p * (1.0 - p) / cfg.n_paths)
     assert abs(est.absorbed_fraction - p) <= 4.0 * stderr + kill * cfg.dt
     # the only randomness is the killing times, drawn before any block, so
-    # stepping one step per block must give the same estimate bit for bit
+    # one row per block must give the same estimate bit for bit
     monkeypatch.setattr(lamperti, "_BLOCK_BUDGET", 1)
     assert mc_expectation(e, lambda r: r, x, t, cfg) == est
 
 
 def test_mc_killing_is_resolved_on_the_crossing_step():
-    # the crossing s* = log(1.03) = 0.0296 lies in the third step of
-    # dt = 1e-2; a path survives iff its killing time exceeds s*, so
+    # the crossing s* = log(1.03) = 0.0296 lies in the third dt = 1e-2 of
+    # Levy time; a path survives iff its killing time exceeds s*, so
     # E f(X_t) = P(survival) = exp(-psi0 s*) for f = 1; letting every
-    # crossing on the killing step win would read 0.36 here
+    # crossing within the killing dt win would read 0.36 here
     psi0, b, x, t = 50.0, 1.0, 1.0, 0.03
     e = Exponent(quadruplet=LevyQuadruplet(psi0=psi0, b=b))
     est = mc_expectation(e, np.ones_like, x, t,
@@ -268,30 +315,31 @@ def test_mc_builds_one_generator(monkeypatch):
 def test_block_steps_allocate_no_block_sized_array():
     # an array the size of a block, allocated and freed per block, is mapped
     # and page-faulted afresh whenever it lies above the allocator's mmap
-    # threshold: the increments and the clock work in the block's buffers,
-    # with and without jumps
+    # threshold: the rows and the clock work in buffers allocated once per
+    # estimate, with and without jumps; the one block-sized temporary is
+    # the index array that `_jump_sizes` hands to take, 8 bytes per row
     import tracemalloc
     atoms = SignedMeasure(atoms=((1.0, 2.0),))
-    for q in (LevyQuadruplet(sigma2=1.0, mu=atoms), Q_BM):
-        model = lamperti._build_jump_model(q, SimConfig(dt=1e-3))
-        zs = np.zeros((65, 4096))
-        acc, work = np.empty((64, 4096)), np.empty((64, 4096))
-        # the first call's lazy set-up (about 1 MB) is not a block's work
-        lamperti._increments(model, lamperti._generator(2), zs[1:])
-        assert zs.shape[1] >= lamperti._ROW_SUM_MIN_WIDTH  # row-wise sums
+    n = 1024
+    cfg = SimConfig(n_paths=n, seed=3, t_max=0.1)
+    block = lamperti._BLOCK_BUDGET * 8
+    assert n >= lamperti._ROW_SUM_MIN_WIDTH  # row-wise sums
+    for q, buffers, index in ((LevyQuadruplet(sigma2=1.0, mu=atoms), 5, block),
+                              (Q_BM, 4, 0)):
+        model = lamperti._build_jump_model(q, cfg)
+        # the first call's lazy set-up is not a block's work
+        lamperti._estimate(model, np.ones_like, 1.0, 5.0, cfg)
         tracemalloc.start()
         try:
-            lamperti._increments(model, lamperti._generator(3), zs[1:])
-            lamperti._clock_ratios(zs[1:], acc, work)
-            lamperti._prefix_sums(zs)
+            _, resolved, _ = lamperti._estimate(model, np.ones_like, 1.0,
+                                                5.0, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < acc.nbytes / 4
-        # the same draws again: the raw increments
-        d = np.empty_like(acc)
-        lamperti._increments(model, lamperti._generator(3), d)
-        assert_allclose(acc, np.expm1(d) / d, rtol=1e-12)
+        # no path reaches the target by t_max: every block is n paths wide
+        assert not resolved.any()
+        once = buffers * (lamperti._BLOCK_BUDGET + n) * 8
+        assert peak < once + index + block / 2
 
 
 def _reference_ratios(d):
@@ -303,8 +351,8 @@ def _reference_ratios(d):
 def test_gaussian_block_ratio_repairs_tiny_increments():
     model = lamperti._build_jump_model(LevyQuadruplet(sigma2=1.0),
                                        SimConfig(dt=1e-3))
-    d = np.empty((50, 300))
-    lamperti._increments(model, lamperti._generator(4), d)
+    d = lamperti._generator(4).standard_normal((50, 300))
+    d *= model.gauss_std_rate * np.sqrt(1e-3)
     tiny = [0.0, 1e-12, -1e-12, 3e-13, -7e-16, 1.1e-12]
     d.flat[[5, 700, 701, 4000, 9000, 14999]] = tiny
     got = np.empty_like(d)
@@ -313,66 +361,6 @@ def test_gaussian_block_ratio_repairs_tiny_increments():
         lamperti._clock_ratios(d, got, np.empty_like(d))
     assert got.tobytes() == _reference_ratios(d).tobytes()
     assert got.flat[5] == 1.0
-
-
-def test_increments_jump_counts_are_poisson_per_step():
-    # unit jumps at rate 500 over dt = 1e-3: each step's count is
-    # Poisson(0.5), and the compensator shifts every increment by -0.5
-    q = LevyQuadruplet(mu=SignedMeasure(atoms=((1.0, 500.0),)))
-    model = lamperti._build_jump_model(q, SimConfig(dt=1e-3))
-    assert model.gauss_std_rate == 0.0 and model.drift == -500.0
-    out = np.empty((400, 500))
-    lamperti._increments(model, lamperti._generator(8), out)
-    counts = np.rint(out + 0.5)
-    assert np.array_equal(counts, out + 0.5)
-    lam, n = 0.5, counts.size
-    assert abs(counts.mean() - lam) <= 4.0 * np.sqrt(lam / n)
-    # Var of the sample variance: (mu_4 - sigma^4) / n, mu_4 = lam (1 + 3 lam)
-    assert abs(counts.var(ddof=1) - lam) <= 4.0 * np.sqrt(
-        (lam * (1.0 + 3.0 * lam) - lam ** 2) / n)
-    for got, p in ((np.mean(counts == 0), np.exp(-lam)),
-                   (np.mean(counts == 1), lam * np.exp(-lam)),
-                   (np.mean(counts >= 2), 1.0 - (1.0 + lam) * np.exp(-lam))):
-        assert abs(got - p) <= 4.0 * np.sqrt(p * (1.0 - p) / n)
-
-
-class _CountingRng:
-    """A generator that records the size argument of every poisson call."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.poisson_sizes = []
-
-    def poisson(self, lam, size=None):
-        assert np.ndim(lam) == 0
-        self.poisson_sizes.append(size)
-        return self._rng.poisson(lam, size)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-
-def test_mc_draws_one_jump_count_per_block(monkeypatch):
-    rngs, blocks = [], []
-    generator, increments = lamperti._generator, lamperti._increments
-
-    def counting_generator(seed):
-        rngs.append(_CountingRng(generator(seed)))
-        return rngs[-1]
-
-    def counting_increments(*args):
-        blocks.append(args[-1])
-        return increments(*args)
-
-    monkeypatch.setattr(lamperti, "_generator", counting_generator)
-    monkeypatch.setattr(lamperti, "_increments", counting_increments)
-    q = LevyQuadruplet(sigma2=1.0,
-                       mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0))))
-    cfg = SimConfig(dt=1e-3, n_paths=2000, seed=13)
-    mc_expectation(Exponent(quadruplet=q), lambda r: r, 1.0, 0.5, cfg)
-    assert len(rngs) == 1 and len(blocks) > 1
-    # one scalar count per block, whatever its b x m path-steps
-    assert rngs[0].poisson_sizes == [None] * len(blocks)
 
 
 def test_density_remainder_mass_is_not_a_jump():
@@ -397,16 +385,25 @@ def test_density_remainder_mass_is_not_a_jump():
         rel=1e-13)
 
 
-def test_jump_free_increments_are_the_scaled_normals():
-    model = lamperti._build_jump_model(LevyQuadruplet(b=0.7, sigma2=1.3),
-                                       SimConfig(dt=2e-3))
+def test_jump_free_increments_are_the_scaled_normals(monkeypatch):
+    # without jumps or killing the first draws are the first block's
+    # normals, and its rows have the cap's length dt
+    blocks = []
+    clock_ratios = lamperti._clock_ratios
+
+    def recording(d, out, work):
+        blocks.append(d.copy())
+        clock_ratios(d, out, work)
+
+    monkeypatch.setattr(lamperti, "_clock_ratios", recording)
+    cfg = SimConfig(dt=2e-3, n_paths=300, seed=5)
+    model = lamperti._build_jump_model(LevyQuadruplet(b=0.7, sigma2=1.3), cfg)
     assert model.jump_rate == 0.0
-    out = np.empty((7, 300))
-    lamperti._increments(model, lamperti._generator(5), out)
+    lamperti._estimate(model, lambda r: r, 1.0, 0.5, cfg)
+    out = blocks[0]
     twin = lamperti._generator(5)
-    dt = model.dt
-    scale = model.gauss_std_rate * np.sqrt(dt)
-    want = model.drift * dt + scale * twin.standard_normal(out.shape)
+    scale = model.gauss_std_rate * np.sqrt(cfg.dt)
+    want = model.drift * cfg.dt + scale * twin.standard_normal(out.shape)
     assert np.array_equal(out, want)
 
 
@@ -458,55 +455,75 @@ def test_jump_draws_are_rng_choice_draws(entries):
     assert rng.random() == twin.random()
 
 
-def _reference_batch_estimate(q, f, x, t, cfg):
-    """The block loop with np.cumsum, the clock computed elementwise and
-    the crossing count taken over every path of the block, on the
-    estimate's generator; a path that crosses and is killed in one step
-    survives iff it crosses first."""
+def _reference_estimate(q, f, x, t, cfg):
+    """The block loop written plainly, on the estimate's generator: the
+    rows of `_reference_rows` for every live path, np.cumsum, the clock
+    computed elementwise, and each path's first row that reaches the
+    target found among all its rows.  A path that crossed wins iff its
+    killing time does not come before its crossing and the crossing is
+    within the horizon (t_max rounded up to whole caps), and is absorbed
+    iff it is killed first within the horizon; one that has not crossed is
+    absorbed iff it is killed by the end of its rows and the horizon, and
+    unresolved once its rows reach the horizon."""
     model = lamperti._build_jump_model(q, cfg)
-    n, dt, target = cfg.n_paths, cfg.dt, t / x
+    n, target = cfg.n_paths, t / x
+    b, gauss, jumpy = model.drift, model.gauss_std_rate > 0, model.jump_rate > 0
+    cap = _cap(model, cfg)
+    max_rows = int(np.ceil(cfg.t_max / cap))
+    horizon = max_rows * cap
     rng = lamperti._generator(cfg.seed)
     kt = (rng.exponential(1.0 / model.kill_rate, n)
           if model.kill_rate > 0 else np.full(n, np.inf))
     values = np.zeros(n)
     resolved = np.zeros(n, dtype=bool)
     absorbed = np.zeros(n, dtype=bool)
-    idx, z, acc = np.arange(n), np.zeros(n), np.zeros(n)
-    max_steps = int(np.ceil(cfg.t_max / dt))
-    step = 0
-    while idx.size and step < max_steps:
+    idx, s, z, acc = np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    row, rows = 0, 1
+    while idx.size:
         m = idx.size
-        b = min(max_steps - step, max(1, lamperti._BLOCK_BUDGET // m))
-        # d holds the raw increments, the clock's slope on each step
-        d = np.empty((b, m))
-        lamperti._increments(model, rng, d)
-        zs = np.cumsum(np.vstack([z, d]), axis=0)
-        accs = np.empty((b + 1, m))
-        accs[0] = acc
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            accs[1:] = dt * np.exp(zs[:-1]) * _reference_ratios(d)
-        np.cumsum(accs, axis=0, out=accs)
-        cs = np.count_nonzero(accs[1:] < target, axis=0)
-        crossed = cs < b
-        ks = np.searchsorted((step + np.arange(1, b + 1)) * dt, kt)
-        wins = crossed & (cs <= ks)
-        r = np.flatnonzero(wins)
-        s = cs[r]
-        z0, z1 = zs[s, r], zs[s + 1, r]
-        delta = lamperti._invert_segment(z0, (z1 - z0) / dt,
-                                         target - accs[s, r])
-        first = (step + s) * dt + delta < kt[r]
-        wins[r[~first]] = False
-        values[idx[r[first]]] = f(
-            x * np.exp(z0[first] + (z1[first] - z0[first])
-                       * (delta[first] / dt)))
-        killed = (ks < b) & ~wins
-        done = wins | killed
-        resolved[idx[done]] = True
-        absorbed[idx[killed]] = True
+        rows = min(rows if jumpy else max_rows - row,
+                   max(1, lamperti._BLOCK_BUDGET // m))
+        h, c, jumps = _reference_rows(model, rng, cap, (rows, m))
+        zs = np.cumsum(np.vstack([z, c + jumps]), axis=0)
+        ts = np.cumsum(np.vstack([s, h]), axis=0) if jumpy else (
+            (row + np.arange(rows + 1))[:, None] * cap + np.zeros(m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            accs = np.cumsum(np.vstack(
+                [acc, _reference_ratios(c) * (np.exp(zs[:-1]) * h)]), axis=0)
+        reached = ~(accs[1:] < target)
+        r = np.flatnonzero(reached.any(axis=0))
+        k = reached[:, r].argmax(axis=0)
+        z0, t0, rem = zs[k, r], ts[k, r], target - accs[k, r]
+        if gauss:
+            # the row's continuous part: its increment less its end jump
+            dz = zs[k + 1, r] - z0 - jumps[k, r]
+            hk = ts[k + 1, r] - t0 if jumpy else cap
+            slope = dz / hk
+        else:
+            slope = np.full(r.size, b)
+        flat = np.abs(slope) < 1e-12
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = np.where(flat, rem * np.exp(-z0), np.log1p(
+                np.where(flat, 0.0, slope) * rem * np.exp(-z0))
+                / np.where(flat, 1.0, slope))
+        z_cross = z0 + (dz * (delta / hk) if gauss else b * delta)
+        crossing = t0 + delta
+        end = ts[-1]
+        killed = (kt <= np.minimum(end, horizon)) & ~reached.any(axis=0)
+        done = killed | (end >= horizon)
+        first = kt[r] < crossing
+        killed[r] = first & (kt[r] <= horizon)
+        done[r] = True
+        won = ~first & (crossing <= horizon)
+        with np.errstate(over="ignore"):
+            values[idx[r[won]]] = f(x * np.exp(z_cross[won]))
+        resolved[idx[r[won]]] = True
+        resolved[idx[killed]] = absorbed[idx[killed]] = True
         live = ~done
-        idx, z, acc, kt = idx[live], zs[-1, live], accs[-1, live], kt[live]
-        step += b
+        idx, s, z, acc, kt = (a[live] for a in (idx, end, zs[-1], accs[-1],
+                                                  kt))
+        row += rows
+        rows *= 2
     return values, resolved, absorbed
 
 
@@ -522,9 +539,10 @@ def _reference_batch_estimate(q, f, x, t, cfg):
 ], ids=["brownian", "killed", "atoms", "atoms-killed", "killed-horizon"])
 def test_block_loop_matches_the_reference_loop(monkeypatch, q, t_max,
                                                budget):
-    # row-wise prefix sums, the jump scatter, and a crossing count and
-    # killing bookkeeping on the paths that resolve change no bit of an
-    # estimate; at t_max = 0.3 many paths run out of steps
+    # row-wise prefix sums, buffers reused across blocks, and a crossing
+    # count and killing bookkeeping on the paths that resolve change no
+    # bit of an estimate, with and without jumps; at t_max = 0.3 many
+    # paths run out of rows
     monkeypatch.setattr(lamperti, "_BLOCK_BUDGET", budget)
     widths = []
     prefix_sums = lamperti._prefix_sums
@@ -538,7 +556,7 @@ def test_block_loop_matches_the_reference_loop(monkeypatch, q, t_max,
     cfg = SimConfig(dt=1e-3, n_paths=3000, seed=19, t_max=t_max)
     got = lamperti._estimate(lamperti._build_jump_model(q, cfg), f, 0.8,
                              0.4, cfg)
-    want = _reference_batch_estimate(q, f, 0.8, 0.4, cfg)
+    want = _reference_estimate(q, f, 0.8, 0.4, cfg)
     assert max(widths) >= lamperti._ROW_SUM_MIN_WIDTH
     if t_max < 1.0:
         # the horizon, not the crossings, ends the last block: its paths
@@ -575,7 +593,7 @@ def test_mc_brownian_law_matches_exact_squared_bessel_draws(q, dim, x, seed):
 
 
 # ---------------------------------------------------------------------------
-# the exact segment rows of Gaussian-free models
+# Gaussian-free models: exact rows between jumps
 # ---------------------------------------------------------------------------
 
 ATOMS = ((1.5, 1.0), (-0.4, 1.0))
@@ -595,7 +613,7 @@ def _psi_at_minus_i(atoms):
 ], ids=["atoms", "atoms-killed", "drift-killed"])
 def test_gaussian_free_estimate_does_not_depend_on_dt(q):
     # Z is linear between jumps, so the clock and its inverse are exact on
-    # each segment and dt takes no part
+    # each row and dt takes no part
     e = Exponent(quadruplet=q)
     f = lambda r: r * np.exp(-r)
     coarse, fine = (mc_expectation(e, f, 1.2, 0.6,
@@ -654,8 +672,8 @@ class _NoChoiceRng(_RecordingRng):
     _density_below_eps_table(),
 ], ids=["segments-short", "segments-long", "steps-short", "steps-long"])
 def test_estimate_never_calls_generator_choice(monkeypatch, q):
-    # both row laws draw their sizes as uniforms, through the short and the
-    # long table's mapping
+    # with and without a Gaussian part, the sizes are drawn as uniforms,
+    # through the short and the long table's mapping
     rngs = []
     generator = lamperti._generator
 
@@ -694,8 +712,85 @@ def test_drift_only_estimate_draws_nothing_after_the_killing_times(
                          SimConfig(n_paths=64, seed=5))
     assert [r.calls for r in rngs] == [calls]
     assert est.unresolved_fraction == 0.0
-    # one segment per path, to t_max: the sums of its time, Z and clock
-    assert shapes == [(2, 64)] * 3
+    # one row per path, to t_max, on a row of times shared by the paths:
+    # the sums of its Z and clock
+    assert shapes == [(2, 64)] * 2
+
+
+@pytest.mark.parametrize("q, calls", [
+    (LevyQuadruplet(sigma2=1.0, mu=SignedMeasure(atoms=ATOMS)),
+     ["standard_exponential", "standard_normal", "random"]),
+    (LevyQuadruplet(mu=SignedMeasure(atoms=ATOMS)),
+     ["standard_exponential", "random"]),
+    (Q_BM, ["standard_normal"]),
+], ids=["mixed", "gaussian-free", "jump-free"])
+def test_each_block_draws_waiting_times_normals_then_uniforms(monkeypatch, q,
+                                                               calls):
+    # one row law: per block, the waiting times (with jumps), the normals
+    # (with a Gaussian part) and the uniforms of the end jumps (with jumps)
+    rngs = []
+    generator = lamperti._generator
+
+    def recording(seed):
+        rngs.append(_RecordingRng(generator(seed)))
+        return rngs[-1]
+
+    monkeypatch.setattr(lamperti, "_generator", recording)
+    cfg = SimConfig(n_paths=2000, seed=13)
+    mc_expectation(Exponent(quadruplet=q), lambda r: r, 1.0, 0.5, cfg)
+    drawn = rngs[0].calls
+    assert len(rngs) == 1 and len(drawn) > len(calls)
+    assert drawn == calls * (len(drawn) // len(calls))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mixed_model_has_the_exact_mean(seed):
+    # sigma2 = 1, b = 20 and unit jumps at rate 500: E_x X_t = x - psi(-i) t
+    # = 20.007 at x = 1, t = 0.05; a jump must end its row, since folding
+    # it into the increment of a dt step reads 27-29 stderr low here
+    atoms = ((1.0, 500.0),)
+    q = LevyQuadruplet(sigma2=1.0, b=20.0, mu=SignedMeasure(atoms=atoms))
+    est = mc_expectation(Exponent(quadruplet=q), lambda r: r, 1.0, 0.05,
+                         SimConfig(n_paths=40_000, seed=seed))
+    exact = 1.0 - (_psi_at_minus_i(atoms) - 1.0 - 20.0) * 0.05
+    assert exact == pytest.approx(20.007, abs=1e-3)
+    assert est.unresolved_fraction == 0.0
+    assert abs(est.mean - exact) <= 4.0 * est.stderr
+
+
+# mean and stderr of E_1[X^2 e^-X] at t = 0.5, 5000 paths, as float.hex: the
+# models without jumps or without a Gaussian part keep their bytes
+GOLDEN = [
+    ("bm", 7, "0x1.6738499fe16fcp-2", "0x1.40ab8c9697762p-9"),
+    ("bm", 8, "0x1.640b07da8fa82p-2", "0x1.3e3c7e14fdeb8p-9"),
+    ("killed-bm", 7, "0x1.770338e6d4b6dp-3", "0x1.a136129e8b510p-9"),
+    ("killed-bm", 8, "0x1.74545d61dbe88p-3", "0x1.9db94b32c4b1ep-9"),
+    ("atoms", 7, "0x1.45566d1d071ccp-2", "0x1.d57575a5bf45bp-10"),
+    ("atoms", 8, "0x1.47940fe30b3cap-2", "0x1.ce2116e8e452bp-10"),
+    ("killed-atoms", 7, "0x1.1c18ee97df282p-3", "0x1.467158b4872adp-9"),
+    ("killed-atoms", 8, "0x1.19aa405a042e0p-3", "0x1.448055c84d0b5p-9"),
+    ("drift", 7, "0x1.152aaa3bf81cdp-1", "0x1.cf74b274b4fa0p-60"),
+    ("drift", 8, "0x1.152aaa3bf81cdp-1", "0x1.cf74b274b4fa0p-60"),
+    ("unit-jumps", 7, "0x1.bb987af1817f0p-7", "0x1.074f93f130b19p-10"),
+    ("unit-jumps", 8, "0x1.129adb31a69ccp-6", "0x1.260e0fc3e3469p-10"),
+]
+GOLDEN_MODELS = {
+    "bm": Q_BM,
+    "killed-bm": LevyQuadruplet(psi0=2.0, b=1.0, sigma2=1.0),
+    "atoms": LevyQuadruplet(mu=SignedMeasure(atoms=ATOMS)),
+    "killed-atoms": LevyQuadruplet(psi0=2.0, mu=SignedMeasure(atoms=ATOMS)),
+    "drift": Q_DRIFT,
+    "unit-jumps": LevyQuadruplet(mu=SignedMeasure(atoms=((1.0, 500.0),))),
+}
+
+
+@pytest.mark.parametrize("name, seed, mean, stderr", GOLDEN,
+                         ids=[f"{g[0]}-{g[1]}" for g in GOLDEN])
+def test_estimates_keep_their_bytes(name, seed, mean, stderr):
+    est = mc_expectation(Exponent(quadruplet=GOLDEN_MODELS[name]),
+                         lambda r: r * r * np.exp(-r), 1.0, 0.5,
+                         SimConfig(n_paths=5000, seed=seed))
+    assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
 
 
 def test_killing_is_decided_at_the_exact_crossing_time():
@@ -718,7 +813,7 @@ def test_killing_is_decided_at_the_exact_crossing_time():
 ], ids=["segments", "steps"])
 def test_paths_that_cannot_cross_are_killed_or_unresolved_by_t_max(
         sigma2, psi0, t_max, n):
-    # Z_s = -s (plus a faint Gaussian part, which makes the model stepped)
+    # Z_s = -s (plus a faint Gaussian part, which caps the rows at dt)
     # keeps the clock below 1, short of the target 2: a path is absorbed
     # iff it is killed before t_max, and unresolved otherwise
     e = Exponent(quadruplet=LevyQuadruplet(psi0=psi0, b=-1.0, sigma2=sigma2))
@@ -732,60 +827,6 @@ def test_paths_that_cannot_cross_are_killed_or_unresolved_by_t_max(
     with pytest.raises(ConfigError):
         mc_expectation(Exponent(quadruplet=q), lambda r: r, 1.0, 2.0,
                        SimConfig(n_paths=10, t_max=5.0))
-
-
-def _reference_segment_estimate(q, f, x, t, cfg):
-    """The segment simulator's rounds, with the same draws, walked path by
-    path and segment by segment: a path stops at its first crossing, at a
-    killing time within its segments, or at t_max."""
-    model = lamperti._build_jump_model(q, cfg)
-    n, b, t_max, target = cfg.n_paths, model.drift, cfg.t_max, t / x
-    rng = lamperti._generator(cfg.seed)
-    kt = (rng.exponential(1.0 / model.kill_rate, n)
-          if model.kill_rate > 0 else np.full(n, np.inf))
-    values = np.zeros(n)
-    resolved = np.zeros(n, dtype=bool)
-    absorbed = np.zeros(n, dtype=bool)
-    state = {i: (0.0, 0.0, 0.0) for i in range(n)}  # time, Z and A
-    rows = 1
-    while state:
-        live = sorted(state)
-        rows = min(rows, max(1, lamperti._BLOCK_BUDGET // len(live)))
-        if model.jump_rate > 0:
-            taus = rng.standard_exponential((rows, len(live)))
-            taus *= 1.0 / model.jump_rate
-            jumps = rng.choice(model.jump_sizes, size=taus.shape,
-                               p=model.jump_probs)
-        else:
-            taus = np.full((1, len(live)), np.inf)
-            jumps = np.zeros_like(taus)
-        taus = np.minimum(taus, t_max)
-        ratios = _reference_ratios(b * taus)
-        for j, i in enumerate(live):
-            s, z, a = state.pop(i)
-            for k in range(rows):
-                tau = taus[k, j]
-                a_end = a + ratios[k, j] * tau * np.exp(z)
-                if not a_end < target:
-                    rem = (target - a) * np.exp(-z)
-                    delta = rem if abs(b) < 1e-12 else np.log1p(b * rem) / b
-                    if kt[i] < s + delta:
-                        absorbed[i] = resolved[i] = kt[i] <= t_max
-                    elif s + delta <= t_max:
-                        values[i] = f(x * np.exp(z + b * delta))
-                        resolved[i] = True
-                    break
-                s += tau
-                if kt[i] <= min(s, t_max):
-                    absorbed[i] = resolved[i] = True
-                    break
-                if s >= t_max:
-                    break
-                z, a = z + (b * tau + jumps[k, j]), a_end
-            else:
-                state[i] = (s, z, a)
-        rows *= 2
-    return values, resolved, absorbed
 
 
 @pytest.mark.parametrize("budget", [1 << 16, 777])
@@ -804,7 +845,7 @@ def _reference_segment_estimate(q, f, x, t, cfg):
 def test_segment_rounds_match_the_path_by_path_loop(monkeypatch, q, t_max, t,
                                                     unresolved, budget):
     # the downward atoms leave paths unresolved at t_max, some of them
-    # crossing or killed on a segment that reaches past it, the falling
+    # crossing or killed on a row that reaches past it, the falling
     # drift never reaches the target, and in the last case every path
     # crosses after t_max: their paths are killed or unresolved
     monkeypatch.setattr(lamperti, "_BLOCK_BUDGET", budget)
@@ -812,10 +853,8 @@ def test_segment_rounds_match_the_path_by_path_loop(monkeypatch, q, t_max, t,
     cfg = SimConfig(n_paths=3000, seed=23, t_max=t_max)
     got = lamperti._estimate(lamperti._build_jump_model(q, cfg), f, 0.8, t,
                              cfg)
-    values, resolved, absorbed = _reference_segment_estimate(q, f, 0.8, t,
-                                                             cfg)
-    assert np.array_equal(got[1], resolved)
-    assert np.array_equal(got[2], absorbed)
-    assert_allclose(got[0], values, rtol=1e-12, atol=0.0)
+    values, resolved, absorbed = _reference_estimate(q, f, 0.8, t, cfg)
+    for a, b in zip(got, (values, resolved, absorbed)):
+        assert a.tobytes() == b.tobytes()
     assert absorbed.any() == (q.psi0 > 0)
     assert (not resolved.all()) == unresolved

@@ -64,6 +64,10 @@ def gamma_pair(at, al, rho):
 def test_mult_semigroup_t0():
     f = h_fixture(SPEC, 1.0, 1.0)
     assert np.all(mult_semigroup(0.0, f).values == f.values)
+    # a NaN t is refused as t, not as a non-finite grid sample
+    for t in (-0.5, math.nan):
+        with pytest.raises(DomainError, match="t must be nonnegative"):
+            mult_semigroup(t, f)
 
 
 def test_mult_semigroup_translates_fixture():

@@ -200,3 +200,7 @@ def test_spectrum_values():
         np.exp(-1.0))
     assert spectrum_values(1.0, np.array([60.0]))[0] == pytest.approx(1.0)
     assert np.all(np.diff(spectrum_values(2.0, np.linspace(-3, 3, 20))) >= 0)
+    # a NaN t is refused, not returned as NaN values
+    for t in (-0.5, np.nan):
+        with pytest.raises(DomainError, match="t must be nonnegative"):
+            spectrum_values(t, y)
