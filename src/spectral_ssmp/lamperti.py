@@ -306,13 +306,13 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
     of the paths that won.
 
     Z, A, the rows' times, the clock's scratch (which also takes the jump
-    sizes of a Gaussian-free model) and the end jumps of a model with both
-    parts live in buffers allocated once: an array of a block's size,
-    allocated and freed per block, is mapped and page-faulted afresh
-    whenever it lies above the allocator's mmap threshold (glibc: 128 KiB
-    until a larger block is freed), so the estimate's speed would depend
-    on what the process freed before it (by 15-40% on the benchmark's
-    mc-oracle cases).
+    sizes of a Gaussian-free model), the end jumps of a model with both
+    parts and the mask of the rows that end at a jump (with jumps) live in
+    buffers allocated once: an array of a block's size, allocated and
+    freed per block, is mapped and page-faulted afresh whenever it lies
+    above the allocator's mmap threshold (glibc: 128 KiB until a larger
+    block is freed), so the estimate's speed would depend on what the
+    process freed before it (by 15-40% on the benchmark's mc-oracle cases).
     """
     n, t_max, target = cfg.n_paths, cfg.t_max, t / x
     b, std, jumps = model.drift, model.gauss_std_rate, model.jump_rate > 0
@@ -332,6 +332,7 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
     tbuf, zbuf, abuf, work = (np.empty(size) for _ in range(4))
     # a Gaussian row's crossing slope needs its end jump after the sums
     jbuf = np.empty(size) if jumps and std > 0 else work
+    hits = np.empty(size, dtype=bool) if jumps else None
     row, rows = 0, 1
     # a zero increment divides 0 by 0 before its ratio is repaired, and e^Z
     # may overflow on paths far above the target
@@ -375,9 +376,14 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
             if jumps:
                 jz = jbuf[:rows * m].reshape(rows, m)
                 rng.random(out=jz)
-                _jump_sizes(model, jz)
-                if capped:  # a row that reached its cap ends before its jump
-                    np.copyto(jz, 0.0, where=h >= cap)
+                if capped:  # a row that reached its cap has no jump
+                    hit = np.less(h, cap, out=hits[:rows * m].reshape(rows, m))
+                    u = jz[hit]
+                    _jump_sizes(model, u)
+                    jz.fill(0.0)
+                    jz[hit] = u
+                else:
+                    _jump_sizes(model, jz)
                 c += jz
             _prefix_sums(zs)
             np.exp(zs[:-1], out=ez)
@@ -447,11 +453,12 @@ def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
     target before t_max are excluded from the mean and counted in
     unresolved_fraction (of n_paths; n_effective counts the rest).
     Excluding them biases the mean by at most unresolved_fraction * sup|f|
-    for f of one sign, twice that otherwise.  The paths also leave out the jumps beyond a tabulated
-    density's last node, at rate `rem` per unit of Levy time on each side
-    (1.8e-10 for `stable_density_table(0.5)`); a path takes one before
-    t_max with probability at most rem * t_max, which bounds the bias they
-    add in the same way.  The stderr includes neither bias.
+    for f of one sign, twice that otherwise.  The paths also leave out the
+    jumps beyond a tabulated density's last node, at rate `rem` per unit
+    of Levy time on each side (1.8e-10 for `stable_density_table(0.5)`);
+    a path takes one before t_max with probability at most rem * t_max,
+    which bounds the bias they add in the same way.  The stderr includes
+    neither bias.
     """
     if e.quadruplet is None:
         raise DomainError("the oracle needs a quadruplet representation")

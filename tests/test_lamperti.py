@@ -315,17 +315,18 @@ def test_mc_builds_one_generator(monkeypatch):
 def test_block_steps_allocate_no_block_sized_array():
     # an array the size of a block, allocated and freed per block, is mapped
     # and page-faulted afresh whenever it lies above the allocator's mmap
-    # threshold: the rows and the clock work in buffers allocated once per
-    # estimate, with and without jumps; the one block-sized temporary is
-    # the index array that `_jump_sizes` hands to take, 8 bytes per row
+    # threshold: the rows, the clock and the mask of the rows that end at a
+    # jump work in buffers allocated once per estimate, with and without
+    # jumps, and a block's temporaries stay below a quarter of a block
     import tracemalloc
     atoms = SignedMeasure(atoms=((1.0, 2.0),))
     n = 1024
     cfg = SimConfig(n_paths=n, seed=3, t_max=0.1)
     block = lamperti._BLOCK_BUDGET * 8
     assert n >= lamperti._ROW_SUM_MIN_WIDTH  # row-wise sums
-    for q, buffers, index in ((LevyQuadruplet(sigma2=1.0, mu=atoms), 5, block),
-                              (Q_BM, 4, 0)):
+    # float64 buffers, and with jumps a bool one
+    for q, buffers in ((LevyQuadruplet(sigma2=1.0, mu=atoms), 5 + 1 / 8),
+                       (Q_BM, 4)):
         model = lamperti._build_jump_model(q, cfg)
         # the first call's lazy set-up is not a block's work
         lamperti._estimate(model, np.ones_like, 1.0, 5.0, cfg)
@@ -339,7 +340,7 @@ def test_block_steps_allocate_no_block_sized_array():
         # no path reaches the target by t_max: every block is n paths wide
         assert not resolved.any()
         once = buffers * (lamperti._BLOCK_BUDGET + n) * 8
-        assert peak < once + index + block / 2
+        assert peak < once + block / 4
 
 
 def _reference_ratios(d):
@@ -536,13 +537,16 @@ def _reference_estimate(q, f, x, t, cfg):
     (LevyQuadruplet(psi0=2.0, sigma2=1.0,
                     mu=SignedMeasure(atoms=((1.5, 1.0), (-0.4, 1.0)))), 4.0),
     (LevyQuadruplet(psi0=2.0, b=1.0, sigma2=1.0), 0.3),
-], ids=["brownian", "killed", "atoms", "atoms-killed", "killed-horizon"])
+    (_density_below_eps_table(), 4.0),
+], ids=["brownian", "killed", "atoms", "atoms-killed", "killed-horizon",
+        "density"])
 def test_block_loop_matches_the_reference_loop(monkeypatch, q, t_max,
                                                budget):
     # row-wise prefix sums, buffers reused across blocks, and a crossing
     # count and killing bookkeeping on the paths that resolve change no
     # bit of an estimate, with and without jumps; at t_max = 0.3 many
-    # paths run out of rows
+    # paths run out of rows.  The density's 250 entries take searchsorted,
+    # and its jumps below jump_eps a variance-matched Gaussian
     monkeypatch.setattr(lamperti, "_BLOCK_BUDGET", budget)
     widths = []
     prefix_sums = lamperti._prefix_sums
