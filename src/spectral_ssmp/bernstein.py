@@ -702,7 +702,8 @@ class BernsteinGammaEvaluator:
     call, all panels in one per block, and the validation and horizon
     points with their +1 shifts in one _log_w_raw.
 
-    K = 16 is `truncation`.  The functional-equation residuals on the
+    tol and zmax must lie in (0, inf), else DomainError.  K = 16 is
+    `truncation`.  The functional-equation residuals on the
     validation grid (|Im z| <= 30) and at a few points on Re z = 1/2 near
     Im z = zmax are `residual` and `horizon_residual`, and `residual` also
     covers the normalization |log W(1)|; a ConvergenceError is raised when
@@ -718,8 +719,8 @@ class BernsteinGammaEvaluator:
 
     def __init__(self, phi: BernsteinFunction, tol: float = 1e-10,
                  zmax: float = 300.0):
-        if tol <= 0 or zmax <= 0:
-            raise DomainError("tol and zmax must be positive")
+        if not (0.0 < tol < math.inf and 0.0 < zmax < math.inf):
+            raise DomainError("tol and zmax must be positive and finite")
         self.phi = phi
         self.tol = float(tol)
         self.zmax = float(zmax)
@@ -956,7 +957,8 @@ def _vertical_pass(phi, a, edges, rule):
 def theta_integral(phi: BernsteinFunction, a: float, xi,
                    tol: float = 1e-10):
     """integral_0^xi arg phi(a + i w) dw for a scalar xi or a 1-d array of
-    xi, all from one pass over [0, max xi].
+    xi, all from one pass over [0, max xi].  It accepts 0 < a < inf and
+    0 <= xi < inf and raises DomainError otherwise.
 
     The interval is cut at every xi and each piece into Gauss-Legendre
     panels for the W evaluator's vertical-line pass (arg phi = Im log phi),
@@ -966,11 +968,12 @@ def theta_integral(phi: BernsteinFunction, a: float, xi,
     nodes therefore only ever signals an unresolved quadrature and also
     triggers halving.
     """
-    if a <= 0:
-        raise DomainError("theta_integral needs a > 0")
+    if not 0.0 < a < math.inf:
+        raise DomainError("theta_integral needs 0 < a < inf")
     xs = np.asarray(xi, dtype=float)
-    if xs.ndim > 1 or np.any(xs < 0):
-        raise DomainError("theta_integral needs xi >= 0, a scalar or 1-d")
+    if xs.ndim > 1 or not np.all((0.0 <= xs) & (xs < np.inf)):
+        raise DomainError("theta_integral needs 0 <= xi < inf, a scalar or "
+                          "1-d")
     pos = xs > 0
     ends = sorted_unique(xs[pos])
     if ends.size == 0:
@@ -1005,8 +1008,11 @@ def theta_limits(phi: BernsteinFunction, xi_max: float,
     """Empirical (min, max) of Theta_phi over a geometric grid up to xi_max.
 
     Theta is always confined to [0, pi/2]; the returned pair brackets the
-    liminf/limsup at the resolution of the grid.
+    liminf/limsup at the resolution of the grid.  It accepts
+    0 < xi_max < inf and raises DomainError otherwise.
     """
+    if not 0.0 < xi_max < math.inf:
+        raise DomainError("theta_limits needs 0 < xi_max < inf")
     if n_samples < 2:
         raise DomainError("n_samples must be at least 2")
     xis = xi_max * 2.0 ** (-np.arange(n_samples, dtype=float))[::-1]
@@ -1015,9 +1021,7 @@ def theta_limits(phi: BernsteinFunction, xi_max: float,
 
 
 def asymptotic_magnitude(phi: BernsteinFunction, a: float, xi: float,
-                         form: str = "theta",
-                         evaluator: Optional[BernsteinGammaEvaluator] = None
-                         ) -> float:
+                         form: str = "theta") -> float:
     """Estimate of |W(a + i xi)| along the vertical line Re = a.
 
     form="theta": sqrt(phi(a)) W(a) / sqrt(|phi(a+i xi)|) * e^{-Theta-area},
@@ -1026,12 +1030,11 @@ def asymptotic_magnitude(phi: BernsteinFunction, a: float, xi: float,
     c |xi|^{a + m/d - 1/2} e^{-pi |xi| / 2}, m = phi(0) + nu_bar(0+) read
     off the measure (`_tails`), c = sqrt(phi(a)) W(a).
     """
-    if a <= 0:
-        raise DomainError("asymptotic_magnitude needs a > 0")
+    if not (0.0 < a < math.inf and math.isfinite(xi)):
+        raise DomainError("asymptotic_magnitude needs 0 < a < inf and a "
+                          "finite xi")
     axi = abs(xi)
-    if evaluator is None:
-        evaluator = default_evaluator(phi)
-    wa = float(evaluator.w(complex(a, 0.0)).real)
+    wa = float(default_evaluator(phi).w(complex(a, 0.0)).real)
     pa = float(eval_phi(phi, a).real)
     if form == "theta":
         area = theta_integral(phi, a, axi, tol=1e-9)

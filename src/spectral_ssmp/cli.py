@@ -145,9 +145,9 @@ def _exponent_from_args(text, key):
 def _cmd_bgamma(args):
     phi = bernstein_from_json(json.loads(args.phi))
     a = args.a
-    xi = np.linspace(-args.xi_max, args.xi_max, args.points)
     ev = default_evaluator(phi, args.tol_w,
                            float(np.hypot(a, args.xi_max)) + 3.0)
+    xi = np.linspace(-args.xi_max, args.xi_max, args.points)
     vals = ev.w(a + 1j * xi)
     emit_csv((["xi", "re", "im", "abs"],
               [xi, vals.real, vals.imag, np.abs(vals)]), args.out)

@@ -275,26 +275,23 @@ EIGEN_GRID = GridSpec(-20.0, 40.0, 32768)
 
 
 def eigenfunction_fft(pair: WienerHopfPair, spec: Optional[GridSpec] = None,
-                      tol: float = 1e-10,
-                      report=None) -> GridFunction:
+                      tol: float = 1e-10) -> GridFunction:
     """J(x_j) = e^{-x_j/2} (2 pi)^{-1} integral e^{i x_j xi} m(xi) dxi.
 
-    Requires a Point verdict (m square integrable at grid scale); pass a
-    precomputed SpectrumReport to skip re-classification.  The (2 pi)^{-1}
-    normalization is pinned by agreement with the power series route.
+    Classifies its own pair and requires a Point verdict (m square
+    integrable at grid scale).  The (2 pi)^{-1} normalization is pinned by
+    agreement with the power series route.
     """
-    return translated_eigenfunction_fft(pair, 0.0, spec, tol, report)
+    return translated_eigenfunction_fft(pair, 0.0, spec, tol)
 
 
 def translated_eigenfunction_fft(pair: WienerHopfPair, y: float,
                                  spec: Optional[GridSpec] = None,
-                                 tol: float = 1e-10,
-                                 report=None) -> GridFunction:
+                                 tol: float = 1e-10) -> GridFunction:
     """tau_{-y} J (x) = J(x - y), done by an exact phase on the multiplier."""
     if spec is None:
         spec = EIGEN_GRID
-    if report is None:
-        report = classify(pair, spec, tol=tol)
+    report = classify(pair, spec, tol=tol)
     if report.verdict != "Point":
         raise DomainError(
             f"eigenfunction inversion needs a Point verdict, got "

@@ -205,14 +205,6 @@ def _jump_sizes(model: _JumpModel, u):
 _TINY_INCREMENT = 1e-12
 
 
-def _ratios(d):
-    """(e^d - 1)/d of each increment in the 1-D array `d`, a new array."""
-    r = np.expm1(d) / d
-    small = np.abs(d) <= _TINY_INCREMENT
-    r[small] = 1.0 + 0.5 * d[small]
-    return r
-
-
 def _clock_ratios(d, out, work):
     """Write into `out` the clock ratio (e^d - 1)/d of each increment in
     `d`: a row of length h that starts at Z = z and gains d adds h e^z
@@ -227,7 +219,7 @@ def _clock_ratios(d, out, work):
     out /= d
     if np.abs(d, out=work).min() <= _TINY_INCREMENT:
         small = np.flatnonzero(work <= _TINY_INCREMENT)
-        out.flat[small] = _ratios(d.flat[small])
+        out.flat[small] = 1.0 + 0.5 * d.flat[small]
 
 
 def _invert_row(z0, c, remainder):

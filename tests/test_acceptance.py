@@ -204,8 +204,7 @@ def test_criterion_06_classification_golden_set():
 
 
 def test_criterion_07_eigenfunction_cross_validation():
-    rep = classify(PAIR_B, EIGEN_GRID)
-    J = eigenfunction_fft(PAIR_B, report=rep)
+    J = eigenfunction_fft(PAIR_B)
     x = EIGEN_GRID.x
     ref = np.exp(-x / 2.0) * j1(2.0 * np.exp(x / 2.0))
     mask = (x >= -10.0) & (x <= 5.0)
@@ -214,7 +213,7 @@ def test_criterion_07_eigenfunction_cross_validation():
     nj = J.norm_e()
     worst_rel = 0.0
     for y in (-1.0, 0.0, 1.0):
-        tau = translated_eigenfunction_fft(PAIR_B, y, report=rep)
+        tau = translated_eigenfunction_fft(PAIR_B, y)
         for t in (0.1, 1.0):
             out = evolve(plan, t, tau)
             lam = float(spectrum_values(t, np.array([y]))[0])
@@ -228,8 +227,7 @@ def test_criterion_07_eigenfunction_cross_validation():
 
 def test_criterion_08_wright_discrimination():
     pair = gamma_pair(0.7, 0.3, 1.0)
-    rep = classify(pair, EIGEN_GRID)
-    J = eigenfunction_fft(pair, report=rep)
+    J = eigenfunction_fft(pair)
     x = EIGEN_GRID.x
     mask = (x >= -10.0) & (x <= 0.5)
     xs = x[mask][::128]

@@ -918,6 +918,18 @@ def test_evaluator_builds_once_when_tol_is_out_of_reach(monkeypatch):
     assert len(calls) == 1
 
 
+def test_evaluator_refuses_non_finite_or_non_positive_tol_and_zmax():
+    # NaN compares false and inf accepts every residual, so each is refused
+    # with 0 before any table is built, by the line and the closed form
+    bad = [(np.nan, 40.0), (np.inf, 40.0), (0.0, 40.0),
+           (1e-10, np.nan), (1e-10, np.inf), (1e-10, 0.0)]
+    for tol, zmax in bad:
+        with pytest.raises(DomainError):
+            BernsteinGammaEvaluator(PHI_ID, tol=tol, zmax=zmax)
+        with pytest.raises(DomainError):
+            default_evaluator(PHI_ID, tol, zmax)
+
+
 def test_w_boundary_pole_detected():
     # phi(0) = 0 puts a pole of W at the origin
     ev = default_evaluator(PHI_ID, 1e-10, 40.0)
@@ -978,9 +990,47 @@ def test_theta_limits_drift_and_gamma():
     assert 0.0 <= lo_g <= hi_g <= np.pi / 2 + 1e-12
 
 
+def test_theta_refuses_non_finite_or_out_of_range_arguments():
+    # a NaN frequency would read as 0 and a NaN or infinite real part would
+    # run the quadrature to its panel cap; theta_limits divides by xi_max
+    for a in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            theta_integral(PHI_ID, a, 1.0)
+    for xi in (np.nan, np.inf, -1.0, [1.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(DomainError):
+            theta_integral(PHI_ID, 0.5, xi)
+    for xi_max in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            theta_limits(PHI_ID, xi_max)
+
+
 # ---------------------------------------------------------------------------
 # asymptotic magnitude
 # ---------------------------------------------------------------------------
+
+def test_magnitude_reads_w_from_its_own_factor():
+    # phi(z) = z: sqrt(a) Gamma(a) / |a + i xi|^{1/2} e^{-area}, with
+    # area = xi atan(xi/a) - (a/2) log(1 + xi^2/a^2); W(a) is always the
+    # factor's own, so no other evaluator can be handed in
+    a, xi = 0.5, 10.0
+    area = xi * math.atan(xi / a) - 0.5 * a * math.log1p((xi / a) ** 2)
+    exact = (math.sqrt(a) * math.gamma(a) / abs(complex(a, xi)) ** 0.5
+             * math.exp(-area))
+    assert exact == pytest.approx(4.40e-7, rel=1e-2)
+    assert asymptotic_magnitude(PHI_ID, a, xi) == pytest.approx(exact,
+                                                                rel=1e-8)
+    with pytest.raises(TypeError):
+        asymptotic_magnitude(PHI_ID, a, xi,
+                             evaluator=default_evaluator(PHI_AFF))
+
+
+def test_magnitude_refuses_non_finite_arguments():
+    for form in ("theta", "power"):
+        for a, xi in ((np.nan, 10.0), (np.inf, 10.0), (0.0, 10.0),
+                      (0.5, np.nan), (0.5, np.inf)):
+            with pytest.raises(DomainError):
+                asymptotic_magnitude(PHI_AFF, a, xi, form=form)
+
 
 def test_magnitude_estimate_vs_gamma():
     # ratio |W| / estimate bounded above and below, stable under refinement
@@ -988,7 +1038,7 @@ def test_magnitude_estimate_vs_gamma():
     for xis in (np.geomspace(10, 200, 7), np.geomspace(10, 200, 13)):
         ratios = []
         for xi in xis:
-            est = asymptotic_magnitude(PHI_ID, 0.5, xi, evaluator=ev)
+            est = asymptotic_magnitude(PHI_ID, 0.5, xi)
             ratios.append(abs(ev.w(0.5 + 1j * xi)) / est)
         ratios = np.asarray(ratios)
         c = max(ratios.max(), 1.0 / ratios.min())

@@ -492,6 +492,36 @@ def test_simulate_non_finite_input_exits_2(capsys, flag, value, error):
     assert json.loads(captured.err.strip())["error"] == error
 
 
+DRIFT = json.dumps({"family": "drift", "d": 1.0})
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--pair", PAIR_GAMMA, "--xi-max", "nan"],
+    ["classify", "--pair", PAIR_GAMMA, "--xi-max", "0"],
+    ["classify", "--pair", PAIR_GAMMA, "--xi-max", "inf"],
+    ["bgamma", "--phi", DRIFT, "--tol-w", "nan"],
+    ["bgamma", "--phi", DRIFT, "--tol-w", "inf"],
+    ["bgamma", "--phi", DRIFT, "--a", "nan"],
+    ["bgamma", "--phi", DRIFT, "--a", "inf"],
+    ["bgamma", "--phi", DRIFT, "--xi-max", "nan"],
+    ["bgamma", "--phi", DRIFT, "--xi-max", "inf"],
+    ["multiplier", "--pair", PAIR_GAMMA, "--grid=-20:40:512", "--tol-w",
+     "nan"],
+    ["multiplier", "--pair", PAIR_GAMMA, "--grid=-20:40:512", "--tol-w",
+     "inf"],
+], ids=lambda args: f"{args[0]}{args[-2]}={args[-1]}")
+def test_non_finite_tolerance_horizon_or_frequency_exits_2(tmp_path, capsys,
+                                                           args):
+    # the W evaluator's tol and horizon and the Theta frequency are checked
+    # where they are used, so each call exits 2 and writes no file
+    out = tmp_path / "out"
+    assert run(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "DomainError"
+    assert not out.exists()
+
+
 def test_generator_check_csv(tmp_path, capsys):
     out = tmp_path / "gen.csv"
     code = run(["generator-check", "--quadruplet", '{"sigma2": 1.0}',

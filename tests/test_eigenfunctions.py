@@ -271,6 +271,19 @@ def test_fft_route_needs_point_verdict():
     spec = GridSpec()
     with pytest.raises(DomainError):
         eigenfunction_fft(pair_id, spec)
+    # the Residual gamma pair through both entry points: each classifies
+    # its own pair, so no caller can hand it the Point pair's verdict
+    residual = gamma_pair(0.3, 0.7, 1.0)
+    spec = GridSpec(-20.0, 40.0, 4096)
+    point_report = classify(gamma_pair(0.7, 0.3, 1.0), spec)
+    assert point_report.verdict == "Point"
+    for route in (eigenfunction_fft,
+                  lambda pair, spec, **kw: translated_eigenfunction_fft(
+                      pair, 0.5, spec, **kw)):
+        with pytest.raises(DomainError):
+            route(residual, spec)
+        with pytest.raises(TypeError):
+            route(residual, spec, report=point_report)
 
 
 def test_fft_route_builds_one_multiplier_line():
@@ -293,8 +306,7 @@ def test_fft_vs_bessel_closed_form():
 
 
 def test_fft_vs_series_on_overlap():
-    rep = classify(PAIR_B, EIGEN_GRID)
-    J = eigenfunction_fft(PAIR_B, report=rep)
+    J = eigenfunction_fft(PAIR_B)
     s = SeriesEigenfunction(PHI_AFF)
     x = EIGEN_GRID.x
     mask = (x >= -10.0) & (x <= 2.0)
@@ -315,8 +327,7 @@ def test_decay_at_plus_infinity():
 def test_wright_discrimination():
     # exactly one closed-form variant matches the inversion
     pair = gamma_pair(0.7, 0.3, 1.0)
-    rep = classify(pair, EIGEN_GRID)
-    J = eigenfunction_fft(pair, report=rep)
+    J = eigenfunction_fft(pair)
     x = EIGEN_GRID.x
     mask = (x >= -10.0) & (x <= 0.5)
     xs = x[mask][::128]
@@ -332,12 +343,11 @@ def test_wright_discrimination():
 
 
 def test_eigen_relation_under_evolution():
-    rep = classify(PAIR_B, EIGEN_GRID)
     plan = EvolutionPlan(PAIR_B, EIGEN_GRID)
-    J = eigenfunction_fft(PAIR_B, report=rep)
+    J = eigenfunction_fft(PAIR_B)
     nj = J.norm_e()
     for y in (-1.0, 0.0, 1.0):
-        tau = translated_eigenfunction_fft(PAIR_B, y, report=rep)
+        tau = translated_eigenfunction_fft(PAIR_B, y)
         for t in (0.1, 1.0):
             out = evolve(plan, t, tau)
             lam = float(spectrum_values(t, np.array([y]))[0])
@@ -359,8 +369,7 @@ def test_co_eigenfunction_pairing():
     ptf = evolve(plan, t, f)
     for q in (0.5, 1.0, 2.0):
         # tau_{ln q} J(x) = J(x + ln q), i.e. the translate at y = -ln q
-        tau = translated_eigenfunction_fft(conj_pair, float(-np.log(q)), spec,
-                                           report=rep_conj)
+        tau = translated_eigenfunction_fft(conj_pair, float(-np.log(q)), spec)
         lhs = inner_e(ptf, tau)
         rhs = np.exp(-t * q) * inner_e(f, tau)
         assert abs(lhs - rhs) / abs(rhs) <= 1e-3, q

@@ -639,6 +639,29 @@ def test_unit_jumps_at_rate_500_have_the_exact_mean():
     assert abs(est.mean - exact) <= 4.0 * est.stderr
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_zero_slope_rows_have_the_exact_mean(monkeypatch, seed):
+    # atoms at +-0.5 of mass 1 compensate each other, so Z is constant
+    # between jumps and each row's clock is inverted by its zero-slope form:
+    # E_x X_t = x - psi(-i) t = 1.12763 at x = 1, t = 0.5
+    slopes = []
+    invert_row = lamperti._invert_row
+
+    def recording(z0, c, remainder):
+        slopes.append(c)
+        return invert_row(z0, c, remainder)
+
+    monkeypatch.setattr(lamperti, "_invert_row", recording)
+    atoms = ((0.5, 1.0), (-0.5, 1.0))
+    e = Exponent(quadruplet=LevyQuadruplet(mu=SignedMeasure(atoms=atoms)))
+    est = mc_expectation(e, lambda r: r, 1.0, 0.5,
+                         SimConfig(n_paths=20_000, seed=seed))
+    exact = 1.0 - _psi_at_minus_i(atoms) * 0.5
+    assert exact == pytest.approx(1.12763, abs=1e-5)
+    assert slopes and all(c == 0.0 for c in slopes)
+    assert abs(est.mean - exact) <= 4.0 * est.stderr
+
+
 @pytest.mark.parametrize("x", [0.7, 1.6])
 def test_atoms_have_the_exact_mean_at_100k_paths(x):
     e = Exponent(quadruplet=LevyQuadruplet(mu=SignedMeasure(atoms=ATOMS)))

@@ -517,6 +517,12 @@ def test_lambda_line0_limit_is_zero_for_infinite_phi_prime():
     vals = _lambda_multiplier_line0(pair, SPEC, 1e-10)
     assert vals[SPEC.n // 2] == pytest.approx(1.0 / math.gamma(1.7),
                                               rel=1e-15)
+    # phi_+(0) > 0: the limit is 0 whatever phi_+'(0+), and the pair keeps
+    # the affine pair's similarity bound
+    pair = WienerHopfPair(PHI_AFF, PHI_ID)
+    vals = _lambda_multiplier_line0(pair, SPEC, 1e-10)
+    assert vals[SPEC.n // 2] == 0.0
+    assert ws_residual(pair, SPEC) <= 1e-5
 
 
 def test_ws_residual_builds_one_evaluator_per_factor():
