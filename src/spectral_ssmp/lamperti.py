@@ -12,9 +12,12 @@ compound-Poisson table of the atoms and the density nodes.
 
 One block loop simulates every model row by row, under one row law: a
 row ends at the earlier of its next jump, an Exp(jump_rate) waiting time
-away, and its cap, which is dt for a model with a Gaussian part (sigma2 >
-0, or jumps below jump_eps replaced by a variance-matched Gaussian) and
-t_max for one without (drift, atoms and killing: finitely many jumps).
+away, and its path's cap.  The cap is t_max for a model without a Gaussian
+part (drift, atoms and killing: finitely many jumps).  A model with one
+(sigma2 > 0, or jumps below jump_eps replaced by a variance-matched
+Gaussian) sizes a path's rows by the clock they add: at each block start
+the cap is dt where Z >= 0 and dt e^{-z/2} where Z = z < 0, at most t_max,
+since a row at Z = z adds about h e^z to the clock.
 Over its length h a row gains the exact Gaussian increment
 std sqrt(h) N + b h, and Z is linear on it as the clock sees it; the row
 adds its jump at its end unless it reached its cap.  So every jump comes
@@ -27,11 +30,11 @@ Randomness comes from one SFC64 generator per estimate, keyed by a
 SeedSequence of (seed, 0).  It draws first the killing times of all paths,
 then, block after block, B rows per live path: B waiting times (with
 jumps), B normals (with a Gaussian part) and B uniforms for the jump sizes
-(with jumps).  Without jumps every row has the cap's length and B is the
-rows left to the horizon, capped by a fixed budget of draws per block;
-with jumps B = 1 in the first block, doubling each block up to that
+(with jumps).  Without jumps every row has its path's cap and B is the
+most rows a path has left to t_max, capped by a fixed budget of draws per
+block; with jumps B = 1 in the first block, doubling each block up to that
 budget, since a block of one row per path costs a block's overhead per
-jump.
+jump.  While some cap exceeds dt, B is also at most _LONG_CAP_ROWS.
 
 The numbers a path receives therefore depend on which other paths are
 still live, and changing n_paths changes every path; identical
@@ -56,8 +59,9 @@ __all__ = ["SimConfig", "MCEstimate", "mc_expectation"]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo settings.  dt, the longest row of the Levy clock, serves
-    only models with a Gaussian part; Gaussian-free models are exact."""
+    """Monte Carlo settings.  dt, the longest row of Levy time that starts a
+    block at Z >= 0, serves only models with a Gaussian part (below Z = 0
+    their rows grow as dt e^{-Z/2}); Gaussian-free models are exact."""
 
     dt: float = 1e-3
     jump_eps: float = 1e-3
@@ -176,9 +180,12 @@ def _generator(seed):
 _SHORT_TABLE = 8
 
 
-def _jump_sizes(model: _JumpModel, u):
-    """Turn the uniforms `u` in place into jump sizes: a uniform takes the
-    entry whose index is the number of CDF knots at or below it.
+def _jump_sizes(model: _JumpModel, u, idx, mask):
+    """Turn the 1-D uniforms `u` in place into jump sizes: a uniform takes
+    the entry whose index is the number of CDF knots at or below it.  The
+    intp array `idx` and the bool array `mask`, each at least as long as
+    `u`, are a short table's scratch: its indices, and its comparisons with
+    each knot past the first.
 
     Generator.choice(jump_sizes, p=jump_probs) draws one rng.random per
     size and maps it through the same CDF with searchsorted(side="right"),
@@ -188,10 +195,12 @@ def _jump_sizes(model: _JumpModel, u):
     if cdf.size > _SHORT_TABLE:
         idx = cdf.searchsorted(u, side="right")
     else:
-        # the last knot is 1, above every uniform: one entry maps to 0
-        idx = u >= cdf[0]
+        # the last knot is 1, above every uniform: one entry maps to 0.
+        # take converts any other index type to intp, a block-sized copy
+        idx, mask = idx[:u.size], mask[:u.size]
+        np.greater_equal(u, cdf[0], out=idx)
         for knot in cdf[1:-1]:
-            idx = np.add(idx, u >= knot, dtype=np.uint8)
+            np.add(idx, 1, out=idx, where=np.greater_equal(u, knot, out=mask))
     # the indices are in range; mode="clip" spares take a buffered copy
     model.jump_sizes.take(idx, out=u, mode="clip")
 
@@ -267,50 +276,69 @@ def _prefix_sums(a):
         prev = row
 
 
+# A model with a Gaussian part caps the rows of a path that starts a block
+# at Z = z by dt max(1, e^{-_CAP_POWER z}), and by t_max.  A row of length h
+# adds about h e^z to the clock and h^2 e^z sigma^2/12 of interpolation
+# error (Glasserman 2004, ch. 6), so below Z = 0 this cap adds no more error
+# per unit of Levy time than a dt row at Z = 0, and paths that wander low
+# take fewer rows.  For Brownian motion (x = 1, t = 0.5, 10k paths, seeds
+# 1-3) power 1/4, 1/2 and 1 drew 6.2M, 5.1M and 4.1M path-rows against
+# 11.4M with rows of dt (144, 111 and 87 ms against about 205 ms); power 1
+# adds as much error per unit of Levy time at every z below 0 as at 0.
+# One 2-core x86-64 machine, NumPy 2.4.
+_CAP_POWER = 0.5
+
+# While some live path's cap exceeds dt, a block holds at most this many
+# rows: a path keeps its block's cap, so one that rises in a long block
+# takes long rows above the Z it started from.  At 16, 64 and 256 rows the
+# Brownian estimate above took 118, 111 and 108 ms.
+_LONG_CAP_ROWS = 64
+
+
 def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
               cfg: SimConfig):
     """Vectorized over the live paths and over blocks of B rows each.
 
     The row law: a row ends at the earlier of its next jump, an
-    Exp(jump_rate) waiting time away, and its cap (dt with a Gaussian part,
-    t_max without), gains std sqrt(h) N + b h over its length h, with
-    b = model.drift, and adds its jump at its end unless it reached its
-    cap.  Without jumps every row has the cap's length, row k of a block
-    ends at (row + k) cap on every path, and B = min(rows left, budget // m)
-    for m live paths; with jumps B = 1 in the first block, doubling up to
-    budget // m.  Prefix sums give the time, Z and the clock A of every
-    live path after k rows.  On the crossing row Z has the slope b without
-    a Gaussian part, and (Z_{k+1} - J_k - Z_k) / h_k with one, where J_k is
-    the row's end jump.
+    Exp(jump_rate) waiting time away, and its path's cap, gains
+    std sqrt(h) N + b h over its length h, with b = model.drift, and adds
+    its jump at its end unless it reached its cap.  Without a Gaussian part
+    the cap is t_max; with one each path takes at every block start the
+    cap dt max(1, e^{-_CAP_POWER z}), at most t_max, for its Z = z there.
+    B is the most rows any live path has left to t_max without jumps, and
+    with jumps 1 in the first block, doubling each block; either way at
+    most budget // m for m live paths, and at most _LONG_CAP_ROWS while
+    some cap exceeds dt.  Prefix sums of the rows' lengths give the time,
+    Z and the clock A of every live path after k rows.  On the crossing
+    row Z has the slope b without a Gaussian part, and
+    (Z_{k+1} - J_k - Z_k) / h_k with one, where J_k is the row's end jump
+    and h_k its length, the difference of its times.
 
-    One rule resolves every path, against the horizon: t_max rounded up to
-    whole caps.  A path that crossed the target t/x wins iff its killing
-    time does not come before its crossing and the crossing is within the
-    horizon, and is absorbed iff its killing time comes first and is
-    within the horizon; a path that has not crossed is absorbed iff its
-    killing time is at most the end of its rows and the horizon.  A path
-    is done once it is absorbed, has crossed, or its rows reach the
-    horizon; a done path that neither won nor was absorbed is unresolved.
-    So a tie of the killing and crossing times lets the path win, and a
-    crossing time that is not a number leaves it unresolved.  Draws past a
-    path's resolution are discarded, and the live set is compacted once
-    per block.  f is applied once, after the loop, to X at the crossings
-    of the paths that won.
+    One rule resolves every path, against the horizon t_max.  A path that
+    crossed the target t/x wins iff its killing time does not come before
+    its crossing and the crossing is within the horizon, and is absorbed
+    iff its killing time comes first and is within the horizon; a path
+    that has not crossed is absorbed iff its killing time is at most the
+    end of its rows and the horizon.  A path is done once it is absorbed,
+    has crossed, or its rows reach the horizon; a done path that neither
+    won nor was absorbed is unresolved.  So a tie of the killing and
+    crossing times lets the path win, and a crossing time that is not a
+    number leaves it unresolved.  Draws past a path's resolution are
+    discarded, and the live set is compacted once per block.  f is applied
+    once, after the loop, to X at the crossings of the paths that won.
 
     Z, A, the rows' times, the clock's scratch (which also takes the jump
     sizes of a Gaussian-free model), the end jumps of a model with both
-    parts and the mask of the rows that end at a jump (with jumps) live in
-    buffers allocated once: an array of a block's size, allocated and
-    freed per block, is mapped and page-faulted afresh whenever it lies
-    above the allocator's mmap threshold (glibc: 128 KiB until a larger
-    block is freed), so the estimate's speed would depend on what the
-    process freed before it (by 15-40% on the benchmark's mc-oracle cases).
+    parts, and with jumps the mask of the rows that end at a jump and the
+    indices of their table entries live in buffers allocated once: an
+    array of a block's size, allocated and freed per block, is mapped and
+    page-faulted afresh whenever it lies above the allocator's mmap
+    threshold (glibc: 128 KiB until a larger block is freed), so the
+    estimate's speed would depend on what the process freed before it (by
+    15-40% on the benchmark's mc-oracle cases).
     """
     n, t_max, target = cfg.n_paths, cfg.t_max, t / x
     b, std, jumps = model.drift, model.gauss_std_rate, model.jump_rate > 0
-    cap = cfg.dt if std > 0 else t_max
-    max_rows = int(np.ceil(t_max / cap))    # rows of the cap's length
-    horizon = max_rows * cap
     rng = _generator(cfg.seed)
     kt = (rng.exponential(1.0 / model.kill_rate, n) if model.kill_rate > 0
           else np.full(n, np.inf))
@@ -324,44 +352,55 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
     tbuf, zbuf, abuf, work = (np.empty(size) for _ in range(4))
     # a Gaussian row's crossing slope needs its end jump after the sums
     jbuf = np.empty(size) if jumps and std > 0 else work
-    hits = np.empty(size, dtype=bool) if jumps else None
-    row, rows = 0, 1
+    # with jumps: the mask of the rows that end at a jump, then a short
+    # table's comparisons; and the indices of the table's entries
+    hits = np.empty(2 * size, dtype=bool) if jumps else None
+    entries = np.empty(size, dtype=np.intp) if jumps else None
+    rows, cap, long_caps = 1, t_max, False
     # a zero increment divides 0 by 0 before its ratio is repaired, and e^Z
     # may overflow on paths far above the target
     with np.errstate(all="ignore"):
         while idx.size:
             m = idx.size
-            # with jumps twice the last block's rows, else the rows left
-            rows = min(rows if jumps else max_rows - row,
-                       max(1, _BLOCK_BUDGET // m))
+            if std > 0:
+                cap = np.exp(z * -_CAP_POWER)
+                np.maximum(cap, 1.0, out=cap)
+                cap *= cfg.dt
+                np.minimum(cap, t_max, out=cap)
+                long_caps = cap.max() > cfg.dt
+            if not jumps:   # the most rows a path has left
+                rows = int(np.ceil(np.max((t_max - s) / cap)))
+            rows = min(rows, max(1, _BLOCK_BUDGET // m))
+            if long_caps:
+                rows = min(rows, _LONG_CAP_ROWS)
             ts, zs, accs = (buf[:(rows + 1) * m].reshape(rows + 1, m)
                             for buf in (tbuf, zbuf, abuf))
             ez = work[:rows * m].reshape(rows, m)
-            zs[0], accs[0] = z, acc
+            ts[0], zs[0], accs[0] = s, z, acc
+            # the rows' lengths, read before the times' prefix sums.  A
+            # path's cap is spread over its rows by np.copyto first: a ufunc
+            # that broadcasts it allocates iteration buffers of its own
+            h = ts[1:]
             if jumps:
-                # the rows' lengths, read before the times' prefix sums
-                ts[0], h = s, ts[1:]
                 rng.standard_exponential(out=h)
                 h *= 1.0 / model.jump_rate
-                capped = h.max() >= cap
+                np.copyto(ez, cap)
+                hit = np.less(h, ez, out=hits[:rows * m].reshape(rows, m))
+                capped = not hit.all()
                 if capped:
-                    np.minimum(h, cap, out=h)
+                    np.minimum(h, ez, out=h)
             else:
-                # one row of times, shared by the live paths
-                h, ts = cap, (row + np.arange(rows + 1)) * cap
+                np.copyto(h, cap)
             # rows 1.. of zs get the continuous increments c, whose clock
             # ratios are taken before the jumps and the prefix sums
             c = zs[1:]
             if std > 0:
                 rng.standard_normal(out=c)
-                if jumps:
-                    np.sqrt(h, out=ez)
-                    ez *= std
-                    c *= ez
-                else:
-                    c *= std * np.sqrt(h)
+                np.sqrt(h, out=ez)
+                ez *= std
+                c *= ez
                 if b:       # adding 0.0 would change at most a -0.0
-                    c += np.multiply(h, b, out=ez) if jumps else b * h
+                    c += np.multiply(h, b, out=ez)
             else:
                 np.multiply(h, b, out=c)
             _clock_ratios(c, accs[1:], ez)
@@ -369,21 +408,19 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
                 jz = jbuf[:rows * m].reshape(rows, m)
                 rng.random(out=jz)
                 if capped:  # a row that reached its cap has no jump
-                    hit = np.less(h, cap, out=hits[:rows * m].reshape(rows, m))
                     u = jz[hit]
-                    _jump_sizes(model, u)
+                    _jump_sizes(model, u, entries, hits[size:])
                     jz.fill(0.0)
                     jz[hit] = u
                 else:
-                    _jump_sizes(model, jz)
+                    _jump_sizes(model, jz.reshape(-1), entries, hits[size:])
                 c += jz
             _prefix_sums(zs)
             np.exp(zs[:-1], out=ez)
             ez *= h
             accs[1:] *= ez
             _prefix_sums(accs)
-            if jumps:
-                _prefix_sums(ts)
+            _prefix_sums(ts)
             # A is nondecreasing: a path crossed in this block iff its last
             # row is not below the target (a NaN clock counts), on the row
             # that starts at its last row below the target, at flat index
@@ -391,26 +428,24 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
             r = (~(accs[-1] < target)).nonzero()[0]
             k = (accs[1:].take(r, axis=1) < target).sum(axis=0)
             at = k * m + r
-            z0 = zs.take(at)
-            t0 = ts.take(at) if jumps else ts[k]
+            z0, t0 = zs.take(at), ts.take(at)
             if std > 0:
                 # the crossing row's continuous increment over its length
-                dz, hk = zs.take(at + m) - z0, h
+                dz, hk = zs.take(at + m) - z0, ts.take(at + m) - t0
                 if jumps:
                     dz -= jz.take(at)
-                    hk = ts.take(at + m) - t0
                 slope = dz / hk
             else:
                 slope = b
             delta = _invert_row(z0, slope, target - accs.take(at))
             crossing = t0 + delta
             end = ts[-1]
-            killed = kt <= np.minimum(end, horizon)
-            done = killed | (end >= horizon)
+            killed = kt <= np.minimum(end, t_max)
+            done = killed | (end >= t_max)
             killed_first = kt[r] < crossing
-            killed[r] = killed_first & (kt[r] <= horizon)
+            killed[r] = killed_first & (kt[r] <= t_max)
             done[r] = True
-            won = ~killed_first & (crossing <= horizon)
+            won = ~killed_first & (crossing <= t_max)
             winners = idx[r[won]]
             zc[winners] = (z0 + (dz * (delta / hk) if std > 0
                                  else b * delta))[won]
@@ -418,9 +453,8 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
             gone = idx[killed]
             resolved[gone] = absorbed[gone] = True
             live = (~done).nonzero()[0]
-            idx, kt, z, acc = (a[live] for a in (idx, kt, zs[-1], accs[-1]))
-            s = end[live] if jumps else end
-            row += rows
+            idx, kt, s, z, acc = (a[live] for a in (idx, kt, end, zs[-1],
+                                                     accs[-1]))
             rows *= 2
     # f sees the winners once, outside the loop's error state
     values = np.zeros(n)
@@ -439,17 +473,22 @@ def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
     time comes before phi(t/x), the Levy time of its crossing.  Every jump
     comes at its exact time.  A model without a Gaussian part (drift,
     atoms, killing) is simulated exactly, row by row between its jumps,
-    and cfg.dt is not used.  A model with one also ends a row after
-    cfg.dt, and its crossing is solved on the crossing row under the
-    clock's linear interpolation of Z.  Paths that never reach the clock
-    target before t_max are excluded from the mean and counted in
+    and cfg.dt is not used.  A model with one also ends a row at its cap,
+    cfg.dt where Z >= 0 at the row's block start and cfg.dt e^{-Z/2} below
+    0 (at most t_max), and its crossing is solved on the crossing row under
+    the clock's linear interpolation of Z.  Paths that never reach the
+    clock target before t_max are excluded from the mean and counted in
     unresolved_fraction (of n_paths; n_effective counts the rest).
     Excluding them biases the mean by at most unresolved_fraction * sup|f|
-    for f of one sign, twice that otherwise.  The paths also leave out the
-    jumps beyond a tabulated density's last node, at rate `rem` per unit
-    of Levy time on each side (1.8e-10 for `stable_density_table(0.5)`);
-    a path takes one before t_max with probability at most rem * t_max,
-    which bounds the bias they add in the same way.  The stderr includes
+    for f of one sign, twice that otherwise.  When Z drifts to -inf, X
+    reaches 0 at the finite time T_0 = x A_inf, and the paths that reach 0
+    before t never reach the target: they are unresolved, so the mean
+    reads E_x[f(X_t) | t < T_0], not the semigroup killed at 0, and the
+    bound above does not hold.  The paths also leave out the jumps beyond
+    a tabulated density's last node, at rate `rem` per unit of Levy time on
+    each side (1.8e-10 for `stable_density_table(0.5)`); a path takes one
+    before t_max with probability at most rem * t_max, which bounds the
+    bias they add in the same way.  The stderr includes
     neither bias.
     """
     if e.quadruplet is None:

@@ -112,7 +112,7 @@ def test_brownian_terminal_variance():
 
 def test_drift_path_deterministic(monkeypatch):
     # a drift-only model takes one row per path, to t_max: Z = b t_max at
-    # its end, and the clock e^{b t_max} - 1 over b
+    # its end, the clock e^{b t_max} - 1 over b, and the time t_max
     sums = []
     prefix_sums = lamperti._prefix_sums
 
@@ -124,8 +124,9 @@ def test_drift_path_deterministic(monkeypatch):
     cfg = SimConfig(n_paths=256, seed=0)
     lamperti._estimate(lamperti._build_jump_model(Q_DRIFT, cfg), lambda r: r,
                        1.0, 0.5, cfg)
-    zs, accs = sums
+    zs, accs, ts = sums
     assert np.array_equal(zs, np.outer([0.0, 2.0 * cfg.t_max], np.ones(256)))
+    assert np.array_equal(ts, np.outer([0.0, cfg.t_max], np.ones(256)))
     assert_allclose(accs[1], np.expm1(2.0 * cfg.t_max) / 2.0, rtol=1e-14)
 
 
@@ -315,17 +316,23 @@ def test_mc_builds_one_generator(monkeypatch):
 def test_block_steps_allocate_no_block_sized_array():
     # an array the size of a block, allocated and freed per block, is mapped
     # and page-faulted afresh whenever it lies above the allocator's mmap
-    # threshold: the rows, the clock and the mask of the rows that end at a
-    # jump work in buffers allocated once per estimate, with and without
-    # jumps, and a block's temporaries stay below a quarter of a block
+    # threshold: the rows, the clock, the mask of the rows that end at a
+    # jump and the indices of their table entries work in buffers
+    # allocated once per estimate, with and without jumps, and a block's
+    # temporaries stay below a quarter of a block
     import tracemalloc
     atoms = SignedMeasure(atoms=((1.0, 2.0),))
+    # small steps at a high rate keep a Gaussian-free path below the target
+    # over thousands of rows; three entries take the comparison loop
+    steps = SignedMeasure(atoms=((0.01, 1e4), (-0.01, 1e4), (0.02, 1e3)))
     n = 1024
     cfg = SimConfig(n_paths=n, seed=3, t_max=0.1)
     block = lamperti._BLOCK_BUDGET * 8
     assert n >= lamperti._ROW_SUM_MIN_WIDTH  # row-wise sums
-    # float64 buffers, and with jumps a bool one
-    for q, buffers in ((LevyQuadruplet(sigma2=1.0, mu=atoms), 5 + 1 / 8),
+    # float64 buffers, and with jumps an intp one and a bool one of twice
+    # the length
+    for q, buffers in ((LevyQuadruplet(sigma2=1.0, mu=atoms), 6 + 2 / 8),
+                       (LevyQuadruplet(mu=steps), 5 + 2 / 8),
                        (Q_BM, 4)):
         model = lamperti._build_jump_model(q, cfg)
         # the first call's lazy set-up is not a block's work
@@ -450,7 +457,9 @@ def test_jump_draws_are_rng_choice_draws(entries):
     got = rng.random((3, 700))
     if entries is not None:
         assert np.count_nonzero(np.isin(got, model.jump_cdf)) == entries - 1
-    lamperti._jump_sizes(model, got)
+    flat = got.reshape(-1)
+    lamperti._jump_sizes(model, flat, np.empty(flat.size, dtype=np.intp),
+                         np.empty(flat.size, dtype=bool))
     want = twin.choice(model.jump_sizes, (3, 700), p=p)
     assert got.tobytes() == want.tobytes()
     assert rng.random() == twin.random()
@@ -458,20 +467,18 @@ def test_jump_draws_are_rng_choice_draws(entries):
 
 def _reference_estimate(q, f, x, t, cfg):
     """The block loop written plainly, on the estimate's generator: the
-    rows of `_reference_rows` for every live path, np.cumsum, the clock
-    computed elementwise, and each path's first row that reaches the
-    target found among all its rows.  A path that crossed wins iff its
-    killing time does not come before its crossing and the crossing is
-    within the horizon (t_max rounded up to whole caps), and is absorbed
+    rows of `_reference_rows` for every live path, each path's cap taken
+    at its block's start (dt e^{-z/2} below Z = 0, at most t_max, with a
+    Gaussian part), np.cumsum, the clock computed elementwise, and each
+    path's first row that reaches the target found among all its rows.  A
+    path that crossed wins iff its killing time does not come before its
+    crossing and the crossing is within the horizon t_max, and is absorbed
     iff it is killed first within the horizon; one that has not crossed is
     absorbed iff it is killed by the end of its rows and the horizon, and
     unresolved once its rows reach the horizon."""
     model = lamperti._build_jump_model(q, cfg)
-    n, target = cfg.n_paths, t / x
+    n, target, horizon = cfg.n_paths, t / x, cfg.t_max
     b, gauss, jumpy = model.drift, model.gauss_std_rate > 0, model.jump_rate > 0
-    cap = _cap(model, cfg)
-    max_rows = int(np.ceil(cfg.t_max / cap))
-    horizon = max_rows * cap
     rng = lamperti._generator(cfg.seed)
     kt = (rng.exponential(1.0 / model.kill_rate, n)
           if model.kill_rate > 0 else np.full(n, np.inf))
@@ -479,15 +486,20 @@ def _reference_estimate(q, f, x, t, cfg):
     resolved = np.zeros(n, dtype=bool)
     absorbed = np.zeros(n, dtype=bool)
     idx, s, z, acc = np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n)
-    row, rows = 0, 1
+    rows = 1
     while idx.size:
         m = idx.size
-        rows = min(rows if jumpy else max_rows - row,
+        cap = (np.minimum(cfg.dt * np.maximum(
+            1.0, np.exp(-lamperti._CAP_POWER * z)), cfg.t_max)
+               if gauss else cfg.t_max)
+        left = int(np.ceil(np.max((cfg.t_max - s) / cap)))
+        rows = min(rows if jumpy else left,
                    max(1, lamperti._BLOCK_BUDGET // m))
+        if np.max(cap) > cfg.dt and gauss:
+            rows = min(rows, lamperti._LONG_CAP_ROWS)
         h, c, jumps = _reference_rows(model, rng, cap, (rows, m))
         zs = np.cumsum(np.vstack([z, c + jumps]), axis=0)
-        ts = np.cumsum(np.vstack([s, h]), axis=0) if jumpy else (
-            (row + np.arange(rows + 1))[:, None] * cap + np.zeros(m))
+        ts = np.cumsum(np.vstack([s, h]), axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
             accs = np.cumsum(np.vstack(
                 [acc, _reference_ratios(c) * (np.exp(zs[:-1]) * h)]), axis=0)
@@ -498,7 +510,7 @@ def _reference_estimate(q, f, x, t, cfg):
         if gauss:
             # the row's continuous part: its increment less its end jump
             dz = zs[k + 1, r] - z0 - jumps[k, r]
-            hk = ts[k + 1, r] - t0 if jumpy else cap
+            hk = ts[k + 1, r] - t0
             slope = dz / hk
         else:
             slope = np.full(r.size, b)
@@ -523,7 +535,6 @@ def _reference_estimate(q, f, x, t, cfg):
         live = ~done
         idx, s, z, acc, kt = (a[live] for a in (idx, end, zs[-1], accs[-1],
                                                   kt))
-        row += rows
         rows *= 2
     return values, resolved, absorbed
 
@@ -594,6 +605,64 @@ def test_mc_brownian_law_matches_exact_squared_bessel_draws(q, dim, x, seed):
     bound = (5.0 * np.hypot(est.stderr, exact_se)
              + est.unresolved_fraction * sup_f)
     assert abs(est.mean - exact.mean()) <= bound
+
+
+@pytest.mark.parametrize("b, dim", [(0.0, 2), (0.5, 3)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rows_sized_by_the_clock_keep_the_squared_bessel_law(b, dim, seed):
+    # ACC-10's configuration: sigma2 = 1 and b >= 0 is the Lamperti image of
+    # BESQ^{2 + 2b} run at time t/2, X_t = (t/2) chi'^2_{2+2b}(2x/t)
+    t = 0.5
+    f = lambda r: r * r * np.exp(-r)
+    sup_f = 4.0 * np.exp(-2.0)
+    q = LevyQuadruplet(sigma2=1.0, b=b)
+    est = mc_expectation(Exponent(quadruplet=q), f, 1.0, t,
+                         SimConfig(dt=1e-3, n_paths=100_000, seed=seed))
+    rng = np.random.default_rng(seed)
+    exact = f(0.5 * t * rng.noncentral_chisquare(dim, 2.0 / t, 10 ** 6))
+    exact_se = exact.std(ddof=1) / np.sqrt(exact.size)
+    bound = (3.0 * np.hypot(est.stderr, exact_se)
+             + est.unresolved_fraction * sup_f)
+    assert abs(est.mean - exact.mean()) <= bound
+
+
+def test_brownian_rows_are_sized_by_the_clock(monkeypatch):
+    # a row that starts a block at Z = z < 0 has the length dt e^{-z/2} (at
+    # most t_max), and one that starts it at Z >= 0 the length dt; rows of
+    # dt everywhere drew 11422668 path-rows for this estimate
+    increments, starts = [], []
+    clock_ratios, prefix_sums = lamperti._clock_ratios, lamperti._prefix_sums
+
+    def recording_ratios(d, out, work):
+        increments.append(d.copy())
+        clock_ratios(d, out, work)
+
+    def recording_sums(a):
+        if len(starts) < len(increments):   # the block's Z comes first
+            starts.append(a[0].copy())
+        prefix_sums(a)
+
+    monkeypatch.setattr(lamperti, "_clock_ratios", recording_ratios)
+    monkeypatch.setattr(lamperti, "_prefix_sums", recording_sums)
+    cfg = SimConfig(dt=1e-3, n_paths=10_000, seed=1)
+    model = lamperti._build_jump_model(Q_BM, cfg)
+    lamperti._estimate(model, lambda r: r, 1.0, 0.5, cfg)
+    assert sum(d.size for d in increments) <= 0.6 * 11422668
+    # without jumps, drift or killing the only draws are the normals, and a
+    # row's increment is its normal times std sqrt(h)
+    twin = lamperti._generator(cfg.seed)
+    std = model.gauss_std_rate
+    below = 0
+    for d, z in zip(increments, starts):
+        normals = twin.standard_normal(d.shape)
+        low = z < 0.0
+        below += np.count_nonzero(low)
+        assert np.array_equal(d[:, ~low], normals[:, ~low] * (std * np.sqrt(
+            cfg.dt)))
+        h = np.minimum(cfg.dt * np.exp(-0.5 * z[low]), cfg.t_max)
+        assert_allclose(d[:, low], normals[:, low] * (std * np.sqrt(h)),
+                        rtol=1e-13)
+    assert below > 0
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +808,8 @@ def test_drift_only_estimate_draws_nothing_after_the_killing_times(
                          SimConfig(n_paths=64, seed=5))
     assert [r.calls for r in rngs] == [calls]
     assert est.unresolved_fraction == 0.0
-    # one row per path, to t_max, on a row of times shared by the paths:
-    # the sums of its Z and clock
-    assert shapes == [(2, 64)] * 2
+    # one row per path, to t_max: the sums of its Z, clock and times
+    assert shapes == [(2, 64)] * 3
 
 
 @pytest.mark.parametrize("q, calls", [
@@ -786,12 +854,12 @@ def test_mixed_model_has_the_exact_mean(seed):
 
 
 # mean and stderr of E_1[X^2 e^-X] at t = 0.5, 5000 paths, as float.hex: the
-# models without jumps or without a Gaussian part keep their bytes
+# Gaussian-free models keep their bytes
 GOLDEN = [
-    ("bm", 7, "0x1.6738499fe16fcp-2", "0x1.40ab8c9697762p-9"),
-    ("bm", 8, "0x1.640b07da8fa82p-2", "0x1.3e3c7e14fdeb8p-9"),
-    ("killed-bm", 7, "0x1.770338e6d4b6dp-3", "0x1.a136129e8b510p-9"),
-    ("killed-bm", 8, "0x1.74545d61dbe88p-3", "0x1.9db94b32c4b1ep-9"),
+    ("bm", 7, "0x1.67e1f5d83669ap-2", "0x1.3dcd02e1b0985p-9"),
+    ("bm", 8, "0x1.67104f1cd8b8cp-2", "0x1.40b409c233eafp-9"),
+    ("killed-bm", 7, "0x1.75f2dc22ed055p-3", "0x1.9e83566205876p-9"),
+    ("killed-bm", 8, "0x1.776320196d18ap-3", "0x1.9ea2064a502cbp-9"),
     ("atoms", 7, "0x1.45566d1d071ccp-2", "0x1.d57575a5bf45bp-10"),
     ("atoms", 8, "0x1.47940fe30b3cap-2", "0x1.ce2116e8e452bp-10"),
     ("killed-atoms", 7, "0x1.1c18ee97df282p-3", "0x1.467158b4872adp-9"),
