@@ -57,7 +57,6 @@ from .eigenfunctions import (
     eigenfunction_fft,
     eigenfunction_series,
     standard_bump,
-    translated_eigenfunction_fft,
     wright,
     wright_eigenfunction,
 )

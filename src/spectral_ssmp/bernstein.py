@@ -957,8 +957,8 @@ def _vertical_pass(phi, a, edges, rule):
 def theta_integral(phi: BernsteinFunction, a: float, xi,
                    tol: float = 1e-10):
     """integral_0^xi arg phi(a + i w) dw for a scalar xi or a 1-d array of
-    xi, all from one pass over [0, max xi].  It accepts 0 < a < inf and
-    0 <= xi < inf and raises DomainError otherwise.
+    xi, all from one pass over [0, max xi].  It accepts 0 < a < inf,
+    0 <= xi < inf and 0 < tol < inf and raises DomainError otherwise.
 
     The interval is cut at every xi and each piece into Gauss-Legendre
     panels for the W evaluator's vertical-line pass (arg phi = Im log phi),
@@ -968,8 +968,9 @@ def theta_integral(phi: BernsteinFunction, a: float, xi,
     nodes therefore only ever signals an unresolved quadrature and also
     triggers halving.
     """
-    if not 0.0 < a < math.inf:
-        raise DomainError("theta_integral needs 0 < a < inf")
+    if not (0.0 < a < math.inf and 0.0 < tol < math.inf):
+        raise DomainError("theta_integral needs 0 < a < inf and "
+                          "0 < tol < inf")
     xs = np.asarray(xi, dtype=float)
     if xs.ndim > 1 or not np.all((0.0 <= xs) & (xs < np.inf)):
         raise DomainError("theta_integral needs 0 <= xi < inf, a scalar or "

@@ -105,7 +105,10 @@ def _paired_sum(log_term, n_terms, tail_ok, alternating, tol, name):
     own terms, whatever the other rows and the chunks.  An OverflowGuard
     names the first failing row, name(row): a term beyond the
     extended-precision range, no stop within n_terms, or a failed audit.
+    A NaN, infinite or non-positive tol raises DomainError.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError("the series tol must be positive and finite")
     alternating = np.asarray(alternating, dtype=bool)
     n_rows = alternating.size
     out = np.empty(n_rows)
@@ -275,20 +278,14 @@ EIGEN_GRID = GridSpec(-20.0, 40.0, 32768)
 
 
 def eigenfunction_fft(pair: WienerHopfPair, spec: Optional[GridSpec] = None,
-                      tol: float = 1e-10) -> GridFunction:
-    """J(x_j) = e^{-x_j/2} (2 pi)^{-1} integral e^{i x_j xi} m(xi) dxi.
+                      tol: float = 1e-10, y: float = 0.0) -> GridFunction:
+    """J(x_j - y), with J(x) = e^{-x/2} (2 pi)^{-1} integral e^{i x xi}
+    m(xi) dxi; the translate tau_{-y} J is an exact phase on the multiplier.
 
     Classifies its own pair and requires a Point verdict (m square
     integrable at grid scale).  The (2 pi)^{-1} normalization is pinned by
     agreement with the power series route.
     """
-    return translated_eigenfunction_fft(pair, 0.0, spec, tol)
-
-
-def translated_eigenfunction_fft(pair: WienerHopfPair, y: float,
-                                 spec: Optional[GridSpec] = None,
-                                 tol: float = 1e-10) -> GridFunction:
-    """tau_{-y} J (x) = J(x - y), done by an exact phase on the multiplier."""
     if spec is None:
         spec = EIGEN_GRID
     report = classify(pair, spec, tol=tol)

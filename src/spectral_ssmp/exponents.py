@@ -174,17 +174,17 @@ def conjugate(e: Exponent) -> Exponent:
     return Exponent(quadruplet=quad, pair=pair)
 
 
-def weak_nonlattice_check(phi: BernsteinFunction, xi_max: float,
-                          n_points: int = 256) -> tuple:
-    """Fit the decay rate kappa of |phi(i xi)| (|phi| ~ |xi|^{-kappa}) and
-    report whether |xi|^kappa |phi(i xi)| stays bounded below.
+def weak_nonlattice_check(phi: BernsteinFunction, xi_max: float) -> tuple:
+    """Fit the decay rate kappa of |phi(i xi)| (|phi| ~ |xi|^{-kappa}) on
+    256 geometric points of [1, xi_max] and report whether
+    |xi|^kappa |phi(i xi)| stays bounded below.
 
     Lattice-type oscillation (|phi(i xi)| dipping to near zero along the
     grid) returns ok = False.
     """
     if xi_max <= 10:
         raise DomainError("xi_max must exceed 10")
-    xi = np.exp(np.linspace(np.log(1.0), np.log(xi_max), n_points))
+    xi = np.exp(np.linspace(np.log(1.0), np.log(xi_max), 256))
     mags = np.abs(eval_phi(phi, 1j * xi))
     if np.any(mags == 0.0):
         return float("nan"), False
@@ -195,7 +195,7 @@ def weak_nonlattice_check(phi: BernsteinFunction, xi_max: float,
     kappa = -slope
     # zero detection: linear scan (lattice zeros are equally spaced), then
     # a local refinement around the worst dip of the trend-corrected level
-    lin = np.linspace(1.0, xi_max, 16 * n_points)
+    lin = np.linspace(1.0, xi_max, 16 * 256)
     scaled = np.abs(eval_phi(phi, 1j * lin)) * lin ** kappa
     med = float(median(scaled))
     i0 = int(np.argmin(scaled))

@@ -117,11 +117,10 @@ def make_bernstein(family: str, **params) -> BernsteinFunction:
     return _checked(_FAMILIES[family], f"family {family!r}", **params)
 
 
-def stable_density_table(beta: float, y_min: float = 1e-6, y_max: float = 1e3,
-                         points_per_decade: int = 20) -> dict:
-    """Tabulated version of the stable(beta) Levy density, for cross-checks."""
-    n = int(points_per_decade * np.log10(y_max / y_min)) + 1
-    y = np.exp(np.linspace(np.log(y_min), np.log(y_max), n))
+def stable_density_table(beta: float) -> dict:
+    """Tabulated version of the stable(beta) Levy density, for cross-checks:
+    181 nodes, 20 per decade of y in [1e-6, 1e3]."""
+    y = np.exp(np.linspace(np.log(1e-6), np.log(1e3), 181))
     c = beta / math.gamma(1.0 - beta)
     return {
         "family": "tabulated-density",

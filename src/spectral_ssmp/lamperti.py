@@ -26,15 +26,20 @@ dt.  A row of length h that starts at Z = z and gains c along its slope
 adds h e^z (e^c - 1)/c to the clock, and phi is inverted exactly on the
 crossing row.
 
+A path that has neither crossed nor been absorbed by the horizon t_max
+counts 0, as an absorbed one does: when Z drifts to -inf, X reaches 0
+before t exactly on the paths whose clock A_inf stays below t/x, which
+never cross, so the estimate is the semigroup killed at 0, and the only
+bias is that of the paths that would cross after t_max.
+
 Randomness comes from one SFC64 generator per estimate, keyed by a
 SeedSequence of (seed, 0).  It draws first the killing times of all paths,
 then, block after block, B rows per live path: B waiting times (with
 jumps), B normals (with a Gaussian part) and B uniforms for the jump sizes
-(with jumps).  Without jumps every row has its path's cap and B is the
-most rows a path has left to t_max, capped by a fixed budget of draws per
-block; with jumps B = 1 in the first block, doubling each block up to that
-budget, since a block of one row per path costs a block's overhead per
-jump.  While some cap exceeds dt, B is also at most _LONG_CAP_ROWS.
+(with jumps).  Every model takes B = 1 in the first block, doubling each
+block up to a fixed budget of draws per block (and to _LONG_CAP_ROWS while
+some cap exceeds dt): the short first blocks spare the draws of paths that
+resolve early, and the long later ones a block's overhead per row.
 
 The numbers a path receives therefore depend on which other paths are
 still live, and changing n_paths changes every path; identical
@@ -89,11 +94,12 @@ class SimConfig:
 class MCEstimate:
     """An estimate of E_x[f(X_t)] and how its paths ended.
 
-    mean and stderr are taken over the n_effective resolved paths, the
-    absorbed ones counting 0.  absorbed_fraction is the share of the
-    resolved paths that were absorbed (killed before their crossing);
-    unresolved_fraction is the share of all n_paths that neither crossed
-    nor were absorbed by the horizon, and are left out of the mean.
+    mean and stderr are taken over all n_paths, the absorbed and the
+    unresolved paths counting 0.  n_effective counts the resolved paths
+    (crossed or absorbed); absorbed_fraction is the share of them that were
+    absorbed (killed before their crossing); unresolved_fraction is the
+    share of all n_paths that neither crossed nor were absorbed by the
+    horizon.
     """
 
     mean: float
@@ -305,14 +311,13 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
     its jump at its end unless it reached its cap.  Without a Gaussian part
     the cap is t_max; with one each path takes at every block start the
     cap dt max(1, e^{-_CAP_POWER z}), at most t_max, for its Z = z there.
-    B is the most rows any live path has left to t_max without jumps, and
-    with jumps 1 in the first block, doubling each block; either way at
-    most budget // m for m live paths, and at most _LONG_CAP_ROWS while
-    some cap exceeds dt.  Prefix sums of the rows' lengths give the time,
-    Z and the clock A of every live path after k rows.  On the crossing
-    row Z has the slope b without a Gaussian part, and
-    (Z_{k+1} - J_k - Z_k) / h_k with one, where J_k is the row's end jump
-    and h_k its length, the difference of its times.
+    B is 1 in the first block, doubling each block, at most budget // m
+    for m live paths, and at most _LONG_CAP_ROWS while some cap exceeds
+    dt.  Prefix sums of the rows' lengths give the time, Z and the clock A
+    of every live path after k rows.  On the crossing row Z has the slope
+    b without a Gaussian part, and (Z_{k+1} - J_k - Z_k) / h_k with one,
+    where J_k is the row's end jump and h_k its length, the difference of
+    its times.
 
     One rule resolves every path, against the horizon t_max.  A path that
     crossed the target t/x wins iff its killing time does not come before
@@ -321,11 +326,12 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
     that has not crossed is absorbed iff its killing time is at most the
     end of its rows and the horizon.  A path is done once it is absorbed,
     has crossed, or its rows reach the horizon; a done path that neither
-    won nor was absorbed is unresolved.  So a tie of the killing and
-    crossing times lets the path win, and a crossing time that is not a
-    number leaves it unresolved.  Draws past a path's resolution are
-    discarded, and the live set is compacted once per block.  f is applied
-    once, after the loop, to X at the crossings of the paths that won.
+    won nor was absorbed is unresolved, and its value is 0.  So a tie of
+    the killing and crossing times lets the path win, and a crossing time
+    that is not a number leaves it unresolved.  Draws past a path's
+    resolution are discarded, and the live set is compacted once per
+    block.  f is applied once, after the loop, to X at the crossings of
+    the paths that won.
 
     Z, A, the rows' times, the clock's scratch (which also takes the jump
     sizes of a Gaussian-free model), the end jumps of a model with both
@@ -368,8 +374,6 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
                 cap *= cfg.dt
                 np.minimum(cap, t_max, out=cap)
                 long_caps = cap.max() > cfg.dt
-            if not jumps:   # the most rows a path has left
-                rows = int(np.ceil(np.max((t_max - s) / cap)))
             rows = min(rows, max(1, _BLOCK_BUDGET // m))
             if long_caps:
                 rows = min(rows, _LONG_CAP_ROWS)
@@ -465,7 +469,8 @@ def _estimate(model: _JumpModel, f: Callable, x: float, t: float,
 
 def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
                    cfg: SimConfig) -> MCEstimate:
-    """Monte Carlo estimate of E_x[f(X_t)] with absorbed paths counting 0.
+    """Monte Carlo estimate of E_x[f(X_t)], a path that does not reach X_t
+    (absorbed, or unresolved by t_max) counting 0.
 
     x must be positive and t nonnegative, both finite.  f acts on the
     positive-scale variable X directly (compose with log outside if the
@@ -476,20 +481,19 @@ def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
     and cfg.dt is not used.  A model with one also ends a row at its cap,
     cfg.dt where Z >= 0 at the row's block start and cfg.dt e^{-Z/2} below
     0 (at most t_max), and its crossing is solved on the crossing row under
-    the clock's linear interpolation of Z.  Paths that never reach the
-    clock target before t_max are excluded from the mean and counted in
-    unresolved_fraction (of n_paths; n_effective counts the rest).
-    Excluding them biases the mean by at most unresolved_fraction * sup|f|
-    for f of one sign, twice that otherwise.  When Z drifts to -inf, X
-    reaches 0 at the finite time T_0 = x A_inf, and the paths that reach 0
-    before t never reach the target: they are unresolved, so the mean
-    reads E_x[f(X_t) | t < T_0], not the semigroup killed at 0, and the
-    bound above does not hold.  The paths also leave out the jumps beyond
-    a tabulated density's last node, at rate `rem` per unit of Levy time on
-    each side (1.8e-10 for `stable_density_table(0.5)`); a path takes one
-    before t_max with probability at most rem * t_max, which bounds the
-    bias they add in the same way.  The stderr includes
-    neither bias.
+    the clock's linear interpolation of Z.  A path that neither reaches
+    the clock target nor is absorbed by t_max counts 0 and is counted in
+    unresolved_fraction (of n_paths; n_effective counts the rest).  When Z
+    drifts to -inf, X reaches 0 at the finite time T_0 = x A_inf, and the
+    paths that reach 0 before t never reach the target, so counting them 0
+    gives the semigroup killed at 0, E_x[f(X_t); t < T_0].  Only the paths
+    that would cross after t_max are then miscounted, which biases the
+    mean by at most unresolved_fraction * sup|f|, for any f.  The paths
+    also leave out the jumps beyond a tabulated density's last node, at
+    rate `rem` per unit of Levy time on each side (1.8e-10 for
+    `stable_density_table(0.5)`); a path takes one before t_max with
+    probability at most rem * t_max, which bounds the bias they add in the
+    same way.  The stderr includes neither bias.
     """
     if e.quadruplet is None:
         raise DomainError("the oracle needs a quadruplet representation")
@@ -503,12 +507,11 @@ def mc_expectation(e: Exponent, f: Callable, x: float, t: float,
                           unresolved_fraction=0.0)
     model = _build_jump_model(e.quadruplet, cfg)
     values, resolved, absorbed = _estimate(model, f, x, t, cfg)
-    n_eff = int(resolved.sum())
+    n, n_eff = cfg.n_paths, int(resolved.sum())
     if n_eff == 0:
         raise ConfigError("no path reached the clock target; raise t_max")
-    vals = values[resolved]
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(n_eff)) if n_eff > 1 else 0.0
-    return MCEstimate(mean=mean, stderr=stderr, n_effective=n_eff,
+    stderr = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return MCEstimate(mean=float(np.mean(values)), stderr=stderr,
+                      n_effective=n_eff,
                       absorbed_fraction=float(absorbed.sum() / max(1, n_eff)),
-                      unresolved_fraction=(cfg.n_paths - n_eff) / cfg.n_paths)
+                      unresolved_fraction=(n - n_eff) / n)

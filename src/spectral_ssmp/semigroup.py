@@ -22,7 +22,6 @@ import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -225,9 +224,8 @@ def generator_ido(q: LevyQuadruplet, f, spec: GridSpec) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 def ws_residual(pair: WienerHopfPair, spec: GridSpec,
-                centers: Sequence[float] = (-2.0, 0.0, 2.0),
                 tol: float = 1e-10) -> float:
-    """max over Gaussian centers a of
+    """max over Gaussian centers a in {-2, 0, 2} of
     || A[psi] (Lambda f_a) - Lambda (A[psi0] f_a) ||_e / || Lambda A[psi0] f_a ||_e
 
     with f_a(x) = e^{-(x-a)^2} and psi0(xi) = xi^2.  The left side fuses
@@ -244,7 +242,7 @@ def ws_residual(pair: WienerHopfPair, spec: GridSpec,
     worst = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainWarning)
-        for a in centers:
+        for a in (-2.0, 0.0, 2.0):
             f = gaussian_fixture(spec, a)
             fhat = _fft_axis(f.values, spec, weight=0.0)
             fused = _ifft_axis(psi_vals * lam_0 * fhat, spec, weight=0.0)

@@ -141,13 +141,14 @@ def _theta_bracket(phi, xi_max):
     return lo, up, 0.5 * (up - lo)
 
 
-def _dyadic_bands(spec: GridSpec, values: np.ndarray, n_bands: int = 6):
-    """Per-band maxima of |values| over dyadic |xi| bands (top band last)."""
+def _dyadic_bands(spec: GridSpec, values: np.ndarray):
+    """Per-band maxima of |values| over the six top dyadic |xi| bands (top
+    band last)."""
     xi = np.abs(spec.xi)
     top = spec.nyquist
     out = []
     centers = []
-    for j in range(n_bands, 0, -1):
+    for j in range(6, 0, -1):
         lo, hi = top / 2 ** j, top / 2 ** (j - 1)
         mask = (xi >= lo) & (xi < hi)
         if np.any(mask):

@@ -1004,6 +1004,15 @@ def test_theta_refuses_non_finite_or_out_of_range_arguments():
             theta_limits(PHI_ID, xi_max)
 
 
+def test_theta_refuses_non_finite_or_non_positive_tol():
+    # a negative or NaN tol is never met, and the panels halved to their
+    # cap for seconds before a QuadratureError; an infinite one accepted
+    # the second pass, whatever its error
+    for tol in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            theta_integral(PHI_ID, 0.5, 1.0, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # asymptotic magnitude
 # ---------------------------------------------------------------------------

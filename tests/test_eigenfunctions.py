@@ -16,7 +16,6 @@ from spectral_ssmp.eigenfunctions import (
     eigenfunction_fft,
     eigenfunction_series,
     standard_bump,
-    translated_eigenfunction_fft,
     wright,
     wright_eigenfunction,
 )
@@ -237,6 +236,17 @@ def test_wright_domain_is_gamma_nonnegative_beta_positive():
             wright(gamma, beta, z)
 
 
+def test_series_refuse_non_finite_or_non_positive_tol():
+    # an infinite tol accepted the first terms (13.397 for e^-10), and a
+    # NaN, zero or negative one ran the series out as an OverflowGuard
+    s = SeriesEigenfunction(PHI_ID)
+    for tol in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            wright(0.0, 1.0, -10.0, tol=tol)
+        with pytest.raises(DomainError):
+            eigenfunction_series(s, 0.5, tol=tol)
+
+
 def test_wright_gamma_zero_is_exponential():
     # W(0, beta; z) = e^z / Gamma(beta)
     z = np.array([-5.0, -0.7, 0.4, 3.0])
@@ -271,15 +281,16 @@ def test_fft_route_needs_point_verdict():
     spec = GridSpec()
     with pytest.raises(DomainError):
         eigenfunction_fft(pair_id, spec)
-    # the Residual gamma pair through both entry points: each classifies
-    # its own pair, so no caller can hand it the Point pair's verdict
+    # the Residual gamma pair, untranslated and translated: each call
+    # classifies its own pair, so no caller can hand it the Point pair's
+    # verdict
     residual = gamma_pair(0.3, 0.7, 1.0)
     spec = GridSpec(-20.0, 40.0, 4096)
     point_report = classify(gamma_pair(0.7, 0.3, 1.0), spec)
     assert point_report.verdict == "Point"
     for route in (eigenfunction_fft,
-                  lambda pair, spec, **kw: translated_eigenfunction_fft(
-                      pair, 0.5, spec, **kw)):
+                  lambda pair, spec, **kw: eigenfunction_fft(
+                      pair, spec, y=0.5, **kw)):
         with pytest.raises(DomainError):
             route(residual, spec)
         with pytest.raises(TypeError):
@@ -347,7 +358,7 @@ def test_eigen_relation_under_evolution():
     J = eigenfunction_fft(PAIR_B)
     nj = J.norm_e()
     for y in (-1.0, 0.0, 1.0):
-        tau = translated_eigenfunction_fft(PAIR_B, y)
+        tau = eigenfunction_fft(PAIR_B, y=y)
         for t in (0.1, 1.0):
             out = evolve(plan, t, tau)
             lam = float(spectrum_values(t, np.array([y]))[0])
@@ -369,7 +380,7 @@ def test_co_eigenfunction_pairing():
     ptf = evolve(plan, t, f)
     for q in (0.5, 1.0, 2.0):
         # tau_{ln q} J(x) = J(x + ln q), i.e. the translate at y = -ln q
-        tau = translated_eigenfunction_fft(conj_pair, float(-np.log(q)), spec)
+        tau = eigenfunction_fft(conj_pair, spec, y=float(-np.log(q)))
         lhs = inner_e(ptf, tau)
         rhs = np.exp(-t * q) * inner_e(f, tau)
         assert abs(lhs - rhs) / abs(rhs) <= 1e-3, q

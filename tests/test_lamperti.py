@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
+from scipy.special import ive
 
 from spectral_ssmp import lamperti
 from spectral_ssmp.bernstein import DensityMeasure
@@ -478,7 +480,7 @@ def _reference_estimate(q, f, x, t, cfg):
     unresolved once its rows reach the horizon."""
     model = lamperti._build_jump_model(q, cfg)
     n, target, horizon = cfg.n_paths, t / x, cfg.t_max
-    b, gauss, jumpy = model.drift, model.gauss_std_rate > 0, model.jump_rate > 0
+    b, gauss = model.drift, model.gauss_std_rate > 0
     rng = lamperti._generator(cfg.seed)
     kt = (rng.exponential(1.0 / model.kill_rate, n)
           if model.kill_rate > 0 else np.full(n, np.inf))
@@ -492,9 +494,7 @@ def _reference_estimate(q, f, x, t, cfg):
         cap = (np.minimum(cfg.dt * np.maximum(
             1.0, np.exp(-lamperti._CAP_POWER * z)), cfg.t_max)
                if gauss else cfg.t_max)
-        left = int(np.ceil(np.max((cfg.t_max - s) / cap)))
-        rows = min(rows if jumpy else left,
-                   max(1, lamperti._BLOCK_BUDGET // m))
+        rows = min(rows, max(1, lamperti._BLOCK_BUDGET // m))
         if np.max(cap) > cfg.dt and gauss:
             rows = min(rows, lamperti._LONG_CAP_ROWS)
         h, c, jumps = _reference_rows(model, rng, cap, (rows, m))
@@ -624,6 +624,39 @@ def test_rows_sized_by_the_clock_keep_the_squared_bessel_law(b, dim, seed):
     bound = (3.0 * np.hypot(est.stderr, exact_se)
              + est.unresolved_fraction * sup_f)
     assert abs(est.mean - exact.mean()) <= bound
+
+
+def _killed_besq_value(f, dim, x, t):
+    """E_x[f(X_t); t < T_0] for X = BESQ^dim run at time t/2 and killed at
+    0, dim < 2, by quadrature of its kernel (1/2s) (y/x)^{nu/2}
+    e^{-(x+y)/2s} I_{-nu}(sqrt(xy)/s), nu = dim/2 - 1 and s = t/2
+    (Revuz-Yor, ch. XI)."""
+    s, nu = 0.5 * t, 0.5 * dim - 1.0
+
+    def density(y):
+        arg = np.sqrt(x * y) / s
+        return (0.5 / s * (y / x) ** (0.5 * nu) * ive(-nu, arg)
+                * np.exp(arg - (x + y) / (2.0 * s)))
+
+    return quad(lambda y: f(y) * density(y), 0.0, np.inf, epsabs=1e-12)[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_paths_that_reach_zero_count_zero(seed):
+    # sigma2 = 1, b = -1/2 is the Lamperti image of BESQ^1 run at time t/2:
+    # Z drifts to -inf, so X reaches 0 at the finite time x A_inf, and a
+    # path with A_inf < t/x never reaches the clock target.  It counts 0,
+    # as the semigroup killed at 0 does; leaving the unresolved paths out
+    # of the mean read 14 to 17 stderr high on these seeds
+    t = 0.5
+    f = lambda r: r * r * np.exp(-r)
+    exact = _killed_besq_value(f, 1.0, 1.0, t)
+    assert exact == pytest.approx(0.30356, abs=1e-5)
+    q = LevyQuadruplet(sigma2=1.0, b=-0.5)
+    est = mc_expectation(Exponent(quadruplet=q), f, 1.0, t,
+                         SimConfig(dt=1e-3, n_paths=40_000, seed=seed))
+    assert est.unresolved_fraction > 0.03
+    assert abs(est.mean - exact) <= 4.0 * est.stderr
 
 
 def test_brownian_rows_are_sized_by_the_clock(monkeypatch):
@@ -853,21 +886,21 @@ def test_mixed_model_has_the_exact_mean(seed):
     assert abs(est.mean - exact) <= 4.0 * est.stderr
 
 
-# mean and stderr of E_1[X^2 e^-X] at t = 0.5, 5000 paths, as float.hex: the
-# Gaussian-free models keep their bytes
+# mean and stderr of E_1[X^2 e^-X] at t = 0.5 over all 5000 paths, as
+# float.hex: the Gaussian-free models keep their bytes
 GOLDEN = [
-    ("bm", 7, "0x1.67e1f5d83669ap-2", "0x1.3dcd02e1b0985p-9"),
-    ("bm", 8, "0x1.67104f1cd8b8cp-2", "0x1.40b409c233eafp-9"),
-    ("killed-bm", 7, "0x1.75f2dc22ed055p-3", "0x1.9e83566205876p-9"),
-    ("killed-bm", 8, "0x1.776320196d18ap-3", "0x1.9ea2064a502cbp-9"),
+    ("bm", 7, "0x1.64bbba24ed674p-2", "0x1.40576331ab0e7p-9"),
+    ("bm", 8, "0x1.63a062497b300p-2", "0x1.40943c1fb64c7p-9"),
+    ("killed-bm", 7, "0x1.6b6a8c5ad20a5p-3", "0x1.9ad24d09f5d84p-9"),
+    ("killed-bm", 8, "0x1.72e2c982310c9p-3", "0x1.9e87f50a1be24p-9"),
     ("atoms", 7, "0x1.45566d1d071ccp-2", "0x1.d57575a5bf45bp-10"),
     ("atoms", 8, "0x1.47940fe30b3cap-2", "0x1.ce2116e8e452bp-10"),
     ("killed-atoms", 7, "0x1.1c18ee97df282p-3", "0x1.467158b4872adp-9"),
     ("killed-atoms", 8, "0x1.19aa405a042e0p-3", "0x1.448055c84d0b5p-9"),
     ("drift", 7, "0x1.152aaa3bf81cdp-1", "0x1.cf74b274b4fa0p-60"),
     ("drift", 8, "0x1.152aaa3bf81cdp-1", "0x1.cf74b274b4fa0p-60"),
-    ("unit-jumps", 7, "0x1.bb987af1817f0p-7", "0x1.074f93f130b19p-10"),
-    ("unit-jumps", 8, "0x1.129adb31a69ccp-6", "0x1.260e0fc3e3469p-10"),
+    ("unit-jumps", 7, "0x1.b27522650e3d5p-7", "0x1.01fc10e311d9ep-10"),
+    ("unit-jumps", 8, "0x1.0d713cdbd3ea5p-6", "0x1.20a649a32e09dp-10"),
 ]
 GOLDEN_MODELS = {
     "bm": Q_BM,
