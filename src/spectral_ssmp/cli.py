@@ -158,7 +158,7 @@ def _cmd_multiplier(args):
     pair = _exponent_from_args(args.pair, "pair").pair
     spec = _grid_from_arg(args.grid)
     line = (multiplier_h if args.kind == "H" else multiplier_lambda)(
-        pair, spec, tol=args.tol_w)
+        pair, spec)
     emit_csv((["xi", "re", "im", "abs"],
               [spec.xi, line.values.real, line.values.imag,
                np.abs(line.values)]), args.out)
@@ -189,7 +189,7 @@ def _cmd_eigenfn(args):
     pair = _exponent_from_args(args.pair, "pair").pair
     spec = _grid_from_arg(args.grid)
     if args.method == "fft":
-        J = eigenfunction_fft(pair, spec, tol=args.tol_w)
+        J = eigenfunction_fft(pair, spec)
         emit_csv((["x", "J"], [spec.x, J.values.real]), args.out)
         return 0
     if args.method == "series":
@@ -221,7 +221,7 @@ def _cmd_evolve(args):
     pair = _exponent_from_args(args.pair, "pair").pair
     spec = _grid_from_arg(args.grid)
     f = _fixture_from_arg(args.f, spec)
-    plan = EvolutionPlan(pair, spec, tol=args.tol_w)
+    plan = EvolutionPlan(pair, spec)
     out = evolve(plan, args.t, f)
     emit_csv((["x", "re", "im"],
               [spec.x, out.values.real, out.values.imag]), args.out)
@@ -279,15 +279,11 @@ def _cmd_generator_check(args):
 _PROG = "spectral-ssmp"
 
 
-def _add_common(sp, grid=True, tol=True, out=True):
+def _add_common(sp, grid=True):
     if grid:
         sp.add_argument("--grid", default=None,
                         help="xmin:xmax:n (default -20:40:4096)")
-    if tol:
-        sp.add_argument("--tol-w", type=float, default=1e-8,
-                        help="Bernstein-gamma tolerance (default 1e-8)")
-    if out:
-        sp.add_argument("--out", required=True, help="output path")
+    sp.add_argument("--out", required=True, help="output path")
 
 
 def _args_bgamma(sp):
@@ -295,6 +291,8 @@ def _args_bgamma(sp):
     sp.add_argument("--a", type=float, default=0.5, help="Re of the line")
     sp.add_argument("--xi-max", type=float, default=30.0)
     sp.add_argument("--points", type=int, default=241)
+    sp.add_argument("--tol-w", type=float, default=1e-8,
+                    help="Bernstein-gamma tolerance (default 1e-8)")
     _add_common(sp, grid=False)
 
 
@@ -344,7 +342,7 @@ def _args_simulate(sp):
 
 def _args_generator_check(sp):
     sp.add_argument("--quadruplet", required=True)
-    _add_common(sp, tol=False)
+    _add_common(sp)
 
 
 #: each subcommand's help line, arguments and handler, in --help order

@@ -278,22 +278,23 @@ EIGEN_GRID = GridSpec(-20.0, 40.0, 32768)
 
 
 def eigenfunction_fft(pair: WienerHopfPair, spec: Optional[GridSpec] = None,
-                      tol: float = 1e-10, y: float = 0.0) -> GridFunction:
+                      y: float = 0.0) -> GridFunction:
     """J(x_j - y), with J(x) = e^{-x/2} (2 pi)^{-1} integral e^{i x xi}
     m(xi) dxi; the translate tau_{-y} J is an exact phase on the multiplier.
 
     Classifies its own pair and requires a Point verdict (m square
-    integrable at grid scale).  The (2 pi)^{-1} normalization is pinned by
+    integrable at grid scale); the verdict and the inversion read the one
+    `multiplier_h` line of (pair, spec).  The (2 pi)^{-1} normalization is pinned by
     agreement with the power series route.
     """
     if spec is None:
         spec = EIGEN_GRID
-    report = classify(pair, spec, tol=tol)
+    report = classify(pair, spec)
     if report.verdict != "Point":
         raise DomainError(
             f"eigenfunction inversion needs a Point verdict, got "
             f"{report.verdict}")
-    m = multiplier_h(pair, spec, tol=tol)
+    m = multiplier_h(pair, spec)
     phase = np.exp(-1j * spec.xi * y) * np.exp(y / 2.0)
     out = inverse_shifted_fft(SpectrumLine(spec, m.values * phase))
     return GridFunction(spec, out.values / np.sqrt(2.0 * np.pi))

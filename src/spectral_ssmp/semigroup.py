@@ -72,12 +72,12 @@ _RISE = (3.0, 21.0)  # e_t < 2e-9 at log t - 3, 1 - e_t < 1e-9 at log t + 21
 
 
 @functools.lru_cache(maxsize=64)
-def _split_lines(pair: WienerHopfPair, spec: GridSpec, tol: float):
+def _split_lines(pair: WienerHopfPair, spec: GridSpec):
     """(log m)'(xi_k), the 4th-order central difference of log m at xi +- h
     and xi +- 2h taken at xi >= 0, as (log m)'(-xi) = -conj (log m)'(xi);
     and Gamma(i zeta_l)/L on q's band, 0 at l = 0 (q_0 depends on t)."""
     pos = spec.dxi * np.arange(spec.n // 2 + 1)
-    lw_p, lw_m = _log_w_lines(pair, spec, tol, 0.5, np.concatenate(
+    lw_p, lw_m = _log_w_lines(pair, spec, 0.5, np.concatenate(
         [pos + k * _SLOPE_STEP for k in (-2, -1, 1, 2)]))
     lm = (lw_p - lw_m).reshape(4, -1)
     d = (8.0 * (lm[2] - lm[1]) - lm[3] + lm[0]) / (12.0 * _SLOPE_STEP)
@@ -95,20 +95,18 @@ def _split_lines(pair: WienerHopfPair, spec: GridSpec, tol: float):
 
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """Per (pair, grid, tol): the multiplier m, its slope (log m)', and
+    """Per (pair, grid): the multiplier m, its slope (log m)', and
     Gamma(i zeta_l)/L on q's band."""
 
     pair: WienerHopfPair
     spec: GridSpec
-    tol: float = 1e-10
     m: MultiplierLine = field(init=False)
     slope: np.ndarray = field(init=False)
     band: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "m", multiplier_h(self.pair, self.spec,
-                                                   tol=self.tol))
-        slope, band = _split_lines(self.pair, self.spec, float(self.tol))
+        object.__setattr__(self, "m", multiplier_h(self.pair, self.spec))
+        slope, band = _split_lines(self.pair, self.spec)
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "band", band)
 
@@ -223,8 +221,7 @@ def generator_ido(q: LevyQuadruplet, f, spec: GridSpec) -> GridFunction:
 # weak-similarity residual
 # ---------------------------------------------------------------------------
 
-def ws_residual(pair: WienerHopfPair, spec: GridSpec,
-                tol: float = 1e-10) -> float:
+def ws_residual(pair: WienerHopfPair, spec: GridSpec) -> float:
     """max over Gaussian centers a in {-2, 0, 2} of
     || A[psi] (Lambda f_a) - Lambda (A[psi0] f_a) ||_e / || Lambda A[psi0] f_a ||_e
 
@@ -234,8 +231,8 @@ def ws_residual(pair: WienerHopfPair, spec: GridSpec,
     right side runs the two operators separately, so the comparison still
     crosses the functional equation between the two strip heights.
     """
-    lam_e = multiplier_lambda(pair, spec, tol=tol)
-    lam_0 = _lambda_multiplier_line0(pair, spec, tol)
+    lam_e = multiplier_lambda(pair, spec)
+    lam_0 = _lambda_multiplier_line0(pair, spec)
     e_pair = Exponent(pair=pair)
     e0 = Exponent(quadruplet=LevyQuadruplet(sigma2=1.0))
     psi_vals = eval_psi(e_pair, spec.xi)

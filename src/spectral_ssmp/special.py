@@ -4,15 +4,15 @@ The library needs the principal branch of log-Gamma on the right half-plane
 (and on vertical lines through it) and the log of the ratio Gamma(x + a) /
 Gamma(x) to a few ulp.
 
-- Real scalars go to `math.lgamma`.
 - `log_gamma_long` gives log Gamma(x) for real x > 0 in np.longdouble,
   for sums whose log terms must carry more than float64.
 - Complex arrays with |z| >= 8 take 8 terms of the Stirling series
   (DLMF 5.11.1, 5.11.2), whose remainder is under an ulp there, with the
   main term in np.clongdouble, rounded once; the points with |z| < 8 are
   shifted up by 8 with Gamma(z + 1) = z Gamma(z).
-- The gamma ratio takes its own 16-term asymptotic series (DLMF 5.11.13)
-  where |x| >= 10 max(1, a), and the ratio recurrence below that.
+- The gamma ratio, for 0 < a <= 1, takes its own 16-term asymptotic
+  series (DLMF 5.11.13) where |x| >= 10, and the ratio recurrence below
+  that.
 
 One table of Bernoulli numbers feeds every series here and the
 Euler-Maclaurin weights of the Bernstein-gamma evaluator.  Tests pin the
@@ -40,6 +40,7 @@ BERNOULLI = ((1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42),
 _SHIFT = 8  # Stirling region |z| >= 8, and the upward shift that reaches it
 _HALF_LOG_2PI_L = np.log(2.0 * np.arccos(np.longdouble(-1.0))) / 2
 _RATIO_TERMS = 16  # terms of the asymptotic series of log_gamma_ratio
+_RATIO_NEAR = 10  # its series region |x| >= 10, and the shift to it
 
 
 def _coefs(values):
@@ -97,16 +98,11 @@ def _stirling(z):
 def log_gamma(z):
     """Principal branch of log Gamma(z).
 
-    A real input returns log|Gamma(x)| (math.lgamma, elementwise).  A
-    complex input needs Re z > -1/2: there each product of two adjacent
-    shift factors (z + k)(z + k + 1) keeps |arg| < pi, so one log per pair
-    stays on the principal branch.  log_gamma(conj z) is conj(log_gamma(z))
-    bit for bit.
+    z is taken as complex and needs Re z > -1/2: there each product of
+    two adjacent shift factors (z + k)(z + k + 1) keeps |arg| < pi, so one
+    log per pair stays on the principal branch.  log_gamma(conj z) is
+    conj(log_gamma(z)) bit for bit.
     """
-    if not np.iscomplexobj(z):
-        z = np.asarray(z, dtype=float)
-        return np.fromiter(map(math.lgamma, z.flat), float,
-                           z.size).reshape(z.shape)
     shape = np.shape(z)
     z = np.asarray(z, dtype=complex).ravel()
     if np.any(z.real <= -0.5):
@@ -165,62 +161,46 @@ def _ratio_coefs(a):
 
 
 def _ratio_series(x, a):
-    """a log x + sum_{n<=16} c_n / x^n, the ratio where |x| >= 10 max(1, a)."""
+    """a log x + sum_{n<=16} c_n / x^n, the ratio where |x| >= 10."""
     inv = 1.0 / x
     s = _horner(inv, _ratio_coefs(a)) * inv
     s += a * _log(x)
     return s
 
 
-@functools.lru_cache(maxsize=64)
-def _ratio_groups(a, n):
-    """Split k = 0..n-1 into runs [lo, hi) whose factors 1 + a / (x + k)
-    have arguments summing below 3 < pi for every Re x >= 0, so one log of
-    each run's product stays on the principal branch.  1 + a / (x + k) lies
-    in the disk about 1 + a / 2k of radius a / 2k, so its |arg| is at most
-    arcsin(a / (2k + a)), pi / 2 at k = 0; a <= 1 needs a single run."""
-    runs, lo, total = [], 0, 0.0
-    for k in range(n):
-        bound = math.asin(a / (2 * k + a))
-        if total + bound >= 3.0:
-            runs.append((lo, k))
-            lo, total = k, 0.0
-        total += bound
-    return tuple(runs) + ((lo, n),)
-
-
 def log_gamma_ratio(x, a):
-    """log Gamma(x + a) - log Gamma(x) for Re x >= 0, a > 0, each log Gamma
-    on its principal branch.
+    """log Gamma(x + a) - log Gamma(x) for Re x >= 0 and 0 < a <= 1, each
+    log Gamma on its principal branch; any other a raises DomainError.
 
-    Where |x| >= 10 max(1, a), the asymptotic series a log x + sum_{n<=16}
+    Where |x| >= 10, the asymptotic series a log x + sum_{n<=16}
     (-1)^{n+1} (B_{n+1}(a) - B_{n+1}) / (n (n+1) x^n) keeps it to a few ulp,
     where two log_gamma values would carry 1e-16 |x| log|x| of rounding.
-    Nearer the origin the ratio recurrence moves x out to x + N, N =
-    ceil(10 max(1, a)), and subtracts the logs of the products of
-    1 + a / (x + k), k < N, one log per run of `_ratio_groups`.
+    Nearer the origin the ratio recurrence moves x out to x + 10 and
+    subtracts the log of the product of 1 + a / (x + k), k < 10.  Each
+    factor lies in the disk about 1 + a / 2k of radius a / 2k, so its |arg|
+    is at most arcsin(a / (2k + a)); for a <= 1 these sum to at most
+    2.71 < pi, and one log of the product stays on the principal branch.
     In these factors the rounding of x + k is scaled down by a / |x + k|;
     a product of (x + k + a) over a product of (x + k) would keep it whole,
     with a bias that the Bernstein-gamma evaluator's sums accumulate.
     """
+    if not 0.0 < a <= 1.0:
+        raise DomainError("log_gamma_ratio serves 0 < a <= 1")
     shape = np.shape(x)
     x, a = np.asarray(x, dtype=complex).ravel(), float(a)
-    r = 10.0 * max(1.0, a)
-    near = np.abs(x) < r
+    near = np.abs(x) < _RATIO_NEAR
     if not near.any():
         return _ratio_series(x, a).reshape(shape)
-    n = math.ceil(r)
-    out = _ratio_series(np.where(near, x + n, x), a)
-    factors = x[near] + np.arange(n)[:, None]
+    out = _ratio_series(np.where(near, x + _RATIO_NEAR, x), a)
+    factors = x[near] + np.arange(_RATIO_NEAR)[:, None]
     np.divide(a, factors, out=factors)
     factors += 1.0
-    for lo, hi in _ratio_groups(a, n):
-        # not .prod(axis=0) nor *=: both round a one-point product another
-        # way (NumPy 2.4), so a point's bits would depend on its company
-        prod = factors[lo]
-        for row in factors[lo + 1:hi]:
-            prod = prod * row
-        out[near] -= _log(prod)
+    # not .prod(axis=0) nor *=: both round a one-point product another way
+    # (NumPy 2.4), so a point's bits would depend on its company
+    prod = factors[0]
+    for row in factors[1:]:
+        prod = prod * row
+    out[near] -= _log(prod)
     return out.reshape(shape)
 
 

@@ -183,12 +183,15 @@ def _grid_l2_mass(spec, values):
 
 
 def classify(pair: WienerHopfPair, spec: GridSpec = GridSpec(),
-             xi_max: float = 200.0, tol: float = 1e-10) -> SpectrumReport:
-    """Decide which part of the spectrum the ray e^{t R_-} belongs to."""
+             xi_max: float = 200.0) -> SpectrumReport:
+    """Decide which part of the spectrum the ray e^{t R_-} belongs to.
+
+    The evidence is the multiplier line of `multiplier_h`, one cache entry
+    per (pair, grid) that `EvolutionPlan` and `eigenfunction_fft` share."""
     lo_p, up_p, bar_p = _theta_bracket(pair.phi_plus, xi_max)
     lo_m, up_m, bar_m = _theta_bracket(pair.phi_minus, xi_max)
 
-    m_line = multiplier_h(pair, spec, tol=tol)
+    m_line = multiplier_h(pair, spec)
     inv_vals = 1.0 / m_line.values
     bounded_above, m_l2 = _band_evidence(spec, m_line.values)
     bounded_below, inv_l2 = _band_evidence(spec, inv_vals)

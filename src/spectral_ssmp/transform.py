@@ -218,32 +218,27 @@ def inverse_shifted_fft(s: SpectrumLine) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def multiplier_h(pair: WienerHopfPair, spec: GridSpec,
-                 tol: float = 1e-10) -> MultiplierLine:
+def multiplier_h(pair: WienerHopfPair, spec: GridSpec, /) -> MultiplierLine:
     """m(xi_k) = W_plus(1/2 - i xi_k) / W_minus(1/2 + i xi_k); zero-free.
 
     Uses the conjugate symmetry W(conj z) = conj W(z) to evaluate each
-    Bernstein-gamma function on half the line only.  Cached per
-    (pair, grid, tol) whatever the call style: the Bernstein-gamma product
-    is the expensive kernel.
+    Bernstein-gamma function on half the line only.  The arguments are
+    positional-only, so every call keys the one cache entry of its
+    (pair, grid): the Bernstein-gamma product is the expensive kernel.
     """
-    # lru_cache keys multiplier_h(p, s, t) and multiplier_h(p, s, tol=t)
-    # apart, so the line is built and cached in _multiplier_line, called
-    # positionally; this wrapper stays an lru_cache because
-    # perfbench/tracing.py counts builds from multiplier_h.cache_info()
-    return _multiplier_line(pair, spec, float(tol))
+    lw_p, lw_m = _log_w_lines(pair, spec, 0.5, spec.xi)
+    return MultiplierLine(spec, _clamped_exp(lw_p - lw_m))
 
 
-def _log_w_lines(pair: WienerHopfPair, spec: GridSpec, tol: float,
-                 a: float, xi):
+def _log_w_lines(pair: WienerHopfPair, spec: GridSpec, a: float, xi):
     """(log W_+(a - i xi), log W_-(a + i xi)) for a 1-d xi, from the shared
     W evaluators of both factors, whose horizon covers every |1/2 +- i xi|
     and |1 +- i xi| on spec.  Each is evaluated at the distinct |xi| only,
     W(conj z) = conj W(z), and one factor for both sides, as for (id, id),
     takes one log W."""
     zmax = float(np.hypot(0.5, spec.nyquist)) + 2.0
-    ev_p = default_evaluator(pair.phi_plus, tol, zmax)
-    ev_m = default_evaluator(pair.phi_minus, tol, zmax)
+    ev_p = default_evaluator(pair.phi_plus, zmax=zmax)
+    ev_m = default_evaluator(pair.phi_minus, zmax=zmax)
     pos, inv = np.unique(np.abs(xi), return_inverse=True)
 
     def line(ev):
@@ -266,18 +261,11 @@ def _clamped_exp(lw):
             f"{np.count_nonzero(clamped)} of {lw.size} multiplier samples "
             f"have |log m| > {_LOG_CLAMP:g} (extreme log|m| = {extreme:.4g}); "
             f"their log|m| is clamped at +-{_LOG_CLAMP:g}", DomainWarning,
-            stacklevel=4)
+            stacklevel=3)
     return np.exp(np.clip(lw.real, -_LOG_CLAMP, _LOG_CLAMP) + 1j * lw.imag)
 
 
-@functools.lru_cache(maxsize=64)
-def _multiplier_line(pair: WienerHopfPair, spec: GridSpec,
-                     tol: float) -> MultiplierLine:
-    lw_p, lw_m = _log_w_lines(pair, spec, tol, 0.5, spec.xi)
-    return MultiplierLine(spec, _clamped_exp(lw_p - lw_m))
-
-
-def _lambda_multiplier_line0(pair: WienerHopfPair, spec: GridSpec, tol: float):
+def _lambda_multiplier_line0(pair: WienerHopfPair, spec: GridSpec):
     """The similarity multiplier on the unshifted line,
     m(xi) = W_+(-i xi) Gamma(1 + i xi) / (W_-(1 + i xi) Gamma(-i xi)),
     regularized at xi = 0 through W(z) = W(z+1)/phi(z)."""
@@ -288,7 +276,7 @@ def _lambda_multiplier_line0(pair: WienerHopfPair, spec: GridSpec, tol: float):
     # regularized form: (-i xi)/Gamma(1 - i xi) replaces 1/Gamma(-i xi);
     # log Gamma(1 - i xi) = conj log Gamma(1 + i xi)
     log_g = log_gamma(1.0 + 1j * x_nz)
-    lw_p, lw_m = _log_w_lines(pair, spec, tol, 1.0, x_nz)
+    lw_p, lw_m = _log_w_lines(pair, spec, 1.0, x_nz)
     log_num = lw_p + log_g - np.log(eval_phi(pair.phi_plus, -1j * x_nz))
     log_den = lw_m + np.conj(log_g)
     vals[nz] = (-1j * x_nz) * _clamped_exp(log_num - log_den)
@@ -303,11 +291,10 @@ def _lambda_multiplier_line0(pair: WienerHopfPair, spec: GridSpec, tol: float):
     return vals
 
 
-def multiplier_lambda(pair: WienerHopfPair, spec: GridSpec,
-                      tol: float = 1e-10) -> MultiplierLine:
+def multiplier_lambda(pair: WienerHopfPair, spec: GridSpec) -> MultiplierLine:
     """The H multiplier times the unimodular phase
     Gamma(1/2 + i xi)/Gamma(1/2 - i xi)."""
-    base = multiplier_h(pair, spec, tol)
+    base = multiplier_h(pair, spec)
     xi = base.spec.xi
     # log Gamma(conj z) = conj log Gamma(z), so the phase is exp(2i Im)
     phase = np.exp(2j * log_gamma(0.5 + 1j * xi).imag)

@@ -334,7 +334,7 @@ def test_evolve_gauss_fixture_matches_library(tmp_path):
                 "--grid=-20:40:512", "--out", str(out)]) == 0
     spec = GridSpec(-20.0, 40.0, 512)
     pair = exponent_from_json({"pair": json.loads(PAIR_ID)}).pair
-    ref = evolve(EvolutionPlan(pair, spec, tol=1e-8), 0.5,
+    ref = evolve(EvolutionPlan(pair, spec), 0.5,
                  gaussian_fixture(spec, 0.0))
     data = np.genfromtxt(out, delimiter=",", names=True)
     assert np.array_equal(data["re"], ref.values.real)
@@ -505,15 +505,14 @@ DRIFT = json.dumps({"family": "drift", "d": 1.0})
     ["bgamma", "--phi", DRIFT, "--a", "inf"],
     ["bgamma", "--phi", DRIFT, "--xi-max", "nan"],
     ["bgamma", "--phi", DRIFT, "--xi-max", "inf"],
-    ["multiplier", "--pair", PAIR_GAMMA, "--grid=-20:40:512", "--tol-w",
-     "nan"],
-    ["multiplier", "--pair", PAIR_GAMMA, "--grid=-20:40:512", "--tol-w",
-     "inf"],
+    ["multiplier", "--pair", PAIR_GAMMA, "--grid", "nan:40:512"],
+    ["multiplier", "--pair", PAIR_GAMMA, "--grid", "0:inf:512"],
 ], ids=lambda args: f"{args[0]}{args[-2]}={args[-1]}")
 def test_non_finite_tolerance_horizon_or_frequency_exits_2(tmp_path, capsys,
                                                            args):
-    # the W evaluator's tol and horizon and the Theta frequency are checked
-    # where they are used, so each call exits 2 and writes no file
+    # the W evaluator's tol and horizon, the Theta frequency and the window
+    # edges are checked where they are used, so each call exits 2 and
+    # writes no file
     out = tmp_path / "out"
     assert run(args + ["--out", str(out)]) == 2
     captured = capsys.readouterr()

