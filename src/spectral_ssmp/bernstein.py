@@ -1004,19 +1004,18 @@ def theta_integral(phi: BernsteinFunction, a: float, xi,
     return float(out) if xs.ndim == 0 else out
 
 
-def theta_limits(phi: BernsteinFunction, xi_max: float,
-                 n_samples: int = 8) -> tuple:
-    """Empirical (min, max) of Theta_phi over a geometric grid up to xi_max.
+def theta_limits(phi: BernsteinFunction, xi_max: float) -> tuple:
+    """(min, max) of Theta_phi(1/2, xi) = theta_integral(phi, 1/2, xi) / xi
+    over the two samples xi = xi_max / 2 and xi = xi_max.
 
-    Theta is always confined to [0, pi/2]; the returned pair brackets the
-    liminf/limsup at the resolution of the grid.  It accepts
+    Theta is always confined to [0, pi/2]; the pair brackets the
+    liminf/limsup at the top of the frequency range, and `classify` takes
+    half its spread as the error bar of its Theta-gap test.  It accepts
     0 < xi_max < inf and raises DomainError otherwise.
     """
     if not 0.0 < xi_max < math.inf:
         raise DomainError("theta_limits needs 0 < xi_max < inf")
-    if n_samples < 2:
-        raise DomainError("n_samples must be at least 2")
-    xis = xi_max * 2.0 ** (-np.arange(n_samples, dtype=float))[::-1]
+    xis = xi_max * np.array([0.5, 1.0])
     th = theta_integral(phi, 0.5, xis) / xis
     return float(np.min(th)), float(np.max(th))
 

@@ -304,37 +304,35 @@ def eigenfunction_fft(pair: WienerHopfPair, spec: Optional[GridSpec] = None,
 # approximate eigenfunctions
 # ---------------------------------------------------------------------------
 
-def standard_bump(spec: GridSpec) -> GridFunction:
-    """The profile e^{-1/(1-u^2)} on |u| < 1, fixed for reproducibility."""
-    u = spec.x
-    vals = np.zeros(spec.n)
+def _bump(u: np.ndarray) -> np.ndarray:
+    """The profile e^{-1/(1-u^2)} on |u| < 1, zero elsewhere."""
+    vals = np.zeros(u.shape)
     inside = np.abs(u) < 1.0
     vals[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    return GridFunction(spec, vals)
+    return vals
+
+
+def standard_bump(spec: GridSpec) -> GridFunction:
+    """The profile e^{-1/(1-u^2)} on |u| < 1, fixed for reproducibility."""
+    return GridFunction(spec, _bump(spec.x))
 
 
 def approx_eigenfunction(spec: GridSpec, y: float, n: int) -> GridFunction:
-    """The rescaled translate n * bump(n (x - y)) of `standard_bump`, unit
-    L^2(e)-norm.
+    """The rescaled translate n * bump(n (x - y)) of `standard_bump`,
+    evaluated at the grid points and scaled to unit L^2(e)-norm.
 
     These are the approximate eigenfunctions of the multiplication
-    semigroup at spectral parameter e^{-t e^{-y}}.
+    semigroup at spectral parameter e^{-t e^{-y}}.  The support 2/n must
+    span at least 16 grid cells and meet the grid.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    bump = standard_bump(spec).values.real
-    # support of the profile on the grid
-    nz = bump > 0
-    if not np.any(nz):
-        raise DomainError("the grid does not sample the bump on (-1, 1)")
-    lo, hi = spec.x[nz][0], spec.x[nz][-1]
-    width = (hi - lo) / n
-    if width / spec.dx < 16:
+    cells = 2.0 / (n * spec.dx)
+    if cells < 16:
         raise ResolutionError(
-            f"rescaled bump support spans {width / spec.dx:.1f} < 16 cells")
-    vals = n * np.interp(n * (spec.x - y), spec.x, bump, left=0.0, right=0.0)
-    g = GridFunction(spec, vals)
-    nrm = g.norm_e()
+            f"rescaled bump support spans {cells:.1f} < 16 cells")
+    vals = n * _bump(n * (spec.x - y))
+    nrm = GridFunction(spec, vals).norm_e()
     if nrm == 0.0:
         raise ResolutionError("rescaled bump does not intersect the grid")
     return GridFunction(spec, vals / nrm)

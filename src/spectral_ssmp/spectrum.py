@@ -5,13 +5,21 @@ e^{t R_-} in its spectrum; which part (point, residual, continuous,
 approximate) is decided by square-integrability or two-sided boundedness
 of the diagonalizing multiplier m(xi) = W_plus(1/2-i xi)/W_minus(1/2+i xi).
 
-classify combines three kinds of evidence, in order:
-  (a) a certified gap between the Theta oscillation limits of the two
-      factors (exponential decay of |m| one way or the other),
-  (b) symbolic table rules on each factor's drift and on tail facts
-      derived from its Levy measure: the activity nu_bar(0+), the
-      regular-variation index of nu_bar and quasi-monotonicity,
-  (c) direct dyadic-band decay fits of |m| and 1/|m| on the grid.
+classify reads one set of grid evidence on m and one on 1/m
+(`_side_evidence`) and decides by the first of these that holds:
+  1. theta-gap: a certified gap between the Theta oscillation limits of
+     the two factors (exponential decay of |m| one way or the other),
+     confirmed by a 10x drop of |m| or 1/|m| on the grid;
+  2. table: a symbolic row on each factor's drift and on tail facts
+     derived from its Levy measure: the activity nu_bar(0+), the
+     regular-variation index of nu_bar and quasi-monotonicity;
+  3. band-decay: exactly one of m and 1/m is square integrable by the
+     band fits;
+  4. band-bounded: m is bounded both ways (Continuous) or one way
+     (ApproximateOnly);
+  5. Inconclusive.
+The report's L^2 flags are read off the verdict: m is square integrable
+exactly for Point, 1/m exactly for Residual.
 Inconclusive is a first-class verdict: the reverse spectral inclusion is
 not checkable numerically, and the ratio need not be monotone.
 """
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,9 +54,7 @@ class SpectrumReport:
     theta_plus: tuple
     theta_minus: tuple
     l2_mass_m: float
-    l2_mass_m_finite: bool
     l2_mass_inv: float
-    l2_mass_inv_finite: bool
     bounded_above: bool
     bounded_below: bool
     table_rule_fired: Optional[str]
@@ -58,20 +64,28 @@ class SpectrumReport:
     def __post_init__(self):
         if self.verdict not in VERDICTS:
             raise DomainError(f"unknown verdict {self.verdict!r}")
-        # mutually exclusive evidence: a multiplier and its reciprocal
-        # cannot both be square integrable
-        if self.verdict == "Point" and not self.l2_mass_m_finite:
-            raise DomainError("a Point verdict needs a square-integrable m")
-        if self.verdict == "Residual" and not self.l2_mass_inv_finite:
-            raise DomainError("a Residual verdict needs a square-integrable 1/m")
         if self.verdict == "Continuous" and not (self.bounded_above
                                                  and self.bounded_below):
             raise DomainError("a Continuous verdict needs m bounded both ways")
-        if self.l2_mass_m_finite and self.l2_mass_inv_finite:
-            raise DomainError("m and 1/m cannot both be square integrable")
+
+    @property
+    def l2_mass_m_finite(self) -> bool:
+        """m is square integrable exactly when the verdict is Point."""
+        return self.verdict == "Point"
+
+    @property
+    def l2_mass_inv_finite(self) -> bool:
+        """1/m is square integrable exactly when the verdict is Residual."""
+        return self.verdict == "Residual"
 
     def to_dict(self):
-        return asdict(self)
+        """The fields, each L^2 mass followed by its derived flag."""
+        out = {}
+        for key, value in asdict(self).items():
+            out[key] = value
+            if key in ("l2_mass_m", "l2_mass_inv"):
+                out[key + "_finite"] = getattr(self, key + "_finite")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -128,58 +142,54 @@ def spectrum_values(t: float, y_grid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# numeric evidence
+# numeric evidence and the verdict
 # ---------------------------------------------------------------------------
 
-def _theta_bracket(phi, xi_max):
-    """(lower, upper, error bar) from the samples at xi_max / 2 and xi_max.
+class _Side(NamedTuple):
+    """Grid evidence on one of m and 1/m."""
+    bounded: bool
+    square_integrable: bool
+    l2_mass: float
+    drop: float
 
-    The liminf/limsup are not computable; the bar is half the spread of the
-    two samples, a conservative finite-sample surrogate.
+
+def _side_evidence(spec: GridSpec, values: np.ndarray, hi: float) -> _Side:
+    """The evidence of |values| on the grid.
+
+    The maxima over the six top dyadic |xi| bands (top band last) give the
+    power slope and the exponential rate of a log-linear fit: bounded when
+    the top band stays within twice the median band, square integrable on
+    decisive exponential decay (rate x nyquist < -20 and a 1e4 fall across
+    the bands) or a power slope below -0.55.  The L^2 mass is dxi times the
+    sum of |values|^2, each sample clipped at 1e150.  The drop is the ratio of
+    the median levels in 10% windows around hi / 4 and hi.
     """
-    lo, up = theta_limits(phi, xi_max, 2)
-    return lo, up, 0.5 * (up - lo)
-
-
-def _dyadic_bands(spec: GridSpec, values: np.ndarray):
-    """Per-band maxima of |values| over the six top dyadic |xi| bands (top
-    band last)."""
-    xi = np.abs(spec.xi)
+    axi = np.abs(spec.xi)
+    mags = np.abs(values)
     top = spec.nyquist
-    out = []
-    centers = []
+    centers, maxima = [], []
     for j in range(6, 0, -1):
-        lo, hi = top / 2 ** j, top / 2 ** (j - 1)
-        mask = (xi >= lo) & (xi < hi)
+        lo, up = top / 2 ** j, top / 2 ** (j - 1)
+        mask = (axi >= lo) & (axi < up)
         if np.any(mask):
-            out.append(float(np.max(np.abs(values[mask]))))
-            centers.append(np.sqrt(lo * hi))
-    return np.asarray(centers), np.asarray(out)
-
-
-def _decay_fit(centers, maxima):
-    """(power slope, exponential rate per unit xi) of band maxima."""
-    safe = np.maximum(maxima, 1e-300)
-    logm = np.log(safe)
-    p = float(np.polyfit(np.log(centers), logm, 1)[0])
-    r = float(np.polyfit(centers, logm, 1)[0])
-    return p, r
-
-
-def _band_evidence(spec, values):
-    centers, maxima = _dyadic_bands(spec, values)
-    power_slope, exp_rate = _decay_fit(centers, maxima)
-    median_band = float(median(maxima))
-    bounded_above = maxima[-1] <= 2.0 * median_band
+            maxima.append(float(np.max(mags[mask])))
+            centers.append(np.sqrt(lo * up))
+    centers, maxima = np.asarray(centers), np.asarray(maxima)
+    log_max = np.log(np.maximum(maxima, 1e-300))
+    power_slope = float(np.polyfit(np.log(centers), log_max, 1)[0])
+    exp_rate = float(np.polyfit(centers, log_max, 1)[0])
     # decisive exponential decay: e^{-c xi} with c xi_max >> 1
-    exponential = exp_rate * spec.nyquist < -20.0 and maxima[-1] < 1e-4 * maxima[0]
-    square_integrable = exponential or power_slope < -0.55
-    return bounded_above, square_integrable
+    exponential = exp_rate * top < -20.0 and maxima[-1] < 1e-4 * maxima[0]
 
+    def level(center):
+        sel = (axi > 0.9 * center) & (axi < 1.1 * center)
+        return float(median(mags[sel])) if np.any(sel) else np.nan
 
-def _grid_l2_mass(spec, values):
-    mags = np.clip(np.abs(values), 0.0, 1e150)
-    return float(spec.dxi * np.sum(mags ** 2))
+    return _Side(
+        bounded=bool(maxima[-1] <= 2.0 * float(median(maxima))),
+        square_integrable=bool(exponential or power_slope < -0.55),
+        l2_mass=float(spec.dxi * np.sum(np.clip(mags, 0.0, 1e150) ** 2)),
+        drop=level(hi / 4) / max(level(hi), 1e-300))
 
 
 def classify(pair: WienerHopfPair, spec: GridSpec = GridSpec(),
@@ -188,68 +198,45 @@ def classify(pair: WienerHopfPair, spec: GridSpec = GridSpec(),
 
     The evidence is the multiplier line of `multiplier_h`, one cache entry
     per (pair, grid) that `EvolutionPlan` and `eigenfunction_fft` share."""
-    lo_p, up_p, bar_p = _theta_bracket(pair.phi_plus, xi_max)
-    lo_m, up_m, bar_m = _theta_bracket(pair.phi_minus, xi_max)
-
-    m_line = multiplier_h(pair, spec)
-    inv_vals = 1.0 / m_line.values
-    bounded_above, m_l2 = _band_evidence(spec, m_line.values)
-    bounded_below, inv_l2 = _band_evidence(spec, inv_vals)
-    if m_l2 and inv_l2:  # numerically impossible; refuse to guess
-        m_l2 = inv_l2 = False
-    mass_m = _grid_l2_mass(spec, m_line.values)
-    mass_i = _grid_l2_mass(spec, inv_vals)
-
-    # soundness guard for the theta-gap branch: a certified gap implies
-    # exponential decay, so the measured ratio must drop by 10x between
-    # xi_max/4 and xi_max (and symmetrically for the reciprocal)
-    def _window_level(vals, center):
-        sel = (np.abs(spec.xi) > 0.9 * center) & (np.abs(spec.xi) < 1.1 * center)
-        return float(median(np.abs(vals[sel]))) if np.any(sel) else np.nan
+    lo_p, up_p = theta_limits(pair.phi_plus, xi_max)
+    lo_m, up_m = theta_limits(pair.phi_minus, xi_max)
+    # the liminf/limsup are not computable; the error bar of each bracket
+    # is half its spread, a conservative finite-sample surrogate
+    bar = 0.5 * (up_p - lo_p) + 0.5 * (up_m - lo_m)
+    m_vals = multiplier_h(pair, spec).values
     hi = min(xi_max, 0.95 * spec.nyquist)
-    drop_m = _window_level(m_line.values, hi / 4) / max(
-        _window_level(m_line.values, hi), 1e-300)
-    drop_i = _window_level(inv_vals, hi / 4) / max(
-        _window_level(inv_vals, hi), 1e-300)
+    m = _side_evidence(spec, m_vals, hi)
+    inv = _side_evidence(spec, 1.0 / m_vals, hi)
+    rule, row = _table_row(pair.phi_plus, pair.phi_minus)
 
-    verdict = None
-    branch = ""
-    fired = None
-    if lo_p - up_m > bar_p + bar_m and drop_m >= 10.0:
+    # a certified Theta gap implies exponential decay, so the gap decides
+    # only when the measured ratio also drops 10x between hi / 4 and hi
+    if lo_p - up_m > bar and m.drop >= 10.0:
         verdict, branch = "Point", "theta-gap"
-        m_l2 = True
-        inv_l2 = False
-    elif lo_m - up_p > bar_p + bar_m and drop_i >= 10.0:
+    elif lo_m - up_p > bar and inv.drop >= 10.0:
         verdict, branch = "Residual", "theta-gap"
-        inv_l2 = True
-        m_l2 = False
+    elif rule is not None:
+        verdict, branch = rule, "table"
+    elif m.square_integrable != inv.square_integrable:
+        # both square integrable is numerically impossible: refuse to guess
+        verdict = "Point" if m.square_integrable else "Residual"
+        branch = "band-decay"
+    elif m.bounded or inv.bounded:
+        verdict = ("Continuous" if m.bounded and inv.bounded
+                   else "ApproximateOnly")
+        branch = "band-bounded"
     else:
-        rule, fired = _table_row(pair.phi_plus, pair.phi_minus)
-        if rule is not None:
-            verdict, branch = rule, "table"
-            m_l2, inv_l2 = rule == "Point", rule == "Residual"
-        elif m_l2:
-            verdict, branch = "Point", "band-decay"
-        elif inv_l2:
-            verdict, branch = "Residual", "band-decay"
-        elif bounded_above and bounded_below:
-            verdict, branch = "Continuous", "band-bounded"
-        elif bounded_above or bounded_below:
-            verdict, branch = "ApproximateOnly", "band-bounded"
-        else:
-            verdict, branch = "Inconclusive", "none"
+        verdict, branch = "Inconclusive", "none"
 
     return SpectrumReport(
         verdict=verdict,
         theta_plus=(lo_p, up_p),
         theta_minus=(lo_m, up_m),
-        l2_mass_m=mass_m,
-        l2_mass_m_finite=bool(m_l2),
-        l2_mass_inv=mass_i,
-        l2_mass_inv_finite=bool(inv_l2),
-        bounded_above=bool(bounded_above),
-        bounded_below=bool(bounded_below),
-        table_rule_fired=fired,
+        l2_mass_m=m.l2_mass,
+        l2_mass_inv=inv.l2_mass,
+        bounded_above=m.bounded,
+        bounded_below=inv.bounded,
+        table_rule_fired=row if branch == "table" else None,
         evidence_grid=spec,
         branch=branch,
     )

@@ -948,7 +948,7 @@ def test_theta_zero_frequency():
 def test_theta_constant_phi():
     phi = BernsteinFunction(phi0=2.0)
     assert theta_integral(phi, 1.0, 10.0) == pytest.approx(0.0, abs=1e-14)
-    assert theta_limits(phi, 500.0, 8) == (0.0, 0.0)
+    assert theta_limits(phi, 500.0) == (0.0, 0.0)
 
 
 def test_theta_drift_closed_form():
@@ -980,12 +980,12 @@ def test_theta_integral_array_matches_scalar_calls():
 
 
 def test_theta_limits_drift_and_gamma():
-    lo, hi = theta_limits(PHI_ID, 800.0, 8)
+    lo, hi = theta_limits(PHI_ID, 800.0)
     assert 0.0 <= lo <= hi <= np.pi / 2 + 1e-12
     assert hi == pytest.approx(np.pi / 2, abs=0.01)
     at = 0.7
     phi = make_bernstein("gamma-ratio-plus", alpha_tilde=at)
-    lo_g, hi_g = theta_limits(phi, 2000.0, 6)
+    lo_g, hi_g = theta_limits(phi, 2000.0)
     assert hi_g == pytest.approx(at * np.pi / 2, abs=0.02)
     assert 0.0 <= lo_g <= hi_g <= np.pi / 2 + 1e-12
 

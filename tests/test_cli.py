@@ -544,9 +544,8 @@ def test_inconclusive_exit_3(monkeypatch, capsys):
     def fake_classify(pair, spec, xi_max=200.0):
         return SpectrumReport(
             verdict="Inconclusive", theta_plus=(0.1, 0.2),
-            theta_minus=(0.1, 0.2), l2_mass_m=1.0, l2_mass_m_finite=False,
-            l2_mass_inv=1.0, l2_mass_inv_finite=False, bounded_above=False,
-            bounded_below=False, table_rule_fired=None,
+            theta_minus=(0.1, 0.2), l2_mass_m=1.0, l2_mass_inv=1.0,
+            bounded_above=False, bounded_below=False, table_rule_fired=None,
             evidence_grid=GridSpec(), branch="none")
 
     monkeypatch.setattr(cli_mod, "classify", fake_classify)

@@ -408,6 +408,23 @@ def test_approx_eigenfunction_resolution_error():
     coarse = GridSpec(-20.0, 40.0, 256)
     with pytest.raises(ResolutionError):
         approx_eigenfunction(coarse, 0.0, 64)
+    # a translate beyond the window meets no grid point
+    with pytest.raises(ResolutionError, match="does not intersect"):
+        approx_eigenfunction(FINE, 100.0, 4)
+
+
+def test_approx_eigenfunction_samples_the_formula():
+    # n * bump(n (x - y)) at the grid points, not an interpolant of the
+    # bump's own samples (off by up to 8.5e-4 on 4096 points)
+    for spec, y, n in ((GridSpec(-20.0, 40.0, 4096), 0.5, 4),
+                       (FINE, 0.5, 32)):
+        u = n * (spec.x - y)
+        inside = np.abs(u) < 1.0
+        vals = np.zeros(spec.n)
+        vals[inside] = n * np.exp(-1.0 / (1.0 - u[inside] ** 2))
+        ref = vals / GridFunction(spec, vals).norm_e()
+        g = approx_eigenfunction(spec, y, n)
+        assert np.max(np.abs(g.values - ref)) <= 1e-12
 
 
 def test_approx_eigenfunction_residual_decreases():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spectral_ssmp.spectrum as spectrum_mod
 from spectral_ssmp.errors import DomainError
 from spectral_ssmp.exponents import WienerHopfPair
 from spectral_ssmp.families import make_bernstein, stable_density_table
@@ -96,19 +97,81 @@ def test_report_invariants():
 
 
 def test_report_rejects_unknown_verdict():
-    with pytest.raises(Exception):
-        SpectrumReport("Bogus", (0, 1), (0, 1), 1.0, False, 1.0, False,
-                       True, True, None, SPEC, "none")
+    with pytest.raises(DomainError, match="unknown verdict"):
+        SpectrumReport("Bogus", (0, 1), (0, 1), 1.0, 1.0, True, True, None,
+                       SPEC, "none")
 
 
 def test_report_invariants_raise_domain_error():
     # raised, not asserted, so the check survives python -O
-    with pytest.raises(DomainError):
-        SpectrumReport("Point", (0, 1), (0, 1), 1.0, False, 1.0, False,
-                       True, True, None, SPEC, "none")
-    with pytest.raises(DomainError):
-        SpectrumReport("Residual", (0, 1), (0, 1), 1.0, True, 1.0, True,
-                       True, True, None, SPEC, "none")
+    with pytest.raises(DomainError, match="bounded both ways"):
+        SpectrumReport("Continuous", (0, 1), (0, 1), 1.0, 1.0, False, False,
+                       None, SPEC, "band-bounded")
+
+
+# ---------------------------------------------------------------------------
+# the verdict chain
+# ---------------------------------------------------------------------------
+
+TABLE_D1 = make_bernstein(**stable_density_table(0.5), d=1.0)
+GAMMA_MINUS_PAIR = WienerHopfPair(
+    make_bernstein("gamma-ratio-minus", alpha=0.5, rho=0.3),
+    make_bernstein("gamma-ratio-minus", alpha=0.5, rho=0.75))
+
+
+def _check_report(rep, verdict, branch, fired, m_l2, inv_l2):
+    d = rep.to_dict()
+    want = {"verdict": verdict, "branch": branch, "table_rule_fired": fired,
+            "l2_mass_m_finite": m_l2, "l2_mass_inv_finite": inv_l2}
+    assert {k: getattr(rep, k) for k in want} == want
+    assert {k: d[k] for k in want} == want
+
+
+@pytest.mark.parametrize("pair,verdict,branch,fired,m_l2,inv_l2", [
+    (gamma_pair(0.7, 0.3, 1.0), "Point", "theta-gap", None, True, False),
+    (gamma_pair(0.3, 0.7, 1.0), "Residual", "theta-gap", None, False, True),
+    (WienerHopfPair(PHI_AFF, TABLE_D1), "Point", "table", "T2r2", True, False),
+    (WienerHopfPair(TABLE_D1, PHI_AFF), "Residual", "table", "T2r2", False,
+     True),
+    (WienerHopfPair(PHI_ID, PHI_AFF), "Point", "band-decay", None, True,
+     False),
+    (WienerHopfPair(PHI_AFF, PHI_ID), "Residual", "band-decay", None, False,
+     True),
+    (WienerHopfPair(PHI_ID, PHI_ID), "Continuous", "band-bounded", None,
+     False, False),
+    (GAMMA_MINUS_PAIR, "ApproximateOnly", "band-bounded", None, False,
+     False),
+])
+def test_classify_chain_on_real_pairs(pair, verdict, branch, fired, m_l2,
+                                      inv_l2):
+    _check_report(classify(pair, SPEC), verdict, branch, fired, m_l2, inv_l2)
+
+
+def _side(bounded, square_integrable, drop=1.0):
+    return spectrum_mod._Side(bounded, square_integrable, 1.0, drop)
+
+
+@pytest.mark.parametrize("pair,m,inv,verdict,branch,fired", [
+    # no bound either way and no decay: the last link of the chain
+    (WienerHopfPair(PHI_ID, PHI_ID), _side(False, False), _side(False, False),
+     "Inconclusive", "none", None),
+    # a Theta gap without the 10x drop of |m| leaves the verdict to the
+    # table row
+    (gamma_pair(0.7, 0.3, 1.0), _side(True, True, drop=5.0),
+     _side(False, False), "Point", "table", "T1r1"),
+    # m and 1/m both square integrable is refused as band-decay evidence
+    (WienerHopfPair(PHI_ID, PHI_ID), _side(True, True), _side(True, True),
+     "Continuous", "band-bounded", None),
+])
+def test_classify_chain_on_set_evidence(monkeypatch, pair, m, inv, verdict,
+                                        branch, fired):
+    sides = iter((m, inv))  # classify reads m first, then 1/m
+    monkeypatch.setattr(spectrum_mod, "_side_evidence",
+                        lambda spec, values, hi: next(sides))
+    rep = classify(pair, SPEC)
+    _check_report(rep, verdict, branch, fired, verdict == "Point",
+                  verdict == "Residual")
+    assert (rep.bounded_above, rep.bounded_below) == (m.bounded, inv.bounded)
 
 
 # ---------------------------------------------------------------------------
