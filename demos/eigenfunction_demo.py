@@ -1,10 +1,12 @@
 """Eigenfunctions three ways: power series, Wright forms, inversion.
 
-For the pair (drift, u+1) the eigenfunction collapses to a Bessel function,
-e^{-x/2} J_1(2 e^{x/2}), so the series and the transform inversion can be
-compared against a classical special function.  For the gamma-ratio pairs
-two candidate Wright-function normalizations exist (the argument scale is
-either e^{x/alpha_tilde} or e^{x/alpha}); the inversion route decides.
+Each route takes the Wiener-Hopf pair it serves.  For the pair (drift, u+1)
+the eigenfunction collapses to a Bessel function, e^{-x/2} J_1(2 e^{x/2}),
+so the series (plus factor the unit drift) and the transform inversion
+(a Point pair) can be compared against a classical special function.  For
+the gamma-ratio pairs two candidate Wright-function normalizations exist
+(the argument scale is either e^{x/alpha_tilde} or e^{x/alpha}); the
+inversion route decides.
 """
 
 import numpy as np
@@ -12,7 +14,6 @@ from scipy.special import j1
 
 from spectral_ssmp.eigenfunctions import (
     EIGEN_GRID,
-    SeriesEigenfunction,
     eigenfunction_fft,
     eigenfunction_series,
     wright_eigenfunction,
@@ -29,9 +30,8 @@ ref = np.exp(-x / 2) * j1(2 * np.exp(x / 2))
 print("pair (id, u+1): inversion vs e^{-x/2} J_1(2 e^{x/2}):",
       f"sup error {np.max(np.abs(J.values.real[mask] - ref[mask])):.2e}")
 
-s = SeriesEigenfunction(make_bernstein("affine", d=1.0, c=1.0))
 xv = np.array([-4.0, 0.0, 2.0])
-for xi, sv, bv in zip(xv, eigenfunction_series(s, xv, tol=1e-9),
+for xi, sv, bv in zip(xv, eigenfunction_series(pair_b, xv, tol=1e-9),
                       np.exp(-xv / 2) * j1(2 * np.exp(xv / 2))):
     print(f"  series at x={xi}: {sv:+.8f}  bessel: {bv:+.8f}")
 
@@ -44,7 +44,7 @@ xs = x[win][::256]
 jf = np.interp(xs, x, Jg.values.real)
 print("\ngamma pair (0.7, 0.3, 1.0): Wright-variant discrimination")
 for variant in ("statement", "proof"):
-    jv = wright_eigenfunction(0.7, 0.3, 1.0, xs, variant)
+    jv = wright_eigenfunction(pair_g, xs, variant)
     c = float(np.dot(jf, jv) / np.dot(jv, jv))
     rel = float(np.linalg.norm(jf - c * jv) / np.linalg.norm(jf))
     tag = "e^{x/alpha_tilde}" if variant == "statement" else "e^{x/alpha}"

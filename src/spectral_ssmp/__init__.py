@@ -52,7 +52,6 @@ from .spectrum import (
     table_rule,
 )
 from .eigenfunctions import (
-    SeriesEigenfunction,
     approx_eigenfunction,
     eigenfunction_fft,
     eigenfunction_series,

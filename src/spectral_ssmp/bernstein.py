@@ -43,7 +43,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    BranchError,
     ConvergenceError,
     DomainError,
     MetadataError,
@@ -119,10 +118,11 @@ class DensityMeasure:
 
     Outside [y[0], y[-1]] the density is extended by c0*y**(-1-a0) on the
     left and cinf*y**(-1-ainf) on the right, with the constants matched by
-    continuity.  Every value is finite, and ainf > 0 makes the mass beyond
-    1 finite.  The bound on a0 belongs to the measure's use: a Bernstein
-    function needs a0 < 1 (`BernsteinFunction`), a Levy measure a0 < 2
-    (`exponents.SignedMeasure`).
+    continuity.  Every value is finite and nonnegative, one at least
+    positive (all zero is the zero measure), and ainf > 0 makes the mass
+    beyond 1 finite.  The bound on a0 belongs to the measure's use: a
+    Bernstein function needs a0 < 1 (`BernsteinFunction`), a Levy measure
+    a0 < 2 (`exponents.SignedMeasure`).
     """
 
     y: tuple
@@ -137,8 +137,10 @@ class DensityMeasure:
                 or np.any(np.diff(y) <= 0)):
             raise DomainError("density grid must be finite, increasing and "
                               "positive")
-        if d.shape != y.shape or not np.all((0.0 <= d) & (d < np.inf)):
-            raise DomainError("density values must be finite and nonnegative")
+        if d.shape != y.shape or not (np.all((0 <= d) & (d < np.inf))
+                                      and d.max() > 0):
+            raise DomainError("density values must be finite, nonnegative "
+                              "and not all zero")
         if not math.isfinite(self.tail_exponent_zero):
             raise DomainError("near-zero tail exponent must be finite")
         if not 0.0 < self.tail_exponent_inf < math.inf:
@@ -965,8 +967,8 @@ def theta_integral(phi: BernsteinFunction, a: float, xi,
     halved until the cumulative totals of two successive passes agree to
     tol at every xi.  Since Re phi(a + iw) >= phi(a) > 0, the principal
     argument is already continuous; a jump above pi/2 between adjacent
-    nodes therefore only ever signals an unresolved quadrature and also
-    triggers halving.
+    nodes therefore only ever signals an unresolved quadrature, triggers
+    halving and, once _THETA_MAX_PANELS runs out, QuadratureError.
     """
     if not (0.0 < a < math.inf and 0.0 < tol < math.inf):
         raise DomainError("theta_integral needs 0 < a < inf and "
@@ -996,8 +998,6 @@ def theta_integral(phi: BernsteinFunction, a: float, xi,
             prev = total
         npan = 2 * npan
         if np.sum(npan) > _THETA_MAX_PANELS:
-            if jump:
-                raise BranchError("arg tracking cannot resolve a branch jump")
             raise QuadratureError("theta_integral did not converge")
     out = np.zeros(xs.shape)
     out[pos] = total[np.searchsorted(ends, xs[pos])]

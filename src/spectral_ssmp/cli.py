@@ -24,7 +24,6 @@ import numpy as np
 from . import errors
 from .bernstein import default_evaluator
 from .eigenfunctions import (
-    SeriesEigenfunction,
     eigenfunction_fft,
     eigenfunction_series,
     wright_eigenfunction,
@@ -47,8 +46,8 @@ _VALIDATION_ERRORS = (errors.ValidationError, errors.DomainError,
                       errors.ConfigError, errors.ConditionError,
                       json.JSONDecodeError, KeyError, ValueError)
 _NUMERICAL_ERRORS = (errors.ConvergenceError, errors.QuadratureError,
-                     errors.BranchError, errors.OverflowGuard,
-                     errors.ResolutionError, errors.InterpolationError)
+                     errors.OverflowGuard, errors.ResolutionError,
+                     errors.InterpolationError)
 
 
 # ---------------------------------------------------------------------------
@@ -189,30 +188,11 @@ def _cmd_eigenfn(args):
     pair = _exponent_from_args(args.pair, "pair").pair
     spec = _grid_from_arg(args.grid)
     if args.method == "fft":
-        J = eigenfunction_fft(pair, spec)
-        emit_csv((["x", "J"], [spec.x, J.values.real]), args.out)
-        return 0
-    if args.method == "series":
-        drift_plus = (pair.phi_plus.drift == 1.0 and pair.phi_plus.phi0 == 0.0
-                      and pair.phi_plus.measure is None)
-        if not drift_plus:
-            raise errors.ValidationError(
-                "the series route needs a spectrally negative pair "
-                "(plus factor = pure unit drift)")
-        vals = eigenfunction_series(SeriesEigenfunction(pair.phi_minus),
-                                    spec.x, tol=1e-8)
-        emit_csv((["x", "J"], [spec.x, vals]), args.out)
-        return 0
-    # method == "wright": gamma-ratio pairs only
-    mp, mm = pair.phi_plus.measure, pair.phi_minus.measure
-    ok = (getattr(mp, "kind", None) == "gamma-ratio-plus"
-          and getattr(mm, "kind", None) == "gamma-ratio-minus")
-    if not ok:
-        raise errors.ValidationError(
-            "the wright route needs a gamma-ratio pair")
-    at = mp.params[0]
-    al, rho = mm.params
-    vals = wright_eigenfunction(at, al, rho, spec.x, args.variant)
+        vals = eigenfunction_fft(pair, spec).values.real
+    elif args.method == "series":
+        vals = eigenfunction_series(pair, spec.x, tol=1e-8)
+    else:
+        vals = wright_eigenfunction(pair, spec.x, args.variant)
     emit_csv((["x", "J"], [spec.x, vals]), args.out)
     return 0
 

@@ -1,14 +1,15 @@
 """Eigenfunctions and co-eigenfunctions of the evolution semigroups.
 
-Three routes are implemented and cross-validated:
+Three routes are implemented and cross-validated; each takes the
+Wiener-Hopf pair it serves and raises DomainError for any other:
 
-  * a power series sum_n (-1)^n e^{nx} / (W(n+1) n!) for spectrally
-    negative exponents psi(xi) = -i xi phi(i xi) (W(n+1) = prod phi(k)
-    exactly, by the functional equation);
-  * Wright-function closed forms for the gamma-ratio pairs, in both the
-    e^{x/alpha_tilde} and e^{x/alpha} argument variants (the two candidate
-    normalizations; the transform route below discriminates);
-  * L^2 Fourier inversion of the diagonalizing multiplier,
+  * `eigenfunction_series`, sum_n (-1)^n e^{nx} / (W(n+1) n!) of phi_minus
+    when phi_plus is the unit drift, so psi(xi) = -i xi phi(i xi) (W(n+1) =
+    prod phi(k) exactly, by the functional equation);
+  * `wright_eigenfunction`, Wright-function closed forms of the gamma
+    pairs, in both the e^{x/alpha_tilde} and e^{x/alpha} argument variants
+    (the two candidate normalizations; the transform route discriminates);
+  * `eigenfunction_fft`, L^2 inversion of the multiplier of a Point pair,
     J(x) = e^{-x/2} (2 pi)^{-1} integral e^{i x xi} m(xi) dxi,
     normalized so that it matches the power series on overlapping families.
 
@@ -25,11 +26,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .bernstein import BernsteinFunction, eval_phi
+from .bernstein import BernsteinFunction, _ratio_form, eval_phi
 from .errors import DomainError, OverflowGuard, ResolutionError
 from .exponents import WienerHopfPair
 from .special import log_gamma_long
@@ -49,22 +49,24 @@ _LONG_EPS_DIGITS = float(-np.log10(np.finfo(np.longdouble).eps))
 # power series
 # ---------------------------------------------------------------------------
 
+_SERIES_ORDER = 600  # the last n of a coefficient table
+
+
 @dataclass(frozen=True)
 class SeriesEigenfunction:
-    """Cached coefficients c_n = (-1)^n / (W(n+1) n!) for one phi.
+    """Coefficients c_n = (-1)^n / (W(n+1) n!), n <= _SERIES_ORDER, of phi.
 
-    phi is the single Bernstein factor of a spectrally negative exponent
-    psi(xi) = -i xi phi(i xi); W(n+1) = prod_{k<=n} phi(k) exactly.  The
+    phi is the minus factor of a pair whose plus factor is the unit drift,
+    so psi(xi) = -i xi phi(i xi); W(n+1) = prod_{k<=n} phi(k) exactly.  The
     log-magnitudes are summed in np.longdouble: in float64 a log term of
     size L carries a rounding of L x 1.1e-16 into its term, past what the
     extended-precision sum and its audit account for.
     """
 
     phi: BernsteinFunction
-    order: int = 600
 
     def __post_init__(self):
-        kk = np.arange(1, self.order + 1, dtype=float)
+        kk = np.arange(1, _SERIES_ORDER + 1, dtype=float)
         phik = eval_phi(self.phi, kk).real
         if np.any(phik <= 0):
             raise DomainError("phi must be positive on the integers")
@@ -74,18 +76,17 @@ class SeriesEigenfunction:
         object.__setattr__(self, "_log_phi1", float(np.log(phik[0])))
         # lgamma(m + 2) = log (m + 1)!, for the tail bound past order m
         object.__setattr__(self, "_log_fact", np.fromiter(
-            map(math.lgamma, np.arange(2.0, self.order + 3.0)), float))
+            map(math.lgamma, np.arange(2.0, _SERIES_ORDER + 3.0)), float))
 
-    def log_coefficient_magnitudes(self):
-        """log |c_n| for n = 0..order, in np.longdouble."""
-        return self._log_c.copy()
+
+_series_table = functools.lru_cache(maxsize=16)(SeriesEigenfunction)
 
 
 _FIRST_CHUNK = 32  # terms in a row's first chunk; each later chunk doubles
 _CHUNK_CELLS = 8192  # rows x terms of a chunk, or 2 x rows where more
 
 
-def _paired_sum(log_term, n_terms, tail_ok, alternating, tol, name):
+def _paired_sum(log_term, n_terms, tail_ok, alternating, tol, label, points):
     """One series per row, sum_m (+-1)^m e^{log_term(m)}, in extended
     precision, for a batch of rows at once.
 
@@ -103,8 +104,8 @@ def _paired_sum(log_term, n_terms, tail_ok, alternating, tol, name):
     the extended-precision roundoff of its largest term must stay below
     tol relative to the result.  So a row gets the bits of a loop over its
     own terms, whatever the other rows and the chunks.  An OverflowGuard
-    names the first failing row, name(row): a term beyond the
-    extended-precision range, no stop within n_terms, or a failed audit.
+    names the first failing row, "{label}={points[row]:g}": a term beyond
+    the extended-precision range, no stop within n_terms, or a failed audit.
     A NaN, infinite or non-positive tol raises DomainError.
     """
     if not 0.0 < tol < math.inf:
@@ -156,7 +157,7 @@ def _paired_sum(log_term, n_terms, tail_ok, alternating, tol, name):
     fail[live] = 2
     if fail.any():
         i = int(np.argmax(fail > 0))
-        what = name(i)
+        what = f"{label}={points[i]:g}"
         raise OverflowGuard(
             (f"{what} terms overflow extended precision",
              f"{what} did not settle below tol={tol:g}",
@@ -165,15 +166,26 @@ def _paired_sum(log_term, n_terms, tail_ok, alternating, tol, name):
     return out
 
 
-def eigenfunction_series(s: SeriesEigenfunction, x, tol: float = 1e-9):
-    """Adaptive partial sums with a certified relative tail bound below tol,
-    at one x or at every point of an array (a float for a scalar x).
+_UNIT_DRIFT = BernsteinFunction(drift=1.0)
 
-    The remainder past order m is dominated by the exponential tail of
+
+def eigenfunction_series(pair: WienerHopfPair, x, tol: float = 1e-9):
+    """sum_n (-1)^n e^{nx} / (W(n+1) n!) of phi = pair.phi_minus by adaptive
+    partial sums with a certified relative tail bound below tol, at one x
+    or at every point of an array (a float for a scalar x).
+
+    It serves the pairs whose plus factor is the unit drift
+    BernsteinFunction(drift=1.0) and raises DomainError for any other; the
+    coefficients of phi come from a per-factor cache.  The remainder
+    past order m is dominated by the exponential tail of
     sum e^{nx}/(phi(1)^n n!) because W(n+1) >= phi(1)^n; an OverflowGuard is
     raised when the order runs out first or cancellation eats past tol.
     The log terms log|c_n| + n x are formed in np.longdouble (n x exactly).
     """
+    if pair.phi_plus != _UNIT_DRIFT:
+        raise DomainError("the series route serves only pairs whose plus "
+                          "factor is BernsteinFunction(drift=1.0)")
+    s = _series_table(pair.phi_minus)
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
     x_l = flat.astype(np.longdouble)[:, None]
@@ -190,7 +202,7 @@ def eigenfunction_series(s: SeriesEigenfunction, x, tol: float = 1e-9):
 
     out = _paired_sum(log_term, s._log_c.size, tail_ok,
                       np.ones(flat.size, dtype=bool), tol,
-                      lambda i: f"the eigenfunction series at x={flat[i]:g}")
+                      "the eigenfunction series at x", flat)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
@@ -248,19 +260,27 @@ def wright(gamma: float, beta: float, z, tol: float = 1e-12):
         return (ratio < 0.5) & (np.exp(lt) / (1 - ratio) < tol * scale)
 
     out[nz] = _paired_sum(log_term, _WRIGHT_TERMS, tail_ok, flat[nz] < 0,
-                          tol, lambda i: f"the Wright series at "
-                                         f"z={flat[nz[i]]:g}")
+                          tol, "the Wright series at z", flat[nz])
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
-def wright_eigenfunction(alpha_tilde: float, alpha: float, rho: float,
-                         x, variant: str = "statement"):
-    """The two candidate closed forms for the gamma-ratio pair eigenfunction.
+def wright_eigenfunction(pair: WienerHopfPair, x,
+                         variant: str = "statement"):
+    """The two candidate closed forms for the eigenfunction of a gamma pair,
+    whose factors are gamma ratios themselves (`bernstein._ratio_form`):
+    Gamma(at + at z) / Gamma(at z) over Gamma(rho + a + a z) /
+    Gamma(rho + a z), rho > 0, with alpha_tilde = at and alpha = a.  Any
+    other pair raises DomainError.
 
     variant="statement": W(alpha/alpha_tilde, alpha+rho; -e^{x/alpha_tilde})
     variant="proof":     same series with e^{x/alpha} in the argument.
     Exactly one matches the transform inversion; tests record which.
     """
+    plus, minus = _ratio_form(pair.phi_plus), _ratio_form(pair.phi_minus)
+    if plus is None or minus is None or plus[1] != 0.0 or not minus[1] > 0.0:
+        raise DomainError("the Wright route serves the gamma pairs only: "
+                          "a gamma ratio with rho = 0 over one with rho > 0")
+    (alpha_tilde, _), (alpha, rho) = plus, minus
     scale = alpha_tilde if variant == "statement" else alpha
     if variant not in ("statement", "proof"):
         raise DomainError("variant must be 'statement' or 'proof'")
@@ -277,18 +297,17 @@ def wright_eigenfunction(alpha_tilde: float, alpha: float, rho: float,
 EIGEN_GRID = GridSpec(-20.0, 40.0, 32768)
 
 
-def eigenfunction_fft(pair: WienerHopfPair, spec: Optional[GridSpec] = None,
+def eigenfunction_fft(pair: WienerHopfPair, spec: GridSpec = EIGEN_GRID,
                       y: float = 0.0) -> GridFunction:
     """J(x_j - y), with J(x) = e^{-x/2} (2 pi)^{-1} integral e^{i x xi}
     m(xi) dxi; the translate tau_{-y} J is an exact phase on the multiplier.
 
-    Classifies its own pair and requires a Point verdict (m square
-    integrable at grid scale); the verdict and the inversion read the one
-    `multiplier_h` line of (pair, spec).  The (2 pi)^{-1} normalization is pinned by
-    agreement with the power series route.
+    It serves the pairs that `classify` reads as Point on spec (m square
+    integrable at grid scale) and raises DomainError for any other; the
+    verdict and the inversion read the one `multiplier_h` line of
+    (pair, spec).  The (2 pi)^{-1} normalization is pinned by agreement
+    with the power series route.
     """
-    if spec is None:
-        spec = EIGEN_GRID
     report = classify(pair, spec)
     if report.verdict != "Point":
         raise DomainError(

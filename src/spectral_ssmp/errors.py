@@ -13,10 +13,6 @@ class QuadratureError(SpectralError):
     """A quadrature routine failed to meet its internal error target."""
 
 
-class BranchError(SpectralError):
-    """Continuous branch tracking of arg detected an unresolvable jump."""
-
-
 class ConvergenceError(SpectralError):
     """An adaptive truncation could not reach the requested tolerance."""
 

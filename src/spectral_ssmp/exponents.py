@@ -180,10 +180,11 @@ def weak_nonlattice_check(phi: BernsteinFunction, xi_max: float) -> tuple:
     |xi|^kappa |phi(i xi)| stays bounded below.
 
     Lattice-type oscillation (|phi(i xi)| dipping to near zero along the
-    grid) returns ok = False.
+    grid) returns ok = False.  It accepts 10 < xi_max < inf and raises
+    DomainError otherwise.
     """
-    if xi_max <= 10:
-        raise DomainError("xi_max must exceed 10")
+    if not 10.0 < xi_max < math.inf:
+        raise DomainError("xi_max must be finite and exceed 10")
     xi = np.exp(np.linspace(np.log(1.0), np.log(xi_max), 256))
     mags = np.abs(eval_phi(phi, 1j * xi))
     if np.any(mags == 0.0):

@@ -272,8 +272,9 @@ class TensorPlan:
         if m is None:
             m = np.eye(d)
         m = np.asarray(m, dtype=float)
-        if m.shape != (d, d) or abs(np.linalg.det(m)) < 1e-12:
-            raise DomainError("matrix_m must be d x d and invertible")
+        if (m.shape != (d, d) or not np.all(np.isfinite(m))
+                or abs(np.linalg.det(m)) < 1e-12):
+            raise DomainError("matrix_m must be d x d, finite and invertible")
         object.__setattr__(self, "matrix_m", m)
 
     @property

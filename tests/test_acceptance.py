@@ -233,7 +233,7 @@ def test_criterion_08_wright_discrimination():
     jf = np.interp(xs, x, J.values.real)
     errs = {}
     for variant in ("statement", "proof"):
-        jv = wright_eigenfunction(0.7, 0.3, 1.0, xs, variant)
+        jv = wright_eigenfunction(pair, xs, variant)
         c = float(np.dot(jf, jv) / np.dot(jv, jv))
         errs[variant] = float(np.linalg.norm(jf - c * jv)
                               / np.linalg.norm(jf))

@@ -125,6 +125,9 @@ TABLE_D = tuple(np.asarray(TABLE_Y) ** -1.5)
         measure=DensityMeasure(TABLE_Y, TABLE_D, 1.0, 0.5)),
     lambda: BernsteinFunction(
         measure=DensityMeasure(TABLE_Y, TABLE_D, 1.5, 0.5)),
+    # an all-zero table, which built a factor with phi = 0 at z = 1 and 2
+    # that only the W evaluator's build refused
+    lambda: DensityMeasure(TABLE_Y, (0.0,) * len(TABLE_Y), 0.5, 0.5),
 ])
 def test_descriptor_rejects_out_of_range_fields(build):
     # each descriptor checks its own fields, so a hand-built factor meets
@@ -1143,3 +1146,23 @@ def test_tails_of_a_table_without_head_mass():
                          tail_exponent_zero=0.5, tail_exponent_inf=1.0)
     nu_bar, rv, _, _ = _tails(phi)
     assert math.isfinite(nu_bar) and rv is None
+
+
+@pytest.mark.parametrize("phi, a", (
+    pytest.param(PHI_ID, 0.5, id="converging"),
+    # 1 - e^{-z} swings its arg through almost pi near w = 2 pi at
+    # a = 1e-3, so the last pass still sees a jump above pi/2
+    pytest.param(BernsteinFunction(measure=AtomMeasure(((1.0, 1.0),))),
+                 1e-3, id="arg-jump")))
+def test_theta_raises_quadrature_error_when_the_panels_run_out(
+        phi, a, monkeypatch):
+    import spectral_ssmp.bernstein as bmod
+    monkeypatch.setattr(bmod, "_THETA_MAX_PANELS", 16)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        theta_integral(phi, a, 10.0)
+
+
+@pytest.mark.parametrize("form", ("Theta", "powers", ""))
+def test_asymptotic_magnitude_refuses_an_unknown_form(form):
+    with pytest.raises(DomainError, match="unknown form"):
+        asymptotic_magnitude(PHI_ID, 0.5, 10.0, form=form)

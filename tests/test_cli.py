@@ -391,10 +391,25 @@ def test_eigenfn_wright_route_matches_library(tmp_path, capsys):
     x = GridSpec(-6.0, 2.0, 256).x
     data = np.genfromtxt(out, delimiter=",", names=True)
     assert np.array_equal(data["x"], x)
-    assert np.array_equal(data["J"], wright_eigenfunction(0.7, 0.3, 1.0, x))
+    pair = exponent_from_json({"pair": json.loads(PAIR_GAMMA)}).pair
+    assert np.array_equal(data["J"], wright_eigenfunction(pair, x))
     assert run(["eigenfn", "--pair", PAIR_ID, "--method", "wright",
                 "--grid=-6:2:256", "--out", str(out)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("method, pair", (
+    ("series", PAIR_GAMMA), ("wright", PAIR_ID), ("fft", PAIR_ID)))
+def test_eigenfn_refuses_a_pair_the_route_does_not_serve(method, pair,
+                                                         tmp_path, capsys):
+    # each route refuses the pair itself, so the CLI reports the library's
+    # DomainError: exit code 2, no output file, the error object on stderr
+    out = tmp_path / "J.csv"
+    assert run(["eigenfn", "--pair", pair, "--method", method,
+                "--grid=-20:40:512", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1])["error"] == "DomainError"
 
 
 def test_simulate_json_output(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import i0, i1, j0, j1
 
+from spectral_ssmp.bernstein import BernsteinFunction
 from spectral_ssmp.errors import DomainError, OverflowGuard, ResolutionError
 from spectral_ssmp.exponents import WienerHopfPair
 from spectral_ssmp.families import make_bernstein
@@ -27,6 +28,7 @@ from spectral_ssmp.transform import GridFunction, GridSpec, h_fixture, inner_e
 
 PHI_ID = make_bernstein("drift", d=1.0)
 PHI_AFF = make_bernstein("affine", d=1.0, c=1.0)
+PAIR_ID = WienerHopfPair(PHI_ID, PHI_ID)
 PAIR_B = WienerHopfPair(PHI_ID, PHI_AFF)
 
 
@@ -41,34 +43,31 @@ def gamma_pair(at, al, rho):
 # ---------------------------------------------------------------------------
 
 def test_series_bessel_value_at_zero():
-    s = SeriesEigenfunction(PHI_ID)
-    assert eigenfunction_series(s, 0.0) == pytest.approx(j0(2.0), abs=1e-12)
+    assert eigenfunction_series(PAIR_ID, 0.0) == pytest.approx(j0(2.0), abs=1e-12)
 
 
 def test_series_limit_at_minus_infinity():
-    s = SeriesEigenfunction(PHI_ID)
-    assert eigenfunction_series(s, -30.0) == pytest.approx(1.0, abs=1e-12)
+    assert eigenfunction_series(PAIR_ID, -30.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_series_is_bessel_pointwise():
-    s = SeriesEigenfunction(PHI_ID)
     x = np.array([-6.0, -2.0, 0.0, 1.5, 3.0])
-    assert eigenfunction_series(s, x, tol=1e-9) == pytest.approx(
+    assert eigenfunction_series(PAIR_ID, x, tol=1e-9) == pytest.approx(
         j0(2.0 * np.exp(x / 2.0)), abs=1e-8)
 
 
 def test_series_affine_is_order_one_bessel():
-    s = SeriesEigenfunction(PHI_AFF)
     x = np.array([-4.0, 0.0, 2.0])
     ref = np.exp(-x / 2.0) * j1(2.0 * np.exp(x / 2.0))
-    assert eigenfunction_series(s, x, tol=1e-9) == pytest.approx(ref,
-                                                                abs=1e-8)
+    assert eigenfunction_series(PAIR_B, x, tol=1e-9) == pytest.approx(
+        ref, abs=1e-8)
 
 
-def test_series_coefficient_bound():
+def test_series_coefficient_bound(monkeypatch):
     # |c_n| <= 1 / (phi(1)^n n!)
-    s = SeriesEigenfunction(PHI_AFF, order=60)
-    logs = s.log_coefficient_magnitudes()
+    monkeypatch.setattr(eig, "_SERIES_ORDER", 60)
+    logs = SeriesEigenfunction(PHI_AFF)._log_c
+    assert logs.size == 61
     n = np.arange(len(logs))
     bound = -(n * np.log(2.0) + np.cumsum(np.concatenate(
         [[0.0], np.log(np.arange(1, len(logs)))])))
@@ -76,12 +75,11 @@ def test_series_coefficient_bound():
 
 
 def test_series_overflow_guard():
-    s = SeriesEigenfunction(PHI_ID)
     with pytest.raises(OverflowGuard):
-        eigenfunction_series(s, 14.0, tol=1e-9)
+        eigenfunction_series(PAIR_ID, 14.0, tol=1e-9)
     # on a grid, the message names the first failing point in grid order
     with pytest.raises(OverflowGuard, match="at x=14 "):
-        eigenfunction_series(s, np.array([0.0, 14.0, -3.0, 20.0]), tol=1e-9)
+        eigenfunction_series(PAIR_ID, np.array([0.0, 14.0, -3.0, 20.0]), tol=1e-9)
 
 
 def test_series_log_terms_in_extended_precision():
@@ -89,9 +87,8 @@ def test_series_log_terms_in_extended_precision():
     # term, which the 80-bit audit does not count: 1.6e-9 relative off
     # J0(2 e^2) at x = 4
     import mpmath as mp
-    s = SeriesEigenfunction(PHI_ID)
     for x in (2.0, 3.0, 4.0):
-        got = eigenfunction_series(s, x, tol=1e-12)
+        got = eigenfunction_series(PAIR_ID, x, tol=1e-12)
         ref = float(mp.besselj(0, 2 * mp.exp(mp.mpf(x) / 2)))
         assert abs(got - ref) <= 1e-12 * abs(ref), x
 
@@ -166,14 +163,15 @@ def _reference_wright(gamma, beta, z, tol):
     (PHI_ID, np.arange(-30.0, 4.25, 0.25), 1e-9)))
 def test_series_kernel_matches_the_reference_loop(phi, x, tol,
                                                   monkeypatch):
+    pair = WienerHopfPair(PHI_ID, phi)
     s = SeriesEigenfunction(phi)
-    got = eigenfunction_series(s, x, tol=tol)
+    got = eigenfunction_series(pair, x, tol=tol)
     want = np.array([_reference_series(s, float(v), tol) for v in x])
     assert np.array_equal(got, want)
     # chunks of two terms for a whole grid give the same bits
     monkeypatch.setattr(eig, "_CHUNK_CELLS", 1)
-    assert np.array_equal(eigenfunction_series(s, x, tol=tol), want)
-    one = [eigenfunction_series(s, float(v), tol=tol) for v in x[::17]]
+    assert np.array_equal(eigenfunction_series(pair, x, tol=tol), want)
+    one = [eigenfunction_series(pair, float(v), tol=tol) for v in x[::17]]
     assert np.array_equal(one, got[::17])
     assert isinstance(one[0], float)
 
@@ -239,12 +237,11 @@ def test_wright_domain_is_gamma_nonnegative_beta_positive():
 def test_series_refuse_non_finite_or_non_positive_tol():
     # an infinite tol accepted the first terms (13.397 for e^-10), and a
     # NaN, zero or negative one ran the series out as an OverflowGuard
-    s = SeriesEigenfunction(PHI_ID)
     for tol in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(DomainError):
             wright(0.0, 1.0, -10.0, tol=tol)
         with pytest.raises(DomainError):
-            eigenfunction_series(s, 0.5, tol=tol)
+            eigenfunction_series(PAIR_ID, 0.5, tol=tol)
 
 
 def test_wright_gamma_zero_is_exponential():
@@ -316,11 +313,10 @@ def test_fft_vs_bessel_closed_form():
 
 def test_fft_vs_series_on_overlap():
     J = eigenfunction_fft(PAIR_B)
-    s = SeriesEigenfunction(PHI_AFF)
     x = EIGEN_GRID.x
     mask = (x >= -10.0) & (x <= 2.0)
     xs = x[mask][::64]
-    series_vals = eigenfunction_series(s, xs, tol=1e-8)
+    series_vals = eigenfunction_series(PAIR_B, xs, tol=1e-8)
     fft_vals = np.interp(xs, x, J.values.real)
     assert np.max(np.abs(series_vals - fft_vals)) <= 1e-3
 
@@ -343,7 +339,7 @@ def test_wright_discrimination():
     jf = np.interp(xs, x, J.values.real)
     errs = {}
     for variant in ("statement", "proof"):
-        jv = wright_eigenfunction(0.7, 0.3, 1.0, xs, variant)
+        jv = wright_eigenfunction(pair, xs, variant)
         c = float(np.dot(jf, jv) / np.dot(jv, jv))
         errs[variant] = float(np.linalg.norm(jf - c * jv)
                               / np.linalg.norm(jf))
@@ -440,3 +436,70 @@ def test_approx_eigenfunction_residual_decreases():
         for prev, nxt in zip(resids, resids[1:]):
             assert nxt <= 1.1 * prev
         assert resids[-1] < resids[0]
+
+
+# ---------------------------------------------------------------------------
+# the pairs each route serves, and the two kernels tied together
+# ---------------------------------------------------------------------------
+
+PAIR_GAMMA = gamma_pair(0.7, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("route, pair", (
+    # the series: the plus factor must be the unit drift itself
+    pytest.param(eigenfunction_series, PAIR_GAMMA, id="series-gamma"),
+    pytest.param(eigenfunction_series, WienerHopfPair(PHI_AFF, PHI_AFF),
+                 id="series-affine-plus"),
+    pytest.param(eigenfunction_series,
+                 WienerHopfPair(make_bernstein("drift", d=2.0), PHI_AFF),
+                 id="series-drift-2-plus"),
+    # Wright: a gamma ratio with rho = 0 over one with rho > 0
+    pytest.param(wright_eigenfunction, PAIR_B, id="wright-drift-affine"),
+    pytest.param(wright_eigenfunction,
+                 WienerHopfPair(PAIR_GAMMA.phi_plus, PHI_AFF),
+                 id="wright-gamma-affine"),
+    pytest.param(wright_eigenfunction,
+                 WienerHopfPair(PAIR_GAMMA.phi_minus, PAIR_GAMMA.phi_minus),
+                 id="wright-minus-minus"),
+    pytest.param(wright_eigenfunction,
+                 WienerHopfPair(PAIR_GAMMA.phi_plus, PAIR_GAMMA.phi_plus),
+                 id="wright-plus-plus"),
+    pytest.param(wright_eigenfunction, WienerHopfPair(
+        BernsteinFunction(drift=1.0, measure=PAIR_GAMMA.phi_plus.measure),
+        PAIR_GAMMA.phi_minus), id="wright-ratio-plus-drift")))
+def test_routes_refuse_a_pair_they_do_not_serve(route, pair):
+    with pytest.raises(DomainError, match="serves"):
+        route(pair, np.array([-1.0, 0.0]))
+
+
+def test_series_tables_are_cached_per_factor():
+    eig._series_table.cache_clear()
+    eigenfunction_series(PAIR_B, 0.0)
+    eigenfunction_series(WienerHopfPair(make_bernstein("drift", d=1.0),
+                                        make_bernstein("affine", d=1.0,
+                                                       c=1.0)), 1.0)
+    assert eig._series_table.cache_info()[:2] == (1, 1)
+
+
+@pytest.mark.parametrize("gamma, beta, lo, hi", (
+    (3.0 / 7.0, 1.3, -10.0, 0.5),
+    (0.5, 1.0, -8.0, 2.0),
+    (0.2, 0.9, -8.0, 2.0),
+    (0.9, 1.5, -8.0, 2.0)))
+def test_series_of_a_gamma_ratio_is_a_wright_function(gamma, beta, lo, hi):
+    # the factor Gamma(rho + a + a z) / Gamma(rho + a z) with a = gamma and
+    # rho = beta - gamma has W(n+1) = Gamma(gamma n + beta) / Gamma(beta),
+    # so its series is Gamma(beta) W(gamma, beta; -e^x); the two kernels
+    # agree to 6.5e-14 at most on these grids
+    pair = WienerHopfPair(PHI_ID, make_bernstein(
+        "gamma-ratio-minus", alpha=gamma, rho=beta - gamma))
+    x = GridSpec(lo, hi, 512).x
+    series = eigenfunction_series(pair, x, tol=1e-12)
+    closed = math.gamma(beta) * wright(gamma, beta, -np.exp(x), tol=1e-12)
+    assert np.max(np.abs(series - closed)) <= 2e-13
+
+
+@pytest.mark.parametrize("n", (0, -1, 0.5))
+def test_approx_eigenfunction_needs_a_positive_n(n):
+    with pytest.raises(DomainError, match="positive integer"):
+        approx_eigenfunction(FINE, 0.0, n)

@@ -262,3 +262,11 @@ def test_weak_nonlattice_lattice_case():
     phi = BernsteinFunction(measure=AtomMeasure(((1.0, 1.0),)))
     kappa, ok = weak_nonlattice_check(phi, 1000.0)
     assert not ok
+
+
+@pytest.mark.parametrize("xi_max", (np.nan, np.inf, 10.0, -np.inf))
+def test_weak_nonlattice_needs_a_finite_xi_max_above_ten(xi_max):
+    # NaN read as "not <= 10" and failed later with a TypeError from the
+    # fit, inf with a LinAlgError after LAPACK complained
+    with pytest.raises(DomainError, match="xi_max"):
+        weak_nonlattice_check(PHI_ID, xi_max)

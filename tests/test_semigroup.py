@@ -654,6 +654,11 @@ def test_tensor_plan_validation():
         TensorPlan((p1,) * 4)
     with pytest.raises(DomainError):
         TensorPlan((p1, p1), matrix_m=np.zeros((2, 2)))
+    # abs(det) of a NaN matrix is NaN, which passed the invertibility
+    # test: evolve_tensor then returned all zeros for h(x) h(y)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            TensorPlan((p1, p1), matrix_m=[[bad, 0.0], [0.0, 1.0]])
 
 
 def test_tensor_plan_near_identity_matrix_is_not_the_identity():
@@ -663,3 +668,29 @@ def test_tensor_plan_near_identity_matrix_is_not_the_identity():
     assert TensorPlan((p1, p1)).is_identity
     assert not TensorPlan((p1, p1),
                           matrix_m=np.diag([1.0 + 5e-6, 1.0])).is_identity
+
+
+def _checkerboard(spec):
+    # all of its spectrum sits at the Nyquist frequency
+    return GridFunction(spec, (-1.0) ** np.arange(spec.n)
+                        * np.exp(-spec.x ** 2 / 50.0))
+
+
+@pytest.mark.parametrize("call, expect", (
+    pytest.param(lambda: evolve(EvolutionPlan(PAIR_ID, COARSE), 0.5,
+                                h_fixture(SPEC, 1.0, 1.0)),
+                 lambda: pytest.raises(DomainError, match="grid mismatch"),
+                 id="evolve-grid-mismatch"),
+    pytest.param(lambda: evolve_tensor(
+                     TensorPlan((EvolutionPlan(PAIR_ID, COARSE),) * 2), 0.5,
+                     np.ones((COARSE.n, COARSE.n - 1))),
+                 lambda: pytest.raises(DomainError, match="product grid"),
+                 id="evolve-tensor-shape"),
+    pytest.param(lambda: generator_pdo(
+                     Exponent(quadruplet=LevyQuadruplet(sigma2=1.0)),
+                     _checkerboard(COARSE)),
+                 lambda: pytest.warns(DomainWarning, match="half Nyquist"),
+                 id="generator-pdo-under-resolved")))
+def test_semigroup_input_checks(call, expect):
+    with expect():
+        call()

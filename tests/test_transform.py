@@ -430,3 +430,32 @@ def test_inner_product_conjugate_symmetry():
     f = h_fixture(SPEC, 1.0, 1.0)
     g = gaussian_fixture(SPEC, -1.0)
     assert inner_e(f, g) == pytest.approx(np.conj(inner_e(g, f)))
+
+
+COARSE = GridSpec(-20.0, 40.0, 512)
+
+
+@pytest.mark.parametrize("call, match", (
+    pytest.param(lambda: inner_e(h_fixture(SPEC, 1.0, 1.0),
+                                 h_fixture(COARSE, 1.0, 1.0)),
+                 "grid mismatch", id="inner-e"),
+    pytest.param(lambda: apply_multiplier(multiplier_h(PAIR_ID, SPEC),
+                                          h_fixture(COARSE, 1.0, 1.0)),
+                 "grid mismatch", id="apply-multiplier"),
+    pytest.param(lambda: domain_check(multiplier_h(PAIR_ID, SPEC),
+                                      h_fixture(COARSE, 1.0, 1.0)),
+                 "grid mismatch", id="domain-check"),
+    pytest.param(lambda: GridFunction(SPEC, np.ones(SPEC.n - 1)),
+                 "grid length", id="samples-length"),
+    pytest.param(lambda: GridFunction(SPEC, np.full(SPEC.n, np.nan)),
+                 "grid samples must be finite", id="grid-samples-finite"),
+    pytest.param(lambda: SpectrumLine(SPEC, np.full(SPEC.n, np.inf)),
+                 "spectrum samples must be finite",
+                 id="spectrum-samples-finite"),
+    pytest.param(lambda: h_fixture(SPEC, 0.0, 1.0), "eps > 0",
+                 id="h-fixture-eps"),
+    pytest.param(lambda: h_fixture(SPEC, 1.0, -1.0), "beta > 0",
+                 id="h-fixture-beta")))
+def test_transform_input_checks(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
