@@ -42,19 +42,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    MetadataError,
-    QuadratureError,
-)
+from .errors import ConvergenceError, DomainError
 from .special import (
     BERNOULLI,
     _log,
     gauss_legendre,
     log_gamma,
     log_gamma_ratio,
-    sorted_unique,
 )
 
 _RE_TOL = 1e-12
@@ -221,7 +215,7 @@ class _MeasureRule:
         This is e^{-zy} - 1 for start = 1 and the compensated Levy-Khintchine
         kernel for start = 2.  Summed until the terms, past their peak at
         k ~ |w|, fall below 2^-60 of the sum: 7 terms at |w| = 1e-3, 54 at
-        the guard |w| = _SMALL_SERIES_MAX, beyond which QuadratureError is
+        the guard |w| = _SMALL_SERIES_MAX, beyond which ConvergenceError is
         raised.
         """
         zy = np.asarray(z) * self.y_min
@@ -229,7 +223,7 @@ class _MeasureRule:
             return np.zeros_like(zy)
         peak = float(np.max(np.abs(zy), initial=0.0))
         if peak > _SMALL_SERIES_MAX:
-            raise QuadratureError(
+            raise ConvergenceError(
                 "tabulated density table does not reach low enough for this "
                 "argument (|z| * y_min too large); extend the table toward 0")
         term = np.ones_like(zy)
@@ -287,7 +281,7 @@ def _measure_rule(meas: AtomMeasure | DensityMeasure) -> _MeasureRule:
         big = min(max(y1 * 1e8 ** (1.0 / a1), 10.0 * y1), 1e28)
         rem_try = c1 * big ** (-a1) / a1
         if rem_try > 1e-6 * max(1.0, c1 * y1 ** (-a1) / a1):
-            raise QuadratureError(
+            raise ConvergenceError(
                 "declared infinity-tail exponent too small for the internal "
                 "error target of the tabulated-density quadrature")
         npan = max(8, int(3 * np.log10(big / y1)))
@@ -419,13 +413,15 @@ def eval_phi(phi: BernsteinFunction, z):
 def _ratio_form(phi: BernsteinFunction):
     """(a, rho) when phi is the gamma ratio Gamma(rho + a + a z) /
     Gamma(rho + a z) itself, None otherwise: a gamma-ratio measure with no
-    drift and phi(0) equal to the ratio's constant, as `families` builds
-    both kinds."""
+    drift and phi(0) within 4 ulp of the ratio's constant, as `families`
+    builds both kinds and as Gamma(rho + a) / Gamma(rho) rounds however it
+    is formed."""
     m = phi.measure
     if (isinstance(m, ClosedFormMeasure) and m.kind != "stable"
             and phi.drift == 0.0):
         a, rho = _gamma_ratio_params(m)
-        if phi.phi0 == _ratio_constant(a, rho):
+        const = _ratio_constant(a, rho)
+        if abs(phi.phi0 - const) <= 4 * math.ulp(const):
             return a, rho
     return None
 
@@ -956,29 +952,29 @@ def _vertical_pass(phi, a, edges, rule):
     return lv, np.concatenate([np.zeros(1, np.clongdouble), np.cumsum(panels)])
 
 
-def theta_integral(phi: BernsteinFunction, a: float, xi,
-                   tol: float = 1e-10):
+def theta_integral(phi: BernsteinFunction, a: float, xi):
     """integral_0^xi arg phi(a + i w) dw for a scalar xi or a 1-d array of
-    xi, all from one pass over [0, max xi].  It accepts 0 < a < inf,
-    0 <= xi < inf and 0 < tol < inf and raises DomainError otherwise.
+    xi, all from one pass over [0, max xi].  It accepts 0 < a < inf and
+    0 <= xi < inf and raises DomainError otherwise.
 
     The interval is cut at every xi and each piece into Gauss-Legendre
     panels for the W evaluator's vertical-line pass (arg phi = Im log phi),
     halved until the cumulative totals of two successive passes agree to
-    tol at every xi.  Since Re phi(a + iw) >= phi(a) > 0, the principal
+    1e-10 at every xi.  Since Re phi(a + iw) >= phi(a) > 0, the principal
     argument is already continuous; a jump above pi/2 between adjacent
     nodes therefore only ever signals an unresolved quadrature, triggers
-    halving and, once _THETA_MAX_PANELS runs out, QuadratureError.
+    halving and, once _THETA_MAX_PANELS runs out, ConvergenceError.
     """
-    if not (0.0 < a < math.inf and 0.0 < tol < math.inf):
-        raise DomainError("theta_integral needs 0 < a < inf and "
-                          "0 < tol < inf")
+    if not 0.0 < a < math.inf:
+        raise DomainError("theta_integral needs 0 < a < inf")
     xs = np.asarray(xi, dtype=float)
     if xs.ndim > 1 or not np.all((0.0 <= xs) & (xs < np.inf)):
         raise DomainError("theta_integral needs 0 <= xi < inf, a scalar or "
                           "1-d")
     pos = xs > 0
-    ends = sorted_unique(xs[pos])
+    # the inverse indexes the totals; np.unique with no optional output
+    # imports numpy.ma (np.ma.is_masked) on NumPy 2.4
+    ends, at = np.unique(xs[pos], return_inverse=True)
     if ends.size == 0:
         return 0.0 if xs.ndim == 0 else np.zeros(xs.shape)
     starts = np.concatenate([[0.0], ends[:-1]])
@@ -993,14 +989,14 @@ def theta_integral(phi: BernsteinFunction, a: float, xi,
         jump = np.abs(np.diff(lv.imag.ravel())).max(initial=0.0) > np.pi / 2
         if not jump:
             if prev is not None and np.all(
-                    np.abs(total - prev) <= tol * (1.0 + np.abs(total))):
+                    np.abs(total - prev) <= 1e-10 * (1.0 + np.abs(total))):
                 break
             prev = total
         npan = 2 * npan
         if np.sum(npan) > _THETA_MAX_PANELS:
-            raise QuadratureError("theta_integral did not converge")
+            raise ConvergenceError("theta_integral did not converge")
     out = np.zeros(xs.shape)
-    out[pos] = total[np.searchsorted(ends, xs[pos])]
+    out[pos] = total[at]
     return float(out) if xs.ndim == 0 else out
 
 
@@ -1037,14 +1033,14 @@ def asymptotic_magnitude(phi: BernsteinFunction, a: float, xi: float,
     wa = float(default_evaluator(phi).w(complex(a, 0.0)).real)
     pa = float(eval_phi(phi, a).real)
     if form == "theta":
-        area = theta_integral(phi, a, axi, tol=1e-9)
+        area = theta_integral(phi, a, axi)
         mag = np.sqrt(pa) * wa / np.sqrt(abs(eval_phi(phi, complex(a, axi))))
         return float(mag * np.exp(-area))
     if form == "power":
         mass_m = _tails(phi)[3]
         if mass_m is None or phi.drift <= 0:
-            raise MetadataError("power form needs drift > 0 and finite "
-                                "activity nu_bar(0+)")
+            raise DomainError("power form needs drift > 0 and finite "
+                              "activity nu_bar(0+)")
         expo = a + mass_m / phi.drift - 0.5
         return float(np.sqrt(pa) * wa * axi ** expo * np.exp(-0.5 * np.pi * axi))
     raise DomainError(f"unknown form {form!r}")

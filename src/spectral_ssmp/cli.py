@@ -7,7 +7,8 @@ header row, 17 significant digits and LF line endings, or flat JSON for
 classification reports and simulation estimates.
 
 Exit codes: 0 success (any definite classification verdict), 2 validation
-error, 3 Inconclusive classification, 4 numerical-convergence failure.
+error (DomainError, ValidationError), 3 Inconclusive classification, 4
+numerical failure (ConvergenceError, ResolutionError).
 All errors are also emitted as one JSON object on stderr; for a usage
 error it is the last line, after argparse's usage text.
 """
@@ -43,11 +44,8 @@ from .transform import (
 )
 
 _VALIDATION_ERRORS = (errors.ValidationError, errors.DomainError,
-                      errors.ConfigError, errors.ConditionError,
                       json.JSONDecodeError, KeyError, ValueError)
-_NUMERICAL_ERRORS = (errors.ConvergenceError, errors.QuadratureError,
-                     errors.OverflowGuard, errors.ResolutionError,
-                     errors.InterpolationError)
+_NUMERICAL_ERRORS = (errors.ConvergenceError, errors.ResolutionError)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ The series and the Wright function are summed by one extended-precision
 kernel, _paired_sum, one series per grid point and a whole grid at once:
 each caller supplies only the log-magnitudes of its terms and its tail
 test.  Consecutive terms are paired to exploit the alternation, and when
-cancellation would still consume every significant digit an OverflowGuard
-is raised rather than returning noise.
+cancellation would still consume every significant digit a
+ConvergenceError is raised rather than returning noise.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import BernsteinFunction, _ratio_form, eval_phi
-from .errors import DomainError, OverflowGuard, ResolutionError
+from .errors import ConvergenceError, DomainError, ResolutionError
 from .exponents import WienerHopfPair
 from .special import log_gamma_long
 from .spectrum import classify
@@ -103,7 +103,7 @@ def _paired_sum(log_term, n_terms, tail_ok, alternating, tol, label, points):
     m - 1 and scale = |partial sum|.  An alternating row is then audited:
     the extended-precision roundoff of its largest term must stay below
     tol relative to the result.  So a row gets the bits of a loop over its
-    own terms, whatever the other rows and the chunks.  An OverflowGuard
+    own terms, whatever the other rows and the chunks.  A ConvergenceError
     names the first failing row, "{label}={points[row]:g}": a term beyond
     the extended-precision range, no stop within n_terms, or a failed audit.
     A NaN, infinite or non-positive tol raises DomainError.
@@ -158,7 +158,7 @@ def _paired_sum(log_term, n_terms, tail_ok, alternating, tol, label, points):
     if fail.any():
         i = int(np.argmax(fail > 0))
         what = f"{label}={points[i]:g}"
-        raise OverflowGuard(
+        raise ConvergenceError(
             (f"{what} terms overflow extended precision",
              f"{what} did not settle below tol={tol:g}",
              f"{what}: cancellation exceeds extended precision for "
@@ -178,8 +178,8 @@ def eigenfunction_series(pair: WienerHopfPair, x, tol: float = 1e-9):
     BernsteinFunction(drift=1.0) and raises DomainError for any other; the
     coefficients of phi come from a per-factor cache.  The remainder
     past order m is dominated by the exponential tail of
-    sum e^{nx}/(phi(1)^n n!) because W(n+1) >= phi(1)^n; an OverflowGuard is
-    raised when the order runs out first or cancellation eats past tol.
+    sum e^{nx}/(phi(1)^n n!) because W(n+1) >= phi(1)^n; a ConvergenceError
+    is raised when the order runs out first or cancellation eats past tol.
     The log terms log|c_n| + n x are formed in np.longdouble (n x exactly).
     """
     if pair.phi_plus != _UNIT_DRIFT:

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the library."""
+"""Exception and warning types shared across the library: one error class
+per remedy."""
 
 
 class SpectralError(Exception):
@@ -6,45 +7,24 @@ class SpectralError(Exception):
 
 
 class DomainError(SpectralError):
-    """An argument lies outside the mathematical domain of the operation."""
-
-
-class QuadratureError(SpectralError):
-    """A quadrature routine failed to meet its internal error target."""
-
-
-class ConvergenceError(SpectralError):
-    """An adaptive truncation could not reach the requested tolerance."""
-
-
-class MetadataError(SpectralError):
-    """The factor lacks a tail fact the estimate needs: the power form of
-    asymptotic_magnitude needs drift > 0 and finite activity nu_bar(0+),
-    both read off the factor's triplet."""
-
-
-class ConditionError(SpectralError):
-    """A verifiable precondition on the input measure fails."""
-
-
-class OverflowGuard(SpectralError):
-    """A series evaluation would lose all significant digits; refusing."""
-
-
-class ResolutionError(SpectralError):
-    """The grid is too coarse to resolve the requested object."""
-
-
-class InterpolationError(SpectralError):
-    """A coordinate change maps points too far outside the sampled box."""
-
-
-class ConfigError(SpectralError):
-    """Inconsistent simulation or run configuration."""
+    """A value lies outside the domain of the operation: an argument, a
+    simulation setting, a precondition on the input measure, or a tail
+    fact the estimate needs.  Fix the input."""
 
 
 class ValidationError(SpectralError):
-    """A JSON configuration failed schema validation."""
+    """The CLI/JSON layer's wrapper: a configuration, family or flag failed
+    validation, and the message names the one at fault.  Fix it."""
+
+
+class ConvergenceError(SpectralError):
+    """An adaptive target was not met: a truncation, a quadrature or a
+    series guard.  Relax the target or change the parameters."""
+
+
+class ResolutionError(SpectralError):
+    """The grid or box cannot resolve the requested object.  Refine the
+    grid or widen the box."""
 
 
 class DomainWarning(UserWarning):

@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .exponents import Exponent, LevyQuadruplet
 
 __all__ = ["SimConfig", "MCEstimate", "mc_expectation"]
@@ -76,18 +76,18 @@ class SimConfig:
 
     def __post_init__(self):
         if not 0.0 < self.dt <= 1e-2:
-            raise ConfigError("dt must lie in (0, 1e-2]")
+            raise DomainError("dt must lie in (0, 1e-2]")
         if not 0.0 < self.jump_eps <= 1.0:
-            raise ConfigError("jump_eps must lie in (0, 1]: the small-jump "
+            raise DomainError("jump_eps must lie in (0, 1]: the small-jump "
                               "surrogate must stay inside the compensated zone")
         if (not isinstance(self.n_paths, (int, np.integer))
                 or self.n_paths < 1):
-            raise ConfigError("n_paths must be a positive integer")
+            raise DomainError("n_paths must be a positive integer")
         if not 0.0 < self.t_max < np.inf:
-            raise ConfigError("t_max must be positive and finite")
+            raise DomainError("t_max must be positive and finite")
         if (not isinstance(self.seed, (int, np.integer))
                 or not 0 <= int(self.seed) < 1 << 64):
-            raise ConfigError("seed must be an integer in [0, 2**64)")
+            raise DomainError("seed must be an integer in [0, 2**64)")
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConditionError,
-    DomainError,
-    DomainWarning,
-    InterpolationError,
-)
+from .errors import DomainError, DomainWarning, ResolutionError
 from .exponents import Exponent, LevyQuadruplet, WienerHopfPair, eval_psi
 from .special import log_gamma
 from .transform import (
@@ -178,7 +173,7 @@ def _check_big_jump_integrability(q: LevyQuadruplet):
     must be known.  The first is verifiable from the descriptor."""
     for d in (q.mu.density_pos, q.mu.density_neg):
         if d is not None and d.tail_exponent_inf <= 1.0:
-            raise ConditionError(
+            raise DomainError(
                 "integral_{|y|>1} |y| mu(dy) diverges for the declared tail "
                 "exponent; the integro-differential form is not certified")
 
@@ -299,7 +294,7 @@ def _resample(values, plans, mat):
         u = (xm - x[0]) / p.spec.dx  # fractional cell index
         overshoot = np.maximum(u - (len(x) - 1), -u).max()
         if overshoot > _PAD_CELLS:
-            raise InterpolationError(
+            raise ResolutionError(
                 f"similarity matrix maps the grid {overshoot:.1f} cells "
                 f"outside the sampled box (padding margin {_PAD_CELLS})")
         inside &= (xm >= x[0]) & (xm <= x[-1])

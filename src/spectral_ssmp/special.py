@@ -22,7 +22,7 @@ agreement with mpmath over the range the library serves (the ratio to
 
 The module also holds the stand-ins that keep numpy.polynomial and numpy.ma
 (a few ms each at the first call) off a CLI call's path: Gauss-Legendre
-rules, and the sort-based `sorted_unique` and `median`.
+rules, and the sort-based `median` (np.median imports numpy.ma).
 """
 
 import functools
@@ -248,15 +248,6 @@ def gauss_legendre(n):
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
-
-
-def sorted_unique(x):
-    """The sorted distinct values of an array, as np.unique(x), which
-    imports numpy.ma."""
-    x = np.sort(x, axis=None)
-    keep = np.ones(x.shape, dtype=bool)
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
 
 
 def median(x):

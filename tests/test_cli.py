@@ -1,11 +1,13 @@
 """Command-line interface: schemas, exit codes, output formats."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 from scipy.special import loggamma
 
+from spectral_ssmp import errors
 from spectral_ssmp.cli import build_parser, emit_csv, run
 from spectral_ssmp.eigenfunctions import wright_eigenfunction
 from spectral_ssmp.errors import ValidationError
@@ -488,12 +490,10 @@ def test_simulate_negative_seed_exits_2(capsys):
     assert run(["simulate", "--quadruplet", '{"sigma2": 1.0}', "--x", "1.0",
                 "--t", "0.5", "--paths", "10", "--seed", "-1"]) == 2
     err = capsys.readouterr().err
-    assert json.loads(err.strip())["error"] == "ConfigError"
+    assert json.loads(err.strip())["error"] == "DomainError"
 
 
 @pytest.mark.parametrize("flag, value, error", [
-    ("--t-max", "inf", "ConfigError"),
-    ("--dt", "nan", "ConfigError"),
     ("--x", "nan", "DomainError"),
     ("--t", "nan", "DomainError"),
     ("--x", "inf", "DomainError"),
@@ -567,6 +567,42 @@ def test_inconclusive_exit_3(monkeypatch, capsys):
     code = run(["classify", "--pair", PAIR_ID])
     capsys.readouterr()
     assert code == 3
+
+
+_SIM = ["simulate", "--quadruplet", '{"sigma2": 1.0}', "--x", "1.0",
+        "--t", "0.5", "--paths", "100"]
+# a table whose head series trips its |z| * y_min guard
+_HEAVY_TABLE = json.dumps({"mu": {"density_pos": {
+    "y": [0.1, 1, 10, 100], "density": [1, 1, 0.1, 0.01],
+    "tail_exponent_zero": 0.5, "tail_exponent_inf": 0.5}}})
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    pytest.param(_SIM + ["--dt", "nan"], 2, "DomainError",
+                 id="simulate-dt-nan"),
+    pytest.param(_SIM + ["--t-max", "inf"], 2, "DomainError",
+                 id="simulate-t-max-inf"),
+    pytest.param(["bgamma", "--phi", DRIFT, "--tol-w", "1e-30"], 4,
+                 "ConvergenceError", id="bgamma-tol-w"),
+    pytest.param(["generator-check", "--quadruplet", _HEAVY_TABLE], 4,
+                 "ConvergenceError", id="generator-check-head-guard"),
+])
+def test_each_error_class_exits_with_its_code(argv, code, error, tmp_path,
+                                              capsys):
+    # a real library failure: the exit code of its class, the class name
+    # last on stderr, and no output
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err.splitlines()[-1])["error"] == error
+
+
+def test_errors_defines_one_class_per_remedy():
+    defined = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+    assert defined == {"SpectralError", "DomainError", "ValidationError",
+                       "ConvergenceError", "ResolutionError", "DomainWarning"}
 
 
 def test_numerical_failure_exit_4(capsys):

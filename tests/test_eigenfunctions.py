@@ -7,7 +7,7 @@ import pytest
 from scipy.special import i0, i1, j0, j1
 
 from spectral_ssmp.bernstein import BernsteinFunction
-from spectral_ssmp.errors import DomainError, OverflowGuard, ResolutionError
+from spectral_ssmp.errors import ConvergenceError, DomainError, ResolutionError
 from spectral_ssmp.exponents import WienerHopfPair
 from spectral_ssmp.families import make_bernstein
 from spectral_ssmp.eigenfunctions import (
@@ -75,10 +75,10 @@ def test_series_coefficient_bound(monkeypatch):
 
 
 def test_series_overflow_guard():
-    with pytest.raises(OverflowGuard):
+    with pytest.raises(ConvergenceError):
         eigenfunction_series(PAIR_ID, 14.0, tol=1e-9)
     # on a grid, the message names the first failing point in grid order
-    with pytest.raises(OverflowGuard, match="at x=14 "):
+    with pytest.raises(ConvergenceError, match="at x=14 "):
         eigenfunction_series(PAIR_ID, np.array([0.0, 14.0, -3.0, 20.0]), tol=1e-9)
 
 
@@ -104,7 +104,7 @@ def _reference_paired_sum(log_terms, alternating, tail_ok, tol):
     total, held, peak = np.longdouble(0.0), None, -np.inf
     for m, lt in enumerate(log_terms):
         if lt > 11000.0:
-            raise OverflowGuard("overflow")
+            raise ConvergenceError("overflow")
         peak = max(peak, lt)
         sign = -1.0 if alternating and m % 2 else 1.0
         term = np.longdouble(sign) * np.exp(np.longdouble(lt))
@@ -117,12 +117,12 @@ def _reference_paired_sum(log_terms, alternating, tail_ok, tol):
         if m >= 2 and tail_ok(m, abs(float(partial)) + 1e-300):
             break
     else:
-        raise OverflowGuard("did not settle")
+        raise ConvergenceError("did not settle")
     if held is not None:
         total += held
     budget = np.log10(tol * (abs(float(total)) + 1e-300))
     if alternating and peak / np.log(10.0) - eig._LONG_EPS_DIGITS > budget:
-        raise OverflowGuard("cancellation")
+        raise ConvergenceError("cancellation")
     return float(total)
 
 
@@ -217,9 +217,9 @@ def test_wright_needs_gamma_above_minus_one():
 
 
 def test_wright_overflow_guard_deep_cancellation():
-    with pytest.raises(OverflowGuard):
+    with pytest.raises(ConvergenceError):
         wright(3.0 / 7.0, 1.3, -np.exp(20.0))
-    with pytest.raises(OverflowGuard, match="z=-4.85165e"):
+    with pytest.raises(ConvergenceError, match="z=-4.85165e"):
         wright(3.0 / 7.0, 1.3, np.array([-1.0, -np.exp(20.0), 0.0]))
 
 
@@ -236,7 +236,7 @@ def test_wright_domain_is_gamma_nonnegative_beta_positive():
 
 def test_series_refuse_non_finite_or_non_positive_tol():
     # an infinite tol accepted the first terms (13.397 for e^-10), and a
-    # NaN, zero or negative one ran the series out as an OverflowGuard
+    # NaN, zero or negative one ran the series out as a ConvergenceError
     for tol in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(DomainError):
             wright(0.0, 1.0, -10.0, tol=tol)
@@ -470,6 +470,28 @@ PAIR_GAMMA = gamma_pair(0.7, 0.3, 1.0)
 def test_routes_refuse_a_pair_they_do_not_serve(route, pair):
     with pytest.raises(DomainError, match="serves"):
         route(pair, np.array([-1.0, 0.0]))
+
+
+@pytest.mark.parametrize("a", (0.3, 0.5, 0.7))
+@pytest.mark.parametrize("rho", (0.5, 1.0, 1.3, 2.0))
+def test_a_hand_built_gamma_ratio_is_served_as_one(a, rho):
+    # phi(0) = Gamma(rho + a) / Gamma(rho) as math.gamma rounds it, up to
+    # 4 ulp off the constant `families` takes: still the gamma ratio, so
+    # its W has the closed form and the Wright route serves its pair
+    from spectral_ssmp.bernstein import (
+        ClosedFormMeasure,
+        _ClosedFormEvaluator,
+        default_evaluator,
+    )
+    phi = BernsteinFunction(
+        phi0=math.gamma(rho + a) / math.gamma(rho),
+        measure=ClosedFormMeasure("gamma-ratio-minus", (a, rho)))
+    assert type(default_evaluator(phi)) is _ClosedFormEvaluator
+    plus = make_bernstein("gamma-ratio-plus", alpha_tilde=0.7)
+    xs = np.array([-1.0, 0.0, 1.0])
+    assert np.array_equal(
+        wright_eigenfunction(WienerHopfPair(plus, phi), xs),
+        wright_eigenfunction(gamma_pair(0.7, a, rho), xs))
 
 
 def test_series_tables_are_cached_per_factor():

@@ -8,7 +8,7 @@ from scipy.special import ive
 
 from spectral_ssmp import lamperti
 from spectral_ssmp.bernstein import DensityMeasure
-from spectral_ssmp.errors import ConfigError, DomainError
+from spectral_ssmp.errors import DomainError
 from spectral_ssmp.exponents import Exponent, LevyQuadruplet, SignedMeasure
 from spectral_ssmp.lamperti import MCEstimate, SimConfig, mc_expectation
 
@@ -18,17 +18,17 @@ Q_BESQ4 = LevyQuadruplet(sigma2=1.0, b=1.0)  # the pair (id, u+1)
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         SimConfig(dt=0.1)  # above the 1e-2 cap
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         SimConfig(jump_eps=2.0)  # outside the compensated zone
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         SimConfig(n_paths=0)
     # non-finite sizes and a non-integer path count
     for bad in ({"dt": np.nan}, {"dt": np.inf}, {"jump_eps": np.nan},
                 {"jump_eps": np.inf}, {"t_max": np.nan}, {"t_max": np.inf},
                 {"n_paths": 2.5}, {"n_paths": 100.0}):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             SimConfig(**bad)
 
 
@@ -45,7 +45,7 @@ def test_seed_must_lie_in_the_uint64_range():
     # a seed outside [0, 2**64) would alias one inside under a 64-bit mask;
     # both ends of the range key a generator
     for bad in (-1, 1 << 64, 1.5):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             SimConfig(seed=bad)
     for seed in (0, (1 << 64) - 1):
         est = mc_expectation(Exponent(quadruplet=Q_DRIFT), lambda r: r, 1.5,

@@ -10,12 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import ive, k0
 
-from spectral_ssmp.errors import (
-    ConditionError,
-    DomainError,
-    DomainWarning,
-    InterpolationError,
-)
+from spectral_ssmp.errors import DomainError, DomainWarning, ResolutionError
 from spectral_ssmp.exponents import (
     Exponent,
     LevyQuadruplet,
@@ -468,7 +463,7 @@ def test_generator_ido_condition_error():
     dens = tuple(vv ** (-1.8) for vv in y)
     heavy = DensityMeasure(y, dens, 0.8, 0.8)  # tail exponent <= 1
     q = LevyQuadruplet(mu=SignedMeasure(density_pos=heavy))
-    with pytest.raises(ConditionError):
+    with pytest.raises(DomainError):
         generator_ido(q, lambda x: np.exp(-x ** 2), SPEC)
 
 
@@ -644,7 +639,7 @@ def test_tensor_interpolation_error_for_wild_matrix():
     tp = TensorPlan((p1, p2), matrix_m=np.array([[3.0, 0.0], [0.0, 1.0]]))
     F = np.outer(h_fixture(COARSE, 1.0, 1.0).values,
                  h_fixture(COARSE, 1.0, 1.0).values)
-    with pytest.raises(InterpolationError):
+    with pytest.raises(ResolutionError):
         evolve_tensor(tp, 0.1, F)
 
 
