@@ -58,21 +58,19 @@ _RE_TOL = 1e-12
 # measure descriptors
 # ---------------------------------------------------------------------------
 
-_CLOSED_FORM_ARITY = {"stable": 1, "gamma-ratio-plus": 1,
-                      "gamma-ratio-minus": 2}
+_CLOSED_FORM_ARITY = {"stable": 1, "gamma-ratio": 2}
 
 
 @dataclass(frozen=True)
 class ClosedFormMeasure:
     """Levy measure whose integral against (1 - e^{-zy}) has a closed form.
 
-    Supported kinds, each index (beta, at, a) in (0, 1) and rho finite > 0:
-      "stable"            params = (beta,), integral = z**beta
-      "gamma-ratio-plus"  params = (alpha_tilde,),
-                          integral = Gamma(at*(1+z))/Gamma(at*z)
-      "gamma-ratio-minus" params = (alpha, rho),
-                          integral = Gamma(rho+a+a*z)/Gamma(rho+a*z)
-                                     - Gamma(rho+a)/Gamma(rho)
+    Supported kinds, each index (beta, a) in (0, 1) and rho finite >= 0:
+      "stable"       params = (beta,), integral = z**beta
+      "gamma-ratio"  params = (a, rho),
+                     integral = Gamma(rho+a+a*z)/Gamma(rho+a*z)
+                                - Gamma(rho+a)/Gamma(rho)  (0 at rho = 0)
+    Both JSON gamma ids build this kind, gamma-ratio-plus at rho = 0.
     """
 
     kind: str
@@ -88,9 +86,9 @@ class ClosedFormMeasure:
         if not 0.0 < self.params[0] < 1.0:
             raise DomainError(f"the index of a {self.kind} measure must be "
                               "in (0, 1)")
-        if arity == 2 and not 0.0 < self.params[1] < math.inf:
-            raise DomainError("rho of a gamma-ratio-minus measure must be "
-                              "finite and > 0")
+        if arity == 2 and not 0.0 <= self.params[1] < math.inf:
+            raise DomainError("rho of a gamma-ratio measure must be "
+                              "finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -350,8 +348,8 @@ def _measure_integral(measure, z, c=None):
             out = np.exp(measure.params[0] * np.log(zc))
         return np.where(zc == 0, 0.0, out)
     # Gamma(rho + a + a z) / Gamma(rho + a z) - Gamma(rho + a) / Gamma(rho),
-    # where rho = 0 (plus kind) makes the constant 0
-    a, rho = _gamma_ratio_params(measure)
+    # where rho = 0 makes the constant 0
+    a, rho = measure.params
     x = rho + a * zc
     out = np.exp(log_gamma_ratio(np.where(x == 0, 1.0, x), a))
     return np.where(x == 0, 0.0, out) - _ratio_constant(a, rho)
@@ -387,11 +385,6 @@ def _laplace_product(ezw, nodes, c):
     return out[:rows]
 
 
-def _gamma_ratio_params(m: ClosedFormMeasure):
-    """(a, rho) of a gamma-ratio kind, rho = 0 for the plus kind."""
-    return (m.params[0], 0.0) if m.kind == "gamma-ratio-plus" else m.params
-
-
 def _ratio_constant(a, rho):
     """Gamma(rho + a) / Gamma(rho), the ratio at z = 0 (0 for rho = 0)."""
     if rho == 0.0:
@@ -414,12 +407,12 @@ def _ratio_form(phi: BernsteinFunction):
     """(a, rho) when phi is the gamma ratio Gamma(rho + a + a z) /
     Gamma(rho + a z) itself, None otherwise: a gamma-ratio measure with no
     drift and phi(0) within 4 ulp of the ratio's constant, as `families`
-    builds both kinds and as Gamma(rho + a) / Gamma(rho) rounds however it
-    is formed."""
+    builds it and as Gamma(rho + a) / Gamma(rho) rounds however it is
+    formed."""
     m = phi.measure
-    if (isinstance(m, ClosedFormMeasure) and m.kind != "stable"
+    if (isinstance(m, ClosedFormMeasure) and m.kind == "gamma-ratio"
             and phi.drift == 0.0):
-        a, rho = _gamma_ratio_params(m)
+        a, rho = m.params
         const = _ratio_constant(a, rho)
         if abs(phi.phi0 - const) <= 4 * math.ulp(const):
             return a, rho

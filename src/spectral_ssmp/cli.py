@@ -190,7 +190,7 @@ def _cmd_eigenfn(args):
     elif args.method == "series":
         vals = eigenfunction_series(pair, spec.x, tol=1e-8)
     else:
-        vals = wright_eigenfunction(pair, spec.x, args.variant)
+        vals = wright_eigenfunction(pair, spec.x)
     emit_csv((["x", "J"], [spec.x, vals]), args.out)
     return 0
 
@@ -291,8 +291,6 @@ def _args_eigenfn(sp):
     sp.add_argument("--pair", required=True)
     sp.add_argument("--method", choices=("series", "wright", "fft"),
                     required=True)
-    sp.add_argument("--variant", choices=("statement", "proof"),
-                    default="statement")
     _add_common(sp)
 
 

@@ -6,9 +6,9 @@ Wiener-Hopf pair it serves and raises DomainError for any other:
   * `eigenfunction_series`, sum_n (-1)^n e^{nx} / (W(n+1) n!) of phi_minus
     when phi_plus is the unit drift, so psi(xi) = -i xi phi(i xi) (W(n+1) =
     prod phi(k) exactly, by the functional equation);
-  * `wright_eigenfunction`, Wright-function closed forms of the gamma
-    pairs, in both the e^{x/alpha_tilde} and e^{x/alpha} argument variants
-    (the two candidate normalizations; the transform route discriminates);
+  * `wright_eigenfunction`, the Wright-function closed form of the gamma
+    pairs, W(alpha/alpha_tilde, alpha + rho; -e^{x/alpha_tilde}) (the
+    transform route refutes the e^{x/alpha} candidate);
   * `eigenfunction_fft`, L^2 inversion of the multiplier of a Point pair,
     J(x) = e^{-x/2} (2 pi)^{-1} integral e^{i x xi} m(xi) dxi,
     normalized so that it matches the power series on overlapping families.
@@ -264,28 +264,22 @@ def wright(gamma: float, beta: float, z, tol: float = 1e-12):
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
-def wright_eigenfunction(pair: WienerHopfPair, x,
-                         variant: str = "statement"):
-    """The two candidate closed forms for the eigenfunction of a gamma pair,
-    whose factors are gamma ratios themselves (`bernstein._ratio_form`):
-    Gamma(at + at z) / Gamma(at z) over Gamma(rho + a + a z) /
-    Gamma(rho + a z), rho > 0, with alpha_tilde = at and alpha = a.  Any
-    other pair raises DomainError.
-
-    variant="statement": W(alpha/alpha_tilde, alpha+rho; -e^{x/alpha_tilde})
-    variant="proof":     same series with e^{x/alpha} in the argument.
-    Exactly one matches the transform inversion; tests record which.
+def wright_eigenfunction(pair: WienerHopfPair, x):
+    """W(alpha/alpha_tilde, alpha + rho; -e^{x/alpha_tilde}), the
+    eigenfunction of a gamma pair, whose factors are gamma ratios
+    themselves (`bernstein._ratio_form`): Gamma(at + at z) / Gamma(at z)
+    over Gamma(rho + a + a z) / Gamma(rho + a z), rho > 0, with
+    alpha_tilde = at and alpha = a.  The transform inversion confirms it
+    and refutes the e^{x/alpha} candidate (tests record both).  Any other
+    pair raises DomainError.
     """
     plus, minus = _ratio_form(pair.phi_plus), _ratio_form(pair.phi_minus)
     if plus is None or minus is None or plus[1] != 0.0 or not minus[1] > 0.0:
         raise DomainError("the Wright route serves the gamma pairs only: "
                           "a gamma ratio with rho = 0 over one with rho > 0")
     (alpha_tilde, _), (alpha, rho) = plus, minus
-    scale = alpha_tilde if variant == "statement" else alpha
-    if variant not in ("statement", "proof"):
-        raise DomainError("variant must be 'statement' or 'proof'")
-    return wright(alpha / alpha_tilde, alpha + rho,
-                  -np.exp(np.asarray(x, dtype=float) / scale), tol=1e-10)
+    z = -np.exp(np.asarray(x, dtype=float) / alpha_tilde)
+    return wright(alpha / alpha_tilde, alpha + rho, z, tol=1e-10)
 
 
 # ---------------------------------------------------------------------------

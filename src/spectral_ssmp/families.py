@@ -15,8 +15,11 @@ Family identifiers (shared with the command line):
 
 A family is a builder whose keyword arguments are its JSON parameters
 (d defaults to 1 for drift and affine, c and d to 0 elsewhere) and which
-builds the triplet (phi(0), drift, measure) and nothing else.  The descriptors check every range and finiteness
-themselves (`bernstein.ClosedFormMeasure`, `AtomMeasure`, `DensityMeasure`,
+builds the triplet (phi(0), drift, measure) and nothing else.  Both gamma
+ids build the one measure kind "gamma-ratio" (a, rho): gamma-ratio-plus
+is gamma-ratio-minus at rho = 0, phi(z) = Gamma(at + at z) / Gamma(at z).
+The descriptors check every range and finiteness themselves
+(`bernstein.ClosedFormMeasure`, `AtomMeasure`, `DensityMeasure`,
 `BernsteinFunction`, `exponents.SignedMeasure`, `LevyQuadruplet`), and the
 tail facts that the spectrum tables read are derived from the measure, so
 a factor built by hand meets the same checks and table rows as its family.
@@ -61,15 +64,14 @@ def _stable(beta):
         measure=ClosedFormMeasure("stable", (float(beta),)))
 
 
-def _gamma_ratio_plus(alpha_tilde):
-    return BernsteinFunction(
-        measure=ClosedFormMeasure("gamma-ratio-plus", (float(alpha_tilde),)))
-
-
 def _gamma_ratio_minus(alpha, rho):
-    measure = ClosedFormMeasure("gamma-ratio-minus", (float(alpha), float(rho)))
+    measure = ClosedFormMeasure("gamma-ratio", (float(alpha), float(rho)))
     return BernsteinFunction(phi0=_ratio_constant(*measure.params),
                              measure=measure)
+
+
+def _gamma_ratio_plus(alpha_tilde):
+    return _gamma_ratio_minus(alpha_tilde, 0.0)
 
 
 def _compound_poisson(atoms, c=0.0, d=0.0):

@@ -331,17 +331,15 @@ def domain_gate(values, spec: GridSpec, axis: int = 0) -> DomainRecord:
     return DomainRecord(frac, "outside")
 
 
-def apply_multiplier(m: MultiplierLine, f: GridFunction,
-                     invert: bool = False) -> GridFunction:
-    """inverse_shifted_fft(m^{+-1} * shifted_fft(f)); linear in f.
+def apply_multiplier(m: MultiplierLine, f: GridFunction) -> GridFunction:
+    """inverse_shifted_fft(m * shifted_fft(f)); linear in f.
 
     Emits a DomainWarning when the domain gate does not read the
     post-multiplication spectrum inside.
     """
     if f.spec != m.spec:
         raise DomainError("grid mismatch between multiplier and function")
-    s = shifted_fft(f)
-    vals = s.values / m.values if invert else s.values * m.values
+    vals = shifted_fft(f).values * m.values
     rec = domain_gate(vals, m.spec)
     if rec.verdict != "inside":
         warnings.warn(

@@ -19,6 +19,7 @@ from spectral_ssmp.eigenfunctions import (
     EIGEN_GRID,
     approx_eigenfunction,
     eigenfunction_fft,
+    wright,
     wright_eigenfunction,
 )
 from spectral_ssmp.exponents import (
@@ -231,15 +232,19 @@ def test_criterion_08_wright_discrimination():
     mask = (x >= -10.0) & (x <= 0.5)
     xs = x[mask][::128]
     jf = np.interp(xs, x, J.values.real)
+    # the route's W(alpha/alpha_tilde, alpha + rho; -e^{x/alpha_tilde})
+    # against the refuted candidate with e^{x/alpha} in the argument
+    forms = {"statement": wright_eigenfunction(pair, xs),
+             "proof": wright(0.3 / 0.7, 0.3 + 1.0, -np.exp(xs / 0.3),
+                             tol=1e-10)}
     errs = {}
-    for variant in ("statement", "proof"):
-        jv = wright_eigenfunction(pair, xs, variant)
+    for name, jv in forms.items():
         c = float(np.dot(jf, jv) / np.dot(jv, jv))
-        errs[variant] = float(np.linalg.norm(jf - c * jv)
-                              / np.linalg.norm(jf))
+        errs[name] = float(np.linalg.norm(jf - c * jv)
+                           / np.linalg.norm(jf))
     matching = [k for k, v in errs.items() if v <= 1e-3]
     report(8, matching == ["statement"],
-           f"matching variant: {matching} (statement {errs['statement']:.2e},"
+           f"matching form: {matching} (statement {errs['statement']:.2e},"
            f" proof {errs['proof']:.2e}); the e^(x/alpha_tilde) argument wins")
 
 

@@ -85,17 +85,21 @@ TABLE_D = tuple(np.asarray(TABLE_Y) ** -1.5)
 
 @pytest.mark.parametrize("build", [
     # a closed form: its kind, its parameter count, each index in (0, 1)
-    # and a finite rho > 0
+    # and a finite rho >= 0
     lambda: ClosedFormMeasure("stable", (1.5,)),
     lambda: ClosedFormMeasure("stable", (NAN,)),
     lambda: ClosedFormMeasure("stable", (0.5, 1.0)),
-    lambda: ClosedFormMeasure("gamma-ratio-plus", (-0.5,)),
-    lambda: ClosedFormMeasure("gamma-ratio-plus", (1.0,)),
-    lambda: ClosedFormMeasure("gamma-ratio-minus", (0.3,)),
-    lambda: ClosedFormMeasure("gamma-ratio-minus", (0.3, 0.0)),
-    lambda: ClosedFormMeasure("gamma-ratio-minus", (0.3, INF)),
-    lambda: ClosedFormMeasure("gamma-ratio-minus", (NAN, 1.0)),
+    lambda: ClosedFormMeasure("gamma-ratio", (-0.5, 0.0)),
+    lambda: ClosedFormMeasure("gamma-ratio", (1.0, 0.0)),
+    lambda: ClosedFormMeasure("gamma-ratio", (0.3,)),
+    lambda: ClosedFormMeasure("gamma-ratio", (0.3, -1.0)),
+    lambda: ClosedFormMeasure("gamma-ratio", (0.3, INF)),
+    lambda: ClosedFormMeasure("gamma-ratio", (0.3, NAN)),
+    lambda: ClosedFormMeasure("gamma-ratio", (NAN, 1.0)),
     lambda: ClosedFormMeasure("beta", (0.5,)),
+    # the two gamma families build the one kind "gamma-ratio"
+    lambda: ClosedFormMeasure("gamma-ratio-minus", (0.3, 1.0)),
+    lambda: ClosedFormMeasure("gamma-ratio-plus", (0.7,)),
     # atoms: finite positive locations and masses
     lambda: AtomMeasure(((NAN, 1.0),)),
     lambda: AtomMeasure(((INF, 1.0),)),
@@ -126,9 +130,9 @@ TABLE_D = tuple(np.asarray(TABLE_Y) ** -1.5)
 ])
 def test_descriptor_rejects_out_of_range_fields(build):
     # each descriptor checks its own fields, so a hand-built factor meets
-    # the checks of its family; unchecked, ("gamma-ratio-minus", (0.3,))
-    # fails later with a bare ValueError and ("gamma-ratio-plus", (-0.5,))
-    # gives an inf/nan phi
+    # the checks of its family; unchecked, ("gamma-ratio", (0.3,)) fails
+    # later with a bare ValueError and ("gamma-ratio", (-0.5, 0.0)) gives
+    # an inf/nan phi
     with pytest.raises(DomainError):
         build()
 
@@ -507,6 +511,44 @@ def test_functional_equation_atoms_at_horizon():
         assert ev.horizon_residual <= 1e-10
 
 
+@pytest.mark.parametrize("atoms,c,d", [
+    ([[1.0, 1.0]], 0.0, 1.0),
+    ([[0.5, 2.0], [2.0, 0.7]], 0.3, 0.5),
+], ids=["one-atom", "two-atoms-killed"])
+def test_w_of_atoms_matches_the_gauss_product(atoms, c, d):
+    # an independent reference that needs no functional equation: the
+    # Gauss product log W(z) = -log phi(z) + z log phi(1)
+    #   + sum_{k>=1} [z log(phi(k+1)/phi(k)) - log(phi(z+k)/phi(k))],
+    # its terms k < K0 = 200 summed in mpmath at 30 digits; beyond them
+    # phi(k) = d (k + s) to e^{-100}, with s = (phi(0) + M)/d and M the
+    # total mass, so the tail is -z log(K0 + s) + log Gamma(z + K0 + s)
+    # - log Gamma(K0 + s) (1.6e-14 measured; mpmath.nsum's default
+    # extrapolation was 1e-4 off)
+    import mpmath as mp
+    phi = make_bernstein("compound-poisson", atoms=atoms, c=c, d=d)
+    zs = (0.5, 1.5 + 2j, 3 + 10j, 0.25 - 5j, 2 + 30j, 0.7 + 100j)
+    k0 = 200
+    with mp.workdps(30):
+        def phi_mp(z):
+            return c + d * z + mp.fsum(m * (1 - mp.exp(-z * y))
+                                       for y, m in atoms)
+
+        shift = (c + sum(m for _, m in atoms)) / mp.mpf(d)
+        head = [phi_mp(k) for k in range(1, k0 + 1)]
+        log_steps = mp.fsum(mp.log(head[k] / head[k - 1])
+                            for k in range(1, k0))
+        ref = []
+        for z in map(mp.mpc, zs):
+            total = -mp.log(phi_mp(z)) + z * mp.log(head[0]) + z * log_steps
+            total -= mp.fsum(mp.log(phi_mp(z + k) / head[k - 1])
+                             for k in range(1, k0))
+            total += (-z * mp.log(k0 + shift) + mp.loggamma(z + k0 + shift)
+                      - mp.loggamma(k0 + shift))
+            ref.append(complex(total))
+    got = default_evaluator(phi).log_w(np.array(zs))
+    assert np.max(np.abs(got - np.array(ref))) <= 1e-12
+
+
 def test_w_gamma_ratio_closed_forms_to_tol_up_to_horizon():
     zmax = _eigen_zmax()
     xi = np.concatenate([np.linspace(0.0, 30.0, 31),
@@ -582,7 +624,7 @@ ALL_KINDS = (
     make_bernstein(**stable_density_table(0.5)),
     # a gamma ratio plus drift is not the ratio itself: the generic path
     BernsteinFunction(drift=0.5,
-                      measure=ClosedFormMeasure("gamma-ratio-plus", (0.7,))),
+                      measure=ClosedFormMeasure("gamma-ratio", (0.7, 0.0))),
 )
 
 # every kind of factor whose W has a log-Gamma closed form: drift, affine
@@ -622,7 +664,7 @@ def test_log_phi_takes_the_ratio_only_for_the_ratio_itself(monkeypatch):
     assert calls == [0.7, 0.3]
     for phi in (ALL_KINDS[-1],
                 BernsteinFunction(phi0=2.0, measure=ClosedFormMeasure(
-                    "gamma-ratio-minus", (0.3, 1.0)))):
+                    "gamma-ratio", (0.3, 1.0)))):
         assert bmod._ratio_form(phi) is None
 
 

@@ -77,7 +77,7 @@ TABLE = {"y": [0.01, 0.1, 1.0, 10.0], "density": [1e3, 31.6, 1.0, 0.0316],
     ("stable", {"beta": 0.5, "alpha": 0.5}),
     ("stable", {}),
     ("gamma-ratio-plus", {"alpha_tilde": -0.5}),
-    ("gamma-ratio-minus", {"alpha": 0.3, "rho": 0.0}),
+    ("gamma-ratio-minus", {"alpha": 0.3, "rho": -1.0}),
     ("gamma-ratio-minus", {"alpha": 1.0, "rho": 1.0}),
     ("affine", {"d": 1.0, "c": NAN}),
     ("drift", {"d": float("inf")}),
@@ -86,6 +86,8 @@ TABLE = {"y": [0.01, 0.1, 1.0, 10.0], "density": [1e3, 31.6, 1.0, 0.0316],
     ("tabulated-density", {**TABLE, "tail_exponent_zero": 1.5}),
     ("tabulated-density", {**TABLE, "tail_exponent_zero": NAN}),
     ("tabulated-density", {**TABLE, "tail_exponent_zero": 0.5, "d": NAN}),
+    ("gamma-ratio-minus", {"alpha": 0.3, "rho": NAN}),
+    ("gamma-ratio-minus", {"alpha": 0.3, "rho": float("inf")}),
 ])
 def test_family_and_json_routes_reject_bad_parameters(family, params):
     # the descriptors check the values and the builders' signatures the
@@ -94,6 +96,15 @@ def test_family_and_json_routes_reject_bad_parameters(family, params):
         make_bernstein(family, **params)
     with pytest.raises(ValidationError):
         bernstein_from_json({"family": family, **params})
+
+
+def test_gamma_ratio_minus_at_rho_zero_is_the_plus_family():
+    # both gamma ids build the one "gamma-ratio" measure kind, the plus
+    # family at rho = 0
+    minus = make_bernstein("gamma-ratio-minus", alpha=0.7, rho=0.0)
+    assert minus == make_bernstein("gamma-ratio-plus", alpha_tilde=0.7)
+    assert minus == bernstein_from_json(
+        {"family": "gamma-ratio-plus", "alpha_tilde": 0.7})
 
 
 @pytest.mark.parametrize("quad", [
@@ -265,7 +276,10 @@ def test_subcommand_parser_matches_the_full_parser(name, capsys):
     ["evolve", "--t", "1", "--f", "h:1:1", "--out", "x.csv"],  # no --pair
     ["evolve", "--pair", PAIR_ID, "--t", "1", "--f", "h:1:1", "--force",
      "--out", "x.csv"],  # evolve has no override
-    ["multiplier", "--pair", PAIR_ID, "--out", "m.csv", "--no-such-flag"]))
+    ["multiplier", "--pair", PAIR_ID, "--out", "m.csv", "--no-such-flag"],
+    # one Wright form: the refuted e^{x/alpha} candidate has no flag
+    ["eigenfn", "--pair", PAIR_GAMMA, "--method", "wright", "--variant",
+     "statement", "--out", "J.csv"]))
 def test_usage_errors_exit_2(argv, capsys):
     # the usage text stays, and the last line of stderr is the JSON error
     # object every other error writes

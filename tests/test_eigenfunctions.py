@@ -177,7 +177,7 @@ def test_series_kernel_matches_the_reference_loop(phi, x, tol,
 
 
 @pytest.mark.parametrize("gamma, beta, z, tol", (
-    # the gamma-pair grid of the CLI's wright route, statement variant
+    # the gamma-pair grid of the CLI's wright route
     (0.3 / 0.7, 1.3, -np.exp(GridSpec(-10.0, 0.5, 256).x / 0.7), 1e-10),
     (0.0, 2.5, np.linspace(-5.0, 3.0, 41), 1e-12),
     (0.5, 2.0, np.array([0.3, 0.0, -0.3, 0.0]), 1e-12)))
@@ -329,22 +329,26 @@ def test_decay_at_plus_infinity():
     assert tail.max() <= 1e-3 * body
 
 
+def _fit_error(jf, jv):
+    """||jf - c jv|| / ||jf|| for the least-squares c."""
+    c = float(np.dot(jf, jv) / np.dot(jv, jv))
+    return float(np.linalg.norm(jf - c * jv) / np.linalg.norm(jf))
+
+
 def test_wright_discrimination():
-    # exactly one closed-form variant matches the inversion
-    pair = gamma_pair(0.7, 0.3, 1.0)
-    J = eigenfunction_fft(pair)
+    # on every Point gamma pair the inversion confirms the route's
+    # W(alpha/alpha_tilde, alpha + rho; -e^{x/alpha_tilde}) (at most 2.3e-13
+    # measured) and refutes the e^{x/alpha} candidate (at least 4.1e-2)
     x = EIGEN_GRID.x
     mask = (x >= -10.0) & (x <= 0.5)
     xs = x[mask][::128]
-    jf = np.interp(xs, x, J.values.real)
-    errs = {}
-    for variant in ("statement", "proof"):
-        jv = wright_eigenfunction(pair, xs, variant)
-        c = float(np.dot(jf, jv) / np.dot(jv, jv))
-        errs[variant] = float(np.linalg.norm(jf - c * jv)
-                              / np.linalg.norm(jf))
-    assert errs["statement"] <= 1e-3
-    assert errs["proof"] > 1e-3
+    for at, al, rho in ((0.7, 0.3, 1.0), (0.6, 0.2, 0.5), (0.9, 0.5, 2.0)):
+        pair = gamma_pair(at, al, rho)
+        assert classify(pair, EIGEN_GRID).verdict == "Point"
+        jf = eigenfunction_fft(pair).values.real[mask][::128]
+        candidate = wright(al / at, al + rho, -np.exp(xs / al), tol=1e-10)
+        assert _fit_error(jf, wright_eigenfunction(pair, xs)) <= 1e-11
+        assert _fit_error(jf, candidate) > 1e-2
 
 
 def test_eigen_relation_under_evolution():
@@ -485,7 +489,7 @@ def test_a_hand_built_gamma_ratio_is_served_as_one(a, rho):
     )
     phi = BernsteinFunction(
         phi0=math.gamma(rho + a) / math.gamma(rho),
-        measure=ClosedFormMeasure("gamma-ratio-minus", (a, rho)))
+        measure=ClosedFormMeasure("gamma-ratio", (a, rho)))
     assert type(default_evaluator(phi)) is _ClosedFormEvaluator
     plus = make_bernstein("gamma-ratio-plus", alpha_tilde=0.7)
     xs = np.array([-1.0, 0.0, 1.0])

@@ -32,10 +32,14 @@ from spectral_ssmp.semigroup import (
 from spectral_ssmp.transform import (
     GridFunction,
     GridSpec,
+    SpectrumLine,
     apply_multiplier,
     gaussian_fixture,
     h_fixture,
+    h_transform_exact,
     inner_e,
+    inverse_shifted_fft,
+    multiplier_h,
 )
 
 SPEC = GridSpec()
@@ -133,6 +137,37 @@ def test_evolve_h_composition_law(pair, spec, tol):
         out = evolve(plan, 0.5, f)
         ref = apply_multiplier(plan.m, h_fixture(spec, 1.0, 1.5))
     assert np.max(np.abs(out.values - ref.values)) / ref.norm_e() <= tol
+
+
+def _h_image(pair, spec, beta):
+    """H g_beta for g_beta = e^{-(3/2)x} e^{-beta e^{-x}}, synthesized from
+    m times its closed-form shifted transform."""
+    return inverse_shifted_fft(SpectrumLine(
+        spec, multiplier_h(pair, spec).values
+        * h_transform_exact(spec, 1.0, beta).values))
+
+
+@pytest.mark.parametrize("pair", [PAIR_B, gamma_pair(0.7, 0.3, 1.0),
+                                  gamma_pair(0.3, 0.7, 1.0)],
+                         ids=["id-u1", "point", "residual"])
+@pytest.mark.parametrize("spec,bound", [
+    # the left plateau of H g, about e^{x_min/2} |f(x_min)|, wraps to
+    # the right end, where the weight e^x magnifies it: the default
+    # window's bound pins that image (measured 7.7e-6 to 1.5e-4), and
+    # wider windows push it out (3.5e-10 to 7.0e-9, 1.8e-13 to 6.1e-13)
+    (GridSpec(-20.0, 40.0, 2048), 3e-4),
+    (GridSpec(-40.0, 40.0, 2048), 2e-8),
+    (GridSpec(-60.0, 40.0, 4096), 2e-12),
+], ids=["x-20", "x-40", "x-60"])
+def test_evolve_h_image_identity_in_l2e(pair, spec, bound):
+    # P_t H = H e_t and e_t g_beta = g_{beta+t}: P_t (H g_1) = H g_{1+t},
+    # relative in L^2(e^x dx); neither side uses the split, band or slope
+    plan = EvolutionPlan(pair, spec)
+    f = _h_image(pair, spec, 1.0)
+    for t in (0.1, 0.5, 2.0):
+        ref = _h_image(pair, spec, 1.0 + t)
+        diff = GridFunction(spec, evolve(plan, t, f).values - ref.values)
+        assert diff.norm_e() <= bound * ref.norm_e(), t
 
 
 def test_evolve_semigroup_law():

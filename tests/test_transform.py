@@ -331,8 +331,9 @@ def test_apply_then_invert_round_trip():
     f = h_fixture(SPEC, 1.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainWarning)
-        out = apply_multiplier(m, apply_multiplier(m, f), invert=True)
-    # undo once more to compare against the original
+        # 1/m undoes m: the inverse is a multiplier line of its own
+        out = apply_multiplier(MultiplierLine(SPEC, 1 / m.values),
+                               apply_multiplier(m, f))
     assert np.max(np.abs(out.values - f.values)) <= 1e-8
 
 
