@@ -15,7 +15,6 @@ from .bernstein import (
     BernsteinGammaEvaluator,
     ClosedFormMeasure,
     DensityMeasure,
-    asymptotic_magnitude,
     eval_phi,
     phi_derivative,
     theta_integral,

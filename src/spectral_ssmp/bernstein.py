@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .records import Record
 from .special import (
     BERNOULLI,
     _log,
@@ -61,8 +61,7 @@ _RE_TOL = 1e-12
 _CLOSED_FORM_ARITY = {"stable": 1, "gamma-ratio": 2}
 
 
-@dataclass(frozen=True)
-class ClosedFormMeasure:
+class ClosedFormMeasure(Record):
     """Levy measure whose integral against (1 - e^{-zy}) has a closed form.
 
     Supported kinds, each index (beta, a) in (0, 1) and rho finite >= 0:
@@ -91,8 +90,7 @@ class ClosedFormMeasure:
                               "finite and >= 0")
 
 
-@dataclass(frozen=True)
-class AtomMeasure:
+class AtomMeasure(Record):
     """Finite sum of point masses: nu = sum m_i * delta_{y_i}, y_i > 0."""
 
     atoms: tuple  # of (location, mass) pairs
@@ -104,8 +102,7 @@ class AtomMeasure:
                               "each with finite positive location and mass")
 
 
-@dataclass(frozen=True)
-class DensityMeasure:
+class DensityMeasure(Record):
     """Tabulated Levy density on a log-spaced grid with declared power tails.
 
     Outside [y[0], y[-1]] the density is extended by c0*y**(-1-a0) on the
@@ -142,8 +139,7 @@ class DensityMeasure:
 Measure = AtomMeasure | DensityMeasure | ClosedFormMeasure
 
 
-@dataclass(frozen=True)
-class BernsteinFunction:
+class BernsteinFunction(Record):
     """Triplet representation (phi0, drift, measure) of a Bernstein function."""
 
     phi0: float = 0.0
@@ -181,8 +177,7 @@ def _power_nodes(c, a, lo, hi, npan):
     return tn.ravel(), tw.ravel()
 
 
-@dataclass(frozen=True, eq=False)
-class _MeasureRule:
+class _MeasureRule(Record, eq=False):
     """The discretization of an atom measure or a tabulated density that
     every integral against it uses: phi, phi', psi, the integro-differential
     generator and the jump model.
@@ -507,17 +502,15 @@ def _moment_beyond(measure) -> float:
 
 
 def _tails(phi: BernsteinFunction) -> tuple:
-    """(nu_bar(0+), rv_index, quasi_monotone, mass_m) of phi, read off its
-    measure: the tail facts of the spectrum tables and of the power form of
-    `asymptotic_magnitude` (Patie and Savov, Electron. J. Probab. 2018).
+    """(nu_bar(0+), rv_index, quasi_monotone) of phi, read off its measure:
+    the tail facts of the spectrum tables.
 
     nu_bar(0+) = nu((0, inf)) is math.inf for the closed forms and for a
     table whose head c0 y^{-1-a0} has a0 >= 0 and c0 > 0, else the total
     mass (atoms summed in their given order).  rv_index is the index of
     regular variation of nu_bar at 0 when it lies in (0, 1), the first
     parameter of a closed form; quasi_monotone is True for the closed forms
-    and None (unknown) for a table.  mass_m = phi(0) + nu_bar(0+) when the
-    activity is finite, None otherwise.
+    and None (unknown) for a table.
     """
     m = phi.measure
     rv = qm = None
@@ -537,8 +530,7 @@ def _tails(phi: BernsteinFunction) -> tuple:
         r = _measure_rule(m)
         head = r.c0 * r.y_min ** -r.a0 / -r.a0 if r.c0 > 0.0 else 0.0
         nu_bar = float(np.sum(r.weights)) + r.rem + head
-    mass_m = phi.phi0 + nu_bar if nu_bar < math.inf else None
-    return nu_bar, rv, qm, mass_m
+    return nu_bar, rv, qm
 
 
 # ---------------------------------------------------------------------------
@@ -1007,33 +999,3 @@ def theta_limits(phi: BernsteinFunction, xi_max: float) -> tuple:
     xis = xi_max * np.array([0.5, 1.0])
     th = theta_integral(phi, 0.5, xis) / xis
     return float(np.min(th)), float(np.max(th))
-
-
-def asymptotic_magnitude(phi: BernsteinFunction, a: float, xi: float,
-                         form: str = "theta") -> float:
-    """Estimate of |W(a + i xi)| along the vertical line Re = a.
-
-    form="theta": sqrt(phi(a)) W(a) / sqrt(|phi(a+i xi)|) * e^{-Theta-area},
-    where the area is integral_0^{|xi|} arg phi(a + iw) dw.
-    form="power": with drift d > 0 and finite activity, the power-law shape
-    c |xi|^{a + m/d - 1/2} e^{-pi |xi| / 2}, m = phi(0) + nu_bar(0+) read
-    off the measure (`_tails`), c = sqrt(phi(a)) W(a).
-    """
-    if not (0.0 < a < math.inf and math.isfinite(xi)):
-        raise DomainError("asymptotic_magnitude needs 0 < a < inf and a "
-                          "finite xi")
-    axi = abs(xi)
-    wa = float(default_evaluator(phi).w(complex(a, 0.0)).real)
-    pa = float(eval_phi(phi, a).real)
-    if form == "theta":
-        area = theta_integral(phi, a, axi)
-        mag = np.sqrt(pa) * wa / np.sqrt(abs(eval_phi(phi, complex(a, axi))))
-        return float(mag * np.exp(-area))
-    if form == "power":
-        mass_m = _tails(phi)[3]
-        if mass_m is None or phi.drift <= 0:
-            raise DomainError("power form needs drift > 0 and finite "
-                              "activity nu_bar(0+)")
-        expo = a + mass_m / phi.drift - 0.5
-        return float(np.sqrt(pa) * wa * axi ** expo * np.exp(-0.5 * np.pi * axi))
-    raise DomainError(f"unknown form {form!r}")

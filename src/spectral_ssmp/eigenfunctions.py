@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bernstein import BernsteinFunction, _ratio_form, eval_phi
 from .errors import ConvergenceError, DomainError, ResolutionError
 from .exponents import WienerHopfPair
+from .records import Record
 from .special import log_gamma_long
 from .spectrum import classify
 from .transform import (
@@ -52,8 +52,7 @@ _LONG_EPS_DIGITS = float(-np.log10(np.finfo(np.longdouble).eps))
 _SERIES_ORDER = 600  # the last n of a coefficient table
 
 
-@dataclass(frozen=True)
-class SeriesEigenfunction:
+class SeriesEigenfunction(Record):
     """Coefficients c_n = (-1)^n / (W(n+1) n!), n <= _SERIES_ORDER, of phi.
 
     phi is the minus factor of a pair whose plus factor is the unit drift,

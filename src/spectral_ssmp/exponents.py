@@ -16,7 +16,6 @@ No factorization from a quadruplet is attempted: pairs are primary input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,6 +27,7 @@ from .bernstein import (
     eval_phi,
 )
 from .errors import DomainError
+from .records import Record
 from .special import median
 
 __all__ = [
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SignedMeasure:
+class SignedMeasure(Record):
     """Levy measure on R minus {0}: atoms plus one tabulated density per side.
 
     density_pos covers (0, inf); density_neg is the reflected measure of the
@@ -89,8 +88,7 @@ class SignedMeasure:
         return np.concatenate(y), np.concatenate(w), sides
 
 
-@dataclass(frozen=True)
-class LevyQuadruplet:
+class LevyQuadruplet(Record):
     psi0: float = 0.0
     b: float = 0.0
     sigma2: float = 0.0
@@ -103,14 +101,12 @@ class LevyQuadruplet:
                               "nonnegative, and b finite")
 
 
-@dataclass(frozen=True)
-class WienerHopfPair:
+class WienerHopfPair(Record):
     phi_plus: BernsteinFunction
     phi_minus: BernsteinFunction
 
 
-@dataclass(frozen=True)
-class Exponent:
+class Exponent(Record):
     """Exactly one canonical representation, optionally both for cross-checks."""
 
     quadruplet: Optional[LevyQuadruplet] = None

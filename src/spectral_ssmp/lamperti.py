@@ -51,19 +51,18 @@ through the same CDF, so the sizes are its draws bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 from .exponents import Exponent, LevyQuadruplet
+from .records import Record
 
 __all__ = ["SimConfig", "MCEstimate", "mc_expectation"]
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Monte Carlo settings.  dt, the longest row of Levy time that starts a
     block at Z >= 0, serves only models with a Gaussian part (below Z = 0
     their rows grow as dt e^{-Z/2}); Gaussian-free models are exact."""
@@ -90,8 +89,7 @@ class SimConfig:
             raise DomainError("seed must be an integer in [0, 2**64)")
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(Record):
     """An estimate of E_x[f(X_t)] and how its paths ended.
 
     mean and stderr are taken over all n_paths, the absorbed and the
@@ -113,8 +111,7 @@ class MCEstimate:
 # jump bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _JumpModel:
+class _JumpModel(Record, eq=False):
     """Per-row ingredients derived from a quadruplet and jump_eps.
 
     Every jump of size >= jump_eps (atoms, density nodes, the density heads

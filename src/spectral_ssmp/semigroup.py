@@ -21,17 +21,16 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, DomainWarning, ResolutionError
 from .exponents import Exponent, LevyQuadruplet, WienerHopfPair, eval_psi
+from .records import Record
 from .special import log_gamma
 from .transform import (
     GridFunction,
     GridSpec,
-    MultiplierLine,
     _along,
     _fft_axis,
     _ifft_axis,
@@ -88,16 +87,12 @@ def _split_lines(pair: WienerHopfPair, spec: GridSpec):
     return slope, band
 
 
-@dataclass(frozen=True)
-class EvolutionPlan:
+class EvolutionPlan(Record):
     """Per (pair, grid): the multiplier m, its slope (log m)', and
-    Gamma(i zeta_l)/L on q's band."""
+    Gamma(i zeta_l)/L on q's band, set by __post_init__."""
 
     pair: WienerHopfPair
     spec: GridSpec
-    m: MultiplierLine = field(init=False)
-    slope: np.ndarray = field(init=False)
-    band: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "m", multiplier_h(self.pair, self.spec))
@@ -252,8 +247,7 @@ def ws_residual(pair: WienerHopfPair, spec: GridSpec) -> float:
 # tensor evolution (d <= 3) with an invertible similarity matrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TensorPlan:
+class TensorPlan(Record):
     """Per-axis 1-d plans plus the similarity matrix M (weight e(M^{-1}x))."""
 
     plans: tuple  # of EvolutionPlan, length d <= 3

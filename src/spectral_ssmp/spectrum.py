@@ -27,14 +27,14 @@ not checkable numerically, and the ratio need not be monotone.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .bernstein import BernsteinFunction, _tails, theta_limits
 from .errors import DomainError
 from .exponents import WienerHopfPair
+from .records import Record
 from .special import median
 from .transform import GridSpec, multiplier_h
 
@@ -48,8 +48,7 @@ __all__ = [
 VERDICTS = ("Point", "Residual", "Continuous", "ApproximateOnly", "Inconclusive")
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     verdict: str
     theta_plus: tuple
     theta_minus: tuple
@@ -79,12 +78,15 @@ class SpectrumReport:
         return self.verdict == "Residual"
 
     def to_dict(self):
-        """The fields, each L^2 mass followed by its derived flag."""
+        """The fields, each L^2 mass followed by its derived flag, and the
+        evidence grid as a dict of its fields."""
         out = {}
-        for key, value in asdict(self).items():
-            out[key] = value
+        for key in self._fields:
+            out[key] = getattr(self, key)
             if key in ("l2_mass_m", "l2_mass_inv"):
                 out[key + "_finite"] = getattr(self, key + "_finite")
+        grid = self.evidence_grid
+        out["evidence_grid"] = {key: getattr(grid, key) for key in grid._fields}
         return out
 
 
@@ -94,8 +96,8 @@ class SpectrumReport:
 
 def _point_rule(p: BernsteinFunction, q: BernsteinFunction) -> Optional[str]:
     """The rows guaranteeing square integrability of m (Point side)."""
-    nu_p, rv_p, qm_p, _ = _tails(p)
-    nu_q, rv_q, qm_q, _ = _tails(q)
+    nu_p, rv_p, qm_p = _tails(p)
+    nu_q, rv_q, qm_q = _tails(q)
     rv_ok_p = rv_p is not None and qm_p
     rv_ok_q = rv_q is not None and qm_q
     if (p.drift == 0 and q.drift == 0 and rv_ok_p and rv_ok_q
@@ -145,7 +147,7 @@ def spectrum_values(t: float, y_grid) -> np.ndarray:
 # numeric evidence and the verdict
 # ---------------------------------------------------------------------------
 
-class _Side(NamedTuple):
+class _Side(Record):
     """Grid evidence on one of m and 1/m."""
     bounded: bool
     square_integrable: bool

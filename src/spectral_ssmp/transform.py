@@ -22,12 +22,13 @@ import functools
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+
 import numpy as np
 
 from .bernstein import default_evaluator, eval_phi, phi_derivative
 from .errors import DomainError, DomainWarning
 from .exponents import WienerHopfPair
+from .records import Record
 from .special import log_gamma
 
 TAIL_FRACTION_INSIDE = 1e-6
@@ -35,8 +36,7 @@ TAIL_FRACTION_BORDERLINE = 1e-3
 _LOG_CLAMP = 700.0  # |log m| bound of the multiplier line, e^700 = 1e304
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Uniform grid on [x_min, x_max) with n a power of two (>= 256)."""
 
     x_min: float = -20.0
@@ -57,13 +57,17 @@ class GridSpec:
     def dx(self):
         return (self.x_max - self.x_min) / self.n
 
-    @property
+    @functools.cached_property
     def x(self):
-        return self.x_min + self.dx * np.arange(self.n)
+        """The nodes x_j, computed once per grid and read-only."""
+        return _read_only(self.x_min + self.dx * np.arange(self.n))
 
-    @property
+    @functools.cached_property
     def xi(self):
-        return 2.0 * np.pi * (np.arange(self.n) - self.n / 2) / (self.n * self.dx)
+        """The centered frequencies xi_k, computed once per grid and
+        read-only."""
+        return _read_only(
+            2.0 * np.pi * (np.arange(self.n) - self.n / 2) / (self.n * self.dx))
 
     @property
     def dxi(self):
@@ -72,6 +76,11 @@ class GridSpec:
     @property
     def nyquist(self):
         return np.pi / self.dx
+
+
+def _read_only(v):
+    v.setflags(write=False)
+    return v
 
 
 def _freeze_samples(obj, side):
@@ -86,8 +95,7 @@ def _freeze_samples(obj, side):
     return v
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(Record):
     """Complex samples f(x_j) on the physical side."""
 
     spec: GridSpec
@@ -102,8 +110,7 @@ class GridFunction:
         return float(np.sqrt(self.spec.dx * np.sum(np.abs(self.values) ** 2 * w)))
 
 
-@dataclass(frozen=True)
-class SpectrumLine:
+class SpectrumLine(Record):
     """Complex samples on the centered frequency grid xi_k."""
 
     spec: GridSpec
@@ -116,8 +123,7 @@ class SpectrumLine:
         return float(np.sqrt(self.spec.dxi * np.sum(np.abs(self.values) ** 2)))
 
 
-@dataclass(frozen=True)
-class MultiplierLine:
+class MultiplierLine(Record):
     """Zero-free samples of a Fourier multiplier m(xi_k) on a grid."""
 
     spec: GridSpec
@@ -301,8 +307,7 @@ def multiplier_lambda(pair: WienerHopfPair, spec: GridSpec) -> MultiplierLine:
     return MultiplierLine(base.spec, base.values * phase)
 
 
-@dataclass(frozen=True)
-class DomainRecord:
+class DomainRecord(Record):
     """The half-Nyquist domain gate's reading: the fraction of the discrete
     L^2 mass beyond half the Nyquist frequency, and its verdict
     (inside <= 1e-6 < borderline <= 1e-3 < outside)."""

@@ -18,7 +18,6 @@ from spectral_ssmp.bernstein import (
     DensityMeasure,
     _measure_rule,
     _tails,
-    asymptotic_magnitude,
     default_evaluator,
     eval_phi,
     phi_derivative,
@@ -1045,87 +1044,6 @@ def test_theta_refuses_non_finite_or_out_of_range_arguments():
 
 
 # ---------------------------------------------------------------------------
-# asymptotic magnitude
-# ---------------------------------------------------------------------------
-
-def test_magnitude_reads_w_from_its_own_factor():
-    # phi(z) = z: sqrt(a) Gamma(a) / |a + i xi|^{1/2} e^{-area}, with
-    # area = xi atan(xi/a) - (a/2) log(1 + xi^2/a^2); W(a) is always the
-    # factor's own, so no other evaluator can be handed in
-    a, xi = 0.5, 10.0
-    area = xi * math.atan(xi / a) - 0.5 * a * math.log1p((xi / a) ** 2)
-    exact = (math.sqrt(a) * math.gamma(a) / abs(complex(a, xi)) ** 0.5
-             * math.exp(-area))
-    assert exact == pytest.approx(4.40e-7, rel=1e-2)
-    assert asymptotic_magnitude(PHI_ID, a, xi) == pytest.approx(exact,
-                                                                rel=1e-8)
-    with pytest.raises(TypeError):
-        asymptotic_magnitude(PHI_ID, a, xi,
-                             evaluator=default_evaluator(PHI_AFF))
-
-
-def test_magnitude_refuses_non_finite_arguments():
-    for form in ("theta", "power"):
-        for a, xi in ((np.nan, 10.0), (np.inf, 10.0), (0.0, 10.0),
-                      (0.5, np.nan), (0.5, np.inf)):
-            with pytest.raises(DomainError):
-                asymptotic_magnitude(PHI_AFF, a, xi, form=form)
-
-
-def test_magnitude_estimate_vs_gamma():
-    # ratio |W| / estimate bounded above and below, stable under refinement
-    ev = default_evaluator(PHI_ID, 1e-10, 250.0)
-    for xis in (np.geomspace(10, 200, 7), np.geomspace(10, 200, 13)):
-        ratios = []
-        for xi in xis:
-            est = asymptotic_magnitude(PHI_ID, 0.5, xi)
-            ratios.append(abs(ev.w(0.5 + 1j * xi)) / est)
-        ratios = np.asarray(ratios)
-        c = max(ratios.max(), 1.0 / ratios.min())
-        assert np.isfinite(c) and c < 10.0
-
-
-def test_magnitude_constant_phi_no_decay():
-    phi = BernsteinFunction(phi0=2.0)
-    e1 = asymptotic_magnitude(phi, 1.0, 10.0)
-    e2 = asymptotic_magnitude(phi, 1.0, 200.0)
-    assert e1 == pytest.approx(e2, rel=1e-9)  # Theta == 0: no decay
-
-
-def test_magnitude_power_form():
-    # the mass constant m = phi(0) + nu_bar(0+) = 1 comes from the atom
-    phi = BernsteinFunction(drift=1.0, measure=AtomMeasure(((1.0, 1.0),)))
-    # exponent at a = 1/2 is a + m/d - 1/2 = 1
-    v1 = asymptotic_magnitude(phi, 0.5, 50.0, form="power")
-    v2 = asymptotic_magnitude(phi, 0.5, 100.0, form="power")
-    power = np.log(v2 / v1) / np.log(2.0) + 0.5 * np.pi * 50.0 / np.log(2.0)
-    assert power == pytest.approx(1.0, abs=1e-9)
-
-
-def test_magnitude_power_form_of_the_gamma_function():
-    # phi(z) = z has m = 0, so the form's shape is |xi|^0 e^{-pi |xi| / 2},
-    # that of |Gamma(1/2 + i xi)| ~ sqrt(2 pi) e^{-pi |xi| / 2}; its constant
-    # sqrt(phi(1/2)) W(1/2) = sqrt(pi / 2) is half of sqrt(2 pi)
-    for xi in (10.0, 50.0, 200.0):
-        v = asymptotic_magnitude(PHI_ID, 0.5, xi, form="power")
-        exact = np.sqrt(np.pi / np.cosh(np.pi * xi))
-        assert v / exact == pytest.approx(0.5, rel=1e-12)
-        assert v / (np.sqrt(2.0 * np.pi) * np.exp(-0.5 * np.pi * xi)) == \
-            pytest.approx(0.5, rel=1e-12)
-
-
-def test_magnitude_metadata_error():
-    # infinite activity, then no drift
-    with pytest.raises(DomainError):
-        asymptotic_magnitude(BernsteinFunction(
-            drift=1.0, measure=ClosedFormMeasure("stable", (0.5,))),
-            0.5, 10.0, form="power")
-    with pytest.raises(DomainError):
-        asymptotic_magnitude(BernsteinFunction(phi0=1.0), 0.5, 10.0,
-                             form="power")
-
-
-# ---------------------------------------------------------------------------
 # tail facts
 # ---------------------------------------------------------------------------
 
@@ -1133,20 +1051,19 @@ _TABLE = stable_density_table(0.5)
 
 
 @pytest.mark.parametrize("family,params,want", [
-    # (nu_bar(0+), rv_index, quasi_monotone, mass_m) as the families
-    # declared them before the facts were derived from the measure
-    ("drift", {"d": 2.0}, (0.0, None, None, 0.0)),
-    ("affine", {"d": 1.0, "c": 0.5}, (0.0, None, None, 0.5)),
-    ("stable", {"beta": 0.3}, (math.inf, 0.3, True, None)),
-    ("gamma-ratio-plus", {"alpha_tilde": 0.7}, (math.inf, 0.7, True, None)),
-    ("gamma-ratio-minus", {"alpha": 0.4, "rho": 1.5},
-     (math.inf, 0.4, True, None)),
+    # (nu_bar(0+), rv_index, quasi_monotone) as the families declared them
+    # before the facts were derived from the measure
+    ("drift", {"d": 2.0}, (0.0, None, None)),
+    ("affine", {"d": 1.0, "c": 0.5}, (0.0, None, None)),
+    ("stable", {"beta": 0.3}, (math.inf, 0.3, True)),
+    ("gamma-ratio-plus", {"alpha_tilde": 0.7}, (math.inf, 0.7, True)),
+    ("gamma-ratio-minus", {"alpha": 0.4, "rho": 1.5}, (math.inf, 0.4, True)),
     ("compound-poisson",
      {"atoms": [[1.0, 0.1], [2.0, 0.2], [0.5, 0.3]], "c": 0.25, "d": 1.0},
-     (0.1 + 0.2 + 0.3, None, None, 0.25 + (0.1 + 0.2 + 0.3))),
+     (0.1 + 0.2 + 0.3, None, None)),
     ("tabulated-density",
      {k: v for k, v in _TABLE.items() if k != "family"} | {"c": 0.5},
-     (math.inf, 0.5, None, None)),
+     (math.inf, 0.5, None)),
 ])
 def test_tails_match_the_declared_family_facts(family, params, want):
     assert _tails(make_bernstein(family, **params)) == want
@@ -1159,10 +1076,9 @@ def test_tails_of_a_finite_activity_table():
     phi = make_bernstein("tabulated-density", y=list(y), density=list(dens),
                          tail_exponent_zero=-0.5, tail_exponent_inf=1.0,
                          c=0.25)
-    nu_bar, rv, qm, mass_m = _tails(phi)
+    nu_bar, rv, qm = _tails(phi)
     assert nu_bar == pytest.approx(3.0, rel=1e-10)
     assert (rv, qm) == (None, None)
-    assert mass_m == 0.25 + nu_bar
 
 
 def test_tails_of_a_table_without_head_mass():
@@ -1172,7 +1088,7 @@ def test_tails_of_a_table_without_head_mass():
     dens = np.where(y < 1e-2, 0.0, np.exp(-y))
     phi = make_bernstein("tabulated-density", y=list(y), density=list(dens),
                          tail_exponent_zero=0.5, tail_exponent_inf=1.0)
-    nu_bar, rv, _, _ = _tails(phi)
+    nu_bar, rv, _ = _tails(phi)
     assert math.isfinite(nu_bar) and rv is None
 
 
@@ -1189,8 +1105,3 @@ def test_theta_raises_quadrature_error_when_the_panels_run_out(
     with pytest.raises(ConvergenceError, match="did not converge"):
         theta_integral(phi, a, 10.0)
 
-
-@pytest.mark.parametrize("form", ("Theta", "powers", ""))
-def test_asymptotic_magnitude_refuses_an_unknown_form(form):
-    with pytest.raises(DomainError, match="unknown form"):
-        asymptotic_magnitude(PHI_ID, 0.5, 10.0, form=form)

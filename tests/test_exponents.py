@@ -1,14 +1,16 @@
 """Levy-Khintchine exponents: evaluation, conjugation, representations."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from spectral_ssmp import exponents
-from spectral_ssmp.bernstein import BernsteinFunction, DensityMeasure
+from spectral_ssmp.bernstein import (
+    BernsteinFunction,
+    DensityMeasure,
+    _MeasureRule,
+)
 from spectral_ssmp.errors import DomainError
 from spectral_ssmp.exponents import (
     Exponent,
@@ -93,7 +95,8 @@ def test_density_remainder_vanishes_at_zero(monkeypatch, psi0):
     assert vals[2] == psi0
     rem = exponents._measure_rule(dens).rem
     assert rem > 0.0
-    rule = dataclasses.replace(exponents._measure_rule(dens), rem=0.0)
+    r = exponents._measure_rule(dens)
+    rule = _MeasureRule(r.nodes, r.weights, 0.0, r.y_min, r.a0, r.c0)
     monkeypatch.setattr(exponents, "_measure_rule", lambda d: rule)
     bare = eval_psi(e, xi)
     assert bare[2] == psi0
@@ -108,14 +111,15 @@ def test_density_near_zero_piece_matches_mpmath(monkeypatch, xy, sign):
     # analytic piece below y_min alone,
     #   -c0 y0^{-a0} sum_{k >= 2} (i xi s y0)^k / k! / (k - a0),
     # s = +-1 the side; |xi| y0 = 10 is the largest the series guard admits
-    import dataclasses
-
     import mpmath as mp
     from spectral_ssmp import exponents
     rule = exponents._measure_rule
-    monkeypatch.setattr(exponents, "_measure_rule", lambda dens: (
-        dataclasses.replace(rule(dens), nodes=np.empty(0),
-                            weights=np.empty(0), rem=0.0)))
+
+    def emptied(dens):
+        r = rule(dens)
+        return _MeasureRule(np.empty(0), np.empty(0), 0.0, r.y_min, r.a0, r.c0)
+
+    monkeypatch.setattr(exponents, "_measure_rule", emptied)
     dens = make_bernstein(**stable_density_table(0.5)).measure
     y0, a0 = dens.y[0], dens.tail_exponent_zero
     c0 = dens.density[0] * y0 ** (1.0 + a0)

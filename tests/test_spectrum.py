@@ -1,5 +1,7 @@
 """Spectrum classification: golden verdicts, table rules, duality."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -94,6 +96,61 @@ def test_report_invariants():
     d = rep.to_dict()
     assert d["verdict"] == "Point"
     assert set(d) >= {"verdict", "theta_plus", "theta_minus", "branch"}
+
+
+# classify(pair).to_dict() of the golden pairs, pinned as json.dumps writes
+# it: key order, each L^2 flag after its mass, the Theta pairs as lists and
+# the evidence grid as a dict of its fields
+GOLDEN_DICTS = [
+    ('{"verdict": "Continuous", '
+     '"theta_plus": [1.539304719128973, 1.5533176628229617], '
+     '"theta_minus": [1.539304719128973, 1.5533176628229617], '
+     '"l2_mass_m": 428.9321169701264, "l2_mass_m_finite": false, '
+     '"l2_mass_inv": 428.9321169701264, "l2_mass_inv_finite": false, '
+     '"bounded_above": true, "bounded_below": true, '
+     '"table_rule_fired": null, "evidence_grid": {"x_min": -20.0, '
+     '"x_max": 40.0, "n": 4096}, "branch": "band-bounded"}'),
+    ('{"verdict": "Point", '
+     '"theta_plus": [1.0850951029215894, 1.091633116426221], '
+     '"theta_minus": [0.4338002108569159, 0.449747194880121], '
+     '"l2_mass_m": 4.124326671069687, "l2_mass_m_finite": true, '
+     '"l2_mass_inv": 3.709807521117108e+120, "l2_mass_inv_finite": false, '
+     '"bounded_above": true, "bounded_below": false, '
+     '"table_rule_fired": null, "evidence_grid": {"x_min": -20.0, '
+     '"x_max": 40.0, "n": 4096}, "branch": "theta-gap"}'),
+    ('{"verdict": "Residual", '
+     '"theta_plus": [0.47646499315779856, 0.4803047418212264], '
+     '"theta_minus": [1.0385905719572792, 1.0649153181485436], '
+     '"l2_mass_m": 1.7798094054412331e+111, "l2_mass_m_finite": false, '
+     '"l2_mass_inv": 7.310695813348975, "l2_mass_inv_finite": true, '
+     '"bounded_above": false, "bounded_below": true, '
+     '"table_rule_fired": null, "evidence_grid": {"x_min": -20.0, '
+     '"x_max": 40.0, "n": 4096}, "branch": "theta-gap"}'),
+    ('{"verdict": "Point", '
+     '"theta_plus": [0.7824825543571337, 0.7839403588772909], '
+     '"theta_minus": [0.7460113432154342, 0.7631055216900839], '
+     '"l2_mass_m": 6.673154768974203, "l2_mass_m_finite": true, '
+     '"l2_mass_inv": 728528.4782396521, "l2_mass_inv_finite": false, '
+     '"bounded_above": true, "bounded_below": false, '
+     '"table_rule_fired": null, "evidence_grid": {"x_min": -20.0, '
+     '"x_max": 40.0, "n": 4096}, "branch": "band-decay"}'),
+    ('{"verdict": "Point", '
+     '"theta_plus": [1.4577541342985771, 1.505617527005007], '
+     '"theta_minus": [0.7696523595644865, 0.7766588314114808], '
+     '"l2_mass_m": 2.4858319244826483, "l2_mass_m_finite": true, '
+     '"l2_mass_inv": 4.236132835874902e+137, "l2_mass_inv_finite": false, '
+     '"bounded_above": true, "bounded_below": false, '
+     '"table_rule_fired": null, "evidence_grid": {"x_min": -20.0, '
+     '"x_max": 40.0, "n": 4096}, "branch": "theta-gap"}'),
+]
+
+
+def test_report_dicts_of_the_golden_pairs_keep_their_json():
+    pairs = [pair for pair, _ in GOLDEN] + [WienerHopfPair(
+        make_bernstein("compound-poisson", atoms=[[1.0, 2.0]], d=1.0),
+        make_bernstein("stable", beta=0.5))]
+    for pair, want in zip(pairs, GOLDEN_DICTS, strict=True):
+        assert json.dumps(classify(pair).to_dict()) == want
 
 
 def test_report_rejects_unknown_verdict():

@@ -72,6 +72,22 @@ def test_grid_spec_n_must_be_an_integer():
         assert spec.x.shape == (int(n),)
 
 
+def test_grid_nodes_are_computed_once_and_read_only():
+    spec = GridSpec(-10.0, 30.0, 512)
+    for name, want in (("x", -10.0 + spec.dx * np.arange(512)),
+                       ("xi", 2.0 * np.pi * (np.arange(512) - 256)
+                        / (512 * spec.dx))):
+        first = getattr(spec, name)
+        assert getattr(spec, name) is first
+        assert not first.flags.writeable
+        assert np.array_equal(first, want)
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+    # the cached arrays are not fields: equality and hash ignore them
+    assert spec == GridSpec(-10.0, 30.0, 512)
+    assert hash(spec) == hash(GridSpec(-10.0, 30.0, 512))
+
+
 def test_round_trip_random():
     # identity in the natural L^2(e) norm (the weighted transform is
     # unitary there; pointwise comparison across 26 decades of weight is
